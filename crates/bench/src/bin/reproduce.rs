@@ -565,7 +565,7 @@ fn run_profiles(opts: &Options, report: &mut RunReport) -> u32 {
         // Panic boundary: a crashing profile target becomes a failed
         // entry in the report instead of tearing down the whole run.
         let outcome = exec::run_isolated(|| {
-            profiling::run_target(name, want_trace).map_err(|e| e.to_string())
+            profiling::run_target(name, want_trace, None).map_err(|e| e.to_string())
         });
         match &outcome {
             Ok(out) => {

@@ -37,7 +37,7 @@ use peakperf_kernels::microbench::math::{build_math_kernel, table2_patterns};
 use peakperf_kernels::rng::Rng;
 use peakperf_kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
 use peakperf_sass::{validate_kernel, CtlInfo, Instruction, Kernel, Module, Op, Operand, Reg};
-use peakperf_sim::timing::{TimingSim, TraceEvent, TraceSink};
+use peakperf_sim::timing::{Hooks, Observer, TimingSim, TraceEvent};
 use peakperf_sim::{GlobalMemory, Gpu, LaunchConfig, SimError};
 
 use crate::exec::{panic_message, run_isolated, Executor};
@@ -648,10 +648,10 @@ pub struct CountSink {
     pub events: u64,
 }
 
-impl TraceSink for CountSink {
-    const ENABLED: bool = true;
+impl Observer for CountSink {
+    const EVENTS: bool = true;
 
-    fn record(&mut self, _event: TraceEvent) {
+    fn event(&mut self, _event: TraceEvent) {
         self.events += 1;
     }
 }
@@ -721,13 +721,12 @@ fn run_timing(
 ) -> Result<u64, SimError> {
     let mut memory = GlobalMemory::new();
     let params = launch_params(&mut memory, problem)?;
-    let mut sim = TimingSim::new(gpu, kernel, config, &params, 1)?;
-    sim.set_cycle_limit(FUZZ_CYCLE_LIMIT);
+    let sim = TimingSim::new(gpu, kernel, config, &params, 1)?;
     let report = if traced {
-        let mut sink = CountSink::default();
-        sim.run_traced(&mut memory, &mut sink)?
+        let hooks = Hooks::observe(CountSink::default());
+        sim.run(&mut memory, hooks.cycle_limit(FUZZ_CYCLE_LIMIT))?
     } else {
-        sim.run(&mut memory)?
+        sim.run(&mut memory, Hooks::default().cycle_limit(FUZZ_CYCLE_LIMIT))?
     };
     Ok(report.cycles)
 }

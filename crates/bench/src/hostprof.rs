@@ -2,27 +2,24 @@
 //!
 //! Where `reproduce profile` decomposes the simulated GPU's bound-vs-
 //! achieved gap, this module runs the same named targets under a
-//! [`HostProf`] probe (see `peakperf_sim::perfmon`) and reports where the
-//! *host* wall time goes and how much of the simulated cycle stream an
-//! optimized engine could skip:
+//! [`HostProf`] observer (see `peakperf_sim::perfmon`) and reports where
+//! the *host* wall time goes and how much of the simulated cycle stream
+//! an optimized engine could skip:
 //!
 //! * per-[`Phase`] wall-time shares of the scheduler loop;
 //! * idle-cycle run-length histograms by dominant [`StallKind`] — the
 //!   event-driven fast-forward headroom;
-//! * a steady-state loop-periodicity fingerprint — the memoized-replay
-//!   headroom;
-//! * the combined projected speedup, which is what ROADMAP Open item 1's
+//! * the projected idle-skip speedup, which is what ROADMAP Open item 1's
 //!   ≥10× target is measured against.
 //!
-//! Probed runs always simulate (a cache hit has nothing to observe), and
-//! they run without a trace sink, so the `trace_emit` share is zero here
-//! by construction; attach `--trace-out` to `reproduce profile` to price
-//! tracing itself.
+//! Profiled runs always simulate (a cache hit has nothing to observe),
+//! and they run without a trace consumer beside the profiler, so the
+//! `trace_emit` share is zero here by construction.
 
 use std::fmt::Write as _;
 
 use peakperf_sim::perfmon::{HostProf, Opportunity, Phase};
-use peakperf_sim::timing::{NoopSink, StallKind, TimingSim};
+use peakperf_sim::timing::{Hooks, StallKind, TimingSim};
 use peakperf_sim::SimError;
 
 use crate::profiling::{self, PreparedTarget};
@@ -52,7 +49,7 @@ pub fn targets() -> &'static [profiling::ProfileTarget] {
 /// Unknown target names and simulation failures.
 pub fn run_target(name: &str) -> Result<HostProfOutcome, SimError> {
     let mut prepared: PreparedTarget = profiling::prepare(name)?;
-    let mut sim = TimingSim::new(
+    let sim = TimingSim::new(
         &prepared.gpu,
         &prepared.kernel,
         prepared.config,
@@ -60,7 +57,7 @@ pub fn run_target(name: &str) -> Result<HostProfOutcome, SimError> {
         prepared.resident,
     )?;
     let mut probe = HostProf::new();
-    let report = sim.run_probed(&mut prepared.memory, &mut NoopSink, &mut probe)?;
+    let report = sim.run(&mut prepared.memory, Hooks::observe(&mut probe))?;
     if peakperf_sim::perfmon::enabled() {
         peakperf_sim::perfmon::counter_add("hostprof.targets", 1);
         peakperf_sim::perfmon::counter_add("hostprof.simulated_cycles", report.cycles);
@@ -149,24 +146,10 @@ fn render_text(
     if !kinds.is_empty() {
         let _ = writeln!(out, "idle runs by dominant cause: {}", kinds.join(", "));
     }
-    match opp.periodicity {
-        Some(p) => {
-            let _ = writeln!(
-                out,
-                "steady-state period: {} cycles (longest run {}, replay could cover {})",
-                p.period, p.longest_run, p.replay_covered
-            );
-        }
-        None => {
-            let _ = writeln!(out, "steady-state period: none detected");
-        }
-    }
     let _ = writeln!(
         out,
-        "projected speedup: idle-skip {:.2}x, replay {:.2}x, combined {:.2}x",
-        opp.idle_skip_speedup(),
-        opp.replay_speedup(),
-        opp.combined_speedup()
+        "projected speedup: idle-skip {:.2}x",
+        opp.idle_skip_speedup()
     );
     out
 }
@@ -243,42 +226,11 @@ fn render_json(
         histogram_json(probe.idle_histogram(None))
     );
     out.push_str("    }\n  },\n");
-    out.push_str("  \"periodicity\": {\n");
-    match opp.periodicity {
-        Some(p) => {
-            let _ = writeln!(out, "    \"period\": {},", p.period);
-            let _ = writeln!(out, "    \"matched\": {},", p.matched);
-            let _ = writeln!(out, "    \"longest_run\": {},", p.longest_run);
-        }
-        None => {
-            out.push_str("    \"period\": null,\n");
-            out.push_str("    \"matched\": 0,\n");
-            out.push_str("    \"longest_run\": 0,\n");
-        }
-    }
-    let _ = writeln!(out, "    \"replay_covered\": {},", opp.replay_covered);
-    let _ = writeln!(out, "    \"fingerprinted_cycles\": {},", opp.fingerprinted);
-    let _ = writeln!(
-        out,
-        "    \"fingerprints_dropped\": {}",
-        opp.fingerprints_dropped
-    );
-    out.push_str("  },\n");
     out.push_str("  \"projection\": {\n");
     let _ = writeln!(
         out,
-        "    \"idle_skip_speedup\": {},",
+        "    \"idle_skip_speedup\": {}",
         json_f64(opp.idle_skip_speedup())
-    );
-    let _ = writeln!(
-        out,
-        "    \"replay_speedup\": {},",
-        json_f64(opp.replay_speedup())
-    );
-    let _ = writeln!(
-        out,
-        "    \"combined_speedup\": {}",
-        json_f64(opp.combined_speedup())
     );
     out.push_str("  }\n}");
     out
@@ -369,11 +321,11 @@ mod tests {
                 phase.as_str()
             );
         }
-        // No trace sink attached, so trace emission cost nothing.
+        // No trace consumer attached, so trace emission cost nothing.
         assert!(outcome
             .json
             .contains("{\"phase\": \"trace_emit\", \"wall_ms\": 0.000, \"share\": 0.000}"));
-        assert!(outcome.json.contains("\"combined_speedup\""));
+        assert!(outcome.json.contains("\"idle_skip_speedup\""));
     }
 
     #[test]

@@ -20,9 +20,8 @@ use peakperf_bound::UpperBoundModel;
 use peakperf_kernels::microbench::math::{build_math_kernel, table2_patterns, MathPattern};
 use peakperf_kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
 use peakperf_sass::Kernel;
-use peakperf_sim::timing::trace::Tee;
 use peakperf_sim::timing::{
-    chrome_trace, Profile, ProfileBuilder, StallKind, TimingSim, TraceBuffer,
+    chrome_trace, Hooks, Profile, ProfileBuilder, StallKind, TimingSim, TraceBuffer,
 };
 use peakperf_sim::{CancelToken, GlobalMemory, LaunchConfig, SimError};
 
@@ -112,48 +111,38 @@ pub struct ProfileOutcome {
 ///
 /// `capture_trace` additionally records the raw event stream and renders
 /// it as Chrome trace-event JSON (memory-capped; the profile itself
-/// streams and is always complete).
+/// streams and is always complete). `cancel` attaches a cooperative
+/// [`CancelToken`] to the timing run — the deadline/abort seam the
+/// simulation service (`crate::service`) uses to bound hostile or
+/// oversized jobs.
 ///
 /// # Errors
 ///
-/// Unknown target names and simulation failures.
-pub fn run_target(name: &str, capture_trace: bool) -> Result<ProfileOutcome, SimError> {
-    run_target_cancellable(name, capture_trace, None)
-}
-
-/// [`run_target`] with an optional cooperative [`CancelToken`] attached to
-/// the timing run — the deadline/abort seam the simulation service
-/// (`crate::service`) uses to bound hostile or oversized jobs.
-///
-/// # Errors
-///
-/// Everything [`run_target`] raises, plus [`SimError::Cancelled`] /
-/// [`SimError::DeadlineExceeded`] when the token fires mid-run.
-pub fn run_target_cancellable(
+/// Unknown target names and simulation failures, plus
+/// [`SimError::Cancelled`] / [`SimError::DeadlineExceeded`] when the
+/// token fires mid-run.
+pub fn run_target(
     name: &str,
     capture_trace: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<ProfileOutcome, SimError> {
     let mut prepared = prepare(name)?;
-    let mut sim = TimingSim::new(
+    let sim = TimingSim::new(
         &prepared.gpu,
         &prepared.kernel,
         prepared.config,
         &prepared.params,
         prepared.resident,
     )?;
-    if let Some(token) = cancel {
-        sim.set_cancel_token(token.clone());
-    }
     let memory = &mut prepared.memory;
     let mut builder = ProfileBuilder::new();
     let (report, buffer) = if capture_trace {
         let mut buffer = TraceBuffer::new();
-        let mut tee = Tee(&mut buffer, &mut builder);
-        let report = sim.run_traced(memory, &mut tee)?;
-        (report, Some(buffer))
+        let hooks = Hooks::observe((&mut buffer, &mut builder)).cancel(cancel);
+        (sim.run(memory, hooks)?, Some(buffer))
     } else {
-        (sim.run_traced(memory, &mut builder)?, None)
+        let hooks = Hooks::observe(&mut builder).cancel(cancel);
+        (sim.run(memory, hooks)?, None)
     };
     let profile = builder.finish(&prepared.kernel, &report);
 
@@ -488,13 +477,13 @@ mod tests {
 
     #[test]
     fn unknown_target_is_rejected() {
-        let err = run_target("nonesuch", false).unwrap_err();
+        let err = run_target("nonesuch", false, None).unwrap_err();
         assert!(err.to_string().contains("unknown profile target"));
     }
 
     #[test]
     fn fermi_ffma_profile_hits_the_issue_ceiling_region() {
-        let outcome = run_target("fermi_ffma", true).unwrap();
+        let outcome = run_target("fermi_ffma", true, None).unwrap();
         assert!(outcome.text.contains("== profile: fermi_ffma (GTX580) =="));
         assert!(outcome.text.contains("gap attribution"));
         let chrome = outcome.chrome.expect("trace requested");

@@ -51,7 +51,7 @@ use std::time::{Duration, Instant};
 
 use peakperf_arch::{Generation, GpuConfig};
 use peakperf_sass::KernelBuilder;
-use peakperf_sim::timing::TimingSim;
+use peakperf_sim::timing::{Hooks, TimingSim};
 use peakperf_sim::{CancelCause, CancelSource, CancelToken, GlobalMemory, LaunchConfig, SimError};
 
 use crate::exec::run_isolated;
@@ -1171,16 +1171,14 @@ fn classify_sim_error(e: SimError) -> Result<Attempt, String> {
 
 fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Attempt, String> {
     match &spec.kind {
-        JobKind::Profile { target } => {
-            match profiling::run_target_cancellable(target, false, Some(token)) {
-                Ok(out) => Ok(Attempt::Done {
-                    detail: format!("profiled {target} on {}", out.gpu),
-                    cycles: None,
-                    report_json: Some(out.json),
-                }),
-                Err(e) => classify_sim_error(e),
-            }
-        }
+        JobKind::Profile { target } => match profiling::run_target(target, false, Some(token)) {
+            Ok(out) => Ok(Attempt::Done {
+                detail: format!("profiled {target} on {}", out.gpu),
+                cycles: None,
+                report_json: Some(out.json),
+            }),
+            Err(e) => classify_sim_error(e),
+        },
         JobKind::Fault { case } => {
             let report = crate::fault::run_case(case)?;
             let detail = match &report.violation {
@@ -1209,15 +1207,15 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Atte
             let kernel = b.finish().map_err(|e| e.to_string())?;
             let gpu = GpuConfig::gtx580();
             let mut memory = GlobalMemory::new();
-            let mut sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1)
+            let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1)
                 .map_err(|e| e.to_string())?;
+            let mut hooks = Hooks::default().cancel(Some(token));
             if spec.deadline_ms.is_none() && spec.cancel_at_cycle.is_none() {
                 // Untriggered spins should fail fast on the watchdog, not
                 // burn the default multi-million-cycle budget.
-                sim.set_cycle_limit(200_000);
+                hooks = hooks.cycle_limit(200_000);
             }
-            sim.set_cancel_token(token.clone());
-            match sim.run(&mut memory) {
+            match sim.run(&mut memory, hooks) {
                 Ok(report) => Ok(Attempt::Done {
                     detail: "spin kernel finished (unexpected)".to_owned(),
                     cycles: Some(report.cycles),

@@ -15,8 +15,8 @@
 //! * **zero overhead when absent** — the service holds an
 //!   `Option<Arc<Journal>>`; `None` means no event is even constructed.
 //!   Job results and documents are identical with and without a journal
-//!   attached (locked by test), the same discipline as `TraceSink` /
-//!   `PerfProbe`.
+//!   attached (locked by test), the same discipline as the timing
+//!   simulator's `Observer`.
 //! * **lock-cheap** — events are recorded at *job* granularity (a job
 //!   runs for milliseconds to seconds), so one short `Mutex` push per
 //!   transition is far below measurement noise; the sequence counter and

@@ -21,10 +21,11 @@
 //! document. Checked-in documents under `bench/baselines/` are the
 //! repository's performance memory: [`compare`] diffs a fresh run
 //! against one and classifies every metric as improved / unchanged /
-//! regressed, with two distinct rules — **accuracy drift is always an
-//! error** (a drift in either direction means the model changed and the
-//! baseline must be consciously re-recorded), while **wall-time metrics
-//! carry a noise band** so machine jitter does not gate. The `reproduce
+//! regressed, with two distinct rules — **accuracy drift, and any
+//! difference in a row's simulated cycle/instruction/stall counters, is
+//! always an error** (a drift in either direction means the model
+//! changed and the baseline must be consciously re-recorded), while
+//! **wall-time metrics carry a noise band** so machine jitter does not gate. The `reproduce
 //! bench --compare` exit code reflects the gate, which is what CI runs
 //! on every push.
 //!
@@ -690,7 +691,7 @@ impl Comparison {
             }
             let _ = writeln!(
                 out,
-                "accuracy drift means the model changed: re-record the baseline \
+                "accuracy or counter drift means the model changed: re-record the baseline \
                  (`reproduce bench --json <baseline>`) if the change is intended"
             );
         }
@@ -741,10 +742,46 @@ impl Comparison {
     }
 }
 
-/// Percent error and wall time of one baseline row.
+/// Percent error, wall time and simulated counters of one baseline row.
 struct BaselineRow {
     pct_error: f64,
     wall_ms: f64,
+    counters: Counters,
+}
+
+/// The counters a run of the same model must reproduce exactly: cycles,
+/// warp instructions and every stall kind.
+fn exact_counters(c: &Counters) -> Vec<(String, u64)> {
+    let mut out = vec![
+        ("sim_cycles".to_owned(), c.sim_cycles),
+        ("warp_instructions".to_owned(), c.warp_instructions),
+    ];
+    out.extend(StallKind::ALL.map(|k| {
+        let name = format!("stall_cycles.{}", k.as_str());
+        (name, c.stall_cycles[k.index()])
+    }));
+    out
+}
+
+fn baseline_counters(row: &Json, id: &str) -> Result<Counters, String> {
+    let int = |obj: Option<&Json>, key: &str| {
+        obj.and_then(|o| o.get(key))
+            .and_then(Json::as_f64)
+            .map(|v| v as u64)
+            .ok_or_else(|| format!("baseline row `{id}` has no numeric counter `{key}`"))
+    };
+    let counters = row.get("counters");
+    let stalls = counters.and_then(|c| c.get("stall_cycles"));
+    let mut out = Counters {
+        sim_cycles: int(counters, "sim_cycles")?,
+        warp_instructions: int(counters, "warp_instructions")?,
+        cache_hits: int(counters, "cache_hits")?,
+        ..Counters::default()
+    };
+    for kind in StallKind::ALL {
+        out.stall_cycles[kind.index()] = int(stalls, kind.as_str())?;
+    }
+    Ok(out)
 }
 
 fn baseline_rows(baseline: &Json) -> Result<Vec<(String, BaselineRow)>, String> {
@@ -768,6 +805,7 @@ fn baseline_rows(baseline: &Json) -> Result<Vec<(String, BaselineRow)>, String> 
             BaselineRow {
                 pct_error: num("pct_error")?,
                 wall_ms: num("wall_ms")?,
+                counters: baseline_counters(row, id)?,
             },
         ));
     }
@@ -791,8 +829,11 @@ fn wall_class(baseline: f64, current: f64, band: f64) -> MetricClass {
 /// Compare a fresh run against a parsed baseline document.
 ///
 /// Gate rules: any per-row accuracy drift beyond the accuracy band fails
-/// (in either direction — a model change must re-record the baseline);
-/// wall-time metrics fail only on a slowdown beyond the noise band; a
+/// (in either direction — a model change must re-record the baseline),
+/// and so does any difference at all in a row's simulated counters
+/// (cycles, warp instructions, stall cycles by kind) unless the row was
+/// answered from the timing cache on either side and so simulated
+/// nothing; wall-time metrics fail only on a slowdown beyond the noise band; a
 /// row present in the baseline but missing from the run fails (coverage
 /// loss).
 ///
@@ -917,6 +958,26 @@ pub fn compare(
             // re-recorded deliberately.
             gate: acc_class != MetricClass::Unchanged,
         });
+        if base.counters.cache_hits == 0 && row.counters.cache_hits == 0 {
+            for ((name, was), (_, now)) in exact_counters(&base.counters)
+                .into_iter()
+                .zip(exact_counters(&row.counters))
+            {
+                let class = match now.cmp(&was) {
+                    std::cmp::Ordering::Equal => MetricClass::Unchanged,
+                    std::cmp::Ordering::Less => MetricClass::Improved,
+                    std::cmp::Ordering::Greater => MetricClass::Regressed,
+                };
+                deltas.push(MetricDelta {
+                    metric: format!("{} {name}", row.id),
+                    baseline: Some(was as f64),
+                    current: Some(now as f64),
+                    class,
+                    // Same rule as accuracy drift: the model changed.
+                    gate: class != MetricClass::Unchanged,
+                });
+            }
+        }
         let cur_wall = row.wall.as_secs_f64() * 1e3;
         let class = wall_class(base.wall_ms, cur_wall, config.wall_band);
         deltas.push(MetricDelta {
@@ -1109,6 +1170,33 @@ mod tests {
             MetricClass::Improved,
             "drift toward the paper is still a gated model change"
         );
+    }
+
+    #[test]
+    fn one_cycle_of_counter_drift_gates() {
+        let report = sample_report();
+        let mut baseline = Json::parse(&report.to_json()).unwrap();
+        let rows = match baseline.get_mut("rows").unwrap() {
+            Json::Arr(rows) => rows,
+            _ => unreachable!(),
+        };
+        // The baseline row ran one cycle longer: far inside the accuracy
+        // band, but the model is no longer cycle-identical.
+        let counters = rows[0].get_mut("counters").unwrap();
+        *counters.get_mut("sim_cycles").unwrap() = Json::Num(1001.0);
+        let cmp = compare(&report, &baseline, CompareConfig::default()).unwrap();
+        let failing: Vec<String> = cmp.failures().iter().map(|d| d.metric.clone()).collect();
+        assert_eq!(failing, vec!["table2/demo sim_cycles".to_owned()]);
+        assert!(cmp.render_text().contains("GATE table2/demo sim_cycles"));
+
+        // A row answered from the cache simulated nothing to compare.
+        let mut cached = report.clone();
+        cached.rows[0].counters = Counters {
+            cache_hits: 1,
+            ..Counters::default()
+        };
+        let cmp = compare(&cached, &baseline, CompareConfig::default()).unwrap();
+        assert!(cmp.failures().is_empty(), "{}", cmp.render_text());
     }
 
     #[test]

@@ -18,6 +18,7 @@ pub mod threads;
 
 use peakperf_arch::GpuConfig;
 use peakperf_sass::Kernel;
+use peakperf_sim::timing::cache::run_cached;
 use peakperf_sim::timing::{TimingReport, TimingSim};
 use peakperf_sim::{GlobalMemory, LaunchConfig, SimError};
 
@@ -38,14 +39,14 @@ pub fn run_on_sm(
     blocks: u32,
 ) -> Result<TimingReport, SimError> {
     let mut memory = GlobalMemory::new();
-    let mut sim = TimingSim::new(
+    let sim = TimingSim::new(
         gpu,
         kernel,
         LaunchConfig::linear(blocks, threads),
         &[],
         blocks,
     )?;
-    sim.run_cached(&mut memory)
+    run_cached(&sim, &mut memory)
 }
 
 /// Thread-instruction throughput (per shader cycle per SM) of the

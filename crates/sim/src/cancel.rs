@@ -12,7 +12,7 @@
 //!
 //! Cancellation is strictly cooperative and observational: a token that
 //! never fires leaves the simulated cycle count bit-identical to a run
-//! without any token (locked by test in `timing::sm`).
+//! without any token (locked by `tests/observer_identity.rs`).
 //!
 //! Three trigger paths, all funneled through [`CancelToken::fire_state`]:
 //!

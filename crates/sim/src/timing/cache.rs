@@ -27,7 +27,7 @@
 //!
 //! [FNV-1a]: http://www.isthe.com/chongo/tech/comp/fnv/
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -35,8 +35,9 @@ use std::sync::{Mutex, OnceLock};
 use peakperf_arch::GpuConfig;
 use peakperf_sass::Kernel;
 
-use crate::timing::sm::{StallKind, TimingReport};
-use crate::{InstMix, LaunchConfig};
+use crate::timing::sm::{StallKind, TimingReport, TimingSim};
+use crate::timing::trace::Hooks;
+use crate::{GlobalMemory, LaunchConfig, SimError};
 
 // ---------------------------------------------------------------------
 // Key hashing
@@ -230,8 +231,7 @@ impl SimCache {
 static GLOBAL: OnceLock<SimCache> = OnceLock::new();
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
-/// Enable the process-wide cache used by
-/// [`TimingSim::run_cached`](crate::timing::TimingSim::run_cached).
+/// Enable the process-wide cache used by [`run_cached`].
 ///
 /// `disk_dir`, when given, adds a persistent tier under that directory;
 /// passing `None` after a directory was set keeps the existing directory.
@@ -255,12 +255,38 @@ pub fn global_enabled() -> bool {
 }
 
 /// The active process-wide cache, or `None` when disabled.
-pub(crate) fn active() -> Option<&'static SimCache> {
+fn active() -> Option<&'static SimCache> {
     if ENABLED.load(Ordering::Acquire) {
         GLOBAL.get()
     } else {
         None
     }
+}
+
+/// Run `sim` unobserved, consulting the process-wide cache when it has
+/// been enabled.
+///
+/// On a cache hit the simulation is skipped entirely, so the functional
+/// side effects of the kernel (writes to `memory`) do **not** happen.
+/// Callers that inspect memory after timing — none of the experiment
+/// drivers do — must use [`TimingSim::run`] directly.
+///
+/// # Errors
+///
+/// Same as [`TimingSim::run`].
+pub fn run_cached(sim: &TimingSim, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
+    let Some(cache) = active() else {
+        return sim.run(memory, Hooks::default());
+    };
+    let key = sim.cache_key();
+    if let Some(report) = cache.lookup(key) {
+        crate::stats::record_cache_hit();
+        return Ok(report);
+    }
+    crate::stats::record_cache_miss();
+    let report = sim.run(memory, Hooks::default())?;
+    cache.store(key, &report);
+    Ok(report)
 }
 
 // ---------------------------------------------------------------------
@@ -364,18 +390,7 @@ fn parse_report(text: &str) -> Option<TimingReport> {
     if lines.next()? != FORMAT_TAG {
         return None;
     }
-    let mut report = TimingReport {
-        cycles: 0,
-        warp_instructions: 0,
-        thread_instructions: 0,
-        flops: 0,
-        mix: InstMix::new(),
-        stalls: BTreeMap::new(),
-        lds_conflict_cycles: 0,
-        global_transactions: 0,
-        global_bytes: 0,
-        hazard_replays: 0,
-    };
+    let mut report = TimingReport::default();
     let mut seen_scalar = [false; SCALAR_FIELDS.len()];
     for line in lines {
         let mut parts = line.split_whitespace();
@@ -446,11 +461,9 @@ mod tests {
     fn sample_report() -> TimingReport {
         let gpu = GpuConfig::gtx580();
         let kernel = sample_kernel();
-        let mut mem = crate::GlobalMemory::new();
-        let mut sim =
-            crate::timing::TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1)
-                .unwrap();
-        sim.run(&mut mem).unwrap()
+        let mut mem = GlobalMemory::new();
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+        sim.run(&mut mem, Hooks::default()).unwrap()
     }
 
     #[test]

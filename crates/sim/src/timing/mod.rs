@@ -30,7 +30,7 @@ pub use conflict::{global_transactions, shared_conflict_factor};
 pub use profile::{Profile, ProfileBuilder};
 pub use sm::{StallKind, TimingReport, TimingSim};
 pub use trace::{
-    chrome_trace, ChromeTraceWriter, NoopSink, TraceBuffer, TraceEvent, TraceEventKind, TraceSink,
+    chrome_trace, ChromeTraceWriter, Hooks, Observer, TraceBuffer, TraceEvent, TraceEventKind,
 };
 
 use peakperf_arch::GpuConfig;
@@ -94,8 +94,8 @@ pub fn time_kernel(
     let waves = total_blocks.div_ceil(wave_capacity).max(1);
 
     let resident = (total_blocks.min(u64::from(blocks_per_sm))) as u32;
-    let mut sim = TimingSim::new(gpu, kernel, config, params, resident)?;
-    let report = sim.run_cached(memory)?;
+    let sim = TimingSim::new(gpu, kernel, config, params, resident)?;
+    let report = cache::run_cached(&sim, memory)?;
 
     // Full waves run back to back; the trailing partial wave still pays a
     // latency floor (its blocks take roughly a full wave's critical path on

@@ -1,6 +1,6 @@
 //! Streaming aggregation of trace events into a profile.
 //!
-//! [`ProfileBuilder`] is a [`TraceSink`] that aggregates in-flight, so a
+//! [`ProfileBuilder`] is an [`Observer`] that aggregates in-flight, so a
 //! run of any length can be profiled with O(kernel size + warps) memory —
 //! unlike [`super::trace::TraceBuffer`], nothing is ever dropped. The
 //! finished [`Profile`] holds per-SASS-instruction issue histograms, a
@@ -12,7 +12,7 @@ use std::fmt::Write as _;
 use peakperf_sass::Kernel;
 
 use crate::timing::sm::{StallKind, TimingReport};
-use crate::timing::trace::{json_string, TraceEvent, TraceEventKind, TraceSink, NO_PC};
+use crate::timing::trace::{json_string, Observer, TraceEvent, TraceEventKind, NO_PC};
 
 /// Timeline buckets are merged pairwise once the run outgrows this many.
 const MAX_TIMELINE_BUCKETS: usize = 128;
@@ -143,7 +143,7 @@ impl Timeline {
     }
 }
 
-/// A [`TraceSink`] that aggregates events into a [`Profile`] in-flight.
+/// An [`Observer`] that aggregates events into a [`Profile`] in-flight.
 #[derive(Debug)]
 pub struct ProfileBuilder {
     per_pc: Vec<PcStats>,
@@ -245,8 +245,10 @@ impl ProfileBuilder {
     }
 }
 
-impl TraceSink for ProfileBuilder {
-    fn record(&mut self, event: TraceEvent) {
+impl Observer for ProfileBuilder {
+    const EVENTS: bool = true;
+
+    fn event(&mut self, event: TraceEvent) {
         self.events += 1;
         match event.kind {
             TraceEventKind::Issue { lanes, dual } => {
@@ -541,7 +543,7 @@ mod tests {
     #[test]
     fn aggregates_issues_and_stalls() {
         let mut b = ProfileBuilder::new();
-        b.record(ev(
+        b.event(ev(
             0,
             0,
             0,
@@ -551,7 +553,7 @@ mod tests {
                 dual: false,
             },
         ));
-        b.record(ev(
+        b.event(ev(
             0,
             0,
             0,
@@ -561,16 +563,16 @@ mod tests {
                 dual: true,
             },
         ));
-        b.record(ev(1, 1, 1, 0, TraceEventKind::Stall(StallKind::Scoreboard)));
-        b.record(ev(1, 1, 1, 0, TraceEventKind::Stall(StallKind::Scoreboard)));
-        b.record(ev(
+        b.event(ev(1, 1, 1, 0, TraceEventKind::Stall(StallKind::Scoreboard)));
+        b.event(ev(1, 1, 1, 0, TraceEventKind::Stall(StallKind::Scoreboard)));
+        b.event(ev(
             2,
             1,
             1,
             NO_PC,
             TraceEventKind::Stall(StallKind::Barrier),
         ));
-        b.record(ev(3, 1, 1, 5, TraceEventKind::WarpExit));
+        b.event(ev(3, 1, 1, 5, TraceEventKind::WarpExit));
         assert_eq!(b.issues, 2);
         assert_eq!(b.dual_issues, 1);
         assert_eq!(b.stall_totals[StallKind::Scoreboard.index()], 2);
@@ -601,7 +603,7 @@ mod tests {
     fn json_has_balanced_braces_and_sums() {
         let mut b = ProfileBuilder::new();
         for c in 0..40u64 {
-            b.record(ev(
+            b.event(ev(
                 c,
                 (c % 2) as u8,
                 (c % 4) as u16,

@@ -5,17 +5,14 @@ use std::collections::BTreeMap;
 use peakperf_arch::{GpuConfig, WARP_SIZE};
 use peakperf_sass::{validate_kernel, CtlInfo, Kernel, Op, OpClass};
 
-use crate::cancel::{CancelCause, CancelToken, CHECK_INTERVAL_CYCLES};
+use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
 use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
-use crate::perfmon::{NoopProbe, PerfProbe, Phase, Stopwatch};
+use crate::perfmon::{Phase, Stopwatch};
 use crate::timing::conflict::{global_transactions, shared_conflict_factor, SEGMENT_BYTES};
-use crate::timing::trace::{NoopSink, TraceEvent, TraceEventKind, TraceSink, NO_PC};
+use crate::timing::trace::{Hooks, Observer, TraceEvent, TraceEventKind, NO_PC};
 use crate::timing::Calibration;
 use crate::warp::{StepEvent, WarpState};
 use crate::{Dim3, GlobalMemory, HangSnapshot, InstMix, LaunchConfig, SimError, WarpHang};
-
-/// Default safety limit on simulated cycles.
-const DEFAULT_CYCLE_LIMIT: u64 = 200_000_000;
 
 /// L1 cache per SM available for local-memory (spill) data when shared
 /// memory takes 48 KB of the 64 KB unified array (Section 5.5).
@@ -88,7 +85,7 @@ impl StallKind {
 }
 
 /// Aggregate results of one timing run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TimingReport {
     /// Total shader cycles until all resident warps exited.
     pub cycles: u64,
@@ -164,6 +161,56 @@ impl MemIf {
     }
 }
 
+/// The mutable state of one run, threaded through `try_issue`.
+struct RunState {
+    slots: Vec<WarpSlot>,
+    blocks: Vec<BlockRes>,
+    memif: MemIf,
+    ldst_free: f64,
+    sp_free: f64,
+    tokens: f64,
+    /// Local-memory spill traffic: fraction of accesses missing L1.
+    local_miss_fraction: f64,
+    report: TimingReport,
+}
+
+/// Deliver one scheduler event (compiled out unless `O::EVENTS`).
+#[inline]
+fn emit<O: Observer>(
+    observer: &mut O,
+    (cycle, sched, w): (u64, usize, usize),
+    pc: u32,
+    kind: TraceEventKind,
+) {
+    if O::EVENTS {
+        observer.event(TraceEvent {
+            cycle,
+            scheduler: sched as u8,
+            warp: w as u16,
+            pc,
+            kind,
+        });
+    }
+}
+
+/// Deliver an `Issue` event, plus the `WarpExit` it caused if the warp
+/// is now `done`.
+#[inline]
+fn trace_issue<O: Observer>(
+    observer: &mut O,
+    at: (u64, usize, usize),
+    pc: u32,
+    lanes: u32,
+    dual: bool,
+    done: bool,
+) {
+    let lanes = lanes as u8;
+    emit(observer, at, pc, TraceEventKind::Issue { lanes, dual });
+    if done {
+        emit(observer, at, pc, TraceEventKind::WarpExit);
+    }
+}
+
 /// A timing simulation of `resident_blocks` blocks of a kernel on one SM.
 pub struct TimingSim {
     calib: Calibration,
@@ -171,10 +218,6 @@ pub struct TimingSim {
     config: LaunchConfig,
     params: Vec<u32>,
     resident_blocks: u32,
-    cycle_limit: u64,
-    /// Cooperative cancellation handle, polled every
-    /// [`CHECK_INTERVAL_CYCLES`]; `None` skips the poll entirely.
-    cancel: Option<CancelToken>,
     /// Pre-extracted per-instruction metadata.
     meta: Vec<InstMeta>,
     /// Hash of every input the run result depends on (see
@@ -259,85 +302,39 @@ impl TimingSim {
             config,
             params: params.to_vec(),
             resident_blocks,
-            cycle_limit: DEFAULT_CYCLE_LIMIT,
-            cancel: None,
             meta,
             cache_key,
         })
     }
 
-    /// Override the safety cycle limit.
-    pub fn set_cycle_limit(&mut self, limit: u64) {
-        self.cycle_limit = limit;
-    }
-
-    /// Attach a cooperative [`CancelToken`]: the scheduler loop polls it
-    /// every [`CHECK_INTERVAL_CYCLES`] simulated cycles (one relaxed
-    /// atomic load) and aborts with [`SimError::Cancelled`] /
-    /// [`SimError::DeadlineExceeded`] carrying the per-warp scheduling
-    /// snapshot. A token that never fires leaves the run cycle-identical
-    /// to an untokened run (the poll is a pure observer).
-    pub fn set_cancel_token(&mut self, token: CancelToken) {
-        self.cancel = Some(token);
-    }
-
-    /// Run to completion and report.
+    /// Run to completion and report, under `hooks` (`Hooks::default()`
+    /// for none): scheduler events and host wall time per loop phase
+    /// stream into its observer, its token is polled every
+    /// [`CHECK_INTERVAL_CYCLES`], and its cycle limit bounds the run.
+    /// Hooks only observe, so the report is identical under any of them.
     ///
     /// # Errors
     ///
-    /// Propagates memory faults and reports [`SimError::StepLimit`] if the
-    /// cycle limit is exceeded.
-    pub fn run(&mut self, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
-        self.run_traced(memory, &mut NoopSink)
-    }
-
-    /// Like [`TimingSim::run`], but streams per-cycle scheduler events
-    /// (issues, stalls with [`StallKind`] attribution, barrier releases,
-    /// warp exits) into `sink`.
-    ///
-    /// Sinks are pure observers, so the timing result is identical to an
-    /// untraced run; with the default [`NoopSink`] every emission site
-    /// compiles away (see [`crate::timing::trace`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TimingSim::run`].
-    pub fn run_traced<S: TraceSink>(
-        &mut self,
+    /// Propagates memory faults; reports [`SimError::StepLimit`] past the
+    /// cycle limit and [`SimError::Cancelled`] /
+    /// [`SimError::DeadlineExceeded`] when the token fires.
+    pub fn run<O: Observer>(
+        &self,
         memory: &mut GlobalMemory,
-        sink: &mut S,
+        hooks: Hooks<'_, O>,
     ) -> Result<TimingReport, SimError> {
-        self.run_probed(memory, sink, &mut NoopProbe)
-    }
-
-    /// Like [`TimingSim::run_traced`], but also streams host-performance
-    /// observations (wall time per scheduler-loop phase, per-cycle issue
-    /// and stall tallies) into `probe`.
-    ///
-    /// Probes, like sinks, are pure observers: the timing result is
-    /// identical with any probe, and with the default [`NoopProbe`] every
-    /// probe site — including its `Instant` reads — compiles away (see
-    /// [`crate::perfmon`]).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TimingSim::run`].
-    pub fn run_probed<S: TraceSink, P: PerfProbe>(
-        &mut self,
-        memory: &mut GlobalMemory,
-        sink: &mut S,
-        probe: &mut P,
-    ) -> Result<TimingReport, SimError> {
-        let run_t0 = if P::ENABLED {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
+        let Hooks {
+            observer: mut obs,
+            cancel,
+            cycle_limit,
+        } = hooks;
+        let obs = &mut obs;
+        let run_t0 = O::HOST_TIMING.then(std::time::Instant::now);
         let threads = self.config.threads_per_block();
         let warps_per_block = self.config.warps_per_block();
         let n_warps = (warps_per_block * self.resident_blocks) as usize;
 
-        let mut blocks: Vec<BlockRes> = (0..self.resident_blocks)
+        let blocks: Vec<BlockRes> = (0..self.resident_blocks)
             .map(|b| BlockRes {
                 ctx: BlockCtx {
                     // Resident blocks take the first grid slots along x.
@@ -354,7 +351,7 @@ impl TimingSim {
             })
             .collect();
 
-        let mut slots: Vec<WarpSlot> = (0..n_warps)
+        let slots: Vec<WarpSlot> = (0..n_warps)
             .map(|i| {
                 let w_in_block = (i as u32) % warps_per_block;
                 let lanes = (threads - w_in_block * WARP_SIZE).min(WARP_SIZE);
@@ -371,7 +368,6 @@ impl TimingSim {
             })
             .collect();
 
-        // Local-memory spill traffic: fraction of accesses missing L1.
         let spill_footprint =
             self.kernel.local_bytes as u64 * u64::from(threads) * u64::from(self.resident_blocks);
         let local_miss_fraction = if spill_footprint > u64::from(L1_BYTES) {
@@ -380,66 +376,62 @@ impl TimingSim {
             0.0
         };
 
-        let mut memif = MemIf {
-            bytes_per_cycle: self.calib.mem_bytes_per_cycle_sm,
-            latency: self.calib.global_latency,
-            next_free: 0.0,
-        };
-        let mut ldst_free: f64 = 0.0;
-        let mut sp_free: f64 = 0.0;
-        let mut tokens: f64 = 0.0;
         let token_cap = self.calib.tokens_per_cycle.unwrap_or(0) as f64 * 2.0;
-
-        let mut report = TimingReport {
-            cycles: 0,
-            warp_instructions: 0,
-            thread_instructions: 0,
-            flops: 0,
-            mix: InstMix::new(),
-            stalls: BTreeMap::new(),
-            lds_conflict_cycles: 0,
-            global_transactions: 0,
-            global_bytes: 0,
-            hazard_replays: 0,
+        let mut st = RunState {
+            slots,
+            blocks,
+            memif: MemIf {
+                bytes_per_cycle: self.calib.mem_bytes_per_cycle_sm,
+                latency: self.calib.global_latency,
+                next_free: 0.0,
+            },
+            ldst_free: 0.0,
+            sp_free: 0.0,
+            tokens: 0.0,
+            local_miss_fraction,
+            report: TimingReport::default(),
         };
 
         let schedulers = self.calib.schedulers as usize;
         // Round-robin pointers per scheduler.
         let mut rr: Vec<usize> = vec![0; schedulers];
+        // Warps owned by each scheduler.
+        let owned: Vec<Vec<usize>> = (0..schedulers)
+            .map(|sched| (0..n_warps).filter(|&w| w % schedulers == sched).collect())
+            .collect();
+        let wpb = warps_per_block as usize;
 
         let mut cycle: u64 = 0;
         loop {
-            if slots.iter().all(|s| s.done) {
+            if st.slots.iter().all(|s| s.done) {
                 break;
             }
-            if cycle > self.cycle_limit {
+            if cycle > cycle_limit {
                 return Err(SimError::StepLimit {
-                    limit: self.cycle_limit,
-                    snapshot: Some(timing_hang_snapshot(cycle, &slots)),
+                    limit: cycle_limit,
+                    snapshot: Some(timing_hang_snapshot(cycle, &st.slots)),
                 });
             }
             if cycle.is_multiple_of(CHECK_INTERVAL_CYCLES) {
-                if let Some(token) = &self.cancel {
-                    match token.fire_state(cycle) {
-                        None => {}
-                        Some(CancelCause::Cancelled) => {
-                            return Err(SimError::Cancelled {
+                if let Some(token) = cancel {
+                    if let Some(cause) = token.fire_state(cycle) {
+                        let snapshot = Some(timing_hang_snapshot(cycle, &st.slots));
+                        return Err(match cause {
+                            CancelCause::Cancelled => SimError::Cancelled {
                                 at_cycle: cycle,
-                                snapshot: Some(timing_hang_snapshot(cycle, &slots)),
-                            });
-                        }
-                        Some(CancelCause::DeadlineExceeded) => {
-                            return Err(SimError::DeadlineExceeded {
+                                snapshot,
+                            },
+                            CancelCause::DeadlineExceeded => SimError::DeadlineExceeded {
                                 deadline_ms: token.deadline_ms(),
                                 at_cycle: cycle,
-                                snapshot: Some(timing_hang_snapshot(cycle, &slots)),
-                            });
-                        }
+                                snapshot,
+                            },
+                        });
                     }
                 }
             }
             if let Some(refill) = self.calib.tokens_per_cycle {
-                tokens = (tokens + refill as f64).min(token_cap.max(refill as f64));
+                st.tokens = (st.tokens + refill as f64).min(token_cap.max(refill as f64));
             }
 
             for s in 0..schedulers {
@@ -453,210 +445,95 @@ impl TimingSim {
                 if self.calib.scheduler_half_rate && !(cycle as usize + sched).is_multiple_of(2) {
                     continue;
                 }
-                // Warps owned by this scheduler.
-                let owned: Vec<usize> = (0..n_warps).filter(|&w| w % schedulers == sched).collect();
+                let owned = &owned[sched];
                 if owned.is_empty() {
                     continue;
                 }
                 let start = rr[sched] % owned.len();
-                let mut issued_from: Option<usize> = None;
                 for k in 0..owned.len() {
                     let w = owned[(start + k) % owned.len()];
-                    match self.try_issue(
-                        w,
-                        cycle,
-                        &mut slots,
-                        &mut blocks,
-                        memory,
-                        &mut ldst_free,
-                        &mut sp_free,
-                        &mut tokens,
-                        &mut memif,
-                        local_miss_fraction,
-                        &mut report,
-                        probe,
-                    )? {
+                    let at = (cycle, sched, w);
+                    match self.try_issue(w, cycle, &mut st, memory, obs)? {
                         IssueResult::Issued { pc, lanes } => {
-                            if S::ENABLED {
-                                let sw = Stopwatch::start::<P>();
-                                sink.record(TraceEvent {
-                                    cycle,
-                                    scheduler: sched as u8,
-                                    warp: w as u16,
-                                    pc,
-                                    kind: TraceEventKind::Issue {
-                                        lanes: lanes as u8,
-                                        dual: false,
-                                    },
-                                });
-                                if slots[w].done {
-                                    sink.record(TraceEvent {
-                                        cycle,
-                                        scheduler: sched as u8,
-                                        warp: w as u16,
-                                        pc,
-                                        kind: TraceEventKind::WarpExit,
-                                    });
-                                }
-                                sw.stop(probe, Phase::TraceEmit);
-                            }
-                            issued_from = Some((start + k) % owned.len());
+                            trace_issue(obs, at, pc, lanes, false, st.slots[w].done);
+                            rr[sched] = (start + k) % owned.len() + 1;
                             // Dual dispatch: try one more instruction from
                             // the same warp (Kepler's second dispatch unit).
                             if self.calib.dispatch_per_scheduler > 1 {
-                                let second = self.try_issue(
-                                    w,
-                                    cycle,
-                                    &mut slots,
-                                    &mut blocks,
-                                    memory,
-                                    &mut ldst_free,
-                                    &mut sp_free,
-                                    &mut tokens,
-                                    &mut memif,
-                                    local_miss_fraction,
-                                    &mut report,
-                                    probe,
-                                )?;
-                                if S::ENABLED {
-                                    if let IssueResult::Issued { pc, lanes } = second {
-                                        let sw = Stopwatch::start::<P>();
-                                        sink.record(TraceEvent {
-                                            cycle,
-                                            scheduler: sched as u8,
-                                            warp: w as u16,
-                                            pc,
-                                            kind: TraceEventKind::Issue {
-                                                lanes: lanes as u8,
-                                                dual: true,
-                                            },
-                                        });
-                                        if slots[w].done {
-                                            sink.record(TraceEvent {
-                                                cycle,
-                                                scheduler: sched as u8,
-                                                warp: w as u16,
-                                                pc,
-                                                kind: TraceEventKind::WarpExit,
-                                            });
-                                        }
-                                        sw.stop(probe, Phase::TraceEmit);
-                                    }
+                                if let IssueResult::Issued { pc, lanes } =
+                                    self.try_issue(w, cycle, &mut st, memory, obs)?
+                                {
+                                    trace_issue(obs, at, pc, lanes, true, st.slots[w].done);
                                 }
                             }
                             break;
                         }
                         IssueResult::Blocked { kind, pc } => {
-                            *report.stalls.entry(kind).or_insert(0) += 1;
-                            if P::ENABLED {
-                                probe.stall(kind);
-                            }
-                            if S::ENABLED {
-                                let sw = Stopwatch::start::<P>();
-                                sink.record(TraceEvent {
-                                    cycle,
-                                    scheduler: sched as u8,
-                                    warp: w as u16,
-                                    pc,
-                                    kind: TraceEventKind::Stall(kind),
-                                });
-                                sw.stop(probe, Phase::TraceEmit);
-                            }
+                            *st.report.stalls.entry(kind).or_insert(0) += 1;
+                            emit(obs, at, pc, TraceEventKind::Stall(kind));
                         }
                         IssueResult::NotReady => {}
                     }
                 }
-                if let Some(pos) = issued_from {
-                    rr[sched] = pos + 1;
-                }
             }
 
             // Barrier release: per block, when every non-done warp waits.
-            let barrier_sw = Stopwatch::start::<P>();
-            for (b, block) in blocks.iter().enumerate() {
-                let members: Vec<usize> = (0..n_warps).filter(|&w| slots[w].block == b).collect();
-                let _ = block;
-                let running: Vec<usize> = members
-                    .iter()
-                    .copied()
-                    .filter(|&w| !slots[w].done)
-                    .collect();
-                if !running.is_empty() && running.iter().all(|&w| slots[w].at_barrier) {
-                    // Matching the functional model (`func::run_block`): if
-                    // any member warp of the block already exited, the
-                    // barrier can never be satisfied — report the deadlock
-                    // instead of silently releasing the waiters.
-                    if running.len() != members.len() {
-                        let pc = running
-                            .first()
-                            .and_then(|&w| slots[w].state.current_group())
-                            .map(|(pc, _)| pc)
-                            .unwrap_or(0);
-                        return Err(SimError::BarrierDeadlock {
-                            pc,
-                            waiting: running.len() as u32,
-                            exited: (members.len() - running.len()) as u32,
-                        });
+            let mut barrier_sw = Stopwatch::start::<O>();
+            for b in 0..st.blocks.len() {
+                // A block's warps occupy consecutive slots.
+                let members = b * wpb..(b + 1) * wpb;
+                let running = || members.clone().filter(|&w| !st.slots[w].done);
+                let n_running = running().count();
+                if n_running == 0 || !running().all(|w| st.slots[w].at_barrier) {
+                    continue;
+                }
+                // Matching the functional model (`func::run_block`): if
+                // any member warp of the block already exited, the
+                // barrier can never be satisfied — report the deadlock
+                // instead of silently releasing the waiters.
+                if n_running != members.len() {
+                    let pc = running()
+                        .next()
+                        .and_then(|w| st.slots[w].state.current_group())
+                        .map(|(pc, _)| pc)
+                        .unwrap_or(0);
+                    return Err(SimError::BarrierDeadlock {
+                        pc,
+                        waiting: n_running as u32,
+                        exited: (members.len() - n_running) as u32,
+                    });
+                }
+                for w in members.clone() {
+                    let slot = &mut st.slots[w];
+                    slot.at_barrier = false;
+                    let mut bar_pc = NO_PC;
+                    if let Some((pc, _)) = slot.state.current_group() {
+                        release_barrier(&mut slot.state, pc);
+                        bar_pc = pc;
                     }
-                    for &w in &running {
-                        let slot = &mut slots[w];
-                        slot.at_barrier = false;
-                        let mut bar_pc = NO_PC;
-                        if let Some((pc, _)) = slot.state.current_group() {
-                            release_barrier(&mut slot.state, pc);
-                            bar_pc = pc;
-                        }
-                        slot.next_issue = cycle + u64::from(self.calib.barrier_latency);
-                        if S::ENABLED {
-                            sink.record(TraceEvent {
-                                cycle,
-                                scheduler: (w % schedulers) as u8,
-                                warp: w as u16,
-                                pc: bar_pc,
-                                kind: TraceEventKind::BarrierRelease,
-                            });
-                        }
+                    slot.next_issue = cycle + u64::from(self.calib.barrier_latency);
+                    if O::EVENTS {
+                        // Event delivery is its own phase, not barrier time.
+                        barrier_sw.stop(obs, Phase::BarrierRelease);
+                        let at = (cycle, w % schedulers, w);
+                        emit(obs, at, bar_pc, TraceEventKind::BarrierRelease);
+                        barrier_sw = Stopwatch::start::<O>();
                     }
                 }
             }
+            barrier_sw.stop(obs, Phase::BarrierRelease);
 
-            barrier_sw.stop(probe, Phase::BarrierRelease);
-
-            if P::ENABLED {
-                probe.cycle_end(cycle);
+            if O::HOST_TIMING {
+                obs.cycle_end(cycle);
             }
             cycle += 1;
         }
+        let mut report = st.report;
         report.cycles = cycle.max(1);
         crate::stats::record_timing_run(&report);
         if let Some(t0) = run_t0 {
-            probe.finish(report.cycles, t0.elapsed().as_nanos() as u64);
+            obs.finish(report.cycles, t0.elapsed().as_nanos() as u64);
         }
-        Ok(report)
-    }
-
-    /// Like [`TimingSim::run`], but consults the process-wide timing cache
-    /// (see [`crate::timing::cache`]) when it has been enabled.
-    ///
-    /// On a cache hit the simulation is skipped entirely, so the functional
-    /// side effects of the kernel (writes to `memory`) do **not** happen.
-    /// Callers that inspect memory after timing — none of the experiment
-    /// drivers do — must use [`TimingSim::run`] directly.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`TimingSim::run`].
-    pub fn run_cached(&mut self, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
-        let Some(cache) = crate::timing::cache::active() else {
-            return self.run(memory);
-        };
-        if let Some(report) = cache.lookup(self.cache_key) {
-            crate::stats::record_cache_hit();
-            return Ok(report);
-        }
-        crate::stats::record_cache_miss();
-        let report = self.run(memory)?;
-        cache.store(self.cache_key, &report);
         Ok(report)
     }
 
@@ -668,23 +545,15 @@ impl TimingSim {
         self.cache_key
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn try_issue<P: PerfProbe>(
+    fn try_issue<O: Observer>(
         &self,
         w: usize,
         cycle: u64,
-        slots: &mut [WarpSlot],
-        blocks: &mut [BlockRes],
+        st: &mut RunState,
         memory: &mut GlobalMemory,
-        ldst_free: &mut f64,
-        sp_free: &mut f64,
-        tokens: &mut f64,
-        memif: &mut MemIf,
-        local_miss_fraction: f64,
-        report: &mut TimingReport,
-        probe: &mut P,
+        obs: &mut O,
     ) -> Result<IssueResult, SimError> {
-        let slot = &mut slots[w];
+        let slot = &mut st.slots[w];
         if slot.done {
             return Ok(IssueResult::NotReady);
         }
@@ -712,7 +581,7 @@ impl TimingSim {
         let meta = &self.meta[pc as usize];
 
         // Scoreboard.
-        let sb_sw = Stopwatch::start::<P>();
+        let sb_sw = Stopwatch::start::<O>();
         let mut ready = 0u64;
         let mut blocking_hazard = false;
         for r in meta.uses.iter().chain(meta.defs.iter()) {
@@ -740,20 +609,20 @@ impl TimingSim {
                 for r in meta.uses.iter().chain(meta.defs.iter()) {
                     slot.hazard &= !(1 << r.index());
                 }
-                report.hazard_replays += 1;
-                sb_sw.stop(probe, Phase::Scoreboard);
+                st.report.hazard_replays += 1;
+                sb_sw.stop(obs, Phase::Scoreboard);
                 return Ok(IssueResult::Blocked {
                     kind: StallKind::HazardReplay,
                     pc,
                 });
             }
-            sb_sw.stop(probe, Phase::Scoreboard);
+            sb_sw.stop(obs, Phase::Scoreboard);
             return Ok(IssueResult::Blocked {
                 kind: StallKind::Scoreboard,
                 pc,
             });
         }
-        sb_sw.stop(probe, Phase::Scoreboard);
+        sb_sw.stop(obs, Phase::Scoreboard);
 
         // Structural pipes.
         let is_mem = matches!(meta.class, OpClass::Mem(_));
@@ -761,13 +630,13 @@ impl TimingSim {
             meta.class,
             OpClass::Fp32 | OpClass::Int | OpClass::IntMul | OpClass::Mov
         );
-        if is_mem && *ldst_free >= (cycle + 1) as f64 {
+        if is_mem && st.ldst_free >= (cycle + 1) as f64 {
             return Ok(IssueResult::Blocked {
                 kind: StallKind::Pipe,
                 pc,
             });
         }
-        if is_math && *sp_free >= (cycle + 1) as f64 {
+        if is_math && st.sp_free >= (cycle + 1) as f64 {
             return Ok(IssueResult::Blocked {
                 kind: StallKind::Pipe,
                 pc,
@@ -780,7 +649,7 @@ impl TimingSim {
                 self.calib
                     .token_cost(&inst.op, meta.token_ways, meta.ctl.dual, meta.distinct_srcs)
                     as f64;
-            if *tokens < c {
+            if st.tokens < c {
                 return Ok(IssueResult::Blocked {
                     kind: StallKind::IssueTokens,
                     pc,
@@ -792,7 +661,7 @@ impl TimingSim {
         };
 
         // Execute functionally.
-        let block = &mut blocks[slot.block];
+        let block = &mut st.blocks[slot.block];
         let mut mem_ctx = MemCtx {
             global: memory,
             shared: &mut block.shared,
@@ -800,49 +669,35 @@ impl TimingSim {
             local_bytes: self.kernel.local_bytes,
             params: &self.params,
         };
-        let fx_sw = Stopwatch::start::<P>();
+        let fx_sw = Stopwatch::start::<O>();
         let result = step_warp(&self.kernel.code, &mut slot.state, &mut mem_ctx, &block.ctx)?;
-        fx_sw.stop(probe, Phase::FuncExec);
+        fx_sw.stop(obs, Phase::FuncExec);
 
-        *tokens -= cost;
+        st.tokens -= cost;
 
-        let issued_lanes: u32;
-        match result.event {
+        st.report.warp_instructions += 1;
+        st.report.mix.record(inst, 1);
+        let lanes = match result.event {
             StepEvent::AtBarrier { .. } => {
                 slot.at_barrier = true;
-                report.warp_instructions += 1;
                 let lanes = slot.state.running_mask().count_ones();
-                report.thread_instructions += u64::from(lanes);
-                report.mix.record(inst, 1);
-                if P::ENABLED {
-                    probe.issue(pc);
-                }
+                st.report.thread_instructions += u64::from(lanes);
                 return Ok(IssueResult::Issued { pc, lanes });
             }
             StepEvent::Exited => {
                 slot.done = true;
-                report.warp_instructions += 1;
-                report.mix.record(inst, 1);
-                if P::ENABLED {
-                    probe.issue(pc);
-                }
                 return Ok(IssueResult::Issued { pc, lanes: 0 });
             }
-            StepEvent::Executed { exec_mask, .. } => {
-                let lanes = exec_mask.count_ones();
-                issued_lanes = lanes;
-                report.warp_instructions += 1;
-                report.thread_instructions += u64::from(lanes);
-                report.mix.record(inst, 1);
-                if meta.class == OpClass::Fp32 {
-                    let per_lane: u64 = if matches!(inst.op, Op::Ffma { .. }) {
-                        2
-                    } else {
-                        1
-                    };
-                    report.flops += u64::from(lanes) * per_lane;
-                }
-            }
+            StepEvent::Executed { exec_mask, .. } => exec_mask.count_ones(),
+        };
+        st.report.thread_instructions += u64::from(lanes);
+        if meta.class == OpClass::Fp32 {
+            let per_lane: u64 = if matches!(inst.op, Op::Ffma { .. }) {
+                2
+            } else {
+                1
+            };
+            st.report.flops += u64::from(lanes) * per_lane;
         }
 
         // Post-issue costs. A Kepler dual-issue hint keeps the warp
@@ -860,53 +715,53 @@ impl TimingSim {
         };
 
         if is_math {
-            *sp_free = sp_free.max(cycle as f64) + 32.0 / self.sp_rate();
+            st.sp_free = st.sp_free.max(cycle as f64) + 32.0 / self.sp_rate();
         }
 
         let mut result_ready = cycle + u64::from(meta.latency);
         if let Some(access) = &result.mem {
-            let mem_sw = Stopwatch::start::<P>();
+            let mem_sw = Stopwatch::start::<O>();
             match access.space {
                 peakperf_sass::MemSpace::Shared => {
                     let factor =
                         shared_conflict_factor(self.calib.generation, access.width, &access.addrs);
                     let occ = self.calib.lds_pipe_cycles(access.width, factor);
                     let base = self.calib.lds_pipe_cycles(access.width, 1);
-                    report.lds_conflict_cycles += u64::from(occ - base);
-                    *ldst_free = ldst_free.max(cycle as f64) + f64::from(occ);
+                    st.report.lds_conflict_cycles += u64::from(occ - base);
+                    st.ldst_free = st.ldst_free.max(cycle as f64) + f64::from(occ);
                     result_ready = cycle + u64::from(meta.latency) + u64::from(occ - base);
-                    mem_sw.stop(probe, Phase::BankConflict);
+                    mem_sw.stop(obs, Phase::BankConflict);
                 }
                 peakperf_sass::MemSpace::Global => {
                     let txns = global_transactions(access.width, &access.addrs);
                     let bytes = u64::from(txns) * u64::from(SEGMENT_BYTES);
-                    report.global_transactions += u64::from(txns);
-                    report.global_bytes += bytes;
-                    *ldst_free = ldst_free.max(cycle as f64) + f64::from(txns.max(1));
-                    let data_at = memif.access(cycle, bytes);
+                    st.report.global_transactions += u64::from(txns);
+                    st.report.global_bytes += bytes;
+                    st.ldst_free = st.ldst_free.max(cycle as f64) + f64::from(txns.max(1));
+                    let data_at = st.memif.access(cycle, bytes);
                     if !access.store {
                         result_ready = data_at;
                     }
-                    mem_sw.stop(probe, Phase::MemModel);
+                    mem_sw.stop(obs, Phase::MemModel);
                 }
                 peakperf_sass::MemSpace::Local => {
                     // Spill traffic: occupies the LD/ST pipe like shared
                     // memory; the L1-miss fraction also pays global
                     // bandwidth and latency (Section 5.5).
                     let occ = self.calib.lds_pipe_cycles(access.width, 1);
-                    *ldst_free = ldst_free.max(cycle as f64) + f64::from(occ);
-                    if local_miss_fraction > 0.0 {
+                    st.ldst_free = st.ldst_free.max(cycle as f64) + f64::from(occ);
+                    if st.local_miss_fraction > 0.0 {
                         let bytes = (access.addrs.len() as f64
                             * f64::from(access.width.bytes())
-                            * local_miss_fraction) as u64;
-                        let data_at = memif.access(cycle, bytes);
+                            * st.local_miss_fraction) as u64;
+                        let data_at = st.memif.access(cycle, bytes);
                         if !access.store {
                             result_ready = result_ready
                                 .max(cycle + u64::from(self.calib.global_latency / 2))
                                 .max(data_at);
                         }
                     }
-                    mem_sw.stop(probe, Phase::MemModel);
+                    mem_sw.stop(obs, Phase::MemModel);
                 }
             }
         }
@@ -916,17 +771,12 @@ impl TimingSim {
         // (stall 0 everywhere) replays on ALU hazards and runs very poorly,
         // exactly as the paper observed before decoding the notation
         // (Section 3.2).
-        let kepler = self.calib.generation.uses_control_notation();
         let covered = ctl_stall >= 1;
-        let sbu_sw = Stopwatch::start::<P>();
+        let sbu_sw = Stopwatch::start::<O>();
         for r in &meta.defs {
             let idx = r.index() as usize;
             slot.sb_reg[idx] = result_ready;
-            let alu_like = matches!(
-                meta.class,
-                OpClass::Fp32 | OpClass::Int | OpClass::IntMul | OpClass::Mov
-            );
-            if kepler && alu_like && !covered && self.calib.hazard_penalty > 0 {
+            if kepler_ctl && is_math && !covered && self.calib.hazard_penalty > 0 {
                 slot.hazard |= 1 << idx;
             } else {
                 slot.hazard &= !(1 << idx);
@@ -935,15 +785,9 @@ impl TimingSim {
         if let Some(p) = meta.def_pred {
             slot.sb_pred[p.index() as usize] = result_ready;
         }
-        sbu_sw.stop(probe, Phase::Scoreboard);
+        sbu_sw.stop(obs, Phase::Scoreboard);
 
-        if P::ENABLED {
-            probe.issue(pc);
-        }
-        Ok(IssueResult::Issued {
-            pc,
-            lanes: issued_lanes,
-        })
+        Ok(IssueResult::Issued { pc, lanes })
     }
 
     fn sp_rate(&self) -> f64 {
@@ -992,6 +836,7 @@ fn timing_hang_snapshot(cycle: u64, slots: &[WarpSlot]) -> HangSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
     use peakperf_sass::{Generation, KernelBuilder, Operand, Reg};
 
     /// A kernel of `n` independent FFMAs per thread in a tight loop.
@@ -1033,7 +878,7 @@ mod tests {
     fn run_sm(gen: Generation, kernel: &Kernel, threads: u32, blocks: u32) -> TimingReport {
         let gpu = GpuConfig::preset(gen);
         let mut mem = GlobalMemory::new();
-        let mut sim = TimingSim::new(
+        let sim = TimingSim::new(
             &gpu,
             kernel,
             LaunchConfig::linear(blocks, threads),
@@ -1041,7 +886,7 @@ mod tests {
             blocks,
         )
         .unwrap();
-        sim.run(&mut mem).unwrap()
+        sim.run(&mut mem, Hooks::default()).unwrap()
     }
 
     #[test]
@@ -1090,9 +935,8 @@ mod tests {
         let kernel = b.finish().unwrap();
         let gpu = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
-        let mut sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 32), &[], 1).unwrap();
-        sim.set_cycle_limit(10_000);
-        match sim.run(&mut mem) {
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 32), &[], 1).unwrap();
+        match sim.run(&mut mem, Hooks::default().cycle_limit(10_000)) {
             Err(SimError::StepLimit { limit, snapshot }) => {
                 assert_eq!(limit, 10_000);
                 let snap = snapshot.expect("cycle limit carries a snapshot");
@@ -1127,10 +971,10 @@ mod tests {
 
         let config = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
-        let mut sim =
-            TimingSim::new(&config, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
-        sim.set_cycle_limit(100_000);
-        let timing_err = sim.run(&mut mem).unwrap_err();
+        let sim = TimingSim::new(&config, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+        let timing_err = sim
+            .run(&mut mem, Hooks::default().cycle_limit(100_000))
+            .unwrap_err();
 
         assert_eq!(
             func_err,
@@ -1141,76 +985,6 @@ mod tests {
             }
         );
         assert_eq!(func_err, timing_err);
-    }
-
-    #[test]
-    fn probed_run_is_cycle_identical() {
-        // Probes are pure observers: a HostProf-probed run must produce the
-        // exact report of an unprobed run — the same lock NoopSink has.
-        for gen in [Generation::Fermi, Generation::Kepler] {
-            let kernel = ffma_kernel(gen, 16, 32);
-            let gpu = GpuConfig::preset(gen);
-            let config = LaunchConfig::linear(2, 128);
-
-            let mut mem = GlobalMemory::new();
-            let mut sim = TimingSim::new(&gpu, &kernel, config, &[], 2).unwrap();
-            let plain = sim.run(&mut mem).unwrap();
-
-            let mut mem = GlobalMemory::new();
-            let mut sim = TimingSim::new(&gpu, &kernel, config, &[], 2).unwrap();
-            let mut probe = crate::perfmon::HostProf::new();
-            let probed = sim.run_probed(&mut mem, &mut NoopSink, &mut probe).unwrap();
-
-            assert_eq!(plain.cycles, probed.cycles);
-            assert_eq!(plain.warp_instructions, probed.warp_instructions);
-            assert_eq!(plain.thread_instructions, probed.thread_instructions);
-            assert_eq!(plain.stalls, probed.stalls);
-            assert_eq!(plain.flops, probed.flops);
-
-            // And the probe saw a coherent stream: one cycle_end per
-            // simulated cycle (the final report adds max(1)), stall tallies
-            // matching the report, and wall shares that sum to the total.
-            assert_eq!(probe.cycles(), probed.cycles);
-            let total: u64 = crate::perfmon::Phase::ALL
-                .into_iter()
-                .map(|p| probe.phase_nanos(p))
-                .sum();
-            assert_eq!(total, probe.total_nanos());
-            let a = probe.analyze();
-            assert!(a.idle_cycles <= a.cycles);
-            assert!(a.combined_speedup() >= 1.0);
-        }
-    }
-
-    #[test]
-    fn never_firing_token_is_cycle_identical() {
-        // The token poll is a pure observer: a run carrying a token that
-        // never fires (even one with a generous deadline) must produce the
-        // exact report of a token-less run — the cancellation analogue of
-        // the NoopSink / NoopProbe identity locks.
-        for gen in [Generation::Fermi, Generation::Kepler] {
-            let kernel = ffma_kernel(gen, 16, 32);
-            let gpu = GpuConfig::preset(gen);
-            let config = LaunchConfig::linear(2, 128);
-
-            let mut mem = GlobalMemory::new();
-            let mut sim = TimingSim::new(&gpu, &kernel, config, &[], 2).unwrap();
-            let plain = sim.run(&mut mem).unwrap();
-
-            let mut mem = GlobalMemory::new();
-            let mut sim = TimingSim::new(&gpu, &kernel, config, &[], 2).unwrap();
-            sim.set_cancel_token(CancelToken::with_deadline(std::time::Duration::from_secs(
-                3600,
-            )));
-            let tokened = sim.run(&mut mem).unwrap();
-
-            assert_eq!(plain.cycles, tokened.cycles);
-            assert_eq!(plain.warp_instructions, tokened.warp_instructions);
-            assert_eq!(plain.thread_instructions, tokened.thread_instructions);
-            assert_eq!(plain.stalls, tokened.stalls);
-            assert_eq!(plain.flops, tokened.flops);
-            assert_eq!(plain.hazard_replays, tokened.hazard_replays);
-        }
     }
 
     #[test]
@@ -1227,12 +1001,11 @@ mod tests {
 
         let run_cancelled = |at: u64| -> SimError {
             let mut mem = GlobalMemory::new();
-            let mut sim =
-                TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+            let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
             let token = CancelToken::new();
             token.cancel_at_cycle(at);
-            sim.set_cancel_token(token);
-            sim.run(&mut mem).unwrap_err()
+            sim.run(&mut mem, Hooks::default().cancel(Some(&token)))
+                .unwrap_err()
         };
 
         let first = run_cancelled(5000);
@@ -1261,11 +1034,10 @@ mod tests {
         let kernel = ffma_kernel(Generation::Fermi, 16, 1 << 20);
         let gpu = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
-        let mut sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
         let token = CancelToken::new();
         token.cancel();
-        sim.set_cancel_token(token);
-        match sim.run(&mut mem) {
+        match sim.run(&mut mem, Hooks::default().cancel(Some(&token))) {
             Err(SimError::Cancelled { at_cycle, .. }) => assert_eq!(at_cycle, 0),
             other => panic!("expected immediate Cancelled, got {other:?}"),
         }
@@ -1276,10 +1048,10 @@ mod tests {
         let kernel = ffma_kernel(Generation::Fermi, 16, 1 << 20);
         let gpu = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
-        let mut sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
-        sim.set_cancel_token(CancelToken::with_deadline(std::time::Duration::ZERO));
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+        let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
-        match sim.run(&mut mem) {
+        match sim.run(&mut mem, Hooks::default().cancel(Some(&token))) {
             Err(SimError::DeadlineExceeded {
                 deadline_ms,
                 snapshot,

@@ -1,28 +1,30 @@
-//! Cycle-level event tracing for the timing simulator.
+//! Cycle-level event tracing for the timing simulator, and the single
+//! [`Observer`] trait every instrument of a run implements.
 //!
 //! The simulator's scheduler loop emits one [`TraceEvent`] per issue
 //! attempt outcome — an instruction issued (primary or dual dispatch
 //! slot), a runnable warp blocked with a [`StallKind`], a barrier
-//! released, a warp exited. Consumers implement [`TraceSink`]; the two
-//! in-tree sinks are [`TraceBuffer`] (records raw events, for the Chrome
-//! trace export) and [`super::profile::ProfileBuilder`] (aggregates
-//! in-flight, for arbitrarily long runs).
+//! released, a warp exited. The in-tree observers are [`TraceBuffer`]
+//! (records raw events, for the Chrome trace export),
+//! [`super::profile::ProfileBuilder`] (aggregates in-flight, for
+//! arbitrarily long runs) and [`crate::perfmon::HostProf`] (host wall
+//! time per loop phase).
 //!
 //! # Overhead guarantee
 //!
-//! Tracing must never perturb timing and must cost nothing when unused.
-//! [`TraceSink`] therefore carries an associated `const ENABLED`; every
-//! emission site in the simulator is guarded by `if S::ENABLED`, which for
-//! the default [`NoopSink`] is a compile-time `false` — the untraced
-//! monomorphization of the scheduler loop contains no tracing code at
-//! all. Sinks only *observe*: nothing they return feeds back into the
-//! simulation, so a traced run and an untraced run of the same kernel
-//! produce identical cycle counts (asserted by `tests/trace.rs`).
+//! Observing must never perturb timing and must cost nothing when unused:
+//! every emission site and clock read is behind one of [`Observer`]'s two
+//! constants, both `false` for `()`, and nothing an observer returns
+//! feeds back into the simulation — any observer leaves every
+//! [`TimingReport`](super::TimingReport) field unchanged (asserted by
+//! `tests/observer_identity.rs`).
 
 use std::fmt::Write as _;
 
 use peakperf_sass::Kernel;
 
+use crate::cancel::CancelToken;
+use crate::perfmon::{Phase, Stopwatch};
 use crate::timing::sm::StallKind;
 
 /// Sentinel PC for events where the instruction index is not known
@@ -63,29 +65,139 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// A consumer of trace events.
+/// The one observer of a [`TimingSim`](super::TimingSim) run: scheduler
+/// events for trace consumers, host wall-time attribution for profilers
+/// of the simulator itself, or both.
 ///
-/// Implementations must be pure observers: recording an event may not
-/// influence the simulation. The `ENABLED` constant lets the compiler
-/// remove every emission site from the no-op instantiation.
-pub trait TraceSink {
-    /// Whether this sink observes anything at all. Emission sites are
-    /// guarded with `if S::ENABLED`, so a `false` here erases them.
-    const ENABLED: bool = true;
+/// Implementations must be pure observers: nothing they record may feed
+/// back into the simulation. The two constants gate the simulator's
+/// emission sites at compile time — `if O::EVENTS` around every
+/// [`Observer::event`], `if O::HOST_TIMING` around every clock read — so
+/// the `()` instantiation is exactly the uninstrumented loop.
+pub trait Observer {
+    /// Whether [`Observer::event`] should be called at all.
+    const EVENTS: bool = false;
+    /// Whether the loop should read the host clock and call
+    /// [`Observer::phase`], [`Observer::cycle_end`] and
+    /// [`Observer::finish`].
+    const HOST_TIMING: bool = false;
 
-    /// Observe one event.
-    fn record(&mut self, event: TraceEvent);
+    /// Observe one scheduler event.
+    fn event(&mut self, _event: TraceEvent) {}
+    /// Add `nanos` of host wall time to a leaf `phase`.
+    fn phase(&mut self, _phase: Phase, _nanos: u64) {}
+    /// The simulator finished `cycle` and is about to advance.
+    fn cycle_end(&mut self, _cycle: u64) {}
+    /// The run completed: `cycles` simulated in `wall_nanos` of host time.
+    fn finish(&mut self, _cycles: u64, _wall_nanos: u64) {}
 }
 
-/// The default sink: records nothing, costs nothing.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NoopSink;
+/// The default observer: observes nothing, costs nothing.
+impl Observer for () {}
 
-impl TraceSink for NoopSink {
-    const ENABLED: bool = false;
+/// Observers are usually lent to a run and read afterwards.
+impl<O: Observer> Observer for &mut O {
+    const EVENTS: bool = O::EVENTS;
+    const HOST_TIMING: bool = O::HOST_TIMING;
 
-    #[inline(always)]
-    fn record(&mut self, _event: TraceEvent) {}
+    fn event(&mut self, event: TraceEvent) {
+        (**self).event(event);
+    }
+    fn phase(&mut self, phase: Phase, nanos: u64) {
+        (**self).phase(phase, nanos);
+    }
+    fn cycle_end(&mut self, cycle: u64) {
+        (**self).cycle_end(cycle);
+    }
+    fn finish(&mut self, cycles: u64, wall_nanos: u64) {
+        (**self).finish(cycles, wall_nanos);
+    }
+}
+
+/// Two observers on one run (e.g. a [`TraceBuffer`] for the Chrome export
+/// and a `ProfileBuilder` for aggregation). A pair is also where a trace
+/// consumer can meet a host profiler, so it is where event delivery is
+/// priced: each side's `event` is timed on the other side's clock and
+/// charged to [`Phase::TraceEmit`]. A lone profiler therefore reports a
+/// zero `trace_emit` share by construction.
+impl<A: Observer, B: Observer> Observer for (A, B) {
+    const EVENTS: bool = A::EVENTS || B::EVENTS;
+    const HOST_TIMING: bool = A::HOST_TIMING || B::HOST_TIMING;
+
+    fn event(&mut self, event: TraceEvent) {
+        if A::EVENTS {
+            let sw = Stopwatch::start::<B>();
+            self.0.event(event);
+            sw.stop(&mut self.1, Phase::TraceEmit);
+        }
+        if B::EVENTS {
+            let sw = Stopwatch::start::<A>();
+            self.1.event(event);
+            sw.stop(&mut self.0, Phase::TraceEmit);
+        }
+    }
+    fn phase(&mut self, phase: Phase, nanos: u64) {
+        self.0.phase(phase, nanos);
+        self.1.phase(phase, nanos);
+    }
+    fn cycle_end(&mut self, cycle: u64) {
+        self.0.cycle_end(cycle);
+        self.1.cycle_end(cycle);
+    }
+    fn finish(&mut self, cycles: u64, wall_nanos: u64) {
+        self.0.finish(cycles, wall_nanos);
+        self.1.finish(cycles, wall_nanos);
+    }
+}
+
+/// Everything a caller can attach to one
+/// [`TimingSim::run`](super::TimingSim::run): the observer, a cooperative
+/// cancellation token and the safety cycle limit.
+#[derive(Debug)]
+pub struct Hooks<'a, O = ()> {
+    pub(crate) observer: O,
+    pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) cycle_limit: u64,
+}
+
+/// Default safety limit on simulated cycles.
+const DEFAULT_CYCLE_LIMIT: u64 = 200_000_000;
+
+impl Default for Hooks<'_, ()> {
+    fn default() -> Self {
+        Hooks::observe(())
+    }
+}
+
+impl<'a, O: Observer> Hooks<'a, O> {
+    /// Run under `observer` (pass `&mut o` to read it afterwards), with
+    /// no token and the default cycle limit.
+    pub fn observe(observer: O) -> Self {
+        Hooks {
+            observer,
+            cancel: None,
+            cycle_limit: DEFAULT_CYCLE_LIMIT,
+        }
+    }
+
+    /// Poll `token` every
+    /// [`CHECK_INTERVAL_CYCLES`](crate::cancel::CHECK_INTERVAL_CYCLES)
+    /// simulated cycles (one relaxed atomic load) and abort with
+    /// [`SimError::Cancelled`](crate::SimError::Cancelled) /
+    /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded)
+    /// carrying the per-warp scheduling snapshot. A token that never
+    /// fires leaves the run cycle-identical (the poll is a pure observer).
+    pub fn cancel(mut self, token: Option<&'a CancelToken>) -> Self {
+        self.cancel = token;
+        self
+    }
+
+    /// Abort with [`SimError::StepLimit`](crate::SimError::StepLimit)
+    /// once more than `limit` cycles have been simulated.
+    pub fn cycle_limit(mut self, limit: u64) -> Self {
+        self.cycle_limit = limit;
+        self
+    }
 }
 
 /// Default event cap of a [`TraceBuffer`] (~112 MB of events).
@@ -139,30 +251,14 @@ impl TraceBuffer {
     }
 }
 
-impl TraceSink for TraceBuffer {
-    fn record(&mut self, event: TraceEvent) {
+impl Observer for TraceBuffer {
+    const EVENTS: bool = true;
+
+    fn event(&mut self, event: TraceEvent) {
         if self.events.len() < self.limit {
             self.events.push(event);
         } else {
             self.dropped += 1;
-        }
-    }
-}
-
-/// Fan one event stream out to two sinks (e.g. a [`TraceBuffer`] for the
-/// Chrome export and a `ProfileBuilder` for aggregation, in one run).
-#[derive(Debug)]
-pub struct Tee<'a, A, B>(pub &'a mut A, pub &'a mut B);
-
-impl<A: TraceSink, B: TraceSink> TraceSink for Tee<'_, A, B> {
-    const ENABLED: bool = A::ENABLED || B::ENABLED;
-
-    fn record(&mut self, event: TraceEvent) {
-        if A::ENABLED {
-            self.0.record(event);
-        }
-        if B::ENABLED {
-            self.1.record(event);
         }
     }
 }
@@ -388,7 +484,7 @@ mod tests {
     fn buffer_caps_and_counts_drops() {
         let mut buf = TraceBuffer::with_limit(2);
         for i in 0..5 {
-            buf.record(ev(i, 0, TraceEventKind::Stall(StallKind::Scoreboard)));
+            buf.event(ev(i, 0, TraceEventKind::Stall(StallKind::Scoreboard)));
         }
         assert_eq!(buf.len(), 2);
         assert_eq!(buf.dropped(), 3);
@@ -396,30 +492,46 @@ mod tests {
     }
 
     #[test]
-    fn tee_feeds_both_sinks() {
+    fn pair_feeds_both_observers() {
         let mut a = TraceBuffer::new();
         let mut b = TraceBuffer::new();
-        let mut tee = Tee(&mut a, &mut b);
-        tee.record(ev(1, 3, TraceEventKind::WarpExit));
+        (&mut a, &mut b).event(ev(1, 3, TraceEventKind::WarpExit));
         assert_eq!(a.len(), 1);
         assert_eq!(b.len(), 1);
         assert_eq!(a.events()[0], b.events()[0]);
     }
 
     #[test]
-    fn noop_sink_is_disabled() {
+    fn pair_prices_event_delivery_on_the_profiler_side() {
+        use crate::perfmon::HostProf;
+        let mut buf = TraceBuffer::new();
+        let mut prof = HostProf::new();
+        let mut pair = (&mut buf, &mut prof);
+        for i in 0..1000 {
+            pair.event(ev(i, 0, TraceEventKind::Stall(StallKind::Pipe)));
+        }
+        assert_eq!(buf.len(), 1000);
+        assert!(prof.phase_nanos(Phase::TraceEmit) > 0);
+        // A lone profiler pays nothing for its own bookkeeping.
+        let mut alone = HostProf::new();
+        alone.event(ev(0, 0, TraceEventKind::Stall(StallKind::Pipe)));
+        assert_eq!(alone.phase_nanos(Phase::TraceEmit), 0);
+    }
+
+    #[test]
+    fn unit_observer_is_disabled() {
         const {
-            assert!(!NoopSink::ENABLED);
-            assert!(TraceBuffer::ENABLED);
-            assert!(<Tee<'_, NoopSink, TraceBuffer> as TraceSink>::ENABLED);
-            assert!(!<Tee<'_, NoopSink, NoopSink> as TraceSink>::ENABLED);
+            assert!(!<() as Observer>::EVENTS && !<() as Observer>::HOST_TIMING);
+            assert!(TraceBuffer::EVENTS && !TraceBuffer::HOST_TIMING);
+            assert!(<((), &mut TraceBuffer) as Observer>::EVENTS);
+            assert!(!<((), ()) as Observer>::EVENTS);
         }
     }
 
     #[test]
     fn chrome_trace_is_balanced_json() {
         let mut buf = TraceBuffer::new();
-        buf.record(ev(
+        buf.event(ev(
             0,
             0,
             TraceEventKind::Issue {
@@ -427,9 +539,9 @@ mod tests {
                 dual: false,
             },
         ));
-        buf.record(ev(1, 1, TraceEventKind::Stall(StallKind::Pipe)));
-        buf.record(ev(2, 0, TraceEventKind::BarrierRelease));
-        buf.record(ev(3, 1, TraceEventKind::WarpExit));
+        buf.event(ev(1, 1, TraceEventKind::Stall(StallKind::Pipe)));
+        buf.event(ev(2, 0, TraceEventKind::BarrierRelease));
+        buf.event(ev(3, 1, TraceEventKind::WarpExit));
         let kernel = Kernel::new("t");
         let json = chrome_trace(&buf, &kernel, 2);
         assert_eq!(json.matches('{').count(), json.matches('}').count());

@@ -310,20 +310,6 @@ def check_hostprof_document(doc, schema, errors):
                         f"idle_runs {idle['idle_runs']}"
                     )
 
-        periodicity = target.get("periodicity")
-        if isinstance(periodicity, dict):
-            check_required(
-                periodicity,
-                schema["hostprof_periodicity"]["required"],
-                f"{where}.periodicity",
-                errors,
-            )
-            period = periodicity.get("period", "absent")
-            if period != "absent" and period is not None and not isinstance(period, int):
-                errors.append(f"{where}.periodicity: period must be an int or null")
-            if period == "absent":
-                errors.append(f"{where}.periodicity: missing required key `period`")
-
         projection = target.get("projection")
         if isinstance(projection, dict):
             check_required(
