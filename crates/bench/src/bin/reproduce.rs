@@ -14,6 +14,7 @@
 //!                 [--queue-cap <n>] [--results <path.jsonl>] [--json <path>]
 //!                 [--journal-out <path>] [--trace-out <path>]
 //!                 [--snapshot-ms <n>]
+//! reproduce check <file>...
 //!
 //! options:
 //!   --full               simulate the full problem sizes
@@ -82,6 +83,12 @@
 //!                        journal (default 100; 0 disables snapshots)
 //! ```
 //!
+//! `check` validates documents this binary wrote: each file says what it
+//! is (its `schema` id, or `traceEvents` for a Chrome trace) and is
+//! checked against that family's required keys, types and invariants; a
+//! `.jsonl` file is checked line by line. Any violation is listed and
+//! fails the exit code.
+//!
 //! `serve` always arms a bounded flight-recorder ring even without
 //! `--journal-out`: when a resilience invariant fails, the last events
 //! are dumped as a servicetrace document and the error message points at
@@ -99,11 +106,12 @@ use peakperf_bench::exec;
 use peakperf_bench::experiments::{self, Speed};
 use peakperf_bench::fault;
 use peakperf_bench::hostprof;
-use peakperf_bench::json::Json;
 use peakperf_bench::perf::{PerfSpan, RunReport};
 use peakperf_bench::profiling;
+use peakperf_bench::report::check_document;
 use peakperf_bench::service;
 use peakperf_bench::telemetry;
+use peakperf_sim::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -119,6 +127,7 @@ fn usage() -> ExitCode {
          \x20      reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>] \
          [--queue-cap <n>] [--results <path.jsonl>] [--json <path>] \
          [--journal-out <path>] [--trace-out <path>] [--snapshot-ms <n>]\n\
+         \x20      reproduce check <file>...\n\
          experiments: {} all\n\
          profile targets: {}",
         ALL.join(" "),
@@ -557,7 +566,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
 /// `peakperf-profile-v1` object to `--profile-out` / `--json`.
 fn run_profiles(opts: &Options, report: &mut RunReport) -> u32 {
     let mut failures = 0u32;
-    let mut profile_jsons: Vec<String> = Vec::new();
+    let mut profile_jsons: Vec<Json> = Vec::new();
     let mut profile_gpus: Vec<&'static str> = Vec::new();
     for name in &opts.names {
         let span = PerfSpan::begin();
@@ -575,12 +584,7 @@ fn run_profiles(opts: &Options, report: &mut RunReport) -> u32 {
                     profile_gpus.push(out.gpu);
                 }
                 if let (Some(path), Some(chrome)) = (&opts.trace_out, &out.chrome) {
-                    if let Err(e) = std::fs::write(path, chrome) {
-                        eprintln!("error: could not write trace to {path}: {e}");
-                        failures += 1;
-                    } else {
-                        eprintln!("[trace written to {path}]");
-                    }
+                    failures += write_out("trace", path, chrome);
                 }
             }
             Err(e) => {
@@ -597,13 +601,8 @@ fn run_profiles(opts: &Options, report: &mut RunReport) -> u32 {
         report.experiments.push(perf);
     }
     if let Some(path) = &opts.profile_out {
-        let doc = profiling::profile_document(&profile_jsons, &profile_gpus);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: could not write profile document to {path}: {e}");
-            failures += 1;
-        } else {
-            eprintln!("[profile document written to {path}]");
-        }
+        let doc = profiling::profile_document(profile_jsons.clone(), &profile_gpus);
+        failures += write_out("profile document", path, &doc.pretty());
     }
     report.profiles = profile_jsons;
     failures
@@ -681,7 +680,8 @@ fn run_fuzz(opts: &Options) -> ExitCode {
         eprintln!("[re-run with --corpus-dir <path> to save minimized cases]");
     }
     if let Some(path) = &opts.json_path {
-        if let Err(e) = std::fs::write(path, fault::campaign_json(&cfg, &result, wall_ms)) {
+        if let Err(e) = std::fs::write(path, fault::campaign_json(&cfg, &result, wall_ms).pretty())
+        {
             eprintln!("error: could not write JSON report to {path}: {e}");
             failures += 1;
         }
@@ -705,7 +705,7 @@ fn run_fuzz(opts: &Options) -> ExitCode {
 /// contributes a `peakperf-hostprof-v1` object to `--json`.
 fn run_hostprof(opts: &Options) -> ExitCode {
     let mut failures = 0u32;
-    let mut jsons: Vec<String> = Vec::new();
+    let mut jsons: Vec<Json> = Vec::new();
     let mut gpus: Vec<&'static str> = Vec::new();
     for name in &opts.names {
         let t0 = Instant::now();
@@ -728,13 +728,8 @@ fn run_hostprof(opts: &Options) -> ExitCode {
         }
     }
     if let Some(path) = &opts.json_path {
-        let doc = hostprof::hostprof_document(&jsons, &gpus);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: could not write hostprof document to {path}: {e}");
-            failures += 1;
-        } else {
-            eprintln!("[hostprof document written to {path}]");
-        }
+        let doc = hostprof::hostprof_document(jsons, &gpus);
+        failures += write_out("hostprof document", path, &doc.pretty());
     }
     if failures > 0 {
         ExitCode::FAILURE
@@ -826,12 +821,7 @@ fn run_serve(opts: &Options) -> ExitCode {
             .collect::<Vec<_>>()
             .join("\n")
             + "\n";
-        if let Err(e) = std::fs::write(path, lines) {
-            eprintln!("error: could not write results to {path}: {e}");
-            failures += 1;
-        } else {
-            eprintln!("[results written to {path}]");
-        }
+        failures += write_out("results", path, &lines);
     }
     if let Some(path) = &opts.json_path {
         let perfmon = peakperf_sim::perfmon::enabled().then(peakperf_sim::perfmon::snapshot);
@@ -843,30 +833,15 @@ fn run_serve(opts: &Options) -> ExitCode {
             wall_ms,
             perfmon.as_ref(),
         );
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: could not write service document to {path}: {e}");
-            failures += 1;
-        } else {
-            eprintln!("[service document written to {path}]");
-        }
+        failures += write_out("service document", path, &doc.pretty());
     }
     if let Some(path) = &opts.journal_out {
         let doc = journal.document(workers, queue_capacity, &health, wall_ms);
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("error: could not write journal to {path}: {e}");
-            failures += 1;
-        } else {
-            eprintln!("[journal written to {path}]");
-        }
+        failures += write_out("journal", path, &doc.pretty());
     }
     if let Some(path) = &opts.trace_out {
         let trace = journal.chrome_trace(workers);
-        if let Err(e) = std::fs::write(path, trace) {
-            eprintln!("error: could not write chrome trace to {path}: {e}");
-            failures += 1;
-        } else {
-            eprintln!("[chrome trace written to {path}]");
-        }
+        failures += write_out("chrome trace", path, &trace);
     }
 
     // The resilience invariants: every job terminal, nothing lost,
@@ -878,22 +853,8 @@ fn run_serve(opts: &Options) -> ExitCode {
         );
         failures += 1;
     }
-    if health.terminal() != health.submitted || !health.accounted() {
-        eprintln!(
-            "error: accounting identity violated: {}",
-            health.render_line()
-        );
-        failures += 1;
-    }
-    if health.queue_depth != 0 || health.in_flight != 0 {
-        eprintln!("error: drain left work behind: {}", health.render_line());
-        failures += 1;
-    }
-    if health.queue_depth_max > queue_capacity as u64 {
-        eprintln!(
-            "error: queue depth peaked at {} with capacity {queue_capacity}",
-            health.queue_depth_max
-        );
+    for violation in health.check_drained(queue_capacity as u64) {
+        eprintln!("error: {violation}");
         failures += 1;
     }
     // The journal's own invariants: gap-free span chains and the
@@ -920,7 +881,7 @@ fn run_serve(opts: &Options) -> ExitCode {
         if opts.journal_out.is_none() {
             let dump_path = "serve-flightrec.json";
             let doc = journal.document(workers, queue_capacity, &health, wall_ms);
-            match std::fs::write(dump_path, doc) {
+            match std::fs::write(dump_path, doc.pretty()) {
                 Ok(()) => eprintln!(
                     "error: serve run failed; flight recorder ({} event(s)) dumped to \
                      {dump_path}",
@@ -937,6 +898,66 @@ fn run_serve(opts: &Options) -> ExitCode {
     }
 }
 
+/// Run the `check` subcommand: validate each file as the document it
+/// says it is (`.jsonl` files line by line), listing every violation.
+fn run_check(paths: &[String]) -> ExitCode {
+    let mut failures = 0usize;
+    for path in paths {
+        let text = match std::fs::read_to_string(path) {
+            Ok(text) => text,
+            Err(e) => {
+                eprintln!("error: could not read {path}: {e}");
+                failures += 1;
+                continue;
+            }
+        };
+        let documents: Vec<(String, &str)> = if path.ends_with(".jsonl") {
+            let lines = text.lines().enumerate();
+            lines
+                .filter(|(_, line)| !line.trim().is_empty())
+                .map(|(i, line)| (format!("{path} line {}", i + 1), line))
+                .collect()
+        } else {
+            vec![(path.clone(), text.as_str())]
+        };
+        let mut violations = Vec::new();
+        for (at, document) in &documents {
+            let found = Json::parse(document).map_or_else(|e| vec![e], |doc| check_document(&doc));
+            violations.extend(found.into_iter().map(|v| format!("{at}: {v}")));
+        }
+        if violations.is_empty() {
+            println!("check OK: {path} ({} document(s))", documents.len());
+        } else {
+            eprintln!("check FAILED: {path} ({} violation(s))", violations.len());
+            for v in &violations {
+                eprintln!("  - {v}");
+            }
+            failures += violations.len();
+        }
+    }
+    if failures > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
+/// Write `text` — a rendered document, trace or JSONL file called `what`
+/// — to `path` and say so on stderr; returns the number of failures (0 or
+/// 1).
+fn write_out(what: &str, path: &str, text: &str) -> u32 {
+    match std::fs::write(path, text) {
+        Ok(()) => {
+            eprintln!("[{what} written to {path}]");
+            0
+        }
+        Err(e) => {
+            eprintln!("error: could not write {what} to {path}: {e}");
+            1
+        }
+    }
+}
+
 /// Write the perfmon registry dump requested with `--metrics-out`;
 /// returns the number of failures (0 or 1).
 fn write_metrics(opts: &Options) -> u32 {
@@ -944,16 +965,7 @@ fn write_metrics(opts: &Options) -> u32 {
         return 0;
     };
     let doc = hostprof::metrics_document(&peakperf_bench::report::PAPER_GPUS);
-    match std::fs::write(path, doc) {
-        Ok(()) => {
-            eprintln!("[metrics written to {path}]");
-            0
-        }
-        Err(e) => {
-            eprintln!("error: could not write metrics to {path}: {e}");
-            1
-        }
-    }
+    write_out("metrics", path, &doc.pretty())
 }
 
 /// Dump the perfmon registry (when requested) on the way out of a mode.
@@ -979,12 +991,7 @@ fn run_bench(opts: &Options) -> ExitCode {
     println!("{}", report.render_text());
     let mut failures = 0u32;
     if let Some(path) = &opts.json_path {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
-            eprintln!("error: could not write bench document to {path}: {e}");
-            failures += 1;
-        } else {
-            eprintln!("[bench document written to {path}]");
-        }
+        failures += write_out("bench document", path, &report.to_json().pretty());
     }
     if let Some(baseline_path) = &opts.compare {
         let comparison = std::fs::read_to_string(baseline_path)
@@ -997,12 +1004,7 @@ fn run_bench(opts: &Options) -> ExitCode {
             Ok(cmp) => {
                 println!("{}", cmp.render_text());
                 if let Some(path) = &opts.compare_out {
-                    if let Err(e) = std::fs::write(path, cmp.to_json()) {
-                        eprintln!("error: could not write comparison to {path}: {e}");
-                        failures += 1;
-                    } else {
-                        eprintln!("[comparison written to {path}]");
-                    }
+                    failures += write_out("comparison", path, &cmp.to_json().pretty());
                 }
                 failures += u32::try_from(cmp.failures().len()).unwrap_or(u32::MAX);
             }
@@ -1021,6 +1023,13 @@ fn run_bench(opts: &Options) -> ExitCode {
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(("check", paths)) = args.split_first().map(|(mode, rest)| (mode.as_str(), rest)) {
+        if paths.is_empty() || paths.iter().any(|p| p.starts_with('-')) {
+            eprintln!("error: check takes one or more file paths and no options");
+            return usage();
+        }
+        return run_check(paths);
+    }
     let opts = match parse_args(&args) {
         Ok(o) => o,
         Err(msg) => {
@@ -1073,7 +1082,7 @@ fn main() -> ExitCode {
         failures += run_profiles(&opts, &mut report);
         eprintln!("{}", report.render_text());
         if let Some(path) = &opts.json_path {
-            if let Err(e) = std::fs::write(path, report.to_json()) {
+            if let Err(e) = std::fs::write(path, report.to_json().pretty()) {
                 eprintln!("error: could not write JSON report to {path}: {e}");
                 failures += 1;
             }
@@ -1110,7 +1119,7 @@ fn main() -> ExitCode {
 
     eprintln!("{}", report.render_text());
     if let Some(path) = &opts.json_path {
-        if let Err(e) = std::fs::write(path, report.to_json()) {
+        if let Err(e) = std::fs::write(path, report.to_json().pretty()) {
             eprintln!("error: could not write JSON report to {path}: {e}");
             failures += 1;
         }

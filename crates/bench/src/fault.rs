@@ -30,7 +30,6 @@
 use std::fmt;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use std::sync::Mutex;
 
 use peakperf_arch::{Generation, GpuConfig};
 use peakperf_kernels::microbench::math::{build_math_kernel, table2_patterns};
@@ -38,10 +37,10 @@ use peakperf_kernels::rng::Rng;
 use peakperf_kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
 use peakperf_sass::{validate_kernel, CtlInfo, Instruction, Kernel, Module, Op, Operand, Reg};
 use peakperf_sim::timing::{Hooks, Observer, TimingSim, TraceEvent};
-use peakperf_sim::{GlobalMemory, Gpu, LaunchConfig, SimError};
+use peakperf_sim::{ensure, obj, GlobalMemory, Gpu, Json, LaunchConfig, SimError};
 
 use crate::exec::{panic_message, run_isolated, Executor};
-use crate::report::{envelope_json, json_f64, json_string, Table};
+use crate::report::{envelope, Table};
 
 /// Functional-model step budget per mutant (mutants routinely turn loop
 /// bounds into near-infinite counters; the watchdog keeps them cheap).
@@ -67,7 +66,7 @@ pub fn gpu_config_for(generation: Generation) -> GpuConfig {
     }
 }
 
-fn generation_name(g: Generation) -> &'static str {
+pub(crate) fn generation_name(g: Generation) -> &'static str {
     match g {
         Generation::Gt200 => "gt200",
         Generation::Fermi => "fermi",
@@ -75,7 +74,7 @@ fn generation_name(g: Generation) -> &'static str {
     }
 }
 
-fn parse_generation(s: &str) -> Option<Generation> {
+pub(crate) fn parse_generation(s: &str) -> Option<Generation> {
     match s {
         "gt200" => Some(Generation::Gt200),
         "fermi" => Some(Generation::Fermi),
@@ -1042,7 +1041,6 @@ pub fn replay_corpus(dir: &Path) -> Result<Vec<(PathBuf, Option<Violation>)>, St
         .filter(|p| p.extension().is_some_and(|x| x == "case"))
         .collect();
     entries.sort();
-    let _quiet = silence_panics();
     let mut out = Vec::with_capacity(entries.len());
     for path in entries {
         let text = std::fs::read_to_string(&path)
@@ -1128,7 +1126,7 @@ impl Tally {
 }
 
 /// The result of a fuzz campaign.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CampaignResult {
     /// Mutants executed.
     pub cases: u64,
@@ -1138,37 +1136,6 @@ pub struct CampaignResult {
     pub kind_counts: [u64; MutationKind::ALL.len()],
     /// Minimized violations, in discovery order.
     pub violations: Vec<ViolationCase>,
-}
-
-/// Serialize the panic-hook swap: campaigns suppress the default hook's
-/// stderr spew (mutant panics are expected and caught), and concurrent
-/// campaigns in one process must not clobber each other's saved hook.
-fn silence_panics() -> impl Drop {
-    static HOOK_LOCK: Mutex<()> = Mutex::new(());
-
-    type PanicHook = Box<dyn Fn(&std::panic::PanicHookInfo<'_>) + Sync + Send>;
-    struct Quiet {
-        guard: Option<std::sync::MutexGuard<'static, ()>>,
-        previous: Option<PanicHook>,
-    }
-    impl Drop for Quiet {
-        fn drop(&mut self) {
-            if let Some(previous) = self.previous.take() {
-                std::panic::set_hook(previous);
-            }
-            drop(self.guard.take());
-        }
-    }
-
-    let guard = HOOK_LOCK
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let previous = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    Quiet {
-        guard: Some(guard),
-        previous: Some(previous),
-    }
 }
 
 /// Derive the deterministic case list for a campaign.
@@ -1193,7 +1160,6 @@ pub fn campaign_cases(cfg: &CampaignConfig) -> Vec<FuzzCase> {
 /// differential pipeline in parallel, and minimize every violation.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     let cases = campaign_cases(cfg);
-    let _quiet = silence_panics();
     let reports = Executor::auto().map(&cases, |case| run_isolated(|| run_case(case)));
 
     let mut result = CampaignResult {
@@ -1217,9 +1183,10 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     result.tally.harness_errors += reports.iter().filter(|r| r.is_err()).count() as u64;
 
     // Minimize sequentially: violations are rare, and the shrinker itself
-    // fans out full pipeline runs.
+    // fans out full pipeline runs. Isolated like the campaign itself, so a
+    // panicking mutant stays off stderr while it is re-run.
     for case in to_shrink {
-        match shrink_case(&case) {
+        match run_isolated(|| shrink_case(&case)) {
             Ok((removed, report)) => {
                 if let Some(violation) = report.violation {
                     result.violations.push(ViolationCase {
@@ -1287,57 +1254,63 @@ pub fn render_campaign(cfg: &CampaignConfig, result: &CampaignResult) -> String 
     out
 }
 
-/// Render the machine-readable `peakperf-fuzz-v1` campaign summary.
-pub fn campaign_json(cfg: &CampaignConfig, result: &CampaignResult, wall_ms: f64) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
+/// The machine-readable `peakperf-fuzz-v1` campaign summary.
+pub fn campaign_json(cfg: &CampaignConfig, result: &CampaignResult, wall_ms: f64) -> Json {
     let gens: Vec<&str> = cfg
         .generations
         .iter()
         .map(|&g| generation_name(g))
         .collect();
-    out.push_str(&envelope_json("peakperf-fuzz-v1", &gens));
-    let _ = writeln!(out, "  \"seed\": {},", cfg.seed);
-    let _ = writeln!(out, "  \"iters\": {},", cfg.iters);
-    let _ = writeln!(out, "  \"wall_ms\": {},", json_f64(wall_ms));
     let t = &result.tally;
-    let _ = writeln!(
-        out,
-        "  \"outcomes\": {{\"ok\": {}, \"reject\": {}, \"fault\": {}, \
-         \"timeout\": {}, \"panic\": {}, \"harness_errors\": {}}},",
-        t.ok, t.reject, t.fault, t.timeout, t.panic, t.harness_errors
+    let violations = result.violations.iter().map(|vc| {
+        obj!(vc.case; gen = generation_name(vc.case.generation), seed = vc.case.seed.id(),
+            mutation_seed, kind = vc.violation.kind.name(), detail = vc.violation.detail.as_str(),
+            removed = vc.removed.iter().copied().collect::<Json>())
+    });
+    let mutations = MutationKind::ALL.iter().zip(result.kind_counts);
+    let mutations = Json::obj(mutations.map(|(kind, count)| (kind.name(), count.into())));
+    let body = obj!(cfg; seed, iters, wall_ms = wall_ms,
+        outcomes = obj!(t; ok, reject, fault, timeout, panic, harness_errors),
+        mutations = mutations,
+        violations = violations.collect::<Json>());
+    envelope("peakperf-fuzz-v1", &gens, body)
+}
+
+/// Check a `peakperf-fuzz-v1` document: shaped like the sample
+/// [`campaign_json`] writes, one mutation count per [`MutationKind`] in
+/// order, every mutant accounted for under exactly one outcome class, and
+/// every violation a replayable case.
+pub fn check(doc: &Json, errors: &mut Vec<String>) {
+    let sample = campaign_json(&CampaignConfig::default(), &CampaignResult::default(), 0.0);
+    doc.conforms(&sample, &"fuzz document", errors);
+    let outcomes = &doc["outcomes"];
+    let classes = ["ok", "reject", "fault", "timeout", "panic"];
+    let mutants: u64 = classes.iter().map(|class| outcomes.count(class)).sum();
+    let (iters, harness) = (doc.count("iters"), outcomes.count("harness_errors"));
+    let accounted = mutants <= iters && mutants + harness >= iters;
+    ensure!(
+        errors,
+        accounted,
+        "outcomes: {mutants} classified mutants and {harness} harness errors \
+         do not account for {iters} iterations"
     );
-    let kinds: Vec<String> = MutationKind::ALL
-        .iter()
-        .zip(result.kind_counts)
-        .map(|(kind, count)| format!("{}: {count}", json_string(kind.name())))
-        .collect();
-    let _ = writeln!(out, "  \"mutations\": {{{}}},", kinds.join(", "));
-    out.push_str("  \"violations\": [");
-    for (i, vc) in result.violations.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let removed: Vec<String> = vc.removed.iter().map(usize::to_string).collect();
-        let _ = write!(
-            out,
-            "\n    {{\"gen\": {}, \"seed\": {}, \"mutation_seed\": {}, \
-             \"kind\": {}, \"detail\": {}, \"removed\": [{}]}}",
-            json_string(generation_name(vc.case.generation)),
-            json_string(&vc.case.seed.id()),
-            vc.case.mutation_seed,
-            json_string(vc.violation.kind.name()),
-            json_string(&vc.violation.detail),
-            removed.join(", ")
+    let drifted = doc.get("mutations").map(Json::keys) != sample.get("mutations").map(Json::keys);
+    ensure!(
+        errors,
+        !drifted,
+        "mutations: keys drifted from MutationKind::ALL"
+    );
+    for (i, v) in doc.items("violations").iter().enumerate() {
+        let replayable = parse_generation(v.text("gen")).is_some()
+            && SeedSpec::parse(v.text("seed")).is_some()
+            && ViolationKind::parse(v.text("kind")).is_some()
+            && v["mutation_seed"].as_u64().is_some();
+        ensure!(
+            errors,
+            replayable,
+            "violations[{i}]: {v} does not name a replayable case"
         );
     }
-    if result.violations.is_empty() {
-        out.push_str("]\n");
-    } else {
-        out.push_str("\n  ]\n");
-    }
-    out.push_str("}\n");
-    out
 }
 
 #[cfg(test)]
@@ -1505,11 +1478,11 @@ mod tests {
         let result = run_campaign(&cfg);
         assert_eq!(result.cases, 6);
         assert_eq!(result.tally.panic, 0, "mutants must never panic");
-        let json = campaign_json(&cfg, &result, 12.0);
-        assert!(json.contains("\"schema\": \"peakperf-fuzz-v1\""));
-        assert!(json.contains("\"gpu\": [\"fermi\", \"kepler\"]"));
-        assert!(json.contains("\"generated_by\": \"peakperf-bench"));
-        assert!(json.contains("\"outcomes\""));
+        let doc = campaign_json(&cfg, &result, 12.0);
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
+        assert_eq!(doc.get("gpu").unwrap().render(), "[\"fermi\",\"kepler\"]");
+        assert_eq!(doc.count("iters"), 6);
         let text = render_campaign(&cfg, &result);
         assert!(text.contains("Fuzz campaign"));
     }

@@ -15,15 +15,19 @@
 //! Profiled runs always simulate (a cache hit has nothing to observe),
 //! and they run without a trace consumer beside the profiler, so the
 //! `trace_emit` share is zero here by construction.
+//!
+//! Each target becomes one entry of a `peakperf-hostprof-v1` document
+//! ([`hostprof_document`]); [`check`] states what a valid one promises,
+//! and is what `reproduce check` runs on it.
 
 use std::fmt::Write as _;
 
-use peakperf_sim::perfmon::{HostProf, Opportunity, Phase};
+use peakperf_sim::perfmon::{Histogram, HostProf, Opportunity, Phase};
 use peakperf_sim::timing::{Hooks, StallKind, TimingSim};
-use peakperf_sim::SimError;
+use peakperf_sim::{ensure, obj, Json, SimError};
 
 use crate::profiling::{self, PreparedTarget};
-use crate::report::{envelope_json, json_f64};
+use crate::report::envelope;
 
 /// The result of host-profiling one target.
 #[derive(Debug, Clone)]
@@ -32,8 +36,8 @@ pub struct HostProfOutcome {
     pub gpu: &'static str,
     /// Human-readable summary.
     pub text: String,
-    /// `peakperf-hostprof-v1` JSON object for this target.
-    pub json: String,
+    /// This target's entry of a `peakperf-hostprof-v1` document.
+    pub json: Json,
 }
 
 /// Every target `reproduce hostprof` accepts — the same named set as
@@ -154,16 +158,11 @@ fn render_text(
     out
 }
 
-fn histogram_json(h: &peakperf_sim::perfmon::Histogram) -> String {
-    let mut out = String::from("[");
-    for (i, (lo, hi, count)) in h.iter_nonzero().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "{{\"lo\": {lo}, \"hi\": {hi}, \"count\": {count}}}");
-    }
-    out.push(']');
-    out
+fn histogram(h: &Histogram) -> Json {
+    let buckets = h.iter_nonzero();
+    buckets
+        .map(|(lo, hi, count)| obj!((); lo = lo, hi = hi, count = count))
+        .collect()
 }
 
 fn render_json(
@@ -172,116 +171,149 @@ fn render_json(
     probe: &HostProf,
     opp: &Opportunity,
     report: &peakperf_sim::timing::TimingReport,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"target\": \"{name}\",");
-    let _ = writeln!(out, "  \"gpu\": \"{gpu}\",");
-    let _ = writeln!(out, "  \"cycles\": {},", report.cycles);
-    let _ = writeln!(
-        out,
-        "  \"warp_instructions\": {},",
-        report.warp_instructions
-    );
-    // Wall-clock values are volatile run to run; each lives on a line
-    // containing `wall_ms` so report diffing can strip them wholesale
-    // (the same convention as every other document in this crate). The
-    // per-phase entries carry their (equally volatile) shares on the same
-    // line for that reason.
-    let _ = writeln!(
-        out,
-        "  \"wall_ms\": {},",
-        json_f64(probe.total_nanos() as f64 / 1e6)
-    );
-    out.push_str("  \"phases\": [\n");
+) -> Json {
     let total = probe.total_nanos().max(1) as f64;
-    for (i, phase) in Phase::ALL.into_iter().enumerate() {
-        let nanos = probe.phase_nanos(phase);
-        let _ = write!(
-            out,
-            "    {{\"phase\": \"{}\", \"wall_ms\": {}, \"share\": {}}}",
-            phase.as_str(),
-            json_f64(nanos as f64 / 1e6),
-            json_f64(nanos as f64 / total),
-        );
-        out.push_str(if i + 1 < Phase::COUNT { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    out.push_str("  \"idle\": {\n");
-    let _ = writeln!(out, "    \"idle_cycles\": {},", opp.idle_cycles);
-    let _ = writeln!(out, "    \"idle_runs\": {},", opp.idle_runs);
-    let _ = writeln!(out, "    \"skippable_cycles\": {},", opp.idle_skippable);
-    out.push_str("    \"run_length_histograms\": {\n");
-    for kind in StallKind::ALL {
-        let _ = writeln!(
-            out,
-            "      \"{}\": {},",
-            kind.as_str(),
-            histogram_json(probe.idle_histogram(Some(kind)))
-        );
-    }
-    let _ = writeln!(
-        out,
-        "      \"unattributed\": {}",
-        histogram_json(probe.idle_histogram(None))
-    );
-    out.push_str("    }\n  },\n");
-    out.push_str("  \"projection\": {\n");
-    let _ = writeln!(
-        out,
-        "    \"idle_skip_speedup\": {}",
-        json_f64(opp.idle_skip_speedup())
-    );
-    out.push_str("  }\n}");
-    out
+    let phases = Phase::ALL.map(|phase| {
+        let nanos = probe.phase_nanos(phase) as f64;
+        obj!((); phase = phase.as_str(), wall_ms = nanos / 1e6, share = nanos / total)
+    });
+    let by_kind = StallKind::ALL.map(|k| (k.as_str(), histogram(probe.idle_histogram(Some(k)))));
+    let mut histograms = Json::obj(by_kind);
+    histograms.push("unattributed", histogram(probe.idle_histogram(None)));
+    let idle = obj!(opp; idle_cycles, idle_runs, skippable_cycles = opp.idle_skippable,
+        run_length_histograms = histograms);
+    obj!(report; target = name, gpu = gpu, cycles, warp_instructions,
+        wall_ms = probe.total_nanos() as f64 / 1e6,
+        phases = phases.into_iter().collect::<Json>(),
+        idle = idle,
+        projection = obj!((); idle_skip_speedup = opp.idle_skip_speedup()))
 }
 
-/// Wrap rendered target objects into the `peakperf-hostprof-v1` document
-/// written by `reproduce hostprof --json` (validated in CI against
-/// `scripts/hostprof_schema.json`). `gpus` lists the GPUs the profiled
-/// targets ran on, for the shared document envelope.
-pub fn hostprof_document(targets: &[String], gpus: &[&str]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&envelope_json("peakperf-hostprof-v1", gpus));
-    out.push_str("  \"phases\": [");
-    for (i, phase) in Phase::ALL.into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\"", phase.as_str());
-    }
-    out.push_str("],\n  \"targets\": [");
-    for (i, t) in targets.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        // Indent the nested target object under the array.
-        for (j, line) in t.trim_end().lines().enumerate() {
-            if j > 0 {
-                out.push('\n');
+/// Wrap per-target entries into the `peakperf-hostprof-v1` document
+/// written by `reproduce hostprof --json`. `gpus` lists the GPUs the
+/// profiled targets ran on, for the shared document envelope.
+pub fn hostprof_document(targets: Vec<Json>, gpus: &[&str]) -> Json {
+    let phases: Json = Phase::ALL.map(Phase::as_str).into_iter().collect();
+    let body = obj!((); phases = phases, targets = Json::Arr(targets));
+    envelope("peakperf-hostprof-v1", gpus, body)
+}
+
+/// Check a `peakperf-hostprof-v1` document: shaped like a sample this
+/// module writes; the phase list (the document's and every target's) is
+/// [`Phase::ALL`], in order; and per target the phase shares partition
+/// the wall time (sum ≈ 1), `skippable_cycles <= idle_cycles <= cycles`,
+/// the idle-run histograms cover every [`StallKind`] plus `unattributed`
+/// with well-formed buckets whose run counts sum to `idle_runs`, and
+/// every projection is a speedup (>= 1).
+pub fn check(doc: &Json, errors: &mut Vec<String>) {
+    let probe = HostProf::new();
+    let entry = render_json("", "", &probe, &probe.analyze(), &Default::default());
+    let sample = hostprof_document(vec![entry], &[]);
+    doc.conforms(&sample, &"hostprof document", errors);
+    let phases = sample.get("phases");
+    let drifted = doc.get("phases") != phases;
+    ensure!(
+        errors,
+        !drifted,
+        "hostprof document: phases drifted from Phase::ALL"
+    );
+    let targets = doc.items("targets");
+    ensure!(
+        errors,
+        !targets.is_empty(),
+        "hostprof document: targets is empty"
+    );
+    for (i, target) in targets.iter().enumerate() {
+        let at = format!("targets[{i}]");
+        let entries = target.items("phases").iter();
+        let names: Json = entries.clone().map(|e| e.get("phase").cloned()).collect();
+        ensure!(
+            errors,
+            Some(&names) == phases,
+            "{at}.phases: names drifted from Phase::ALL"
+        );
+        let shares = entries.filter_map(|e| e["share"].as_f64());
+        let share_sum: f64 = shares.sum();
+        let partitioned = (share_sum - 1.0).abs() <= 0.01;
+        ensure!(
+            errors,
+            partitioned,
+            "{at}: phase shares sum to {share_sum:.4}, expected ~1.0"
+        );
+
+        let idle = &target["idle"];
+        let (cycles, idle_cycles) = (target.count("cycles"), idle.count("idle_cycles"));
+        ensure!(
+            errors,
+            idle_cycles <= cycles,
+            "{at}: idle_cycles exceed cycles"
+        );
+        let skippable = idle.count("skippable_cycles");
+        ensure!(
+            errors,
+            skippable <= idle_cycles,
+            "{at}: skippable_cycles exceed idle_cycles"
+        );
+        let histograms = &idle["run_length_histograms"];
+        let mut like = StallKind::ALL.map(StallKind::as_str).to_vec();
+        like.push("unattributed");
+        let keys = histograms.keys();
+        ensure!(
+            errors,
+            keys == like,
+            "{at}: histogram keys {keys:?} are not {like:?}"
+        );
+        let mut runs = 0;
+        for (kind, buckets) in histograms.as_obj().unwrap_or(&[]) {
+            for bucket in buckets.as_arr().unwrap_or(&[]) {
+                let field = |key| bucket[key].as_u64();
+                match (field("lo"), field("hi"), field("count")) {
+                    (Some(lo), Some(hi), Some(count)) if lo <= hi => runs += count,
+                    _ => errors.push(format!(
+                        "{at}: histogram `{kind}` has a bad bucket {bucket}"
+                    )),
+                }
             }
-            out.push_str("    ");
-            out.push_str(line);
+        }
+        let idle_runs = idle.count("idle_runs");
+        ensure!(
+            errors,
+            runs == idle_runs,
+            "{at}: histogram run counts sum to {runs} != idle_runs {idle_runs}"
+        );
+        for (key, value) in target["projection"].as_obj().unwrap_or(&[]) {
+            let speedup = value.as_f64().is_none_or(|v| v >= 1.0);
+            ensure!(
+                errors,
+                speedup,
+                "{at}.projection: {key} = {value} is not a speedup (>= 1.0)"
+            );
         }
     }
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
-/// Render the current perfmon registry as a `peakperf-metrics-v1`
-/// document (written by `reproduce ... --metrics-out`). Counter names
-/// ending in `_ns` are wall-time totals and therefore volatile run to
-/// run; everything else is deterministic for a fixed invocation.
-pub fn metrics_document(gpus: &[&str]) -> String {
-    let snap = peakperf_sim::perfmon::snapshot();
-    let mut out = String::from("{\n");
-    out.push_str(&envelope_json("peakperf-metrics-v1", gpus));
-    out.push_str("  \"counters\": ");
-    out.push_str(&snap.to_json_object("  "));
-    out.push_str("\n}\n");
-    out
+/// The current perfmon registry as a `peakperf-metrics-v1` document
+/// (written by `reproduce ... --metrics-out`). Counter names ending in
+/// `_ns` are wall-time totals and therefore volatile run to run;
+/// everything else is deterministic for a fixed invocation.
+pub fn metrics_document(gpus: &[&str]) -> Json {
+    let counters = peakperf_sim::perfmon::snapshot().to_json();
+    envelope("peakperf-metrics-v1", gpus, obj!((); counters = counters))
+}
+
+/// Check a `peakperf-metrics-v1` document: `counters` maps names to
+/// non-negative integers.
+pub fn check_metrics(doc: &Json, errors: &mut Vec<String>) {
+    let sample = envelope("peakperf-metrics-v1", &[], obj!((); counters = obj!(();)));
+    doc.conforms(&sample, &"metrics document", errors);
+    for (name, value) in doc["counters"].as_obj().unwrap_or(&[]) {
+        let count = value.as_u64().is_some();
+        ensure!(
+            errors,
+            count,
+            "counters: `{name}` = {value} is not a non-negative integer"
+        );
+    }
 }
 
 #[cfg(test)]
@@ -289,11 +321,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn metrics_document_is_balanced() {
+    fn metrics_document_parses_and_passes_its_check() {
         let doc = metrics_document(&["GTX580"]);
-        assert!(doc.contains("peakperf-metrics-v1"));
-        assert!(doc.contains("\"counters\""));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
+        assert_eq!(
+            doc.get("schema").unwrap().as_str(),
+            Some("peakperf-metrics-v1")
+        );
     }
 
     #[test]
@@ -308,32 +343,14 @@ mod tests {
         assert_eq!(outcome.gpu, "GTX580");
         assert!(outcome.text.contains("== hostprof: fermi_ffma (GTX580) =="));
         assert!(outcome.text.contains("projected speedup"));
-        assert_eq!(
-            outcome.json.matches('{').count(),
-            outcome.json.matches('}').count()
-        );
-        for phase in Phase::ALL {
-            assert!(
-                outcome
-                    .json
-                    .contains(&format!("\"phase\": \"{}\"", phase.as_str())),
-                "missing phase {}",
-                phase.as_str()
-            );
-        }
+        let doc = hostprof_document(vec![outcome.json], &[outcome.gpu]);
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
         // No trace consumer attached, so trace emission cost nothing.
-        assert!(outcome
-            .json
-            .contains("{\"phase\": \"trace_emit\", \"wall_ms\": 0.000, \"share\": 0.000}"));
-        assert!(outcome.json.contains("\"idle_skip_speedup\""));
-    }
-
-    #[test]
-    fn hostprof_document_is_balanced() {
-        let doc = hostprof_document(&["{\"target\": \"t\"}".to_owned()], &["GTX680"]);
-        assert!(doc.contains("peakperf-hostprof-v1"));
-        assert!(doc.contains("\"generated_by\": \"peakperf-bench"));
-        assert!(doc.contains("\"issue_select\""));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        let last = doc.items("targets")[0].items("phases").last().unwrap();
+        assert_eq!(
+            last.render(),
+            "{\"phase\":\"trace_emit\",\"wall_ms\":0.0,\"share\":0.0}"
+        );
     }
 }

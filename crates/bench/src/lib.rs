@@ -11,7 +11,6 @@ pub mod experiments;
 pub mod fault;
 pub mod harness;
 pub mod hostprof;
-pub mod json;
 pub mod perf;
 pub mod profiling;
 pub mod report;

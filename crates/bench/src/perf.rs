@@ -3,20 +3,18 @@
 //! Each experiment contributes wall time, executor job statistics, and the
 //! simulator's process-wide counter deltas ([`peakperf_sim::Counters`]);
 //! the whole run is rendered either as a human-readable footer or as a
-//! small JSON document (`reproduce --json <path>`), emitted without any
-//! external serialization dependency.
+//! `peakperf-perf-v1` JSON document (`reproduce --json <path>`).
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
-use peakperf_sim::timing::StallKind;
-use peakperf_sim::Counters;
+use peakperf_sim::{obj, Counters, Json};
 
 use crate::exec::JobStats;
-use crate::report::{envelope_json, json_f64, json_string, PAPER_GPUS};
+use crate::report::{envelope, PAPER_GPUS};
 
 /// Performance record of one experiment.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ExperimentPerf {
     /// Experiment name (the `reproduce` subcommand).
     pub name: String,
@@ -74,8 +72,8 @@ pub struct RunReport {
     /// Per-experiment records, in execution order.
     pub experiments: Vec<ExperimentPerf>,
     /// Kernel profiles collected during the run (`reproduce profile`),
-    /// each a pre-rendered `peakperf-profile-v1` JSON object.
-    pub profiles: Vec<String>,
+    /// each an entry of a `peakperf-profile-v1` document.
+    pub profiles: Vec<Json>,
 }
 
 impl RunReport {
@@ -124,98 +122,29 @@ impl RunReport {
         out
     }
 
-    /// Render as a `peakperf-perf-v1` JSON document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&envelope_json("peakperf-perf-v1", &PAPER_GPUS));
-        let _ = writeln!(out, "  \"workers\": {},", self.workers);
-        let _ = writeln!(out, "  \"cache_enabled\": {},", self.cache_enabled);
-        match &self.cache_dir {
-            Some(dir) => {
-                let _ = writeln!(out, "  \"cache_dir\": {},", json_string(dir));
-            }
-            None => {
-                let _ = writeln!(out, "  \"cache_dir\": null,");
-            }
-        }
-        let _ = writeln!(
-            out,
-            "  \"total_wall_ms\": {},",
-            json_f64(self.total_wall().as_secs_f64() * 1e3)
-        );
-        let totals = self.totals();
-        let _ = writeln!(out, "  \"totals\": {},", counters_json(&totals, "  "));
-        out.push_str("  \"experiments\": [");
-        for (i, e) in self.experiments.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            let _ = writeln!(out, "      \"name\": {},", json_string(&e.name));
-            let _ = writeln!(out, "      \"ok\": {},", e.ok);
-            match &e.error {
-                Some(msg) => {
-                    let _ = writeln!(out, "      \"error\": {},", json_string(msg));
-                }
-                None => {
-                    let _ = writeln!(out, "      \"error\": null,");
-                }
-            }
-            let _ = writeln!(
-                out,
-                "      \"wall_ms\": {},",
-                json_f64(e.wall.as_secs_f64() * 1e3)
-            );
-            let _ = writeln!(out, "      \"jobs\": {},", e.jobs.jobs);
-            let _ = writeln!(
-                out,
-                "      \"jobs_busy_ms\": {},",
-                json_f64(e.jobs.busy_ms())
-            );
-            let _ = writeln!(
-                out,
-                "      \"counters\": {}",
-                counters_json(&e.counters, "      ")
-            );
-            out.push_str("    }");
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"profiles\": [");
-        for (i, p) in self.profiles.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push('\n');
-            out.push_str(p.trim_end());
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+    /// The `peakperf-perf-v1` document.
+    pub fn to_json(&self) -> Json {
+        let experiments = self.experiments.iter().map(|e| {
+            obj!(e; name, ok, error, wall_ms = e.wall.as_secs_f64() * 1e3, jobs = e.jobs.jobs,
+                jobs_busy_ms = e.jobs.busy_ms(), counters = e.counters.to_json())
+        });
+        let body = obj!(self; workers, cache_enabled, cache_dir,
+            total_wall_ms = self.total_wall().as_secs_f64() * 1e3,
+            totals = self.totals().to_json(),
+            experiments = experiments.collect::<Json>(),
+            profiles = Json::Arr(self.profiles.clone()));
+        envelope("peakperf-perf-v1", &PAPER_GPUS, body)
     }
 }
 
-pub(crate) fn counters_json(c: &Counters, indent: &str) -> String {
-    let mut stalls = String::new();
-    for (i, kind) in StallKind::ALL.into_iter().enumerate() {
-        if i > 0 {
-            stalls.push_str(", ");
-        }
-        let _ = write!(
-            stalls,
-            "\"{}\": {}",
-            kind.as_str(),
-            c.stall_cycles[kind.index()]
-        );
-    }
-    format!(
-        "{{\n{indent}  \"timing_runs\": {},\n\
-         {indent}  \"sim_cycles\": {},\n\
-         {indent}  \"warp_instructions\": {},\n\
-         {indent}  \"cache_hits\": {},\n\
-         {indent}  \"cache_misses\": {},\n\
-         {indent}  \"stall_cycles\": {{{stalls}}}\n{indent}}}",
-        c.timing_runs, c.sim_cycles, c.warp_instructions, c.cache_hits, c.cache_misses
-    )
+/// Check a `peakperf-perf-v1` document: shaped like the sample
+/// [`RunReport::to_json`] writes for one experiment.
+pub fn check(doc: &Json, errors: &mut Vec<String>) {
+    let sample = RunReport {
+        experiments: vec![ExperimentPerf::default()],
+        ..RunReport::default()
+    };
+    doc.conforms(&sample.to_json(), &"perf document", errors);
 }
 
 #[cfg(test)]
@@ -255,24 +184,25 @@ mod tests {
                     counters: Counters::default(),
                 },
             ],
-            profiles: vec!["{\"kernel\": \"demo\", \"cycles\": 1}".to_owned()],
+            profiles: vec![obj!((); kernel = "demo")],
         }
     }
 
     #[test]
-    fn json_is_well_formed_and_escaped() {
-        let json = sample().to_json();
-        assert!(json.contains("\"schema\": \"peakperf-perf-v1\""));
-        assert!(json.contains("\"generated_by\": \"peakperf-bench"));
-        assert!(json.contains("\"workers\": 4"));
-        assert!(json.contains("\"name\": \"table1\""));
-        assert!(json.contains("\\\"quote\\\"\\nline"));
-        assert!(json.contains("\"timing_runs\": 3"));
-        // Balanced braces/brackets (a cheap well-formedness check, since
-        // there is no JSON parser in the dependency set).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(!json.contains("\",}"));
+    fn json_round_trips_and_passes_its_check() {
+        let doc = sample().to_json();
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
+        assert_eq!(doc.count("workers"), 4);
+        let experiments = doc.items("experiments");
+        assert_eq!(experiments[0].text("name"), "table1");
+        assert_eq!(experiments[0].get("error"), Some(&Json::Null));
+        assert_eq!(experiments[1].text("error"), "bad \"quote\"\nline");
+        assert!(doc.pretty().contains("bad \\\"quote\\\"\\nline"));
+        assert_eq!(
+            experiments[0].get("counters").unwrap().count("timing_runs"),
+            3
+        );
     }
 
     #[test]

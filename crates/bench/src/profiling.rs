@@ -12,6 +12,10 @@
 //!
 //! Profiled runs always simulate — the timing cache is deliberately not
 //! consulted, because a cached result has no events to observe.
+//!
+//! Each target becomes one entry of a `peakperf-profile-v1` document
+//! ([`profile_document`]); [`check`] states what a valid one promises,
+//! and is what `reproduce check` runs on it.
 
 use std::fmt::Write as _;
 
@@ -23,7 +27,9 @@ use peakperf_sass::Kernel;
 use peakperf_sim::timing::{
     chrome_trace, Hooks, Profile, ProfileBuilder, StallKind, TimingSim, TraceBuffer,
 };
-use peakperf_sim::{CancelToken, GlobalMemory, LaunchConfig, SimError};
+use peakperf_sim::{ensure, obj, CancelToken, GlobalMemory, Json, LaunchConfig, SimError};
+
+use crate::report::envelope;
 
 /// A named profiling target.
 #[derive(Debug, Clone, Copy)]
@@ -101,8 +107,8 @@ pub struct ProfileOutcome {
     pub gpu: &'static str,
     /// Human-readable report (gap decomposition + profile tables).
     pub text: String,
-    /// `peakperf-profile-v1` JSON object for this target.
-    pub json: String,
+    /// This target's entry of a `peakperf-profile-v1` document.
+    pub json: Json,
     /// Chrome trace-event JSON, when a trace was requested.
     pub chrome: Option<String>,
 }
@@ -148,7 +154,7 @@ pub fn run_target(
 
     let gap = decompose_gap(&prepared.basis, &report, &profile);
     let text = render_text(name, &prepared, &gap, &profile);
-    let json = render_json(name, &prepared, &gap, &profile);
+    let json = render_json(name, prepared.gpu.name, &gap, &profile);
     let chrome =
         buffer.map(|b| chrome_trace(&b, &prepared.kernel, prepared.gpu.warp_schedulers_per_sm));
     Ok(ProfileOutcome {
@@ -283,7 +289,7 @@ pub struct GapShare {
 }
 
 /// The bound-vs-achieved decomposition of one profiled run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct GapDecomposition {
     /// Model ceiling, in `unit`.
     pub bound: f64,
@@ -403,72 +409,49 @@ fn render_text(
     out
 }
 
-fn render_json(
-    name: &str,
-    prepared: &PreparedTarget,
-    gap: &GapDecomposition,
-    profile: &Profile,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    let _ = writeln!(out, "  \"target\": \"{name}\",");
-    let _ = writeln!(out, "  \"gpu\": \"{}\",", prepared.gpu.name);
-    let _ = writeln!(out, "  \"unit\": \"{}\",", gap.unit);
-    let _ = writeln!(out, "  \"bound\": {:.3},", gap.bound);
-    let _ = writeln!(out, "  \"achieved\": {:.3},", gap.achieved);
-    match gap.paper {
-        Some(p) => {
-            let _ = writeln!(out, "  \"paper\": {p:.3},");
-        }
-        None => out.push_str("  \"paper\": null,\n"),
-    }
-    let _ = writeln!(out, "  \"gap\": {:.3},", gap.gap);
-    out.push_str("  \"gap_attribution\": {");
-    for (i, share) in gap.shares.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\": {:.3}", share.label, share.amount);
-    }
-    out.push_str("},\n");
-    out.push_str("  \"profile\": ");
-    // Indent the nested profile object to keep the document readable.
-    let nested = profile.to_json();
-    for (i, line) in nested.lines().enumerate() {
-        if i > 0 {
-            out.push_str("\n  ");
-        }
-        out.push_str(line);
-    }
-    out.push_str("\n}");
-    out
+fn render_json(name: &str, gpu: &str, gap: &GapDecomposition, profile: &Profile) -> Json {
+    let shares = gap.shares.iter();
+    let attribution = Json::obj(shares.map(|share| (share.label.as_str(), share.amount.into())));
+    obj!(gap; target = name, gpu = gpu, unit, bound, achieved, paper, gap,
+        gap_attribution = attribution, profile = profile.to_json())
 }
 
-/// Wrap rendered target objects into the `peakperf-profile-v1` document
-/// written by `--profile-out` (and validated in CI against
-/// `scripts/trace_schema.json`). `gpus` lists the GPUs the profiled
-/// targets ran on, for the shared document envelope.
-pub fn profile_document(profiles: &[String], gpus: &[&str]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&crate::report::envelope_json("peakperf-profile-v1", gpus));
-    out.push_str("  \"stall_kinds\": [");
-    for (i, kind) in StallKind::ALL.into_iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
+/// Wrap per-target entries into the `peakperf-profile-v1` document
+/// written by `--profile-out`. `gpus` lists the GPUs the profiled targets
+/// ran on, for the shared document envelope.
+pub fn profile_document(profiles: Vec<Json>, gpus: &[&str]) -> Json {
+    let stall_kinds: Json = StallKind::ALL.map(StallKind::as_str).into_iter().collect();
+    let body = obj!((); stall_kinds = stall_kinds, profiles = Json::Arr(profiles));
+    envelope("peakperf-profile-v1", gpus, body)
+}
+
+/// Check a `peakperf-profile-v1` document: shaped like a sample this
+/// module writes; the `stall_kinds` list is [`StallKind::ALL`], in order;
+/// every entry's gap sources are stall kinds or `loop_control`; and every
+/// nested profile keeps [`Profile::check`]'s invariants.
+pub fn check(doc: &Json, errors: &mut Vec<String>) {
+    let entry = render_json("", "", &GapDecomposition::default(), &Profile::default());
+    let sample = profile_document(vec![entry], &[]);
+    doc.conforms(&sample, &"profile document", errors);
+    let kinds = doc.get("stall_kinds");
+    let drifted = kinds != sample.get("stall_kinds");
+    ensure!(
+        errors,
+        !drifted,
+        "profile document: stall_kinds drifted from StallKind::ALL"
+    );
+    for (i, entry) in doc.items("profiles").iter().enumerate() {
+        let at = format!("profiles[{i}]");
+        for label in entry["gap_attribution"].keys() {
+            let known = label == "loop_control" || StallKind::parse(label).is_some();
+            ensure!(
+                errors,
+                known,
+                "{at}.gap_attribution: unknown gap source `{label}`"
+            );
         }
-        let _ = write!(out, "\"{}\"", kind.as_str());
+        Profile::check(&entry["profile"], &format!("{at}.profile"), errors);
     }
-    out.push_str("],\n  \"profiles\": [");
-    for (i, p) in profiles.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('\n');
-        out.push_str(p.trim_end());
-    }
-    out.push_str("\n  ]\n}\n");
-    out
 }
 
 #[cfg(test)]
@@ -488,21 +471,11 @@ mod tests {
         assert!(outcome.text.contains("gap attribution"));
         let chrome = outcome.chrome.expect("trace requested");
         assert!(chrome.contains("\"traceEvents\""));
-        // The JSON object is balanced and carries the nested profile.
-        assert_eq!(
-            outcome.json.matches('{').count(),
-            outcome.json.matches('}').count()
-        );
-        assert!(outcome.json.contains("\"stall_totals\""));
-    }
-
-    #[test]
-    fn profile_document_is_balanced() {
-        let doc = profile_document(&["{\"target\": \"t\"}".to_owned()], &["GTX680"]);
-        assert!(doc.contains("peakperf-profile-v1"));
-        assert!(doc.contains("\"generated_by\": \"peakperf-bench"));
-        assert!(doc.contains("\"gpu\": [\"GTX680\"]"));
-        assert!(doc.contains("\"scoreboard\""));
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
+        // The entry carries the nested profile and checks as a document.
+        let doc = profile_document(vec![outcome.json.clone()], &[outcome.gpu]);
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
+        assert_eq!(doc.get("gpu").unwrap().render(), "[\"GTX580\"]");
+        assert_eq!(doc.items("profiles")[0].get("paper"), Some(&Json::Null));
     }
 }

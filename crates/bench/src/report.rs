@@ -1,8 +1,12 @@
 //! Minimal fixed-width table formatting for the experiment reports, plus
-//! the shared pieces of every versioned JSON document this crate emits
-//! (string/number encoding and the common document envelope).
+//! what every versioned JSON document this crate emits shares: the
+//! envelope that opens it and [`check_document`], the one checker behind
+//! `reproduce check`.
 
-use std::fmt::Write as _;
+use peakperf_sim::json::{check_chrome_trace, Json};
+use peakperf_sim::obj;
+
+use crate::{fault, hostprof, perf, profiling, service, telemetry};
 
 /// The producing crate and version, stamped into every JSON document.
 pub const GENERATED_BY: &str = concat!("peakperf-bench ", env!("CARGO_PKG_VERSION"));
@@ -11,53 +15,46 @@ pub const GENERATED_BY: &str = concat!("peakperf-bench ", env!("CARGO_PKG_VERSIO
 /// covers, in report order.
 pub const PAPER_GPUS: [&str; 2] = ["GTX580", "GTX680"];
 
-/// The shared envelope opening each versioned JSON document
-/// (`peakperf-perf-v1`, `peakperf-profile-v1`, `peakperf-fuzz-v1`,
-/// `peakperf-bench-v1`): `schema` id, `generated_by` crate+version, and
-/// the `gpu` list the document covers. Returned as three `  "k": v,`
-/// lines ready to append right after the opening brace.
-pub fn envelope_json(schema: &str, gpus: &[&str]) -> String {
-    let gpu_list = gpus
-        .iter()
-        .map(|g| json_string(g))
-        .collect::<Vec<_>>()
-        .join(", ");
-    format!(
-        "  \"schema\": {},\n  \"generated_by\": {},\n  \"gpu\": [{gpu_list}],\n",
-        json_string(schema),
-        json_string(GENERATED_BY),
-    )
+/// A versioned JSON document: the envelope every family opens with —
+/// `schema` id, `generated_by` crate+version, and the `gpu` list the
+/// document covers — followed by the members of `body`.
+pub fn envelope(schema: &str, gpus: &[&str], body: Json) -> Json {
+    let gpu: Json = gpus.iter().copied().collect();
+    let mut doc = obj!((); schema = schema, generated_by = GENERATED_BY, gpu = gpu);
+    doc.extend(body);
+    doc
 }
 
-/// A JSON number: finite floats print with enough precision to round-trip;
-/// non-finite values (not expected) degrade to null.
-pub fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.3}")
-    } else {
-        "null".to_owned()
+/// Check any document this workspace writes, returning one message per
+/// violation (empty = valid). The document says what it is: a
+/// `traceEvents` key selects the Chrome-trace check, otherwise the
+/// `schema` id selects the family, whose check sits next to its emitter:
+/// the document must be shaped like a sample that emitter writes
+/// ([`Json::conforms`]) and keep the family's invariants.
+pub fn check_document(doc: &Json) -> Vec<String> {
+    let mut errors = Vec::new();
+    if doc.get("traceEvents").is_some() {
+        check_chrome_trace(doc, &mut errors);
+        return errors;
     }
-}
-
-/// Escape a string per RFC 8259.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+    match doc.text("schema") {
+        "peakperf-job-v1" => errors.extend(service::JobSpec::from_json(doc).err()),
+        "peakperf-job-result-v1" => {
+            service::check_result(doc, "result", &mut errors);
         }
+        "peakperf-perf-v1" => perf::check(doc, &mut errors),
+        "peakperf-profile-v1" => profiling::check(doc, &mut errors),
+        "peakperf-fuzz-v1" => fault::check(doc, &mut errors),
+        telemetry::BENCH_SCHEMA => telemetry::check_bench(doc, &mut errors),
+        telemetry::COMPARE_SCHEMA => telemetry::check_compare(doc, &mut errors),
+        "peakperf-hostprof-v1" => hostprof::check(doc, &mut errors),
+        "peakperf-metrics-v1" => hostprof::check_metrics(doc, &mut errors),
+        "peakperf-service-v1" => service::check(doc, &mut errors),
+        "peakperf-servicetrace-v1" => service::journal::check(doc, &mut errors),
+        "" => errors.push("document has neither a string `schema` nor `traceEvents`".to_owned()),
+        other => errors.push(format!("unknown schema `{other}`")),
     }
-    out.push('"');
-    out
+    errors
 }
 
 /// A simple text table with a title and aligned columns.
@@ -186,18 +183,23 @@ mod tests {
 
     #[test]
     fn envelope_carries_schema_version_and_gpus() {
-        let env = envelope_json("peakperf-bench-v1", &PAPER_GPUS);
-        assert!(env.contains("\"schema\": \"peakperf-bench-v1\""));
-        assert!(env.contains(&format!("\"generated_by\": \"{GENERATED_BY}\"")));
-        assert!(env.contains("\"gpu\": [\"GTX580\", \"GTX680\"]"));
+        let doc = envelope("peakperf-bench-v1", &PAPER_GPUS, obj!((); workers = 2));
+        assert_eq!(doc.keys(), ["schema", "generated_by", "gpu", "workers"]);
+        assert_eq!(doc.text("generated_by"), GENERATED_BY);
+        assert_eq!(doc.get("gpu").unwrap().render(), "[\"GTX580\",\"GTX680\"]");
         assert!(GENERATED_BY.starts_with("peakperf-bench "));
     }
 
     #[test]
-    fn string_escaping_covers_controls() {
-        assert_eq!(json_string("a\u{1}b"), "\"a\\u0001b\"");
-        assert_eq!(json_string("x\\y"), "\"x\\\\y\"");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(1.5), "1.500");
+    fn documents_that_do_not_say_what_they_are_are_rejected() {
+        let unknown = envelope("peakperf-nonesuch-v9", &[], obj!(();));
+        assert_eq!(
+            check_document(&unknown),
+            ["unknown schema `peakperf-nonesuch-v9`"]
+        );
+        assert_eq!(check_document(&Json::Arr(vec![])).len(), 1);
+        let bare = obj!((); schema = "peakperf-metrics-v1");
+        let errors = check_document(&bare);
+        assert_eq!(errors[0], "metrics document: missing key `generated_by`");
     }
 }

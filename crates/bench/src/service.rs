@@ -37,8 +37,9 @@
 //!
 //! Terminal statuses are `completed`, `failed`, `cancelled`, `deadline`
 //! and `rejected`; their counts must sum to `submitted` once the service
-//! has drained — `scripts/check_trace_schema.py --service` enforces this
-//! identity on the emitted `peakperf-service-v1` document.
+//! has drained — [`Health::check_drained`] states this identity once, for
+//! the exit code of `reproduce serve` and for [`check`], which
+//! `reproduce check` runs on the emitted `peakperf-service-v1` document.
 
 pub mod journal;
 
@@ -51,14 +52,16 @@ use std::time::{Duration, Instant};
 
 use peakperf_arch::{Generation, GpuConfig};
 use peakperf_sass::KernelBuilder;
+use peakperf_sim::perfmon::MetricsSnapshot;
 use peakperf_sim::timing::{Hooks, TimingSim};
 use peakperf_sim::{CancelCause, CancelSource, CancelToken, GlobalMemory, LaunchConfig, SimError};
 
+use peakperf_sim::{ensure, obj, Json};
+
 use crate::exec::run_isolated;
-use crate::fault::{FuzzCase, Outcome, SeedSpec};
-use crate::json::Json;
+use crate::fault::{generation_name, parse_generation, FuzzCase, Outcome, SeedSpec};
 use crate::profiling;
-use crate::report::{envelope_json, json_f64, json_string, Table, PAPER_GPUS};
+use crate::report::{envelope, Table, PAPER_GPUS};
 use journal::{ErrorClass, EventKind, Journal};
 
 // ---------------------------------------------------------------------------
@@ -71,8 +74,8 @@ use journal::{ErrorClass, EventKind, Journal};
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobKind {
     /// Profile one named [`profiling::TARGETS`] target (no trace capture);
-    /// the structured `peakperf-profile-v1` object lands in
-    /// [`JobResult::report_json`].
+    /// the structured `peakperf-profile-v1` entry lands in
+    /// [`JobResult::report`].
     Profile {
         /// Target name, e.g. `fermi_ffma`.
         target: String,
@@ -101,6 +104,9 @@ pub enum JobKind {
 }
 
 impl JobKind {
+    /// Every kind tag [`JobKind::name`] can return.
+    pub const NAMES: [&'static str; 5] = ["profile", "fault", "spin", "panic", "flaky"];
+
     /// Stable kind tag used in job/result documents.
     pub fn name(&self) -> &'static str {
         match self {
@@ -144,62 +150,90 @@ impl JobSpec {
         }
     }
 
-    /// Render as one `peakperf-job-v1` JSONL line (inverse of
-    /// [`parse_job_line`]).
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"peakperf-job-v1\",\"id\":{},\"kind\":\"{}\"",
-            json_string(&self.id),
-            self.kind.name()
-        );
+    /// The `peakperf-job-v1` object (inverse of [`JobSpec::from_json`]).
+    pub fn to_json(&self) -> Json {
+        let mut doc = obj!(self; schema = "peakperf-job-v1", id, kind = self.kind.name());
         match &self.kind {
-            JobKind::Profile { target } => {
-                let _ = write!(out, ",\"target\":{}", json_string(target));
-            }
+            JobKind::Profile { target } => doc.push("target", target.as_str()),
             JobKind::Fault { case } => {
-                let _ = write!(
-                    out,
-                    ",\"gpu\":\"{}\",\"seed\":\"{}\",\"mutation_seed\":{}",
-                    generation_name(case.generation),
-                    case.seed.id(),
-                    case.mutation_seed
-                );
+                doc.push("gpu", generation_name(case.generation));
+                doc.push("seed", case.seed.id());
+                doc.push("mutation_seed", case.mutation_seed);
             }
-            JobKind::Flaky { fail_attempts } => {
-                let _ = write!(out, ",\"fail_attempts\":{fail_attempts}");
-            }
+            JobKind::Flaky { fail_attempts } => doc.push("fail_attempts", *fail_attempts),
             JobKind::Spin | JobKind::Panic => {}
         }
-        if let Some(ms) = self.deadline_ms {
-            let _ = write!(out, ",\"deadline_ms\":{ms}");
-        }
-        if self.max_retries > 0 {
-            let _ = write!(out, ",\"max_retries\":{}", self.max_retries);
-        }
-        if let Some(c) = self.cancel_at_cycle {
-            let _ = write!(out, ",\"cancel_at_cycle\":{c}");
-        }
-        out.push('}');
-        out
+        doc.push_some("deadline_ms", self.deadline_ms);
+        doc.push_some("max_retries", Some(self.max_retries).filter(|&n| n > 0));
+        doc.push_some("cancel_at_cycle", self.cancel_at_cycle);
+        doc
     }
-}
 
-fn generation_name(g: Generation) -> &'static str {
-    match g {
-        Generation::Gt200 => "gt200",
-        Generation::Fermi => "fermi",
-        Generation::Kepler => "kepler",
+    /// One `peakperf-job-v1` JSONL line (inverse of [`parse_job_line`]).
+    pub fn to_json_line(&self) -> String {
+        self.to_json().render()
     }
-}
 
-fn parse_generation(s: &str) -> Option<Generation> {
-    match s {
-        "gt200" => Some(Generation::Gt200),
-        "fermi" => Some(Generation::Fermi),
-        "kepler" => Some(Generation::Kepler),
-        _ => None,
+    /// Read one `peakperf-job-v1` object.
+    ///
+    /// # Errors
+    ///
+    /// A wrong/missing `schema`, an unknown `kind`, or missing or
+    /// mistyped kind-specific fields.
+    pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
+        let (schema, id) = (doc.text("schema"), doc.text("id"));
+        if schema != "peakperf-job-v1" {
+            return Err(format!("expected schema peakperf-job-v1, got `{schema}`"));
+        }
+        if id.is_empty() {
+            return Err("job needs a non-empty string `id`".to_owned());
+        }
+        let optional = |key: &str| match doc[key] {
+            Json::Null => Ok(None),
+            _ => doc.need_u64(key).map(Some),
+        };
+        let optional32 = |key: &str, default: u32| -> Result<u32, String> {
+            Ok(optional(key)?.map_or(default, |n| n.min(u64::from(u32::MAX)) as u32))
+        };
+        let kind = match doc.need_str("kind")? {
+            "profile" => JobKind::Profile {
+                target: doc.need_str("target")?.to_owned(),
+            },
+            "fault" => {
+                let (gpu, seed) = (
+                    doc["gpu"].as_str().unwrap_or("kepler"),
+                    doc.need_str("seed")?,
+                );
+                JobKind::Fault {
+                    case: FuzzCase {
+                        generation: parse_generation(gpu)
+                            .ok_or_else(|| format!("unknown gpu `{gpu}`"))?,
+                        seed: SeedSpec::parse(seed).ok_or_else(|| {
+                            format!("unknown seed spec `{seed}` (e.g. table2:07)")
+                        })?,
+                        mutation_seed: optional("mutation_seed")?.unwrap_or(1),
+                    },
+                }
+            }
+            "spin" => JobKind::Spin,
+            "panic" => JobKind::Panic,
+            "flaky" => JobKind::Flaky {
+                fail_attempts: optional32("fail_attempts", 1)?,
+            },
+            other => {
+                return Err(format!(
+                    "unknown job kind `{other}`; known: {}",
+                    JobKind::NAMES.join(" ")
+                ))
+            }
+        };
+        Ok(JobSpec {
+            id: id.to_owned(),
+            kind,
+            deadline_ms: optional("deadline_ms")?,
+            max_retries: optional32("max_retries", 0)?,
+            cancel_at_cycle: optional("cancel_at_cycle")?,
+        })
     }
 }
 
@@ -207,81 +241,9 @@ fn parse_generation(s: &str) -> Option<Generation> {
 ///
 /// # Errors
 ///
-/// Malformed JSON, a wrong/missing `schema`, an unknown `kind`, or
-/// missing kind-specific fields.
+/// Malformed JSON, or anything [`JobSpec::from_json`] rejects.
 pub fn parse_job_line(line: &str) -> Result<JobSpec, String> {
-    let doc = Json::parse(line)?;
-    let schema = doc.get("schema").and_then(Json::as_str).unwrap_or("");
-    if schema != "peakperf-job-v1" {
-        return Err(format!("expected schema peakperf-job-v1, got `{schema}`"));
-    }
-    let id = doc
-        .get("id")
-        .and_then(Json::as_str)
-        .filter(|s| !s.is_empty())
-        .ok_or("job needs a non-empty string `id`")?
-        .to_owned();
-    let get_u64 = |key: &str| -> Result<Option<u64>, String> {
-        match doc.get(key) {
-            None | Some(Json::Null) => Ok(None),
-            Some(v) => v
-                .as_f64()
-                .filter(|n| *n >= 0.0 && n.fract() == 0.0)
-                .map(|n| Some(n as u64))
-                .ok_or_else(|| format!("field `{key}` must be a non-negative integer")),
-        }
-    };
-    let kind_tag = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or("job needs a string `kind`")?;
-    let kind = match kind_tag {
-        "profile" => JobKind::Profile {
-            target: doc
-                .get("target")
-                .and_then(Json::as_str)
-                .ok_or("profile job needs a string `target`")?
-                .to_owned(),
-        },
-        "fault" => {
-            let gpu = doc.get("gpu").and_then(Json::as_str).unwrap_or("kepler");
-            let generation = parse_generation(gpu).ok_or_else(|| format!("unknown gpu `{gpu}`"))?;
-            let seed_id = doc
-                .get("seed")
-                .and_then(Json::as_str)
-                .ok_or("fault job needs a string `seed` (e.g. table2:07)")?;
-            let seed =
-                SeedSpec::parse(seed_id).ok_or_else(|| format!("unknown seed spec `{seed_id}`"))?;
-            JobKind::Fault {
-                case: FuzzCase {
-                    generation,
-                    seed,
-                    mutation_seed: get_u64("mutation_seed")?.unwrap_or(1),
-                },
-            }
-        }
-        "spin" => JobKind::Spin,
-        "panic" => JobKind::Panic,
-        "flaky" => JobKind::Flaky {
-            fail_attempts: get_u64("fail_attempts")?
-                .unwrap_or(1)
-                .min(u64::from(u32::MAX)) as u32,
-        },
-        other => {
-            return Err(format!(
-                "unknown job kind `{other}`; known: profile fault spin panic flaky"
-            ))
-        }
-    };
-    Ok(JobSpec {
-        id,
-        kind,
-        deadline_ms: get_u64("deadline_ms")?,
-        max_retries: get_u64("max_retries")?
-            .unwrap_or(0)
-            .min(u64::from(u32::MAX)) as u32,
-        cancel_at_cycle: get_u64("cancel_at_cycle")?,
-    })
+    JobSpec::from_json(&Json::parse(line)?)
 }
 
 /// Parse a whole `--jobs` file (one `peakperf-job-v1` object per
@@ -323,6 +285,16 @@ pub enum JobStatus {
 }
 
 impl JobStatus {
+    /// Every terminal status, in the order the accounting identity sums
+    /// them.
+    pub const ALL: [JobStatus; 5] = [
+        JobStatus::Completed,
+        JobStatus::Failed,
+        JobStatus::Cancelled,
+        JobStatus::Deadline,
+        JobStatus::Rejected,
+    ];
+
     /// Stable status tag used in result documents.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -356,9 +328,9 @@ pub struct JobResult {
     /// completion.
     pub cycles: Option<u64>,
     /// The structured report for kinds that produce one (profile jobs:
-    /// the `peakperf-profile-v1` object). Not serialized into the result
+    /// their `peakperf-profile-v1` entry). Not serialized into the result
     /// line; available to embedders.
-    pub report_json: Option<String>,
+    pub report: Option<Json>,
     /// Microseconds the job waited in the queue before a worker picked
     /// it up. `None` for jobs that never reached a worker (rejected, or
     /// cancelled while queued).
@@ -372,35 +344,91 @@ pub struct JobResult {
 }
 
 impl JobResult {
-    /// Render as one `peakperf-job-result-v1` JSONL line.
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"schema\":\"peakperf-job-result-v1\",\"id\":{},\"kind\":\"{}\",\
-             \"status\":\"{}\",\"attempts\":{},\"wall_ms\":{}",
-            json_string(&self.id),
-            self.kind,
-            self.status.as_str(),
-            self.attempts,
-            json_f64(self.wall_ms),
+    /// The result of a job no worker ever started: shed at submission or
+    /// cancelled while queued.
+    fn unrun(spec: JobSpec, status: JobStatus, detail: &str, source: Option<CancelSource>) -> Self {
+        JobResult {
+            id: spec.id,
+            kind: spec.kind.name(),
+            status,
+            attempts: 0,
+            wall_ms: 0.0,
+            detail: detail.to_owned(),
+            cycles: None,
+            report: None,
+            queue_wait_us: None,
+            attempts_wall_us: None,
+            cancel_source: source,
+        }
+    }
+
+    /// The `peakperf-job-result-v1` object.
+    pub fn to_json(&self) -> Json {
+        let mut doc = obj!(self; schema = "peakperf-job-result-v1", id, kind,
+            status = self.status.as_str(), attempts, wall_ms);
+        doc.push_some("queue_wait_us", self.queue_wait_us);
+        doc.push_some("attempts_wall_us", self.attempts_wall_us);
+        doc.push_some(
+            "cancel_source",
+            self.cancel_source.map(CancelSource::as_str),
         );
-        if let Some(us) = self.queue_wait_us {
-            let _ = write!(out, ",\"queue_wait_us\":{us}");
-        }
-        if let Some(us) = self.attempts_wall_us {
-            let _ = write!(out, ",\"attempts_wall_us\":{us}");
-        }
-        if let Some(src) = self.cancel_source {
-            let _ = write!(out, ",\"cancel_source\":\"{}\"", src.as_str());
-        }
-        if let Some(c) = self.cycles {
-            let _ = write!(out, ",\"cycles\":{c}");
-        }
-        let _ = write!(out, ",\"detail\":{}}}", json_string(&self.detail));
-        out
+        doc.push_some("cycles", self.cycles);
+        doc.push("detail", self.detail.as_str());
+        doc
+    }
+
+    /// One `peakperf-job-result-v1` JSONL line.
+    pub fn to_json_line(&self) -> String {
+        self.to_json().render()
     }
 }
+
+/// Check one `peakperf-job-result-v1` object (called `at` in the
+/// messages) and return its status: shaped like a result this module
+/// writes, a known job kind, a *terminal* status — a hung or lost job
+/// cannot produce a valid result — and an attempt count that fits it
+/// (none for a job shed or cancelled while queued, at least one for a
+/// job that completed, failed or ran out of time).
+pub fn check_result(result: &Json, at: &str, errors: &mut Vec<String>) -> Option<JobStatus> {
+    let spec = JobSpec::new("", JobKind::Spin);
+    let sample = JobResult::unrun(spec, JobStatus::Rejected, "", None).to_json();
+    result.conforms(&sample, &at, errors);
+    let (schema, kind) = (result.text("schema"), result.text("kind"));
+    ensure!(
+        errors,
+        schema == sample.text("schema"),
+        "{at}: schema is `{schema}`"
+    );
+    ensure!(
+        errors,
+        JobKind::NAMES.contains(&kind),
+        "{at}: unknown job kind `{kind}`"
+    );
+    let status = result.text("status");
+    let Ok(terminal) = result.need_tag("status", &JobStatus::ALL, JobStatus::as_str) else {
+        errors.push(format!("{at}: status `{status}` is not terminal"));
+        return None;
+    };
+    let attempts = result.count("attempts");
+    let fits = match terminal {
+        JobStatus::Rejected => attempts == 0,
+        // Cancelled while queued (no worker ever measured its queue wait)
+        // means never started; a dequeued job may still be cancelled
+        // before its first attempt.
+        JobStatus::Cancelled => attempts == 0 || result.get("queue_wait_us").is_some(),
+        JobStatus::Completed | JobStatus::Failed | JobStatus::Deadline => attempts >= 1,
+    };
+    ensure!(
+        errors,
+        fits,
+        "{at}: {status} job reports {attempts} attempt(s)"
+    );
+    Some(terminal)
+}
+
+/// The reasons [`Service::submit`] sheds a job: the queue is full, or the
+/// service has stopped taking work.
+pub const REJECT_REASONS: [&str; 2] = ["overloaded", "shutting-down"];
 
 /// The immediate answer to [`Service::submit`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -451,6 +479,63 @@ pub struct Health {
 }
 
 impl Health {
+    /// The seven ledger counters as a JSON object: the journal's `derived`
+    /// object, and the head of [`Health::to_json`].
+    pub fn ledger_json(&self) -> Json {
+        obj!(self; submitted, completed, failed, cancelled, deadline, rejected, retried)
+    }
+
+    /// The `health` object of the service and servicetrace documents
+    /// (and the payload of a journal snapshot event).
+    pub fn to_json(&self) -> Json {
+        let mut doc = self.ledger_json();
+        doc.extend(obj!(self; in_flight, queue_depth, queue_depth_max));
+        doc
+    }
+
+    /// Read back what [`Health::to_json`] wrote.
+    ///
+    /// # Errors
+    ///
+    /// The first key that is missing or not a non-negative integer.
+    pub fn from_json(obj: &Json) -> Result<Health, String> {
+        let count = |key| obj.need_u64(key);
+        Ok(Health {
+            submitted: count("submitted")?,
+            rejected: count("rejected")?,
+            completed: count("completed")?,
+            failed: count("failed")?,
+            cancelled: count("cancelled")?,
+            deadline: count("deadline")?,
+            retried: count("retried")?,
+            in_flight: count("in_flight")?,
+            queue_depth: count("queue_depth")?,
+            queue_depth_max: count("queue_depth_max")?,
+            snapshot_queue_depth_max: 0,
+        })
+    }
+
+    /// Whether a drained service left a sound ledger behind: every
+    /// submission terminal and accounted for, nothing queued or in
+    /// flight, and the queue never deeper than `queue_capacity`. One
+    /// message per broken invariant — the exit check of `reproduce serve`
+    /// and the check of the `health` object in a service document.
+    pub fn check_drained(&self, queue_capacity: u64) -> Vec<String> {
+        let mut violations = Vec::new();
+        let line = self.render_line();
+        let balanced = self.terminal() == self.submitted && self.accounted();
+        ensure!(violations, balanced, "accounting identity violated: {line}");
+        let idle = self.queue_depth == 0 && self.in_flight == 0;
+        ensure!(violations, idle, "drain left work behind: {line}");
+        let peak = self.queue_depth_max;
+        ensure!(
+            violations,
+            peak <= queue_capacity,
+            "queue depth peaked at {peak} with capacity {queue_capacity}"
+        );
+        violations
+    }
+
     /// Jobs that reached a terminal state.
     pub fn terminal(&self) -> u64 {
         self.rejected + self.completed + self.failed + self.cancelled + self.deadline
@@ -707,9 +792,9 @@ impl Service {
         let reason = {
             let mut state = lock(&self.shared.state);
             if !state.accepting {
-                Some(("shutting-down", state.queue.len() as u64))
+                Some((REJECT_REASONS[1], state.queue.len() as u64))
             } else if state.queue.len() >= self.shared.config.queue_capacity {
-                Some(("overloaded", state.queue.len() as u64))
+                Some((REJECT_REASONS[0], state.queue.len() as u64))
             } else {
                 state.queue.push_back(Queued {
                     spec: spec.clone(),
@@ -747,19 +832,8 @@ impl Service {
                     },
                 );
                 self.shared.bump(JobStatus::Rejected);
-                let _ = self.results.send(JobResult {
-                    id: spec.id,
-                    kind: spec.kind.name(),
-                    status: JobStatus::Rejected,
-                    attempts: 0,
-                    wall_ms: 0.0,
-                    detail: reason.to_owned(),
-                    cycles: None,
-                    report_json: None,
-                    queue_wait_us: None,
-                    attempts_wall_us: None,
-                    cancel_source: None,
-                });
+                let result = JobResult::unrun(spec, JobStatus::Rejected, reason, None);
+                let _ = self.results.send(result);
                 SubmitOutcome::Rejected { reason }
             }
         }
@@ -795,19 +869,9 @@ impl Service {
                 },
             );
             self.shared.bump(JobStatus::Cancelled);
-            let _ = self.results.send(JobResult {
-                id: spec.id,
-                kind: spec.kind.name(),
-                status: JobStatus::Cancelled,
-                attempts: 0,
-                wall_ms: 0.0,
-                detail: "cancelled while queued".to_owned(),
-                cycles: None,
-                report_json: None,
-                queue_wait_us: None,
-                attempts_wall_us: None,
-                cancel_source: Some(CancelSource::Api),
-            });
+            let (detail, source) = ("cancelled while queued", CancelSource::Api);
+            let result = JobResult::unrun(spec, JobStatus::Cancelled, detail, Some(source));
+            let _ = self.results.send(result);
             return true;
         }
         // Journaled under the inflight lock: the worker removes the id
@@ -891,19 +955,12 @@ impl Service {
                 },
             );
             self.shared.bump(JobStatus::Cancelled);
-            let _ = self.results.send(JobResult {
-                id: spec.id,
-                kind: spec.kind.name(),
-                status: JobStatus::Cancelled,
-                attempts: 0,
-                wall_ms: 0.0,
-                detail: "cancelled by shutdown before running".to_owned(),
-                cycles: None,
-                report_json: None,
-                queue_wait_us: None,
-                attempts_wall_us: None,
-                cancel_source: Some(CancelSource::Shutdown),
-            });
+            let (detail, source) = (
+                "cancelled by shutdown before running",
+                CancelSource::Shutdown,
+            );
+            let result = JobResult::unrun(spec, JobStatus::Cancelled, detail, Some(source));
+            let _ = self.results.send(result);
         }
         self.join_workers();
         self.stop_sampler();
@@ -1001,7 +1058,7 @@ enum Attempt {
     Done {
         detail: String,
         cycles: Option<u64>,
-        report_json: Option<String>,
+        report: Option<Json>,
     },
     Cancelled {
         at_cycle: u64,
@@ -1025,7 +1082,7 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
     let t0 = Instant::now();
     let mut attempts: u32 = 0;
     let mut attempts_wall = Duration::ZERO;
-    let (status, detail, cycles, report_json) = loop {
+    let (status, detail, cycles, report) = loop {
         // Between attempts (and before the first), honour a token that
         // fired while we were not inside the simulator — a cancel during
         // backoff sleep, or a deadline consumed by earlier attempts.
@@ -1067,8 +1124,8 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
             Ok(Attempt::Done {
                 detail,
                 cycles,
-                report_json,
-            }) => break (JobStatus::Completed, detail, cycles, report_json),
+                report,
+            }) => break (JobStatus::Completed, detail, cycles, report),
             Ok(Attempt::Cancelled { at_cycle }) => {
                 break (
                     JobStatus::Cancelled,
@@ -1152,7 +1209,7 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
         wall_ms: wall.as_secs_f64() * 1e3,
         detail,
         cycles,
-        report_json,
+        report,
         queue_wait_us: Some(queue_wait_us),
         attempts_wall_us: Some(attempts_wall.as_micros().min(u128::from(u64::MAX)) as u64),
         cancel_source,
@@ -1175,7 +1232,7 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Atte
             Ok(out) => Ok(Attempt::Done {
                 detail: format!("profiled {target} on {}", out.gpu),
                 cycles: None,
-                report_json: Some(out.json),
+                report: Some(out.json),
             }),
             Err(e) => classify_sim_error(e),
         },
@@ -1196,7 +1253,7 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Atte
             Ok(Attempt::Done {
                 detail,
                 cycles,
-                report_json: None,
+                report: None,
             })
         }
         JobKind::Spin => {
@@ -1219,7 +1276,7 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Atte
                 Ok(report) => Ok(Attempt::Done {
                     detail: "spin kernel finished (unexpected)".to_owned(),
                     cycles: Some(report.cycles),
-                    report_json: None,
+                    report: None,
                 }),
                 Err(e) => classify_sim_error(e),
             }
@@ -1234,7 +1291,7 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Atte
                 Ok(Attempt::Done {
                     detail: format!("succeeded on attempt {attempt}"),
                     cycles: None,
-                    report_json: None,
+                    report: None,
                 })
             }
         }
@@ -1326,63 +1383,70 @@ pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
 // ---------------------------------------------------------------------------
 
 /// The `peakperf-service-v1` summary document for one `reproduce serve`
-/// run (validated by `scripts/check_trace_schema.py --service`).
+/// run.
 ///
 /// When a perfmon snapshot is supplied (`reproduce serve --metrics-out`)
 /// the registry's counters are embedded as a `perfmon` section — the
 /// cross-check surface for the journal's queue-wait totals
 /// (`service.queue_wait_us` accumulates the same values the journal's
-/// `Dequeued` events carry). `None` keeps the document byte-identical to
-/// a build without perfmon.
+/// `Dequeued` events carry). `None` keeps the document identical to a
+/// build without perfmon.
 pub fn service_document(
     workers: usize,
     queue_capacity: usize,
     health: &Health,
     results: &[JobResult],
     wall_ms: f64,
-    perfmon: Option<&peakperf_sim::perfmon::MetricsSnapshot>,
-) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&envelope_json("peakperf-service-v1", &PAPER_GPUS));
-    let _ = writeln!(out, "  \"workers\": {workers},");
-    let _ = writeln!(out, "  \"queue_capacity\": {queue_capacity},");
-    let _ = writeln!(out, "  \"wall_ms\": {},", json_f64(wall_ms));
-    out.push_str("  \"health\": {\n");
-    let fields = [
-        ("submitted", health.submitted),
-        ("completed", health.completed),
-        ("failed", health.failed),
-        ("cancelled", health.cancelled),
-        ("deadline", health.deadline),
-        ("rejected", health.rejected),
-        ("retried", health.retried),
-        ("in_flight", health.in_flight),
-        ("queue_depth", health.queue_depth),
-        ("queue_depth_max", health.queue_depth_max),
-    ];
-    for (i, (name, value)) in fields.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    \"{name}\": {value}{}",
-            if i + 1 < fields.len() { "," } else { "" }
+    perfmon: Option<&MetricsSnapshot>,
+) -> Json {
+    let mut body = obj!((); workers = workers, queue_capacity = queue_capacity,
+        wall_ms = wall_ms, health = health.to_json());
+    body.push_some("perfmon", perfmon.map(MetricsSnapshot::to_json));
+    let results = results.iter().map(JobResult::to_json);
+    body.push("results", results.collect::<Json>());
+    envelope("peakperf-service-v1", &PAPER_GPUS, body)
+}
+
+/// Check a `peakperf-service-v1` document: shaped like the sample
+/// [`service_document`] writes; every result valid ([`check_result`])
+/// with a unique id; the results tallying the health counters status by
+/// status; and the health counters those of a soundly drained service
+/// ([`Health::check_drained`]: the accounting identity, nothing left
+/// queued or in flight, the queue bound held).
+pub fn check(doc: &Json, errors: &mut Vec<String>) {
+    let sample = service_document(0, 0, &Health::default(), &[], 0.0, None);
+    doc.conforms(&sample, &"service document", errors);
+    let mut tally = [0u64; JobStatus::ALL.len()];
+    let mut ids = std::collections::HashSet::new();
+    for (i, result) in doc.items("results").iter().enumerate() {
+        let id = result.text("id");
+        let unique = ids.insert(id);
+        ensure!(
+            errors,
+            unique,
+            "service document: duplicate result id `{id}`"
+        );
+        let status = check_result(result, &format!("results[{i}] ({id})"), errors);
+        if let Some(slot) = JobStatus::ALL.iter().position(|s| Some(*s) == status) {
+            tally[slot] += 1;
+        }
+    }
+    let counters = &doc["health"];
+    let health = match Health::from_json(counters) {
+        Ok(health) => health,
+        Err(e) => return errors.push(format!("service health: {e}")),
+    };
+    // Each terminal status names its health counter.
+    for (status, results) in JobStatus::ALL.map(JobStatus::as_str).into_iter().zip(tally) {
+        let counted = counters.count(status);
+        ensure!(
+            errors,
+            results == counted,
+            "service document: {results} {status} result(s) but health counts {counted}"
         );
     }
-    out.push_str("  },\n");
-    if let Some(pm) = perfmon {
-        let _ = writeln!(out, "  \"perfmon\": {},", pm.to_json_object("  "));
-    }
-    out.push_str("  \"results\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let _ = writeln!(
-            out,
-            "    {}{}",
-            r.to_json_line(),
-            if i + 1 < results.len() { "," } else { "" }
-        );
-    }
-    out.push_str("  ]\n}\n");
-    out
+    let drained = health.check_drained(doc["queue_capacity"].as_u64().unwrap_or(u64::MAX));
+    errors.extend(drained.iter().map(|v| format!("service document: {v}")));
 }
 
 /// Text summary table for one serve run.
@@ -1615,6 +1679,14 @@ mod tests {
         let running = results.iter().find(|r| r.id == "running").unwrap();
         assert_eq!(running.status, JobStatus::Cancelled);
         assert!(running.attempts >= 1);
+        // Only a job some worker dequeued may report attempts.
+        let mut errors = Vec::new();
+        let mut line = queued.to_json();
+        check_result(&running.to_json(), "running", &mut errors);
+        check_result(&line, "queued", &mut errors);
+        *line.get_mut("attempts").unwrap() = 1.into();
+        check_result(&line, "queued", &mut errors);
+        assert_eq!(errors, ["queued: cancelled job reports 1 attempt(s)"]);
     }
 
     #[test]
@@ -1682,7 +1754,9 @@ mod tests {
                     case: FuzzCase {
                         generation: Generation::Fermi,
                         seed: SeedSpec::parse("sgemm:nn").unwrap(),
-                        mutation_seed: 99,
+                        // Campaign seeds are full-width `next_u64()` draws:
+                        // this one is not representable as an f64.
+                        mutation_seed: 18_446_744_073_709_551_557,
                     },
                 },
             ),
@@ -1736,26 +1810,21 @@ mod tests {
     }
 
     #[test]
-    fn service_document_is_balanced_and_accounted() {
+    fn service_document_round_trips_and_passes_its_check() {
         let (service, rx) = small_service(2, 8);
         service.submit(JobSpec::new("a", JobKind::Flaky { fail_attempts: 0 }));
         service.submit(JobSpec::new("b", JobKind::Panic));
         let health = service.drain();
         let results = drain_results(&rx);
         let doc = service_document(2, 8, &health, &results, 12.5, None);
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        let parsed = Json::parse(&doc).unwrap();
-        assert_eq!(
-            parsed.get("schema").and_then(Json::as_str),
-            Some("peakperf-service-v1")
-        );
-        let h = parsed.get("health").unwrap();
-        let n = |k: &str| h.get(k).and_then(Json::as_f64).unwrap() as u64;
-        assert_eq!(
-            n("completed") + n("failed") + n("cancelled") + n("deadline") + n("rejected"),
-            n("submitted")
-        );
-        assert_eq!(parsed.get("results").unwrap().as_arr().unwrap().len(), 2);
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
+        assert_eq!(Health::from_json(doc.get("health").unwrap()), Ok(health));
+        assert_eq!(doc.items("results").len(), 2);
+        for result in &results {
+            let line = Json::parse(&result.to_json_line()).unwrap();
+            assert_eq!(crate::report::check_document(&line), Vec::<String>::new());
+        }
         let summary = render_summary(&health, &results, 12.5);
         assert!(summary.contains("identity holds"), "{summary}");
     }
@@ -1788,7 +1857,7 @@ mod tests {
             journal.check_invariants(Some(&health)),
             Vec::<String>::new()
         );
-        assert!(journal.derived().identity_holds());
+        assert!(journal.derived().accounted());
 
         let flaky = journal.spans_for("flaky");
         assert_eq!(flaky[0].kind.type_name(), "submitted");
@@ -1806,9 +1875,10 @@ mod tests {
         )));
         let spin_result = results.iter().find(|r| r.id == "spin").unwrap();
         assert_eq!(spin_result.cancel_source, Some(CancelSource::Cycle));
-        assert!(spin_result
-            .to_json_line()
-            .contains("\"cancel_source\":\"cycle\""));
+        assert_eq!(
+            spin_result.to_json().get("cancel_source").unwrap().as_str(),
+            Some("cycle")
+        );
 
         // Every executed job carries its latency fields.
         assert!(results
@@ -1855,7 +1925,7 @@ mod tests {
         let shed = results.iter().find(|r| r.id == "shed").unwrap();
         assert_eq!(shed.queue_wait_us, None);
         assert_eq!(shed.attempts_wall_us, None);
-        assert!(!shed.to_json_line().contains("queue_wait_us"));
+        assert_eq!(shed.to_json().get("queue_wait_us"), None);
         let chain: Vec<&'static str> = journal
             .spans_for("shed")
             .iter()
@@ -1939,7 +2009,7 @@ mod tests {
         let b = soak_jobs(200, 42);
         assert_eq!(a, b, "same seed must generate the same jobs");
         assert_ne!(a, soak_jobs(200, 43), "different seed, different mix");
-        for kind in ["profile", "fault", "spin", "panic", "flaky"] {
+        for kind in JobKind::NAMES {
             assert!(
                 a.iter().any(|j| j.kind.name() == kind),
                 "200-job soak should include a {kind} job"

@@ -19,8 +19,8 @@
 //!   simulator's `Observer`.
 //! * **lock-cheap** — events are recorded at *job* granularity (a job
 //!   runs for milliseconds to seconds), so one short `Mutex` push per
-//!   transition is far below measurement noise; the sequence counter and
-//!   snapshot high-water mark are relaxed atomics.
+//!   transition is far below measurement noise; the snapshot high-water
+//!   mark is a relaxed atomic.
 //! * **bounded** — a journal has a capacity; past it the *oldest* events
 //!   are dropped (and counted), so the tail — the part that explains a
 //!   failure — is always retained. [`Journal::flight_recorder`] is the
@@ -31,8 +31,9 @@
 //!   identity (`completed + failed + cancelled + deadline + rejected ==
 //!   submitted`) via [`Journal::derived`], and [`Journal::check_invariants`]
 //!   proves every job's span chain is gap-free from `Submitted` to
-//!   `Terminal`. `scripts/check_trace_schema.py --servicetrace` enforces
-//!   the same properties on the emitted document in CI.
+//!   `Terminal`. [`check`] reads the events back out of an emitted
+//!   document ([`Event::from_json`]) and runs the same functions on
+//!   them, which is what `reproduce check` does in CI.
 //!
 //! [`Journal::chrome_trace`] renders the journal with the shared
 //! [`ChromeTraceWriter`] (the PR-2 trace-event writer): one track per
@@ -40,16 +41,15 @@
 //! depth as a counter track, so a whole serve/soak run opens in Perfetto.
 
 use std::collections::HashMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use peakperf_sim::timing::ChromeTraceWriter;
-use peakperf_sim::CancelSource;
+use peakperf_sim::json::{ChromeTraceWriter, Json};
+use peakperf_sim::{ensure, obj, CancelSource};
 
-use super::{Health, JobStatus};
-use crate::report::{envelope_json, json_f64, json_string, PAPER_GPUS};
+use super::{Health, JobStatus, REJECT_REASONS};
+use crate::report::{envelope, PAPER_GPUS};
 
 /// Default capacity of the always-on flight-recorder ring.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -68,6 +68,9 @@ pub enum ErrorClass {
 }
 
 impl ErrorClass {
+    /// Every class, in declaration order.
+    pub const ALL: [ErrorClass; 3] = [ErrorClass::Panic, ErrorClass::Flaky, ErrorClass::Error];
+
     /// Stable tag used in journal events.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -177,125 +180,105 @@ pub struct Event {
 }
 
 impl Event {
-    /// Render as one JSON object (one line of the document's `events`
-    /// array).
-    pub fn to_json_line(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"seq\":{},\"ts_us\":{},\"type\":\"{}\"",
-            self.seq,
-            self.ts_us,
-            self.kind.type_name()
-        );
-        if !self.job.is_empty() {
-            let _ = write!(out, ",\"job\":{}", json_string(&self.job));
-        }
-        if let Some(w) = self.worker {
-            let _ = write!(out, ",\"worker\":{w}");
-        }
+    /// The event as a JSON object: one element of the document's `events`
+    /// array.
+    pub fn to_json(&self) -> Json {
+        let mut doc = obj!(self; seq, ts_us, type = self.kind.type_name());
+        doc.push_some("job", Some(self.job.as_str()).filter(|job| !job.is_empty()));
+        doc.push_some("worker", self.worker);
         match &self.kind {
-            EventKind::Submitted { queue_depth } => {
-                let _ = write!(out, ",\"queue_depth\":{queue_depth}");
-            }
-            EventKind::Rejected { reason } => {
-                let _ = write!(out, ",\"reason\":\"{reason}\"");
-            }
-            EventKind::Dequeued { queue_wait_us } => {
-                let _ = write!(out, ",\"queue_wait_us\":{queue_wait_us}");
-            }
-            EventKind::AttemptStarted { attempt } => {
-                let _ = write!(out, ",\"attempt\":{attempt}");
-            }
+            EventKind::Submitted { queue_depth } => doc.push("queue_depth", *queue_depth),
+            EventKind::Rejected { reason } => doc.push("reason", *reason),
+            EventKind::Dequeued { queue_wait_us } => doc.push("queue_wait_us", *queue_wait_us),
+            EventKind::AttemptStarted { attempt } => doc.push("attempt", *attempt),
             EventKind::AttemptFailed {
                 attempt,
                 error_class,
                 backoff_us,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"attempt\":{attempt},\"error_class\":\"{}\",\"backoff_us\":{backoff_us}",
-                    error_class.as_str()
-                );
+                doc.push("attempt", *attempt);
+                doc.push("error_class", error_class.as_str());
+                doc.push("backoff_us", *backoff_us);
             }
-            EventKind::CancelRequested { source } => {
-                let _ = write!(out, ",\"source\":\"{}\"", source.as_str());
-            }
+            EventKind::CancelRequested { source } => doc.push("source", source.as_str()),
             EventKind::Terminal {
                 status,
                 total_wall_us,
             } => {
-                let _ = write!(
-                    out,
-                    ",\"status\":\"{}\",\"total_wall_us\":{total_wall_us}",
-                    status.as_str()
-                );
+                doc.push("status", status.as_str());
+                doc.push("total_wall_us", *total_wall_us);
             }
-            EventKind::HealthSnapshot { health } => {
-                let _ = write!(
-                    out,
-                    ",\"submitted\":{},\"completed\":{},\"failed\":{},\"cancelled\":{},\
-                     \"deadline\":{},\"rejected\":{},\"retried\":{},\"in_flight\":{},\
-                     \"queue_depth\":{},\"queue_depth_max\":{}",
-                    health.submitted,
-                    health.completed,
-                    health.failed,
-                    health.cancelled,
-                    health.deadline,
-                    health.rejected,
-                    health.retried,
-                    health.in_flight,
-                    health.queue_depth,
-                    health.queue_depth_max,
-                );
-            }
+            EventKind::HealthSnapshot { health } => doc.extend(health.to_json()),
         }
-        out.push('}');
-        out
-    }
-}
-
-/// Per-status counts re-derived from `Terminal` events alone — the
-/// journal-side half of the accounting identity.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DerivedCounts {
-    /// `Submitted` events.
-    pub submitted: u64,
-    /// `Terminal{completed}` events.
-    pub completed: u64,
-    /// `Terminal{failed}` events.
-    pub failed: u64,
-    /// `Terminal{cancelled}` events.
-    pub cancelled: u64,
-    /// `Terminal{deadline}` events.
-    pub deadline: u64,
-    /// `Terminal{rejected}` events.
-    pub rejected: u64,
-    /// `AttemptFailed` events (each one is exactly one retry).
-    pub retried: u64,
-}
-
-impl DerivedCounts {
-    /// Terminal events by any status.
-    pub fn terminal(&self) -> u64 {
-        self.completed + self.failed + self.cancelled + self.deadline + self.rejected
+        doc
     }
 
-    /// The accounting identity, from events alone.
-    pub fn identity_holds(&self) -> bool {
-        self.terminal() == self.submitted
+    /// The event as one compact JSON line.
+    pub fn to_json_line(&self) -> String {
+        self.to_json().render()
     }
 
-    /// Whether these counts agree with a [`Health`] snapshot status by
-    /// status.
-    pub fn matches(&self, health: &Health) -> bool {
-        self.submitted == health.submitted
-            && self.completed == health.completed
-            && self.failed == health.failed
-            && self.cancelled == health.cancelled
-            && self.deadline == health.deadline
-            && self.rejected == health.rejected
-            && self.retried == health.retried
+    /// Read an event back (inverse of [`Event::to_json`]).
+    ///
+    /// # Errors
+    ///
+    /// An unknown `type`; a missing or mistyped field of the common part
+    /// or of that type's payload (every event but a health snapshot names
+    /// its job, and dequeue/attempt events their worker); an enum field
+    /// holding a tag its table does not know.
+    pub fn from_json(doc: &Json) -> Result<Event, String> {
+        let int32 = |key: &str| {
+            u32::try_from(doc.need_u64(key)?).map_err(|_| format!("`{key}` does not fit 32 bits"))
+        };
+        let kind = match doc.need_str("type")? {
+            "submitted" => EventKind::Submitted {
+                queue_depth: doc.need_u64("queue_depth")?,
+            },
+            "rejected" => EventKind::Rejected {
+                reason: doc.need_tag("reason", &REJECT_REASONS, |r| r)?,
+            },
+            "dequeued" => EventKind::Dequeued {
+                queue_wait_us: doc.need_u64("queue_wait_us")?,
+            },
+            "attempt_started" => EventKind::AttemptStarted {
+                attempt: int32("attempt")?,
+            },
+            "attempt_failed" => EventKind::AttemptFailed {
+                attempt: int32("attempt")?,
+                error_class: doc.need_tag("error_class", &ErrorClass::ALL, ErrorClass::as_str)?,
+                backoff_us: doc.need_u64("backoff_us")?,
+            },
+            "cancel_requested" => EventKind::CancelRequested {
+                source: doc.need_tag("source", &CancelSource::ALL, CancelSource::as_str)?,
+            },
+            "terminal" => EventKind::Terminal {
+                status: doc.need_tag("status", &JobStatus::ALL, JobStatus::as_str)?,
+                total_wall_us: doc.need_u64("total_wall_us")?,
+            },
+            "health_snapshot" => EventKind::HealthSnapshot {
+                health: Health::from_json(doc)?,
+            },
+            other => return Err(format!("unknown event type `{other}`")),
+        };
+        let on_worker = matches!(
+            kind,
+            EventKind::Dequeued { .. }
+                | EventKind::AttemptStarted { .. }
+                | EventKind::AttemptFailed { .. }
+        );
+        Ok(Event {
+            seq: doc.need_u64("seq")?,
+            ts_us: doc.need_u64("ts_us")?,
+            job: match kind {
+                EventKind::HealthSnapshot { .. } => String::new(),
+                _ => doc.need_str("job")?.to_owned(),
+            },
+            worker: match doc.get("worker") {
+                None if !on_worker => None,
+                _ => Some(int32("worker")?),
+            },
+            kind,
+        })
     }
 }
 
@@ -316,7 +299,6 @@ pub struct Journal {
     /// `usize::MAX` = unbounded.
     capacity: usize,
     snapshot_interval: Option<Duration>,
-    seq: AtomicU64,
     snapshot_depth_max: AtomicU64,
     inner: Mutex<Inner>,
 }
@@ -338,7 +320,6 @@ impl Journal {
             epoch: Instant::now(),
             capacity,
             snapshot_interval,
-            seq: AtomicU64::new(0),
             snapshot_depth_max: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 events: std::collections::VecDeque::new(),
@@ -357,17 +338,20 @@ impl Journal {
         self.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
     }
 
-    /// Record one transition. Timestamps are taken here, under no lock,
-    /// so the ordering invariant is (seq, ts) per job, not global ts.
+    /// Record one transition.
     pub fn record(&self, job: &str, worker: Option<u32>, kind: EventKind) {
+        let job = job.to_owned();
+        let mut inner = lock(&self.inner);
+        // Numbered (the count of events ever recorded) and timestamped
+        // under the lock, so retention order is `seq` order and `ts_us`
+        // never runs backwards along it, whatever the thread scheduling.
         let event = Event {
-            seq: self.seq.fetch_add(1, Ordering::Relaxed),
+            seq: inner.dropped + inner.events.len() as u64,
             ts_us: self.now_us(),
-            job: job.to_owned(),
+            job,
             worker,
             kind,
         };
-        let mut inner = lock(&self.inner);
         // Ring semantics: drop the *oldest*, keep the tail that explains
         // the present.
         while inner.events.len() >= self.capacity {
@@ -426,43 +410,20 @@ impl Journal {
             .collect()
     }
 
-    /// Re-derive the per-status counts from the events alone.
-    pub fn derived(&self) -> DerivedCounts {
+    /// Re-derive the ledger counters from the events alone
+    /// ([`derive_counts`]).
+    pub fn derived(&self) -> Health {
         derive_counts(&self.events())
     }
 
-    /// Check every journal invariant; returns one message per violation
-    /// (empty = healthy). With a `health` snapshot, additionally checks
-    /// that the journal-derived counts agree with the counters status by
-    /// status. Span-closure checks are skipped for wrapped rings.
+    /// Check every journal invariant ([`check_events`]); returns one
+    /// message per violation (empty = healthy). Span-closure checks are
+    /// skipped for wrapped rings.
     pub fn check_invariants(&self, health: Option<&Health>) -> Vec<String> {
-        let events = self.events();
-        let mut violations = check_event_order(&events);
-        if self.is_complete() {
-            violations.extend(check_span_chains(&events));
-            let derived = derive_counts(&events);
-            if !derived.identity_holds() {
-                violations.push(format!(
-                    "accounting identity violated from events alone: \
-                     terminal {} != submitted {}",
-                    derived.terminal(),
-                    derived.submitted
-                ));
-            }
-            if let Some(h) = health {
-                if !derived.matches(h) {
-                    violations.push(format!(
-                        "journal-derived counts disagree with health counters: \
-                         derived {derived:?} vs {}",
-                        h.render_line()
-                    ));
-                }
-            }
-        }
-        violations
+        check_events(&self.events(), self.is_complete(), health)
     }
 
-    /// Render the `peakperf-servicetrace-v1` document: envelope, run
+    /// The `peakperf-servicetrace-v1` document: envelope, run
     /// configuration, the health counters, the journal-derived counts
     /// (so the identity is checkable from the document alone), and every
     /// retained event.
@@ -472,86 +433,19 @@ impl Journal {
         queue_capacity: usize,
         health: &Health,
         wall_ms: f64,
-    ) -> String {
+    ) -> Json {
         let events = self.events();
-        let derived = derive_counts(&events);
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&envelope_json("peakperf-servicetrace-v1", &PAPER_GPUS));
-        let _ = writeln!(out, "  \"workers\": {workers},");
-        let _ = writeln!(out, "  \"queue_capacity\": {queue_capacity},");
-        let _ = writeln!(out, "  \"wall_ms\": {},", json_f64(wall_ms));
-        let _ = writeln!(out, "  \"complete\": {},", self.is_complete());
-        match self.capacity {
-            usize::MAX => out.push_str("  \"capacity\": null,\n"),
-            n => {
-                let _ = writeln!(out, "  \"capacity\": {n},");
-            }
-        }
-        let _ = writeln!(out, "  \"dropped\": {},", self.dropped());
-        match self.snapshot_interval {
-            Some(iv) => {
-                let _ = writeln!(out, "  \"snapshot_interval_ms\": {},", iv.as_millis());
-            }
-            None => out.push_str("  \"snapshot_interval_ms\": null,\n"),
-        }
-        let _ = writeln!(
-            out,
-            "  \"snapshot_queue_depth_max\": {},",
-            self.snapshot_queue_depth_max()
-        );
-        out.push_str("  \"health\": {\n");
-        let fields = [
-            ("submitted", health.submitted),
-            ("completed", health.completed),
-            ("failed", health.failed),
-            ("cancelled", health.cancelled),
-            ("deadline", health.deadline),
-            ("rejected", health.rejected),
-            ("retried", health.retried),
-            ("in_flight", health.in_flight),
-            ("queue_depth", health.queue_depth),
-            ("queue_depth_max", health.queue_depth_max),
-        ];
-        for (i, (name, value)) in fields.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    \"{name}\": {value}{}",
-                if i + 1 < fields.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  },\n  \"derived\": {\n");
-        let derived_fields = [
-            ("submitted", derived.submitted),
-            ("completed", derived.completed),
-            ("failed", derived.failed),
-            ("cancelled", derived.cancelled),
-            ("deadline", derived.deadline),
-            ("rejected", derived.rejected),
-            ("retried", derived.retried),
-        ];
-        for (i, (name, value)) in derived_fields.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    \"{name}\": {value}{}",
-                if i + 1 < derived_fields.len() {
-                    ","
-                } else {
-                    ""
-                }
-            );
-        }
-        out.push_str("  },\n  \"events\": [\n");
-        for (i, e) in events.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "    {}{}",
-                e.to_json_line(),
-                if i + 1 < events.len() { "," } else { "" }
-            );
-        }
-        out.push_str("  ]\n}\n");
-        out
+        let interval_ms = self.snapshot_interval.map(|iv| iv.as_millis() as u64);
+        let body = obj!((); workers = workers, queue_capacity = queue_capacity, wall_ms = wall_ms,
+            complete = self.is_complete(),
+            capacity = Some(self.capacity).filter(|&n| n != usize::MAX),
+            dropped = self.dropped(),
+            snapshot_interval_ms = interval_ms,
+            snapshot_queue_depth_max = self.snapshot_queue_depth_max(),
+            health = health.to_json(),
+            derived = derive_counts(&events).ledger_json(),
+            events = events.iter().map(Event::to_json).collect::<Json>());
+        envelope("peakperf-servicetrace-v1", &PAPER_GPUS, body)
     }
 
     /// Render the journal as Chrome trace-event JSON via the shared
@@ -570,10 +464,90 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Count per-status terminals, submissions and retries from an event
-/// slice (see [`Journal::derived`]).
-pub fn derive_counts(events: &[Event]) -> DerivedCounts {
-    let mut d = DerivedCounts::default();
+/// Check a `peakperf-servicetrace-v1` document: shaped like the sample
+/// [`Journal::document`] writes; every event readable
+/// ([`Event::from_json`]: per-type payload shapes, known enum tags); the
+/// journal invariants on the events read back ([`check_events`], against
+/// the document's `health` object); the `derived` object equal to the
+/// counts those events re-derive; and the sampled queue-depth peak within
+/// `queue_capacity`. Stops reading events after 20 violations.
+pub fn check(doc: &Json, errors: &mut Vec<String>) {
+    let sample = Journal::full(None).document(0, 0, &Health::default(), 0.0);
+    doc.conforms(&sample, &"servicetrace document", errors);
+    let mut events = Vec::new();
+    for (i, event) in doc.items("events").iter().enumerate() {
+        match Event::from_json(event) {
+            Ok(event) => events.push(event),
+            Err(e) => errors.push(format!("events[{i}]: {e}")),
+        }
+        if errors.len() > 20 {
+            return errors.push("... (stopping after 20 violations)".to_owned());
+        }
+    }
+    let health = Health::from_json(&doc["health"])
+        .map_err(|e| errors.push(format!("servicetrace health: {e}")))
+        .ok();
+    let complete = doc.count("dropped") == 0;
+    errors.extend(check_events(&events, complete, health.as_ref()));
+    let rederived = derive_counts(&events).ledger_json();
+    let agrees = !complete || doc.get("derived") == Some(&rederived);
+    ensure!(
+        errors,
+        agrees,
+        "`derived` is {} but the events re-derive {rederived}",
+        doc["derived"]
+    );
+    let (peak, capacity) = (
+        doc.count("snapshot_queue_depth_max"),
+        doc.count("queue_capacity"),
+    );
+    ensure!(
+        errors,
+        peak <= capacity,
+        "snapshot_queue_depth_max {peak} exceeds queue_capacity {capacity} \
+         (backpressure bound violated)"
+    );
+}
+
+/// Every journal invariant over an event slice, one message per
+/// violation: `seq` strictly increasing and timestamps monotone per job;
+/// and, when the slice is `complete` (nothing dropped by a ring), every
+/// job's span chain gap-free, the accounting identity holding from the
+/// events alone, and — given a `health` snapshot — the event-derived
+/// counts agreeing with the counters status by status.
+pub fn check_events(events: &[Event], complete: bool, health: Option<&Health>) -> Vec<String> {
+    let mut violations = check_event_order(events);
+    if complete {
+        violations.extend(check_span_chains(events));
+        let derived = derive_counts(events);
+        let (terminal, submitted) = (derived.terminal(), derived.submitted);
+        ensure!(
+            violations,
+            terminal == submitted,
+            "accounting identity violated from events alone: \
+             terminal {terminal} != submitted {submitted}"
+        );
+        if let Some(h) = health {
+            let agrees = derived.ledger_json() == h.ledger_json();
+            ensure!(
+                violations,
+                agrees,
+                "journal-derived counts disagree with health counters: \
+                 derived {} vs {}",
+                derived.render_line(),
+                h.render_line()
+            );
+        }
+    }
+    violations
+}
+
+/// The ledger counters re-derived from an event slice alone — the
+/// journal-side half of the accounting identity: submissions, terminals
+/// by status and retries (each `AttemptFailed` is exactly one retry), in
+/// a [`Health`] whose gauges stay zero.
+pub fn derive_counts(events: &[Event]) -> Health {
+    let mut d = Health::default();
     for e in events {
         match &e.kind {
             EventKind::Submitted { .. } => d.submitted += 1,
@@ -592,8 +566,7 @@ pub fn derive_counts(events: &[Event]) -> DerivedCounts {
 }
 
 /// Global ordering invariants: seq strictly increasing, and timestamps
-/// nondecreasing *per job* (timestamps are taken outside the journal
-/// lock, so cross-job ts order is not guaranteed — per-job order is).
+/// nondecreasing *per job* (what a reader of one span chain relies on).
 fn check_event_order(events: &[Event]) -> Vec<String> {
     let mut violations = Vec::new();
     let mut last_seq: Option<u64> = None;
@@ -620,25 +593,27 @@ fn check_event_order(events: &[Event]) -> Vec<String> {
     violations
 }
 
+/// Each job's events — its span chain — in first-seen job order (health
+/// snapshots belong to no job).
+fn span_chains(events: &[Event]) -> Vec<(&str, Vec<&Event>)> {
+    let mut index: HashMap<&str, usize> = HashMap::new();
+    let mut chains: Vec<(&str, Vec<&Event>)> = Vec::new();
+    for e in events.iter().filter(|e| !e.job.is_empty()) {
+        let slot = *index.entry(e.job.as_str()).or_insert(chains.len());
+        if slot == chains.len() {
+            chains.push((e.job.as_str(), Vec::new()));
+        }
+        chains[slot].1.push(e);
+    }
+    chains
+}
+
 /// Per-job span-chain closure: every job's chain is gap-free from
 /// `Submitted` to `Terminal` (see the module docs for the grammar).
 /// Only meaningful on complete journals.
 fn check_span_chains(events: &[Event]) -> Vec<String> {
     let mut violations = Vec::new();
-    let mut by_job: HashMap<&str, Vec<&Event>> = HashMap::new();
-    let mut order: Vec<&str> = Vec::new();
-    for e in events {
-        if e.job.is_empty() {
-            continue;
-        }
-        let chain = by_job.entry(e.job.as_str()).or_default();
-        if chain.is_empty() {
-            order.push(e.job.as_str());
-        }
-        chain.push(e);
-    }
-    for job in order {
-        let chain = &by_job[job];
+    for (job, chain) in span_chains(events) {
         let mut bad = |msg: String| violations.push(format!("job `{job}`: {msg}"));
         if !matches!(chain[0].kind, EventKind::Submitted { .. }) {
             bad(format!(
@@ -737,30 +712,14 @@ fn check_span_chains(events: &[Event]) -> Vec<String> {
 /// golden-trace test uses to lock the export format with synthetic,
 /// clock-free events.
 pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
-    let mut writer = ChromeTraceWriter::new();
-    writer.thread_name(0, 0, "service");
+    let mut writer = ChromeTraceWriter::default();
+    writer.thread_name(0, "service");
     for w in 0..workers {
-        writer.thread_name(0, w as u64 + 1, &format!("worker {w}"));
+        writer.thread_name(w as u64 + 1, &format!("worker {w}"));
     }
 
-    // Group each job's chain, preserving first-seen order.
-    let mut by_job: HashMap<&str, Vec<&Event>> = HashMap::new();
-    let mut order: Vec<&str> = Vec::new();
-    for e in events {
-        if e.job.is_empty() {
-            continue;
-        }
-        let chain = by_job.entry(e.job.as_str()).or_default();
-        if chain.is_empty() {
-            order.push(e.job.as_str());
-        }
-        chain.push(e);
-    }
-
-    let mut jobs = 0u64;
-    for job in &order {
-        jobs += 1;
-        let chain = &by_job[*job];
+    let chains = span_chains(events);
+    for (job, chain) in &chains {
         // The worker track the job ran on (tid = worker + 1; tid 0 is
         // the service track for events with no worker).
         let tid = |e: &Event| e.worker.map_or(0, |w| u64::from(w) + 1);
@@ -785,10 +744,7 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
                             ts,
                             e.ts_us.saturating_sub(ts),
                             tid(e),
-                            &format!(
-                                "{{\"job\":{},\"queue_wait_us\":{queue_wait_us}}}",
-                                json_string(job)
-                            ),
+                            obj!((); job = *job, queue_wait_us = queue_wait_us),
                         );
                     }
                 }
@@ -815,7 +771,7 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
                         e.ts_us,
                         end_ts.saturating_sub(e.ts_us),
                         tid(e),
-                        &format!("{{\"attempt\":{attempt},\"status\":\"{outcome}\"}}"),
+                        obj!((); attempt = attempt, status = outcome),
                     );
                 }
                 EventKind::Rejected { reason } => {
@@ -824,7 +780,7 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
                         "rejected",
                         e.ts_us,
                         tid(e),
-                        &format!("{{\"reason\":\"{reason}\"}}"),
+                        obj!((); reason = reason),
                     );
                 }
                 EventKind::CancelRequested { source } => {
@@ -833,7 +789,7 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
                         "cancel",
                         e.ts_us,
                         tid(e),
-                        &format!("{{\"source\":\"{}\"}}", source.as_str()),
+                        obj!((); source = source.as_str()),
                     );
                 }
                 EventKind::Terminal { status, .. } => {
@@ -848,7 +804,7 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
                             "terminal",
                             e.ts_us,
                             tid(e),
-                            "{}",
+                            obj!(();),
                         );
                     }
                 }
@@ -872,19 +828,15 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
     }
 
     let dropped = events.first().map_or(0, |e| e.seq);
-    writer.finish(&[
-        ("source", "\"peakperf service journal\"".to_owned()),
-        ("unit", "\"microseconds\"".to_owned()),
-        ("workers", workers.to_string()),
-        ("jobs", jobs.to_string()),
-        ("dropped_events", dropped.to_string()),
-    ])
+    writer.finish(
+        &obj!((); source = "peakperf service journal", unit = "microseconds",
+        workers = workers, jobs = chains.len(), dropped_events = dropped),
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::Json;
 
     fn ev(seq: u64, ts_us: u64, job: &str, worker: Option<u32>, kind: EventKind) -> Event {
         Event {
@@ -960,7 +912,7 @@ mod tests {
         assert_eq!(d.completed, 1);
         assert_eq!(d.rejected, 1);
         assert_eq!(d.retried, 1);
-        assert!(d.identity_holds());
+        assert!(d.accounted());
     }
 
     #[test]
@@ -1059,6 +1011,33 @@ mod tests {
     }
 
     #[test]
+    fn concurrent_recording_numbers_events_in_retention_order() {
+        // `seq` and `ts_us` used to be drawn before the journal lock was
+        // taken, so a recorder preempted in between landed out of order
+        // (seen as "seq not strictly increasing: 9 after 164" on a one-CPU
+        // soak). All four threads record for one job, as an api cancel
+        // and a worker's attempt failure do.
+        let journal = Journal::full(None);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (journal, start) = (&journal, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for i in 0..5_000 {
+                        let kind = EventKind::Submitted { queue_depth: i };
+                        journal.record("shared", Some(t), kind);
+                    }
+                });
+            }
+        });
+        let events = journal.events();
+        let seqs: Vec<u64> = events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (0..20_000).collect::<Vec<u64>>());
+        assert_eq!(check_events(&events, false, None), Vec::<String>::new());
+    }
+
+    #[test]
     fn snapshots_track_the_depth_high_water_mark() {
         let journal = Journal::full(Some(Duration::from_millis(10)));
         let mut health = Health {
@@ -1074,37 +1053,62 @@ mod tests {
     }
 
     #[test]
-    fn event_json_lines_parse_and_carry_their_fields() {
-        for e in sample_events() {
+    fn events_round_trip_through_their_json_lines() {
+        let mut events = sample_events();
+        events.push(ev(
+            9,
+            1300,
+            "c",
+            None,
+            EventKind::CancelRequested {
+                source: CancelSource::Shutdown,
+            },
+        ));
+        let health = Health {
+            submitted: 3,
+            queue_depth: 2,
+            ..Health::default()
+        };
+        events.push(ev(10, 1400, "", None, EventKind::HealthSnapshot { health }));
+        for e in &events {
             let line = e.to_json_line();
             let parsed = Json::parse(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
+            assert_eq!(Event::from_json(&parsed).as_ref(), Ok(e), "{line}");
             assert_eq!(
                 parsed.get("type").and_then(Json::as_str),
-                Some(e.kind.type_name()),
-                "{line}"
+                Some(e.kind.type_name())
             );
-            assert_eq!(parsed.get("seq").and_then(Json::as_f64), Some(e.seq as f64));
         }
-        let snap = ev(
-            9,
-            10,
-            "",
-            None,
-            EventKind::HealthSnapshot {
-                health: Health {
-                    submitted: 3,
-                    queue_depth: 2,
-                    ..Health::default()
-                },
-            },
-        );
-        let parsed = Json::parse(&snap.to_json_line()).unwrap();
-        assert_eq!(parsed.get("queue_depth").and_then(Json::as_f64), Some(2.0));
-        assert!(parsed.get("job").is_none(), "snapshots carry no job id");
+        let snapshot = events.last().unwrap().to_json();
+        assert_eq!(snapshot.get("queue_depth"), Some(&Json::Int(2)));
+        assert_eq!(snapshot.get("job"), None, "snapshots carry no job id");
+
+        // The reader rejects what the writer cannot have written.
+        for (edit, want) in [
+            (("type", "teleported".into()), "unknown event type"),
+            (
+                ("status", "pending".into()),
+                "status `pending` is not one of",
+            ),
+            (("total_wall_us", Json::Num(1.5)), "`total_wall_us` must be"),
+            (("seq", Json::Null), "`seq` must be"),
+        ] {
+            let mut doc = events[5].to_json();
+            *doc.get_mut(edit.0).unwrap() = edit.1;
+            let err = Event::from_json(&doc).unwrap_err();
+            assert!(err.contains(want), "{err}");
+        }
+        let mut unplaced = events[1].to_json();
+        if let Json::Obj(members) = &mut unplaced {
+            members.retain(|(k, _)| k != "worker");
+        }
+        assert!(Event::from_json(&unplaced)
+            .unwrap_err()
+            .contains("`worker`"));
     }
 
     #[test]
-    fn document_is_balanced_and_self_consistent() {
+    fn document_round_trips_and_passes_its_check() {
         let journal = Journal::full(None);
         for e in sample_events() {
             journal.record(&e.job, e.worker, e.kind);
@@ -1121,18 +1125,15 @@ mod tests {
             Vec::<String>::new()
         );
         let doc = journal.document(2, 8, &health, 3.5);
-        assert_eq!(doc.matches('{').count(), doc.matches('}').count());
-        let parsed = Json::parse(&doc).unwrap();
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
+        assert_eq!(doc.get("capacity"), Some(&Json::Null));
         assert_eq!(
-            parsed.get("schema").and_then(Json::as_str),
-            Some("peakperf-servicetrace-v1")
+            doc.get("derived").unwrap().render(),
+            "{\"submitted\":2,\"completed\":1,\"failed\":0,\"cancelled\":0,\
+             \"deadline\":0,\"rejected\":1,\"retried\":1}"
         );
-        let derived = parsed.get("derived").unwrap();
-        assert_eq!(derived.get("submitted").and_then(Json::as_f64), Some(2.0));
-        assert_eq!(
-            parsed.get("events").unwrap().as_arr().unwrap().len(),
-            journal.len()
-        );
+        assert_eq!(doc.items("events").len(), journal.len());
     }
 
     #[test]
@@ -1152,19 +1153,21 @@ mod tests {
     }
 
     #[test]
-    fn chrome_export_is_balanced_and_has_the_expected_tracks() {
+    fn chrome_export_parses_and_has_the_expected_tracks() {
         let trace = chrome_trace_from_events(&sample_events(), 2);
-        assert_eq!(trace.matches('{').count(), trace.matches('}').count());
-        assert_eq!(trace.matches('[').count(), trace.matches(']').count());
-        assert!(trace.contains("\"traceEvents\""));
+        let doc = Json::parse(&trace).unwrap();
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
+        let names: Vec<&str> = doc
+            .items("traceEvents")
+            .iter()
+            .map(|e| e.get("name").unwrap().as_str().unwrap())
+            .collect();
+        for want in ["thread_name", "queued:a", "a", "rejected:b", "queue_depth"] {
+            assert!(names.contains(&want), "{want} missing from {names:?}");
+        }
         assert!(trace.contains("worker 0"), "worker tracks are named");
-        assert!(trace.contains("queued:a"), "queue-wait span present");
-        assert!(trace.contains("rejected:b"), "rejection instant present");
-        assert!(
-            trace.contains("\"ph\":\"C\""),
-            "queue depth counter track present"
-        );
-        assert!(trace.contains("\"unit\": \"microseconds\""));
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(other.get("unit").unwrap().as_str(), Some("microseconds"));
     }
 
     #[test]

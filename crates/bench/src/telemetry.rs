@@ -29,10 +29,9 @@
 //! bench --compare` exit code reflects the gate, which is what CI runs
 //! on every push.
 //!
-//! Volatile (machine/load-dependent) fields are kept on their own JSON
-//! lines and named `wall_ms` / `*_per_sec` / `utilization`, so tooling
-//! (and the determinism self-test) can strip them and compare the rest
-//! byte for byte.
+//! Volatile (machine/load-dependent) fields are named `wall_ms` /
+//! `*_wall_ms` / `*_per_sec` / `utilization`, so tooling (and the
+//! determinism self-test) can mask them by key and compare the rest.
 
 use std::fmt::Write as _;
 use std::time::{Duration, Instant};
@@ -42,14 +41,13 @@ use peakperf_bound::paper_reference;
 use peakperf_kernels::microbench::math::{table2_patterns, MathPattern};
 use peakperf_kernels::sgemm::{Preset, Variant};
 use peakperf_sim::perfmon::MetricsSnapshot;
+use peakperf_sim::timing::profile::{check_stall_kinds, stall_kinds_json};
 use peakperf_sim::timing::StallKind;
-use peakperf_sim::{Counters, SimError};
+use peakperf_sim::{ensure, obj, Counters, Json, SimError};
 
 use crate::exec::{Executor, JobStats};
 use crate::experiments::{sgemm_gflops, Speed, TABLE2_PAPER};
-use crate::json::Json;
-use crate::perf::counters_json;
-use crate::report::{envelope_json, json_f64, json_string, Table, PAPER_GPUS};
+use crate::report::{envelope, Table, PAPER_GPUS};
 
 /// Matrix size for the SGEMM bench rows: a common multiple of the Fermi
 /// (96) and Kepler (64) tile sizes, the same steady-state-but-interactive
@@ -128,7 +126,7 @@ fn suite() -> Vec<RowSpec> {
 // ---------------------------------------------------------------------
 
 /// One measured suite row.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchRow {
     /// Stable row identifier (`table2/...` or `sgemm/<gpu>/<variant>`).
     pub id: String,
@@ -168,12 +166,15 @@ impl BenchRow {
 }
 
 /// A whole suite run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct BenchReport {
     /// Worker threads used.
     pub workers: usize,
     /// Whether the timing cache was enabled.
     pub cache_enabled: bool,
+    /// The row-id prefix the suite was narrowed to (`None` = the whole
+    /// suite). Recorded so the document says which rows it must cover.
+    pub filter: Option<String>,
     /// Rows, in suite order.
     pub rows: Vec<BenchRow>,
     /// Wall time of the whole suite (volatile).
@@ -325,113 +326,105 @@ impl BenchReport {
         out
     }
 
-    /// Render the `peakperf-bench-v1` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&envelope_json(BENCH_SCHEMA, &PAPER_GPUS));
-        let _ = writeln!(out, "  \"workers\": {},", self.workers);
-        let _ = writeln!(out, "  \"cache_enabled\": {},", self.cache_enabled);
-        let _ = writeln!(
-            out,
-            "  \"wall_ms\": {},",
-            json_f64(self.wall.as_secs_f64() * 1e3)
-        );
-        let _ = writeln!(out, "  \"utilization\": {},", json_f64(self.utilization()));
+    /// The `peakperf-bench-v1` document.
+    pub fn to_json(&self) -> Json {
         let totals = self.totals();
-        let _ = writeln!(
-            out,
-            "  \"cycles_per_sec\": {},",
-            json_f64(Self::per_sec(totals.sim_cycles, self.wall))
-        );
-        let _ = writeln!(
-            out,
-            "  \"insts_per_sec\": {},",
-            json_f64(Self::per_sec(totals.warp_instructions, self.wall))
-        );
-        let _ = writeln!(
-            out,
-            "  \"cache_hit_rate\": {},",
-            json_f64(self.cache_hit_rate())
-        );
+        let rows = self.rows.iter().map(|row| {
+            obj!(row; id, kind, gpu, label, unit, simulated, paper,
+                pct_error = row.pct_error(),
+                wall_ms = row.wall.as_secs_f64() * 1e3,
+                cycles_per_sec = Self::per_sec(row.counters.sim_cycles, row.wall),
+                insts_per_sec = Self::per_sec(row.counters.warp_instructions, row.wall),
+                counters = row.counters.to_json(),
+                stall_share = stall_kinds_json(&StallKind::ALL.map(|k| row.stall_share(k))))
+        });
+        let mut body = obj!(self; workers, cache_enabled,
+            wall_ms = self.wall.as_secs_f64() * 1e3,
+            utilization = self.utilization(),
+            cycles_per_sec = Self::per_sec(totals.sim_cycles, self.wall),
+            insts_per_sec = Self::per_sec(totals.warp_instructions, self.wall),
+            cache_hit_rate = self.cache_hit_rate());
+        body.push_some("filter", self.filter.as_deref());
         if let Some(pm) = &self.perfmon {
             // Wall-time counters (`*_ns`) render as `*_wall_ms` so they sit
             // under the same volatile-field naming rule as everything else;
             // plain counts are deterministic and keep their registry names.
-            out.push_str("  \"perfmon\": {");
-            for (i, (name, value)) in pm.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                match name.strip_suffix("_ns") {
-                    Some(prefix) => {
-                        let _ = write!(
-                            out,
-                            "\n    \"{}_wall_ms\": {}",
-                            prefix,
-                            json_f64(value as f64 / 1e6)
-                        );
-                    }
-                    None => {
-                        let _ = write!(out, "\n    \"{name}\": {value}");
-                    }
-                }
-            }
-            out.push_str("\n  },\n");
+            let counters = pm
+                .iter()
+                .map(|(name, value)| match name.strip_suffix("_ns") {
+                    Some(prefix) => (format!("{prefix}_wall_ms"), (value as f64 / 1e6).into()),
+                    None => (name.to_owned(), value.into()),
+                });
+            body.push("perfmon", Json::obj(counters));
         }
-        let _ = writeln!(
-            out,
-            "  \"accuracy\": {{\"rows\": {}, \"mean_abs_pct_error\": {}, \
-             \"max_abs_pct_error\": {}}},",
-            self.rows.len(),
-            json_f64(self.mean_abs_pct_error()),
-            json_f64(self.max_abs_pct_error())
-        );
-        let _ = writeln!(out, "  \"totals\": {},", counters_json(&totals, "  "));
-        out.push_str("  \"rows\": [");
-        for (i, row) in self.rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    {\n");
-            let _ = writeln!(out, "      \"id\": {},", json_string(&row.id));
-            let _ = writeln!(out, "      \"kind\": {},", json_string(row.kind));
-            let _ = writeln!(out, "      \"gpu\": {},", json_string(row.gpu));
-            let _ = writeln!(out, "      \"label\": {},", json_string(&row.label));
-            let _ = writeln!(out, "      \"unit\": {},", json_string(row.unit));
-            let _ = writeln!(out, "      \"simulated\": {},", json_f64(row.simulated));
-            let _ = writeln!(out, "      \"paper\": {},", json_f64(row.paper));
-            let _ = writeln!(out, "      \"pct_error\": {},", json_f64(row.pct_error()));
-            let _ = writeln!(
-                out,
-                "      \"wall_ms\": {},",
-                json_f64(row.wall.as_secs_f64() * 1e3)
-            );
-            let _ = writeln!(
-                out,
-                "      \"cycles_per_sec\": {},",
-                json_f64(Self::per_sec(row.counters.sim_cycles, row.wall))
-            );
-            let _ = writeln!(
-                out,
-                "      \"insts_per_sec\": {},",
-                json_f64(Self::per_sec(row.counters.warp_instructions, row.wall))
-            );
-            let _ = writeln!(
-                out,
-                "      \"counters\": {},",
-                counters_json(&row.counters, "      ")
-            );
-            let shares: Vec<String> = StallKind::ALL
-                .into_iter()
-                .map(|k| format!("\"{}\": {}", k.as_str(), json_f64(row.stall_share(k))))
-                .collect();
-            let _ = writeln!(out, "      \"stall_share\": {{{}}}", shares.join(", "));
-            out.push_str("    }");
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+        let accuracy = obj!((); rows = self.rows.len(),
+            mean_abs_pct_error = self.mean_abs_pct_error(),
+            max_abs_pct_error = self.max_abs_pct_error());
+        body.push("accuracy", accuracy);
+        body.push("totals", totals.to_json());
+        body.push("rows", rows.collect::<Json>());
+        envelope(BENCH_SCHEMA, &PAPER_GPUS, body)
     }
+}
+
+/// A one-row bench document: what [`check_bench`] and [`compare`] hold a
+/// document's keys and types against.
+fn sample_document() -> Json {
+    let row = BenchRow {
+        paper: 1.0,
+        ..BenchRow::default()
+    };
+    let sample = BenchReport {
+        rows: vec![row],
+        ..BenchReport::default()
+    };
+    sample.to_json()
+}
+
+/// Check a `peakperf-bench-v1` document: shaped like the sample
+/// [`BenchReport::to_json`] writes for one row; per-row counters and
+/// `stall_share` keyed by [`StallKind::ALL`] exactly; `pct_error`
+/// consistent with `simulated` vs `paper`; and coverage — the rows are
+/// exactly the suite rows under the document's `filter` prefix (the whole
+/// 28-row suite when it records none), in suite order, so ids are unique
+/// and no row of the selection is missing.
+pub fn check_bench(doc: &Json, errors: &mut Vec<String>) {
+    doc.conforms(&sample_document(), &"bench document", errors);
+    let mut ids = Vec::new();
+    for (i, row) in doc.items("rows").iter().enumerate() {
+        let id = row.text("id");
+        ids.push(id);
+        let at = format!("rows[{i}] ({id})");
+        check_stall_kinds(
+            &row["counters"]["stall_cycles"],
+            &format!("{at}.counters"),
+            errors,
+        );
+        check_stall_kinds(&row["stall_share"], &format!("{at}.stall_share"), errors);
+        let num = |key| row[key].as_f64().unwrap_or(f64::NAN);
+        let (simulated, paper, pct) = (num("simulated"), num("paper"), num("pct_error"));
+        let want = 100.0 * (simulated - paper) / paper;
+        let consistent = (want - pct).abs() <= 0.01 || !want.is_finite() || pct.is_nan();
+        ensure!(
+            errors,
+            consistent,
+            "{at}: pct_error {pct} inconsistent with simulated {simulated} \
+             vs paper {paper} (want {want:.3})"
+        );
+    }
+    let filter = doc.text("filter");
+    let suite: Vec<String> = suite().iter().map(RowSpec::id).collect();
+    let selected: Vec<&str> = suite
+        .iter()
+        .map(String::as_str)
+        .filter(|id| id.starts_with(filter))
+        .collect();
+    ensure!(
+        errors,
+        ids == selected,
+        "bench document: rows {ids:?} are not the suite rows under `{filter}` \
+         {selected:?} (missing, duplicate, unknown or reordered rows)"
+    );
 }
 
 fn run_row(spec: &RowSpec) -> Result<(BenchRow, Duration), SimError> {
@@ -532,6 +525,7 @@ pub fn run_suite_filtered(filter: Option<&str>) -> Result<BenchReport, SimError>
     Ok(BenchReport {
         workers: executor.workers(),
         cache_enabled: peakperf_sim::timing::cache::global_enabled(),
+        filter: filter.map(str::to_owned),
         rows,
         wall,
         jobs,
@@ -589,6 +583,15 @@ pub enum MetricClass {
 }
 
 impl MetricClass {
+    /// Every class, in the order the comparison document counts them.
+    pub const ALL: [MetricClass; 5] = [
+        MetricClass::Improved,
+        MetricClass::Unchanged,
+        MetricClass::Regressed,
+        MetricClass::New,
+        MetricClass::Removed,
+    ];
+
     /// Lower-case label used in both renderings.
     pub fn as_str(self) -> &'static str {
         match self {
@@ -698,48 +701,62 @@ impl Comparison {
         out
     }
 
-    /// Render the `peakperf-bench-compare-v1` document.
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str(&envelope_json(COMPARE_SCHEMA, &PAPER_GPUS));
-        let _ = writeln!(
-            out,
-            "  \"bands\": {{\"wall\": {}, \"accuracy_pp\": {}}},",
-            json_f64(self.config.wall_band),
-            json_f64(self.config.acc_band)
-        );
-        let _ = writeln!(
-            out,
-            "  \"counts\": {{\"improved\": {}, \"unchanged\": {}, \"regressed\": {}, \
-             \"new\": {}, \"removed\": {}}},",
-            self.count(MetricClass::Improved),
-            self.count(MetricClass::Unchanged),
-            self.count(MetricClass::Regressed),
-            self.count(MetricClass::New),
-            self.count(MetricClass::Removed)
-        );
-        let _ = writeln!(out, "  \"pass\": {},", self.failures().is_empty());
-        out.push_str("  \"metrics\": [");
-        for (i, d) in self.deltas.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let opt = |v: Option<f64>| v.map_or("null".to_owned(), json_f64);
-            let _ = write!(
-                out,
-                "\n    {{\"metric\": {}, \"baseline\": {}, \"current\": {}, \
-                 \"class\": {}, \"gate\": {}}}",
-                json_string(&d.metric),
-                opt(d.baseline),
-                opt(d.current),
-                json_string(d.class.as_str()),
-                d.gate
-            );
-        }
-        out.push_str("\n  ]\n}\n");
-        out
+    /// The `peakperf-bench-compare-v1` document.
+    pub fn to_json(&self) -> Json {
+        let metrics = self.deltas.iter();
+        let metrics =
+            metrics.map(|d| obj!(d; metric, baseline, current, class = d.class.as_str(), gate));
+        let counts = MetricClass::ALL.map(|class| (class.as_str(), self.count(class).into()));
+        let bands = obj!((); wall = self.config.wall_band, accuracy_pp = self.config.acc_band);
+        let body = obj!((); bands = bands, counts = Json::obj(counts),
+            pass = self.failures().is_empty(), metrics = metrics.collect::<Json>());
+        envelope(COMPARE_SCHEMA, &PAPER_GPUS, body)
     }
+}
+
+/// Check a `peakperf-bench-compare-v1` document: shaped like the sample
+/// [`Comparison::to_json`] writes, every metric classified by a known
+/// [`MetricClass`], the per-class counts tallying the metrics, and `pass`
+/// true exactly when no metric gates.
+pub fn check_compare(doc: &Json, errors: &mut Vec<String>) {
+    let delta = MetricDelta {
+        metric: String::new(),
+        baseline: None,
+        current: None,
+        class: MetricClass::Unchanged,
+        gate: false,
+    };
+    let sample = Comparison {
+        config: CompareConfig::default(),
+        deltas: vec![delta],
+    };
+    doc.conforms(&sample.to_json(), &"compare document", errors);
+    let mut tally = [0u64; MetricClass::ALL.len()];
+    let mut gated = false;
+    for (i, m) in doc.items("metrics").iter().enumerate() {
+        let class = m.text("class");
+        match MetricClass::ALL.iter().position(|c| c.as_str() == class) {
+            Some(slot) => tally[slot] += 1,
+            None => errors.push(format!("metrics[{i}]: unknown class `{class}`")),
+        }
+        gated |= m.get("gate") == Some(&Json::Bool(true));
+    }
+    let counts = MetricClass::ALL
+        .map(MetricClass::as_str)
+        .into_iter()
+        .zip(tally);
+    let tallied = doc.get("counts") == Some(&Json::obj(counts.map(|(k, n)| (k, n.into()))));
+    ensure!(
+        errors,
+        tallied,
+        "compare document: counts do not tally the metrics {tally:?}"
+    );
+    let agrees = doc.get("pass") == Some(&Json::Bool(!gated));
+    ensure!(
+        errors,
+        agrees,
+        "compare document: `pass` disagrees with the gated metrics"
+    );
 }
 
 /// Percent error, wall time and simulated counters of one baseline row.
@@ -763,53 +780,21 @@ fn exact_counters(c: &Counters) -> Vec<(String, u64)> {
     out
 }
 
-fn baseline_counters(row: &Json, id: &str) -> Result<Counters, String> {
-    let int = |obj: Option<&Json>, key: &str| {
-        obj.and_then(|o| o.get(key))
-            .and_then(Json::as_f64)
-            .map(|v| v as u64)
-            .ok_or_else(|| format!("baseline row `{id}` has no numeric counter `{key}`"))
-    };
-    let counters = row.get("counters");
-    let stalls = counters.and_then(|c| c.get("stall_cycles"));
-    let mut out = Counters {
-        sim_cycles: int(counters, "sim_cycles")?,
-        warp_instructions: int(counters, "warp_instructions")?,
-        cache_hits: int(counters, "cache_hits")?,
-        ..Counters::default()
-    };
-    for kind in StallKind::ALL {
-        out.stall_cycles[kind.index()] = int(stalls, kind.as_str())?;
-    }
-    Ok(out)
-}
-
 fn baseline_rows(baseline: &Json) -> Result<Vec<(String, BaselineRow)>, String> {
-    let rows = baseline
-        .get("rows")
-        .and_then(Json::as_arr)
-        .ok_or("baseline has no `rows` array")?;
-    let mut out = Vec::with_capacity(rows.len());
-    for (i, row) in rows.iter().enumerate() {
-        let id = row
-            .get("id")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("baseline rows[{i}] has no `id`"))?;
-        let num = |key: &str| {
-            row.get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("baseline row `{id}` has no numeric `{key}`"))
+    let mut errors = Vec::new();
+    baseline.conforms(&sample_document(), &"baseline", &mut errors);
+    let rows = baseline.items("rows").iter().map(|row| {
+        let num = |key| row[key].as_f64().unwrap_or(f64::NAN);
+        let counters = Counters::from_json(&row["counters"], "baseline counters", &mut errors);
+        let base = BaselineRow {
+            pct_error: num("pct_error"),
+            wall_ms: num("wall_ms"),
+            counters,
         };
-        out.push((
-            id.to_owned(),
-            BaselineRow {
-                pct_error: num("pct_error")?,
-                wall_ms: num("wall_ms")?,
-                counters: baseline_counters(row, id)?,
-            },
-        ));
-    }
-    Ok(out)
+        (row.text("id").to_owned(), base)
+    });
+    let rows = rows.collect();
+    errors.into_iter().next().map_or(Ok(rows), Err)
 }
 
 fn wall_class(baseline: f64, current: f64, band: f64) -> MetricClass {
@@ -1047,6 +1032,7 @@ mod tests {
         BenchReport {
             workers: 2,
             cache_enabled: true,
+            filter: None,
             rows: vec![
                 BenchRow {
                     id: "table2/demo".into(),
@@ -1083,7 +1069,7 @@ mod tests {
     #[test]
     fn perfmon_section_is_absent_by_default_and_volatile_when_present() {
         let mut report = sample_report();
-        assert!(!report.to_json().contains("perfmon"));
+        assert_eq!(report.to_json().get("perfmon"), None);
         assert_eq!(report.perfmon_cache_hit_rate(), None);
 
         report.perfmon = Some(MetricsSnapshot::from_iter([
@@ -1093,17 +1079,13 @@ mod tests {
             ("timing_cache.lookups", 4),
             ("timing_cache.lookup_ns", 2_000_000),
         ]));
-        let json = report.to_json();
-        // Wall-time counters turn into `*_wall_ms` volatile lines; counts
+        // Wall-time counters turn into volatile `*_wall_ms` members; counts
         // keep their registry names.
-        assert!(json.contains("\"executor.queue_wait_wall_ms\": 1.500"));
-        assert!(json.contains("\"timing_cache.lookup_wall_ms\": 2.000"));
-        assert!(json.contains("\"executor.jobs\": 2"));
-        assert!(!json.contains("_ns\""));
-        let parsed = Json::parse(&json).unwrap();
         assert_eq!(
-            parsed.get("perfmon").unwrap().get("timing_cache.hits"),
-            Some(&Json::Num(3.0))
+            report.to_json().get("perfmon").unwrap().render(),
+            "{\"executor.jobs\":2,\"executor.queue_wait_wall_ms\":1.5,\
+             \"timing_cache.hits\":3,\"timing_cache.lookup_wall_ms\":2.0,\
+             \"timing_cache.lookups\":4}"
         );
         // The registry-side hit rate cross-checks the counter-side one.
         assert_eq!(report.perfmon_cache_hit_rate(), Some(0.75));
@@ -1112,20 +1094,21 @@ mod tests {
     }
 
     #[test]
-    fn report_json_is_balanced_and_carries_the_envelope() {
-        let json = sample_report().to_json();
-        assert!(json.contains("\"schema\": \"peakperf-bench-v1\""));
-        assert!(json.contains("\"generated_by\": \"peakperf-bench"));
-        assert!(json.contains("\"id\": \"table2/demo\""));
-        assert!(json.contains("\"stall_share\""));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        // The document round-trips through the in-repo parser.
-        let parsed = Json::parse(&json).unwrap();
+    fn report_json_round_trips_and_carries_the_envelope() {
+        let doc = sample_report().to_json();
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(doc.keys()[..3], ["schema", "generated_by", "gpu"]);
+        assert_eq!(doc.get("schema").unwrap().as_str(), Some(BENCH_SCHEMA));
         assert_eq!(
-            parsed.get("accuracy").unwrap().get("rows"),
-            Some(&Json::Num(2.0))
+            doc.get("accuracy").unwrap().get("rows"),
+            Some(&Json::Int(2))
         );
+        // Everything but coverage holds: the two sample rows are not a
+        // `--filter` selection of the real suite.
+        let mut errors = Vec::new();
+        check_bench(&doc, &mut errors);
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(errors[0].contains("are not the suite rows"), "{errors:?}");
     }
 
     #[test]
@@ -1140,17 +1123,20 @@ mod tests {
     #[test]
     fn self_comparison_passes() {
         let report = sample_report();
-        let baseline = Json::parse(&report.to_json()).unwrap();
+        let baseline = report.to_json();
         let cmp = compare(&report, &baseline, CompareConfig::default()).unwrap();
         assert!(cmp.failures().is_empty(), "{}", cmp.render_text());
         assert!(cmp.render_text().contains("PASS"));
-        assert!(cmp.to_json().contains("\"pass\": true"));
+        assert_eq!(cmp.to_json().get("pass"), Some(&Json::Bool(true)));
+        let doc = cmp.to_json();
+        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
     }
 
     #[test]
     fn accuracy_drift_gates_in_both_directions() {
         let report = sample_report();
-        let mut baseline = Json::parse(&report.to_json()).unwrap();
+        let mut baseline = report.to_json();
         // Shift the first row's baseline error by 10 percentage points:
         // the current run now *looks* more accurate, but drift is drift.
         let rows = match baseline.get_mut("rows").unwrap() {
@@ -1175,7 +1161,7 @@ mod tests {
     #[test]
     fn one_cycle_of_counter_drift_gates() {
         let report = sample_report();
-        let mut baseline = Json::parse(&report.to_json()).unwrap();
+        let mut baseline = report.to_json();
         let rows = match baseline.get_mut("rows").unwrap() {
             Json::Arr(rows) => rows,
             _ => unreachable!(),
@@ -1183,7 +1169,7 @@ mod tests {
         // The baseline row ran one cycle longer: far inside the accuracy
         // band, but the model is no longer cycle-identical.
         let counters = rows[0].get_mut("counters").unwrap();
-        *counters.get_mut("sim_cycles").unwrap() = Json::Num(1001.0);
+        *counters.get_mut("sim_cycles").unwrap() = Json::Int(1001);
         let cmp = compare(&report, &baseline, CompareConfig::default()).unwrap();
         let failing: Vec<String> = cmp.failures().iter().map(|d| d.metric.clone()).collect();
         assert_eq!(failing, vec!["table2/demo sim_cycles".to_owned()]);
@@ -1202,7 +1188,7 @@ mod tests {
     #[test]
     fn fabricated_slowdown_fails_only_beyond_the_band() {
         let report = sample_report();
-        let mut baseline = Json::parse(&report.to_json()).unwrap();
+        let mut baseline = report.to_json();
         let rows = match baseline.get_mut("rows").unwrap() {
             Json::Arr(rows) => rows,
             _ => unreachable!(),
@@ -1227,7 +1213,7 @@ mod tests {
     #[test]
     fn removed_rows_fail_the_gate_and_new_rows_do_not() {
         let report = sample_report();
-        let mut baseline = Json::parse(&report.to_json()).unwrap();
+        let mut baseline = report.to_json();
         let rows = match baseline.get_mut("rows").unwrap() {
             Json::Arr(rows) => rows,
             _ => unreachable!(),

@@ -10,12 +10,14 @@ use std::process::{Command, Output};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use peakperf_bench::json::Json;
+use peakperf_bench::report::check_document;
 use peakperf_bench::service::journal::{self, Event, EventKind, Journal};
 use peakperf_bench::service::{
     self, JobKind, JobResult, JobSpec, JobStatus, Service, ServiceConfig,
 };
-use peakperf_sim::CancelSource;
+use peakperf_sim::{CancelSource, Json};
+
+mod common;
 
 fn reproduce(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -177,6 +179,7 @@ fn serve_cli_runs_a_jobs_file_and_emits_valid_documents() {
     // The summary document carries the envelope, balanced health
     // counters, and one result per job.
     let doc = Json::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+    assert_eq!(check_document(&doc), Vec::<String>::new());
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some("peakperf-service-v1")
@@ -198,6 +201,7 @@ fn serve_cli_runs_a_jobs_file_and_emits_valid_documents() {
     assert_eq!(lines.len(), 3);
     for line in &lines {
         let r = Json::parse(line).unwrap();
+        assert_eq!(check_document(&r), Vec::<String>::new());
         assert_eq!(
             r.get("schema").and_then(Json::as_str),
             Some("peakperf-job-result-v1")
@@ -239,12 +243,15 @@ fn serve_cli_fails_when_a_file_job_fails_and_dumps_the_flight_recorder() {
     let dump = std::fs::read_to_string(dir.join("serve-flightrec.json"))
         .expect("flight-recorder dump should exist next to the run");
     let doc = Json::parse(&dump).unwrap();
+    assert_eq!(check_document(&doc), Vec::<String>::new());
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
         Some("peakperf-servicetrace-v1")
     );
-    let events = doc.get("events").unwrap().as_arr().unwrap();
-    assert!(!events.is_empty(), "the dump must carry the event history");
+    assert!(
+        !doc.items("events").is_empty(),
+        "the dump must carry the event history"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -276,7 +283,7 @@ fn journal_rederives_identity_on_a_200_job_seeded_soak() {
     let violations = journal.check_invariants(Some(&health));
     assert_eq!(violations, Vec::<String>::new());
     let derived = journal.derived();
-    assert!(derived.identity_holds());
+    assert!(derived.accounted());
     assert_eq!(derived.submitted, total as u64);
     assert!(journal.is_complete(), "full journals never drop events");
 
@@ -296,33 +303,6 @@ fn journal_rederives_identity_on_a_200_job_seeded_soak() {
         .events()
         .iter()
         .any(|e| matches!(e.kind, EventKind::HealthSnapshot { .. })));
-}
-
-/// Blank out the volatile wall-time fields of a service document so two
-/// runs of the same deterministic job list compare equal.
-fn mask_volatile(doc: &str) -> String {
-    let mut out = doc.to_owned();
-    for key in [
-        "\"wall_ms\":",
-        "\"queue_wait_us\":",
-        "\"attempts_wall_us\":",
-    ] {
-        let mut masked = String::with_capacity(out.len());
-        let mut rest = out.as_str();
-        while let Some(i) = rest.find(key) {
-            let after = i + key.len();
-            masked.push_str(&rest[..after]);
-            let tail = &rest[after..];
-            let end = tail
-                .find(|c: char| !(c.is_ascii_digit() || ".eE+-".contains(c)))
-                .unwrap_or(tail.len());
-            masked.push('X');
-            rest = &tail[end..];
-        }
-        masked.push_str(rest);
-        out = masked;
-    }
-    out
 }
 
 #[test]
@@ -369,11 +349,11 @@ fn journal_attachment_leaves_results_and_documents_identical() {
     let on = run(Some(Arc::new(Journal::full(Some(Duration::from_millis(
         2,
     ))))));
-    assert_eq!(mask_volatile(&off), mask_volatile(&on));
     assert!(
-        !off.contains("snapshot"),
+        !on.render().contains("snapshot"),
         "the journal must not leak into the service document"
     );
+    assert_eq!(common::mask_volatile(off), common::mask_volatile(on));
 }
 
 /// A fixed, clock-free event sequence locking the Chrome-trace export
@@ -543,51 +523,64 @@ fn serve_cli_writes_journal_and_trace_artifacts() {
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "serve failed:\n{err}");
 
-    let doc = Json::parse(&std::fs::read_to_string(&journal_path).unwrap()).unwrap();
-    assert_eq!(
-        doc.get("schema").and_then(Json::as_str),
-        Some("peakperf-servicetrace-v1")
+    // `reproduce check` accepts both artifacts (and the checked-in golden
+    // trace) — so the identity is re-derivable from the journal document
+    // alone and agrees with `derived` and `health` — and names what is
+    // wrong with a document that lost an event.
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden_servicetrace.json"
     );
-    assert_eq!(doc.get("complete"), Some(&Json::Bool(true)));
-    let derived = doc.get("derived").unwrap();
-    let health = doc.get("health").unwrap();
-    let n = |obj: &Json, k: &str| obj.get(k).and_then(Json::as_f64).unwrap() as u64;
-    assert_eq!(
-        n(derived, "completed")
-            + n(derived, "failed")
-            + n(derived, "cancelled")
-            + n(derived, "deadline")
-            + n(derived, "rejected"),
-        n(derived, "submitted"),
-        "identity must be re-derivable from the document alone"
-    );
-    for key in [
-        "submitted",
-        "completed",
-        "failed",
-        "cancelled",
-        "deadline",
-        "rejected",
-        "retried",
-    ] {
-        assert_eq!(n(derived, key), n(health, key), "derived vs health: {key}");
-    }
-    let events = doc.get("events").unwrap().as_arr().unwrap();
+    let out = reproduce(&[
+        "check",
+        journal_path.to_str().unwrap(),
+        trace_path.to_str().unwrap(),
+        golden,
+    ]);
     assert!(
-        events.len() >= 25 * 2,
+        out.status.success(),
+        "check failed:\n{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout)
+            .matches("check OK")
+            .count(),
+        3
+    );
+    let mut doc = Json::parse(&std::fs::read_to_string(&journal_path).unwrap()).unwrap();
+    let Some(Json::Arr(events)) = doc.get_mut("events") else {
+        panic!("events is not an array")
+    };
+    let terminal = events.iter().position(|e| e.text("type") == "terminal");
+    events.remove(terminal.unwrap());
+    let broken_path = dir.join("broken.json");
+    std::fs::write(&broken_path, doc.pretty()).unwrap();
+    let out = reproduce(&["check", broken_path.to_str().unwrap()]);
+    assert!(
+        !out.status.success(),
+        "a lost terminal event must fail check"
+    );
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("0 terminal events, expected exactly 1"),
+        "{err}"
+    );
+
+    let doc = Json::parse(&std::fs::read_to_string(&journal_path).unwrap()).unwrap();
+    assert_eq!(doc.get("complete"), Some(&Json::Bool(true)));
+    assert!(
+        doc.items("events").len() >= 25 * 2,
         "at least submitted+terminal per job"
     );
 
-    let trace = std::fs::read_to_string(&trace_path).unwrap();
-    let parsed = Json::parse(&trace).unwrap();
-    assert!(!parsed
-        .get("traceEvents")
-        .unwrap()
-        .as_arr()
-        .unwrap()
-        .is_empty());
-    assert!(trace.contains("\"ph\":\"C\""), "queue-depth counter track");
-    assert!(trace.contains("worker 0"), "named worker tracks");
+    let trace = Json::parse(&std::fs::read_to_string(&trace_path).unwrap()).unwrap();
+    let events = trace.items("traceEvents");
+    assert!(
+        events.iter().any(|e| e.text("ph") == "C"),
+        "queue-depth counter track"
+    );
+    assert!(trace.render().contains("worker 0"), "named worker tracks");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -612,5 +605,15 @@ fn serve_cli_validates_its_arguments() {
     let out = reproduce(&["serve", "--jobs", jobs_path.to_str().unwrap()]);
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("jobs line 1"));
+    // A hostile line nested two million deep is a typed, line-numbered
+    // error too — not a stack overflow that aborts the process.
+    std::fs::write(&jobs_path, format!("\n{}", "[".repeat(2_000_000))).unwrap();
+    let out = reproduce(&["serve", "--jobs", jobs_path.to_str().unwrap()]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("jobs line 2: nesting deeper than"), "{err}");
+    // `check` takes file paths only.
+    assert!(!reproduce(&["check"]).status.success());
+    assert!(!reproduce(&["check", "--bench", "x.json"]).status.success());
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -66,6 +66,14 @@ pub enum CancelSource {
 }
 
 impl CancelSource {
+    /// Every source, in declaration order.
+    pub const ALL: [CancelSource; 4] = [
+        CancelSource::Api,
+        CancelSource::Cycle,
+        CancelSource::Deadline,
+        CancelSource::Shutdown,
+    ];
+
     /// Stable tag used in journal events and result documents.
     pub fn as_str(self) -> &'static str {
         match self {

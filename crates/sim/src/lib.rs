@@ -56,6 +56,7 @@ pub mod cancel;
 mod error;
 mod exec;
 mod func;
+pub mod json;
 mod launch;
 mod mem;
 pub mod perfmon;
@@ -66,6 +67,7 @@ mod warp;
 pub use cancel::{CancelCause, CancelSource, CancelToken};
 pub use error::{HangSnapshot, SimError, WarpHang};
 pub use func::Gpu;
+pub use json::Json;
 pub use launch::{Dim3, LaunchConfig};
 pub use mem::GlobalMemory;
 pub use stats::{with_counter_scope, Counters, FuncStats, InstMix};

@@ -21,11 +21,11 @@
 //!   idle-skip speedup projection ([`HostProf::analyze`]).
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+use crate::json::Json;
 use crate::timing::{Observer, StallKind, TraceEvent, TraceEventKind};
 
 // ---------------------------------------------------------------------
@@ -488,22 +488,9 @@ impl MetricsSnapshot {
         self.counters.iter().map(|(&k, &v)| (k, v))
     }
 
-    /// Render as a JSON object, one counter per line, indented by
-    /// `indent`. Wall-time counters (`*_ns`) are kept on their own lines
-    /// like every other volatile field in the document family.
-    pub fn to_json_object(&self, indent: &str) -> String {
-        if self.counters.is_empty() {
-            return "{}".to_owned();
-        }
-        let mut out = String::from("{");
-        for (i, (name, value)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\n{indent}  \"{name}\": {value}");
-        }
-        let _ = write!(out, "\n{indent}}}");
-        out
+    /// The counters as a JSON object, in name order.
+    pub fn to_json(&self) -> Json {
+        Json::obj(self.iter().map(|(name, value)| (name, value.into())))
     }
 }
 
@@ -656,9 +643,10 @@ mod tests {
         let delta = snapshot().delta_since(&before);
         assert_eq!(delta.get("test.perfmon.enabled"), 5);
         assert_eq!(delta.get("test.perfmon.disabled"), 0);
-        let json = delta.to_json_object("  ");
-        assert!(json.contains("\"test.perfmon.enabled\": 5"));
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(MetricsSnapshot::default().to_json_object(""), "{}");
+        assert_eq!(
+            delta.to_json().get("test.perfmon.enabled"),
+            Some(&Json::Int(5))
+        );
+        assert_eq!(MetricsSnapshot::default().to_json().render(), "{}");
     }
 }

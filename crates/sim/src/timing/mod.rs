@@ -29,9 +29,7 @@ pub use calib::Calibration;
 pub use conflict::{global_transactions, shared_conflict_factor};
 pub use profile::{Profile, ProfileBuilder};
 pub use sm::{StallKind, TimingReport, TimingSim};
-pub use trace::{
-    chrome_trace, ChromeTraceWriter, Hooks, Observer, TraceBuffer, TraceEvent, TraceEventKind,
-};
+pub use trace::{chrome_trace, Hooks, Observer, TraceBuffer, TraceEvent, TraceEventKind};
 
 use peakperf_arch::GpuConfig;
 use peakperf_sass::Kernel;

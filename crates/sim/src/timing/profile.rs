@@ -5,14 +5,18 @@
 //! unlike [`super::trace::TraceBuffer`], nothing is ever dropped. The
 //! finished [`Profile`] holds per-SASS-instruction issue histograms, a
 //! per-warp and overall stall-reason breakdown, per-scheduler issue
-//! statistics, and an occupancy timeline with adaptive bucketing.
+//! statistics, and an occupancy timeline with adaptive bucketing;
+//! [`Profile::to_json`] writes it into a profile document and
+//! [`Profile::check`] states what that object promises.
 
 use std::fmt::Write as _;
 
 use peakperf_sass::Kernel;
 
+use crate::json::Json;
 use crate::timing::sm::{StallKind, TimingReport};
-use crate::timing::trace::{json_string, Observer, TraceEvent, TraceEventKind, NO_PC};
+use crate::timing::trace::{Observer, TraceEvent, TraceEventKind, NO_PC};
+use crate::{ensure, obj};
 
 /// Timeline buckets are merged pairwise once the run outgrows this many.
 const MAX_TIMELINE_BUCKETS: usize = 128;
@@ -90,7 +94,7 @@ pub struct SchedStats {
 /// The bucket width doubles whenever the run outgrows
 /// [`MAX_TIMELINE_BUCKETS`], so the timeline is always a bounded,
 /// power-of-two-granular view regardless of kernel length.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Timeline {
     shift: u32,
     issued: Vec<u64>,
@@ -98,14 +102,6 @@ pub struct Timeline {
 }
 
 impl Timeline {
-    fn new() -> Timeline {
-        Timeline {
-            shift: 0,
-            issued: Vec::new(),
-            stalled: Vec::new(),
-        }
-    }
-
     /// Width of each bucket in shader cycles.
     pub fn bucket_cycles(&self) -> u64 {
         1 << self.shift
@@ -171,7 +167,7 @@ impl ProfileBuilder {
             per_warp: Vec::new(),
             per_sched: Vec::new(),
             stall_totals: [0; StallKind::COUNT],
-            timeline: Timeline::new(),
+            timeline: Timeline::default(),
             issues: 0,
             dual_issues: 0,
             last_issue_cycle: Vec::new(),
@@ -303,7 +299,7 @@ impl Observer for ProfileBuilder {
 }
 
 /// A finished profile of one timing run.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Profile {
     /// Kernel name.
     pub kernel: String,
@@ -429,101 +425,67 @@ impl Profile {
         out
     }
 
-    /// Render the profile as a JSON object (schema
-    /// `peakperf-profile-v1`, validated by `scripts/check_trace_schema.py`).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"kernel\": {},", json_string(&self.kernel));
-        let _ = writeln!(out, "  \"cycles\": {},", self.cycles);
-        let _ = writeln!(out, "  \"warp_instructions\": {},", self.warp_instructions);
-        let _ = writeln!(
-            out,
-            "  \"thread_instructions\": {},",
-            self.thread_instructions
-        );
-        let _ = writeln!(out, "  \"issues\": {},", self.issues);
-        let _ = writeln!(out, "  \"dual_issues\": {},", self.dual_issues);
-        let _ = writeln!(out, "  \"stalled_cycles\": {},", self.stalled_cycles());
-        out.push_str("  \"stall_totals\": {");
-        for (i, kind) in StallKind::ALL.into_iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            let _ = write!(
-                out,
-                "\"{}\": {}",
-                kind.as_str(),
-                self.stall_totals[kind.index()]
-            );
-        }
-        out.push_str("},\n");
-        out.push_str("  \"per_pc\": [\n");
-        let mut first = true;
-        for p in &self.per_pc {
-            if p.issues == 0 && p.stalled() == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "    {{\"pc\": {}, \"text\": {}, \"issues\": {}, \"dual\": {}, \
-                 \"avg_lanes\": {:.2}, \"stalled\": {}}}",
-                p.pc,
-                json_string(&p.text),
-                p.issues,
-                p.dual,
-                p.avg_lanes(),
-                p.stalled()
-            );
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"per_warp\": [\n");
-        for (i, w) in self.per_warp.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            let _ = write!(
-                out,
-                "    {{\"warp\": {}, \"scheduler\": {}, \"issues\": {}, \"stalled\": {}, \
-                 \"barrier_releases\": {}, \"exit_cycle\": {}}}",
-                w.warp,
-                w.scheduler,
-                w.issues,
-                w.stalled(),
-                w.barrier_releases,
-                w.exit_cycle
-                    .map(|c| c.to_string())
-                    .unwrap_or_else(|| "null".to_owned())
-            );
-        }
-        out.push_str("\n  ],\n");
-        out.push_str("  \"per_scheduler\": [\n");
-        for (i, s) in self.per_sched.iter().enumerate() {
-            if i > 0 {
-                out.push_str(",\n");
-            }
-            let _ = write!(
-                out,
-                "    {{\"scheduler\": {}, \"issues\": {}, \"dual\": {}, \"stalls\": {}, \
-                 \"active_cycles\": {}}}",
-                s.scheduler, s.issues, s.dual, s.stalls, s.active_cycles
-            );
-        }
-        out.push_str("\n  ],\n");
-        let _ = writeln!(
-            out,
-            "  \"timeline\": {{\"bucket_cycles\": {}, \"issued\": {:?}, \"stalled\": {:?}}}",
-            self.timeline.bucket_cycles(),
-            self.timeline.issued(),
-            self.timeline.stalled()
-        );
-        out.push('}');
-        out
+    /// The profile as a JSON object: the `profile` member of each entry of
+    /// a `peakperf-profile-v1` document.
+    pub fn to_json(&self) -> Json {
+        let touched = self
+            .per_pc
+            .iter()
+            .filter(|p| p.issues != 0 || p.stalled() != 0);
+        let per_pc = touched.map(|p| {
+            obj!(p; pc, text, issues, dual, avg_lanes = Json::fixed(p.avg_lanes(), 2),
+                stalled = p.stalled())
+        });
+        let per_warp = self.per_warp.iter().map(|w| {
+            obj!(w; warp, scheduler, issues, stalled = w.stalled(), barrier_releases, exit_cycle)
+        });
+        let per_scheduler = self.per_sched.iter();
+        let per_scheduler =
+            per_scheduler.map(|s| obj!(s; scheduler, issues, dual, stalls, active_cycles));
+        let line = &self.timeline;
+        let timeline = obj!((); bucket_cycles = line.bucket_cycles(),
+            issued = line.issued().iter().copied().collect::<Json>(),
+            stalled = line.stalled().iter().copied().collect::<Json>());
+        obj!(self; kernel, cycles, warp_instructions, thread_instructions, issues, dual_issues,
+            stalled_cycles = self.stalled_cycles(),
+            stall_totals = stall_kinds_json(&self.stall_totals),
+            per_pc = per_pc.collect::<Json>(),
+            per_warp = per_warp.collect::<Json>(),
+            per_scheduler = per_scheduler.collect::<Json>(),
+            timeline = timeline)
     }
+
+    /// The invariants of one object written by [`Profile::to_json`]
+    /// (called `at` in the messages): one stall total per [`StallKind`],
+    /// in order, together summing to `stalled_cycles`.
+    pub fn check(body: &Json, at: &str, errors: &mut Vec<String>) {
+        let totals = &body["stall_totals"];
+        check_stall_kinds(totals, &format!("{at}.stall_totals"), errors);
+        let members = totals.as_obj().unwrap_or(&[]).iter();
+        let sum: u64 = members.filter_map(|(_, v)| v.as_u64()).sum();
+        let stalled = body.count("stalled_cycles");
+        ensure!(
+            errors,
+            sum == stalled,
+            "{at}: stall_totals sum {sum} != stalled_cycles {stalled}"
+        );
+    }
+}
+
+/// One value per [`StallKind`], keyed by name in [`StallKind::ALL`] order:
+/// the shape of every per-kind object in the documents.
+pub fn stall_kinds_json<T: Copy + Into<Json>>(values: &[T; StallKind::COUNT]) -> Json {
+    Json::obj(StallKind::ALL.map(|k| (k.as_str(), values[k.index()].into())))
+}
+
+/// Check that `obj`'s keys are exactly the [`StallKind`] names, in order.
+pub fn check_stall_kinds(obj: &Json, at: &str, errors: &mut Vec<String>) {
+    let (keys, kinds) = (obj.keys(), StallKind::ALL.map(StallKind::as_str));
+    ensure!(
+        errors,
+        keys == kinds,
+        "{at}: keys {keys:?} are not the stall kinds {kinds:?}"
+    );
 }
 
 #[cfg(test)]
@@ -589,7 +551,7 @@ mod tests {
 
     #[test]
     fn timeline_buckets_merge_past_cap() {
-        let mut t = Timeline::new();
+        let mut t = Timeline::default();
         for c in 0..1000u64 {
             let idx = t.bucket(c);
             t.issued[idx] += 1;
@@ -600,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn json_has_balanced_braces_and_sums() {
+    fn json_round_trips_and_passes_its_check() {
         let mut b = ProfileBuilder::new();
         for c in 0..40u64 {
             b.event(ev(
@@ -633,9 +595,12 @@ mod tests {
         };
         let profile = b.finish(&kernel, &report);
         let json = profile.to_json();
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"stall_totals\""));
+        assert_eq!(Json::parse(&json.pretty()).unwrap(), json);
+        let mut errors = Vec::new();
+        json.conforms(&Profile::default().to_json(), &"profile", &mut errors);
+        Profile::check(&json, "profile", &mut errors);
+        assert_eq!(errors, Vec::<String>::new());
+        assert_eq!(json.items("per_pc").len(), 8);
         let per_warp: u64 = profile.per_warp.iter().map(WarpStats::stalled).sum();
         assert_eq!(per_warp, profile.stalled_cycles());
         let text = profile.render_text();

@@ -19,11 +19,11 @@
 //! [`TimingReport`](super::TimingReport) field unchanged (asserted by
 //! `tests/observer_identity.rs`).
 
-use std::fmt::Write as _;
-
 use peakperf_sass::Kernel;
 
 use crate::cancel::CancelToken;
+use crate::json::ChromeTraceWriter;
+use crate::obj;
 use crate::perfmon::{Phase, Stopwatch};
 use crate::timing::sm::StallKind;
 
@@ -263,105 +263,6 @@ impl Observer for TraceBuffer {
     }
 }
 
-// ---------------------------------------------------------------------
-// Chrome trace-event export
-// ---------------------------------------------------------------------
-
-/// Incremental writer for Chrome trace-event JSON (the format
-/// `chrome://tracing` and Perfetto load).
-///
-/// Shared between the simulator's cycle-level export ([`chrome_trace`])
-/// and the service journal's job-level export in `peakperf-bench`: both
-/// produce one `traceEvents` array of metadata / complete / instant /
-/// counter records plus an `otherData` trailer, and this writer owns the
-/// separators, indentation and escaping so the two exports cannot drift
-/// apart in shape.
-#[derive(Debug)]
-pub struct ChromeTraceWriter {
-    out: String,
-    first: bool,
-}
-
-impl Default for ChromeTraceWriter {
-    fn default() -> ChromeTraceWriter {
-        ChromeTraceWriter::new()
-    }
-}
-
-impl ChromeTraceWriter {
-    /// A writer with the `traceEvents` array opened.
-    pub fn new() -> ChromeTraceWriter {
-        ChromeTraceWriter {
-            out: "{\n  \"traceEvents\": [\n".to_owned(),
-            first: true,
-        }
-    }
-
-    /// Append one pre-rendered event object (no surrounding separators).
-    pub fn raw_event(&mut self, line: &str) {
-        if !self.first {
-            self.out.push_str(",\n");
-        }
-        self.first = false;
-        self.out.push_str("    ");
-        self.out.push_str(line);
-    }
-
-    /// A `thread_name` metadata record naming track `tid` of `pid`.
-    pub fn thread_name(&mut self, pid: u32, tid: u64, name: &str) {
-        self.raw_event(&format!(
-            "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\
-             \"args\":{{\"name\":{}}}}}",
-            json_string(name)
-        ));
-    }
-
-    /// A complete (`"ph":"X"`) event spanning `[ts, ts+dur]` on one track.
-    /// `args` is a pre-rendered JSON object (pass `"{}"` for none).
-    pub fn complete(&mut self, name: &str, cat: &str, ts: u64, dur: u64, tid: u64, args: &str) {
-        self.raw_event(&format!(
-            "{{\"name\":{},\"ph\":\"X\",\"ts\":{ts},\"dur\":{dur},\"pid\":0,\"tid\":{tid},\
-             \"cat\":\"{cat}\",\"args\":{args}}}",
-            json_string(name)
-        ));
-    }
-
-    /// A thread-scoped instant (`"ph":"i"`) event.
-    pub fn instant(&mut self, name: &str, cat: &str, ts: u64, tid: u64, args: &str) {
-        self.raw_event(&format!(
-            "{{\"name\":{},\"ph\":\"i\",\"ts\":{ts},\"s\":\"t\",\"pid\":0,\"tid\":{tid},\
-             \"cat\":\"{cat}\",\"args\":{args}}}",
-            json_string(name)
-        ));
-    }
-
-    /// A counter (`"ph":"C"`) sample — Perfetto renders these as a value
-    /// track (e.g. queue depth over time).
-    pub fn counter(&mut self, name: &str, ts: u64, value: u64) {
-        self.raw_event(&format!(
-            "{{\"name\":{},\"ph\":\"C\",\"ts\":{ts},\"pid\":0,\"tid\":0,\
-             \"cat\":\"counter\",\"args\":{{\"value\":{value}}}}}",
-            json_string(name)
-        ));
-    }
-
-    /// Close the array, append `displayTimeUnit` and the `otherData`
-    /// trailer (`other` values are pre-rendered JSON), and return the
-    /// finished document.
-    pub fn finish(mut self, other: &[(&str, String)]) -> String {
-        self.out.push_str("\n  ],\n");
-        self.out
-            .push_str("  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {\n");
-        for (i, (name, value)) in other.iter().enumerate() {
-            let _ = write!(self.out, "    \"{name}\": {value}");
-            self.out
-                .push_str(if i + 1 < other.len() { ",\n" } else { "\n" });
-        }
-        self.out.push_str("  }\n}\n");
-        self.out
-    }
-}
-
 /// Render a recorded trace as Chrome trace-event JSON.
 ///
 /// Mapping: one process (`pid` 0, the SM); one thread per warp (`tid` =
@@ -370,7 +271,7 @@ impl ChromeTraceWriter {
 /// are instant (`"ph":"i"`) events. Timestamps are shader *cycles*, not
 /// microseconds — `otherData.unit` records this.
 pub fn chrome_trace(buffer: &TraceBuffer, kernel: &Kernel, schedulers: u32) -> String {
-    let mut writer = ChromeTraceWriter::new();
+    let mut writer = ChromeTraceWriter::default();
 
     // Thread-name metadata for every warp that appears.
     let mut warps: Vec<u16> = buffer.events.iter().map(|e| e.warp).collect();
@@ -378,92 +279,38 @@ pub fn chrome_trace(buffer: &TraceBuffer, kernel: &Kernel, schedulers: u32) -> S
     warps.dedup();
     for &w in &warps {
         let sched = u32::from(w) % schedulers.max(1);
-        writer.thread_name(0, u64::from(w), &format!("warp {w} (sched {sched})"));
+        writer.thread_name(u64::from(w), &format!("warp {w} (sched {sched})"));
     }
 
     for e in &buffer.events {
-        let name = match e.kind {
-            TraceEventKind::Issue { .. } => kernel
-                .code
-                .get(e.pc as usize)
-                .map(|inst| inst.to_string())
-                .unwrap_or_else(|| format!("pc {:#x}", e.pc)),
-            TraceEventKind::Stall(kind) => format!("stall:{}", kind.as_str()),
-            TraceEventKind::BarrierRelease => "barrier_release".to_owned(),
-            TraceEventKind::WarpExit => "warp_exit".to_owned(),
-        };
-        let mut line = String::new();
-        let _ = write!(
-            line,
-            "{{\"name\":{},\"ph\":\"{}\",\"ts\":{},",
-            json_string(&name),
-            match e.kind {
-                TraceEventKind::Issue { .. } | TraceEventKind::Stall(_) => "X",
-                TraceEventKind::BarrierRelease | TraceEventKind::WarpExit => "i",
-            },
-            e.cycle
-        );
-        if matches!(
-            e.kind,
-            TraceEventKind::Issue { .. } | TraceEventKind::Stall(_)
-        ) {
-            line.push_str("\"dur\":1,");
-        }
-        if matches!(
-            e.kind,
-            TraceEventKind::BarrierRelease | TraceEventKind::WarpExit
-        ) {
-            line.push_str("\"s\":\"t\",");
-        }
-        let _ = write!(line, "\"pid\":0,\"tid\":{},", e.warp);
-        let cat = match e.kind {
-            TraceEventKind::Issue { .. } => "issue",
-            TraceEventKind::Stall(_) => "stall",
-            TraceEventKind::BarrierRelease => "barrier",
-            TraceEventKind::WarpExit => "exit",
-        };
-        let _ = write!(line, "\"cat\":\"{cat}\",");
-        match e.kind {
+        let (ts, tid) = (e.cycle, u64::from(e.warp));
+        let args = match e.kind {
             TraceEventKind::Issue { lanes, dual } => {
-                let _ = write!(
-                    line,
-                    "\"args\":{{\"pc\":{},\"scheduler\":{},\"lanes\":{lanes},\"dual\":{dual}}}}}",
-                    e.pc, e.scheduler
-                );
+                obj!(e; pc, scheduler, lanes = lanes, dual = dual)
             }
-            _ => {
-                let _ = write!(line, "\"args\":{{\"scheduler\":{}}}}}", e.scheduler);
+            _ => obj!(e; scheduler),
+        };
+        match e.kind {
+            TraceEventKind::Issue { .. } => {
+                let text = kernel.code.get(e.pc as usize).map(|inst| inst.to_string());
+                let name = text.unwrap_or_else(|| format!("pc {:#x}", e.pc));
+                writer.complete(&name, "issue", ts, 1, tid, args);
             }
-        }
-        writer.raw_event(&line);
-    }
-    writer.finish(&[
-        ("kernel", json_string(&kernel.name)),
-        ("unit", "\"shader cycles\"".to_owned()),
-        ("schedulers", schedulers.to_string()),
-        ("dropped_events", buffer.dropped.to_string()),
-    ])
-}
-
-/// Escape a string per RFC 8259.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+            TraceEventKind::Stall(kind) => {
+                let name = format!("stall:{}", kind.as_str());
+                writer.complete(&name, "stall", ts, 1, tid, args);
             }
-            c => out.push(c),
+            TraceEventKind::BarrierRelease => {
+                writer.instant("barrier_release", "barrier", ts, tid, args);
+            }
+            TraceEventKind::WarpExit => writer.instant("warp_exit", "exit", ts, tid, args),
         }
     }
-    out.push('"');
-    out
+    let dropped_events = buffer.dropped;
+    writer.finish(
+        &obj!((); kernel = kernel.name.as_str(), unit = "shader cycles",
+        schedulers = schedulers, dropped_events = dropped_events),
+    )
 }
 
 #[cfg(test)]
@@ -529,7 +376,7 @@ mod tests {
     }
 
     #[test]
-    fn chrome_trace_is_balanced_json() {
+    fn chrome_trace_parses_and_passes_its_check() {
         let mut buf = TraceBuffer::new();
         buf.event(ev(
             0,
@@ -542,13 +389,27 @@ mod tests {
         buf.event(ev(1, 1, TraceEventKind::Stall(StallKind::Pipe)));
         buf.event(ev(2, 0, TraceEventKind::BarrierRelease));
         buf.event(ev(3, 1, TraceEventKind::WarpExit));
-        let kernel = Kernel::new("t");
-        let json = chrome_trace(&buf, &kernel, 2);
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
-        assert!(json.contains("\"traceEvents\""));
-        assert!(json.contains("stall:pipe"));
-        assert!(json.contains("warp_exit"));
-        assert!(json.contains("\"unit\": \"shader cycles\""));
+        let doc = crate::Json::parse(&chrome_trace(&buf, &Kernel::new("t"), 2)).unwrap();
+        let mut errors = Vec::new();
+        crate::json::check_chrome_trace(&doc, &mut errors);
+        assert_eq!(errors, Vec::<String>::new());
+        let events = doc.items("traceEvents").iter();
+        let names: Vec<&str> = events.map(|e| e.text("name")).collect();
+        assert_eq!(
+            names,
+            [
+                "thread_name",
+                "thread_name",
+                "pc 0x0",
+                "stall:pipe",
+                "barrier_release",
+                "warp_exit"
+            ]
+        );
+        let other = doc.get("otherData").unwrap();
+        assert_eq!(
+            (other.text("unit"), other.count("schedulers")),
+            ("shader cycles", 2)
+        );
     }
 }

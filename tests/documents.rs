@@ -1,0 +1,436 @@
+//! Every JSON document family the workspace writes, produced small and
+//! in-process: each instance must pass `check_document` and survive both
+//! renderers (`parse(render(x)) == x`), and each family's check must name
+//! every single thing a table of edits breaks in a sound document.
+
+use std::sync::Arc;
+use std::time::Duration;
+
+use peakperf_bench::perf::{PerfSpan, RunReport};
+use peakperf_bench::report::check_document;
+use peakperf_bench::service::journal::Journal;
+use peakperf_bench::service::{self, JobSpec, Service, ServiceConfig};
+use peakperf_bench::{fault, hostprof, profiling, telemetry};
+use peakperf_sim::{obj, Json};
+
+/// One way to break a value.
+enum Edit {
+    Set(Json),
+    Bump,
+    Remove(&'static str),
+    Push(&'static str, Json),
+    RemoveAt(usize),
+    /// Remove the first element whose `type` member is the given tag.
+    RemoveType(&'static str),
+    SwapFirstTwo,
+    RepeatLast,
+}
+use Edit::*;
+
+/// Apply `.1` to the value at `.0` — a dotted path of object keys and
+/// array indices, `""` being the document — and the check must report `.2`.
+type Case<'a> = (&'a str, Edit, &'a str);
+
+impl Edit {
+    fn apply(&self, v: &mut Json) {
+        match (self, v) {
+            (Set(value), v) => *v = value.clone(),
+            (Bump, v) => *v = Json::from(v.as_u64().unwrap() + 1),
+            (Remove(key), Json::Obj(members)) => members.retain(|(k, _)| k != key),
+            (Push(key, value), v) => v.push(key, value.clone()),
+            (RemoveAt(index), Json::Arr(items)) => drop(items.remove(*index)),
+            (RemoveType(tag), Json::Arr(items)) => drop(items.remove(index_of(items, "type", tag))),
+            (SwapFirstTwo, Json::Obj(members)) => members.swap(0, 1),
+            (SwapFirstTwo, Json::Arr(items)) => items.swap(0, 1),
+            (RepeatLast, Json::Arr(items)) => items.extend(items.last().cloned()),
+            (_, v) => panic!("edit does not apply to {v}"),
+        }
+    }
+}
+
+fn index_of(items: &[Json], key: &str, value: &str) -> usize {
+    let found = items.iter().position(|item| item.text(key) == value);
+    found.unwrap_or_else(|| panic!("nothing with {key} = {value}"))
+}
+
+fn assert_sound(doc: &Json) {
+    assert_eq!(check_document(doc), Vec::<String>::new());
+    assert_eq!(&Json::parse(&doc.render()).unwrap(), doc);
+    assert_eq!(&Json::parse(&doc.pretty()).unwrap(), doc);
+}
+
+fn assert_checked(doc: &Json, cases: &[Case]) {
+    assert_sound(doc);
+    let mut missed = Vec::new();
+    for (path, edit, want) in cases {
+        let mut broken = doc.clone();
+        let steps = path.split('.').filter(|step| !step.is_empty());
+        let target = steps.fold(&mut broken, |v, step| match v {
+            Json::Arr(items) => &mut items[step.parse::<usize>().unwrap()],
+            other => other.get_mut(step).unwrap_or_else(|| panic!("no `{path}`")),
+        });
+        edit.apply(target);
+        let errors = check_document(&broken).join("\n");
+        if !errors.contains(want) {
+            missed.push(format!("`{path}` should report `{want}`, got: {errors}"));
+        }
+    }
+    assert_eq!(missed, Vec::<String>::new());
+}
+
+fn checked_in(path: &str) -> Json {
+    let text = std::fs::read_to_string(format!("{}/{path}", env!("CARGO_MANIFEST_DIR"))).unwrap();
+    Json::parse(&text).unwrap()
+}
+
+#[test]
+fn bench_and_compare_documents() {
+    let report = telemetry::run_suite_filtered(Some("table2/ffma_r0_r1_r4")).unwrap();
+    let doc = report.to_json();
+    assert_eq!(doc.items("rows").len(), 2);
+    let unordered = "duplicate, unknown or reordered rows";
+    let cases = [
+        (
+            "rows.0.counters.stall_cycles",
+            Remove("pipe"),
+            "are not the stall kinds",
+        ),
+        (
+            "rows.1.stall_share",
+            SwapFirstTwo,
+            "are not the stall kinds",
+        ),
+        (
+            "rows.0.pct_error",
+            Set(50.0.into()),
+            "inconsistent with simulated",
+        ),
+        ("rows.0", Remove("wall_ms"), "missing key `wall_ms`"),
+        ("rows", RepeatLast, unordered),
+        ("rows", SwapFirstTwo, unordered),
+        (
+            "accuracy.rows",
+            Set("two".into()),
+            "rows: expected an integer, got",
+        ),
+        (
+            "totals",
+            Remove("sim_cycles"),
+            "bench document.totals: missing key `sim_cycles`",
+        ),
+        ("", Remove("generated_by"), "missing key `generated_by`"),
+        // Without its recorded filter this is a suite that lost 26 rows.
+        ("", Remove("filter"), "are not the suite rows under ``"),
+    ];
+    assert_checked(&doc, &cases);
+
+    // The checked-in baseline is a full-suite document, and stays one:
+    // losing any row of the 28 is a coverage violation.
+    let baseline = checked_in("bench/baselines/ci.json");
+    let uncovered = "are not the suite rows under ``";
+    let cases = [
+        ("rows", RemoveAt(27), uncovered),
+        ("rows", RemoveAt(5), uncovered),
+    ];
+    assert_checked(&baseline, &cases);
+
+    let comparison = telemetry::compare(&report, &doc, telemetry::CompareConfig::default());
+    let cases = [
+        (
+            "counts.unchanged",
+            Set(0.into()),
+            "do not tally the metrics",
+        ),
+        ("pass", Set(false.into()), "`pass` disagrees"),
+        (
+            "metrics.0.class",
+            Set("sideways".into()),
+            "unknown class `sideways`",
+        ),
+    ];
+    assert_checked(&comparison.unwrap().to_json(), &cases);
+}
+
+#[test]
+fn profile_hostprof_perf_and_metrics_documents() {
+    let span = PerfSpan::begin();
+    let profiled = profiling::run_target("fermi_ffma", false, None).unwrap();
+    let doc = profiling::profile_document(vec![profiled.json.clone()], &[profiled.gpu]);
+    let cases = [
+        ("stall_kinds", RemoveAt(2), "drifted from StallKind::ALL"),
+        (
+            "profiles.0.profile.stall_totals",
+            SwapFirstTwo,
+            "are not the stall kinds",
+        ),
+        (
+            "profiles.0.profile.stalled_cycles",
+            Bump,
+            "!= stalled_cycles",
+        ),
+        (
+            "profiles.0.profile",
+            Remove("cycles"),
+            "missing key `cycles`",
+        ),
+        (
+            "profiles.0.gap_attribution",
+            Push("gremlins", 1.0.into()),
+            "unknown gap source",
+        ),
+        (
+            "profiles.0.bound",
+            Set("high".into()),
+            "bound: expected a number, got",
+        ),
+    ];
+    assert_checked(&doc, &cases);
+
+    let report = RunReport {
+        workers: 1,
+        experiments: vec![span.finish("profile:fermi_ffma", Ok(()))],
+        profiles: vec![profiled.json],
+        ..RunReport::default()
+    };
+    let cases = [
+        (
+            "totals",
+            Remove("sim_cycles"),
+            "perf document.totals: missing key `sim_cycles`",
+        ),
+        (
+            "experiments.0.ok",
+            Set("yes".into()),
+            "ok: expected a boolean, got",
+        ),
+        (
+            "experiments.0.counters.stall_cycles",
+            SwapFirstTwo,
+            "key `pipe` is out of order",
+        ),
+    ];
+    assert_checked(&report.to_json(), &cases);
+
+    let target = hostprof::run_target("fermi_ffma").unwrap();
+    let doc = hostprof::hostprof_document(vec![target.json], &[target.gpu]);
+    let cases = [
+        ("phases", SwapFirstTwo, "drifted from Phase::ALL"),
+        ("targets.0.phases", SwapFirstTwo, "drifted from Phase::ALL"),
+        (
+            "targets.0.phases.0.share",
+            Set(5.0.into()),
+            "phase shares sum to",
+        ),
+        (
+            "targets.0.idle.run_length_histograms",
+            Remove("barrier"),
+            "histogram keys",
+        ),
+        ("targets.0.idle.idle_runs", Bump, "run counts sum to"),
+        (
+            "targets.0.idle.idle_cycles",
+            Set(u64::MAX.into()),
+            "idle_cycles exceed cycles",
+        ),
+        (
+            "targets.0.idle.skippable_cycles",
+            Set(u64::MAX.into()),
+            "exceed idle_cycles",
+        ),
+        (
+            "targets.0.projection.idle_skip_speedup",
+            Set(0.5.into()),
+            "is not a speedup",
+        ),
+        ("targets", Set(Json::Arr(vec![])), "targets is empty"),
+    ];
+    assert_checked(&doc, &cases);
+
+    let cases = [(
+        "counters",
+        Push("lost", (-1).into()),
+        "is not a non-negative integer",
+    )];
+    assert_checked(&hostprof::metrics_document(&["GTX580"]), &cases);
+}
+
+#[test]
+fn fuzz_document() {
+    let cfg = fault::CampaignConfig {
+        seed: 3,
+        iters: 12,
+        ..fault::CampaignConfig::default()
+    };
+    let doc = fault::campaign_json(&cfg, &fault::run_campaign(&cfg), 1.5);
+    let alien = Json::Arr(vec![obj!((); gen = "hopper")]);
+    let cases = [
+        ("mutations", SwapFirstTwo, "drifted from MutationKind::ALL"),
+        (
+            "outcomes.ok",
+            Set(9_999.into()),
+            "do not account for 12 iterations",
+        ),
+        ("outcomes", Remove("panic"), "missing key `panic`"),
+        ("iters", Set("12".into()), "iters: expected an integer, got"),
+        ("violations", Set(alien), "does not name a replayable case"),
+    ];
+    assert_checked(&doc, &cases);
+}
+
+#[test]
+fn chrome_traces() {
+    let cases = [
+        (
+            "traceEvents.6.name",
+            Set("stall:gremlins".into()),
+            "unknown stall kind",
+        ),
+        ("traceEvents.2", Remove("ts"), "missing key `ts`"),
+        (
+            "traceEvents.2.tid",
+            Set("zero".into()),
+            "tid: expected an integer, got",
+        ),
+        (
+            "traceEvents",
+            Set(Json::Arr(vec![])),
+            "traceEvents is empty",
+        ),
+        ("", Remove("otherData"), "missing key `otherData`"),
+    ];
+    assert_checked(&checked_in("tests/golden_trace_2warp.json"), &cases);
+    assert_sound(&checked_in("crates/bench/tests/golden_servicetrace.json"));
+}
+
+#[test]
+fn service_documents_from_a_seeded_soak() {
+    let journal = Arc::new(Journal::full(Some(Duration::from_millis(5))));
+    let config = ServiceConfig {
+        workers: 2,
+        queue_capacity: 8,
+        retry_backoff_ms: 1,
+    };
+    let (svc, rx) = Service::start_with_journal(config, Some(Arc::clone(&journal)));
+    let jobs = service::soak_jobs(20, 7);
+    for job in &jobs {
+        let mut line = job.to_json();
+        Remove("cancel_at_cycle").apply(&mut line);
+        let cases = [
+            (
+                "kind",
+                Set("teleport".into()),
+                "unknown job kind `teleport`",
+            ),
+            ("id", Set("".into()), "non-empty string `id`"),
+            (
+                "",
+                Push("cancel_at_cycle", 1.5.into()),
+                "`cancel_at_cycle` must be a non-negative",
+            ),
+        ];
+        assert_checked(&line, &cases);
+        assert_eq!(JobSpec::from_json(&job.to_json()).as_ref(), Ok(job));
+        svc.submit(job.clone());
+    }
+    let health = svc.drain();
+    let results: Vec<service::JobResult> = rx.try_iter().collect();
+    assert_eq!(results.len(), jobs.len());
+    for result in &results {
+        let cases = [
+            (
+                "status",
+                Set("running".into()),
+                "status `running` is not terminal",
+            ),
+            (
+                "kind",
+                Set("teleport".into()),
+                "unknown job kind `teleport`",
+            ),
+            ("", Remove("detail"), "missing key `detail`"),
+        ];
+        assert_checked(&result.to_json(), &cases);
+    }
+
+    let doc = service::service_document(2, 8, &health, &results, 12.5, None);
+    let ran = index_of(doc.items("results"), "status", "completed");
+    let attempts = format!("results.{ran}.attempts");
+    let cases = [
+        ("health.completed", Bump, "accounting identity violated"),
+        ("health.completed", Bump, "result(s) but health counts"),
+        ("health.in_flight", Bump, "drain left work behind"),
+        (
+            "health.queue_depth_max",
+            Set(9.into()),
+            "queue depth peaked at 9 with capacity 8",
+        ),
+        (
+            "health",
+            Remove("retried"),
+            "`retried` must be a non-negative integer",
+        ),
+        ("results", RepeatLast, "duplicate result id"),
+        ("results.0.status", Set("running".into()), "is not terminal"),
+        (
+            attempts.as_str(),
+            Set(0.into()),
+            "completed job reports 0 attempt",
+        ),
+        (
+            "queue_capacity",
+            Set("wide".into()),
+            "queue_capacity: expected an integer, got",
+        ),
+    ];
+    assert_checked(&doc, &cases);
+
+    let doc = journal.document(2, 8, &health, 12.5);
+    let events = doc.items("events");
+    let terminal = format!("events.{}", index_of(events, "type", "terminal"));
+    let terminal_status = format!("{terminal}.status");
+    let snapshot_ts = format!("events.{}.ts_us", events.len() - 1);
+    assert_eq!(events.last().unwrap().text("type"), "health_snapshot");
+    let cases = [
+        (
+            "events",
+            RemoveType("terminal"),
+            "0 terminal events, expected exactly 1",
+        ),
+        (
+            "events",
+            RemoveType("terminal"),
+            "accounting identity violated from events alone",
+        ),
+        ("events.3.seq", Set(0.into()), "seq not strictly increasing"),
+        (
+            snapshot_ts.as_str(),
+            Set(0.into()),
+            "timestamp went backwards",
+        ),
+        (
+            terminal_status.as_str(),
+            Set("pending".into()),
+            "is not one of",
+        ),
+        (
+            terminal.as_str(),
+            Remove("total_wall_us"),
+            "`total_wall_us` must be",
+        ),
+        (
+            "events.0.type",
+            Set("teleported".into()),
+            "unknown event type",
+        ),
+        ("derived.completed", Bump, "`derived` is"),
+        ("health.failed", Bump, "disagree with health counters"),
+        (
+            "snapshot_queue_depth_max",
+            Set(9.into()),
+            "exceeds queue_capacity 8",
+        ),
+        ("", Remove("dropped"), "missing key `dropped`"),
+    ];
+    assert_checked(&doc, &cases);
+    assert_sound(&Json::parse(&journal.chrome_trace(2)).unwrap());
+}
