@@ -44,8 +44,30 @@ pub struct MemAccess {
     pub width: MemWidth,
     /// Whether this was a store.
     pub store: bool,
+    addrs: [u32; 32],
+    lanes: usize,
+}
+
+impl MemAccess {
+    fn new(space: MemSpace, width: MemWidth, store: bool) -> MemAccess {
+        MemAccess {
+            space,
+            width,
+            store,
+            addrs: [0; 32],
+            lanes: 0,
+        }
+    }
+
+    fn push(&mut self, addr: u32) {
+        self.addrs[self.lanes] = addr;
+        self.lanes += 1;
+    }
+
     /// Per-lane base byte addresses (active lanes only).
-    pub addrs: Vec<u32>,
+    pub fn addrs(&self) -> &[u32] {
+        &self.addrs[..self.lanes]
+    }
 }
 
 /// The outcome of executing one warp instruction.
@@ -299,10 +321,10 @@ pub fn execute_op(
             addr,
             offset,
         } => {
-            let mut addrs = Vec::new();
+            let mut access = MemAccess::new(space, width, false);
             for l in lanes {
                 let base = warp.reg(l, addr).wrapping_add(offset as u32);
-                addrs.push(base);
+                access.push(base);
                 for w in 0..width.words() {
                     let value = match space {
                         MemSpace::Global => {
@@ -329,12 +351,7 @@ pub fn execute_op(
                     }
                 }
             }
-            outcome.mem = Some(MemAccess {
-                space,
-                width,
-                store: false,
-                addrs,
-            });
+            outcome.mem = Some(access);
         }
         Op::St {
             space,
@@ -343,10 +360,10 @@ pub fn execute_op(
             addr,
             offset,
         } => {
-            let mut addrs = Vec::new();
+            let mut access = MemAccess::new(space, width, true);
             for l in lanes {
                 let base = warp.reg(l, addr).wrapping_add(offset as u32);
-                addrs.push(base);
+                access.push(base);
                 for w in 0..width.words() {
                     // RZ (or a slot past the file) sources zero — `ST
                     // [addr], RZ` is the store-zero idiom.
@@ -370,12 +387,7 @@ pub fn execute_op(
                     }
                 }
             }
-            outcome.mem = Some(MemAccess {
-                space,
-                width,
-                store: true,
-                addrs,
-            });
+            outcome.mem = Some(access);
         }
     }
     Ok(outcome)
@@ -637,7 +649,7 @@ mod tests {
             offset: 4,
         });
         let out = execute_op(&st, &mut warp, 0b11, &mut mem, &block).unwrap();
-        assert_eq!(out.mem.as_ref().unwrap().addrs, vec![4, 12]);
+        assert_eq!(out.mem.as_ref().unwrap().addrs(), [4, 12]);
         let ld = Instruction::new(Op::Ld {
             space: MemSpace::Shared,
             width: MemWidth::B32,

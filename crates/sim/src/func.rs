@@ -134,7 +134,9 @@ impl Gpu {
             .collect();
         let mut shared = vec![0u8; kernel.shared_bytes as usize];
         let mut local = vec![0u8; kernel.local_bytes as usize * threads as usize];
-        let mut stats = FuncStats::default();
+        // Executions and active lanes per instruction, folded into the
+        // mnemonic-keyed `FuncStats` once the block completes.
+        let mut executed = vec![(0u64, 0u64); kernel.code.len()];
 
         // Warp status: None = runnable, Some(pc) = waiting at barrier.
         let mut at_barrier: Vec<Option<u32>> = vec![None; n_warps as usize];
@@ -162,16 +164,19 @@ impl Gpu {
                         params,
                     };
                     let result = step_warp(&kernel.code, &mut warps[w], &mut mem, &block)?;
-                    match result.event {
+                    let (pc, lanes, parked) = match result.event {
                         StepEvent::Executed { pc, exec_mask } => {
-                            stats.record(&kernel.code[pc as usize], exec_mask.count_ones());
+                            (pc, exec_mask.count_ones(), false)
                         }
-                        StepEvent::AtBarrier { pc } => {
-                            stats.record(&kernel.code[pc as usize], 32);
-                            at_barrier[w] = Some(pc);
-                            break;
-                        }
+                        StepEvent::AtBarrier { pc } => (pc, 32, true),
                         StepEvent::Exited => break,
+                    };
+                    let count = &mut executed[pc as usize];
+                    count.0 += 1;
+                    count.1 += u64::from(lanes);
+                    if parked {
+                        at_barrier[w] = Some(pc);
+                        break;
                     }
                 }
             }
@@ -184,6 +189,10 @@ impl Gpu {
                 .filter(|&w| !warps[w].done())
                 .collect();
             if running.is_empty() {
+                let mut stats = FuncStats::default();
+                for (inst, &(warps, lanes)) in kernel.code.iter().zip(&executed) {
+                    stats.record(inst, warps, lanes);
+                }
                 return Ok(stats);
             }
             if running.len() < n_warps as usize {

@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use peakperf_sass::{Instruction, OpClass};
+use peakperf_sass::{Instruction, Op, OpClass};
 
 use crate::json::Json;
 use crate::obj;
@@ -226,10 +226,13 @@ impl InstMix {
         InstMix::default()
     }
 
-    /// Record `n` executions of `inst`.
+    /// Record `n` executions of `inst` (none leaves the mix as it was: a
+    /// mnemonic that never executed has no entry).
     pub fn record(&mut self, inst: &Instruction, n: u64) {
-        *self.counts.entry(inst.op.mnemonic()).or_insert(0) += n;
-        self.total += n;
+        if n > 0 {
+            *self.counts.entry(inst.op.mnemonic()).or_insert(0) += n;
+            self.total += n;
+        }
     }
 
     /// Record `n` executions of a mnemonic directly (used when
@@ -300,20 +303,22 @@ pub struct FuncStats {
     pub flops: u64,
 }
 
+/// FP32 operations one lane of `op` performs (FFMA counts 2).
+pub(crate) fn flops_per_lane(op: &Op) -> u64 {
+    match op {
+        Op::Ffma { .. } => 2,
+        _ => u64::from(op.class() == OpClass::Fp32),
+    }
+}
+
 impl FuncStats {
-    /// Record an executed warp instruction with `lanes` active lanes.
-    pub fn record(&mut self, inst: &Instruction, lanes: u32) {
-        self.mix.record(inst, 1);
-        self.warp_instructions += 1;
-        self.thread_instructions += u64::from(lanes);
-        if inst.op.class() == OpClass::Fp32 {
-            let per_lane = if matches!(inst.op, peakperf_sass::Op::Ffma { .. }) {
-                2
-            } else {
-                1
-            };
-            self.flops += u64::from(lanes) * per_lane;
-        }
+    /// Record `warps` executions of `inst` with `lanes` active lanes in
+    /// total.
+    pub fn record(&mut self, inst: &Instruction, warps: u64, lanes: u64) {
+        self.mix.record(inst, warps);
+        self.warp_instructions += warps;
+        self.thread_instructions += lanes;
+        self.flops += lanes * flops_per_lane(&inst.op);
     }
 
     /// Merge another stats record into this one.
@@ -331,7 +336,7 @@ impl FuncStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peakperf_sass::{Op, Operand, Reg};
+    use peakperf_sass::{Operand, Reg};
 
     fn ffma() -> Instruction {
         Instruction::new(Op::Ffma {
@@ -381,9 +386,9 @@ mod tests {
     fn mix_fractions() {
         let mut s = FuncStats::default();
         for _ in 0..6 {
-            s.record(&ffma(), 32);
+            s.record(&ffma(), 1, 32);
         }
-        s.record(&lds64(), 32);
+        s.record(&lds64(), 1, 32);
         assert_eq!(s.mix.count("FFMA"), 6);
         assert_eq!(s.mix.count("LDS.64"), 1);
         assert!((s.mix.fraction_prefix("FFMA") - 6.0 / 7.0).abs() < 1e-12);
@@ -454,9 +459,9 @@ mod tests {
     #[test]
     fn merge_accumulates() {
         let mut a = FuncStats::default();
-        a.record(&ffma(), 32);
+        a.record(&ffma(), 1, 32);
         let mut b = FuncStats::default();
-        b.record(&ffma(), 16);
+        b.record(&ffma(), 1, 16);
         a.merge(&b);
         assert_eq!(a.mix.count("FFMA"), 2);
         assert_eq!(a.flops, 2 * 32 + 2 * 16);

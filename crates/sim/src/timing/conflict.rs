@@ -1,7 +1,5 @@
 //! Shared-memory bank-conflict and global-memory coalescing analysis.
 
-use std::collections::HashMap;
-
 use peakperf_arch::Generation;
 use peakperf_sass::MemWidth;
 
@@ -40,18 +38,30 @@ pub fn shared_conflict_factor(generation: Generation, width: MemWidth, addrs: &[
     let mut total_ser = 0u32;
     let mut phases = 0u32;
     for subset in addrs.chunks(lanes_per_phase) {
-        let mut banks: HashMap<u32, Vec<u32>> = HashMap::new();
+        // The first word seen in each bank, then the distinct further
+        // words that serialize behind it — fewer than one row's worth of
+        // 32-bit words, `row_bytes / 4`. A conflict-free or broadcast
+        // phase never searches `extra`.
+        let mut first = [None; 32];
+        let mut extra = [0u32; 64];
+        let mut n = 0;
+        let mut extra_per_bank = [0u32; 32];
         for &a in subset {
             for w in 0..width.words() {
                 let word = (a + w * 4) / bank_bytes;
-                let bank = word % 32;
-                let words = banks.entry(bank).or_default();
-                if !words.contains(&word) {
-                    words.push(word);
+                let bank = (word % 32) as usize;
+                match first[bank] {
+                    None => first[bank] = Some(word),
+                    Some(f) if f == word || extra[..n].contains(&word) => {}
+                    Some(_) => {
+                        extra[n] = word;
+                        n += 1;
+                        extra_per_bank[bank] += 1;
+                    }
                 }
             }
         }
-        total_ser += banks.values().map(|w| w.len() as u32).max().unwrap_or(1);
+        total_ser += 1 + extra_per_bank.into_iter().max().unwrap_or(0);
         phases += 1;
     }
     total_ser.div_ceil(phases.max(1)).max(1)
@@ -59,18 +69,23 @@ pub fn shared_conflict_factor(generation: Generation, width: MemWidth, addrs: &[
 
 /// Number of [`SEGMENT_BYTES`]-byte global-memory transactions needed to
 /// service a warp access: the count of distinct 128-byte segments touched.
+///
+/// # Panics
+///
+/// Panics if `addrs` holds more than a warp's 32 lanes.
 pub fn global_transactions(width: MemWidth, addrs: &[u32]) -> u32 {
-    let mut segments: Vec<u32> = addrs
-        .iter()
-        .flat_map(|&a| {
-            let first = a / SEGMENT_BYTES;
-            let last = (a + width.bytes() - 1) / SEGMENT_BYTES;
-            first..=last
-        })
-        .collect();
-    segments.sort_unstable();
-    segments.dedup();
-    segments.len() as u32
+    // A lane's access is at most 16 bytes, so it touches at most two.
+    let mut segments = [0u32; 64];
+    let mut n = 0;
+    for &a in addrs {
+        for segment in a / SEGMENT_BYTES..=(a + width.bytes() - 1) / SEGMENT_BYTES {
+            if !segments[..n].contains(&segment) {
+                segments[n] = segment;
+                n += 1;
+            }
+        }
+    }
+    n as u32
 }
 
 #[cfg(test)]

@@ -3,11 +3,12 @@
 use std::collections::BTreeMap;
 
 use peakperf_arch::{GpuConfig, WARP_SIZE};
-use peakperf_sass::{validate_kernel, CtlInfo, Kernel, Op, OpClass};
+use peakperf_sass::{validate_kernel, CtlInfo, Kernel, MemSpace, OpClass, Pred, Reg};
 
 use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
 use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
 use crate::perfmon::{Phase, Stopwatch};
+use crate::stats::flops_per_lane;
 use crate::timing::conflict::{global_transactions, shared_conflict_factor, SEGMENT_BYTES};
 use crate::timing::trace::{Hooks, Observer, TraceEvent, TraceEventKind, NO_PC};
 use crate::timing::Calibration;
@@ -135,12 +136,34 @@ struct WarpSlot {
     hazard: u64, // bitmask over 64 registers
     at_barrier: bool,
     done: bool,
+    gate: Gate,
+}
+
+/// A warp's cached *issue gate*: what it issues next and how long its own
+/// scoreboard holds that back. Every input is the warp's own state, so
+/// the gate changes only where [`TimingSim::gate`] is called again — the
+/// warp's own issue, its hazard replay (which clears the flags behind
+/// `hazard_until`) and its barrier release. Pipes and tokens are shared
+/// with warps that issue earlier in the same cycle and stay uncached.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct Gate {
+    /// Min-PC of the warp's running lanes.
+    pc: u32,
+    /// Cycle the last register or predicate the instruction touches is
+    /// ready.
+    sb_ready: u64,
+    /// Same, over the touched registers flagged as Kepler replay hazards.
+    hazard_until: u64,
 }
 
 struct BlockRes {
     ctx: BlockCtx,
     shared: Vec<u8>,
     local: Vec<u8>,
+    /// Member warps that have not exited, and how many of them wait at
+    /// the barrier.
+    running: u32,
+    arrived: u32,
 }
 
 /// Global-memory interface of one SM: fixed latency plus bandwidth
@@ -171,6 +194,12 @@ struct RunState {
     tokens: f64,
     /// Local-memory spill traffic: fraction of accesses missing L1.
     local_miss_fraction: f64,
+    /// Warps that have not exited.
+    live: usize,
+    /// Issues per instruction and stall cycles per kind, folded into the
+    /// report's mnemonic- and kind-keyed maps when the run completes.
+    issued: Vec<u64>,
+    stalls: [u64; StallKind::COUNT],
     report: TimingReport,
 }
 
@@ -225,14 +254,21 @@ pub struct TimingSim {
     cache_key: u128,
 }
 
+/// Everything the issue path needs about one instruction that does not
+/// change during a run.
 struct InstMeta {
-    uses: Vec<peakperf_sass::Reg>,
-    defs: Vec<peakperf_sass::Reg>,
-    def_pred: Option<peakperf_sass::Pred>,
+    /// Bitmasks over the 64 registers: read or written, and written.
+    touched: u64,
+    defs: u64,
+    guard: Option<Pred>,
+    def_pred: Option<Pred>,
     ctl: CtlInfo,
-    class: OpClass,
-    token_ways: u32,
-    distinct_srcs: usize,
+    /// Issues to the SP pipe / the LD/ST pipe.
+    is_math: bool,
+    is_mem: bool,
+    /// Kepler issue-token cost (0 off the bucket).
+    token_cost: f64,
+    flops_per_lane: u64,
     latency: u32,
 }
 
@@ -273,8 +309,7 @@ impl TimingSim {
             .enumerate()
             .map(|(i, inst)| {
                 let ctl = kernel.ctl_for(i);
-                let uses = inst.op.use_regs();
-                let mut distinct = uses.clone();
+                let mut distinct = inst.op.use_regs();
                 distinct.sort_unstable();
                 distinct.dedup();
                 // Register-bank conflict degree over distinct sources.
@@ -283,15 +318,30 @@ impl TimingSim {
                     per_bank[r.bank().index()] += 1;
                 }
                 let token_ways = per_bank.iter().copied().max().unwrap_or(1).max(1);
+                let class = inst.op.class();
+                let is_mem = matches!(class, OpClass::Mem(_));
+                let is_math = matches!(
+                    class,
+                    OpClass::Fp32 | OpClass::Int | OpClass::IntMul | OpClass::Mov
+                );
+                let token_cost = if calib.tokens_per_cycle.is_some() && (is_math || is_mem) {
+                    calib.token_cost(&inst.op, token_ways, ctl.dual, distinct.len()) as f64
+                } else {
+                    0.0
+                };
+                let mask = |regs: &[Reg]| regs.iter().fold(0, |m, r| m | 1u64 << r.index());
+                let defs = mask(&inst.op.def_regs());
                 InstMeta {
-                    defs: inst.op.def_regs(),
+                    touched: mask(&distinct) | defs,
+                    defs,
+                    guard: inst.pred,
                     def_pred: inst.op.def_pred(),
                     ctl,
-                    class: inst.op.class(),
-                    token_ways,
-                    distinct_srcs: distinct.len(),
+                    is_math,
+                    is_mem,
+                    token_cost,
+                    flops_per_lane: flops_per_lane(&inst.op),
                     latency: calib.latency(&inst.op),
-                    uses,
                 }
             })
             .collect();
@@ -348,6 +398,8 @@ impl TimingSim {
                 },
                 shared: vec![0u8; self.kernel.shared_bytes as usize],
                 local: vec![0u8; self.kernel.local_bytes as usize * threads as usize],
+                running: warps_per_block,
+                arrived: 0,
             })
             .collect();
 
@@ -364,6 +416,8 @@ impl TimingSim {
                     hazard: 0,
                     at_barrier: false,
                     done: false,
+                    // Every lane starts at PC 0 with a clear scoreboard.
+                    gate: Gate::default(),
                 }
             })
             .collect();
@@ -389,6 +443,9 @@ impl TimingSim {
             sp_free: 0.0,
             tokens: 0.0,
             local_miss_fraction,
+            live: n_warps,
+            issued: vec![0; self.kernel.code.len()],
+            stalls: [0; StallKind::COUNT],
             report: TimingReport::default(),
         };
 
@@ -403,7 +460,7 @@ impl TimingSim {
 
         let mut cycle: u64 = 0;
         loop {
-            if st.slots.iter().all(|s| s.done) {
+            if st.live == 0 {
                 break;
             }
             if cycle > cycle_limit {
@@ -450,8 +507,8 @@ impl TimingSim {
                     continue;
                 }
                 let start = rr[sched] % owned.len();
-                for k in 0..owned.len() {
-                    let w = owned[(start + k) % owned.len()];
+                let (before, from_start) = owned.split_at(start);
+                for (k, &w) in from_start.iter().chain(before).enumerate() {
                     let at = (cycle, sched, w);
                     match self.try_issue(w, cycle, &mut st, memory, obs)? {
                         IssueResult::Issued { pc, lanes } => {
@@ -469,7 +526,7 @@ impl TimingSim {
                             break;
                         }
                         IssueResult::Blocked { kind, pc } => {
-                            *st.report.stalls.entry(kind).or_insert(0) += 1;
+                            st.stalls[kind.index()] += 1;
                             emit(obs, at, pc, TraceEventKind::Stall(kind));
                         }
                         IssueResult::NotReady => {}
@@ -479,31 +536,31 @@ impl TimingSim {
 
             // Barrier release: per block, when every non-done warp waits.
             let mut barrier_sw = Stopwatch::start::<O>();
-            for b in 0..st.blocks.len() {
-                // A block's warps occupy consecutive slots.
-                let members = b * wpb..(b + 1) * wpb;
-                let running = || members.clone().filter(|&w| !st.slots[w].done);
-                let n_running = running().count();
-                if n_running == 0 || !running().all(|w| st.slots[w].at_barrier) {
+            for (b, block) in st.blocks.iter_mut().enumerate() {
+                if block.arrived == 0 || block.arrived != block.running {
                     continue;
                 }
+                // A block's warps occupy consecutive slots.
+                let members = b * wpb..(b + 1) * wpb;
                 // Matching the functional model (`func::run_block`): if
                 // any member warp of the block already exited, the
                 // barrier can never be satisfied — report the deadlock
                 // instead of silently releasing the waiters.
-                if n_running != members.len() {
-                    let pc = running()
-                        .next()
+                if block.running as usize != wpb {
+                    let pc = members
+                        .clone()
+                        .find(|&w| !st.slots[w].done)
                         .and_then(|w| st.slots[w].state.current_group())
                         .map(|(pc, _)| pc)
                         .unwrap_or(0);
                     return Err(SimError::BarrierDeadlock {
                         pc,
-                        waiting: n_running as u32,
-                        exited: (members.len() - n_running) as u32,
+                        waiting: block.running,
+                        exited: wpb as u32 - block.running,
                     });
                 }
-                for w in members.clone() {
+                block.arrived = 0;
+                for w in members {
                     let slot = &mut st.slots[w];
                     slot.at_barrier = false;
                     let mut bar_pc = NO_PC;
@@ -511,6 +568,7 @@ impl TimingSim {
                         release_barrier(&mut slot.state, pc);
                         bar_pc = pc;
                     }
+                    slot.gate = self.gate(slot);
                     slot.next_issue = cycle + u64::from(self.calib.barrier_latency);
                     if O::EVENTS {
                         // Event delivery is its own phase, not barrier time.
@@ -530,6 +588,14 @@ impl TimingSim {
         }
         let mut report = st.report;
         report.cycles = cycle.max(1);
+        for (inst, &n) in self.kernel.code.iter().zip(&st.issued) {
+            report.mix.record(inst, n);
+        }
+        for kind in StallKind::ALL {
+            if st.stalls[kind.index()] > 0 {
+                report.stalls.insert(kind, st.stalls[kind.index()]);
+            }
+        }
         crate::stats::record_timing_run(&report);
         if let Some(t0) = run_t0 {
             obs.finish(report.cycles, t0.elapsed().as_nanos() as u64);
@@ -569,74 +635,39 @@ impl TimingSim {
                 pc: NO_PC,
             });
         }
-        let Some((pc, _mask)) = slot.state.current_group() else {
-            slot.done = true;
-            return Ok(IssueResult::NotReady);
-        };
-        let inst = self
-            .kernel
-            .code
-            .get(pc as usize)
-            .ok_or(SimError::RanOffEnd)?;
-        let meta = &self.meta[pc as usize];
+        debug_assert_eq!(slot.gate, self.gate(slot), "stale issue gate, warp {w}");
+        let Gate {
+            pc,
+            sb_ready,
+            hazard_until,
+        } = slot.gate;
+        let meta = self.meta.get(pc as usize).ok_or(SimError::RanOffEnd)?;
 
         // Scoreboard.
-        let sb_sw = Stopwatch::start::<O>();
-        let mut ready = 0u64;
-        let mut blocking_hazard = false;
-        for r in meta.uses.iter().chain(meta.defs.iter()) {
-            let idx = r.index() as usize;
-            let t = slot.sb_reg[idx];
-            if t > ready {
-                ready = t;
-            }
-            if t > cycle && slot.hazard & (1 << idx) != 0 {
-                blocking_hazard = true;
-            }
-        }
-        if let Some(p) = inst.pred {
-            ready = ready.max(slot.sb_pred[p.index() as usize]);
-        }
-        if let Some(p) = meta.def_pred {
-            ready = ready.max(slot.sb_pred[p.index() as usize]);
-        }
-        if ready > cycle {
-            if blocking_hazard && self.calib.hazard_penalty > 0 {
+        if sb_ready > cycle {
+            if hazard_until > cycle && self.calib.hazard_penalty > 0 {
                 // Kepler replay: the scheduler trusted the (insufficient)
                 // control notation and must replay the instruction.
-                slot.next_issue = ready + u64::from(self.calib.hazard_penalty);
+                slot.next_issue = sb_ready + u64::from(self.calib.hazard_penalty);
                 // Clear hazard flags we just paid for.
-                for r in meta.uses.iter().chain(meta.defs.iter()) {
-                    slot.hazard &= !(1 << r.index());
-                }
+                slot.hazard &= !meta.touched;
+                slot.gate.hazard_until = 0;
                 st.report.hazard_replays += 1;
-                sb_sw.stop(obs, Phase::Scoreboard);
                 return Ok(IssueResult::Blocked {
                     kind: StallKind::HazardReplay,
                     pc,
                 });
             }
-            sb_sw.stop(obs, Phase::Scoreboard);
             return Ok(IssueResult::Blocked {
                 kind: StallKind::Scoreboard,
                 pc,
             });
         }
-        sb_sw.stop(obs, Phase::Scoreboard);
 
         // Structural pipes.
-        let is_mem = matches!(meta.class, OpClass::Mem(_));
-        let is_math = matches!(
-            meta.class,
-            OpClass::Fp32 | OpClass::Int | OpClass::IntMul | OpClass::Mov
-        );
-        if is_mem && st.ldst_free >= (cycle + 1) as f64 {
-            return Ok(IssueResult::Blocked {
-                kind: StallKind::Pipe,
-                pc,
-            });
-        }
-        if is_math && st.sp_free >= (cycle + 1) as f64 {
+        if (meta.is_mem && st.ldst_free >= (cycle + 1) as f64)
+            || (meta.is_math && st.sp_free >= (cycle + 1) as f64)
+        {
             return Ok(IssueResult::Blocked {
                 kind: StallKind::Pipe,
                 pc,
@@ -644,21 +675,12 @@ impl TimingSim {
         }
 
         // Kepler issue tokens.
-        let cost = if self.calib.tokens_per_cycle.is_some() && (is_math || is_mem) {
-            let c =
-                self.calib
-                    .token_cost(&inst.op, meta.token_ways, meta.ctl.dual, meta.distinct_srcs)
-                    as f64;
-            if st.tokens < c {
-                return Ok(IssueResult::Blocked {
-                    kind: StallKind::IssueTokens,
-                    pc,
-                });
-            }
-            c
-        } else {
-            0.0
-        };
+        if st.tokens < meta.token_cost {
+            return Ok(IssueResult::Blocked {
+                kind: StallKind::IssueTokens,
+                pc,
+            });
+        }
 
         // Execute functionally.
         let block = &mut st.blocks[slot.block];
@@ -673,32 +695,28 @@ impl TimingSim {
         let result = step_warp(&self.kernel.code, &mut slot.state, &mut mem_ctx, &block.ctx)?;
         fx_sw.stop(obs, Phase::FuncExec);
 
-        st.tokens -= cost;
+        st.tokens -= meta.token_cost;
 
         st.report.warp_instructions += 1;
-        st.report.mix.record(inst, 1);
+        st.issued[pc as usize] += 1;
         let lanes = match result.event {
             StepEvent::AtBarrier { .. } => {
                 slot.at_barrier = true;
+                block.arrived += 1;
                 let lanes = slot.state.running_mask().count_ones();
                 st.report.thread_instructions += u64::from(lanes);
                 return Ok(IssueResult::Issued { pc, lanes });
             }
             StepEvent::Exited => {
                 slot.done = true;
+                block.running -= 1;
+                st.live -= 1;
                 return Ok(IssueResult::Issued { pc, lanes: 0 });
             }
             StepEvent::Executed { exec_mask, .. } => exec_mask.count_ones(),
         };
         st.report.thread_instructions += u64::from(lanes);
-        if meta.class == OpClass::Fp32 {
-            let per_lane: u64 = if matches!(inst.op, Op::Ffma { .. }) {
-                2
-            } else {
-                1
-            };
-            st.report.flops += u64::from(lanes) * per_lane;
-        }
+        st.report.flops += u64::from(lanes) * meta.flops_per_lane;
 
         // Post-issue costs. A Kepler dual-issue hint keeps the warp
         // eligible for the scheduler's second dispatch slot this same
@@ -714,7 +732,7 @@ impl TimingSim {
             cycle + 1 + if kepler_ctl { ctl_stall } else { 0 }
         };
 
-        if is_math {
+        if meta.is_math {
             st.sp_free = st.sp_free.max(cycle as f64) + 32.0 / self.sp_rate();
         }
 
@@ -722,9 +740,9 @@ impl TimingSim {
         if let Some(access) = &result.mem {
             let mem_sw = Stopwatch::start::<O>();
             match access.space {
-                peakperf_sass::MemSpace::Shared => {
+                MemSpace::Shared => {
                     let factor =
-                        shared_conflict_factor(self.calib.generation, access.width, &access.addrs);
+                        shared_conflict_factor(self.calib.generation, access.width, access.addrs());
                     let occ = self.calib.lds_pipe_cycles(access.width, factor);
                     let base = self.calib.lds_pipe_cycles(access.width, 1);
                     st.report.lds_conflict_cycles += u64::from(occ - base);
@@ -732,8 +750,8 @@ impl TimingSim {
                     result_ready = cycle + u64::from(meta.latency) + u64::from(occ - base);
                     mem_sw.stop(obs, Phase::BankConflict);
                 }
-                peakperf_sass::MemSpace::Global => {
-                    let txns = global_transactions(access.width, &access.addrs);
+                MemSpace::Global => {
+                    let txns = global_transactions(access.width, access.addrs());
                     let bytes = u64::from(txns) * u64::from(SEGMENT_BYTES);
                     st.report.global_transactions += u64::from(txns);
                     st.report.global_bytes += bytes;
@@ -744,14 +762,14 @@ impl TimingSim {
                     }
                     mem_sw.stop(obs, Phase::MemModel);
                 }
-                peakperf_sass::MemSpace::Local => {
+                MemSpace::Local => {
                     // Spill traffic: occupies the LD/ST pipe like shared
                     // memory; the L1-miss fraction also pays global
                     // bandwidth and latency (Section 5.5).
                     let occ = self.calib.lds_pipe_cycles(access.width, 1);
                     st.ldst_free = st.ldst_free.max(cycle as f64) + f64::from(occ);
                     if st.local_miss_fraction > 0.0 {
-                        let bytes = (access.addrs.len() as f64
+                        let bytes = (access.addrs().len() as f64
                             * f64::from(access.width.bytes())
                             * st.local_miss_fraction) as u64;
                         let data_at = st.memif.access(cycle, bytes);
@@ -773,21 +791,45 @@ impl TimingSim {
         // (Section 3.2).
         let covered = ctl_stall >= 1;
         let sbu_sw = Stopwatch::start::<O>();
-        for r in &meta.defs {
-            let idx = r.index() as usize;
+        for idx in bits(meta.defs) {
             slot.sb_reg[idx] = result_ready;
-            if kepler_ctl && is_math && !covered && self.calib.hazard_penalty > 0 {
-                slot.hazard |= 1 << idx;
-            } else {
-                slot.hazard &= !(1 << idx);
-            }
+        }
+        if kepler_ctl && meta.is_math && !covered && self.calib.hazard_penalty > 0 {
+            slot.hazard |= meta.defs;
+        } else {
+            slot.hazard &= !meta.defs;
         }
         if let Some(p) = meta.def_pred {
             slot.sb_pred[p.index() as usize] = result_ready;
         }
+        slot.gate = self.gate(slot);
         sbu_sw.stop(obs, Phase::Scoreboard);
 
         Ok(IssueResult::Issued { pc, lanes })
+    }
+
+    /// A warp's issue gate, from scratch.
+    fn gate(&self, slot: &WarpSlot) -> Gate {
+        // A warp without running lanes was marked done by its `EXIT` and
+        // is not visited again; were it, `NO_PC` runs off the end.
+        let pc = slot.state.current_group().map_or(NO_PC, |(pc, _)| pc);
+        let mut gate = Gate {
+            pc,
+            ..Gate::default()
+        };
+        let Some(meta) = self.meta.get(pc as usize) else {
+            return gate;
+        };
+        for idx in bits(meta.touched) {
+            gate.sb_ready = gate.sb_ready.max(slot.sb_reg[idx]);
+            if slot.hazard & (1 << idx) != 0 {
+                gate.hazard_until = gate.hazard_until.max(slot.sb_reg[idx]);
+            }
+        }
+        for p in [meta.guard, meta.def_pred].into_iter().flatten() {
+            gate.sb_ready = gate.sb_ready.max(slot.sb_pred[p.index() as usize]);
+        }
+        gate
     }
 
     fn sp_rate(&self) -> f64 {
@@ -798,6 +840,17 @@ impl TimingSim {
             peakperf_arch::Generation::Kepler => 192.0,
         }
     }
+}
+
+/// The indices of the set bits of a register mask, ascending.
+fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let idx = mask.trailing_zeros() as usize;
+        (mask != 0).then(|| {
+            mask &= mask - 1;
+            idx
+        })
+    })
 }
 
 enum IssueResult {

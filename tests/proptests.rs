@@ -6,6 +6,8 @@
 //! number of cases from a fixed seed, so failures are exactly
 //! reproducible; on failure the case index and value are printed.
 
+use std::collections::HashMap;
+
 use peakperf::arch::Generation;
 use peakperf::kernels::cpu;
 use peakperf::kernels::matrix::Matrix;
@@ -18,6 +20,7 @@ use peakperf::sass::{
     assemble, decode, encode, CmpOp, CtlInfo, Instruction, LogicOp, MemSpace, MemWidth, Module, Op,
     Operand, Pred, Reg, SpecialReg,
 };
+use peakperf::sim::timing::{global_transactions, shared_conflict_factor};
 use peakperf::sim::Gpu;
 
 // ---------------------------------------------------------------------
@@ -340,6 +343,88 @@ fn allocator_solutions_are_valid() {
                 // Unsatisfiable is acceptable; malformed is not (all our
                 // groups have exactly 3 distinct members).
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Bank-conflict and coalescing analysis against the map-based originals
+// ---------------------------------------------------------------------
+
+/// The timing simulator's first `shared_conflict_factor`: a map from
+/// bank to the distinct words it serves, built per phase.
+fn conflict_factor_oracle(generation: Generation, width: MemWidth, addrs: &[u32]) -> u32 {
+    if addrs.is_empty() {
+        return 1;
+    }
+    let (bank_bytes, row_bytes) = match generation {
+        Generation::Gt200 | Generation::Fermi => (4u32, 128u32),
+        Generation::Kepler => (8, 256),
+    };
+    let lanes_per_phase = (row_bytes / width.bytes()).max(1) as usize;
+    let mut total_ser = 0u32;
+    let mut phases = 0u32;
+    for subset in addrs.chunks(lanes_per_phase) {
+        let mut banks: HashMap<u32, Vec<u32>> = HashMap::new();
+        for &a in subset {
+            for w in 0..width.words() {
+                let word = (a + w * 4) / bank_bytes;
+                let words = banks.entry(word % 32).or_default();
+                if !words.contains(&word) {
+                    words.push(word);
+                }
+            }
+        }
+        total_ser += banks.values().map(|w| w.len() as u32).max().unwrap_or(1);
+        phases += 1;
+    }
+    total_ser.div_ceil(phases.max(1)).max(1)
+}
+
+/// The first `global_transactions`: collect, sort, dedup.
+fn transactions_oracle(width: MemWidth, addrs: &[u32]) -> u32 {
+    let mut segments: Vec<u32> = addrs
+        .iter()
+        .flat_map(|&a| a / 128..=(a + width.bytes() - 1) / 128)
+        .collect();
+    segments.sort_unstable();
+    segments.dedup();
+    segments.len() as u32
+}
+
+/// The allocation-free analyses agree with the originals on 0–32 lanes of
+/// every width and bank geometry: scattered, strided, broadcast and
+/// all-one-bank address sets, aligned or not.
+#[test]
+fn conflict_and_coalescing_match_their_oracles() {
+    let mut rng = Rng::seed_from_u64(0xBA4C);
+    for case in 0..4000 {
+        let lanes = rng.gen_range_usize(0, 33);
+        let base = rng.gen_range_u32(0, 1 << 16);
+        let step = rng.gen_range_u32(0, 64);
+        let shape = rng.gen_below(5);
+        let addrs: Vec<u32> = (0..lanes as u32)
+            .map(|lane| match shape {
+                0 => rng.gen_range_u32(0, 1 << 30),     // scattered
+                1 => base + rng.gen_range_u32(0, 1024), // a few rows, any alignment
+                2 => base + lane * step * 4,            // strided words, step 0 = broadcast
+                3 => base,                              // broadcast
+                _ => base + lane * step * 256,          // one bank on both geometries
+            })
+            .collect();
+        for width in MemWidth::ALL {
+            for generation in Generation::ALL {
+                assert_eq!(
+                    shared_conflict_factor(generation, width, &addrs),
+                    conflict_factor_oracle(generation, width, &addrs),
+                    "case {case}: {generation:?} {width:?} {addrs:?}"
+                );
+            }
+            assert_eq!(
+                global_transactions(width, &addrs),
+                transactions_oracle(width, &addrs),
+                "case {case}: {width:?} {addrs:?}"
+            );
         }
     }
 }
