@@ -1,125 +1,210 @@
-//! The timing simulator's results, frozen: an FNV-64 digest of the `Debug`
+//! The simulators' results, frozen, for every fault-corpus case, 200
+//! seed-1 campaign mutants per GPU and the two `observer_identity` waves
+//! (408 cases, simulated once and shared by both tests).
+//!
+//! `tests/timing_golden.txt` holds an FNV-64 digest of the `Debug`
 //! rendering of the whole `Result<TimingReport, SimError>` — every
-//! counter, the instruction mix, per-kind stalls, and on failure the
-//! typed error with its per-warp snapshot — for every fault-corpus case,
-//! 200 seed-1 campaign mutants per GPU and the two `observer_identity`
-//! waves. A scheduler change that is meant to preserve behaviour must
-//! leave `tests/timing_golden.txt` untouched; one that is meant to change
-//! it re-blesses with `UPDATE_GOLDEN=1 cargo test --test timing_golden`.
+//! counter, the instruction mix, per-kind stalls, and on failure the typed
+//! error with its per-warp snapshot. A scheduler change that is meant to
+//! preserve behaviour must leave it untouched.
+//!
+//! `tests/arch_golden.txt` holds what the kernels *compute*, two digests
+//! per case: global memory after `TimingSim::run`, and the `Debug`
+//! rendering of `Result<FuncStats, SimError>` followed by global memory
+//! after `Gpu::launch` under the fuzzer's step limit. A change to the
+//! functional core that is meant to preserve architectural state must
+//! leave it untouched.
+//!
+//! An intended change re-blesses both with
+//! `UPDATE_GOLDEN=1 cargo test --test timing_golden`.
 
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 
 use peakperf::arch::{Generation, GpuConfig};
 use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
 use peakperf::sass::Kernel;
 use peakperf::sim::timing::{Hooks, TimingReport, TimingSim};
-use peakperf::sim::{GlobalMemory, LaunchConfig, SimError};
+use peakperf::sim::{FuncStats, GlobalMemory, Gpu, LaunchConfig, SimError};
 use peakperf_bench::fault::{
     campaign_cases, gpu_config_for, mutant_kernel, parse_corpus_case, CampaignConfig, FuzzCase,
-    FUZZ_CYCLE_LIMIT,
+    FUZZ_CYCLE_LIMIT, FUZZ_STEP_LIMIT,
 };
 
 const MUTANTS_PER_GPU: u64 = 200;
 
-fn fnv64(text: &str) -> u64 {
-    text.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(seed, |h, &b| {
         (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
     })
 }
 
-/// One resident block of `kernel`, SGEMM operands uploaded when the
+/// Continue `seed` over every mapped word of `memory` (address 0 is the
+/// unmapped null word).
+fn fnv64_memory(seed: u64, memory: &GlobalMemory) -> u64 {
+    (4..memory.size()).step_by(4).fold(seed, |h, addr| {
+        fnv64(h, &memory.read_u32(addr).unwrap().to_le_bytes())
+    })
+}
+
+/// What one kernel launch needs: the SGEMM operands are uploaded when the
 /// kernel takes them.
-fn run(
-    gpu: &GpuConfig,
-    kernel: &Kernel,
+struct Launch<'a> {
+    gpu: &'a GpuConfig,
+    kernel: &'a Kernel,
     config: LaunchConfig,
-    problem: Option<&SgemmProblem>,
+    problem: Option<&'a SgemmProblem>,
     cycle_limit: u64,
-) -> Result<TimingReport, SimError> {
-    let mut memory = GlobalMemory::new();
-    let params = match problem {
-        Some(p) => {
-            let (a, b, c) = upload_problem(&mut memory, p, 99)?;
-            vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()]
-        }
-        None => Vec::new(),
-    };
-    let sim = TimingSim::new(gpu, kernel, config, &params, 1)?;
-    sim.run(&mut memory, Hooks::default().cycle_limit(cycle_limit))
 }
 
-fn run_mutant(case: &FuzzCase, removals: &[usize]) -> Result<TimingReport, SimError> {
-    let (seed, kernel, _) = mutant_kernel(case, removals).expect("seed kernels build");
-    let gpu = gpu_config_for(case.generation);
-    run(
-        &gpu,
-        &kernel,
-        seed.config,
-        seed.problem.as_ref(),
-        FUZZ_CYCLE_LIMIT,
-    )
-}
-
-#[test]
-fn timing_results_match_the_golden_digests() {
-    let mut lines = String::new();
-    let mut digest = |name: &str, result: Result<TimingReport, SimError>| {
-        writeln!(lines, "{name} {:016x}", fnv64(&format!("{result:?}"))).unwrap();
-    };
-
-    let corpus_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fault_corpus");
-    let mut corpus: Vec<_> = std::fs::read_dir(corpus_dir)
-        .unwrap()
-        .map(|entry| entry.unwrap().path())
-        .filter(|path| path.extension().is_some_and(|ext| ext == "case"))
-        .collect();
-    corpus.sort();
-    assert!(!corpus.is_empty(), "no corpus cases under {corpus_dir}");
-    for path in corpus {
-        let text = std::fs::read_to_string(&path).unwrap();
-        let (case, removals, _) = parse_corpus_case(&text).unwrap();
-        let name = path.file_name().unwrap().to_string_lossy().into_owned();
-        digest(&format!("corpus/{name}"), run_mutant(&case, &removals));
-    }
-
-    for generation in [Generation::Fermi, Generation::Kepler] {
-        let cfg = CampaignConfig {
-            seed: 1,
-            iters: MUTANTS_PER_GPU,
-            generations: vec![generation],
-        };
-        for (i, case) in campaign_cases(&cfg).iter().enumerate() {
-            let name = format!("mutant/{generation:?}/{i:03}/{}", case.seed.id());
-            digest(&name, run_mutant(case, &[]));
+impl Launch<'_> {
+    fn params(&self, memory: &mut GlobalMemory) -> Result<Vec<u32>, SimError> {
+        match self.problem {
+            Some(p) => {
+                let (a, b, c) = upload_problem(memory, p, 99)?;
+                Ok(vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()])
+            }
+            None => Ok(Vec::new()),
         }
     }
 
-    // The waves of `tests/observer_identity.rs`.
-    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
-        let problem = SgemmProblem {
-            variant: Variant::NN,
-            m: 192,
-            n: 96,
-            k: 64,
-        };
-        let build = build_preset(gpu.generation, &problem, Preset::AsmOpt).unwrap();
-        let result = run(&gpu, &build.kernel, build.config, Some(&problem), u64::MAX);
-        assert!(result.is_ok(), "{} wave: {result:?}", gpu.name);
-        digest(&format!("wave/{}", gpu.name), result);
+    /// One resident block through the timing simulator.
+    fn timed(&self, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
+        let params = self.params(memory)?;
+        let sim = TimingSim::new(self.gpu, self.kernel, self.config, &params, 1)?;
+        sim.run(memory, Hooks::default().cycle_limit(self.cycle_limit))
     }
 
-    let golden_path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/timing_golden.txt");
+    /// The whole grid through the functional simulator.
+    fn functional(&self, gpu: &mut Gpu) -> Result<FuncStats, SimError> {
+        gpu.set_step_limit(FUZZ_STEP_LIMIT);
+        let params = self.params(gpu.memory_mut())?;
+        gpu.launch(self.kernel, self.config, &params)
+    }
+}
+
+/// The lines of the two golden files.
+#[derive(Default)]
+struct Digests {
+    timing: String,
+    arch: String,
+}
+
+impl Digests {
+    fn record(&mut self, name: &str, launch: &Launch<'_>) -> Result<TimingReport, SimError> {
+        let mut memory = GlobalMemory::new();
+        let timed = launch.timed(&mut memory);
+        let report = fnv64(FNV_OFFSET, format!("{timed:?}").as_bytes());
+        writeln!(self.timing, "{name} {report:016x}").unwrap();
+
+        let mut gpu = Gpu::new(launch.gpu.generation);
+        let stats = launch.functional(&mut gpu);
+        writeln!(
+            self.arch,
+            "{name} {:016x} {:016x}",
+            fnv64_memory(FNV_OFFSET, &memory),
+            fnv64_memory(
+                fnv64(FNV_OFFSET, format!("{stats:?}").as_bytes()),
+                gpu.memory()
+            ),
+        )
+        .unwrap();
+        timed
+    }
+
+    fn record_mutant(&mut self, name: &str, case: &FuzzCase, removals: &[usize]) {
+        let (seed, kernel, _) = mutant_kernel(case, removals).expect("seed kernels build");
+        let launch = Launch {
+            gpu: &gpu_config_for(case.generation),
+            kernel: &kernel,
+            config: seed.config,
+            problem: seed.problem.as_ref(),
+            cycle_limit: FUZZ_CYCLE_LIMIT,
+        };
+        let _ = self.record(name, &launch);
+    }
+}
+
+fn digests() -> &'static Digests {
+    static DIGESTS: OnceLock<Digests> = OnceLock::new();
+    DIGESTS.get_or_init(|| {
+        let mut digests = Digests::default();
+
+        let corpus_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fault_corpus");
+        let mut corpus: Vec<_> = std::fs::read_dir(corpus_dir)
+            .unwrap()
+            .map(|entry| entry.unwrap().path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "case"))
+            .collect();
+        corpus.sort();
+        assert!(!corpus.is_empty(), "no corpus cases under {corpus_dir}");
+        for path in corpus {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let (case, removals, _) = parse_corpus_case(&text).unwrap();
+            let name = path.file_name().unwrap().to_string_lossy().into_owned();
+            digests.record_mutant(&format!("corpus/{name}"), &case, &removals);
+        }
+
+        for generation in [Generation::Fermi, Generation::Kepler] {
+            let cfg = CampaignConfig {
+                seed: 1,
+                iters: MUTANTS_PER_GPU,
+                generations: vec![generation],
+            };
+            for (i, case) in campaign_cases(&cfg).iter().enumerate() {
+                let name = format!("mutant/{generation:?}/{i:03}/{}", case.seed.id());
+                digests.record_mutant(&name, case, &[]);
+            }
+        }
+
+        // The waves of `tests/observer_identity.rs`.
+        for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+            let problem = SgemmProblem {
+                variant: Variant::NN,
+                m: 192,
+                n: 96,
+                k: 64,
+            };
+            let build = build_preset(gpu.generation, &problem, Preset::AsmOpt).unwrap();
+            let launch = Launch {
+                gpu: &gpu,
+                kernel: &build.kernel,
+                config: build.config,
+                problem: Some(&problem),
+                cycle_limit: u64::MAX,
+            };
+            let result = digests.record(&format!("wave/{}", gpu.name), &launch);
+            assert!(result.is_ok(), "{} wave: {result:?}", gpu.name);
+        }
+        digests
+    })
+}
+
+fn assert_matches_golden(lines: &str, file: &str) {
+    let golden_path = format!("{}/tests/{file}", env!("CARGO_MANIFEST_DIR"));
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(golden_path, &lines).unwrap();
+        std::fs::write(&golden_path, lines).unwrap();
     }
-    let golden = std::fs::read_to_string(golden_path)
+    let golden = std::fs::read_to_string(&golden_path)
         .expect("golden file missing; regenerate with UPDATE_GOLDEN=1");
     for (got, want) in lines.lines().zip(golden.lines()) {
         assert_eq!(
             got, want,
-            "timing result drifted from tests/timing_golden.txt; \
+            "result drifted from tests/{file}; \
              if intentional, regenerate with UPDATE_GOLDEN=1 cargo test"
         );
     }
     assert_eq!(lines.lines().count(), golden.lines().count());
+}
+
+#[test]
+fn timing_results_match_the_golden_digests() {
+    assert_matches_golden(&digests().timing, "timing_golden.txt");
+}
+
+#[test]
+fn architectural_state_matches_the_golden_digests() {
+    assert_matches_golden(&digests().arch, "arch_golden.txt");
 }
