@@ -122,53 +122,72 @@ fn read_const(mem: &MemCtx<'_>, block: &BlockCtx, offset: u32) -> Result<u32, Si
     })
 }
 
-fn operand_value(
-    warp: &WarpState,
-    lane: usize,
+/// An operand in all 32 lanes: a register's row, or `splat` filled with
+/// the immediate or constant. A constant is read — and can fault — only
+/// when some lane executes.
+fn operand_row<'a>(
+    warp: &'a WarpState,
     op: Operand,
+    splat: &'a mut [u32; 32],
+    exec_mask: u32,
     mem: &MemCtx<'_>,
     block: &BlockCtx,
-) -> Result<u32, SimError> {
-    match op {
-        Operand::Reg(r) => Ok(warp.reg(lane, r)),
-        Operand::Imm(v) => Ok(v as u32),
-        Operand::Const { offset, .. } => read_const(mem, block, offset),
-    }
+) -> Result<&'a [u32; 32], SimError> {
+    *splat = match op {
+        Operand::Reg(r) => return Ok(warp.row(r)),
+        Operand::Imm(v) => [v as u32; 32],
+        Operand::Const { .. } if exec_mask == 0 => [0; 32],
+        Operand::Const { offset, .. } => [read_const(mem, block, offset)?; 32],
+    };
+    Ok(splat)
 }
 
-fn shared_access(shared: &mut [u8], addr: u32, width: MemWidth) -> Result<usize, SimError> {
-    let bytes = width.bytes();
-    if !addr.is_multiple_of(bytes) {
-        return Err(SimError::Misaligned {
-            space: "shared",
-            addr: u64::from(addr),
-            align: bytes,
-        });
+/// `f` of every lane in `exec_mask` (zero elsewhere): one straight loop
+/// for a full warp, a masked one otherwise.
+#[inline(always)]
+fn map_lanes(exec_mask: u32, f: impl Fn(usize) -> u32) -> [u32; 32] {
+    let mut out = [0; 32];
+    if exec_mask == u32::MAX {
+        for (l, v) in out.iter_mut().enumerate() {
+            *v = f(l);
+        }
+    } else {
+        for l in lanes(exec_mask) {
+            out[l] = f(l);
+        }
     }
-    if u64::from(addr) + u64::from(bytes) > shared.len() as u64 {
-        return Err(SimError::OutOfBounds {
-            space: "shared",
-            addr: u64::from(addr),
-            size: shared.len() as u64,
-        });
-    }
-    Ok(addr as usize)
+    out
 }
 
-fn local_access(local_bytes: u32, addr: u32, width: MemWidth) -> Result<usize, SimError> {
-    let bytes = width.bytes();
-    if !addr.is_multiple_of(bytes) {
+/// The lanes of `mask`, ascending.
+fn lanes(mask: u32) -> impl Iterator<Item = usize> {
+    (0..32).filter(move |l| mask >> l & 1 != 0)
+}
+
+fn check_aligned(space: &'static str, addr: u32, width: MemWidth) -> Result<(), SimError> {
+    if !addr.is_multiple_of(width.bytes()) {
         return Err(SimError::Misaligned {
-            space: "local",
+            space,
             addr: u64::from(addr),
-            align: bytes,
+            align: width.bytes(),
         });
     }
-    if u64::from(addr) + u64::from(bytes) > u64::from(local_bytes) {
+    Ok(())
+}
+
+/// Check an access to a shared- or local-memory window of `size` bytes.
+fn window_access(
+    space: &'static str,
+    size: usize,
+    addr: u32,
+    width: MemWidth,
+) -> Result<usize, SimError> {
+    check_aligned(space, addr, width)?;
+    if u64::from(addr) + u64::from(width.bytes()) > size as u64 {
         return Err(SimError::OutOfBounds {
-            space: "local",
+            space,
             addr: u64::from(addr),
-            size: u64::from(local_bytes),
+            size: size as u64,
         });
     }
     Ok(addr as usize)
@@ -180,17 +199,6 @@ fn read_word(buf: &[u8], i: usize) -> u32 {
     let mut b = [0u8; 4];
     b.copy_from_slice(&buf[i..i + 4]);
     u32::from_le_bytes(b)
-}
-
-fn global_check(_global: &GlobalMemory, addr: u32, width: MemWidth) -> Result<(), SimError> {
-    if !addr.is_multiple_of(width.bytes()) {
-        return Err(SimError::Misaligned {
-            space: "global",
-            addr: u64::from(addr),
-            align: width.bytes(),
-        });
-    }
-    Ok(())
 }
 
 /// Execute one non-control instruction for the lanes in `exec_mask`.
@@ -208,189 +216,146 @@ pub fn execute_op(
     mem: &mut MemCtx<'_>,
     block: &BlockCtx,
 ) -> Result<ExecOutcome, SimError> {
-    let mut outcome = ExecOutcome::default();
-    let lanes = (0..32usize).filter(|&l| exec_mask & (1 << l) != 0);
-    match inst.op {
-        Op::Nop | Op::Exit | Op::Bra { .. } | Op::Bar => {}
-        Op::Mov { dst, src } => {
-            for l in lanes {
-                let v = operand_value(warp, l, src, mem, block)?;
-                warp.set_reg(l, dst, v);
-            }
-        }
-        Op::Mov32i { dst, imm } => {
-            for l in lanes {
-                warp.set_reg(l, dst, imm);
-            }
-        }
+    let f = f32::from_bits;
+    let mut splat = [0; 32];
+    macro_rules! operand {
+        ($op:expr) => {
+            operand_row(warp, $op, &mut splat, exec_mask, mem, block)?
+        };
+    }
+    // Register-writing instructions yield their destination and its new
+    // row; the write happens once, below.
+    let (dst, out) = match inst.op {
+        Op::Nop | Op::Exit | Op::Bra { .. } | Op::Bar => return Ok(ExecOutcome::default()),
+        Op::Mov { dst, src } => (dst, *operand!(src)),
+        Op::Mov32i { dst, imm } => (dst, [imm; 32]),
         Op::S2r { dst, sr } => {
-            for l in lanes {
-                let v = special_value(block, warp.warp_id, l, sr);
-                warp.set_reg(l, dst, v);
-            }
+            let id = warp.warp_id;
+            (
+                dst,
+                map_lanes(exec_mask, |l| special_value(block, id, l, sr)),
+            )
         }
         Op::Fadd { dst, a, b } => {
-            for l in lanes {
-                let av = f32::from_bits(warp.reg(l, a));
-                let bv = f32::from_bits(operand_value(warp, l, b, mem, block)?);
-                warp.set_reg(l, dst, (av + bv).to_bits());
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            (dst, map_lanes(exec_mask, |l| (f(a[l]) + f(b[l])).to_bits()))
         }
         Op::Fmul { dst, a, b } => {
-            for l in lanes {
-                let av = f32::from_bits(warp.reg(l, a));
-                let bv = f32::from_bits(operand_value(warp, l, b, mem, block)?);
-                warp.set_reg(l, dst, (av * bv).to_bits());
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            (dst, map_lanes(exec_mask, |l| (f(a[l]) * f(b[l])).to_bits()))
         }
         Op::Ffma { dst, a, b, c } => {
-            for l in lanes {
-                let av = f32::from_bits(warp.reg(l, a));
-                let bv = f32::from_bits(operand_value(warp, l, b, mem, block)?);
-                let cv = f32::from_bits(warp.reg(l, c));
-                warp.set_reg(l, dst, av.mul_add(bv, cv).to_bits());
-            }
+            let (a, b, c) = (warp.row(a), operand!(b), warp.row(c));
+            let fma = |l: usize| f(a[l]).mul_add(f(b[l]), f(c[l])).to_bits();
+            (dst, map_lanes(exec_mask, fma))
         }
         Op::Iadd { dst, a, b } => {
-            for l in lanes {
-                let av = warp.reg(l, a);
-                let bv = operand_value(warp, l, b, mem, block)?;
-                warp.set_reg(l, dst, av.wrapping_add(bv));
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            (dst, map_lanes(exec_mask, |l| a[l].wrapping_add(b[l])))
         }
         Op::Imul { dst, a, b } => {
-            for l in lanes {
-                let av = warp.reg(l, a);
-                let bv = operand_value(warp, l, b, mem, block)?;
-                warp.set_reg(l, dst, av.wrapping_mul(bv));
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            (dst, map_lanes(exec_mask, |l| a[l].wrapping_mul(b[l])))
         }
         Op::Imad { dst, a, b, c } => {
-            for l in lanes {
-                let av = warp.reg(l, a);
-                let bv = operand_value(warp, l, b, mem, block)?;
-                let cv = warp.reg(l, c);
-                warp.set_reg(l, dst, av.wrapping_mul(bv).wrapping_add(cv));
-            }
+            let (a, b, c) = (warp.row(a), operand!(b), warp.row(c));
+            let mad = |l: usize| a[l].wrapping_mul(b[l]).wrapping_add(c[l]);
+            (dst, map_lanes(exec_mask, mad))
         }
         Op::Iscadd { dst, a, b, shift } => {
-            for l in lanes {
-                let av = warp.reg(l, a);
-                let bv = operand_value(warp, l, b, mem, block)?;
-                warp.set_reg(l, dst, av.wrapping_shl(u32::from(shift)).wrapping_add(bv));
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            let scadd = |l: usize| a[l].wrapping_shl(u32::from(shift)).wrapping_add(b[l]);
+            (dst, map_lanes(exec_mask, scadd))
         }
         Op::Shl { dst, a, b } => {
-            for l in lanes {
-                let av = warp.reg(l, a);
-                let bv = operand_value(warp, l, b, mem, block)? & 31;
-                warp.set_reg(l, dst, av << bv);
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            (dst, map_lanes(exec_mask, |l| a[l] << (b[l] & 31)))
         }
         Op::Shr { dst, a, b } => {
-            for l in lanes {
-                let av = warp.reg(l, a);
-                let bv = operand_value(warp, l, b, mem, block)? & 31;
-                warp.set_reg(l, dst, av >> bv);
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            (dst, map_lanes(exec_mask, |l| a[l] >> (b[l] & 31)))
         }
         Op::Lop { op, dst, a, b } => {
-            for l in lanes {
-                let av = warp.reg(l, a);
-                let bv = operand_value(warp, l, b, mem, block)?;
-                warp.set_reg(l, dst, op.eval(av, bv));
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            (dst, map_lanes(exec_mask, |l| op.eval(a[l], b[l])))
         }
         Op::Isetp { p, cmp, a, b } => {
-            for l in lanes {
-                let av = warp.reg(l, a) as i32;
-                let bv = operand_value(warp, l, b, mem, block)? as i32;
-                warp.set_pred(l, p, cmp.eval(av, bv));
-            }
+            let (a, b) = (warp.row(a), operand!(b));
+            let holds = |l: usize| u32::from(cmp.eval(a[l] as i32, b[l] as i32)) << l;
+            let holds = (0..32).fold(0, |mask, l| mask | holds(l));
+            warp.set_pred_mask(p, exec_mask, holds);
+            return Ok(ExecOutcome::default());
         }
-        Op::Ldc { dst, offset, .. } => {
-            for l in lanes {
-                let v = read_const(mem, block, offset)?;
-                warp.set_reg(l, dst, v);
-            }
-        }
+        Op::Ldc { dst, bank, offset } => (dst, *operand!(Operand::Const { bank, offset })),
         Op::Ld {
             space,
             width,
-            dst,
+            dst: data,
             addr,
             offset,
-        } => {
-            let mut access = MemAccess::new(space, width, false);
-            for l in lanes {
-                let base = warp.reg(l, addr).wrapping_add(offset as u32);
-                access.push(base);
-                for w in 0..width.words() {
-                    let value = match space {
-                        MemSpace::Global => {
-                            global_check(mem.global, base, width)?;
-                            mem.global.read_u32(base + 4 * w)?
-                        }
-                        MemSpace::Shared => {
-                            let i = shared_access(mem.shared, base, width)? + 4 * w as usize;
-                            read_word(mem.shared, i)
-                        }
-                        MemSpace::Local => {
-                            let t = lane_linear_tid(warp.warp_id, l) as usize;
-                            let i = t * mem.local_bytes as usize
-                                + local_access(mem.local_bytes, base, width)?
-                                + 4 * w as usize;
-                            read_word(mem.local, i)
-                        }
-                    };
-                    // `offset_checked` keeps this total on unvalidated
-                    // kernels; a slot at/past RZ discards the word (the
-                    // memory access itself still happened above).
-                    if let Some(r) = dst.offset_checked(w as u8) {
-                        warp.set_reg(l, r, value);
-                    }
-                }
-            }
-            outcome.mem = Some(access);
         }
-        Op::St {
+        | Op::St {
             space,
             width,
-            src,
+            src: data,
             addr,
             offset,
         } => {
-            let mut access = MemAccess::new(space, width, true);
-            for l in lanes {
-                let base = warp.reg(l, addr).wrapping_add(offset as u32);
+            let store = matches!(inst.op, Op::St { .. });
+            let mut access = MemAccess::new(space, width, store);
+            // Copied: a load may overwrite its own address register.
+            let bases = *warp.row(addr);
+            for l in lanes(exec_mask) {
+                let base = bases[l].wrapping_add(offset as u32);
                 access.push(base);
+                // The lane's window and its first word there, checked once
+                // for the whole width; global words are bounds-checked one
+                // by one as they are accessed.
+                let (window, at): (&mut [u8], usize) = match space {
+                    MemSpace::Global => {
+                        check_aligned("global", base, width)?;
+                        (&mut [], 0)
+                    }
+                    MemSpace::Shared => {
+                        let at = window_access("shared", mem.shared.len(), base, width)?;
+                        (&mut *mem.shared, at)
+                    }
+                    MemSpace::Local => {
+                        let size = mem.local_bytes as usize;
+                        let at = window_access("local", size, base, width)?;
+                        let t = lane_linear_tid(warp.warp_id, l) as usize;
+                        (&mut *mem.local, t * size + at)
+                    }
+                };
                 for w in 0..width.words() {
-                    // RZ (or a slot past the file) sources zero — `ST
-                    // [addr], RZ` is the store-zero idiom.
-                    let value = src.offset_checked(w as u8).map_or(0, |r| warp.reg(l, r));
-                    match space {
-                        MemSpace::Global => {
-                            global_check(mem.global, base, width)?;
-                            mem.global.write_u32(base + 4 * w, value)?;
+                    // `offset_checked` keeps this total on unvalidated
+                    // kernels: a slot at/past RZ stores zero (`ST [addr],
+                    // RZ` is the store-zero idiom) and discards a loaded
+                    // word (the memory access itself still happens).
+                    let r = data.offset_checked(w as u8);
+                    let i = at + 4 * w as usize;
+                    if store {
+                        let value = r.map_or(0, |r| warp.reg(l, r));
+                        match space {
+                            MemSpace::Global => mem.global.write_u32(base + 4 * w, value)?,
+                            _ => window[i..i + 4].copy_from_slice(&value.to_le_bytes()),
                         }
-                        MemSpace::Shared => {
-                            let i = shared_access(mem.shared, base, width)? + 4 * w as usize;
-                            mem.shared[i..i + 4].copy_from_slice(&value.to_le_bytes());
-                        }
-                        MemSpace::Local => {
-                            let t = lane_linear_tid(warp.warp_id, l) as usize;
-                            let i = t * mem.local_bytes as usize
-                                + local_access(mem.local_bytes, base, width)?
-                                + 4 * w as usize;
-                            mem.local[i..i + 4].copy_from_slice(&value.to_le_bytes());
+                    } else {
+                        let value = match space {
+                            MemSpace::Global => mem.global.read_u32(base + 4 * w)?,
+                            _ => read_word(window, i),
+                        };
+                        if let Some(r) = r {
+                            warp.set_reg(l, r, value);
                         }
                     }
                 }
             }
-            outcome.mem = Some(access);
+            return Ok(ExecOutcome { mem: Some(access) });
         }
-    }
-    Ok(outcome)
+    };
+    warp.set_row(dst, exec_mask, &out);
+    Ok(ExecOutcome::default())
 }
 
 /// Result of [`step_warp`]: the event plus the executed instruction's
@@ -429,18 +394,10 @@ pub fn step_warp(
     let inst = code.get(pc as usize).ok_or(SimError::RanOffEnd)?;
 
     // Guard evaluation: lanes in the group whose predicate holds.
-    let mut exec_mask = 0u32;
-    for l in 0..32usize {
-        if mask & (1 << l) != 0 {
-            let ok = match inst.pred {
-                None => true,
-                Some(p) => warp.pred(l, p) != inst.pred_neg,
-            };
-            if ok {
-                exec_mask |= 1 << l;
-            }
-        }
-    }
+    let exec_mask = match inst.pred {
+        None => mask,
+        Some(p) => mask & (warp.pred_mask(p) ^ if inst.pred_neg { u32::MAX } else { 0 }),
+    };
 
     match inst.op {
         Op::Bar => {

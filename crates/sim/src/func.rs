@@ -185,27 +185,25 @@ impl Gpu {
             // barrier. The barrier is satisfiable only if *all* member warps
             // of the block reached it; if some already exited, the waiters
             // can never be released — a deadlock on real hardware.
-            let running: Vec<usize> = (0..n_warps as usize)
-                .filter(|&w| !warps[w].done())
-                .collect();
-            if running.is_empty() {
+            let running = warps.iter().filter(|warp| !warp.done()).count();
+            if running == 0 {
                 let mut stats = FuncStats::default();
                 for (inst, &(warps, lanes)) in kernel.code.iter().zip(&executed) {
                     stats.record(inst, warps, lanes);
                 }
                 return Ok(stats);
             }
-            if running.len() < n_warps as usize {
-                let pc = running.first().and_then(|&w| at_barrier[w]).unwrap_or(0);
+            if running < n_warps as usize {
+                let waiter = warps.iter().position(|warp| !warp.done());
                 return Err(SimError::BarrierDeadlock {
-                    pc,
-                    waiting: running.len() as u32,
-                    exited: n_warps - running.len() as u32,
+                    pc: waiter.and_then(|w| at_barrier[w]).unwrap_or(0),
+                    waiting: running as u32,
+                    exited: n_warps - running as u32,
                 });
             }
-            for &w in &running {
-                if let Some(pc) = at_barrier[w].take() {
-                    release_barrier(&mut warps[w], pc);
+            for (warp, parked) in warps.iter_mut().zip(&mut at_barrier) {
+                if let Some(pc) = parked.take() {
+                    release_barrier(warp, pc);
                 }
             }
         }

@@ -54,7 +54,7 @@
 
 pub mod cancel;
 mod error;
-mod exec;
+pub mod exec;
 mod func;
 pub mod json;
 mod launch;

@@ -25,13 +25,20 @@ pub enum StepEvent {
 }
 
 /// The architectural state of one warp: 32 lanes × (PC, 63 registers + RZ,
-/// 7 predicates).
+/// 7 predicates + PT), stored register-major — one 32-lane row per
+/// register, one lane mask per predicate — so that a warp instruction reads
+/// and writes contiguous rows.
 ///
 /// Divergence is handled with *min-PC scheduling*: at each step the warp
 /// executes the group of lanes whose PC is minimal. For structured control
 /// flow this reconverges exactly where the hardware's SSY/reconvergence
 /// stack would, and it is robust for arbitrary (even unstructured) branch
 /// patterns.
+///
+/// Three invariants let the hot paths skip a per-lane test: the RZ row is
+/// all zeros, the PT mask is all ones, and `running`/`group` equal what a
+/// scan of `pcs` finds ([`WarpState::current_group`] asserts the last in
+/// debug builds).
 #[derive(Debug, Clone)]
 pub struct WarpState {
     /// Warp index within its block.
@@ -40,8 +47,12 @@ pub struct WarpState {
     /// Lanes that exist (blocks whose size is not a multiple of 32 leave
     /// the tail lanes dead).
     live: u32,
-    regs: Box<[u32; 32 * 64]>,
-    preds: [u8; 32],
+    /// Lanes that have not exited.
+    running: u32,
+    /// The min-PC group `(pc, mask)` of the running lanes.
+    group: Option<(u32, u32)>,
+    regs: Box<[[u32; 32]; 64]>,
+    preds: [u32; 8],
 }
 
 impl WarpState {
@@ -52,20 +63,17 @@ impl WarpState {
     /// Panics if `lanes` is 0 or exceeds 32.
     pub fn new(warp_id: u32, lanes: u32) -> WarpState {
         assert!((1..=32).contains(&lanes), "warp must have 1..=32 lanes");
-        let mut pcs = [EXITED; 32];
-        for pc in pcs.iter_mut().take(lanes as usize) {
-            *pc = 0;
-        }
+        let live = u32::MAX >> (32 - lanes);
+        let mut preds = [0; 8];
+        preds[usize::from(Pred::PT.index())] = u32::MAX;
         WarpState {
             warp_id,
-            pcs,
-            live: if lanes == 32 {
-                u32::MAX
-            } else {
-                (1 << lanes) - 1
-            },
-            regs: Box::new([0u32; 32 * 64]),
-            preds: [0; 32],
+            pcs: std::array::from_fn(|lane| if live >> lane & 1 != 0 { 0 } else { EXITED }),
+            live,
+            running: live,
+            group: Some((0, live)),
+            regs: Box::new([[0; 32]; 64]),
+            preds,
         }
     }
 
@@ -76,98 +84,115 @@ impl WarpState {
 
     /// Bitmask of lanes that have not exited.
     pub fn running_mask(&self) -> u32 {
-        let mut m = 0u32;
-        for lane in 0..32 {
-            if self.live & (1 << lane) != 0 && self.pcs[lane] != EXITED {
-                m |= 1 << lane;
-            }
-        }
-        m
+        self.running
     }
 
     /// Whether every lane has exited.
     pub fn done(&self) -> bool {
-        self.running_mask() == 0
+        self.running == 0
     }
 
     /// The current min-PC group: the smallest PC among running lanes and
     /// the mask of lanes at it. `None` when the warp is done.
     pub fn current_group(&self) -> Option<(u32, u32)> {
-        let mut min_pc = EXITED;
-        for lane in 0..32 {
-            if self.live & (1 << lane) != 0 {
-                min_pc = min_pc.min(self.pcs[lane]);
-            }
-        }
-        if min_pc == EXITED {
-            return None;
-        }
-        let mut mask = 0u32;
-        for lane in 0..32 {
-            if self.live & (1 << lane) != 0 && self.pcs[lane] == min_pc {
-                mask |= 1 << lane;
-            }
-        }
-        Some((min_pc, mask))
+        debug_assert_eq!((self.running, self.group), self.scan());
+        self.group
+    }
+
+    /// The running mask and min-PC group, from the lane PCs.
+    fn scan(&self) -> (u32, Option<(u32, u32)>) {
+        let min_pc = self.pcs.iter().copied().min().unwrap_or(EXITED);
+        let lanes_at = |pc| (0..32).fold(0, |m, lane| m | u32::from(self.pcs[lane] == pc) << lane);
+        let running = !lanes_at(EXITED);
+        (running, (running != 0).then(|| (min_pc, lanes_at(min_pc))))
     }
 
     /// Read a register in one lane (RZ reads as zero).
     pub fn reg(&self, lane: usize, r: Reg) -> u32 {
-        if r.is_rz() {
-            0
-        } else {
-            self.regs[lane * 64 + r.index() as usize]
-        }
+        self.row(r)[lane]
     }
 
     /// Write a register in one lane (writes to RZ are discarded).
     pub fn set_reg(&mut self, lane: usize, r: Reg, value: u32) {
         if !r.is_rz() {
-            self.regs[lane * 64 + r.index() as usize] = value;
+            self.regs[usize::from(r.index())][lane] = value;
+        }
+    }
+
+    /// A register in all 32 lanes (the RZ row is zeros).
+    pub(crate) fn row(&self, r: Reg) -> &[u32; 32] {
+        &self.regs[usize::from(r.index())]
+    }
+
+    /// Write `values` to a register in the lanes of `mask` (writes to RZ
+    /// are discarded).
+    pub(crate) fn set_row(&mut self, r: Reg, mask: u32, values: &[u32; 32]) {
+        if r.is_rz() {
+            return;
+        }
+        let row = &mut self.regs[usize::from(r.index())];
+        if mask == u32::MAX {
+            *row = *values;
+        } else {
+            for (lane, (old, &new)) in row.iter_mut().zip(values).enumerate() {
+                if mask >> lane & 1 != 0 {
+                    *old = new;
+                }
+            }
         }
     }
 
     /// Read a predicate in one lane (PT reads as true).
     pub fn pred(&self, lane: usize, p: Pred) -> bool {
-        p.is_pt() || self.preds[lane] & (1 << p.index()) != 0
+        self.pred_mask(p) >> lane & 1 != 0
     }
 
     /// Write a predicate in one lane (writes to PT are discarded).
     pub fn set_pred(&mut self, lane: usize, p: Pred, value: bool) {
+        self.set_pred_mask(p, 1 << lane, u32::from(value) << lane);
+    }
+
+    /// The lanes in which a predicate holds (PT: all of them).
+    pub(crate) fn pred_mask(&self, p: Pred) -> u32 {
+        self.preds[usize::from(p.index())]
+    }
+
+    /// Write `values` to a predicate in the lanes of `mask` (writes to PT
+    /// are discarded).
+    pub(crate) fn set_pred_mask(&mut self, p: Pred, mask: u32, values: u32) {
         if !p.is_pt() {
-            if value {
-                self.preds[lane] |= 1 << p.index();
-            } else {
-                self.preds[lane] &= !(1 << p.index());
-            }
+            let bits = &mut self.preds[usize::from(p.index())];
+            *bits = *bits & !mask | values & mask;
         }
     }
 
     /// Advance the PC of every lane in `mask` to `pc + 1`.
     pub(crate) fn advance(&mut self, mask: u32, pc: u32) {
-        for lane in 0..32 {
-            if mask & (1 << lane) != 0 {
-                self.pcs[lane] = pc + 1;
-            }
-        }
+        self.jump(mask, pc + 1);
     }
 
-    /// Redirect lanes in `mask` to `target`.
+    /// Redirect lanes in `mask` (running ones) to `target`.
     pub(crate) fn jump(&mut self, mask: u32, target: u32) {
-        for lane in 0..32 {
-            if mask & (1 << lane) != 0 {
-                self.pcs[lane] = target;
+        debug_assert_eq!(mask & !self.running, 0, "only running lanes move");
+        if mask == 0 {
+            return;
+        }
+        for (lane, pc) in self.pcs.iter_mut().enumerate() {
+            if mask >> lane & 1 != 0 {
+                *pc = target;
             }
+        }
+        if mask == self.running && target != EXITED {
+            // The whole warp moved together and stays converged.
+            self.group = Some((target, mask));
+        } else {
+            (self.running, self.group) = self.scan();
         }
     }
 
     /// Mark lanes in `mask` as exited.
     pub(crate) fn exit_lanes(&mut self, mask: u32) {
-        for lane in 0..32 {
-            if mask & (1 << lane) != 0 {
-                self.pcs[lane] = EXITED;
-            }
-        }
+        self.jump(mask, EXITED);
     }
 }
 
@@ -207,13 +232,27 @@ mod tests {
         let mut w = WarpState::new(0, 1);
         w.set_reg(0, Reg::RZ, 42);
         assert_eq!(w.reg(0, Reg::RZ), 0);
+        w.set_row(Reg::RZ, u32::MAX, &[42; 32]);
+        assert_eq!(w.row(Reg::RZ), &[0; 32]);
         assert!(w.pred(0, Pred::PT));
         w.set_pred(0, Pred::PT, false);
         assert!(w.pred(0, Pred::PT));
+        w.set_pred_mask(Pred::PT, u32::MAX, 0);
+        assert_eq!(w.pred_mask(Pred::PT), u32::MAX);
         w.set_pred(0, Pred::p(2), true);
         assert!(w.pred(0, Pred::p(2)));
         w.set_pred(0, Pred::p(2), false);
         assert!(!w.pred(0, Pred::p(2)));
+    }
+
+    #[test]
+    fn masked_row_write_leaves_other_lanes() {
+        let mut w = WarpState::new(0, 32);
+        w.set_row(Reg::r(5), u32::MAX, &[7; 32]);
+        w.set_row(Reg::r(5), 0b1010, &[9; 32]);
+        assert_eq!(w.row(Reg::r(5))[..5], [7, 9, 7, 9, 7]);
+        w.set_pred_mask(Pred::p(3), 0b0110, 0b1111);
+        assert_eq!(w.pred_mask(Pred::p(3)), 0b0110);
     }
 
     #[test]

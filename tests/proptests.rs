@@ -16,12 +16,14 @@ use peakperf::kernels::sgemm::{
     build_naive, build_preset, run_sgemm, Preset, SgemmProblem, Variant,
 };
 use peakperf::regalloc::{solve, AllocProblem, VReg};
+use peakperf::sass::PARAM_BASE;
 use peakperf::sass::{
     assemble, decode, encode, CmpOp, CtlInfo, Instruction, LogicOp, MemSpace, MemWidth, Module, Op,
     Operand, Pred, Reg, SpecialReg,
 };
+use peakperf::sim::exec::{step_warp, BlockCtx, MemCtx};
 use peakperf::sim::timing::{global_transactions, shared_conflict_factor};
-use peakperf::sim::Gpu;
+use peakperf::sim::{Dim3, GlobalMemory, Gpu, SimError, StepEvent, WarpState};
 
 // ---------------------------------------------------------------------
 // Samplers (the proptest "strategies", hand-rolled)
@@ -426,6 +428,448 @@ fn conflict_and_coalescing_match_their_oracles() {
                 "case {case}: {width:?} {addrs:?}"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// Warp-wide execution against the per-lane interpreter it replaced
+// ---------------------------------------------------------------------
+
+/// What a memory instruction touched: space, width, store?, and the base
+/// address of every executing lane (the public face of `MemAccess`).
+type Access = (MemSpace, MemWidth, bool, Vec<u32>);
+
+fn oracle_special(block: &BlockCtx, warp_id: u32, lane: usize, sr: SpecialReg) -> u32 {
+    let t = warp_id * 32 + lane as u32;
+    let nx = block.ntid.x.max(1);
+    let ny = block.ntid.y.max(1);
+    match sr {
+        SpecialReg::TidX => t % nx,
+        SpecialReg::TidY => (t / nx) % ny,
+        SpecialReg::TidZ => t / (nx * ny),
+        SpecialReg::CtaidX => block.ctaid.x,
+        SpecialReg::CtaidY => block.ctaid.y,
+        SpecialReg::CtaidZ => block.ctaid.z,
+        SpecialReg::NtidX => block.ntid.x,
+        SpecialReg::NtidY => block.ntid.y,
+        SpecialReg::NtidZ => block.ntid.z,
+        SpecialReg::NctaidX => block.nctaid.x,
+        SpecialReg::NctaidY => block.nctaid.y,
+        SpecialReg::LaneId => lane as u32,
+    }
+}
+
+fn oracle_const(mem: &MemCtx<'_>, block: &BlockCtx, offset: u32) -> Result<u32, SimError> {
+    if offset < PARAM_BASE {
+        return Ok(match offset {
+            0x0 => block.ntid.x,
+            0x4 => block.ntid.y,
+            0x8 => block.ntid.z,
+            0xc => block.nctaid.x,
+            0x10 => block.nctaid.y,
+            _ => 0,
+        });
+    }
+    let idx = ((offset - PARAM_BASE) / 4) as usize;
+    mem.params.get(idx).copied().ok_or(SimError::OutOfBounds {
+        space: "const",
+        addr: u64::from(offset),
+        size: u64::from(PARAM_BASE) + 4 * mem.params.len() as u64,
+    })
+}
+
+fn oracle_operand(
+    warp: &WarpState,
+    lane: usize,
+    op: Operand,
+    mem: &MemCtx<'_>,
+    block: &BlockCtx,
+) -> Result<u32, SimError> {
+    match op {
+        Operand::Reg(r) => Ok(if r.is_rz() { 0 } else { warp.reg(lane, r) }),
+        Operand::Imm(v) => Ok(v as u32),
+        Operand::Const { offset, .. } => oracle_const(mem, block, offset),
+    }
+}
+
+/// Alignment, then (for shared and local windows) bounds.
+fn oracle_check(
+    space: &'static str,
+    size: Option<u64>,
+    addr: u32,
+    width: MemWidth,
+) -> Result<usize, SimError> {
+    if !addr.is_multiple_of(width.bytes()) {
+        return Err(SimError::Misaligned {
+            space,
+            addr: u64::from(addr),
+            align: width.bytes(),
+        });
+    }
+    match size {
+        Some(size) if u64::from(addr) + u64::from(width.bytes()) > size => {
+            Err(SimError::OutOfBounds {
+                space,
+                addr: u64::from(addr),
+                size,
+            })
+        }
+        _ => Ok(addr as usize),
+    }
+}
+
+/// Byte index of word `w` of a shared or local access (every word
+/// re-checks, as the interpreter did).
+fn oracle_window_index(
+    mem: &MemCtx<'_>,
+    space: MemSpace,
+    thread: usize,
+    base: u32,
+    width: MemWidth,
+    w: u32,
+) -> Result<usize, SimError> {
+    let first = match space {
+        MemSpace::Shared => oracle_check("shared", Some(mem.shared.len() as u64), base, width)?,
+        _ => {
+            let size = u64::from(mem.local_bytes);
+            thread * mem.local_bytes as usize + oracle_check("local", Some(size), base, width)?
+        }
+    };
+    Ok(first + 4 * w as usize)
+}
+
+/// The lane-at-a-time `execute_op` the row-wise one replaced: every
+/// executing lane in ascending order, every operand re-matched and every
+/// access re-checked per lane and per word.
+fn oracle_execute(
+    inst: &Instruction,
+    warp: &mut WarpState,
+    exec_mask: u32,
+    mem: &mut MemCtx<'_>,
+    block: &BlockCtx,
+) -> Result<Option<Access>, SimError> {
+    let mut access = None;
+    for l in (0..32usize).filter(|&l| exec_mask & (1 << l) != 0) {
+        let reg = |warp: &WarpState, r: Reg| if r.is_rz() { 0 } else { warp.reg(l, r) };
+        let float = |warp: &WarpState, r: Reg| f32::from_bits(reg(warp, r));
+        match inst.op {
+            Op::Nop | Op::Exit | Op::Bra { .. } | Op::Bar => {}
+            Op::Mov { dst, src } => {
+                let v = oracle_operand(warp, l, src, mem, block)?;
+                warp.set_reg(l, dst, v);
+            }
+            Op::Mov32i { dst, imm } => warp.set_reg(l, dst, imm),
+            Op::S2r { dst, sr } => {
+                let v = oracle_special(block, warp.warp_id, l, sr);
+                warp.set_reg(l, dst, v);
+            }
+            Op::Fadd { dst, a, b } => {
+                let bv = f32::from_bits(oracle_operand(warp, l, b, mem, block)?);
+                warp.set_reg(l, dst, (float(warp, a) + bv).to_bits());
+            }
+            Op::Fmul { dst, a, b } => {
+                let bv = f32::from_bits(oracle_operand(warp, l, b, mem, block)?);
+                warp.set_reg(l, dst, (float(warp, a) * bv).to_bits());
+            }
+            Op::Ffma { dst, a, b, c } => {
+                let bv = f32::from_bits(oracle_operand(warp, l, b, mem, block)?);
+                let v = float(warp, a).mul_add(bv, float(warp, c));
+                warp.set_reg(l, dst, v.to_bits());
+            }
+            Op::Iadd { dst, a, b } => {
+                let bv = oracle_operand(warp, l, b, mem, block)?;
+                warp.set_reg(l, dst, reg(warp, a).wrapping_add(bv));
+            }
+            Op::Imul { dst, a, b } => {
+                let bv = oracle_operand(warp, l, b, mem, block)?;
+                warp.set_reg(l, dst, reg(warp, a).wrapping_mul(bv));
+            }
+            Op::Imad { dst, a, b, c } => {
+                let bv = oracle_operand(warp, l, b, mem, block)?;
+                let v = reg(warp, a).wrapping_mul(bv).wrapping_add(reg(warp, c));
+                warp.set_reg(l, dst, v);
+            }
+            Op::Iscadd { dst, a, b, shift } => {
+                let bv = oracle_operand(warp, l, b, mem, block)?;
+                let v = reg(warp, a).wrapping_shl(u32::from(shift)).wrapping_add(bv);
+                warp.set_reg(l, dst, v);
+            }
+            Op::Shl { dst, a, b } => {
+                let bv = oracle_operand(warp, l, b, mem, block)? & 31;
+                warp.set_reg(l, dst, reg(warp, a) << bv);
+            }
+            Op::Shr { dst, a, b } => {
+                let bv = oracle_operand(warp, l, b, mem, block)? & 31;
+                warp.set_reg(l, dst, reg(warp, a) >> bv);
+            }
+            Op::Lop { op, dst, a, b } => {
+                let bv = oracle_operand(warp, l, b, mem, block)?;
+                warp.set_reg(l, dst, op.eval(reg(warp, a), bv));
+            }
+            Op::Isetp { p, cmp, a, b } => {
+                let bv = oracle_operand(warp, l, b, mem, block)? as i32;
+                warp.set_pred(l, p, cmp.eval(reg(warp, a) as i32, bv));
+            }
+            Op::Ldc { dst, offset, .. } => {
+                let v = oracle_const(mem, block, offset)?;
+                warp.set_reg(l, dst, v);
+            }
+            Op::Ld {
+                space,
+                width,
+                dst,
+                addr,
+                offset,
+            } => {
+                let base = reg(warp, addr).wrapping_add(offset as u32);
+                let (.., addrs) = access.get_or_insert((space, width, false, Vec::new()));
+                addrs.push(base);
+                let thread = warp.warp_id as usize * 32 + l;
+                for w in 0..width.words() {
+                    let value = if space == MemSpace::Global {
+                        oracle_check("global", None, base, width)?;
+                        mem.global.read_u32(base + 4 * w)?
+                    } else {
+                        let i = oracle_window_index(mem, space, thread, base, width, w)?;
+                        let window = if space == MemSpace::Shared {
+                            &*mem.shared
+                        } else {
+                            &*mem.local
+                        };
+                        u32::from_le_bytes(window[i..i + 4].try_into().unwrap())
+                    };
+                    if let Some(r) = dst.offset_checked(w as u8) {
+                        warp.set_reg(l, r, value);
+                    }
+                }
+            }
+            Op::St {
+                space,
+                width,
+                src,
+                addr,
+                offset,
+            } => {
+                let base = reg(warp, addr).wrapping_add(offset as u32);
+                let (.., addrs) = access.get_or_insert((space, width, true, Vec::new()));
+                addrs.push(base);
+                let thread = warp.warp_id as usize * 32 + l;
+                for w in 0..width.words() {
+                    let value = src.offset_checked(w as u8).map_or(0, |r| reg(warp, r));
+                    if space == MemSpace::Global {
+                        oracle_check("global", None, base, width)?;
+                        mem.global.write_u32(base + 4 * w, value)?;
+                    } else {
+                        let i = oracle_window_index(mem, space, thread, base, width, w)?;
+                        let window = if space == MemSpace::Shared {
+                            &mut *mem.shared
+                        } else {
+                            &mut *mem.local
+                        };
+                        window[i..i + 4].copy_from_slice(&value.to_le_bytes());
+                    }
+                }
+            }
+        }
+    }
+    // A memory instruction records an access even when no lane executes.
+    if let Op::Ld { space, width, .. } | Op::St { space, width, .. } = inst.op {
+        let store = matches!(inst.op, Op::St { .. });
+        access.get_or_insert((space, width, store, Vec::new()));
+    }
+    Ok(access)
+}
+
+/// Everything one warp instruction can read or write.
+#[derive(Clone)]
+struct Machine {
+    warp: WarpState,
+    global: GlobalMemory,
+    shared: Vec<u8>,
+    local: Vec<u8>,
+}
+
+const ORACLE_LOCAL_BYTES: u32 = 32;
+
+impl Machine {
+    fn mem<'a>(&'a mut self, params: &'a [u32]) -> (&'a mut WarpState, MemCtx<'a>) {
+        let mem = MemCtx {
+            global: &mut self.global,
+            shared: &mut self.shared,
+            local: &mut self.local,
+            local_bytes: ORACLE_LOCAL_BYTES,
+            params,
+        };
+        (&mut self.warp, mem)
+    }
+
+    fn assert_same(&self, other: &Machine, context: &str) {
+        for r in 0..64 {
+            for lane in 0..32 {
+                let (got, want) = (
+                    self.warp.reg(lane, Reg::r(r)),
+                    other.warp.reg(lane, Reg::r(r)),
+                );
+                assert_eq!(got, want, "{context}: R{r} lane {lane}");
+            }
+        }
+        for p in 0..7 {
+            for lane in 0..32 {
+                let (got, want) = (
+                    self.warp.pred(lane, Pred::p(p)),
+                    other.warp.pred(lane, Pred::p(p)),
+                );
+                assert_eq!(got, want, "{context}: P{p} lane {lane}");
+            }
+        }
+        assert_eq!(self.shared, other.shared, "{context}: shared memory");
+        assert_eq!(self.local, other.local, "{context}: local memory");
+        assert_eq!(self.global.size(), other.global.size(), "{context}");
+        for addr in (4..self.global.size()).step_by(4) {
+            let (got, want) = (self.global.read_u32(addr), other.global.read_u32(addr));
+            assert_eq!(got, want, "{context}: global word {addr:#x}");
+        }
+    }
+}
+
+/// `step_warp` on the register-major warp — guard as a lane-mask
+/// operation, operands fetched as rows, one loop per instruction — leaves
+/// exactly the registers, predicates, memory, access record and error of
+/// the per-lane interpreter, on full, partial and empty execution masks,
+/// `RZ`/`PT` in every position, immediates, in- and out-of-range constants
+/// and memory instructions with a faulting lane in mid-warp.
+#[test]
+fn warp_wide_execution_matches_the_per_lane_interpreter() {
+    let mut rng = Rng::seed_from_u64(0x10E5);
+    // Large enough that about half the sampled constant offsets hit it.
+    let params: Vec<u32> = (0..0x2000).map(|_| rng.next_u32()).collect();
+    for case in 0..8000 {
+        let mut inst = loop {
+            let inst = instruction(&mut rng);
+            let is_mem = matches!(inst.op, Op::Ld { .. } | Op::St { .. });
+            let is_control = matches!(inst.op, Op::Exit | Op::Bra { .. } | Op::Bar);
+            if !is_control && (is_mem || case % 4 != 0) {
+                break inst;
+            }
+        };
+        // `mem_parts` keeps wide data registers inside the file; the
+        // simulator must also survive ones that run into or past RZ.
+        if let Op::Ld { dst: data, .. } | Op::St { src: data, .. } = &mut inst.op {
+            if rng.gen_below(8) == 0 {
+                *data = Reg::r(rng.gen_range_u32(60, 64) as u8);
+            }
+        }
+
+        let lanes = if rng.gen_bool() {
+            32
+        } else {
+            rng.gen_range_u32(1, 33)
+        };
+        let warp_id = rng.gen_range_u32(0, 2);
+        let mut global = GlobalMemory::new();
+        let global_base = global.alloc_zeroed(256).unwrap();
+        for addr in (global_base..global.size()).step_by(4) {
+            global.write_u32(addr, rng.next_u32()).unwrap();
+        }
+        let mut machine = Machine {
+            warp: WarpState::new(warp_id, lanes),
+            global,
+            shared: (0..256).map(|_| rng.next_u32() as u8).collect(),
+            local: (0..64 * ORACLE_LOCAL_BYTES)
+                .map(|_| rng.next_u32() as u8)
+                .collect(),
+        };
+        for r in 0..63 {
+            for lane in 0..32 {
+                // Any bits except NaN and infinity: which payload a NaN
+                // result carries is the compiler's choice of operand order.
+                let mut bits = rng.next_u32();
+                if bits & 0x7f80_0000 == 0x7f80_0000 {
+                    bits &= !0x0080_0000;
+                }
+                machine.warp.set_reg(lane, Reg::r(r), bits);
+            }
+        }
+        for p in 0..7 {
+            let pattern = [0, u32::MAX, rng.next_u32()][rng.gen_range_usize(0, 3)];
+            for lane in 0..32 {
+                machine
+                    .warp
+                    .set_pred(lane, Pred::p(p), pattern >> lane & 1 != 0);
+            }
+        }
+        if let Op::Ld {
+            space,
+            width,
+            addr,
+            offset,
+            ..
+        }
+        | Op::St {
+            space,
+            width,
+            addr,
+            offset,
+            ..
+        } = inst.op
+        {
+            // Aim every lane at a valid, aligned word of the window, then
+            // break one lane somewhere in the warp in half of the cases.
+            let (lo, len) = match space {
+                MemSpace::Global => (global_base, 256),
+                MemSpace::Shared => (0, 256),
+                MemSpace::Local => (0, ORACLE_LOCAL_BYTES),
+            };
+            let slots = len / width.bytes();
+            let mut targets: Vec<u32> = (0..32)
+                .map(|_| lo + width.bytes() * rng.gen_range_u32(0, slots))
+                .collect();
+            if rng.gen_bool() {
+                let victim = rng.gen_range_usize(0, 32);
+                targets[victim] = match rng.gen_below(4) {
+                    0 => targets[victim] + 1,
+                    1 => targets[victim] + width.bytes() / 2,
+                    2 => lo + len - width.bytes() + 4, // past the end, or misaligned
+                    _ => [0, lo + len, 0xffff_fff0][rng.gen_range_usize(0, 3)],
+                };
+            }
+            for (lane, target) in targets.into_iter().enumerate() {
+                let value = target.wrapping_sub(offset as u32);
+                machine.warp.set_reg(lane, addr, value);
+            }
+        }
+        let block = BlockCtx {
+            ctaid: Dim3::new_2d(rng.gen_range_u32(0, 4), rng.gen_range_u32(0, 4)),
+            ntid: Dim3::new_2d(rng.gen_range_u32(1, 65), rng.gen_range_u32(1, 5)),
+            nctaid: Dim3::new_2d(4, 4),
+        };
+        let context = format!("case {case}: {inst} on {lanes} lanes");
+
+        let mut reference = machine.clone();
+        let got = {
+            let (warp, mut mem) = machine.mem(&params);
+            step_warp(std::slice::from_ref(&inst), warp, &mut mem, &block).map(|step| {
+                let access = step
+                    .mem
+                    .map(|m| (m.space, m.width, m.store, m.addrs().to_vec()));
+                (step.event, access)
+            })
+        };
+        let want = {
+            let (warp, mut mem) = reference.mem(&params);
+            // The guard, lane by lane over the (converged) group.
+            let exec_mask = (0..32usize)
+                .filter(|&l| warp.live_mask() & (1 << l) != 0)
+                .filter(|&l| {
+                    inst.pred
+                        .is_none_or(|p| (p.is_pt() || warp.pred(l, p)) != inst.pred_neg)
+                })
+                .fold(0u32, |mask, l| mask | 1 << l);
+            oracle_execute(&inst, warp, exec_mask, &mut mem, &block)
+                .map(|access| (StepEvent::Executed { pc: 0, exec_mask }, access))
+        };
+        assert_eq!(got, want, "{context}");
+        machine.assert_same(&reference, &context);
     }
 }
 
