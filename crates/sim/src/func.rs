@@ -168,7 +168,9 @@ impl Gpu {
                         StepEvent::Executed { pc, exec_mask } => {
                             (pc, exec_mask.count_ones(), false)
                         }
-                        StepEvent::AtBarrier { pc } => (pc, 32, true),
+                        StepEvent::AtBarrier { pc } => {
+                            (pc, warps[w].running_mask().count_ones(), true)
+                        }
                         StepEvent::Exited => break,
                     };
                     let count = &mut executed[pc as usize];
@@ -244,6 +246,7 @@ fn hang_snapshot(at: u64, warps: &[WarpState], at_barrier: &[Option<u32>]) -> Ha
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::{Hooks, TimingSim};
     use peakperf_sass::{CmpOp, KernelBuilder, MemSpace, MemWidth, Pred, Reg, SpecialReg};
 
     /// out[global_tid] = a[global_tid] * alpha + out[global_tid]
@@ -337,6 +340,29 @@ mod tests {
         for i in 0..64u32 {
             assert_eq!(gpu.memory().read_u32(out + i * 4).unwrap(), i ^ 32);
         }
+    }
+
+    #[test]
+    fn barrier_counts_the_running_lanes_of_a_partial_warp() {
+        // 48 threads: a full warp and a 16-lane one.
+        let mut b = KernelBuilder::new("partial_bar", Generation::Fermi);
+        b.s2r(Reg::r(0), SpecialReg::TidX);
+        b.bar();
+        b.exit();
+        let kernel = b.finish().unwrap();
+        let config = LaunchConfig::linear(1, 48);
+        let stats = Gpu::new(Generation::Fermi)
+            .launch(&kernel, config, &[])
+            .unwrap();
+        // S2R and BAR on 32 + 16 lanes each (a warp's final EXIT is not
+        // counted here; see DESIGN.md §7).
+        assert_eq!(stats.thread_instructions, 96);
+        assert_eq!(stats.warp_instructions, 4);
+
+        let sim = TimingSim::new(&GpuConfig::gtx580(), &kernel, config, &[], 1).unwrap();
+        let timed = sim.run(&mut GlobalMemory::new(), Hooks::default()).unwrap();
+        assert_eq!(timed.thread_instructions, stats.thread_instructions);
+        assert_eq!(timed.warp_instructions, 6);
     }
 
     #[test]
