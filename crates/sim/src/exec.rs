@@ -230,11 +230,8 @@ pub fn execute_op(
         Op::Mov { dst, src } => (dst, *operand!(src)),
         Op::Mov32i { dst, imm } => (dst, [imm; 32]),
         Op::S2r { dst, sr } => {
-            let id = warp.warp_id;
-            (
-                dst,
-                map_lanes(exec_mask, |l| special_value(block, id, l, sr)),
-            )
+            let special = |l| special_value(block, warp.warp_id, l, sr);
+            (dst, map_lanes(exec_mask, special))
         }
         Op::Fadd { dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
@@ -281,8 +278,8 @@ pub fn execute_op(
         }
         Op::Isetp { p, cmp, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
-            let holds = |l: usize| u32::from(cmp.eval(a[l] as i32, b[l] as i32)) << l;
-            let holds = (0..32).fold(0, |mask, l| mask | holds(l));
+            let holds = |l: usize| u32::from(cmp.eval(a[l] as i32, b[l] as i32));
+            let holds = (0..32).fold(0, |mask, l| mask | holds(l) << l);
             warp.set_pred_mask(p, exec_mask, holds);
             return Ok(ExecOutcome::default());
         }
