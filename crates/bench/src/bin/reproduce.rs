@@ -7,8 +7,7 @@
 //! reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]...
 //!                [--corpus-dir <path>] [--replay <dir>]
 //! reproduce bench [--json <path>] [--compare <baseline.json>]
-//!                 [--compare-out <path>] [--wall-band <f>] [--acc-band <f>]
-//!                 [--filter <prefix>]
+//!                 [--compare-out <path>] [--filter <prefix>]
 //! reproduce hostprof <target>... [--json <path>]
 //! reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>]
 //!                 [--queue-cap <n>] [--results <path.jsonl>] [--json <path>]
@@ -16,17 +15,15 @@
 //!                 [--snapshot-ms <n>]
 //! reproduce check <file>...
 //!
+//! The subcommand is the first positional word (options may precede
+//! it); without one the positional words are experiment names.
+//!
 //! options:
 //!   --full               simulate the full problem sizes
 //!   --quick              thin the size grids (default)
-//!   --workers <n>        worker threads (default: autodetect, or
-//!                        PEAKPERF_WORKERS)
+//!   --workers <n>        worker threads (default: autodetect)
 //!   --no-cache           disable the in-memory timing cache
 //!   --cache-dir <path>   persist timing-cache entries under <path>
-//!   --json <path>        write a machine-readable run report to <path>
-//!   --metrics-out <path> enable the perfmon registry and dump it as a
-//!                        peakperf-metrics-v1 document alongside the
-//!                        primary output (any subcommand)
 //!
 //! profile options:
 //!   --trace-out <path>   write a Chrome trace-event JSON (Perfetto /
@@ -34,6 +31,7 @@
 //!   --profile-out <path> write the peakperf-profile-v1 JSON document
 //!
 //! fuzz options:
+//!   --json <path>        write the peakperf-fuzz-v1 campaign summary
 //!   --seed <n>           campaign master seed (default 1)
 //!   --iters <n>          number of mutants (default 500)
 //!   --gpu <gen>          fermi|kepler|gt200, repeatable (default both
@@ -44,21 +42,17 @@
 //! bench options:
 //!   --json <path>        write the peakperf-bench-v1 telemetry document
 //!   --compare <path>     diff against a baseline document; the exit code
-//!                        fails on any gated regression (accuracy drift in
-//!                        either direction, wall time beyond the noise
-//!                        band, lost rows)
+//!                        fails on any gated regression (accuracy drift
+//!                        beyond 0.5 pp in either direction, any change in
+//!                        a row's simulated counters, lost rows)
 //!   --compare-out <path> write the peakperf-bench-compare-v1 diff
-//!   --wall-band <f>      relative wall-time noise band (default 0.30;
-//!                        CI uses a much wider band)
-//!   --acc-band <f>       accuracy drift band in percentage points of
-//!                        model error (default 0.5)
 //!   --filter <prefix>    run only suite rows whose id starts with
 //!                        <prefix> (e.g. `table2/` or `sgemm/gtx680`)
 //!
 //! hostprof options:
 //!   --json <path>        write the peakperf-hostprof-v1 document (host
-//!                        wall-time attribution, idle-run histograms, and
-//!                        the projected simulator speedup per target)
+//!                        wall-time attribution and idle-cycle count per
+//!                        target)
 //!
 //! serve options:
 //!   --jobs <file.jsonl>  submit one peakperf-job-v1 object per line; any
@@ -106,23 +100,23 @@ use peakperf_bench::exec;
 use peakperf_bench::experiments::{self, Speed};
 use peakperf_bench::fault;
 use peakperf_bench::hostprof;
-use peakperf_bench::perf::{PerfSpan, RunReport};
 use peakperf_bench::profiling;
 use peakperf_bench::report::check_document;
 use peakperf_bench::service;
 use peakperf_bench::telemetry;
+use peakperf_sim::timing::cache;
 use peakperf_sim::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
         "usage: reproduce [--full|--quick] [--workers <n>] [--no-cache] \
-         [--cache-dir <path>] [--json <path>] [--metrics-out <path>] <experiment>...\n\
+         [--cache-dir <path>] <experiment>...\n\
          \x20      reproduce profile [--trace-out <path>] [--profile-out <path>] \
-         [--json <path>] <target>...\n\
+         <target>...\n\
          \x20      reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]... \
          [--corpus-dir <path>] [--replay <dir>] [--json <path>]\n\
          \x20      reproduce bench [--json <path>] [--compare <baseline.json>] \
-         [--compare-out <path>] [--wall-band <f>] [--acc-band <f>] [--filter <prefix>]\n\
+         [--compare-out <path>] [--filter <prefix>]\n\
          \x20      reproduce hostprof [--json <path>] <target>...\n\
          \x20      reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>] \
          [--queue-cap <n>] [--results <path.jsonl>] [--json <path>] \
@@ -180,67 +174,112 @@ const ALL: [&str; 15] = [
     "throughputdb",
 ];
 
+/// What one invocation does: a subcommand, or — without one — the
+/// listed experiments.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    Experiments,
+    Profile,
+    Fuzz,
+    Bench,
+    Hostprof,
+    Serve,
+}
+
+/// The subcommand words (`check` is dispatched before option parsing).
+const SUBCOMMANDS: [(&str, Mode); 5] = [
+    ("profile", Mode::Profile),
+    ("fuzz", Mode::Fuzz),
+    ("bench", Mode::Bench),
+    ("hostprof", Mode::Hostprof),
+    ("serve", Mode::Serve),
+];
+
 struct Options {
+    mode: Mode,
     speed: Speed,
     names: Vec<String>,
     json_path: Option<String>,
     cache_dir: Option<String>,
     use_cache: bool,
-    profile_mode: bool,
     trace_out: Option<String>,
     profile_out: Option<String>,
-    fuzz_mode: bool,
     fuzz_seed: u64,
     fuzz_iters: u64,
     fuzz_gpus: Vec<Generation>,
     corpus_dir: Option<String>,
     replay_dir: Option<String>,
-    bench_mode: bool,
     compare: Option<String>,
     compare_out: Option<String>,
     bench_filter: Option<String>,
-    compare_config: telemetry::CompareConfig,
-    hostprof_mode: bool,
-    serve_mode: bool,
     jobs_path: Option<String>,
     soak: Option<u64>,
     queue_cap: Option<usize>,
     results_path: Option<String>,
     journal_out: Option<String>,
     snapshot_ms: Option<u64>,
-    metrics_out: Option<String>,
+}
+
+/// `what` takes options only: `names` must be empty.
+fn no_positionals(what: &str, names: &[String], hint: &str) -> Result<(), String> {
+    if names.is_empty() {
+        return Ok(());
+    }
+    Err(format!(
+        "{what} takes no positional arguments (got {}){hint}",
+        names.join(", ")
+    ))
+}
+
+/// `names` must be a non-empty list of known profile targets.
+fn check_targets(what: &str, names: &[String]) -> Result<(), String> {
+    let known: Vec<&str> = profiling::TARGETS.iter().map(|t| t.name).collect();
+    if names.is_empty() {
+        return Err(format!(
+            "{what} needs at least one target; known: {}",
+            known.join(" ")
+        ));
+    }
+    let unknown: Vec<&str> = names
+        .iter()
+        .map(String::as_str)
+        .filter(|n| !known.contains(n))
+        .collect();
+    if !unknown.is_empty() {
+        return Err(format!(
+            "unknown {what} target{} {}; known: {}",
+            if unknown.len() > 1 { "s" } else { "" },
+            unknown.join(", "),
+            known.join(" ")
+        ));
+    }
+    Ok(())
 }
 
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
+        mode: Mode::Experiments,
         speed: Speed::Quick,
         names: Vec::new(),
         json_path: None,
         cache_dir: None,
         use_cache: true,
-        profile_mode: false,
         trace_out: None,
         profile_out: None,
-        fuzz_mode: false,
         fuzz_seed: 1,
         fuzz_iters: 500,
         fuzz_gpus: Vec::new(),
         corpus_dir: None,
         replay_dir: None,
-        bench_mode: false,
         compare: None,
         compare_out: None,
         bench_filter: None,
-        compare_config: telemetry::CompareConfig::default(),
-        hostprof_mode: false,
-        serve_mode: false,
         jobs_path: None,
         soak: None,
         queue_cap: None,
         results_path: None,
         journal_out: None,
         snapshot_ms: None,
-        metrics_out: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -264,10 +303,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--json" => {
                 let v = it.next().ok_or("--json needs a value")?;
                 opts.json_path = Some(v.clone());
-            }
-            "--metrics-out" => {
-                let v = it.next().ok_or("--metrics-out needs a value")?;
-                opts.metrics_out = Some(v.clone());
             }
             "--trace-out" => {
                 let v = it.next().ok_or("--trace-out needs a value")?;
@@ -358,254 +393,199 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or("--filter needs a value")?;
                 opts.bench_filter = Some(v.clone());
             }
-            "--wall-band" => {
-                let v = it.next().ok_or("--wall-band needs a value")?;
-                opts.compare_config.wall_band = v
-                    .parse()
-                    .ok()
-                    .filter(|b: &f64| b.is_finite() && *b >= 0.0)
-                    .ok_or_else(|| format!("invalid wall band `{v}`"))?;
-            }
-            "--acc-band" => {
-                let v = it.next().ok_or("--acc-band needs a value")?;
-                opts.compare_config.acc_band = v
-                    .parse()
-                    .ok()
-                    .filter(|b: &f64| b.is_finite() && *b >= 0.0)
-                    .ok_or_else(|| format!("invalid accuracy band `{v}`"))?;
-            }
             "-h" | "--help" => return Err(String::new()),
             other if other.starts_with('-') => {
                 return Err(format!("unknown option `{other}`"));
             }
-            "profile"
-                if opts.names.is_empty()
-                    && !opts.profile_mode
-                    && !opts.fuzz_mode
-                    && !opts.hostprof_mode
-                    && !opts.serve_mode =>
-            {
-                opts.profile_mode = true;
-            }
-            "fuzz"
-                if opts.names.is_empty()
-                    && !opts.profile_mode
-                    && !opts.fuzz_mode
-                    && !opts.hostprof_mode
-                    && !opts.serve_mode =>
-            {
-                opts.fuzz_mode = true;
-            }
-            "bench"
-                if opts.names.is_empty()
-                    && !opts.profile_mode
-                    && !opts.fuzz_mode
-                    && !opts.bench_mode
-                    && !opts.hostprof_mode
-                    && !opts.serve_mode =>
-            {
-                opts.bench_mode = true;
-            }
-            "hostprof"
-                if opts.names.is_empty()
-                    && !opts.profile_mode
-                    && !opts.fuzz_mode
-                    && !opts.bench_mode
-                    && !opts.hostprof_mode
-                    && !opts.serve_mode =>
-            {
-                opts.hostprof_mode = true;
-            }
-            "serve"
-                if opts.names.is_empty()
-                    && !opts.profile_mode
-                    && !opts.fuzz_mode
-                    && !opts.bench_mode
-                    && !opts.hostprof_mode
-                    && !opts.serve_mode =>
-            {
-                opts.serve_mode = true;
-            }
-            other => opts.names.push(other.to_owned()),
+            word => match SUBCOMMANDS.iter().find(|(name, _)| *name == word) {
+                // The subcommand is read once: the first positional word.
+                Some(&(_, mode)) if opts.mode == Mode::Experiments && opts.names.is_empty() => {
+                    opts.mode = mode;
+                }
+                Some(_) => {
+                    return Err(format!(
+                        "`{word}` is a subcommand: it must be the first word, and there \
+                         can be only one"
+                    ));
+                }
+                None => opts.names.push(word.to_owned()),
+            },
         }
     }
-    if opts.bench_mode {
-        if !opts.names.is_empty() {
-            return Err(format!(
-                "bench takes no positional arguments (got {}); \
-                 use --filter <prefix> to select rows",
-                opts.names.join(", ")
-            ));
-        }
-        return Ok(opts);
-    }
-    if opts.compare.is_some() || opts.compare_out.is_some() || opts.bench_filter.is_some() {
-        return Err("--compare/--compare-out/--filter require the `bench` subcommand".to_owned());
-    }
-    if opts.serve_mode {
-        if !opts.names.is_empty() {
-            return Err(format!(
-                "serve takes no positional arguments (got {})",
-                opts.names.join(", ")
-            ));
-        }
-        if opts.jobs_path.is_none() && opts.soak.is_none() {
-            return Err("serve needs --jobs <file.jsonl> and/or --soak <n>".to_owned());
-        }
-        return Ok(opts);
-    }
-    if opts.jobs_path.is_some()
-        || opts.soak.is_some()
-        || opts.queue_cap.is_some()
-        || opts.results_path.is_some()
-        || opts.journal_out.is_some()
-        || opts.snapshot_ms.is_some()
-    {
-        return Err(
+
+    // Options that belong to some subcommands are an error in the others.
+    let owned: [(&str, bool, &[Mode]); 6] = [
+        (
+            "--json requires the fuzz, bench, hostprof or serve subcommand",
+            opts.json_path.is_some(),
+            &[Mode::Fuzz, Mode::Bench, Mode::Hostprof, Mode::Serve],
+        ),
+        (
+            "--compare/--compare-out/--filter require the `bench` subcommand",
+            opts.compare.is_some() || opts.compare_out.is_some() || opts.bench_filter.is_some(),
+            &[Mode::Bench],
+        ),
+        (
             "--jobs/--soak/--queue-cap/--results/--journal-out/--snapshot-ms \
-             require the `serve` subcommand"
-                .to_owned(),
-        );
-    }
-    if opts.fuzz_mode {
-        if !opts.names.is_empty() {
-            return Err(format!(
-                "fuzz takes no positional arguments (got {})",
-                opts.names.join(", ")
-            ));
-        }
-        if opts.fuzz_gpus.is_empty() {
-            opts.fuzz_gpus = vec![Generation::Fermi, Generation::Kepler];
-        }
-        return Ok(opts);
-    }
-    if opts.corpus_dir.is_some() || opts.replay_dir.is_some() {
-        return Err("--corpus-dir/--replay require the `fuzz` subcommand".to_owned());
-    }
-    if opts.hostprof_mode {
-        if opts.trace_out.is_some() || opts.profile_out.is_some() {
-            return Err("--trace-out/--profile-out require the `profile` subcommand".to_owned());
-        }
-        let known: Vec<&str> = profiling::TARGETS.iter().map(|t| t.name).collect();
-        if opts.names.is_empty() {
-            return Err(format!(
-                "hostprof needs at least one target; known: {}",
-                known.join(" ")
-            ));
-        }
-        let unknown: Vec<&str> = opts
-            .names
-            .iter()
-            .map(String::as_str)
-            .filter(|n| !known.contains(n))
-            .collect();
-        if !unknown.is_empty() {
-            return Err(format!(
-                "unknown hostprof target{} {}; known: {}",
-                if unknown.len() > 1 { "s" } else { "" },
-                unknown.join(", "),
-                known.join(" ")
-            ));
-        }
-        return Ok(opts);
-    }
-    if opts.profile_mode {
-        let known: Vec<&str> = profiling::TARGETS.iter().map(|t| t.name).collect();
-        if opts.names.is_empty() {
-            return Err(format!(
-                "profile needs at least one target; known: {}",
-                known.join(" ")
-            ));
-        }
-        let unknown: Vec<&str> = opts
-            .names
-            .iter()
-            .map(String::as_str)
-            .filter(|n| !known.contains(n))
-            .collect();
-        if !unknown.is_empty() {
-            return Err(format!(
-                "unknown profile target{} {}; known: {}",
-                if unknown.len() > 1 { "s" } else { "" },
-                unknown.join(", "),
-                known.join(" ")
-            ));
-        }
-        if opts.trace_out.is_some() && opts.names.len() != 1 {
-            return Err("--trace-out profiles exactly one target".to_owned());
-        }
-        return Ok(opts);
-    }
-    if opts.trace_out.is_some() || opts.profile_out.is_some() {
-        return Err("--trace-out/--profile-out require the `profile` subcommand".to_owned());
-    }
-    if opts.names.iter().any(|n| n == "all") {
-        opts.names = ALL.iter().map(|s| (*s).to_owned()).collect();
-    }
-    // Validate every experiment name up front, so a typo at position 5
-    // does not cost four experiments of simulation first.
-    let unknown: Vec<&str> = opts
-        .names
+             require the `serve` subcommand",
+            opts.jobs_path.is_some()
+                || opts.soak.is_some()
+                || opts.queue_cap.is_some()
+                || opts.results_path.is_some()
+                || opts.journal_out.is_some()
+                || opts.snapshot_ms.is_some(),
+            &[Mode::Serve],
+        ),
+        (
+            "--corpus-dir/--replay require the `fuzz` subcommand",
+            opts.corpus_dir.is_some() || opts.replay_dir.is_some(),
+            &[Mode::Fuzz],
+        ),
+        (
+            "--trace-out requires the `profile` or `serve` subcommand",
+            opts.trace_out.is_some(),
+            &[Mode::Profile, Mode::Serve],
+        ),
+        (
+            "--profile-out requires the `profile` subcommand",
+            opts.profile_out.is_some(),
+            &[Mode::Profile],
+        ),
+    ];
+    if let Some((message, ..)) = owned
         .iter()
-        .map(String::as_str)
-        .filter(|n| !ALL.contains(n))
-        .collect();
-    if !unknown.is_empty() {
-        return Err(format!(
-            "unknown experiment{} {}; known: {} all",
-            if unknown.len() > 1 { "s" } else { "" },
-            unknown.join(", "),
-            ALL.join(" ")
-        ));
+        .find(|(_, given, modes)| *given && !modes.contains(&opts.mode))
+    {
+        return Err((*message).to_owned());
+    }
+
+    match opts.mode {
+        Mode::Bench => no_positionals(
+            "bench",
+            &opts.names,
+            "; use --filter <prefix> to select rows",
+        )?,
+        Mode::Serve => {
+            no_positionals("serve", &opts.names, "")?;
+            if opts.jobs_path.is_none() && opts.soak.is_none() {
+                return Err("serve needs --jobs <file.jsonl> and/or --soak <n>".to_owned());
+            }
+        }
+        Mode::Fuzz => {
+            no_positionals("fuzz", &opts.names, "")?;
+            if opts.fuzz_gpus.is_empty() {
+                opts.fuzz_gpus = vec![Generation::Fermi, Generation::Kepler];
+            }
+        }
+        Mode::Hostprof => check_targets("hostprof", &opts.names)?,
+        Mode::Profile => {
+            check_targets("profile", &opts.names)?;
+            if opts.trace_out.is_some() && opts.names.len() != 1 {
+                return Err("--trace-out profiles exactly one target".to_owned());
+            }
+        }
+        Mode::Experiments => {
+            if opts.names.is_empty() {
+                return Err(String::new()); // nothing asked for: usage alone
+            }
+            if opts.names.iter().any(|n| n == "all") {
+                opts.names = ALL.iter().map(|s| (*s).to_owned()).collect();
+            }
+            // Validate every experiment name up front, so a typo at position 5
+            // does not cost four experiments of simulation first.
+            let unknown: Vec<&str> = opts
+                .names
+                .iter()
+                .map(String::as_str)
+                .filter(|n| !ALL.contains(n))
+                .collect();
+            if !unknown.is_empty() {
+                return Err(format!(
+                    "unknown experiment{} {}; known: {} all",
+                    if unknown.len() > 1 { "s" } else { "" },
+                    unknown.join(", "),
+                    ALL.join(" ")
+                ));
+            }
+        }
     }
     Ok(opts)
 }
 
+/// `FAILURE` when anything failed, else `SUCCESS`.
+fn exit_code(failures: u32) -> ExitCode {
+    if failures > 0 {
+        ExitCode::FAILURE
+    } else {
+        ExitCode::SUCCESS
+    }
+}
+
 /// Run the `profile` subcommand: each target simulates under the tracer,
 /// prints its gap decomposition + profile, and contributes a
-/// `peakperf-profile-v1` object to `--profile-out` / `--json`.
-fn run_profiles(opts: &Options, report: &mut RunReport) -> u32 {
+/// `peakperf-profile-v1` object to `--profile-out`.
+fn run_profiles(opts: &Options) -> ExitCode {
     let mut failures = 0u32;
     let mut profile_jsons: Vec<Json> = Vec::new();
     let mut profile_gpus: Vec<&'static str> = Vec::new();
     for name in &opts.names {
-        let span = PerfSpan::begin();
+        let t0 = Instant::now();
         let want_trace = opts.trace_out.is_some();
-        // Panic boundary: a crashing profile target becomes a failed
-        // entry in the report instead of tearing down the whole run.
+        // Panic boundary: a crashing profile target is reported and
+        // flips the exit code instead of tearing down the whole run.
         let outcome = exec::run_isolated(|| {
             profiling::run_target(name, want_trace, None).map_err(|e| e.to_string())
         });
-        match &outcome {
+        let status = match outcome {
             Ok(out) => {
                 println!("{}", out.text);
-                profile_jsons.push(out.json.clone());
+                profile_jsons.push(out.json);
                 if !profile_gpus.contains(&out.gpu) {
                     profile_gpus.push(out.gpu);
                 }
                 if let (Some(path), Some(chrome)) = (&opts.trace_out, &out.chrome) {
                     failures += write_out("trace", path, chrome);
                 }
+                "done"
             }
             Err(e) => {
                 eprintln!("error in profile {name}: {e}");
                 failures += 1;
+                "FAILED"
             }
-        }
-        let perf = span.finish(&format!("profile:{name}"), outcome.map(|_| ()));
-        eprintln!(
-            "[profile:{name} {} in {:.1?}]",
-            if perf.ok { "done" } else { "FAILED" },
-            perf.wall
-        );
-        report.experiments.push(perf);
+        };
+        eprintln!("[profile:{name} {status} in {:.1?}]", t0.elapsed());
     }
     if let Some(path) = &opts.profile_out {
-        let doc = profiling::profile_document(profile_jsons.clone(), &profile_gpus);
+        let doc = profiling::profile_document(profile_jsons, &profile_gpus);
         failures += write_out("profile document", path, &doc.pretty());
     }
-    report.profiles = profile_jsons;
-    failures
+    exit_code(failures)
+}
+
+/// Run the listed experiments, printing each table to stdout and a
+/// `[<name> done in <wall>]` line to stderr.
+fn run_experiments(opts: &Options) -> ExitCode {
+    let mut failures = 0u32;
+    for name in &opts.names {
+        let t0 = Instant::now();
+        // Panic boundary: a crashing experiment is reported as FAILED and
+        // flips the exit code, but the remaining ones still run — one
+        // broken experiment should not cost the results of the others.
+        let status = match exec::run_isolated(|| run_one(name, opts.speed)) {
+            Ok(out) => {
+                println!("{out}");
+                "done"
+            }
+            Err(e) => {
+                eprintln!("error in {name}: {e}");
+                failures += 1;
+                "FAILED"
+            }
+        };
+        eprintln!("[{name} {status} in {:.1?}]", t0.elapsed());
+    }
+    exit_code(failures)
 }
 
 /// Run the `fuzz` subcommand: a differential fuzz campaign (or a corpus
@@ -635,11 +615,7 @@ fn run_fuzz(opts: &Options) -> ExitCode {
                     "{} corpus case(s), {failures} still violating",
                     entries.len()
                 );
-                if failures > 0 {
-                    ExitCode::FAILURE
-                } else {
-                    ExitCode::SUCCESS
-                }
+                exit_code(failures)
             }
             Err(e) => {
                 eprintln!("error: {e}");
@@ -693,16 +669,13 @@ fn run_fuzz(opts: &Options) -> ExitCode {
         );
         failures += 1;
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failures)
 }
 
-/// Run the `hostprof` subcommand: each target simulates under a perfmon
-/// probe, prints its wall-time attribution + opportunity analysis, and
-/// contributes a `peakperf-hostprof-v1` object to `--json`.
+/// Run the `hostprof` subcommand: each target simulates under a
+/// [`peakperf_sim::perfmon::HostProf`] observer, prints its wall-time
+/// attribution, and contributes a `peakperf-hostprof-v1` object to
+/// `--json`.
 fn run_hostprof(opts: &Options) -> ExitCode {
     let mut failures = 0u32;
     let mut jsons: Vec<Json> = Vec::new();
@@ -731,11 +704,7 @@ fn run_hostprof(opts: &Options) -> ExitCode {
         let doc = hostprof::hostprof_document(jsons, &gpus);
         failures += write_out("hostprof document", path, &doc.pretty());
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failures)
 }
 
 /// Run the `serve` subcommand: feed a job file and/or a generated
@@ -824,15 +793,7 @@ fn run_serve(opts: &Options) -> ExitCode {
         failures += write_out("results", path, &lines);
     }
     if let Some(path) = &opts.json_path {
-        let perfmon = peakperf_sim::perfmon::enabled().then(peakperf_sim::perfmon::snapshot);
-        let doc = service::service_document(
-            workers,
-            queue_capacity,
-            &health,
-            &results,
-            wall_ms,
-            perfmon.as_ref(),
-        );
+        let doc = service::service_document(workers, queue_capacity, &health, &results, wall_ms);
         failures += write_out("service document", path, &doc.pretty());
     }
     if let Some(path) = &opts.journal_out {
@@ -958,25 +919,6 @@ fn write_out(what: &str, path: &str, text: &str) -> u32 {
     }
 }
 
-/// Write the perfmon registry dump requested with `--metrics-out`;
-/// returns the number of failures (0 or 1).
-fn write_metrics(opts: &Options) -> u32 {
-    let Some(path) = &opts.metrics_out else {
-        return 0;
-    };
-    let doc = hostprof::metrics_document(&peakperf_bench::report::PAPER_GPUS);
-    write_out("metrics", path, &doc.pretty())
-}
-
-/// Dump the perfmon registry (when requested) on the way out of a mode.
-fn with_metrics(opts: &Options, code: ExitCode) -> ExitCode {
-    if write_metrics(opts) > 0 {
-        ExitCode::FAILURE
-    } else {
-        code
-    }
-}
-
 /// Run the `bench` subcommand: the fixed telemetry suite, optionally
 /// written as a `peakperf-bench-v1` document and/or gated against a
 /// checked-in baseline.
@@ -999,7 +941,7 @@ fn run_bench(opts: &Options) -> ExitCode {
             .and_then(|text| {
                 Json::parse(&text).map_err(|e| format!("baseline {baseline_path}: {e}"))
             })
-            .and_then(|baseline| telemetry::compare(&report, &baseline, opts.compare_config));
+            .and_then(|baseline| telemetry::compare(&report, &baseline));
         match comparison {
             Ok(cmp) => {
                 println!("{}", cmp.render_text());
@@ -1014,11 +956,7 @@ fn run_bench(opts: &Options) -> ExitCode {
             }
         }
     }
-    if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
+    exit_code(failures)
 }
 
 fn main() -> ExitCode {
@@ -1039,95 +977,21 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    // `--metrics-out` opts any run into the perfmon registry; `hostprof`
-    // is observability by definition, so it always records.
-    if opts.metrics_out.is_some() || opts.hostprof_mode {
-        peakperf_sim::perfmon::enable();
+    let cached = matches!(opts.mode, Mode::Experiments | Mode::Profile | Mode::Bench);
+    if cached && opts.use_cache {
+        cache::enable_global(opts.cache_dir.clone().map(std::path::PathBuf::from));
     }
-    if opts.fuzz_mode {
-        return with_metrics(&opts, run_fuzz(&opts));
-    }
-    if opts.serve_mode {
-        return with_metrics(&opts, run_serve(&opts));
-    }
-    if opts.hostprof_mode {
-        return with_metrics(&opts, run_hostprof(&opts));
-    }
-    if opts.bench_mode {
-        if opts.use_cache {
-            peakperf_sim::timing::cache::enable_global(
-                opts.cache_dir.clone().map(std::path::PathBuf::from),
-            );
-        }
-        return with_metrics(&opts, run_bench(&opts));
-    }
-    if opts.names.is_empty() {
-        return usage();
-    }
-    if opts.use_cache {
-        peakperf_sim::timing::cache::enable_global(
-            opts.cache_dir.clone().map(std::path::PathBuf::from),
-        );
-    }
-
-    let mut report = RunReport {
-        workers: exec::default_workers(),
-        cache_enabled: opts.use_cache,
-        cache_dir: opts.cache_dir.clone(),
-        experiments: Vec::new(),
-        profiles: Vec::new(),
+    let code = match opts.mode {
+        Mode::Experiments => run_experiments(&opts),
+        Mode::Profile => run_profiles(&opts),
+        Mode::Fuzz => run_fuzz(&opts),
+        Mode::Bench => run_bench(&opts),
+        Mode::Hostprof => run_hostprof(&opts),
+        Mode::Serve => run_serve(&opts),
     };
-    let mut failures = 0u32;
-    if opts.profile_mode {
-        failures += run_profiles(&opts, &mut report);
-        eprintln!("{}", report.render_text());
-        if let Some(path) = &opts.json_path {
-            if let Err(e) = std::fs::write(path, report.to_json().pretty()) {
-                eprintln!("error: could not write JSON report to {path}: {e}");
-                failures += 1;
-            }
-        }
-        let code = if failures > 0 {
-            ExitCode::FAILURE
-        } else {
-            ExitCode::SUCCESS
-        };
-        return with_metrics(&opts, code);
+    let quarantined = cache::quarantined_count();
+    if quarantined > 0 {
+        eprintln!("[cache: {quarantined} entries quarantined]");
     }
-    for name in &opts.names {
-        let span = PerfSpan::begin();
-        // Panic boundary: a crashing experiment renders as FAILED (text
-        // and --json) and flips the exit code, but the rest still run.
-        let outcome = exec::run_isolated(|| run_one(name, opts.speed));
-        match &outcome {
-            Ok(out) => println!("{out}"),
-            Err(e) => {
-                // Report and keep going: one broken experiment should not
-                // cost the results of the others.
-                eprintln!("error in {name}: {e}");
-                failures += 1;
-            }
-        }
-        let perf = span.finish(name, outcome.map(|_| ()));
-        eprintln!(
-            "[{name} {} in {:.1?}]",
-            if perf.ok { "done" } else { "FAILED" },
-            perf.wall
-        );
-        report.experiments.push(perf);
-    }
-
-    eprintln!("{}", report.render_text());
-    if let Some(path) = &opts.json_path {
-        if let Err(e) = std::fs::write(path, report.to_json().pretty()) {
-            eprintln!("error: could not write JSON report to {path}: {e}");
-            failures += 1;
-        }
-    }
-    let code = if failures > 0 {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    };
-    with_metrics(&opts, code)
+    code
 }

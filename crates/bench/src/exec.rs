@@ -12,10 +12,10 @@
 //! automatically.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
-/// Worker count override set by `--workers`/`PEAKPERF_WORKERS`; 0 = auto.
+/// Worker count override set by `--workers`; 0 = auto.
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
 
 /// Jobs completed by any executor in this process.
@@ -69,21 +69,11 @@ pub fn set_default_workers(n: usize) {
 }
 
 /// The process-wide default worker count: the value set by
-/// [`set_default_workers`], else the `PEAKPERF_WORKERS` environment
-/// variable, else [`std::thread::available_parallelism`].
+/// [`set_default_workers`], else [`std::thread::available_parallelism`].
 pub fn default_workers() -> usize {
     let set = DEFAULT_WORKERS.load(Ordering::Relaxed);
     if set > 0 {
         return set;
-    }
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    if let Some(n) = ENV.get_or_init(|| {
-        std::env::var("PEAKPERF_WORKERS")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .filter(|&n| n > 0)
-    }) {
-        return *n;
     }
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
@@ -176,26 +166,10 @@ impl Executor {
         E: Send,
         F: Fn(&I) -> Result<T, E> + Sync,
     {
-        // Queue-wait is measured from batch entry to the moment a worker
-        // claims the job: with enough workers it stays near zero, and it
-        // grows with the serial tail when jobs outnumber workers — the
-        // executor-level signal surfaced through the perfmon registry.
-        let batch_t0 = Instant::now();
         let run = |item: &I| -> Result<T, E> {
             let t0 = Instant::now();
-            if peakperf_sim::perfmon::enabled() {
-                peakperf_sim::perfmon::counter_add(
-                    "executor.queue_wait_ns",
-                    t0.duration_since(batch_t0).as_nanos() as u64,
-                );
-            }
             let result = f(item);
-            let elapsed = t0.elapsed();
-            record_job(elapsed);
-            if peakperf_sim::perfmon::enabled() {
-                peakperf_sim::perfmon::counter_add("executor.jobs", 1);
-                peakperf_sim::perfmon::counter_add("executor.busy_ns", elapsed.as_nanos() as u64);
-            }
+            record_job(t0.elapsed());
             result
         };
 

@@ -1138,8 +1138,12 @@ pub struct CampaignResult {
     pub violations: Vec<ViolationCase>,
 }
 
-/// Derive the deterministic case list for a campaign.
+/// Derive the deterministic case list for a campaign: no cases when it
+/// names no generation to draw from.
 pub fn campaign_cases(cfg: &CampaignConfig) -> Vec<FuzzCase> {
+    if cfg.generations.is_empty() {
+        return Vec::new();
+    }
     let specs = SeedSpec::all();
     let mut master = Rng::seed_from_u64(cfg.seed);
     (0..cfg.iters)
@@ -1485,5 +1489,18 @@ mod tests {
         assert_eq!(doc.count("iters"), 6);
         let text = render_campaign(&cfg, &result);
         assert!(text.contains("Fuzz campaign"));
+    }
+
+    #[test]
+    fn a_campaign_without_generations_has_no_cases() {
+        let cfg = CampaignConfig {
+            seed: 1,
+            iters: 3,
+            generations: Vec::new(),
+        };
+        assert_eq!(campaign_cases(&cfg), Vec::new());
+        let result = run_campaign(&cfg);
+        assert_eq!(result.cases, 0);
+        assert!(result.violations.is_empty());
     }
 }

@@ -3,14 +3,8 @@
 //! Where `reproduce profile` decomposes the simulated GPU's bound-vs-
 //! achieved gap, this module runs the same named targets under a
 //! [`HostProf`] observer (see `peakperf_sim::perfmon`) and reports where
-//! the *host* wall time goes and how much of the simulated cycle stream
-//! an optimized engine could skip:
-//!
-//! * per-[`Phase`] wall-time shares of the scheduler loop;
-//! * idle-cycle run-length histograms by dominant [`StallKind`] — the
-//!   event-driven fast-forward headroom;
-//! * the projected idle-skip speedup, which is what ROADMAP Open item 1's
-//!   ≥10× target is measured against.
+//! the *host* wall time goes: per-[`Phase`] wall-time shares of the
+//! scheduler loop, plus how many simulated cycles issued nothing.
 //!
 //! Profiled runs always simulate (a cache hit has nothing to observe),
 //! and they run without a trace consumer beside the profiler, so the
@@ -22,8 +16,8 @@
 
 use std::fmt::Write as _;
 
-use peakperf_sim::perfmon::{Histogram, HostProf, Opportunity, Phase};
-use peakperf_sim::timing::{Hooks, StallKind, TimingSim};
+use peakperf_sim::perfmon::{HostProf, Phase};
+use peakperf_sim::timing::{Hooks, TimingSim};
 use peakperf_sim::{ensure, obj, Json, SimError};
 
 use crate::profiling::{self, PreparedTarget};
@@ -62,14 +56,8 @@ pub fn run_target(name: &str) -> Result<HostProfOutcome, SimError> {
     )?;
     let mut probe = HostProf::new();
     let report = sim.run(&mut prepared.memory, Hooks::observe(&mut probe))?;
-    if peakperf_sim::perfmon::enabled() {
-        peakperf_sim::perfmon::counter_add("hostprof.targets", 1);
-        peakperf_sim::perfmon::counter_add("hostprof.simulated_cycles", report.cycles);
-        peakperf_sim::perfmon::counter_add("hostprof.probe_wall_ns", probe.total_nanos());
-    }
-    let opp = probe.analyze();
-    let text = render_text(name, prepared.gpu.name, &probe, &opp, &report);
-    let json = render_json(name, prepared.gpu.name, &probe, &opp, &report);
+    let text = render_text(name, prepared.gpu.name, &probe, &report);
+    let json = render_json(name, prepared.gpu.name, &probe, &report);
     Ok(HostProfOutcome {
         gpu: prepared.gpu.name,
         text,
@@ -91,7 +79,6 @@ fn render_text(
     name: &str,
     gpu: &str,
     probe: &HostProf,
-    opp: &Opportunity,
     report: &peakperf_sim::timing::TimingReport,
 ) -> String {
     let mut out = String::new();
@@ -120,56 +107,18 @@ fn render_text(
     }
     let _ = writeln!(
         out,
-        "idle cycles: {} of {} ({:.1}%) in {} runs; event-skippable: {}",
-        opp.idle_cycles,
-        opp.cycles,
-        100.0 * opp.idle_cycles as f64 / opp.cycles.max(1) as f64,
-        opp.idle_runs,
-        opp.idle_skippable,
-    );
-    let mut kinds: Vec<String> = Vec::new();
-    for kind in StallKind::ALL {
-        let h = probe.idle_histogram(Some(kind));
-        if !h.is_empty() {
-            kinds.push(format!(
-                "{} {} runs/{} cycles",
-                kind.as_str(),
-                h.count(),
-                h.sum()
-            ));
-        }
-    }
-    let unattr = probe.idle_histogram(None);
-    if !unattr.is_empty() {
-        kinds.push(format!(
-            "unattributed {} runs/{} cycles",
-            unattr.count(),
-            unattr.sum()
-        ));
-    }
-    if !kinds.is_empty() {
-        let _ = writeln!(out, "idle runs by dominant cause: {}", kinds.join(", "));
-    }
-    let _ = writeln!(
-        out,
-        "projected speedup: idle-skip {:.2}x",
-        opp.idle_skip_speedup()
+        "idle cycles: {} of {} ({:.1}%)",
+        probe.idle_cycles(),
+        report.cycles,
+        100.0 * probe.idle_cycles() as f64 / report.cycles.max(1) as f64,
     );
     out
-}
-
-fn histogram(h: &Histogram) -> Json {
-    let buckets = h.iter_nonzero();
-    buckets
-        .map(|(lo, hi, count)| obj!((); lo = lo, hi = hi, count = count))
-        .collect()
 }
 
 fn render_json(
     name: &str,
     gpu: &str,
     probe: &HostProf,
-    opp: &Opportunity,
     report: &peakperf_sim::timing::TimingReport,
 ) -> Json {
     let total = probe.total_nanos().max(1) as f64;
@@ -177,16 +126,10 @@ fn render_json(
         let nanos = probe.phase_nanos(phase) as f64;
         obj!((); phase = phase.as_str(), wall_ms = nanos / 1e6, share = nanos / total)
     });
-    let by_kind = StallKind::ALL.map(|k| (k.as_str(), histogram(probe.idle_histogram(Some(k)))));
-    let mut histograms = Json::obj(by_kind);
-    histograms.push("unattributed", histogram(probe.idle_histogram(None)));
-    let idle = obj!(opp; idle_cycles, idle_runs, skippable_cycles = opp.idle_skippable,
-        run_length_histograms = histograms);
     obj!(report; target = name, gpu = gpu, cycles, warp_instructions,
         wall_ms = probe.total_nanos() as f64 / 1e6,
         phases = phases.into_iter().collect::<Json>(),
-        idle = idle,
-        projection = obj!((); idle_skip_speedup = opp.idle_skip_speedup()))
+        idle = obj!((); idle_cycles = probe.idle_cycles()))
 }
 
 /// Wrap per-target entries into the `peakperf-hostprof-v1` document
@@ -201,13 +144,9 @@ pub fn hostprof_document(targets: Vec<Json>, gpus: &[&str]) -> Json {
 /// Check a `peakperf-hostprof-v1` document: shaped like a sample this
 /// module writes; the phase list (the document's and every target's) is
 /// [`Phase::ALL`], in order; and per target the phase shares partition
-/// the wall time (sum ≈ 1), `skippable_cycles <= idle_cycles <= cycles`,
-/// the idle-run histograms cover every [`StallKind`] plus `unattributed`
-/// with well-formed buckets whose run counts sum to `idle_runs`, and
-/// every projection is a speedup (>= 1).
+/// the wall time (sum ≈ 1) and `idle_cycles <= cycles`.
 pub fn check(doc: &Json, errors: &mut Vec<String>) {
-    let probe = HostProf::new();
-    let entry = render_json("", "", &probe, &probe.analyze(), &Default::default());
+    let entry = render_json("", "", &HostProf::new(), &Default::default());
     let sample = hostprof_document(vec![entry], &[]);
     doc.conforms(&sample, &"hostprof document", errors);
     let phases = sample.get("phases");
@@ -241,77 +180,11 @@ pub fn check(doc: &Json, errors: &mut Vec<String>) {
             "{at}: phase shares sum to {share_sum:.4}, expected ~1.0"
         );
 
-        let idle = &target["idle"];
-        let (cycles, idle_cycles) = (target.count("cycles"), idle.count("idle_cycles"));
+        let (cycles, idle_cycles) = (target.count("cycles"), target["idle"].count("idle_cycles"));
         ensure!(
             errors,
             idle_cycles <= cycles,
             "{at}: idle_cycles exceed cycles"
-        );
-        let skippable = idle.count("skippable_cycles");
-        ensure!(
-            errors,
-            skippable <= idle_cycles,
-            "{at}: skippable_cycles exceed idle_cycles"
-        );
-        let histograms = &idle["run_length_histograms"];
-        let mut like = StallKind::ALL.map(StallKind::as_str).to_vec();
-        like.push("unattributed");
-        let keys = histograms.keys();
-        ensure!(
-            errors,
-            keys == like,
-            "{at}: histogram keys {keys:?} are not {like:?}"
-        );
-        let mut runs = 0;
-        for (kind, buckets) in histograms.as_obj().unwrap_or(&[]) {
-            for bucket in buckets.as_arr().unwrap_or(&[]) {
-                let field = |key| bucket[key].as_u64();
-                match (field("lo"), field("hi"), field("count")) {
-                    (Some(lo), Some(hi), Some(count)) if lo <= hi => runs += count,
-                    _ => errors.push(format!(
-                        "{at}: histogram `{kind}` has a bad bucket {bucket}"
-                    )),
-                }
-            }
-        }
-        let idle_runs = idle.count("idle_runs");
-        ensure!(
-            errors,
-            runs == idle_runs,
-            "{at}: histogram run counts sum to {runs} != idle_runs {idle_runs}"
-        );
-        for (key, value) in target["projection"].as_obj().unwrap_or(&[]) {
-            let speedup = value.as_f64().is_none_or(|v| v >= 1.0);
-            ensure!(
-                errors,
-                speedup,
-                "{at}.projection: {key} = {value} is not a speedup (>= 1.0)"
-            );
-        }
-    }
-}
-
-/// The current perfmon registry as a `peakperf-metrics-v1` document
-/// (written by `reproduce ... --metrics-out`). Counter names ending in
-/// `_ns` are wall-time totals and therefore volatile run to run;
-/// everything else is deterministic for a fixed invocation.
-pub fn metrics_document(gpus: &[&str]) -> Json {
-    let counters = peakperf_sim::perfmon::snapshot().to_json();
-    envelope("peakperf-metrics-v1", gpus, obj!((); counters = counters))
-}
-
-/// Check a `peakperf-metrics-v1` document: `counters` maps names to
-/// non-negative integers.
-pub fn check_metrics(doc: &Json, errors: &mut Vec<String>) {
-    let sample = envelope("peakperf-metrics-v1", &[], obj!((); counters = obj!(();)));
-    doc.conforms(&sample, &"metrics document", errors);
-    for (name, value) in doc["counters"].as_obj().unwrap_or(&[]) {
-        let count = value.as_u64().is_some();
-        ensure!(
-            errors,
-            count,
-            "counters: `{name}` = {value} is not a non-negative integer"
         );
     }
 }
@@ -319,17 +192,6 @@ pub fn check_metrics(doc: &Json, errors: &mut Vec<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn metrics_document_parses_and_passes_its_check() {
-        let doc = metrics_document(&["GTX580"]);
-        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
-        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
-        assert_eq!(
-            doc.get("schema").unwrap().as_str(),
-            Some("peakperf-metrics-v1")
-        );
-    }
 
     #[test]
     fn unknown_target_is_rejected() {
@@ -342,7 +204,7 @@ mod tests {
         let outcome = run_target("fermi_ffma").unwrap();
         assert_eq!(outcome.gpu, "GTX580");
         assert!(outcome.text.contains("== hostprof: fermi_ffma (GTX580) =="));
-        assert!(outcome.text.contains("projected speedup"));
+        assert!(outcome.text.contains("idle cycles: "));
         let doc = hostprof_document(vec![outcome.json], &[outcome.gpu]);
         assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
         assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());

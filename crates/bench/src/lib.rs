@@ -2,16 +2,12 @@
 //!
 //! Each experiment in [`experiments`] produces the same rows/series the
 //! paper reports, printed next to the paper's reference values. The
-//! `reproduce` binary exposes them as subcommands; the benches under
-//! `benches/` (driven by the in-repo [`harness`]) exercise the same entry
-//! points.
+//! `reproduce` binary exposes them as subcommands.
 
 pub mod exec;
 pub mod experiments;
 pub mod fault;
-pub mod harness;
 pub mod hostprof;
-pub mod perf;
 pub mod profiling;
 pub mod report;
 pub mod service;

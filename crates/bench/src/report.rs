@@ -6,7 +6,7 @@
 use peakperf_sim::json::{check_chrome_trace, Json};
 use peakperf_sim::obj;
 
-use crate::{fault, hostprof, perf, profiling, service, telemetry};
+use crate::{fault, hostprof, profiling, service, telemetry};
 
 /// The producing crate and version, stamped into every JSON document.
 pub const GENERATED_BY: &str = concat!("peakperf-bench ", env!("CARGO_PKG_VERSION"));
@@ -42,13 +42,11 @@ pub fn check_document(doc: &Json) -> Vec<String> {
         "peakperf-job-result-v1" => {
             service::check_result(doc, "result", &mut errors);
         }
-        "peakperf-perf-v1" => perf::check(doc, &mut errors),
         "peakperf-profile-v1" => profiling::check(doc, &mut errors),
         "peakperf-fuzz-v1" => fault::check(doc, &mut errors),
         telemetry::BENCH_SCHEMA => telemetry::check_bench(doc, &mut errors),
         telemetry::COMPARE_SCHEMA => telemetry::check_compare(doc, &mut errors),
         "peakperf-hostprof-v1" => hostprof::check(doc, &mut errors),
-        "peakperf-metrics-v1" => hostprof::check_metrics(doc, &mut errors),
         "peakperf-service-v1" => service::check(doc, &mut errors),
         "peakperf-servicetrace-v1" => service::journal::check(doc, &mut errors),
         "" => errors.push("document has neither a string `schema` nor `traceEvents`".to_owned()),
@@ -198,8 +196,8 @@ mod tests {
             ["unknown schema `peakperf-nonesuch-v9`"]
         );
         assert_eq!(check_document(&Json::Arr(vec![])).len(), 1);
-        let bare = obj!((); schema = "peakperf-metrics-v1");
+        let bare = obj!((); schema = "peakperf-hostprof-v1");
         let errors = check_document(&bare);
-        assert_eq!(errors[0], "metrics document: missing key `generated_by`");
+        assert_eq!(errors[0], "hostprof document: missing key `generated_by`");
     }
 }

@@ -28,8 +28,7 @@
 //!   work and reports queued jobs as `cancelled`. Either way every
 //!   accepted job still produces its terminal result.
 //! * **observability** — a [`Health`] snapshot (queue depth, in-flight,
-//!   per-status counters) backed by atomics, mirrored into the
-//!   [`peakperf_sim::perfmon`] registry when enabled; and, when a
+//!   per-status counters) backed by atomics; and, when a
 //!   [`journal::Journal`] is attached via [`Service::start_with_journal`],
 //!   a structured event for every lifecycle transition (the flight
 //!   recorder — see the [`journal`] module docs). No journal attached
@@ -52,7 +51,6 @@ use std::time::{Duration, Instant};
 
 use peakperf_arch::{Generation, GpuConfig};
 use peakperf_sass::KernelBuilder;
-use peakperf_sim::perfmon::MetricsSnapshot;
 use peakperf_sim::timing::{Hooks, TimingSim};
 use peakperf_sim::{CancelCause, CancelSource, CancelToken, GlobalMemory, LaunchConfig, SimError};
 
@@ -655,15 +653,14 @@ struct Shared {
 
 impl Shared {
     fn bump(&self, status: JobStatus) {
-        let (counter, metric): (&AtomicU64, &'static str) = match status {
-            JobStatus::Completed => (&self.counters.completed, "service.completed"),
-            JobStatus::Failed => (&self.counters.failed, "service.failed"),
-            JobStatus::Cancelled => (&self.counters.cancelled, "service.cancelled"),
-            JobStatus::Deadline => (&self.counters.deadline, "service.deadline"),
-            JobStatus::Rejected => (&self.counters.rejected, "service.rejected"),
+        let counter = match status {
+            JobStatus::Completed => &self.counters.completed,
+            JobStatus::Failed => &self.counters.failed,
+            JobStatus::Cancelled => &self.counters.cancelled,
+            JobStatus::Deadline => &self.counters.deadline,
+            JobStatus::Rejected => &self.counters.rejected,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        peakperf_sim::perfmon::counter_add(metric, 1);
     }
 
     /// Journal one event, when a journal is attached.
@@ -788,7 +785,6 @@ impl Service {
             .counters
             .submitted
             .fetch_add(1, Ordering::Relaxed);
-        peakperf_sim::perfmon::counter_add("service.submitted", 1);
         let reason = {
             let mut state = lock(&self.shared.state);
             if !state.accepting {
@@ -1034,7 +1030,6 @@ fn worker_loop(shared: &Shared, results: &mpsc::Sender<JobResult>, worker: u32) 
         };
         let queue_wait = queued.enqueued.elapsed();
         let queue_wait_us = queue_wait.as_micros().min(u128::from(u64::MAX)) as u64;
-        peakperf_sim::perfmon::counter_add("service.queue_wait_us", queue_wait_us);
         shared.record(
             &queued.spec.id,
             Some(worker),
@@ -1155,7 +1150,6 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
                     );
                 }
                 shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-                peakperf_sim::perfmon::counter_add("service.retried", 1);
                 let backoff = Duration::from_millis(
                     (shared.config.retry_backoff_ms << (attempts - 1).min(8))
                         .min(ServiceConfig::MAX_BACKOFF_MS),
@@ -1384,26 +1378,17 @@ pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
 
 /// The `peakperf-service-v1` summary document for one `reproduce serve`
 /// run.
-///
-/// When a perfmon snapshot is supplied (`reproduce serve --metrics-out`)
-/// the registry's counters are embedded as a `perfmon` section — the
-/// cross-check surface for the journal's queue-wait totals
-/// (`service.queue_wait_us` accumulates the same values the journal's
-/// `Dequeued` events carry). `None` keeps the document identical to a
-/// build without perfmon.
 pub fn service_document(
     workers: usize,
     queue_capacity: usize,
     health: &Health,
     results: &[JobResult],
     wall_ms: f64,
-    perfmon: Option<&MetricsSnapshot>,
 ) -> Json {
-    let mut body = obj!((); workers = workers, queue_capacity = queue_capacity,
-        wall_ms = wall_ms, health = health.to_json());
-    body.push_some("perfmon", perfmon.map(MetricsSnapshot::to_json));
     let results = results.iter().map(JobResult::to_json);
-    body.push("results", results.collect::<Json>());
+    let body = obj!((); workers = workers, queue_capacity = queue_capacity,
+        wall_ms = wall_ms, health = health.to_json(),
+        results = results.collect::<Json>());
     envelope("peakperf-service-v1", &PAPER_GPUS, body)
 }
 
@@ -1414,7 +1399,7 @@ pub fn service_document(
 /// ([`Health::check_drained`]: the accounting identity, nothing left
 /// queued or in flight, the queue bound held).
 pub fn check(doc: &Json, errors: &mut Vec<String>) {
-    let sample = service_document(0, 0, &Health::default(), &[], 0.0, None);
+    let sample = service_document(0, 0, &Health::default(), &[], 0.0);
     doc.conforms(&sample, &"service document", errors);
     let mut tally = [0u64; JobStatus::ALL.len()];
     let mut ids = std::collections::HashSet::new();
@@ -1816,7 +1801,7 @@ mod tests {
         service.submit(JobSpec::new("b", JobKind::Panic));
         let health = service.drain();
         let results = drain_results(&rx);
-        let doc = service_document(2, 8, &health, &results, 12.5, None);
+        let doc = service_document(2, 8, &health, &results, 12.5);
         assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
         assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
         assert_eq!(Health::from_json(doc.get("health").unwrap()), Ok(health));

@@ -21,11 +21,11 @@
 //! document. Checked-in documents under `bench/baselines/` are the
 //! repository's performance memory: [`compare`] diffs a fresh run
 //! against one and classifies every metric as improved / unchanged /
-//! regressed, with two distinct rules — **accuracy drift, and any
-//! difference in a row's simulated cycle/instruction/stall counters, is
-//! always an error** (a drift in either direction means the model
-//! changed and the baseline must be consciously re-recorded), while
-//! **wall-time metrics carry a noise band** so machine jitter does not gate. The `reproduce
+//! regressed — **accuracy drift, and any difference in a row's simulated
+//! cycle/instruction/stall counters, is always an error** (a drift in
+//! either direction means the model changed and the baseline must be
+//! consciously re-recorded). Wall time is recorded but never compared:
+//! how fast the harness runs is `benchmark/`'s question. The `reproduce
 //! bench --compare` exit code reflects the gate, which is what CI runs
 //! on every push.
 //!
@@ -40,7 +40,6 @@ use peakperf_arch::GpuConfig;
 use peakperf_bound::paper_reference;
 use peakperf_kernels::microbench::math::{table2_patterns, MathPattern};
 use peakperf_kernels::sgemm::{Preset, Variant};
-use peakperf_sim::perfmon::MetricsSnapshot;
 use peakperf_sim::timing::profile::{check_stall_kinds, stall_kinds_json};
 use peakperf_sim::timing::StallKind;
 use peakperf_sim::{ensure, obj, Counters, Json, SimError};
@@ -181,10 +180,6 @@ pub struct BenchReport {
     pub wall: Duration,
     /// Executor job statistics over the suite.
     pub jobs: JobStats,
-    /// Perfmon registry growth over the suite, when the registry was
-    /// enabled (`--metrics-out`); `None` otherwise, and the JSON document
-    /// is byte-identical to one from a build without perfmon.
-    pub perfmon: Option<MetricsSnapshot>,
 }
 
 impl BenchReport {
@@ -205,21 +200,6 @@ impl BenchReport {
             0.0
         } else {
             t.cache_hits as f64 / lookups as f64
-        }
-    }
-
-    /// Timing-cache hit rate as the perfmon registry saw it: `hits /
-    /// lookups` from the `timing_cache.*` counters. `None` when perfmon
-    /// was off or no lookup was instrumented. Cross-checks
-    /// [`BenchReport::cache_hit_rate`], which derives the same ratio from
-    /// the independent simulation-counter path.
-    pub fn perfmon_cache_hit_rate(&self) -> Option<f64> {
-        let pm = self.perfmon.as_ref()?;
-        let lookups = pm.get("timing_cache.lookups");
-        if lookups == 0 {
-            None
-        } else {
-            Some(pm.get("timing_cache.hits") as f64 / lookups as f64)
         }
     }
 
@@ -305,24 +285,6 @@ impl BenchReport {
             Self::per_sec(totals.warp_instructions, self.wall) / 1e6,
             100.0 * self.cache_hit_rate(),
         );
-        if let Some(pm) = &self.perfmon {
-            let cross = match self.perfmon_cache_hit_rate() {
-                Some(rate) => format!(
-                    "cache {} lookups at {:.1}% hits (counter path: {:.1}%)",
-                    pm.get("timing_cache.lookups"),
-                    100.0 * rate,
-                    100.0 * self.cache_hit_rate(),
-                ),
-                None => "no instrumented cache lookups".to_owned(),
-            };
-            let _ = writeln!(
-                out,
-                "perfmon:  {cross}, {} stores, queue wait {:.1} ms over {} jobs",
-                pm.get("timing_cache.stores"),
-                pm.get("executor.queue_wait_ns") as f64 / 1e6,
-                pm.get("executor.jobs"),
-            );
-        }
         out
     }
 
@@ -345,18 +307,6 @@ impl BenchReport {
             insts_per_sec = Self::per_sec(totals.warp_instructions, self.wall),
             cache_hit_rate = self.cache_hit_rate());
         body.push_some("filter", self.filter.as_deref());
-        if let Some(pm) = &self.perfmon {
-            // Wall-time counters (`*_ns`) render as `*_wall_ms` so they sit
-            // under the same volatile-field naming rule as everything else;
-            // plain counts are deterministic and keep their registry names.
-            let counters = pm
-                .iter()
-                .map(|(name, value)| match name.strip_suffix("_ns") {
-                    Some(prefix) => (format!("{prefix}_wall_ms"), (value as f64 / 1e6).into()),
-                    None => (name.to_owned(), value.into()),
-                });
-            body.push("perfmon", Json::obj(counters));
-        }
         let accuracy = obj!((); rows = self.rows.len(),
             mean_abs_pct_error = self.mean_abs_pct_error(),
             max_abs_pct_error = self.max_abs_pct_error());
@@ -508,12 +458,10 @@ pub fn run_suite_filtered(filter: Option<&str>) -> Result<BenchReport, SimError>
     }
     let executor = Executor::auto();
     let jobs_before = JobStats::snapshot();
-    let perf_before = peakperf_sim::perfmon::enabled().then(peakperf_sim::perfmon::snapshot);
     let t0 = Instant::now();
     let results = executor.try_map_scoped(&specs, run_row)?;
     let wall = t0.elapsed();
     let jobs = JobStats::snapshot().delta_since(&jobs_before);
-    let perfmon = perf_before.map(|before| peakperf_sim::perfmon::snapshot().delta_since(&before));
     let rows = results
         .into_iter()
         .map(|((mut row, row_wall), counters)| {
@@ -529,7 +477,6 @@ pub fn run_suite_filtered(filter: Option<&str>) -> Result<BenchReport, SimError>
         rows,
         wall,
         jobs,
-        perfmon,
     })
 }
 
@@ -546,26 +493,10 @@ pub fn run_suite() -> Result<BenchReport, SimError> {
 // Baseline comparison
 // ---------------------------------------------------------------------
 
-/// Comparison thresholds.
-#[derive(Debug, Clone, Copy)]
-pub struct CompareConfig {
-    /// Relative noise band for wall-time-derived metrics: a change of at
-    /// most `wall_band` (e.g. `0.3` = ±30 %) classifies as unchanged.
-    pub wall_band: f64,
-    /// Accuracy band in percentage points of model error: a row's
-    /// percent error moving more than this is drift — **always** a gate
-    /// failure, in either direction.
-    pub acc_band: f64,
-}
-
-impl Default for CompareConfig {
-    fn default() -> CompareConfig {
-        CompareConfig {
-            wall_band: 0.30,
-            acc_band: 0.5,
-        }
-    }
-}
+/// Accuracy band in percentage points of model error: a row's percent
+/// error moving more than this is drift — **always** a gate failure, in
+/// either direction.
+const ACCURACY_BAND_PP: f64 = 0.5;
 
 /// Classification of one compared metric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -613,7 +544,7 @@ pub struct MetricDelta {
     pub baseline: Option<f64>,
     /// Current value (absent for [`MetricClass::Removed`]).
     pub current: Option<f64>,
-    /// Classification under the configured bands.
+    /// Classification under the accuracy band / exact-counter rule.
     pub class: MetricClass,
     /// Whether this metric counts toward the gate (exit code).
     pub gate: bool,
@@ -622,8 +553,6 @@ pub struct MetricDelta {
 /// The whole comparison.
 #[derive(Debug, Clone)]
 pub struct Comparison {
-    /// The thresholds used.
-    pub config: CompareConfig,
     /// Every compared metric, suite metrics first, then rows in suite
     /// order.
     pub deltas: Vec<MetricDelta>,
@@ -707,7 +636,7 @@ impl Comparison {
         let metrics =
             metrics.map(|d| obj!(d; metric, baseline, current, class = d.class.as_str(), gate));
         let counts = MetricClass::ALL.map(|class| (class.as_str(), self.count(class).into()));
-        let bands = obj!((); wall = self.config.wall_band, accuracy_pp = self.config.acc_band);
+        let bands = obj!((); accuracy_pp = ACCURACY_BAND_PP);
         let body = obj!((); bands = bands, counts = Json::obj(counts),
             pass = self.failures().is_empty(), metrics = metrics.collect::<Json>());
         envelope(COMPARE_SCHEMA, &PAPER_GPUS, body)
@@ -727,7 +656,6 @@ pub fn check_compare(doc: &Json, errors: &mut Vec<String>) {
         gate: false,
     };
     let sample = Comparison {
-        config: CompareConfig::default(),
         deltas: vec![delta],
     };
     doc.conforms(&sample.to_json(), &"compare document", errors);
@@ -759,10 +687,9 @@ pub fn check_compare(doc: &Json, errors: &mut Vec<String>) {
     );
 }
 
-/// Percent error, wall time and simulated counters of one baseline row.
+/// Percent error and simulated counters of one baseline row.
 struct BaselineRow {
     pct_error: f64,
-    wall_ms: f64,
     counters: Counters,
 }
 
@@ -784,31 +711,15 @@ fn baseline_rows(baseline: &Json) -> Result<Vec<(String, BaselineRow)>, String> 
     let mut errors = Vec::new();
     baseline.conforms(&sample_document(), &"baseline", &mut errors);
     let rows = baseline.items("rows").iter().map(|row| {
-        let num = |key| row[key].as_f64().unwrap_or(f64::NAN);
         let counters = Counters::from_json(&row["counters"], "baseline counters", &mut errors);
         let base = BaselineRow {
-            pct_error: num("pct_error"),
-            wall_ms: num("wall_ms"),
+            pct_error: row["pct_error"].as_f64().unwrap_or(f64::NAN),
             counters,
         };
         (row.text("id").to_owned(), base)
     });
     let rows = rows.collect();
     errors.into_iter().next().map_or(Ok(rows), Err)
-}
-
-fn wall_class(baseline: f64, current: f64, band: f64) -> MetricClass {
-    if baseline <= 0.0 {
-        return MetricClass::Unchanged;
-    }
-    let rel = current / baseline - 1.0;
-    if rel > band {
-        MetricClass::Regressed
-    } else if rel < -band {
-        MetricClass::Improved
-    } else {
-        MetricClass::Unchanged
-    }
 }
 
 /// Compare a fresh run against a parsed baseline document.
@@ -818,19 +729,14 @@ fn wall_class(baseline: f64, current: f64, band: f64) -> MetricClass {
 /// and so does any difference at all in a row's simulated counters
 /// (cycles, warp instructions, stall cycles by kind) unless the row was
 /// answered from the timing cache on either side and so simulated
-/// nothing; wall-time metrics fail only on a slowdown beyond the noise band; a
-/// row present in the baseline but missing from the run fails (coverage
-/// loss).
+/// nothing; a row present in the baseline but missing from the run fails
+/// (coverage loss). Wall time is not compared.
 ///
 /// # Errors
 ///
 /// A baseline that is not a `peakperf-bench-v1` document or lacks the
 /// required row fields.
-pub fn compare(
-    current: &BenchReport,
-    baseline: &Json,
-    config: CompareConfig,
-) -> Result<Comparison, String> {
+pub fn compare(current: &BenchReport, baseline: &Json) -> Result<Comparison, String> {
     match baseline.get("schema").and_then(Json::as_str) {
         Some(BENCH_SCHEMA) => {}
         other => {
@@ -843,36 +749,7 @@ pub fn compare(
     let mut deltas = Vec::new();
 
     // Suite-level metrics first.
-    let base_num = |key: &str| baseline.get(key).and_then(Json::as_f64);
-    let cur_wall_ms = current.wall.as_secs_f64() * 1e3;
-    if let Some(base_wall) = base_num("wall_ms") {
-        deltas.push(MetricDelta {
-            metric: "suite wall_ms".to_owned(),
-            baseline: Some(base_wall),
-            current: Some(cur_wall_ms),
-            class: wall_class(base_wall, cur_wall_ms, config.wall_band),
-            gate: wall_class(base_wall, cur_wall_ms, config.wall_band) == MetricClass::Regressed,
-        });
-    }
-    if let Some(base_cps) = base_num("cycles_per_sec") {
-        let totals = current.totals();
-        let cur_cps = BenchReport::per_sec(totals.sim_cycles, current.wall);
-        // Higher is better: compare inverted through the wall rule.
-        let class = wall_class(cur_cps.max(1e-9), base_cps, config.wall_band);
-        let class = match class {
-            MetricClass::Regressed => MetricClass::Improved,
-            MetricClass::Improved => MetricClass::Regressed,
-            other => other,
-        };
-        deltas.push(MetricDelta {
-            metric: "suite cycles_per_sec".to_owned(),
-            baseline: Some(base_cps),
-            current: Some(cur_cps),
-            class,
-            gate: class == MetricClass::Regressed,
-        });
-    }
-    if let Some(base_rate) = base_num("cache_hit_rate") {
+    if let Some(base_rate) = baseline.get("cache_hit_rate").and_then(Json::as_f64) {
         let cur_rate = current.cache_hit_rate();
         let class = if (cur_rate - base_rate).abs() <= 0.01 {
             MetricClass::Unchanged
@@ -895,7 +772,7 @@ pub fn compare(
         .and_then(Json::as_f64)
     {
         let cur_mean = current.mean_abs_pct_error();
-        let class = if (cur_mean - base_mean).abs() <= config.acc_band {
+        let class = if (cur_mean - base_mean).abs() <= ACCURACY_BAND_PP {
             MetricClass::Unchanged
         } else if cur_mean < base_mean {
             MetricClass::Improved
@@ -926,7 +803,7 @@ pub fn compare(
         };
         let cur_err = row.pct_error();
         let drift = cur_err - base.pct_error;
-        let acc_class = if drift.abs() <= config.acc_band {
+        let acc_class = if drift.abs() <= ACCURACY_BAND_PP {
             MetricClass::Unchanged
         } else if cur_err.abs() < base.pct_error.abs() {
             MetricClass::Improved
@@ -963,15 +840,6 @@ pub fn compare(
                 });
             }
         }
-        let cur_wall = row.wall.as_secs_f64() * 1e3;
-        let class = wall_class(base.wall_ms, cur_wall, config.wall_band);
-        deltas.push(MetricDelta {
-            metric: format!("{} wall_ms", row.id),
-            baseline: Some(base.wall_ms),
-            current: Some(cur_wall),
-            class,
-            gate: class == MetricClass::Regressed,
-        });
     }
 
     // Baseline rows the run no longer covers.
@@ -987,7 +855,7 @@ pub fn compare(
         }
     }
 
-    Ok(Comparison { config, deltas })
+    Ok(Comparison { deltas })
 }
 
 #[cfg(test)]
@@ -1062,35 +930,7 @@ mod tests {
                 jobs: 2,
                 busy_nanos: 50_000_000,
             },
-            perfmon: None,
         }
-    }
-
-    #[test]
-    fn perfmon_section_is_absent_by_default_and_volatile_when_present() {
-        let mut report = sample_report();
-        assert_eq!(report.to_json().get("perfmon"), None);
-        assert_eq!(report.perfmon_cache_hit_rate(), None);
-
-        report.perfmon = Some(MetricsSnapshot::from_iter([
-            ("executor.jobs", 2),
-            ("executor.queue_wait_ns", 1_500_000),
-            ("timing_cache.hits", 3),
-            ("timing_cache.lookups", 4),
-            ("timing_cache.lookup_ns", 2_000_000),
-        ]));
-        // Wall-time counters turn into volatile `*_wall_ms` members; counts
-        // keep their registry names.
-        assert_eq!(
-            report.to_json().get("perfmon").unwrap().render(),
-            "{\"executor.jobs\":2,\"executor.queue_wait_wall_ms\":1.5,\
-             \"timing_cache.hits\":3,\"timing_cache.lookup_wall_ms\":2.0,\
-             \"timing_cache.lookups\":4}"
-        );
-        // The registry-side hit rate cross-checks the counter-side one.
-        assert_eq!(report.perfmon_cache_hit_rate(), Some(0.75));
-        assert!(report.render_text().contains("counter path:"));
-        assert!(report.render_text().contains("75.0% hits"));
     }
 
     #[test]
@@ -1124,7 +964,7 @@ mod tests {
     fn self_comparison_passes() {
         let report = sample_report();
         let baseline = report.to_json();
-        let cmp = compare(&report, &baseline, CompareConfig::default()).unwrap();
+        let cmp = compare(&report, &baseline).unwrap();
         assert!(cmp.failures().is_empty(), "{}", cmp.render_text());
         assert!(cmp.render_text().contains("PASS"));
         assert_eq!(cmp.to_json().get("pass"), Some(&Json::Bool(true)));
@@ -1144,7 +984,7 @@ mod tests {
             _ => unreachable!(),
         };
         *rows[0].get_mut("pct_error").unwrap() = Json::Num(-12.0);
-        let cmp = compare(&report, &baseline, CompareConfig::default()).unwrap();
+        let cmp = compare(&report, &baseline).unwrap();
         let failing: Vec<String> = cmp.failures().iter().map(|d| d.metric.clone()).collect();
         assert_eq!(failing, vec!["table2/demo pct_error".to_owned()]);
         assert_eq!(
@@ -1170,7 +1010,7 @@ mod tests {
         // band, but the model is no longer cycle-identical.
         let counters = rows[0].get_mut("counters").unwrap();
         *counters.get_mut("sim_cycles").unwrap() = Json::Int(1001);
-        let cmp = compare(&report, &baseline, CompareConfig::default()).unwrap();
+        let cmp = compare(&report, &baseline).unwrap();
         let failing: Vec<String> = cmp.failures().iter().map(|d| d.metric.clone()).collect();
         assert_eq!(failing, vec!["table2/demo sim_cycles".to_owned()]);
         assert!(cmp.render_text().contains("GATE table2/demo sim_cycles"));
@@ -1181,33 +1021,25 @@ mod tests {
             cache_hits: 1,
             ..Counters::default()
         };
-        let cmp = compare(&cached, &baseline, CompareConfig::default()).unwrap();
+        let cmp = compare(&cached, &baseline).unwrap();
         assert!(cmp.failures().is_empty(), "{}", cmp.render_text());
     }
 
     #[test]
-    fn fabricated_slowdown_fails_only_beyond_the_band() {
+    fn wall_time_is_recorded_but_never_compared() {
         let report = sample_report();
         let mut baseline = report.to_json();
         let rows = match baseline.get_mut("rows").unwrap() {
             Json::Arr(rows) => rows,
             _ => unreachable!(),
         };
-        // Baseline claims the row took 1 ms; the current 10 ms is a 10x
-        // slowdown, far beyond any reasonable band.
+        // Baseline claims the row took 1 ms against the current 10 ms and
+        // the suite 1 ms against 30: host speed is `benchmark/`'s question.
         *rows[0].get_mut("wall_ms").unwrap() = Json::Num(1.0);
-        let cmp = compare(&report, &baseline, CompareConfig::default()).unwrap();
-        assert!(cmp
-            .failures()
-            .iter()
-            .any(|d| d.metric == "table2/demo wall_ms"));
-        // A wide-enough band (CI runners) absorbs the same delta.
-        let wide = CompareConfig {
-            wall_band: 20.0,
-            ..CompareConfig::default()
-        };
-        let cmp = compare(&report, &baseline, wide).unwrap();
-        assert!(cmp.failures().is_empty());
+        *baseline.get_mut("wall_ms").unwrap() = Json::Num(1.0);
+        let cmp = compare(&report, &baseline).unwrap();
+        assert!(cmp.failures().is_empty(), "{}", cmp.render_text());
+        assert!(cmp.deltas.iter().all(|d| !d.metric.contains("wall_ms")));
     }
 
     #[test]
@@ -1221,7 +1053,7 @@ mod tests {
         // Rename a baseline row: the current run "lost" it (gate) and
         // "gained" an unknown one (no gate).
         *rows[1].get_mut("id").unwrap() = Json::Str("sgemm/gtx580/zz".into());
-        let cmp = compare(&report, &baseline, CompareConfig::default()).unwrap();
+        let cmp = compare(&report, &baseline).unwrap();
         let classes: Vec<(String, MetricClass)> = cmp
             .deltas
             .iter()
@@ -1237,8 +1069,8 @@ mod tests {
     fn rejects_foreign_baselines() {
         let report = sample_report();
         let not_bench = Json::parse("{\"schema\": \"peakperf-fuzz-v1\"}").unwrap();
-        assert!(compare(&report, &not_bench, CompareConfig::default()).is_err());
+        assert!(compare(&report, &not_bench).is_err());
         let no_rows = Json::parse("{\"schema\": \"peakperf-bench-v1\"}").unwrap();
-        assert!(compare(&report, &no_rows, CompareConfig::default()).is_err());
+        assert!(compare(&report, &no_rows).is_err());
     }
 }

@@ -1,6 +1,6 @@
 //! End-to-end tests of the `reproduce` binary: determinism across
-//! worker counts, up-front experiment-name validation, and the JSON
-//! report.
+//! worker counts, up-front validation of experiment names, subcommands
+//! and options, and the profile and fuzz smoke runs.
 
 use std::process::{Command, Output};
 
@@ -60,18 +60,46 @@ fn unknown_names_are_rejected_before_any_work() {
 }
 
 #[test]
-fn json_report_is_written_and_well_formed() {
-    let dir = std::env::temp_dir().join(format!("peakperf-cli-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("report.json");
-    let out = reproduce(&["--json", path.to_str().unwrap(), "table1"]);
-    assert!(out.status.success());
-    let json = std::fs::read_to_string(&path).unwrap();
-    assert!(json.contains("\"experiments\""));
-    assert!(json.contains("\"table1\""));
-    assert!(json.contains("\"ok\": true"));
-    assert!(json.contains("\"stall_cycles\""));
-    std::fs::remove_dir_all(&dir).ok();
+fn the_subcommand_is_read_once() {
+    // A second subcommand word, or one after the first positional word, is
+    // a usage error — not a panic, and not a silently ignored word.
+    for args in [
+        &["bench", "fuzz", "--iters", "3"][..],
+        &["fuzz", "bench"],
+        &["serve", "profile"],
+        &["hostprof", "bench", "x"],
+        &["table1", "fuzz"],
+    ] {
+        let out = reproduce(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("is a subcommand"), "{args:?}: {err}");
+        assert!(err.contains("usage: reproduce"), "{args:?}: {err}");
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+    // Options may still precede the subcommand.
+    let out = reproduce(&["--workers", "1", "profile"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("profile needs at least one target"), "{err}");
+}
+
+#[test]
+fn options_of_another_mode_are_rejected() {
+    for args in [
+        // The experiment and profile modes write no `--json` document.
+        &["--json", "x.json", "table1"][..],
+        &["profile", "--json", "x.json", "fermi_ffma"],
+        &["bench", "--soak", "3"],
+        &["serve", "--soak", "3", "--profile-out", "x.json"],
+        &["hostprof", "fermi_ffma", "--trace-out", "x.json"],
+    ] {
+        let out = reproduce(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("usage: reproduce"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
 }
 
 #[test]

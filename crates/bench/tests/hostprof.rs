@@ -1,11 +1,10 @@
-//! End-to-end tests of `reproduce hostprof` and `--metrics-out`: document
-//! determinism modulo wall-time fields, schema coherence of the emitted
-//! `peakperf-hostprof-v1` document, and the opt-in nature of the perfmon
-//! section in `peakperf-bench-v1` documents.
+//! End-to-end tests of `reproduce hostprof`: document determinism modulo
+//! wall-time fields and schema coherence of the emitted
+//! `peakperf-hostprof-v1` document.
 //!
-//! The tests use the cheapest profiling target (`fermi_ffma`) and the
-//! three-row IMUL bench filter so each binary invocation stays quick; the
-//! SGEMM hostprof targets run in CI and feed EXPERIMENTS.md.
+//! The tests use the cheapest profiling target (`fermi_ffma`) so each
+//! binary invocation stays quick; the SGEMM hostprof targets feed
+//! EXPERIMENTS.md.
 
 use std::process::{Command, Output};
 
@@ -41,7 +40,7 @@ fn hostprof_document_is_deterministic_modulo_wall_time() {
         );
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("== hostprof: fermi_ffma (GTX580) =="));
-        assert!(stdout.contains("projected speedup"));
+        assert!(stdout.contains("idle cycles: "));
     }
     let masked = |path: &std::path::Path| {
         common::mask_volatile(Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap())
@@ -103,74 +102,4 @@ fn hostprof_rejects_missing_and_unknown_targets() {
         stderr.contains("unknown hostprof target"),
         "unexpected stderr: {stderr}"
     );
-}
-
-#[test]
-fn metrics_out_dumps_the_registry_and_adds_the_bench_perfmon_section() {
-    let dir = temp_dir("metrics");
-    let bench_path = dir.join("bench.json");
-    let metrics_path = dir.join("metrics.json");
-    let out = reproduce(&[
-        "bench",
-        "--filter",
-        "table2/imul",
-        "--json",
-        bench_path.to_str().unwrap(),
-        "--metrics-out",
-        metrics_path.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "bench run failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-
-    let metrics = std::fs::read_to_string(&metrics_path).unwrap();
-    let parsed = Json::parse(&metrics).expect("metrics document must parse");
-    assert_eq!(check_document(&parsed), Vec::<String>::new());
-    assert_eq!(
-        parsed.get("schema").and_then(Json::as_str),
-        Some("peakperf-metrics-v1")
-    );
-    let counters = parsed.get("counters").expect("counters object");
-    let jobs = counters
-        .get("executor.jobs")
-        .and_then(Json::as_f64)
-        .unwrap_or(0.0);
-    assert!(jobs >= 3.0, "three bench rows must record jobs, got {jobs}");
-
-    // The bench document itself grows the perfmon section, with wall-time
-    // counters renamed to the volatile `*_wall_ms` convention.
-    let bench = std::fs::read_to_string(&bench_path).unwrap();
-    let parsed = Json::parse(&bench).expect("bench document must parse");
-    assert_eq!(check_document(&parsed), Vec::<String>::new());
-    let perfmon = parsed.get("perfmon").expect("perfmon section");
-    assert!(perfmon.get("executor.jobs").is_some());
-    assert!(perfmon.keys().iter().all(|k| !k.ends_with("_ns")));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn default_bench_document_has_no_perfmon_section() {
-    let dir = temp_dir("no-perfmon");
-    let path = dir.join("bench.json");
-    let out = reproduce(&[
-        "bench",
-        "--filter",
-        "table2/imul",
-        "--json",
-        path.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "bench run failed: {}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let doc = Json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-    assert_eq!(
-        doc.get("perfmon"),
-        None,
-        "default runs must not carry the perfmon section"
-    );
-    std::fs::remove_dir_all(&dir).ok();
 }

@@ -343,7 +343,7 @@ fn journal_attachment_leaves_results_and_documents_identical() {
         }
         let results = collect(&rx, 3, Duration::from_secs(60));
         let health = svc.drain();
-        service::service_document(1, 8, &health, &results, 0.0, None)
+        service::service_document(1, 8, &health, &results, 0.0)
     };
     let off = run(None);
     let on = run(Some(Arc::new(Journal::full(Some(Duration::from_millis(

@@ -8,7 +8,7 @@
 use std::process::{Command, Output};
 
 use peakperf_bench::report::check_document;
-use peakperf_bench::telemetry::{self, CompareConfig};
+use peakperf_bench::telemetry;
 use peakperf_sim::Json;
 
 mod common;
@@ -71,14 +71,10 @@ fn bench_documents_are_deterministic_modulo_wall_time() {
 
 #[test]
 fn compare_passes_against_its_own_fresh_baseline() {
-    // A fresh run against the document it wrote itself, at the default
-    // bands. Two separate runs cannot be held to the default wall band
-    // here: on a shared one-CPU machine two back-to-back runs of one 0.8 s
-    // row differ by more than 30 % about once in twelve, siblings or not
-    // (their accuracy and counters are held equal by the test above).
+    // A fresh run against the document it wrote itself.
     let report = telemetry::run_suite_filtered(Some(FILTER)).unwrap();
     let baseline = Json::parse(&report.to_json().pretty()).unwrap();
-    let cmp = telemetry::compare(&report, &baseline, CompareConfig::default()).unwrap();
+    let cmp = telemetry::compare(&report, &baseline).unwrap();
     assert!(cmp.failures().is_empty(), "{}", cmp.render_text());
     assert!(cmp.render_text().contains("gate PASS"));
     let doc = cmp.to_json();
@@ -86,8 +82,15 @@ fn compare_passes_against_its_own_fresh_baseline() {
     assert_eq!(doc.get("pass"), Some(&Json::Bool(true)));
 }
 
+fn rows_mut(doc: &mut Json) -> &mut Vec<Json> {
+    match doc.get_mut("rows") {
+        Some(Json::Arr(rows)) => rows,
+        other => panic!("rows is not an array: {other:?}"),
+    }
+}
+
 #[test]
-fn compare_gates_injected_drift_and_slowdown() {
+fn compare_gates_injected_drift_but_not_wall_time() {
     let dir = temp_dir("drift");
     let baseline_path = dir.join("baseline.json");
     let out = reproduce(&[
@@ -98,68 +101,52 @@ fn compare_gates_injected_drift_and_slowdown() {
         baseline_path.to_str().unwrap(),
     ]);
     assert!(out.status.success());
+    let compare = |extra: &[&str]| {
+        let mut args = vec!["bench", "--filter", FILTER, "--compare"];
+        args.push(baseline_path.to_str().unwrap());
+        args.extend(extra);
+        reproduce(&args)
+    };
 
-    // Rewrite the baseline: shift one row's recorded model error by 10
-    // percentage points (the fresh run now *drifts* by 10pp relative to
-    // it) and fabricate a 1 ms wall time for another row (the fresh run
-    // now looks like a massive slowdown).
+    // Fabricate a 1 ms wall time for one baseline row: the fresh run looks
+    // like a massive slowdown, and the gate does not care — host speed is
+    // `benchmark/`'s question.
     let text = std::fs::read_to_string(&baseline_path).unwrap();
     let mut doc = Json::parse(&text).unwrap();
-    let rows = match doc.get_mut("rows").unwrap() {
-        Json::Arr(rows) => rows,
-        other => panic!("rows is not an array: {other:?}"),
-    };
+    let rows = rows_mut(&mut doc);
     let drifted_id = rows[0].get("id").unwrap().as_str().unwrap().to_owned();
-    let slowed_id = rows[1].get("id").unwrap().as_str().unwrap().to_owned();
     let old_err = rows[0].get("pct_error").unwrap().as_f64().unwrap();
-    *rows[0].get_mut("pct_error").unwrap() = Json::Num(old_err - 10.0);
     *rows[1].get_mut("wall_ms").unwrap() = Json::Num(1.0);
     std::fs::write(&baseline_path, doc.pretty()).unwrap();
-
-    let out = reproduce(&[
-        "bench",
-        "--filter",
-        FILTER,
-        "--compare",
-        baseline_path.to_str().unwrap(),
-    ]);
-    assert!(
-        !out.status.success(),
-        "injected drift and slowdown must fail the gate"
-    );
+    let out = compare(&[]);
     let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("gate FAIL"), "stdout: {text}");
-    assert!(
-        text.contains(&format!("GATE {drifted_id} pct_error")),
-        "accuracy drift must be named: {text}"
-    );
-    assert!(
-        text.contains(&format!("GATE {slowed_id} wall_ms")),
-        "slowdown must be named: {text}"
-    );
+    assert!(out.status.success(), "wall time must not gate: {text}");
+    assert!(text.contains("gate PASS"), "stdout: {text}");
+    assert!(!text.contains("wall_ms"), "stdout: {text}");
 
-    // The same comparison under a CI-wide wall band still fails, on the
-    // accuracy drift alone: wall noise is forgivable, model drift is not.
+    // Shift one row's recorded model error by 10 percentage points, either
+    // way: the fresh run now *drifts* by 10 pp relative to it, and drift
+    // toward the paper is as much a model change as drift away from it.
     let cmp_out = dir.join("cmp.json");
-    let out = reproduce(&[
-        "bench",
-        "--filter",
-        FILTER,
-        "--compare",
-        baseline_path.to_str().unwrap(),
-        "--wall-band",
-        "10000",
-        "--compare-out",
-        cmp_out.to_str().unwrap(),
-    ]);
-    assert!(!out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains(&format!("GATE {drifted_id} pct_error")));
-    assert!(!text.contains(&format!("GATE {slowed_id} wall_ms")));
-    let doc = Json::parse(&std::fs::read_to_string(&cmp_out).unwrap()).unwrap();
-    assert_eq!(check_document(&doc), Vec::<String>::new());
-    assert_eq!(doc.text("schema"), "peakperf-bench-compare-v1");
-    assert_eq!(doc.get("pass"), Some(&Json::Bool(false)));
+    for shift in [-10.0, 10.0] {
+        *rows_mut(&mut doc)[0].get_mut("pct_error").unwrap() = Json::Num(old_err + shift);
+        std::fs::write(&baseline_path, doc.pretty()).unwrap();
+        let out = compare(&["--compare-out", cmp_out.to_str().unwrap()]);
+        assert!(!out.status.success(), "injected drift must fail the gate");
+        let text = String::from_utf8_lossy(&out.stdout);
+        assert!(
+            text.contains("gate FAIL (1 violation(s))"),
+            "stdout: {text}"
+        );
+        assert!(
+            text.contains(&format!("GATE {drifted_id} pct_error")),
+            "accuracy drift must be named: {text}"
+        );
+        let doc = Json::parse(&std::fs::read_to_string(&cmp_out).unwrap()).unwrap();
+        assert_eq!(check_document(&doc), Vec::<String>::new());
+        assert_eq!(doc.text("schema"), "peakperf-bench-compare-v1");
+        assert_eq!(doc.get("pass"), Some(&Json::Bool(false)));
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

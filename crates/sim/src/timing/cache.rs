@@ -133,28 +133,8 @@ impl SimCache {
     /// Look up a report by key: memory first, then disk (a disk hit is
     /// promoted into memory).
     pub fn lookup(&self, key: u128) -> Option<TimingReport> {
-        if !crate::perfmon::enabled() {
-            return self.lookup_inner(key).map(|(r, _)| r);
-        }
-        let t0 = std::time::Instant::now();
-        let found = self.lookup_inner(key);
-        crate::perfmon::counter_add("timing_cache.lookup_ns", t0.elapsed().as_nanos() as u64);
-        crate::perfmon::counter_add("timing_cache.lookups", 1);
-        match found {
-            Some((r, from_disk)) => {
-                crate::perfmon::counter_add("timing_cache.hits", 1);
-                if from_disk {
-                    crate::perfmon::counter_add("timing_cache.disk_hits", 1);
-                }
-                Some(r)
-            }
-            None => None,
-        }
-    }
-
-    fn lookup_inner(&self, key: u128) -> Option<(TimingReport, bool)> {
         if let Some(r) = lock_recover(&self.mem).get(&key) {
-            return Some((r.clone(), false));
+            return Some(r.clone());
         }
         let path = self.entry_path(key)?;
         let text = std::fs::read_to_string(&path).ok()?;
@@ -167,7 +147,7 @@ impl SimCache {
             return None;
         };
         lock_recover(&self.mem).insert(key, report.clone());
-        Some((report, true))
+        Some(report)
     }
 
     /// Store a report under `key` (in memory, and on disk when configured).
@@ -179,11 +159,6 @@ impl SimCache {
     /// process killed mid-write (or two processes sharing a `--cache-dir`)
     /// can never leave a torn entry under a valid entry name.
     pub fn store(&self, key: u128, report: &TimingReport) {
-        let t0 = if crate::perfmon::enabled() {
-            Some(std::time::Instant::now())
-        } else {
-            None
-        };
         lock_recover(&self.mem).insert(key, report.clone());
         if let Some(path) = self.entry_path(key) {
             if let Some(dir) = path.parent() {
@@ -200,10 +175,6 @@ impl SimCache {
             {
                 let _ = std::fs::remove_file(&tmp);
             }
-        }
-        if let Some(t0) = t0 {
-            crate::perfmon::counter_add("timing_cache.store_ns", t0.elapsed().as_nanos() as u64);
-            crate::perfmon::counter_add("timing_cache.stores", 1);
         }
     }
 
@@ -310,7 +281,6 @@ fn quarantine(path: &Path) {
     let _ = std::fs::remove_file(&bad);
     let _ = std::fs::rename(path, &bad);
     QUARANTINED.fetch_add(1, Ordering::Relaxed);
-    crate::perfmon::counter_add("timing_cache.quarantined", 1);
 }
 
 // ---------------------------------------------------------------------

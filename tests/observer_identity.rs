@@ -61,7 +61,7 @@ fn every_hook_configuration_is_cycle_identical() {
         let shares: u64 = Phase::ALL.into_iter().map(|p| prof.phase_nanos(p)).sum();
         assert_eq!(shares, prof.total_nanos());
         assert_eq!(prof.phase_nanos(Phase::TraceEmit), 0);
-        assert!(prof.analyze().idle_cycles <= plain.cycles);
+        assert!(prof.idle_cycles() <= plain.cycles);
 
         let mut paired = (TraceBuffer::new(), HostProf::new());
         assert_eq!(
