@@ -1,0 +1,113 @@
+//! The text and binary formats of every generated kernel, frozen.
+//!
+//! `tests/isa_golden.txt` holds, per kernel, an FNV-64 digest of the
+//! module's `Display` text and one of `Module::to_bytes()`: every SGEMM
+//! preset and the naive kernel × variant × GPU, the bank-optimized rewrite
+//! of the naive-register preset, and every Table-2, mix and threads
+//! microbenchmark kernel. A toolchain change that is meant to keep the
+//! assembly dialect and the encoding must leave it untouched.
+//!
+//! An intended change re-blesses it with
+//! `UPDATE_GOLDEN=1 cargo test --test isa_golden`.
+
+use std::fmt::Write as _;
+
+use peakperf::arch::{GpuConfig, LdsWidth};
+use peakperf::kernels::microbench::math::{build_math_kernel, table2_patterns};
+use peakperf::kernels::microbench::mix::build_mix_kernel;
+use peakperf::kernels::microbench::threads::{build_threads_kernel, Dependence};
+use peakperf::kernels::sgemm::{build_naive, build_preset, Preset, SgemmProblem, Variant};
+use peakperf::regalloc::optimize_banks;
+use peakperf::sass::{Kernel, Module};
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(FNV_OFFSET, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn record(lines: &mut String, name: &str, gpu: &GpuConfig, kernel: Kernel) {
+    let module = Module {
+        generation: gpu.generation,
+        kernels: vec![kernel],
+    };
+    let text = fnv64(module.to_string().as_bytes());
+    let bytes = fnv64(&module.to_bytes().unwrap());
+    writeln!(lines, "{name}/{} {text:016x} {bytes:016x}", gpu.name).unwrap();
+}
+
+fn golden_lines() -> String {
+    let mut lines = String::new();
+    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+        let g = gpu.generation;
+        for variant in Variant::ALL {
+            let problem = SgemmProblem {
+                variant,
+                m: 192,
+                n: 96,
+                k: 64,
+            };
+            for preset in Preset::ALL {
+                let build = build_preset(g, &problem, preset).unwrap();
+                let name = format!("sgemm/{}/{}", preset.name(), variant.name());
+                record(&mut lines, &name, &gpu, build.kernel);
+            }
+            let naive = build_naive(g, &problem).unwrap();
+            record(
+                &mut lines,
+                &format!("naive/{}", variant.name()),
+                &gpu,
+                naive.kernel,
+            );
+            let naive_regs = build_preset(g, &problem, Preset::AsmNaiveRegs).unwrap();
+            let rewritten = optimize_banks(&naive_regs.kernel).unwrap().kernel;
+            record(
+                &mut lines,
+                &format!("regalloc/{}", variant.name()),
+                &gpu,
+                rewritten,
+            );
+        }
+        for (i, pattern) in table2_patterns().iter().enumerate() {
+            let kernel = build_math_kernel(g, pattern, 256, 12).unwrap();
+            record(&mut lines, &format!("table2/{i:02}"), &gpu, kernel);
+        }
+        for width in LdsWidth::ALL {
+            for ratio in 0..=32 {
+                let kernel = build_mix_kernel(g, ratio, width, 12, 16).unwrap();
+                record(
+                    &mut lines,
+                    &format!("mix/{ratio}{}", width.suffix()),
+                    &gpu,
+                    kernel,
+                );
+            }
+        }
+        for dep in [Dependence::Independent, Dependence::Dependent] {
+            let kernel = build_threads_kernel(g, dep, 12, 16).unwrap();
+            record(&mut lines, &format!("threads/{}", dep.name()), &gpu, kernel);
+        }
+    }
+    lines
+}
+
+#[test]
+fn text_and_binary_formats_match_the_golden_digests() {
+    let lines = golden_lines();
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/isa_golden.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(path, &lines).unwrap();
+    }
+    let golden = std::fs::read_to_string(path)
+        .expect("golden file missing; regenerate with UPDATE_GOLDEN=1");
+    for (got, want) in lines.lines().zip(golden.lines()) {
+        assert_eq!(
+            got, want,
+            "format drifted from tests/isa_golden.txt; \
+             if intentional, regenerate with UPDATE_GOLDEN=1 cargo test"
+        );
+    }
+    assert_eq!(lines.lines().count(), golden.lines().count());
+}
