@@ -35,7 +35,10 @@ use peakperf_arch::{Generation, GpuConfig};
 use peakperf_kernels::microbench::math::{build_math_kernel, table2_patterns};
 use peakperf_kernels::rng::Rng;
 use peakperf_kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
-use peakperf_sass::{validate_kernel, CtlInfo, Instruction, Kernel, Module, Op, Operand, Reg};
+use peakperf_sass::{
+    assemble, validate_kernel, CtlInfo, ImmMut, Instruction, Kernel, Module, Op, OpClass, Operand,
+    Reg, Role,
+};
 use peakperf_sim::timing::{Hooks, Observer, TimingSim, TraceEvent};
 use peakperf_sim::{ensure, obj, GlobalMemory, Gpu, Json, LaunchConfig, SimError};
 
@@ -234,45 +237,12 @@ impl MutationKind {
     }
 }
 
-/// Mutable references to every `Reg`-typed field of an operation
-/// (registers *inside* flexible operands are reached via [`operand_mut`]).
-fn regs_mut(op: &mut Op) -> Vec<&mut Reg> {
-    match op {
-        Op::Nop | Op::Exit | Op::Bar | Op::Bra { .. } => vec![],
-        Op::Mov { dst, .. } | Op::Mov32i { dst, .. } | Op::S2r { dst, .. } => vec![dst],
-        Op::Fadd { dst, a, .. }
-        | Op::Fmul { dst, a, .. }
-        | Op::Iadd { dst, a, .. }
-        | Op::Imul { dst, a, .. }
-        | Op::Iscadd { dst, a, .. }
-        | Op::Shl { dst, a, .. }
-        | Op::Shr { dst, a, .. }
-        | Op::Lop { dst, a, .. } => vec![dst, a],
-        Op::Ffma { dst, a, c, .. } | Op::Imad { dst, a, c, .. } => vec![dst, a, c],
-        Op::Isetp { a, .. } => vec![a],
-        Op::Ld { dst, addr, .. } => vec![dst, addr],
-        Op::St { src, addr, .. } => vec![src, addr],
-        Op::Ldc { dst, .. } => vec![dst],
-    }
-}
-
-/// Mutable reference to the flexible operand of an operation, if it has one.
-fn operand_mut(op: &mut Op) -> Option<&mut Operand> {
-    match op {
-        Op::Mov { src, .. } => Some(src),
-        Op::Fadd { b, .. }
-        | Op::Fmul { b, .. }
-        | Op::Ffma { b, .. }
-        | Op::Iadd { b, .. }
-        | Op::Imul { b, .. }
-        | Op::Imad { b, .. }
-        | Op::Iscadd { b, .. }
-        | Op::Shl { b, .. }
-        | Op::Shr { b, .. }
-        | Op::Lop { b, .. }
-        | Op::Isetp { b, .. } => Some(b),
-        _ => None,
-    }
+/// Number of register slots of an operation that hold a `Reg` field
+/// (registers *inside* flexible operands are the operand's).
+fn reg_fields(op: &Op) -> usize {
+    op.reg_slots()
+        .filter(|(role, _)| *role != Role::Operand)
+        .count()
 }
 
 /// Indices of instructions satisfying `pred` (operating on a scratch copy
@@ -315,7 +285,7 @@ fn insert_instruction(kernel: &mut Kernel, index: usize, inst: Instruction, rng:
 fn try_apply(kernel: &mut Kernel, kind: MutationKind, rng: &mut Rng) -> bool {
     match kind {
         MutationKind::OperandScramble => {
-            let targets = matching_indices(kernel, |op| operand_mut(op).is_some());
+            let targets = matching_indices(kernel, |op| op.operand().is_some());
             let Some(i) = pick(&targets, rng) else {
                 return false;
             };
@@ -329,19 +299,26 @@ fn try_apply(kernel: &mut Kernel, kind: MutationKind, rng: &mut Rng) -> bool {
                     offset: rng.gen_below(0x1_0010) as u32,
                 },
             };
-            if let Some(operand) = operand_mut(&mut kernel.code[i].op) {
-                *operand = replacement;
-            }
+            kernel.code[i].op.set_operand(replacement);
             true
         }
         MutationKind::RegScramble => {
-            let targets = matching_indices(kernel, |op| !regs_mut(op).is_empty());
+            let targets = matching_indices(kernel, |op| reg_fields(op) > 0);
             let Some(i) = pick(&targets, rng) else {
                 return false;
             };
-            let mut slots = regs_mut(&mut kernel.code[i].op);
-            let s = rng.gen_range_usize(0, slots.len());
-            *slots[s] = Reg::r(rng.gen_below(64) as u8);
+            let op = &mut kernel.code[i].op;
+            let s = rng.gen_range_usize(0, reg_fields(op));
+            let new = Reg::r(rng.gen_below(64) as u8);
+            let mut slot = 0;
+            op.map_regs(|role, r| {
+                if role != Role::Operand {
+                    if slot == s {
+                        *r = new;
+                    }
+                    slot += 1;
+                }
+            });
             true
         }
         MutationKind::CtlBitFlip => {
@@ -392,21 +369,21 @@ fn try_apply(kernel: &mut Kernel, kind: MutationKind, rng: &mut Rng) -> bool {
         }
         MutationKind::BranchRetarget => {
             let target = rng.gen_below(kernel.code.len() as u64 + 4) as u32;
-            let bras = matching_indices(kernel, |op| matches!(op, Op::Bra { .. }));
+            let bras = matching_indices(kernel, |op| op.target().is_some());
             if let Some(i) = pick(&bras, rng) {
-                kernel.code[i].op = Op::Bra { target };
+                kernel.code[i].op = Op::bra(target);
             } else {
                 let at = rng.gen_range_usize(0, kernel.code.len() + 1);
-                insert_instruction(kernel, at, Instruction::new(Op::Bra { target }), rng);
+                insert_instruction(kernel, at, Instruction::new(Op::bra(target)), rng);
             }
             true
         }
         MutationKind::BarrierMutate => {
-            let bars = matching_indices(kernel, |op| matches!(op, Op::Bar));
+            let bars = matching_indices(kernel, |op| op.class() == OpClass::Barrier);
             match rng.gen_below(3) {
                 0 => {
                     let at = rng.gen_range_usize(0, kernel.code.len() + 1);
-                    insert_instruction(kernel, at, Instruction::new(Op::Bar), rng);
+                    insert_instruction(kernel, at, Instruction::new(Op::bar()), rng);
                     true
                 }
                 1 => {
@@ -420,7 +397,7 @@ fn try_apply(kernel: &mut Kernel, kind: MutationKind, rng: &mut Rng) -> bool {
                     let Some(i) = pick(&bars, rng) else {
                         return false;
                     };
-                    insert_instruction(kernel, i, Instruction::new(Op::Bar), rng);
+                    insert_instruction(kernel, i, Instruction::new(Op::bar()), rng);
                     true
                 }
             }
@@ -439,41 +416,32 @@ fn try_apply(kernel: &mut Kernel, kind: MutationKind, rng: &mut Rng) -> bool {
             true
         }
         MutationKind::ImmPerturb => {
-            let targets = matching_indices(kernel, |op| {
-                matches!(
-                    op,
-                    Op::Mov32i { .. }
-                        | Op::Ld { .. }
-                        | Op::St { .. }
-                        | Op::Ldc { .. }
-                        | Op::Iscadd { .. }
-                )
-            });
+            let targets = matching_indices(kernel, |op| op.imm_mut().is_some());
             let Some(i) = pick(&targets, rng) else {
                 return false;
             };
-            match &mut kernel.code[i].op {
-                Op::Mov32i { imm, .. } => {
+            match kernel.code[i].op.imm_mut() {
+                Some(ImmMut::Word(imm)) => {
                     *imm = if rng.gen_bool() {
                         *imm ^ (1 << rng.gen_below(32))
                     } else {
                         rng.next_u32()
                     };
                 }
-                Op::Ld { offset, .. } | Op::St { offset, .. } => {
+                Some(ImmMut::Offset(offset)) => {
                     *offset = rng.gen_range_i64(-(1 << 24), 1 << 24) as i32;
                 }
-                Op::Ldc { bank, offset, .. } => {
+                Some(ImmMut::Const(bank, offset)) => {
                     if rng.gen_bool() {
                         *bank = rng.gen_below(20) as u8;
                     } else {
                         *offset = rng.gen_below(0x2_0000) as u32;
                     }
                 }
-                Op::Iscadd { shift, .. } => {
+                Some(ImmMut::Shift(shift)) => {
                     *shift = rng.gen_below(64) as u8;
                 }
-                _ => return false,
+                None => return false,
             }
             true
         }
@@ -508,11 +476,13 @@ pub fn remove_instruction(kernel: &mut Kernel, i: usize) {
             ctl.remove(i);
         }
     }
-    for inst in &mut kernel.code {
-        if let Op::Bra { target } = &mut inst.op {
-            if *target > i as u32 {
-                *target -= 1;
-            }
+    for target in kernel
+        .code
+        .iter_mut()
+        .filter_map(|inst| inst.op.target_mut())
+    {
+        if *target > i as u32 {
+            *target -= 1;
         }
     }
 }
@@ -731,8 +701,9 @@ fn run_timing(
 }
 
 /// The round-trip oracle: a kernel the validator accepts must survive
-/// `Module` serialization bit-exactly. (Kernels the validator rejects are
-/// exempt — the encoder is allowed to reject them too.)
+/// `Module` serialization bit-exactly, and printing and re-assembling.
+/// (Kernels the validator rejects are exempt — the encoder and the
+/// assembler reject them too.)
 fn round_trip_violation(kernel: &Kernel, generation: Generation) -> Option<String> {
     if validate_kernel(kernel, generation).is_err() {
         return None;
@@ -741,6 +712,11 @@ fn round_trip_violation(kernel: &Kernel, generation: Generation) -> Option<Strin
         generation,
         kernels: vec![kernel.clone()],
     };
+    match assemble(&module.to_string(), generation) {
+        Ok(back) if back.kernels.len() == 1 && back.kernels[0] == *kernel => {}
+        Ok(_) => return Some("assemble(print(kernel)) differs from the kernel".to_owned()),
+        Err(e) => return Some(format!("validated kernel failed to re-assemble: {e}")),
+    }
     let bytes = match module.to_bytes() {
         Ok(b) => b,
         Err(e) => return Some(format!("validated kernel failed to encode: {e}")),

@@ -145,7 +145,7 @@ pub fn generate(
                         if spec.dependent {
                             const DEP_ACCS: [u8; 6] = [8, 9, 10, 11, 24, 25];
                             let dst = Reg::r(DEP_ACCS[acc_idx % DEP_ACCS.len()]);
-                            b.ffma(dst, lds_dst, Operand::Reg(lds_dst.offset(1)), dst);
+                            b.ffma(dst, lds_dst, Operand::reg(21), dst);
                         } else {
                             let dst = Reg::r(ACCS[acc_idx % ACCS.len()]);
                             b.ffma(dst, Reg::r(1), Operand::reg(4), dst);

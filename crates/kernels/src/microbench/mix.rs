@@ -22,8 +22,8 @@ pub fn build_mix_kernel(
     groups: u32,
     iters: u32,
 ) -> Result<Kernel, SimError> {
-    let width = MemWidth::from(width);
     let mut b = KernelBuilder::new(format!("mix_{}to1{}", ratio, width.suffix()), generation);
+    let width = MemWidth::from(width);
     // Threads need (threads * width.bytes()) shared bytes; sized for 1024.
     b.shared_bytes(1024 * width.bytes());
 

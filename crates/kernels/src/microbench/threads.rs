@@ -64,7 +64,7 @@ pub fn build_threads_kernel(
     b.imul(addr, addr, 8);
     let counter = Reg::r(17);
     b.mov32i(counter, iters);
-    let lds_dst = Reg::r(20); // pair R20:R21
+    let (lds_dst, lds_hi) = (Reg::r(20), Reg::r(21));
 
     let top = b.label_here();
     for _ in 0..groups {
@@ -84,7 +84,7 @@ pub fn build_threads_kernel(
                 Dependence::Dependent => {
                     // Read the freshly loaded pair.
                     let dst = Reg::r(ACCS_DEP[f]);
-                    b.ffma(dst, lds_dst, Operand::Reg(lds_dst.offset(1)), dst);
+                    b.ffma(dst, lds_dst, Operand::Reg(lds_hi), dst);
                 }
             }
         }

@@ -21,7 +21,8 @@
 use peakperf_arch::Generation;
 use peakperf_regalloc::SgemmPlan;
 use peakperf_sass::{
-    CmpOp, CtlInfo, KernelBuilder, MemSpace, MemWidth, Op, OpClass, Operand, Pred, Reg, SpecialReg,
+    CmpOp, CtlInfo, KernelBuilder, LogicOp, MemSpace, MemWidth, OpClass, Operand, Pred, Reg,
+    SpecialReg,
 };
 use peakperf_sim::{LaunchConfig, SimError};
 
@@ -116,6 +117,26 @@ struct LoaderPlan {
 }
 
 impl LoaderPlan {
+    /// Global loads (and shared stores) per tile.
+    fn transfers(&self) -> usize {
+        match self.shape {
+            LoaderShape::ColumnRuns => 3,
+            LoaderShape::RowRuns => 6,
+        }
+    }
+
+    /// Width, first prefetch register and byte offset of transfer `j`, in
+    /// global memory or (`global` false) in the shared tile.
+    fn transfer(&self, j: usize, pf: &[Reg], global: bool) -> (MemWidth, Reg, i32) {
+        match self.shape {
+            LoaderShape::ColumnRuns => (MemWidth::B64, pf[2 * j], (j as i32) * 8),
+            LoaderShape::RowRuns if global => {
+                (MemWidth::B32, pf[j], (j as u32 * self.ld * 4) as i32)
+            }
+            LoaderShape::RowRuns => (MemWidth::B32, pf[j], (j as i32) * 4),
+        }
+    }
+
     fn cursor_step(&self) -> i32 {
         match self.shape {
             LoaderShape::ColumnRuns => (L * self.ld * 4) as i32,
@@ -268,54 +289,54 @@ impl Emitter {
         self.plan.c[idx / 6][idx % 6]
     }
 
-    /// Emit the global loads of one tile into the prefetch registers.
-    /// Returns the instruction emitters deferred as closure-free steps so
-    /// the main loop can interleave them.
-    fn prefetch_steps(&self, loader: &LoaderPlan, cursor: Reg, pf: &[Reg]) -> Vec<Op> {
-        match loader.shape {
-            LoaderShape::ColumnRuns => (0..3)
-                .map(|p| Op::Ld {
-                    space: MemSpace::Global,
-                    width: MemWidth::B64,
-                    dst: pf[2 * p],
-                    addr: cursor,
-                    offset: (p as i32) * 8,
-                })
-                .collect(),
-            LoaderShape::RowRuns => (0..6)
-                .map(|j| Op::Ld {
-                    space: MemSpace::Global,
-                    width: MemWidth::B32,
-                    dst: pf[j],
-                    addr: cursor,
-                    offset: (j as u32 * loader.ld * 4) as i32,
-                })
-                .collect(),
-        }
+    /// Emit global load `j` of one tile into the prefetch registers.
+    fn prefetch(&mut self, loader: &LoaderPlan, cursor: Reg, pf: &[Reg], j: usize) {
+        let (width, dst, offset) = loader.transfer(j, pf, true);
+        self.builder
+            .ld(MemSpace::Global, width, dst, cursor, offset);
     }
 
     /// Emit the shared-memory stores of one tile from the prefetch
-    /// registers.
-    fn store_steps(&self, loader: &LoaderPlan, store: Reg, pf: &[Reg]) -> Vec<Op> {
-        match loader.shape {
-            LoaderShape::ColumnRuns => (0..3)
-                .map(|p| Op::St {
-                    space: MemSpace::Shared,
-                    width: MemWidth::B64,
-                    src: pf[2 * p],
-                    addr: store,
-                    offset: (p as i32) * 8,
-                })
-                .collect(),
-            LoaderShape::RowRuns => (0..6)
-                .map(|j| Op::St {
-                    space: MemSpace::Shared,
-                    width: MemWidth::B32,
-                    src: pf[j],
-                    addr: store,
-                    offset: (j as i32) * 4,
-                })
-                .collect(),
+    /// registers, each under `pred` when given.
+    fn store_tile(&mut self, loader: &LoaderPlan, store: Reg, pf: &[Reg], pred: Option<Pred>) {
+        for j in 0..loader.transfers() {
+            let (width, src, offset) = loader.transfer(j, pf, false);
+            if let Some(p) = pred {
+                self.builder.with_pred(p, false);
+            }
+            self.builder.st(MemSpace::Shared, width, src, store, offset);
+        }
+    }
+
+    /// Emit main-loop side operation `k`: the loop counter and cursor
+    /// updates, then the next tile's prefetch loads under `P1`. The
+    /// k-steps interleave these with the FFMAs.
+    fn side_op(&mut self, k: usize, loaders: [&LoaderPlan; 2], pf: [&[Reg]; 2]) {
+        let addr = self.plan.addr;
+        let b = &mut self.builder;
+        match k {
+            0 => {
+                b.iadd(addr.loop_end, addr.loop_end, -1);
+            }
+            1 => {
+                b.isetp(Pred::p(1), CmpOp::Gt, addr.loop_end, 0);
+            }
+            2 => {
+                b.iadd(addr.a_global, addr.a_global, loaders[0].cursor_step());
+            }
+            3 => {
+                b.iadd(addr.b_global, addr.b_global, loaders[1].cursor_step());
+            }
+            _ => {
+                b.with_pred(Pred::p(1), false);
+                let j = k - 4;
+                let a_loads = loaders[0].transfers();
+                if j < a_loads {
+                    self.prefetch(loaders[0], addr.a_global, pf[0], j);
+                } else {
+                    self.prefetch(loaders[1], addr.b_global, pf[1], j - a_loads);
+                }
+            }
         }
     }
 
@@ -391,12 +412,7 @@ impl Emitter {
         {
             let b = &mut self.builder;
             b.s2r(s_tid, SpecialReg::TidX);
-            b.push(Op::Lop {
-                op: peakperf_sass::LogicOp::And,
-                dst: tx,
-                a: s_tid,
-                b: Operand::Imm(15),
-            });
+            b.lop(LogicOp::And, tx, s_tid, 15);
             b.shr(ty, s_tid, 4);
         }
         let (p_a, p_b) = (self.p_a, self.p_b);
@@ -429,71 +445,27 @@ impl Emitter {
             b.mov32i(addr.loop_end, tiles);
         }
         // First tile: load + store + barrier.
-        for op in self.prefetch_steps(a_loader, addr.a_global, &pf_a) {
-            self.builder.push(op);
+        for j in 0..a_loader.transfers() {
+            self.prefetch(a_loader, addr.a_global, &pf_a, j);
         }
-        for op in self.prefetch_steps(b_loader, addr.b_global, &pf_b) {
-            self.builder.push(op);
+        for j in 0..b_loader.transfers() {
+            self.prefetch(b_loader, addr.b_global, &pf_b, j);
         }
         // Zero the accumulators while the loads are in flight.
         for i in 0..36 {
             let c = self.c_flat(i);
             self.builder.mov(c, Reg::RZ);
         }
-        for op in self.store_steps(a_loader, addr.a_smem_store, &pf_a) {
-            self.builder.push(op);
-        }
-        for op in self.store_steps(b_loader, addr.b_smem_store, &pf_b) {
-            self.builder.push(op);
-        }
+        self.store_tile(a_loader, addr.a_smem_store, &pf_a, None);
+        self.store_tile(b_loader, addr.b_smem_store, &pf_b, None);
         self.builder.bar();
 
         // --- Main loop ---------------------------------------------------
-        // Queue of interleavable work: the address updates and next-tile
-        // prefetch loads, spread across the k-steps when interleaving.
-        let mut side_ops: Vec<(Option<Pred>, Op)> = vec![
-            (
-                None,
-                Op::Iadd {
-                    dst: addr.loop_end,
-                    a: addr.loop_end,
-                    b: Operand::Imm(-1),
-                },
-            ),
-            (
-                None,
-                Op::Isetp {
-                    p: Pred::p(1),
-                    cmp: CmpOp::Gt,
-                    a: addr.loop_end,
-                    b: Operand::Imm(0),
-                },
-            ),
-            (
-                None,
-                Op::Iadd {
-                    dst: addr.a_global,
-                    a: addr.a_global,
-                    b: Operand::Imm(a_loader.cursor_step()),
-                },
-            ),
-            (
-                None,
-                Op::Iadd {
-                    dst: addr.b_global,
-                    a: addr.b_global,
-                    b: Operand::Imm(b_loader.cursor_step()),
-                },
-            ),
-        ];
-        let pf_ops: Vec<Op> = self
-            .prefetch_steps(a_loader, addr.a_global, &pf_a)
-            .into_iter()
-            .chain(self.prefetch_steps(b_loader, addr.b_global, &pf_b))
-            .collect();
-        for op in pf_ops {
-            side_ops.push((Some(Pred::p(1)), op));
-        }
+        // Interleavable work: the address updates and next-tile prefetch
+        // loads, spread across the k-steps when interleaving.
+        let loaders = [a_loader, b_loader];
+        let pf = [&pf_a[..], &pf_b[..]];
+        let mut side = 0..4 + a_loader.transfers() + b_loader.transfers();
 
         let top = self.builder.label_here();
 
@@ -524,14 +496,10 @@ impl Emitter {
             );
         }
 
-        let mut side_iter = side_ops.into_iter();
         if self.opts.hoist_addresses {
             // Compiler-style: everything at the loop head.
-            for (pred, op) in side_iter.by_ref() {
-                if let Some(p) = pred {
-                    self.builder.with_pred(p, false);
-                }
-                self.builder.push(op);
+            for k in side.by_ref() {
+                self.side_op(k, loaders, pf);
             }
         }
 
@@ -553,20 +521,14 @@ impl Emitter {
             }
             // Mix one side op (address update / prefetch load) per k-step.
             if !self.opts.hoist_addresses {
-                if let Some((pred, op)) = side_iter.next() {
-                    if let Some(p) = pred {
-                        self.builder.with_pred(p, false);
-                    }
-                    self.builder.push(op);
+                if let Some(k) = side.next() {
+                    self.side_op(k, loaders, pf);
                 }
                 if !self.opts.interleave_prefetch {
                     // Drain everything immediately after the first k-step's
                     // loads: a burst, not an interleave.
-                    for (pred, op) in side_iter.by_ref() {
-                        if let Some(p) = pred {
-                            self.builder.with_pred(p, false);
-                        }
-                        self.builder.push(op);
+                    for k in side.by_ref() {
+                        self.side_op(k, loaders, pf);
                     }
                 }
             }
@@ -585,21 +547,12 @@ impl Emitter {
             }
         }
         // Any side ops not yet drained (e.g. very short loops).
-        for (pred, op) in side_iter {
-            if let Some(p) = pred {
-                self.builder.with_pred(p, false);
-            }
-            self.builder.push(op);
+        for k in side {
+            self.side_op(k, loaders, pf);
         }
         self.builder.bar();
-        for op in self.store_steps(a_loader, addr.a_smem_store, &pf_a) {
-            self.builder.with_pred(Pred::p(1), false);
-            self.builder.push(op);
-        }
-        for op in self.store_steps(b_loader, addr.b_smem_store, &pf_b) {
-            self.builder.with_pred(Pred::p(1), false);
-            self.builder.push(op);
-        }
+        self.store_tile(a_loader, addr.a_smem_store, &pf_a, Some(Pred::p(1)));
+        self.store_tile(b_loader, addr.b_smem_store, &pf_b, Some(Pred::p(1)));
         self.builder.bar();
         self.builder.bra_if(Pred::p(1), false, top);
 
@@ -613,12 +566,7 @@ impl Emitter {
             let p_c = self.p_c;
             let b = &mut self.builder;
             b.s2r(e0, SpecialReg::TidX);
-            b.push(Op::Lop {
-                op: peakperf_sass::LogicOp::And,
-                dst: e1,
-                a: e0,
-                b: Operand::Imm(15),
-            });
+            b.lop(LogicOp::And, e1, e0, 15);
             b.shr(e0, e0, 4);
             b.s2r(e2, SpecialReg::CtaidY);
             b.imul(e2, e2, 96);
@@ -694,13 +642,13 @@ impl Emitter {
         let mode = self.opts.ctl;
         let stall_for = move |class: OpClass| -> u8 {
             match class {
-                OpClass::Fp32 | OpClass::Int | OpClass::Mov => match mode {
+                OpClass::Fp32 | OpClass::Int | OpClass::Move => match mode {
                     CtlMode::Scheduled => 1,
                     CtlMode::PerType => 2,
                 },
                 OpClass::IntMul => 4,
                 OpClass::Mem(_) => 1,
-                OpClass::Ctrl | OpClass::Barrier | OpClass::Nop => 0,
+                OpClass::Ctrl | OpClass::Barrier => 0,
             }
         };
         self.builder

@@ -2,16 +2,17 @@
 
 use std::fmt;
 
-use peakperf_sass::{Instruction, Op, Operand, Reg};
+use peakperf_sass::{Instruction, Reg, Role};
 
-/// Conflict degree of one FFMA: the maximum number of *distinct* source
-/// registers that share a register bank (1 = conflict-free).
+/// Conflict degree of one FFMA with source registers `srcs`: the
+/// maximum number of *distinct* sources that share a register bank
+/// (1 = conflict-free).
 ///
 /// `RZ` is materialized by the operand collector and never conflicts;
 /// repeated uses of the same register read one bank port once.
-pub fn ffma_conflict_ways(a: Reg, b: Option<Reg>, c: Reg) -> u32 {
+pub fn ffma_conflict_ways(srcs: &[Reg]) -> u32 {
     let mut distinct: Vec<Reg> = Vec::with_capacity(3);
-    for r in [Some(a), b, Some(c)].into_iter().flatten() {
+    for &r in srcs {
         if !r.is_rz() && !distinct.contains(&r) {
             distinct.push(r);
         }
@@ -21,6 +22,16 @@ pub fn ffma_conflict_ways(a: Reg, b: Option<Reg>, c: Reg) -> u32 {
         per_bank[r.bank().index()] += 1;
     }
     per_bank.iter().copied().max().unwrap_or(1).max(1)
+}
+
+/// The register sources of an FFMA in operand order (`a`, `b` when it is a
+/// register, `c`); `None` for any other instruction.
+pub(crate) fn ffma_sources(inst: &Instruction) -> Option<Vec<Reg>> {
+    let sources = inst.op.reg_slots().filter_map(|(role, r)| match role {
+        Role::Use | Role::Operand => Some(r),
+        _ => None,
+    });
+    (inst.op.mnemonic() == "FFMA").then(|| sources.collect())
 }
 
 /// Per-kernel conflict census of FFMA instructions, as plotted in Figure 8.
@@ -79,18 +90,12 @@ impl fmt::Display for ConflictReport {
 /// independently charges the dynamic cost).
 pub fn analyze_ffma_conflicts(code: &[Instruction]) -> ConflictReport {
     let mut report = ConflictReport::default();
-    for inst in code {
-        if let Op::Ffma { a, b, c, .. } = inst.op {
-            let b_reg = match b {
-                Operand::Reg(r) => Some(r),
-                _ => None,
-            };
-            report.total += 1;
-            match ffma_conflict_ways(a, b_reg, c) {
-                1 => report.free += 1,
-                2 => report.two_way += 1,
-                _ => report.three_way += 1,
-            }
+    for sources in code.iter().filter_map(ffma_sources) {
+        report.total += 1;
+        match ffma_conflict_ways(&sources) {
+            1 => report.free += 1,
+            2 => report.two_way += 1,
+            _ => report.three_way += 1,
         }
     }
     report
@@ -99,6 +104,7 @@ pub fn analyze_ffma_conflicts(code: &[Instruction]) -> ConflictReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use peakperf_sass::{Op, Operand};
 
     fn ffma(a: u8, b: u8, c: u8) -> Instruction {
         Instruction::new(Op::Ffma {
@@ -112,24 +118,24 @@ mod tests {
     #[test]
     fn ways_match_table2_examples() {
         // FFMA R0, R1, R4, R5: O0, E1, O1 -> conflict-free.
-        assert_eq!(ffma_conflict_ways(Reg::r(1), Some(Reg::r(4)), Reg::r(5)), 1);
+        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(4), Reg::r(5)]), 1);
         // FFMA R0, R1, R3, R5: R1 and R3 on odd0 -> 2-way.
-        assert_eq!(ffma_conflict_ways(Reg::r(1), Some(Reg::r(3)), Reg::r(5)), 2);
+        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(3), Reg::r(5)]), 2);
         // FFMA R0, R1, R3, R9: all odd0 -> 3-way.
-        assert_eq!(ffma_conflict_ways(Reg::r(1), Some(Reg::r(3)), Reg::r(9)), 3);
+        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(3), Reg::r(9)]), 3);
     }
 
     #[test]
     fn repeated_registers_do_not_conflict() {
         // FFMA R0, R1, R4, R0 with repeated R1: only distinct regs count.
-        assert_eq!(ffma_conflict_ways(Reg::r(1), Some(Reg::r(1)), Reg::r(5)), 1);
-        assert_eq!(ffma_conflict_ways(Reg::r(1), None, Reg::r(1)), 1);
+        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(1), Reg::r(5)]), 1);
+        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(1)]), 1);
     }
 
     #[test]
     fn rz_never_conflicts() {
-        assert_eq!(ffma_conflict_ways(Reg::RZ, Some(Reg::RZ), Reg::RZ), 1);
-        assert_eq!(ffma_conflict_ways(Reg::r(1), Some(Reg::RZ), Reg::r(9)), 2);
+        assert_eq!(ffma_conflict_ways(&[Reg::RZ, Reg::RZ, Reg::RZ]), 1);
+        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::RZ, Reg::r(9)]), 2);
     }
 
     #[test]

@@ -17,8 +17,9 @@
 
 use std::collections::HashMap;
 
-use peakperf_sass::{Instruction, Kernel, MemWidth, Op, Operand, Reg};
+use peakperf_sass::{Instruction, Kernel, MemWidth, Reg, Role};
 
+use crate::conflict::ffma_sources;
 use crate::{analyze_ffma_conflicts, solve, AllocProblem, ConflictReport, RegAllocError, VReg};
 
 /// Outcome of [`optimize_banks`].
@@ -34,21 +35,6 @@ pub struct RewriteOutcome {
     pub mapping: HashMap<Reg, Reg>,
 }
 
-fn remap(map: &HashMap<Reg, Reg>, r: Reg) -> Reg {
-    if r.is_rz() {
-        r
-    } else {
-        *map.get(&r).unwrap_or(&r)
-    }
-}
-
-fn remap_operand(map: &HashMap<Reg, Reg>, o: Operand) -> Operand {
-    match o {
-        Operand::Reg(r) => Operand::Reg(remap(map, r)),
-        other => other,
-    }
-}
-
 /// Apply a register mapping to every instruction of a code stream.
 ///
 /// Registers not present in the map are left unchanged; `RZ` is never
@@ -58,142 +44,40 @@ fn remap_operand(map: &HashMap<Reg, Reg>, o: Operand) -> Operand {
 pub fn apply_mapping(code: &[Instruction], map: &HashMap<Reg, Reg>) -> Vec<Instruction> {
     code.iter()
         .map(|inst| {
-            let op = match inst.op {
-                Op::Nop | Op::Exit | Op::Bar | Op::Bra { .. } => inst.op,
-                Op::Mov { dst, src } => Op::Mov {
-                    dst: remap(map, dst),
-                    src: remap_operand(map, src),
-                },
-                Op::Mov32i { dst, imm } => Op::Mov32i {
-                    dst: remap(map, dst),
-                    imm,
-                },
-                Op::S2r { dst, sr } => Op::S2r {
-                    dst: remap(map, dst),
-                    sr,
-                },
-                Op::Fadd { dst, a, b } => Op::Fadd {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                },
-                Op::Fmul { dst, a, b } => Op::Fmul {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                },
-                Op::Ffma { dst, a, b, c } => Op::Ffma {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                    c: remap(map, c),
-                },
-                Op::Iadd { dst, a, b } => Op::Iadd {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                },
-                Op::Imul { dst, a, b } => Op::Imul {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                },
-                Op::Imad { dst, a, b, c } => Op::Imad {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                    c: remap(map, c),
-                },
-                Op::Iscadd { dst, a, b, shift } => Op::Iscadd {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                    shift,
-                },
-                Op::Shl { dst, a, b } => Op::Shl {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                },
-                Op::Shr { dst, a, b } => Op::Shr {
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                },
-                Op::Lop { op, dst, a, b } => Op::Lop {
-                    op,
-                    dst: remap(map, dst),
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                },
-                Op::Isetp { p, cmp, a, b } => Op::Isetp {
-                    p,
-                    cmp,
-                    a: remap(map, a),
-                    b: remap_operand(map, b),
-                },
-                Op::Ld {
-                    space,
-                    width,
-                    dst,
-                    addr,
-                    offset,
-                } => Op::Ld {
-                    space,
-                    width,
-                    dst: remap(map, dst),
-                    addr: remap(map, addr),
-                    offset,
-                },
-                Op::St {
-                    space,
-                    width,
-                    src,
-                    addr,
-                    offset,
-                } => Op::St {
-                    space,
-                    width,
-                    src: remap(map, src),
-                    addr: remap(map, addr),
-                    offset,
-                },
-                Op::Ldc { dst, bank, offset } => Op::Ldc {
-                    dst: remap(map, dst),
-                    bank,
-                    offset,
-                },
-            };
-            Instruction {
-                pred: inst.pred,
-                pred_neg: inst.pred_neg,
-                op,
-            }
+            let mut inst = *inst;
+            inst.op
+                .map_regs(|_, r| *r = *map.get(r).filter(|_| !r.is_rz()).unwrap_or(r));
+            inst
         })
         .collect()
 }
 
 /// Collect the wide-access groups of a kernel: each `.64`/`.128` load or
 /// store pins `width.words()` consecutive registers.
-fn wide_groups(code: &[Instruction]) -> Vec<Vec<Reg>> {
+///
+/// # Errors
+///
+/// [`RegAllocError::Malformed`] when a group runs past `R62`.
+fn wide_groups(code: &[Instruction]) -> Result<Vec<Vec<Reg>>, RegAllocError> {
     let mut groups: Vec<Vec<Reg>> = Vec::new();
-    let mut push = |base: Reg, width: MemWidth| {
+    for (role, base) in code.iter().flat_map(|inst| inst.op.reg_slots()) {
+        let (Role::Load(width) | Role::Store(width)) = role else {
+            continue;
+        };
         if width == MemWidth::B32 || base.is_rz() {
-            return;
+            continue;
         }
-        let group: Vec<Reg> = (0..width.words() as u8).map(|i| base.offset(i)).collect();
+        let group: Option<Vec<Reg>> = (0..width.words() as u8)
+            .map(|i| base.offset_checked(i).filter(|r| !r.is_rz()))
+            .collect();
+        let group = group.ok_or_else(|| RegAllocError::Malformed {
+            message: format!("wide access at {base} runs past R62"),
+        })?;
         if !groups.contains(&group) {
             groups.push(group);
         }
-    };
-    for inst in code {
-        match inst.op {
-            Op::Ld { width, dst, .. } => push(dst, width),
-            Op::St { width, src, .. } => push(src, width),
-            _ => {}
-        }
     }
-    groups
+    Ok(groups)
 }
 
 /// Rename the registers of `kernel` so that its main-loop FFMAs become
@@ -205,7 +89,8 @@ fn wide_groups(code: &[Instruction]) -> Vec<Vec<Reg>> {
 ///
 /// # Errors
 ///
-/// Returns [`RegAllocError::Unsatisfiable`] when no permutation satisfies
+/// Returns [`RegAllocError::Malformed`] when a wide access runs past
+/// `R62`, and [`RegAllocError::Unsatisfiable`] when no permutation satisfies
 /// all FFMA groups together with the wide-access alignment pins. (This can
 /// happen for kernels whose wide groups overlap FFMA operands in
 /// incompatible ways; callers may then fall back to the original kernel.)
@@ -225,7 +110,7 @@ pub fn optimize_banks(kernel: &Kernel) -> Result<RewriteOutcome, RegAllocError> 
     let index_of: HashMap<Reg, usize> = used.iter().enumerate().map(|(i, &r)| (r, i)).collect();
 
     let mut problem = AllocProblem::new(used.len());
-    for group in wide_groups(&kernel.code) {
+    for group in wide_groups(&kernel.code)? {
         let vgroup: Vec<VReg> = group
             .iter()
             .filter_map(|r| index_of.get(r).map(|&i| VReg(i)))
@@ -235,22 +120,20 @@ pub fn optimize_banks(kernel: &Kernel) -> Result<RewriteOutcome, RegAllocError> 
         }
     }
     let mut seen_triples: Vec<Vec<VReg>> = Vec::new();
-    for inst in &kernel.code {
-        if let Op::Ffma { a, b, c, .. } = inst.op {
-            let mut distinct: Vec<Reg> = Vec::new();
-            for r in [Some(a), b.as_reg(), Some(c)].into_iter().flatten() {
-                if !r.is_rz() && !distinct.contains(&r) {
-                    distinct.push(r);
-                }
+    for sources in kernel.code.iter().filter_map(ffma_sources) {
+        let mut distinct: Vec<Reg> = Vec::new();
+        for r in sources {
+            if !r.is_rz() && !distinct.contains(&r) {
+                distinct.push(r);
             }
-            if distinct.len() < 2 {
-                continue;
-            }
-            let vgroup: Vec<VReg> = distinct.iter().map(|r| VReg(index_of[r])).collect();
-            if !seen_triples.contains(&vgroup) {
-                seen_triples.push(vgroup.clone());
-                problem.require_distinct_banks(&vgroup);
-            }
+        }
+        if distinct.len() < 2 {
+            continue;
+        }
+        let vgroup: Vec<VReg> = distinct.iter().map(|r| VReg(index_of[r])).collect();
+        if !seen_triples.contains(&vgroup) {
+            seen_triples.push(vgroup.clone());
+            problem.require_distinct_banks(&vgroup);
         }
     }
 
@@ -263,14 +146,7 @@ pub fn optimize_banks(kernel: &Kernel) -> Result<RewriteOutcome, RegAllocError> 
 
     let mut rewritten = kernel.clone();
     rewritten.code = apply_mapping(&kernel.code, &mapping);
-    rewritten.num_regs = rewritten
-        .code
-        .iter()
-        .flat_map(|i| i.op.def_regs().into_iter().chain(i.op.use_regs()))
-        .map(|r| u32::from(r.index()) + 1)
-        .max()
-        .unwrap_or(0)
-        .max(kernel.num_regs.min(63));
+    rewritten.num_regs = rewritten.regs_used().max(kernel.num_regs.min(63));
     let after = analyze_ffma_conflicts(&rewritten.code);
     Ok(RewriteOutcome {
         kernel: rewritten,
@@ -283,7 +159,7 @@ pub fn optimize_banks(kernel: &Kernel) -> Result<RewriteOutcome, RegAllocError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peakperf_sass::{MemSpace, Operand};
+    use peakperf_sass::{MemSpace, Op, Operand};
 
     fn ffma(dst: u8, a: u8, b: u8, c: u8) -> Instruction {
         Instruction::new(Op::Ffma {
@@ -370,6 +246,29 @@ mod tests {
             Op::Ld { dst, .. } => assert_eq!(dst, base),
             ref other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn wide_access_into_rz_is_malformed_not_a_panic() {
+        // `LDS.64 R62` pins R62 and RZ: the validator rejects it, and the
+        // rewrite must say so instead of panicking.
+        let mut kernel = Kernel::new("t");
+        kernel.code = vec![
+            Instruction::new(Op::Ld {
+                space: MemSpace::Shared,
+                width: MemWidth::B64,
+                dst: Reg::r(62),
+                addr: Reg::r(0),
+                offset: 0,
+            }),
+            ffma(1, 2, 3, 4),
+            Instruction::new(Op::Exit),
+        ];
+        kernel.num_regs = 63;
+        assert!(matches!(
+            optimize_banks(&kernel),
+            Err(RegAllocError::Malformed { .. })
+        ));
     }
 
     #[test]

@@ -10,8 +10,21 @@ use std::collections::HashMap;
 use peakperf_arch::Generation;
 
 use crate::ctl::CtlInfo;
-use crate::op::{CmpOp, MemSpace, MemWidth, SpecialReg};
+use crate::op::{CmpOp, LogicOp, MemSpace, MemWidth, SpecialReg};
 use crate::{Instruction, Kernel, Op, Operand, Pred, Reg, SassError};
+
+/// Operations for code that edits a kernel after it was built.
+impl Op {
+    /// `BAR.SYNC`.
+    pub fn bar() -> Op {
+        Op::Bar
+    }
+
+    /// `BRA target`, to an absolute instruction index.
+    pub fn bra(target: u32) -> Op {
+        Op::Bra { target }
+    }
+}
 
 /// A forward-referencable branch target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -44,7 +57,6 @@ pub struct KernelBuilder {
     pending_ctl: Option<CtlInfo>,
     labels: Vec<Option<u32>>,
     fixups: HashMap<usize, Label>,
-    max_reg_seen: u32,
 }
 
 impl KernelBuilder {
@@ -58,7 +70,6 @@ impl KernelBuilder {
             pending_ctl: None,
             labels: Vec::new(),
             fixups: HashMap::new(),
-            max_reg_seen: 0,
         }
     }
 
@@ -138,13 +149,7 @@ impl KernelBuilder {
             Some((p, n)) => (Some(p), n),
             None => (None, false),
         };
-        let inst = Instruction { pred, pred_neg, op };
-        for r in inst.op.def_regs().into_iter().chain(inst.op.use_regs()) {
-            if !r.is_rz() {
-                self.max_reg_seen = self.max_reg_seen.max(u32::from(r.index()) + 1);
-            }
-        }
-        self.kernel.code.push(inst);
+        self.kernel.code.push(Instruction { pred, pred_neg, op });
         self.ctl
             .push(self.pending_ctl.take().unwrap_or(CtlInfo::NONE));
         self
@@ -170,7 +175,7 @@ impl KernelBuilder {
     /// Unconditional branch to `label`.
     pub fn bra(&mut self, label: Label) -> &mut Self {
         self.fixups.insert(self.kernel.code.len(), label);
-        self.push(Op::Bra { target: 0 })
+        self.push(Op::bra(0))
     }
 
     /// Conditional branch: `@P BRA label` (or `@!P`).
@@ -286,6 +291,16 @@ impl KernelBuilder {
         })
     }
 
+    /// `LOP.op dst, a, b`.
+    pub fn lop(&mut self, op: LogicOp, dst: Reg, a: Reg, b: impl Into<Operand>) -> &mut Self {
+        self.push(Op::Lop {
+            op,
+            dst,
+            a,
+            b: b.into(),
+        })
+    }
+
     /// `ISETP.cmp p, a, b`.
     pub fn isetp(&mut self, p: Pred, cmp: CmpOp, a: Reg, b: impl Into<Operand>) -> &mut Self {
         self.push(Op::Isetp {
@@ -362,11 +377,11 @@ impl KernelBuilder {
             let target = self.labels[label.0].ok_or_else(|| SassError::UndefinedLabel {
                 name: format!("label#{}", label.0),
             })?;
-            if let Op::Bra { target: t } = &mut self.kernel.code[*pos].op {
+            if let Some(t) = self.kernel.code[*pos].op.target_mut() {
                 *t = target;
             }
         }
-        self.kernel.num_regs = self.kernel.num_regs.max(self.max_reg_seen);
+        self.kernel.num_regs = self.kernel.num_regs.max(self.kernel.regs_used());
         if self.generation.uses_control_notation() {
             self.kernel.ctl = Some(self.ctl);
         }

@@ -1,54 +1,11 @@
-//! Binary instruction encoding.
-//!
-//! Each instruction occupies one 64-bit word, as on Fermi. The real SASS
-//! encodings are undocumented; this layout is our own, but it reproduces the
-//! structural properties the paper relies on — in particular **6-bit
-//! register fields**, which is why Fermi/GK104 threads cannot address more
-//! than 63 registers (Section 2).
-//!
-//! Field layout (bit 0 = LSB):
-//!
-//! ```text
-//! all:    [0..3] guard pred  [3] guard negate  [4] has guard  [5..13] opcode
-//! alu:    [13..19] dst       [19..25] srcA     [25..31] srcC
-//!         [31..36] modifier (shift / cmp / special-reg id)
-//!         [36..38] b-mode (0 reg, 1 imm, 2 const)
-//!         reg:   [38..44] srcB
-//!         imm:   [38..58] signed 20-bit immediate
-//!         const: [38..42] bank, [42..56] word offset
-//! mov32i: [13..19] dst       [19..51] imm32
-//! mem:    [13..19] data reg  [19..25] addr reg [25..27] width
-//!         [27..29] space     [29..53] signed 24-bit byte offset
-//! ldc:    [13..19] dst       [19..23] bank     [23..37] word offset
-//! bra:    [13..37] signed 24-bit instruction offset relative to pc+1
-//! ```
+//! Binary instruction encoding: one 64-bit word per instruction, each
+//! operand slot at the bits the instruction table ([`crate::TABLE`])
+//! documents. Encoding and decoding check every field with the
+//! validator's own code, so a word decodes exactly when its instruction
+//! validates.
 
-use crate::op::{CmpOp, LogicOp, MemSpace, MemWidth, SpecialReg};
-use crate::{Instruction, Op, Operand, Pred, Reg, SassError};
-
-const OPC_NOP: u64 = 0;
-const OPC_EXIT: u64 = 1;
-const OPC_BRA: u64 = 2;
-const OPC_BAR: u64 = 3;
-const OPC_MOV: u64 = 4;
-const OPC_MOV32I: u64 = 5;
-const OPC_S2R: u64 = 6;
-const OPC_FADD: u64 = 7;
-const OPC_FMUL: u64 = 8;
-const OPC_FFMA: u64 = 9;
-const OPC_IADD: u64 = 10;
-const OPC_IMUL: u64 = 11;
-const OPC_IMAD: u64 = 12;
-const OPC_ISCADD: u64 = 13;
-const OPC_SHL: u64 = 14;
-const OPC_SHR: u64 = 15;
-const OPC_LOP_AND: u64 = 16;
-const OPC_LOP_OR: u64 = 17;
-const OPC_LOP_XOR: u64 = 18;
-const OPC_ISETP: u64 = 19;
-const OPC_LD: u64 = 20;
-const OPC_ST: u64 = 21;
-const OPC_LDC: u64 = 22;
+use crate::isa::{Fields, Slot};
+use crate::{Instruction, OpClass, Operand, Pred, Reg, SassError, TABLE};
 
 fn bits(v: u64, lo: u32, hi: u32) -> u64 {
     (v >> lo) & ((1u64 << (hi - lo)) - 1)
@@ -59,76 +16,23 @@ fn sign_extend(v: u64, bits: u32) -> i64 {
     ((v << shift) as i64) >> shift
 }
 
-fn fits_signed(v: i64, bits: u32) -> bool {
-    let min = -(1i64 << (bits - 1));
-    let max = (1i64 << (bits - 1)) - 1;
-    (min..=max).contains(&v)
+/// The low `width` bits of `v`, placed at bit `lo`.
+fn field(v: i64, lo: u32, width: u32) -> u64 {
+    (v as u64 & ((1u64 << width) - 1)) << lo
 }
 
-fn guard_bits(inst: &Instruction) -> u64 {
-    match inst.pred {
-        None => 0,
-        Some(p) => u64::from(p.index()) | (u64::from(inst.pred_neg) << 3) | (1 << 4),
-    }
+fn reg(r: Reg, lo: u32) -> u64 {
+    u64::from(r.index()) << lo
 }
 
-fn encode_operand_b(b: Operand) -> Result<u64, SassError> {
-    b.check()?;
-    Ok(match b {
-        Operand::Reg(r) => u64::from(r.index()) << 38,
-        Operand::Imm(v) => (1u64 << 36) | ((v as u32 as u64 & 0xF_FFFF) << 38),
+/// A constant's bank at `lo` and its word offset above it.
+fn const_bits(b: Operand, lo: u32) -> u64 {
+    match b {
         Operand::Const { bank, offset } => {
-            (2u64 << 36) | (u64::from(bank) << 38) | (u64::from(offset / 4) << 42)
+            u64::from(bank) << lo | u64::from(offset / 4) << (lo + 4)
         }
-    })
-}
-
-fn decode_operand_b(w: u64) -> Result<Operand, SassError> {
-    match bits(w, 36, 38) {
-        0 => Ok(Operand::Reg(Reg::new(bits(w, 38, 44) as u8)?)),
-        1 => Ok(Operand::Imm(sign_extend(bits(w, 38, 58), 20) as i32)),
-        2 => Ok(Operand::Const {
-            bank: bits(w, 38, 42) as u8,
-            offset: (bits(w, 42, 56) as u32) * 4,
-        }),
-        m => Err(SassError::Decode {
-            offset: 0,
-            message: format!("invalid operand mode {m}"),
-        }),
+        _ => 0,
     }
-}
-
-fn alu(opcode: u64, dst: u64, a: Reg, b: Operand, c: Reg, modifier: u64) -> Result<u64, SassError> {
-    Ok((opcode << 5)
-        | (dst << 13)
-        | (u64::from(a.index()) << 19)
-        | (u64::from(c.index()) << 25)
-        | (modifier << 31)
-        | encode_operand_b(b)?)
-}
-
-fn mem_space_tag(space: MemSpace) -> u64 {
-    match space {
-        MemSpace::Global => 0,
-        MemSpace::Shared => 1,
-        MemSpace::Local => 2,
-    }
-}
-
-fn width_tag(width: MemWidth) -> u64 {
-    match width {
-        MemWidth::B32 => 0,
-        MemWidth::B64 => 1,
-        MemWidth::B128 => 2,
-    }
-}
-
-fn special_reg_id(sr: SpecialReg) -> u64 {
-    sr.index() as u64
-}
-
-fn cmp_id(cmp: CmpOp) -> u64 {
-    cmp.index() as u64
 }
 
 /// Encode one instruction at instruction index `index` (needed for branch
@@ -136,303 +40,115 @@ fn cmp_id(cmp: CmpOp) -> u64 {
 ///
 /// # Errors
 ///
-/// Returns an error if an immediate/offset does not fit its field.
+/// Returns the [`SassError::Validate`] error [`crate::validate_instruction`]
+/// reports for an instruction outside what the table admits.
 pub fn encode(inst: &Instruction, index: u32) -> Result<u64, SassError> {
-    let g = guard_bits(inst);
-    let w = match inst.op {
-        Op::Nop => OPC_NOP << 5,
-        Op::Exit => OPC_EXIT << 5,
-        Op::Bar => OPC_BAR << 5,
-        Op::Bra { target } => {
-            let rel = i64::from(target) - (i64::from(index) + 1);
-            if !fits_signed(rel, 24) {
-                return Err(SassError::ImmediateOutOfRange {
-                    value: rel,
-                    bits: 24,
-                });
-            }
-            (OPC_BRA << 5) | (((rel as u32 as u64) & 0xFF_FFFF) << 13)
-        }
-        Op::Mov { dst, src } => alu(OPC_MOV, u64::from(dst.index()), Reg::RZ, src, Reg::RZ, 0)?,
-        Op::Mov32i { dst, imm } => {
-            (OPC_MOV32I << 5) | (u64::from(dst.index()) << 13) | (u64::from(imm) << 19)
-        }
-        Op::S2r { dst, sr } => alu(
-            OPC_S2R,
-            u64::from(dst.index()),
-            Reg::RZ,
-            Operand::Reg(Reg::RZ),
-            Reg::RZ,
-            special_reg_id(sr),
-        )?,
-        Op::Fadd { dst, a, b } => alu(OPC_FADD, u64::from(dst.index()), a, b, Reg::RZ, 0)?,
-        Op::Fmul { dst, a, b } => alu(OPC_FMUL, u64::from(dst.index()), a, b, Reg::RZ, 0)?,
-        Op::Ffma { dst, a, b, c } => alu(OPC_FFMA, u64::from(dst.index()), a, b, c, 0)?,
-        Op::Iadd { dst, a, b } => alu(OPC_IADD, u64::from(dst.index()), a, b, Reg::RZ, 0)?,
-        Op::Imul { dst, a, b } => alu(OPC_IMUL, u64::from(dst.index()), a, b, Reg::RZ, 0)?,
-        Op::Imad { dst, a, b, c } => alu(OPC_IMAD, u64::from(dst.index()), a, b, c, 0)?,
-        Op::Iscadd { dst, a, b, shift } => {
-            if shift > 31 {
-                return Err(SassError::ImmediateOutOfRange {
-                    value: i64::from(shift),
-                    bits: 5,
-                });
-            }
-            alu(
-                OPC_ISCADD,
-                u64::from(dst.index()),
-                a,
-                b,
-                Reg::RZ,
-                u64::from(shift),
-            )?
-        }
-        Op::Shl { dst, a, b } => alu(OPC_SHL, u64::from(dst.index()), a, b, Reg::RZ, 0)?,
-        Op::Shr { dst, a, b } => alu(OPC_SHR, u64::from(dst.index()), a, b, Reg::RZ, 0)?,
-        Op::Lop { op, dst, a, b } => {
-            let opcode = match op {
-                LogicOp::And => OPC_LOP_AND,
-                LogicOp::Or => OPC_LOP_OR,
-                LogicOp::Xor => OPC_LOP_XOR,
-            };
-            alu(opcode, u64::from(dst.index()), a, b, Reg::RZ, 0)?
-        }
-        Op::Isetp { p, cmp, a, b } => {
-            alu(OPC_ISETP, u64::from(p.index()), a, b, Reg::RZ, cmp_id(cmp))?
-        }
-        Op::Ld {
-            space,
-            width,
-            dst,
-            addr,
-            offset,
-        } => {
-            if !fits_signed(i64::from(offset), 24) {
-                return Err(SassError::ImmediateOutOfRange {
-                    value: i64::from(offset),
-                    bits: 24,
-                });
-            }
-            (OPC_LD << 5)
-                | (u64::from(dst.index()) << 13)
-                | (u64::from(addr.index()) << 19)
-                | (width_tag(width) << 25)
-                | (mem_space_tag(space) << 27)
-                | (((offset as u32 as u64) & 0xFF_FFFF) << 29)
-        }
-        Op::St {
-            space,
-            width,
-            src,
-            addr,
-            offset,
-        } => {
-            if !fits_signed(i64::from(offset), 24) {
-                return Err(SassError::ImmediateOutOfRange {
-                    value: i64::from(offset),
-                    bits: 24,
-                });
-            }
-            (OPC_ST << 5)
-                | (u64::from(src.index()) << 13)
-                | (u64::from(addr.index()) << 19)
-                | (width_tag(width) << 25)
-                | (mem_space_tag(space) << 27)
-                | (((offset as u32 as u64) & 0xFF_FFFF) << 29)
-        }
-        Op::Ldc { dst, bank, offset } => {
-            Operand::Const { bank, offset }.check()?;
-            (OPC_LDC << 5)
-                | (u64::from(dst.index()) << 13)
-                | (u64::from(bank) << 19)
-                | (u64::from(offset / 4) << 23)
-        }
-    };
-    Ok(w | g)
-}
-
-fn decode_guard(w: u64) -> (Option<Pred>, bool) {
-    if bits(w, 4, 5) == 1 {
-        (Some(Pred::p(bits(w, 0, 3) as u8)), bits(w, 3, 4) == 1)
-    } else {
-        (None, false)
+    let (row, x) = inst.op.split();
+    let index = index as usize;
+    row.check(&x, index)
+        .map_err(|message| SassError::Validate {
+            index: Some(index),
+            message,
+        })?;
+    let mut w = u64::from(row.opcode) << 5;
+    if let Some(p) = inst.pred {
+        w |= u64::from(p.index()) | u64::from(inst.pred_neg) << 3 | 1 << 4;
     }
-}
-
-fn decode_reg(w: u64, lo: u32) -> Result<Reg, SassError> {
-    Reg::new(bits(w, lo, lo + 6) as u8)
-}
-
-fn decode_mem_space(tag: u64, offset: usize) -> Result<MemSpace, SassError> {
-    match tag {
-        0 => Ok(MemSpace::Global),
-        1 => Ok(MemSpace::Shared),
-        2 => Ok(MemSpace::Local),
-        t => Err(SassError::Decode {
-            offset,
-            message: format!("invalid memory space tag {t}"),
-        }),
+    if row
+        .syntax
+        .iter()
+        .any(|s| matches!(s, Slot::B { .. } | Slot::Special))
+    {
+        // ALU words (operand B or a special register) always carry A, C
+        // and B; a row without such an operand leaves `RZ` there
+        // (`Fields::EMPTY`).
+        w |= reg(x.a, 19) | reg(x.c, 25) | u64::from(x.m as u8) << 31;
+        w |= match x.b {
+            Operand::Reg(r) => reg(r, 38),
+            Operand::Imm(v) => 1 << 36 | field(v.into(), 38, 20),
+            Operand::Const { .. } => 2 << 36 | const_bits(x.b, 38),
+        };
     }
-}
-
-fn decode_width(tag: u64, offset: usize) -> Result<MemWidth, SassError> {
-    match tag {
-        0 => Ok(MemWidth::B32),
-        1 => Ok(MemWidth::B64),
-        2 => Ok(MemWidth::B128),
-        t => Err(SassError::Decode {
-            offset,
-            message: format!("invalid memory width tag {t}"),
-        }),
+    for slot in row.syntax {
+        w |= match slot {
+            Slot::Dst | Slot::Load | Slot::Store => reg(x.dst, 13),
+            Slot::P => u64::from(x.p.index()) << 13,
+            Slot::Shift | Slot::Special => field(x.n, 31, 5),
+            Slot::Imm32 => field(x.n, 19, 32),
+            Slot::Target => field(x.n - index as i64 - 1, 13, 24),
+            Slot::Addr => {
+                let space = row.space() as u64;
+                reg(x.a, 19) | (x.m as u64) << 25 | space << 27 | field(x.n, 29, 24)
+            }
+            Slot::Const => const_bits(x.b, 19),
+            Slot::A | Slot::B { .. } | Slot::C => 0,
+        };
     }
+    Ok(w)
 }
 
 /// Decode the 64-bit word of the instruction at index `index`.
 ///
 /// # Errors
 ///
-/// Returns [`SassError::Decode`] on unknown opcodes or malformed fields.
+/// Returns [`SassError::Decode`] on unknown opcodes and on fields the
+/// table does not admit.
 pub fn decode(w: u64, index: u32) -> Result<Instruction, SassError> {
-    let (pred, pred_neg) = decode_guard(w);
-    let opcode = bits(w, 5, 13);
-    let byte_offset = index as usize * 8;
-    let op = match opcode {
-        OPC_NOP => Op::Nop,
-        OPC_EXIT => Op::Exit,
-        OPC_BAR => Op::Bar,
-        OPC_BRA => {
-            let rel = sign_extend(bits(w, 13, 37), 24);
-            let target = i64::from(index) + 1 + rel;
-            if target < 0 || target > u32::MAX.into() {
-                return Err(SassError::Decode {
-                    offset: byte_offset,
-                    message: format!("branch target {target} out of range"),
-                });
-            }
-            Op::Bra {
-                target: target as u32,
-            }
-        }
-        OPC_MOV => Op::Mov {
-            dst: decode_reg(w, 13)?,
-            src: decode_operand_b(w)?,
-        },
-        OPC_MOV32I => Op::Mov32i {
-            dst: decode_reg(w, 13)?,
-            imm: bits(w, 19, 51) as u32,
-        },
-        OPC_S2R => {
-            let id = bits(w, 31, 36) as usize;
-            let sr = *SpecialReg::ALL.get(id).ok_or_else(|| SassError::Decode {
-                offset: byte_offset,
-                message: format!("invalid special register id {id}"),
-            })?;
-            Op::S2r {
-                dst: decode_reg(w, 13)?,
-                sr,
-            }
-        }
-        OPC_FADD => Op::Fadd {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-        },
-        OPC_FMUL => Op::Fmul {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-        },
-        OPC_FFMA => Op::Ffma {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-            c: decode_reg(w, 25)?,
-        },
-        OPC_IADD => Op::Iadd {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-        },
-        OPC_IMUL => Op::Imul {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-        },
-        OPC_IMAD => Op::Imad {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-            c: decode_reg(w, 25)?,
-        },
-        OPC_ISCADD => Op::Iscadd {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-            shift: bits(w, 31, 36) as u8,
-        },
-        OPC_SHL => Op::Shl {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-        },
-        OPC_SHR => Op::Shr {
-            dst: decode_reg(w, 13)?,
-            a: decode_reg(w, 19)?,
-            b: decode_operand_b(w)?,
-        },
-        OPC_LOP_AND | OPC_LOP_OR | OPC_LOP_XOR => {
-            let op = match opcode {
-                OPC_LOP_AND => LogicOp::And,
-                OPC_LOP_OR => LogicOp::Or,
-                _ => LogicOp::Xor,
-            };
-            Op::Lop {
-                op,
-                dst: decode_reg(w, 13)?,
-                a: decode_reg(w, 19)?,
-                b: decode_operand_b(w)?,
-            }
-        }
-        OPC_ISETP => {
-            let id = bits(w, 31, 36) as usize;
-            let cmp = *CmpOp::ALL.get(id).ok_or_else(|| SassError::Decode {
-                offset: byte_offset,
-                message: format!("invalid comparison id {id}"),
-            })?;
-            Op::Isetp {
-                p: Pred::new(bits(w, 13, 16) as u8)?,
-                cmp,
-                a: decode_reg(w, 19)?,
-                b: decode_operand_b(w)?,
-            }
-        }
-        OPC_LD => Op::Ld {
-            space: decode_mem_space(bits(w, 27, 29), byte_offset)?,
-            width: decode_width(bits(w, 25, 27), byte_offset)?,
-            dst: decode_reg(w, 13)?,
-            addr: decode_reg(w, 19)?,
-            offset: sign_extend(bits(w, 29, 53), 24) as i32,
-        },
-        OPC_ST => Op::St {
-            space: decode_mem_space(bits(w, 27, 29), byte_offset)?,
-            width: decode_width(bits(w, 25, 27), byte_offset)?,
-            src: decode_reg(w, 13)?,
-            addr: decode_reg(w, 19)?,
-            offset: sign_extend(bits(w, 29, 53), 24) as i32,
-        },
-        OPC_LDC => Op::Ldc {
-            dst: decode_reg(w, 13)?,
-            bank: bits(w, 19, 23) as u8,
-            offset: (bits(w, 23, 37) as u32) * 4,
-        },
-        other => {
-            return Err(SassError::Decode {
-                offset: byte_offset,
-                message: format!("unknown opcode {other}"),
-            })
-        }
+    let offset = index as usize * 8;
+    let fail = |message| SassError::Decode { offset, message };
+    let (opcode, space) = (bits(w, 5, 13), bits(w, 27, 29));
+    let row = TABLE
+        .iter()
+        .find(|row| {
+            u64::from(row.opcode) == opcode
+                && (!matches!(row.class, OpClass::Mem(_)) || row.space() as u64 == space)
+        })
+        .ok_or_else(|| fail(format!("unknown opcode {opcode}")))?;
+    let reg = |lo| Reg::new(bits(w, lo, lo + 6) as u8);
+    let constant = |lo| Operand::Const {
+        bank: bits(w, lo, lo + 4) as u8,
+        offset: bits(w, lo + 4, lo + 18) as u32 * 4,
     };
-    Ok(Instruction { pred, pred_neg, op })
+    let mut x = Fields::EMPTY;
+    if row.names.len() > 1 {
+        x.m = bits(w, 31, 36) as usize;
+    }
+    for slot in row.syntax {
+        match slot {
+            Slot::Dst | Slot::Load | Slot::Store => x.dst = reg(13)?,
+            Slot::P => x.p = Pred::new(bits(w, 13, 16) as u8)?,
+            Slot::A => x.a = reg(19)?,
+            Slot::C => x.c = reg(25)?,
+            Slot::B { .. } => {
+                x.b = match bits(w, 36, 38) {
+                    0 => Operand::Reg(reg(38)?),
+                    1 => Operand::Imm(sign_extend(bits(w, 38, 58), 20) as i32),
+                    2 => constant(38),
+                    m => return Err(fail(format!("invalid operand mode {m}"))),
+                }
+            }
+            Slot::Shift | Slot::Special => x.n = bits(w, 31, 36) as i64,
+            Slot::Imm32 => x.n = bits(w, 19, 51) as i64,
+            Slot::Target => x.n = i64::from(index) + 1 + sign_extend(bits(w, 13, 37), 24),
+            Slot::Addr => {
+                x.a = reg(19)?;
+                x.m = bits(w, 25, 27) as usize;
+                x.n = sign_extend(bits(w, 29, 53), 24);
+            }
+            Slot::Const => x.b = constant(19),
+        }
+    }
+    row.check(&x, index as usize).map_err(fail)?;
+    let (pred, pred_neg) = if bits(w, 4, 5) == 1 {
+        (Some(Pred::new(bits(w, 0, 3) as u8)?), bits(w, 3, 4) == 1)
+    } else {
+        (None, false)
+    };
+    Ok(Instruction {
+        pred,
+        pred_neg,
+        op: row.build(&x),
+    })
 }
 
 /// Encode a whole instruction stream.
@@ -463,7 +179,7 @@ pub fn decode_stream(words: &[u64]) -> Result<Vec<Instruction>, SassError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Instruction;
+    use crate::{CmpOp, MemSpace, MemWidth, Op, SpecialReg};
 
     fn roundtrip(inst: Instruction, index: u32) {
         let w = encode(&inst, index).unwrap();

@@ -15,20 +15,6 @@ pub enum SassError {
         /// The offending index.
         index: u8,
     },
-    /// An immediate does not fit its encoding field.
-    ImmediateOutOfRange {
-        /// The value that did not fit.
-        value: i64,
-        /// Width of the field in bits.
-        bits: u32,
-    },
-    /// A constant-bank operand is out of range.
-    ConstOutOfRange {
-        /// Constant bank index.
-        bank: u8,
-        /// Byte offset within the bank.
-        offset: u32,
-    },
     /// Parse error in assembly text.
     Parse {
         /// 1-based source line.
@@ -75,12 +61,6 @@ impl fmt::Display for SassError {
             }
             SassError::PredicateOutOfRange { index } => {
                 write!(f, "predicate index {index} exceeds the 3-bit field (max 7)")
-            }
-            SassError::ImmediateOutOfRange { value, bits } => {
-                write!(f, "immediate {value} does not fit in {bits} bits")
-            }
-            SassError::ConstOutOfRange { bank, offset } => {
-                write!(f, "constant operand c[{bank:#x}][{offset:#x}] out of range")
             }
             SassError::Parse { line, message } => write!(f, "line {line}: {message}"),
             SassError::UndefinedLabel { name } => write!(f, "undefined label `{name}`"),

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{Op, Pred};
+use crate::{Op, Pred, Slot, SpecialReg};
 
 /// One SASS instruction: an operation under an optional predicate guard.
 ///
@@ -46,16 +46,6 @@ impl From<Op> for Instruction {
     }
 }
 
-fn fmt_offset(f: &mut fmt::Formatter<'_>, offset: i32) -> fmt::Result {
-    if offset > 0 {
-        write!(f, "+{offset:#x}")
-    } else if offset < 0 {
-        write!(f, "-{:#x}", -(i64::from(offset)))
-    } else {
-        Ok(())
-    }
-}
-
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(p) = self.pred {
@@ -65,61 +55,24 @@ impl fmt::Display for Instruction {
                 write!(f, "@{p} ")?;
             }
         }
-        use crate::Op::*;
-        match &self.op {
-            Nop => write!(f, "NOP;"),
-            Exit => write!(f, "EXIT;"),
-            Bra { target } => write!(f, "BRA {target:#x};"),
-            Bar => write!(f, "BAR.SYNC;"),
-            Mov { dst, src } => write!(f, "MOV {dst}, {src};"),
-            Mov32i { dst, imm } => write!(f, "MOV32I {dst}, {imm:#x};"),
-            S2r { dst, sr } => write!(f, "S2R {dst}, {};", sr.name()),
-            Fadd { dst, a, b } => write!(f, "FADD {dst}, {a}, {b};"),
-            Fmul { dst, a, b } => write!(f, "FMUL {dst}, {a}, {b};"),
-            Ffma { dst, a, b, c } => write!(f, "FFMA {dst}, {a}, {b}, {c};"),
-            Iadd { dst, a, b } => write!(f, "IADD {dst}, {a}, {b};"),
-            Imul { dst, a, b } => write!(f, "IMUL {dst}, {a}, {b};"),
-            Imad { dst, a, b, c } => write!(f, "IMAD {dst}, {a}, {b}, {c};"),
-            Iscadd { dst, a, b, shift } => {
-                write!(f, "ISCADD {dst}, {a}, {b}, {shift:#x};")
-            }
-            Shl { dst, a, b } => write!(f, "SHL {dst}, {a}, {b};"),
-            Shr { dst, a, b } => write!(f, "SHR {dst}, {a}, {b};"),
-            Lop { op, dst, a, b } => write!(f, "LOP.{} {dst}, {a}, {b};", op.suffix()),
-            Isetp { p, cmp, a, b } => {
-                write!(f, "ISETP.{} {p}, {a}, {b};", cmp.suffix())
-            }
-            Ld {
-                space,
-                width,
-                dst,
-                addr,
-                offset,
-            } => {
-                write!(
-                    f,
-                    "{}{} {dst}, [{addr}",
-                    space.load_mnemonic(),
-                    width.suffix()
-                )?;
-                fmt_offset(f, *offset)?;
-                write!(f, "];")
-            }
-            St {
-                space,
-                width,
-                src,
-                addr,
-                offset,
-            } => {
-                write!(f, "{}{} [{addr}", space.store_mnemonic(), width.suffix())?;
-                fmt_offset(f, *offset)?;
-                write!(f, "], {src};")
-            }
-            Ldc { dst, bank, offset } => {
-                write!(f, "LDC {dst}, c[{bank:#x}][{offset:#x}];")
+        let (row, x) = self.op.split();
+        f.write_str(row.names[x.m])?;
+        for (i, slot) in row.syntax.iter().enumerate() {
+            f.write_str(if i == 0 { " " } else { ", " })?;
+            match slot {
+                Slot::Dst | Slot::Load | Slot::Store => write!(f, "{}", x.dst)?,
+                Slot::P => write!(f, "{}", x.p)?,
+                Slot::A => write!(f, "{}", x.a)?,
+                Slot::B { .. } | Slot::Const => write!(f, "{}", x.b)?,
+                Slot::C => write!(f, "{}", x.c)?,
+                Slot::Shift | Slot::Imm32 | Slot::Target => write!(f, "{:#x}", x.n)?,
+                Slot::Special => f.write_str(SpecialReg::ALL[x.n as usize].name())?,
+                Slot::Addr if x.n > 0 => write!(f, "[{}+{:#x}]", x.a, x.n)?,
+                Slot::Addr if x.n < 0 => write!(f, "[{}-{:#x}]", x.a, -x.n)?,
+                Slot::Addr => write!(f, "[{}]", x.a)?,
             }
         }
+        f.write_str(";")
     }
 }
 

@@ -7,7 +7,7 @@
 //! analysis depends on:
 //!
 //! * arithmetic instructions cannot read shared memory — explicit
-//!   [`Op::Lds`] loads are required (the root cause of the FFMA/LDS mixing
+//!   `LDS` loads are required (the root cause of the FFMA/LDS mixing
 //!   problem of Section 4);
 //! * register operands are encoded in **6-bit fields**, so at most 63
 //!   general registers (plus the always-zero `RZ`) can be addressed — the
@@ -20,7 +20,9 @@
 //!
 //! The crate provides:
 //!
-//! * the instruction set ([`Op`], [`Instruction`], [`Reg`], [`Operand`]);
+//! * the instruction set: one [`TABLE`] row per opcode, from which
+//!   everything below is derived ([`Op`], [`Instruction`], [`Reg`],
+//!   [`Operand`]);
 //! * a text assembler ([`assemble`]) and disassembler (`Display` on
 //!   [`Instruction`] / [`Module`]);
 //! * a binary encoder/decoder ([`encode`], [`decode`]) and a cubin-like
@@ -62,6 +64,7 @@ pub mod ctl;
 mod encode;
 mod error;
 mod inst;
+mod isa;
 mod module;
 mod op;
 mod operand;
@@ -75,8 +78,9 @@ pub use ctl::{CtlInfo, CtlWord};
 pub use encode::{decode, decode_stream, encode, encode_stream};
 pub use error::SassError;
 pub use inst::Instruction;
+pub use isa::{ImmMut, Op, OpInfo, Role, Slot, TABLE};
 pub use module::{Kernel, Module, ParamDesc};
-pub use op::{CmpOp, LogicOp, MemSpace, MemWidth, Op, OpClass, SpecialReg};
+pub use op::{CmpOp, LogicOp, MemSpace, MemWidth, OpClass, SpecialReg};
 pub use operand::Operand;
 pub use parse::assemble;
 pub use reg::{Pred, Reg};

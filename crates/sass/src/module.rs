@@ -74,6 +74,17 @@ impl Kernel {
             .unwrap_or(CtlInfo::NONE)
     }
 
+    /// The registers the code needs: one past the highest index it reads
+    /// or writes (`RZ` aside).
+    pub fn regs_used(&self) -> u32 {
+        self.code
+            .iter()
+            .flat_map(|i| i.op.def_regs().into_iter().chain(i.op.use_regs()))
+            .map(|r| u32::from(r.index()) + 1)
+            .max()
+            .unwrap_or(0)
+    }
+
     /// Count instructions whose mnemonic starts with `prefix`
     /// (e.g. `"FFMA"`, `"LDS"`). Convenience for instruction-mix reports.
     pub fn count_mnemonic(&self, prefix: &str) -> usize {

@@ -1,8 +1,6 @@
-//! The instruction set: operations and their payloads.
+//! The modifiers, special registers and classes of the instruction set.
 
 use peakperf_arch::LdsWidth;
-
-use crate::{Operand, Pred, Reg};
 
 /// Width of a memory access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -32,25 +30,6 @@ impl MemWidth {
     pub fn bytes(self) -> u32 {
         self.words() * 4
     }
-
-    /// The mnemonic suffix (`""` / `".64"` / `".128"`).
-    pub fn suffix(self) -> &'static str {
-        match self {
-            MemWidth::B32 => "",
-            MemWidth::B64 => ".64",
-            MemWidth::B128 => ".128",
-        }
-    }
-}
-
-impl From<MemWidth> for LdsWidth {
-    fn from(w: MemWidth) -> LdsWidth {
-        match w {
-            MemWidth::B32 => LdsWidth::B32,
-            MemWidth::B64 => LdsWidth::B64,
-            MemWidth::B128 => LdsWidth::B128,
-        }
-    }
 }
 
 impl From<LdsWidth> for MemWidth {
@@ -72,26 +51,6 @@ pub enum MemSpace {
     Shared,
     /// Per-thread local memory, used for register spills (`LDL` / `STL`).
     Local,
-}
-
-impl MemSpace {
-    /// Load mnemonic for this space.
-    pub fn load_mnemonic(self) -> &'static str {
-        match self {
-            MemSpace::Global => "LD",
-            MemSpace::Shared => "LDS",
-            MemSpace::Local => "LDL",
-        }
-    }
-
-    /// Store mnemonic for this space.
-    pub fn store_mnemonic(self) -> &'static str {
-        match self {
-            MemSpace::Global => "ST",
-            MemSpace::Shared => "STS",
-            MemSpace::Local => "STL",
-        }
-    }
 }
 
 /// Integer comparison operator of `ISETP`.
@@ -122,30 +81,6 @@ impl CmpOp {
         CmpOp::Ne,
     ];
 
-    /// This operator's position in [`CmpOp::ALL`] (the encoding index).
-    pub const fn index(self) -> usize {
-        match self {
-            CmpOp::Lt => 0,
-            CmpOp::Le => 1,
-            CmpOp::Gt => 2,
-            CmpOp::Ge => 3,
-            CmpOp::Eq => 4,
-            CmpOp::Ne => 5,
-        }
-    }
-
-    /// The mnemonic suffix (`LT`, `LE`, ...).
-    pub fn suffix(self) -> &'static str {
-        match self {
-            CmpOp::Lt => "LT",
-            CmpOp::Le => "LE",
-            CmpOp::Gt => "GT",
-            CmpOp::Ge => "GE",
-            CmpOp::Eq => "EQ",
-            CmpOp::Ne => "NE",
-        }
-    }
-
     /// Evaluate the comparison on signed 32-bit values.
     pub fn eval(self, a: i32, b: i32) -> bool {
         match self {
@@ -171,14 +106,8 @@ pub enum LogicOp {
 }
 
 impl LogicOp {
-    /// The mnemonic suffix.
-    pub fn suffix(self) -> &'static str {
-        match self {
-            LogicOp::And => "AND",
-            LogicOp::Or => "OR",
-            LogicOp::Xor => "XOR",
-        }
-    }
+    /// All operations, in encoding order.
+    pub const ALL: [LogicOp; 3] = [LogicOp::And, LogicOp::Or, LogicOp::Xor];
 
     /// Evaluate the operation.
     pub fn eval(self, a: u32, b: u32) -> u32 {
@@ -236,24 +165,6 @@ impl SpecialReg {
         SpecialReg::LaneId,
     ];
 
-    /// This register's position in [`SpecialReg::ALL`] (the encoding index).
-    pub const fn index(self) -> usize {
-        match self {
-            SpecialReg::TidX => 0,
-            SpecialReg::TidY => 1,
-            SpecialReg::TidZ => 2,
-            SpecialReg::CtaidX => 3,
-            SpecialReg::CtaidY => 4,
-            SpecialReg::CtaidZ => 5,
-            SpecialReg::NtidX => 6,
-            SpecialReg::NtidY => 7,
-            SpecialReg::NtidZ => 8,
-            SpecialReg::NctaidX => 9,
-            SpecialReg::NctaidY => 10,
-            SpecialReg::LaneId => 11,
-        }
-    }
-
     /// Assembly name (e.g. `SR_TID.X`).
     pub fn name(self) -> &'static str {
         match self {
@@ -283,343 +194,14 @@ pub enum OpClass {
     Int,
     /// Integer multiply path (quarter rate on Kepler).
     IntMul,
-    /// Register moves and special-register reads.
-    Mov,
+    /// Register moves, special-register and constant reads.
+    Move,
     /// Loads/stores (LD/ST pipe).
     Mem(MemSpace),
-    /// Control flow.
+    /// Control flow and no-ops.
     Ctrl,
     /// Block-wide barrier.
     Barrier,
-    /// No operation.
-    Nop,
-}
-
-/// One operation with its operands.
-///
-/// The payloads mirror SASS operand shapes: three-input FP ops read two
-/// registers and one flexible operand; memory ops use register + immediate
-/// offset addressing (32-bit addressing, as the paper's kernels use to save
-/// address registers).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Op {
-    /// No operation.
-    Nop,
-    /// Terminate the thread.
-    Exit,
-    /// Branch to an absolute instruction index within the kernel
-    /// (the assembler resolves labels; the encoder stores a relative
-    /// offset).
-    Bra {
-        /// Absolute instruction index of the branch target.
-        target: u32,
-    },
-    /// Block-wide barrier (`BAR.SYNC`).
-    Bar,
-    /// Copy an operand into a register.
-    Mov {
-        /// Destination.
-        dst: Reg,
-        /// Source operand.
-        src: Operand,
-    },
-    /// Load a full 32-bit immediate.
-    Mov32i {
-        /// Destination.
-        dst: Reg,
-        /// The 32-bit immediate (raw bits; may hold a float).
-        imm: u32,
-    },
-    /// Read a special register.
-    S2r {
-        /// Destination.
-        dst: Reg,
-        /// The special register.
-        sr: SpecialReg,
-    },
-    /// `dst = a + b` (f32).
-    Fadd {
-        /// Destination.
-        dst: Reg,
-        /// First addend.
-        a: Reg,
-        /// Second addend (register or constant; no immediates for FP).
-        b: Operand,
-    },
-    /// `dst = a * b` (f32).
-    Fmul {
-        /// Destination.
-        dst: Reg,
-        /// Multiplicand.
-        a: Reg,
-        /// Multiplier (register or constant).
-        b: Operand,
-    },
-    /// Fused multiply-add: `dst = a * b + c` (f32, single rounding).
-    Ffma {
-        /// Destination.
-        dst: Reg,
-        /// Multiplicand.
-        a: Reg,
-        /// Multiplier (register or constant).
-        b: Operand,
-        /// Addend.
-        c: Reg,
-    },
-    /// `dst = a + b` (i32, wrapping).
-    Iadd {
-        /// Destination.
-        dst: Reg,
-        /// First addend.
-        a: Reg,
-        /// Second addend.
-        b: Operand,
-    },
-    /// `dst = a * b` (i32, wrapping, low 32 bits).
-    Imul {
-        /// Destination.
-        dst: Reg,
-        /// Multiplicand.
-        a: Reg,
-        /// Multiplier.
-        b: Operand,
-    },
-    /// `dst = a * b + c` (i32, wrapping).
-    Imad {
-        /// Destination.
-        dst: Reg,
-        /// Multiplicand.
-        a: Reg,
-        /// Multiplier.
-        b: Operand,
-        /// Addend.
-        c: Reg,
-    },
-    /// Scaled add: `dst = (a << shift) + b` (i32, wrapping).
-    Iscadd {
-        /// Destination.
-        dst: Reg,
-        /// The operand that is shifted.
-        a: Reg,
-        /// The unshifted addend.
-        b: Operand,
-        /// Shift amount (0..=31).
-        shift: u8,
-    },
-    /// Logical shift left: `dst = a << b`.
-    Shl {
-        /// Destination.
-        dst: Reg,
-        /// Value to shift.
-        a: Reg,
-        /// Shift amount (low 5 bits used).
-        b: Operand,
-    },
-    /// Logical shift right: `dst = a >> b`.
-    Shr {
-        /// Destination.
-        dst: Reg,
-        /// Value to shift.
-        a: Reg,
-        /// Shift amount (low 5 bits used).
-        b: Operand,
-    },
-    /// Bitwise logic: `dst = a <op> b`.
-    Lop {
-        /// The bitwise operation.
-        op: LogicOp,
-        /// Destination.
-        dst: Reg,
-        /// First operand.
-        a: Reg,
-        /// Second operand.
-        b: Operand,
-    },
-    /// Integer compare to predicate: `p = (a <cmp> b)`.
-    Isetp {
-        /// Destination predicate.
-        p: Pred,
-        /// Comparison operator.
-        cmp: CmpOp,
-        /// Left-hand side.
-        a: Reg,
-        /// Right-hand side.
-        b: Operand,
-    },
-    /// Load from memory: `dst[..width.words()] = space[addr + offset]`.
-    Ld {
-        /// Address space.
-        space: MemSpace,
-        /// Access width.
-        width: MemWidth,
-        /// First destination register (width-aligned).
-        dst: Reg,
-        /// Base address register (byte address).
-        addr: Reg,
-        /// Signed byte offset.
-        offset: i32,
-    },
-    /// Store to memory: `space[addr + offset] = src[..width.words()]`.
-    St {
-        /// Address space.
-        space: MemSpace,
-        /// Access width.
-        width: MemWidth,
-        /// First source register (width-aligned).
-        src: Reg,
-        /// Base address register (byte address).
-        addr: Reg,
-        /// Signed byte offset.
-        offset: i32,
-    },
-    /// Load from a constant bank: `dst = c[bank][offset]`.
-    Ldc {
-        /// Destination.
-        dst: Reg,
-        /// Constant bank.
-        bank: u8,
-        /// Byte offset (4-byte aligned).
-        offset: u32,
-    },
-}
-
-impl Op {
-    /// The functional class of this operation.
-    pub fn class(&self) -> OpClass {
-        match self {
-            Op::Nop => OpClass::Nop,
-            Op::Exit | Op::Bra { .. } => OpClass::Ctrl,
-            Op::Bar => OpClass::Barrier,
-            Op::Mov { .. } | Op::Mov32i { .. } | Op::S2r { .. } | Op::Ldc { .. } => OpClass::Mov,
-            Op::Fadd { .. } | Op::Fmul { .. } | Op::Ffma { .. } => OpClass::Fp32,
-            Op::Imul { .. } | Op::Imad { .. } => OpClass::IntMul,
-            Op::Iadd { .. }
-            | Op::Iscadd { .. }
-            | Op::Shl { .. }
-            | Op::Shr { .. }
-            | Op::Lop { .. }
-            | Op::Isetp { .. } => OpClass::Int,
-            Op::Ld { space, .. } | Op::St { space, .. } => OpClass::Mem(*space),
-        }
-    }
-
-    /// The mnemonic, without operands (e.g. `"LDS.64"`).
-    pub fn mnemonic(&self) -> String {
-        match self {
-            Op::Nop => "NOP".into(),
-            Op::Exit => "EXIT".into(),
-            Op::Bra { .. } => "BRA".into(),
-            Op::Bar => "BAR.SYNC".into(),
-            Op::Mov { .. } => "MOV".into(),
-            Op::Mov32i { .. } => "MOV32I".into(),
-            Op::S2r { .. } => "S2R".into(),
-            Op::Fadd { .. } => "FADD".into(),
-            Op::Fmul { .. } => "FMUL".into(),
-            Op::Ffma { .. } => "FFMA".into(),
-            Op::Iadd { .. } => "IADD".into(),
-            Op::Imul { .. } => "IMUL".into(),
-            Op::Imad { .. } => "IMAD".into(),
-            Op::Iscadd { .. } => "ISCADD".into(),
-            Op::Shl { .. } => "SHL".into(),
-            Op::Shr { .. } => "SHR".into(),
-            Op::Lop { op, .. } => format!("LOP.{}", op.suffix()),
-            Op::Isetp { cmp, .. } => format!("ISETP.{}", cmp.suffix()),
-            Op::Ld { space, width, .. } => {
-                format!("{}{}", space.load_mnemonic(), width.suffix())
-            }
-            Op::St { space, width, .. } => {
-                format!("{}{}", space.store_mnemonic(), width.suffix())
-            }
-            Op::Ldc { .. } => "LDC".into(),
-        }
-    }
-
-    /// General-purpose registers written by this operation (wide loads
-    /// expand to consecutive registers).
-    pub fn def_regs(&self) -> Vec<Reg> {
-        let single = |r: &Reg| {
-            if r.is_rz() {
-                vec![]
-            } else {
-                vec![*r]
-            }
-        };
-        match self {
-            Op::Mov { dst, .. }
-            | Op::Mov32i { dst, .. }
-            | Op::S2r { dst, .. }
-            | Op::Fadd { dst, .. }
-            | Op::Fmul { dst, .. }
-            | Op::Ffma { dst, .. }
-            | Op::Iadd { dst, .. }
-            | Op::Imul { dst, .. }
-            | Op::Imad { dst, .. }
-            | Op::Iscadd { dst, .. }
-            | Op::Shl { dst, .. }
-            | Op::Shr { dst, .. }
-            | Op::Lop { dst, .. }
-            | Op::Ldc { dst, .. } => single(dst),
-            Op::Ld { width, dst, .. } => (0..width.words() as u8)
-                .filter_map(|i| dst.offset_checked(i))
-                .filter(|r| !r.is_rz())
-                .collect(),
-            _ => vec![],
-        }
-    }
-
-    /// General-purpose registers read by this operation (`RZ` excluded).
-    pub fn use_regs(&self) -> Vec<Reg> {
-        fn push(out: &mut Vec<Reg>, r: Reg) {
-            if !r.is_rz() {
-                out.push(r);
-            }
-        }
-        fn push_op(out: &mut Vec<Reg>, o: &Operand) {
-            if let Operand::Reg(r) = o {
-                push(out, *r);
-            }
-        }
-        let mut out = Vec::new();
-        match self {
-            Op::Mov { src, .. } => push_op(&mut out, src),
-            Op::Fadd { a, b, .. }
-            | Op::Fmul { a, b, .. }
-            | Op::Iadd { a, b, .. }
-            | Op::Imul { a, b, .. }
-            | Op::Iscadd { a, b, .. }
-            | Op::Shl { a, b, .. }
-            | Op::Shr { a, b, .. }
-            | Op::Lop { a, b, .. }
-            | Op::Isetp { a, b, .. } => {
-                push(&mut out, *a);
-                push_op(&mut out, b);
-            }
-            Op::Ffma { a, b, c, .. } | Op::Imad { a, b, c, .. } => {
-                push(&mut out, *a);
-                push_op(&mut out, b);
-                push(&mut out, *c);
-            }
-            Op::Ld { addr, .. } => push(&mut out, *addr),
-            Op::St {
-                width, src, addr, ..
-            } => {
-                push(&mut out, *addr);
-                for r in (0..width.words() as u8).filter_map(|i| src.offset_checked(i)) {
-                    push(&mut out, r);
-                }
-            }
-            _ => {}
-        }
-        out
-    }
-
-    /// The predicate register written, if any.
-    pub fn def_pred(&self) -> Option<Pred> {
-        match self {
-            Op::Isetp { p, .. } if !p.is_pt() => Some(*p),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -627,12 +209,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn mem_width_roundtrip_with_arch() {
-        for w in MemWidth::ALL {
-            let lds: LdsWidth = w.into();
-            let back: MemWidth = lds.into();
-            assert_eq!(back, w);
-            assert_eq!(w.bytes(), lds.bytes());
+    fn mem_width_matches_arch() {
+        for w in LdsWidth::ALL {
+            assert_eq!(MemWidth::from(w).bytes(), w.bytes());
         }
     }
 
@@ -642,127 +221,5 @@ mod tests {
         assert!(!CmpOp::Gt.eval(-1, 0));
         assert!(CmpOp::Ne.eval(1, 2));
         assert!(CmpOp::Ge.eval(3, 3));
-    }
-
-    #[test]
-    fn ffma_def_use() {
-        let op = Op::Ffma {
-            dst: Reg::r(8),
-            a: Reg::r(1),
-            b: Operand::reg(2),
-            c: Reg::r(8),
-        };
-        assert_eq!(op.def_regs(), vec![Reg::r(8)]);
-        assert_eq!(op.use_regs(), vec![Reg::r(1), Reg::r(2), Reg::r(8)]);
-        assert_eq!(op.class(), OpClass::Fp32);
-    }
-
-    #[test]
-    fn wide_load_defs_expand() {
-        let op = Op::Ld {
-            space: MemSpace::Shared,
-            width: MemWidth::B128,
-            dst: Reg::r(12),
-            addr: Reg::r(20),
-            offset: 16,
-        };
-        assert_eq!(
-            op.def_regs(),
-            vec![Reg::r(12), Reg::r(13), Reg::r(14), Reg::r(15)]
-        );
-        assert_eq!(op.use_regs(), vec![Reg::r(20)]);
-        assert_eq!(op.mnemonic(), "LDS.128");
-    }
-
-    #[test]
-    fn wide_store_uses_expand() {
-        let op = Op::St {
-            space: MemSpace::Global,
-            width: MemWidth::B64,
-            src: Reg::r(4),
-            addr: Reg::r(10),
-            offset: 0,
-        };
-        assert_eq!(op.use_regs(), vec![Reg::r(10), Reg::r(4), Reg::r(5)]);
-        assert!(op.def_regs().is_empty());
-        assert_eq!(op.mnemonic(), "ST.64");
-    }
-
-    #[test]
-    fn rz_is_filtered_from_def_use() {
-        let op = Op::Iadd {
-            dst: Reg::RZ,
-            a: Reg::RZ,
-            b: Operand::Reg(Reg::RZ),
-        };
-        assert!(op.def_regs().is_empty());
-        assert!(op.use_regs().is_empty());
-    }
-
-    #[test]
-    fn def_use_are_total_on_rz_adjacent_wide_accesses() {
-        // Found by the differential fuzzer: register expansion must not
-        // panic on (invalid, but representable) memory ops whose word
-        // range touches or passes RZ — the validator rejects them, but
-        // it does so *by calling these functions*.
-        let ld = Op::Ld {
-            space: MemSpace::Shared,
-            width: MemWidth::B64,
-            dst: Reg::r(62),
-            addr: Reg::r(0),
-            offset: 0,
-        };
-        assert_eq!(ld.def_regs(), vec![Reg::r(62)]);
-        let ld_rz = Op::Ld {
-            space: MemSpace::Shared,
-            width: MemWidth::B32,
-            dst: Reg::RZ,
-            addr: Reg::r(0),
-            offset: 0,
-        };
-        assert!(ld_rz.def_regs().is_empty());
-        let st = Op::St {
-            space: MemSpace::Global,
-            width: MemWidth::B128,
-            src: Reg::r(61),
-            addr: Reg::r(10),
-            offset: 0,
-        };
-        assert_eq!(st.use_regs(), vec![Reg::r(10), Reg::r(61), Reg::r(62)]);
-        let st_rz = Op::St {
-            space: MemSpace::Global,
-            width: MemWidth::B32,
-            src: Reg::RZ,
-            addr: Reg::r(10),
-            offset: 0,
-        };
-        assert_eq!(st_rz.use_regs(), vec![Reg::r(10)]);
-    }
-
-    #[test]
-    fn isetp_def_pred() {
-        let op = Op::Isetp {
-            p: Pred::p(0),
-            cmp: CmpOp::Lt,
-            a: Reg::r(1),
-            b: Operand::Imm(5),
-        };
-        assert_eq!(op.def_pred(), Some(Pred::p(0)));
-        assert_eq!(op.mnemonic(), "ISETP.LT");
-    }
-
-    #[test]
-    fn classes() {
-        assert_eq!(Op::Bar.class(), OpClass::Barrier);
-        assert_eq!(Op::Exit.class(), OpClass::Ctrl);
-        assert_eq!(
-            Op::Imul {
-                dst: Reg::r(0),
-                a: Reg::r(1),
-                b: Operand::Imm(3)
-            }
-            .class(),
-            OpClass::IntMul
-        );
     }
 }

@@ -2,10 +2,7 @@
 
 use std::fmt;
 
-use crate::{Reg, SassError};
-
-/// The maximum signed immediate width of the generic ALU encoding.
-pub const IMM_BITS: u32 = 20;
+use crate::Reg;
 
 /// A source operand of an ALU instruction: a register, a signed 20-bit
 /// immediate, or a constant-bank location.
@@ -34,46 +31,6 @@ impl Operand {
     /// Shorthand for a register operand.
     pub fn reg(index: u8) -> Operand {
         Operand::Reg(Reg::r(index))
-    }
-
-    /// The register if this operand is one.
-    pub fn as_reg(self) -> Option<Reg> {
-        match self {
-            Operand::Reg(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// Check the operand's encodability constraints.
-    ///
-    /// # Errors
-    ///
-    /// [`SassError::ImmediateOutOfRange`] if an immediate exceeds 20 signed
-    /// bits; [`SassError::ConstOutOfRange`] if a constant operand is
-    /// misaligned or outside the 16-bank / 64 KiB-per-bank space.
-    pub fn check(self) -> Result<(), SassError> {
-        match self {
-            Operand::Reg(_) => Ok(()),
-            Operand::Imm(v) => {
-                let min = -(1 << (IMM_BITS - 1));
-                let max = (1 << (IMM_BITS - 1)) - 1;
-                if i64::from(v) < min || i64::from(v) > max {
-                    Err(SassError::ImmediateOutOfRange {
-                        value: i64::from(v),
-                        bits: IMM_BITS,
-                    })
-                } else {
-                    Ok(())
-                }
-            }
-            Operand::Const { bank, offset } => {
-                if bank > 15 || offset > 0xFFFC || offset % 4 != 0 {
-                    Err(SassError::ConstOutOfRange { bank, offset })
-                } else {
-                    Ok(())
-                }
-            }
-        }
     }
 }
 
@@ -108,42 +65,6 @@ impl fmt::Display for Operand {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn immediate_range() {
-        assert!(Operand::Imm(0x7FFFF).check().is_ok());
-        assert!(Operand::Imm(-0x80000).check().is_ok());
-        assert!(Operand::Imm(0x80000).check().is_err());
-        assert!(Operand::Imm(-0x80001).check().is_err());
-    }
-
-    #[test]
-    fn const_constraints() {
-        assert!(Operand::Const {
-            bank: 0,
-            offset: 0x20
-        }
-        .check()
-        .is_ok());
-        assert!(Operand::Const {
-            bank: 0,
-            offset: 0x21
-        }
-        .check()
-        .is_err());
-        assert!(Operand::Const {
-            bank: 16,
-            offset: 0
-        }
-        .check()
-        .is_err());
-        assert!(Operand::Const {
-            bank: 0,
-            offset: 0x10000
-        }
-        .check()
-        .is_err());
-    }
 
     #[test]
     fn display_forms() {

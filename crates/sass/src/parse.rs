@@ -22,8 +22,8 @@ use std::collections::HashMap;
 use peakperf_arch::Generation;
 
 use crate::ctl::CtlInfo;
-use crate::op::{CmpOp, LogicOp, MemSpace, MemWidth, SpecialReg};
-use crate::{Instruction, Kernel, Module, Op, Operand, Pred, Reg, SassError};
+use crate::isa::Fields;
+use crate::{Instruction, Kernel, Module, Operand, Pred, Reg, SassError, Slot, SpecialReg, TABLE};
 
 /// Assemble a source text into a [`Module`] for the given generation.
 ///
@@ -65,10 +65,14 @@ pub fn assemble(source: &str, generation: Generation) -> Result<Module, SassErro
         } else {
             let st = expect_kernel(&mut state, lineno)?;
             let mut cur = Cursor::new(line, lineno);
-            let inst = parse_instruction(&mut cur)?;
+            let index = st.code.len();
+            let (inst, label) = parse_instruction(&mut cur, index)?;
             cur.skip_ws();
             if !cur.done() {
                 return Err(err(lineno, format!("trailing input `{}`", cur.rest())));
+            }
+            if inst.op.target().is_some() {
+                st.branches.push((index, label, lineno));
             }
             st.code.push(inst);
             st.ctl.push(st.pending_ctl.take().unwrap_or(CtlInfo::NONE));
@@ -85,82 +89,37 @@ pub fn assemble(source: &str, generation: Generation) -> Result<Module, SassErro
 
 struct KernelState {
     kernel: Kernel,
-    code: Vec<PendingInst>,
+    code: Vec<Instruction>,
     ctl: Vec<CtlInfo>,
     labels: HashMap<String, u32>,
     pending_ctl: Option<CtlInfo>,
-}
-
-/// An instruction whose branch target may still be symbolic.
-enum PendingInst {
-    Done(Instruction),
-    Branch {
-        pred: Option<Pred>,
-        pred_neg: bool,
-        target: BranchTarget,
-        line: usize,
-    },
-}
-
-enum BranchTarget {
-    Absolute(u32),
-    Label(String),
+    /// Each branch's index, target label (`None`: absolute) and line.
+    branches: Vec<(usize, Option<String>, usize)>,
 }
 
 impl KernelState {
-    fn new(name: &str) -> KernelState {
-        KernelState {
-            kernel: Kernel::new(name),
-            code: Vec::new(),
-            ctl: Vec::new(),
-            labels: HashMap::new(),
-            pending_ctl: None,
-        }
-    }
-
-    fn finish(self, generation: Generation) -> Result<Kernel, SassError> {
-        let mut kernel = self.kernel;
-        for pending in self.code {
-            let inst = match pending {
-                PendingInst::Done(i) => i,
-                PendingInst::Branch {
-                    pred,
-                    pred_neg,
-                    target,
+    fn finish(mut self, generation: Generation) -> Result<Kernel, SassError> {
+        for (index, label, line) in self.branches {
+            let op = &mut self.code[index].op;
+            if let (Some(name), Some(target)) = (label, op.target_mut()) {
+                let resolved = self.labels.get(&name).copied();
+                *target = resolved.ok_or(SassError::UndefinedLabel { name })?;
+            }
+            let target = op.target().unwrap_or(0);
+            if target as usize > self.ctl.len() {
+                return Err(err(
                     line,
-                } => {
-                    let target = match target {
-                        BranchTarget::Absolute(t) => t,
-                        BranchTarget::Label(name) => *self
-                            .labels
-                            .get(&name)
-                            .ok_or(SassError::UndefinedLabel { name: name.clone() })?,
-                    };
-                    if target as usize > self.ctl.len() {
-                        return Err(err(
-                            line,
-                            format!("branch target {target:#x} is past the end of the kernel"),
-                        ));
-                    }
-                    Instruction {
-                        pred,
-                        pred_neg,
-                        op: Op::Bra { target },
-                    }
-                }
-            };
-            kernel.code.push(inst);
+                    format!("branch target {target:#x} is past the end of the kernel"),
+                ));
+            }
+            let (row, fields) = op.split();
+            row.check(&fields, index).map_err(|m| err(line, m))?;
         }
+        let mut kernel = self.kernel;
+        kernel.code = self.code;
         if kernel.num_regs == 0 {
             // No `.regs` directive: infer the count like the builder does.
-            let highest = kernel
-                .code
-                .iter()
-                .flat_map(|i| i.op.def_regs().into_iter().chain(i.op.use_regs()))
-                .map(|r| u32::from(r.index()) + 1)
-                .max()
-                .unwrap_or(0);
-            kernel.num_regs = highest;
+            kernel.num_regs = kernel.regs_used();
         }
         kernel.ctl = if generation.uses_control_notation() {
             Some(self.ctl)
@@ -190,6 +149,7 @@ fn parse_directive(
         Some((w, a)) => (w, a.trim()),
         None => (rest, ""),
     };
+    let count = |what| parse_u32(arg).ok_or_else(|| err(lineno, format!("expected {what}")));
     match word {
         "kernel" => {
             if !is_ident(arg) {
@@ -198,20 +158,18 @@ fn parse_directive(
             if let Some(prev) = state.take() {
                 module.kernels.push(prev.finish(module.generation)?);
             }
-            *state = Some(KernelState::new(arg));
+            *state = Some(KernelState {
+                kernel: Kernel::new(arg),
+                code: Vec::new(),
+                ctl: Vec::new(),
+                labels: HashMap::new(),
+                pending_ctl: None,
+                branches: Vec::new(),
+            });
         }
-        "regs" => {
-            expect_kernel(state, lineno)?.kernel.num_regs =
-                parse_u32(arg).ok_or_else(|| err(lineno, "expected register count".to_owned()))?;
-        }
-        "shared" => {
-            expect_kernel(state, lineno)?.kernel.shared_bytes =
-                parse_u32(arg).ok_or_else(|| err(lineno, "expected byte count".to_owned()))?;
-        }
-        "local" => {
-            expect_kernel(state, lineno)?.kernel.local_bytes =
-                parse_u32(arg).ok_or_else(|| err(lineno, "expected byte count".to_owned()))?;
-        }
+        "regs" => expect_kernel(state, lineno)?.kernel.num_regs = count("register count")?,
+        "shared" => expect_kernel(state, lineno)?.kernel.shared_bytes = count("byte count")?,
+        "local" => expect_kernel(state, lineno)?.kernel.local_bytes = count("byte count")?,
         "param" => {
             if !is_ident(arg) {
                 return Err(err(lineno, format!("invalid parameter name `{arg}`")));
@@ -387,30 +345,23 @@ impl<'a> Cursor<'a> {
             .map_err(|_| err(self.line, format!("number {v} out of 32-bit range")))
     }
 
-    fn reg(&mut self) -> Result<Reg, SassError> {
-        self.skip_ws();
+    /// The index of a register (`R5`) or predicate (`P0`) name: `prefix`
+    /// and digits, or `top` (`RZ`, `PT`) for the hardwired one.
+    fn index(&mut self, prefix: char, top: (&str, u8), what: &str) -> Result<u8, SassError> {
         let w = self.word();
-        if w == "RZ" {
-            return Ok(Reg::RZ);
-        }
-        let idx = w
-            .strip_prefix('R')
-            .and_then(|s| s.parse::<u8>().ok())
-            .ok_or_else(|| err(self.line, format!("expected register, found `{w}`")))?;
-        Reg::new(idx)
+        let digits = w.strip_prefix(prefix).and_then(|s| s.parse().ok());
+        let index = if w == top.0 { Some(top.1) } else { digits };
+        index.ok_or_else(|| err(self.line, format!("expected {what}, found `{w}`")))
+    }
+
+    fn reg(&mut self) -> Result<Reg, SassError> {
+        let index = self.index('R', ("RZ", 63), "register")?;
+        Reg::new(index).map_err(|e| err(self.line, e.to_string()))
     }
 
     fn pred(&mut self) -> Result<Pred, SassError> {
-        self.skip_ws();
-        let w = self.word();
-        if w == "PT" {
-            return Ok(Pred::PT);
-        }
-        let idx = w
-            .strip_prefix('P')
-            .and_then(|s| s.parse::<u8>().ok())
-            .ok_or_else(|| err(self.line, format!("expected predicate, found `{w}`")))?;
-        Pred::new(idx)
+        let index = self.index('P', ("PT", 7), "predicate")?;
+        Pred::new(index).map_err(|e| err(self.line, e.to_string()))
     }
 
     /// Parse a flexible operand: register, immediate, or `c[bank][offset]`.
@@ -418,15 +369,12 @@ impl<'a> Cursor<'a> {
         self.skip_ws();
         match self.peek() {
             Some('R') => Ok(Operand::Reg(self.reg()?)),
-            Some('c') => {
-                let (bank, offset) = self.const_ref()?;
-                Ok(Operand::Const { bank, offset })
-            }
+            Some('c') => self.const_ref(),
             _ => Ok(Operand::Imm(self.number_i32()?)),
         }
     }
 
-    fn const_ref(&mut self) -> Result<(u8, u32), SassError> {
+    fn const_ref(&mut self) -> Result<Operand, SassError> {
         self.skip_ws();
         if !self.eat('c') {
             return Err(err(self.line, "expected constant reference".to_owned()));
@@ -441,7 +389,7 @@ impl<'a> Cursor<'a> {
             .map_err(|_| err(self.line, format!("constant bank {bank} out of range")))?;
         let offset = u32::try_from(offset)
             .map_err(|_| err(self.line, format!("constant offset {offset} out of range")))?;
-        Ok((bank, offset))
+        Ok(Operand::Const { bank, offset })
     }
 
     /// Parse `[Rn]`, `[Rn+0x8]`, or `[Rn-0x8]`.
@@ -449,8 +397,13 @@ impl<'a> Cursor<'a> {
         self.expect('[')?;
         let base = self.reg()?;
         self.skip_ws();
-        // A `-` is consumed by `number_i32` as the sign; `+` is eaten here.
-        let offset = if self.eat('+') || self.peek() == Some('-') {
+        // A `-` is consumed by `number_i32` as the sign; `+` is eaten here
+        // and takes an unsigned number.
+        let plus = self.eat('+');
+        self.skip_ws();
+        let offset = if plus && self.peek() == Some('-') {
+            return Err(err(self.line, "expected an offset after `+`, found `-`"));
+        } else if plus || self.peek() == Some('-') {
             self.number_i32()?
         } else {
             0
@@ -460,15 +413,14 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn special_reg_by_name(name: &str) -> Option<SpecialReg> {
-    SpecialReg::ALL.iter().copied().find(|s| s.name() == name)
-}
-
-fn cmp_by_suffix(suffix: &str) -> Option<CmpOp> {
-    CmpOp::ALL.iter().copied().find(|c| c.suffix() == suffix)
-}
-
-fn parse_instruction(cur: &mut Cursor<'_>) -> Result<PendingInst, SassError> {
+/// Parse one instruction, the `index`-th of its kernel: the mnemonic
+/// names a row of [`TABLE`] exactly, whose slots say what follows. A
+/// branch to a label gets target 0 and the label, for
+/// [`KernelState::finish`] to resolve.
+fn parse_instruction(
+    cur: &mut Cursor<'_>,
+    index: usize,
+) -> Result<(Instruction, Option<String>), SassError> {
     cur.skip_ws();
     let (pred, pred_neg) = if cur.eat('@') {
         let neg = cur.eat('!');
@@ -476,224 +428,68 @@ fn parse_instruction(cur: &mut Cursor<'_>) -> Result<PendingInst, SassError> {
     } else {
         (None, false)
     };
-
-    let mnemonic = cur.word().to_owned();
+    let mnemonic = cur.word();
     let line = cur.line;
-    let (base, suffix) = match mnemonic.split_once('.') {
-        Some((b, s)) => (b, Some(s)),
-        None => (mnemonic.as_str(), None),
-    };
-
-    let width_from_suffix = |s: Option<&str>| -> Result<MemWidth, SassError> {
-        match s {
-            None => Ok(MemWidth::B32),
-            Some("64") => Ok(MemWidth::B64),
-            Some("128") => Ok(MemWidth::B128),
-            Some(other) => Err(err(line, format!("invalid width suffix `.{other}`"))),
+    let (row, m) = TABLE
+        .iter()
+        .find_map(|row| Some((*row, row.names.iter().position(|n| *n == mnemonic)?)))
+        .ok_or_else(|| err(line, format!("unknown mnemonic `{mnemonic}`")))?;
+    let mut x = Fields { m, ..Fields::EMPTY };
+    let mut label = None;
+    for (i, slot) in row.syntax.iter().enumerate() {
+        if i > 0 {
+            cur.expect(',')?;
         }
-    };
-
-    let op = match base {
-        "NOP" => end(cur, Op::Nop)?,
-        "EXIT" => end(cur, Op::Exit)?,
-        "BAR" => {
-            if suffix != Some("SYNC") {
-                return Err(err(line, "expected `BAR.SYNC`".to_owned()));
-            }
-            end(cur, Op::Bar)?
-        }
-        "BRA" => {
-            cur.skip_ws();
-            let target = if cur.peek().is_some_and(|c| c.is_ascii_digit()) {
-                BranchTarget::Absolute(
-                    cur.number_i64()?
-                        .try_into()
-                        .map_err(|_| err(line, "branch target out of range".to_owned()))?,
-                )
-            } else {
+        match slot {
+            Slot::Dst | Slot::Load | Slot::Store => x.dst = cur.reg()?,
+            Slot::P => x.p = cur.pred()?,
+            Slot::A => x.a = cur.reg()?,
+            Slot::B { .. } => x.b = cur.operand()?,
+            Slot::C => x.c = cur.reg()?,
+            Slot::Shift => x.n = cur.number_i64()?,
+            Slot::Special => {
                 let name = cur.word();
-                if !is_ident(name) {
-                    return Err(err(line, format!("invalid branch target `{name}`")));
+                let sr = SpecialReg::ALL.iter().position(|s| s.name() == name);
+                let sr =
+                    sr.ok_or_else(|| err(line, format!("unknown special register `{name}`")))?;
+                x.n = sr as i64;
+            }
+            Slot::Imm32 => {
+                let imm = cur.number_i64()?;
+                if !(-0x8000_0000..=0xFFFF_FFFF).contains(&imm) {
+                    return Err(err(line, format!("immediate {imm} out of 32-bit range")));
                 }
-                BranchTarget::Label(name.to_owned())
-            };
-            cur.expect(';')?;
-            return Ok(PendingInst::Branch {
-                pred,
-                pred_neg,
-                target,
-                line,
-            });
-        }
-        "MOV" => {
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let src = cur.operand()?;
-            end(cur, Op::Mov { dst, src })?
-        }
-        "MOV32I" => {
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let imm = cur.number_i64()?;
-            if !(0..=0xFFFF_FFFF).contains(&imm) && !(-0x8000_0000..0).contains(&imm) {
-                return Err(err(line, format!("immediate {imm} out of 32-bit range")));
+                x.n = i64::from(imm as u32);
             }
-            end(
-                cur,
-                Op::Mov32i {
-                    dst,
-                    imm: imm as u32,
-                },
-            )?
-        }
-        "S2R" => {
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let name = cur.word();
-            let sr = special_reg_by_name(name)
-                .ok_or_else(|| err(line, format!("unknown special register `{name}`")))?;
-            end(cur, Op::S2r { dst, sr })?
-        }
-        "FADD" | "FMUL" | "IADD" | "IMUL" | "SHL" | "SHR" => {
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let a = cur.reg()?;
-            cur.expect(',')?;
-            let b = cur.operand()?;
-            let op = match base {
-                "FADD" => Op::Fadd { dst, a, b },
-                "FMUL" => Op::Fmul { dst, a, b },
-                "IADD" => Op::Iadd { dst, a, b },
-                "IMUL" => Op::Imul { dst, a, b },
-                "SHL" => Op::Shl { dst, a, b },
-                _ => Op::Shr { dst, a, b },
-            };
-            end(cur, op)?
-        }
-        "FFMA" | "IMAD" => {
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let a = cur.reg()?;
-            cur.expect(',')?;
-            let b = cur.operand()?;
-            cur.expect(',')?;
-            let c = cur.reg()?;
-            let op = if base == "FFMA" {
-                Op::Ffma { dst, a, b, c }
-            } else {
-                Op::Imad { dst, a, b, c }
-            };
-            end(cur, op)?
-        }
-        "ISCADD" => {
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let a = cur.reg()?;
-            cur.expect(',')?;
-            let b = cur.operand()?;
-            cur.expect(',')?;
-            let shift = cur.number_i64()?;
-            if !(0..=31).contains(&shift) {
-                return Err(err(line, format!("shift {shift} out of range")));
+            Slot::Target => {
+                cur.skip_ws();
+                if cur.peek().is_some_and(|c| c.is_ascii_digit()) {
+                    x.n = cur.number_i64()?;
+                } else {
+                    let name = cur.word();
+                    if !is_ident(name) {
+                        return Err(err(line, format!("invalid branch target `{name}`")));
+                    }
+                    label = Some(name.to_owned());
+                }
             }
-            end(
-                cur,
-                Op::Iscadd {
-                    dst,
-                    a,
-                    b,
-                    shift: shift as u8,
-                },
-            )?
+            Slot::Addr => {
+                let (a, offset) = cur.mem_addr()?;
+                (x.a, x.n) = (a, offset.into());
+            }
+            Slot::Const => x.b = cur.const_ref()?,
         }
-        "LOP" => {
-            let lop = match suffix {
-                Some("AND") => LogicOp::And,
-                Some("OR") => LogicOp::Or,
-                Some("XOR") => LogicOp::Xor,
-                _ => return Err(err(line, "expected LOP.AND/OR/XOR".to_owned())),
-            };
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let a = cur.reg()?;
-            cur.expect(',')?;
-            let b = cur.operand()?;
-            end(cur, Op::Lop { op: lop, dst, a, b })?
-        }
-        "ISETP" => {
-            let cmp = suffix
-                .and_then(cmp_by_suffix)
-                .ok_or_else(|| err(line, "expected ISETP.<LT|LE|GT|GE|EQ|NE>".to_owned()))?;
-            let p = cur.pred()?;
-            cur.expect(',')?;
-            let a = cur.reg()?;
-            cur.expect(',')?;
-            let b = cur.operand()?;
-            end(cur, Op::Isetp { p, cmp, a, b })?
-        }
-        "LD" | "LDS" | "LDL" => {
-            let space = match base {
-                "LD" => MemSpace::Global,
-                "LDS" => MemSpace::Shared,
-                _ => MemSpace::Local,
-            };
-            let width = width_from_suffix(suffix)?;
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let (addr, offset) = cur.mem_addr()?;
-            end(
-                cur,
-                Op::Ld {
-                    space,
-                    width,
-                    dst,
-                    addr,
-                    offset,
-                },
-            )?
-        }
-        "ST" | "STS" | "STL" => {
-            let space = match base {
-                "ST" => MemSpace::Global,
-                "STS" => MemSpace::Shared,
-                _ => MemSpace::Local,
-            };
-            let width = width_from_suffix(suffix)?;
-            let (addr, offset) = cur.mem_addr()?;
-            cur.expect(',')?;
-            let src = cur.reg()?;
-            end(
-                cur,
-                Op::St {
-                    space,
-                    width,
-                    src,
-                    addr,
-                    offset,
-                },
-            )?
-        }
-        "LDC" => {
-            let dst = cur.reg()?;
-            cur.expect(',')?;
-            let (bank, offset) = cur.const_ref()?;
-            end(cur, Op::Ldc { dst, bank, offset })?
-        }
-        other => {
-            return Err(err(line, format!("unknown mnemonic `{other}`")));
-        }
-    };
-    Ok(PendingInst::Done(Instruction { pred, pred_neg, op }))
-}
-
-fn end(cur: &mut Cursor<'_>, op: Op) -> Result<Op, SassError> {
+    }
     cur.expect(';')?;
-    Ok(op)
+    row.check(&x, index).map_err(|m| err(line, m))?;
+    let op = row.build(&x);
+    Ok((Instruction { pred, pred_neg, op }, label))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemSpace, MemWidth, Op};
 
     fn one(src: &str) -> Instruction {
         let full = format!(".kernel t\n{src}\n");

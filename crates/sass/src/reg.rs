@@ -68,22 +68,10 @@ impl Reg {
         register_bank(self.0)
     }
 
-    /// The register `offset` slots above this one.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the result exceeds `R62` (wide loads never target `RZ`).
-    pub fn offset(self, offset: u8) -> Reg {
-        let idx = self.0 + offset;
-        assert!(idx <= Reg::MAX_INDEX, "register R{idx} out of range");
-        Reg(idx)
-    }
-
-    /// The register `offset` slots above this one, without panicking:
-    /// `None` past the register file, `Some(RZ)` when the slot lands on
-    /// index 63. For code that must stay total on arbitrary (possibly
-    /// invalid) kernels — validators, simulators, fuzzers — where the
-    /// panicking [`Reg::offset`] contract is wrong.
+    /// The register `offset` slots above this one: `None` past the
+    /// register file, `Some(RZ)` when the slot lands on index 63. Total, so
+    /// code that handles arbitrary (possibly invalid) kernels — validators,
+    /// simulators, fuzzers — never panics on a wide access near `RZ`.
     pub fn offset_checked(self, offset: u8) -> Option<Reg> {
         self.0.checked_add(offset).and_then(|i| Reg::new(i).ok())
     }
@@ -213,12 +201,6 @@ mod tests {
     #[test]
     fn bank_delegates_to_arch() {
         assert_eq!(Reg::r(4).bank(), register_bank(4));
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn offset_past_r62_panics() {
-        let _ = Reg::r(62).offset(1);
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //!   producer latency, clamped to the 4-bit field.
 
 use crate::ctl::CtlInfo;
-use crate::op::{MemSpace, Op, OpClass};
-use crate::{Instruction, Reg};
+use crate::op::{MemSpace, OpClass};
+use crate::{Instruction, Op, Reg, Role};
 
 /// Options for [`schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -33,30 +33,21 @@ pub struct SchedOptions {
 
 /// True when the instruction ends a straight-line region.
 fn is_region_boundary(inst: &Instruction) -> bool {
-    matches!(inst.op, Op::Bra { .. } | Op::Bar | Op::Exit | Op::Nop) || inst.pred.is_some()
+    matches!(inst.op.class(), OpClass::Ctrl | OpClass::Barrier) || inst.pred.is_some()
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum MemKind {
-    Load(MemSpace),
-    Store(MemSpace),
+/// A memory operation's address space and whether it stores.
+fn mem_kind(op: &Op) -> Option<(MemSpace, bool)> {
+    let OpClass::Mem(space) = op.class() else {
+        return None;
+    };
+    let mut slots = op.reg_slots();
+    Some((space, slots.any(|(role, _)| matches!(role, Role::Store(_)))))
 }
 
-fn mem_kind(op: &Op) -> Option<MemKind> {
-    match op {
-        Op::Ld { space, .. } => Some(MemKind::Load(*space)),
-        Op::St { space, .. } => Some(MemKind::Store(*space)),
-        _ => None,
-    }
-}
-
-fn mem_conflicts(a: MemKind, b: MemKind) -> bool {
-    match (a, b) {
-        (MemKind::Load(sa), MemKind::Store(sb))
-        | (MemKind::Store(sa), MemKind::Load(sb))
-        | (MemKind::Store(sa), MemKind::Store(sb)) => sa == sb,
-        (MemKind::Load(_), MemKind::Load(_)) => false,
-    }
+/// Accesses to one space conflict unless both are loads.
+fn mem_conflicts((sa, store_a): (MemSpace, bool), (sb, store_b): (MemSpace, bool)) -> bool {
+    sa == sb && (store_a || store_b)
 }
 
 /// Register/predicate dependence between two instructions (earlier `a`,
@@ -210,13 +201,7 @@ pub fn schedule(
     // branch targets pointing into the middle of a region. To stay safe we
     // only permute regions no branch jumps into: conservatively, regions
     // in code without any Bra target inside them.
-    let targets: Vec<u32> = code
-        .iter()
-        .filter_map(|i| match i.op {
-            Op::Bra { target } => Some(target),
-            _ => None,
-        })
-        .collect();
+    let targets: Vec<u32> = code.iter().filter_map(|i| i.op.target()).collect();
     let mut i = 0usize;
     while i <= code.len() {
         let at_end = i == code.len();
@@ -250,10 +235,7 @@ pub fn auto_ctl(code: &[Instruction], latency: impl Fn(&Op) -> u32) -> Vec<CtlIn
     let n = code.len();
     let mut out = vec![CtlInfo::stall(1); n];
     for i in 0..n {
-        if matches!(
-            code[i].op.class(),
-            OpClass::Ctrl | OpClass::Barrier | OpClass::Nop
-        ) {
+        if matches!(code[i].op.class(), OpClass::Ctrl | OpClass::Barrier) {
             out[i] = CtlInfo::NONE;
             continue;
         }

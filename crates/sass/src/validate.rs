@@ -2,7 +2,7 @@
 
 use peakperf_arch::Generation;
 
-use crate::{Instruction, Kernel, MemSpace, Op, SassError};
+use crate::{Instruction, Kernel, MemSpace, OpClass, SassError};
 
 fn verr(index: Option<usize>, message: impl Into<String>) -> SassError {
     SassError::Validate {
@@ -11,111 +11,17 @@ fn verr(index: Option<usize>, message: impl Into<String>) -> SassError {
     }
 }
 
-/// Memory-offset range shared by LD/ST: the encoding stores a signed
-/// 24-bit byte offset (the validator must be at least as strict as the
-/// encoder, so every validated kernel is encodable).
-fn check_mem_offset(offset: i32, index: usize) -> Result<(), SassError> {
-    if !(-(1 << 23)..1 << 23).contains(&offset) {
-        return Err(verr(
-            Some(index),
-            format!("memory offset {offset} outside the signed 24-bit encoding range"),
-        ));
-    }
-    Ok(())
-}
-
-/// Validate one instruction (register-alignment rules for wide accesses,
-/// operand encodability).
+/// Validate one instruction at instruction index `index` against its
+/// row of [`crate::TABLE`]: operand kinds and ranges, wide-access
+/// alignment, branch reach. [`crate::encode`], [`crate::decode`] and
+/// [`crate::assemble`] run the same checks.
 ///
 /// # Errors
 ///
 /// Returns [`SassError::Validate`] describing the violated constraint.
 pub fn validate_instruction(inst: &Instruction, index: usize) -> Result<(), SassError> {
-    match inst.op {
-        Op::Ld {
-            width, dst, offset, ..
-        } => {
-            check_mem_offset(offset, index)?;
-            if !dst.is_aligned_for(width.words()) {
-                return Err(verr(
-                    Some(index),
-                    format!(
-                        "{} destination {dst} must be {}-register aligned",
-                        inst.op.mnemonic(),
-                        width.words()
-                    ),
-                ));
-            }
-            // Wide accesses expand to consecutive general registers, so
-            // the range must stop at R62: index 63 is RZ, not storage.
-            // (Single-word RZ stays legal — a discard load.)
-            if width.words() > 1 && dst.index() as u32 + width.words() > 63 {
-                return Err(verr(
-                    Some(index),
-                    format!("wide load at {dst} runs past R62 into the zero register"),
-                ));
-            }
-        }
-        Op::St {
-            width, src, offset, ..
-        } => {
-            check_mem_offset(offset, index)?;
-            if !src.is_aligned_for(width.words()) {
-                return Err(verr(
-                    Some(index),
-                    format!(
-                        "{} source {src} must be {}-register aligned",
-                        inst.op.mnemonic(),
-                        width.words()
-                    ),
-                ));
-            }
-            // Single-word RZ is the store-zero idiom; wide ranges must
-            // stop at R62 like loads.
-            if width.words() > 1 && src.index() as u32 + width.words() > 63 {
-                return Err(verr(
-                    Some(index),
-                    format!("wide store at {src} runs past R62 into the zero register"),
-                ));
-            }
-        }
-        Op::Fadd { b, .. } | Op::Fmul { b, .. } | Op::Ffma { b, .. } => {
-            if matches!(b, crate::Operand::Imm(_)) {
-                return Err(verr(
-                    Some(index),
-                    "floating-point instructions take register or constant operands \
-                     (use MOV32I for literals)",
-                ));
-            }
-            b.check().map_err(|e| verr(Some(index), e.to_string()))?;
-        }
-        Op::Iscadd { b, shift, .. } => {
-            if shift > 31 {
-                return Err(verr(
-                    Some(index),
-                    format!("ISCADD shift {shift} outside the encodable range 0..=31"),
-                ));
-            }
-            b.check().map_err(|e| verr(Some(index), e.to_string()))?;
-        }
-        Op::Ldc { bank, offset, .. } => {
-            crate::Operand::Const { bank, offset }
-                .check()
-                .map_err(|e| verr(Some(index), e.to_string()))?;
-        }
-        Op::Mov { src: b, .. }
-        | Op::Iadd { b, .. }
-        | Op::Imul { b, .. }
-        | Op::Imad { b, .. }
-        | Op::Shl { b, .. }
-        | Op::Shr { b, .. }
-        | Op::Lop { b, .. }
-        | Op::Isetp { b, .. } => {
-            b.check().map_err(|e| verr(Some(index), e.to_string()))?;
-        }
-        _ => {}
-    }
-    Ok(())
+    let (row, fields) = inst.op.split();
+    row.check(&fields, index).map_err(|m| verr(Some(index), m))
 }
 
 /// Validate a whole kernel for a target generation:
@@ -156,13 +62,9 @@ pub fn validate_kernel(kernel: &Kernel, generation: Generation) -> Result<(), Sa
             ),
         ));
     }
-    let mut highest: Option<u8> = None;
     for (i, inst) in kernel.code.iter().enumerate() {
         validate_instruction(inst, i)?;
-        for r in inst.op.def_regs().into_iter().chain(inst.op.use_regs()) {
-            highest = Some(highest.map_or(r.index(), |h| h.max(r.index())));
-        }
-        if let Op::Bra { target } = inst.op {
+        if let Some(target) = inst.op.target() {
             if target as usize >= n {
                 return Err(verr(
                     Some(i),
@@ -170,25 +72,15 @@ pub fn validate_kernel(kernel: &Kernel, generation: Generation) -> Result<(), Sa
                 ));
             }
         }
-        if let Op::Ld {
-            space: MemSpace::Local,
-            ..
-        }
-        | Op::St {
-            space: MemSpace::Local,
-            ..
-        } = inst.op
-        {
-            if kernel.local_bytes == 0 {
-                return Err(verr(
-                    Some(i),
-                    "local-memory access in a kernel with no `.local` declaration",
-                ));
-            }
+        if inst.op.class() == OpClass::Mem(MemSpace::Local) && kernel.local_bytes == 0 {
+            return Err(verr(
+                Some(i),
+                "local-memory access in a kernel with no `.local` declaration",
+            ));
         }
     }
-    if let Some(h) = highest {
-        if u32::from(h) >= kernel.num_regs && kernel.num_regs > 0 {
+    if let Some(h) = kernel.regs_used().checked_sub(1) {
+        if h >= kernel.num_regs && kernel.num_regs > 0 {
             return Err(verr(
                 None,
                 format!(
@@ -197,7 +89,7 @@ pub fn validate_kernel(kernel: &Kernel, generation: Generation) -> Result<(), Sa
                 ),
             ));
         }
-        if u32::from(h) >= max_regs {
+        if h >= max_regs {
             return Err(verr(
                 None,
                 format!("register R{h} exceeds the {generation} limit of {max_regs}"),
@@ -231,7 +123,7 @@ pub fn validate_kernel(kernel: &Kernel, generation: Generation) -> Result<(), Sa
 mod tests {
     use super::*;
     use crate::ctl::CtlInfo;
-    use crate::{MemWidth, Operand, Reg};
+    use crate::{MemWidth, Op, Operand, Reg};
 
     fn kernel_with(code: Vec<Instruction>, num_regs: u32) -> Kernel {
         let mut k = Kernel::new("t");
@@ -281,6 +173,23 @@ mod tests {
             c: Reg::r(0),
         });
         assert!(validate_instruction(&inst, 0).is_err());
+    }
+
+    #[test]
+    fn operand_b_ranges_are_the_encodings() {
+        let iadd = |b| {
+            let op = Op::Iadd {
+                dst: Reg::r(0),
+                a: Reg::r(1),
+                b,
+            };
+            validate_instruction(&Instruction::new(op), 0).is_ok()
+        };
+        let c = |bank, offset| Operand::Const { bank, offset };
+        assert!(iadd(Operand::Imm(0x7FFFF)) && iadd(Operand::Imm(-0x80000)));
+        assert!(!iadd(Operand::Imm(0x80000)) && !iadd(Operand::Imm(-0x80001)));
+        assert!(iadd(c(0, 0x20)) && iadd(c(15, 0xFFFC)));
+        assert!(!iadd(c(0, 0x21)) && !iadd(c(16, 0)) && !iadd(c(0, 0x10000)));
     }
 
     #[test]

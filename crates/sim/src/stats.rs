@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use peakperf_sass::{Instruction, Op, OpClass};
+use peakperf_sass::Instruction;
 
 use crate::json::Json;
 use crate::obj;
@@ -230,7 +230,13 @@ impl InstMix {
     /// mnemonic that never executed has no entry).
     pub fn record(&mut self, inst: &Instruction, n: u64) {
         if n > 0 {
-            *self.counts.entry(inst.op.mnemonic()).or_insert(0) += n;
+            let mnemonic = inst.op.mnemonic();
+            match self.counts.get_mut(mnemonic) {
+                Some(count) => *count += n,
+                None => {
+                    self.counts.insert(mnemonic.to_owned(), n);
+                }
+            }
             self.total += n;
         }
     }
@@ -303,14 +309,6 @@ pub struct FuncStats {
     pub flops: u64,
 }
 
-/// FP32 operations one lane of `op` performs (FFMA counts 2).
-pub(crate) fn flops_per_lane(op: &Op) -> u64 {
-    match op {
-        Op::Ffma { .. } => 2,
-        _ => u64::from(op.class() == OpClass::Fp32),
-    }
-}
-
 impl FuncStats {
     /// Record `warps` executions of `inst` with `lanes` active lanes in
     /// total.
@@ -318,7 +316,7 @@ impl FuncStats {
         self.mix.record(inst, warps);
         self.warp_instructions += warps;
         self.thread_instructions += lanes;
-        self.flops += lanes * flops_per_lane(&inst.op);
+        self.flops += lanes * inst.op.info().flops;
     }
 
     /// Merge another stats record into this one.
@@ -336,7 +334,7 @@ impl FuncStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peakperf_sass::{Operand, Reg};
+    use peakperf_sass::{Op, Operand, Reg};
 
     fn ffma() -> Instruction {
         Instruction::new(Op::Ffma {

@@ -179,13 +179,12 @@ impl Calibration {
     /// Result latency by instruction class.
     pub fn latency(&self, op: &Op) -> u32 {
         match op.class() {
-            OpClass::Fp32 | OpClass::Int => self.alu_latency,
+            OpClass::Fp32 | OpClass::Int | OpClass::Move => self.alu_latency,
             OpClass::IntMul => self.imul_latency,
-            OpClass::Mov => self.alu_latency,
             OpClass::Mem(peakperf_sass::MemSpace::Shared) => self.lds_latency,
             OpClass::Mem(peakperf_sass::MemSpace::Local) => self.lds_latency + 12,
             OpClass::Mem(peakperf_sass::MemSpace::Global) => self.global_latency,
-            OpClass::Ctrl | OpClass::Barrier | OpClass::Nop => 1,
+            OpClass::Ctrl | OpClass::Barrier => 1,
         }
     }
 }

@@ -2,13 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use peakperf_arch::{GpuConfig, WARP_SIZE};
+use peakperf_arch::{register_bank, GpuConfig, WARP_SIZE};
 use peakperf_sass::{validate_kernel, CtlInfo, Kernel, MemSpace, OpClass, Pred, Reg};
 
 use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
 use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
 use crate::perfmon::{Phase, Stopwatch};
-use crate::stats::flops_per_lane;
 use crate::timing::conflict::{global_transactions, shared_conflict_factor, SEGMENT_BYTES};
 use crate::timing::trace::{Hooks, Observer, TraceEvent, TraceEventKind, NO_PC};
 use crate::timing::Calibration;
@@ -309,30 +308,28 @@ impl TimingSim {
             .enumerate()
             .map(|(i, inst)| {
                 let ctl = kernel.ctl_for(i);
-                let mut distinct = inst.op.use_regs();
-                distinct.sort_unstable();
-                distinct.dedup();
+                let mask = |regs: Vec<Reg>| regs.iter().fold(0, |m, r| m | 1u64 << r.index());
+                let (uses, defs) = (mask(inst.op.use_regs()), mask(inst.op.def_regs()));
                 // Register-bank conflict degree over distinct sources.
                 let mut per_bank = [0u32; 4];
-                for r in &distinct {
-                    per_bank[r.bank().index()] += 1;
+                for i in (0..63).filter(|i| uses >> i & 1 != 0) {
+                    per_bank[register_bank(i).index()] += 1;
                 }
                 let token_ways = per_bank.iter().copied().max().unwrap_or(1).max(1);
                 let class = inst.op.class();
                 let is_mem = matches!(class, OpClass::Mem(_));
                 let is_math = matches!(
                     class,
-                    OpClass::Fp32 | OpClass::Int | OpClass::IntMul | OpClass::Mov
+                    OpClass::Fp32 | OpClass::Int | OpClass::IntMul | OpClass::Move
                 );
                 let token_cost = if calib.tokens_per_cycle.is_some() && (is_math || is_mem) {
-                    calib.token_cost(&inst.op, token_ways, ctl.dual, distinct.len()) as f64
+                    let distinct = uses.count_ones() as usize;
+                    calib.token_cost(&inst.op, token_ways, ctl.dual, distinct) as f64
                 } else {
                     0.0
                 };
-                let mask = |regs: &[Reg]| regs.iter().fold(0, |m, r| m | 1u64 << r.index());
-                let defs = mask(&inst.op.def_regs());
                 InstMeta {
-                    touched: mask(&distinct) | defs,
+                    touched: uses | defs,
                     defs,
                     guard: inst.pred,
                     def_pred: inst.op.def_pred(),
@@ -340,7 +337,7 @@ impl TimingSim {
                     is_math,
                     is_mem,
                     token_cost,
-                    flops_per_lane: flops_per_lane(&inst.op),
+                    flops_per_lane: inst.op.info().flops,
                     latency: calib.latency(&inst.op),
                 }
             })
