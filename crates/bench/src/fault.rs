@@ -15,7 +15,8 @@
 //! * both models complete and agree on the coarse outcome class
 //!   (ok / reject / fault), and the traced timing run is identical to the
 //!   untraced one, and
-//! * a kernel the validator *accepts* encodes and decodes back to itself.
+//! * a kernel the validator *accepts* encodes and decodes, and prints and
+//!   re-assembles, back to itself.
 //!
 //! Anything else — a panic anywhere in the pipeline, a functional/timing
 //! disagreement, a tracer that changes timing, a validated kernel that
@@ -556,7 +557,8 @@ pub enum ViolationKind {
     /// Traced and untraced timing runs differ (the tracer must be a pure
     /// observer).
     TraceDivergence,
-    /// A validator-accepted kernel failed to encode/decode back to itself.
+    /// A validator-accepted kernel failed to encode/decode or print/assemble
+    /// back to itself.
     RoundTrip,
 }
 

@@ -1,8 +1,13 @@
-//! End-to-end tests of the `reproduce` binary: determinism across
+//! End-to-end tests of the `reproduce` binary — determinism across
 //! worker counts, up-front validation of experiment names, subcommands
-//! and options, and the profile and fuzz smoke runs.
+//! and options, the profile and fuzz smoke runs — and of `sassc`.
 
+use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use peakperf_arch::Generation;
+use peakperf_kernels::sgemm::{build_preset, Preset, SgemmProblem, Variant};
+use peakperf_sass::Module;
 
 fn reproduce(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -204,4 +209,94 @@ fn fuzz_rejects_bad_usage() {
     // Unknown GPU names are rejected.
     let out = reproduce(&["fuzz", "--gpu", "hopper"]);
     assert!(!out.status.success());
+}
+
+fn sassc(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_sassc"))
+        .args(args)
+        .output()
+        .expect("failed to launch sassc")
+}
+
+/// A fresh directory for one test's files.
+fn scratch_dir(test: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("peakperf-sassc-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    dir
+}
+
+fn path(dir: &std::path::Path, file: &str) -> String {
+    dir.join(file).to_str().unwrap().to_owned()
+}
+
+#[test]
+fn sassc_rejects_an_unknown_modifier_with_its_line() {
+    let dir = scratch_dir("modifier");
+    let (src, bin) = (path(&dir, "bad.sass"), path(&dir, "bad.bin"));
+    std::fs::write(&src, ".kernel k\nNOP;\nIADD.X R1, R2, R3;\nEXIT;\n").unwrap();
+    let out = sassc(&["as", &src, &bin]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "IADD.X assembled: {err}");
+    assert!(err.contains("line 3:"), "{err}");
+    assert!(!dir.join("bad.bin").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sassc_as_dis_as_is_byte_identical_on_sgemm() {
+    let dir = scratch_dir("roundtrip");
+    for (generation, gen) in [(Generation::Fermi, "fermi"), (Generation::Kepler, "kepler")] {
+        let problem = SgemmProblem::square(Variant::NT, 192);
+        let build = build_preset(generation, &problem, Preset::AsmOpt).unwrap();
+        let module = Module {
+            generation,
+            kernels: vec![build.kernel],
+        };
+        let (text, first, second) = (
+            path(&dir, "sgemm.sass"),
+            path(&dir, "sgemm.bin"),
+            path(&dir, "again.bin"),
+        );
+        std::fs::write(&text, module.to_string()).unwrap();
+        assert!(sassc(&["as", &text, &first, "--gen", gen]).status.success());
+        let dis = sassc(&["dis", &first]);
+        assert!(dis.status.success());
+        std::fs::write(&text, &dis.stdout).unwrap();
+        assert!(sassc(&["as", &text, &second, "--gen", gen])
+            .status
+            .success());
+        let bytes = std::fs::read(&first).unwrap();
+        assert_eq!(bytes, module.to_bytes().unwrap(), "{gen}");
+        assert_eq!(bytes, std::fs::read(&second).unwrap(), "{gen}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sassc_run_prints_the_instruction_mix() {
+    let dir = scratch_dir("run");
+    let src = path(&dir, "square.sass");
+    let kernel = "\
+.kernel square
+.param out
+S2R R0, SR_TID.X;
+SHL R1, R0, 0x2;
+LDC R2, c[0x0][0x20];
+IADD R2, R2, R1;
+MOV32I R3, 0x40000000;
+FMUL R4, R3, R3;
+ST [R2], R4;
+EXIT;
+";
+    std::fs::write(&src, kernel).unwrap();
+    let out = sassc(&["run", &src, "square", "--param", "buf:32"]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    assert!(err.contains("instruction mix:"), "{err}");
+    for mnemonic in ["S2R", "SHL", "LDC", "FMUL", "ST "] {
+        assert!(err.contains(mnemonic), "{mnemonic} missing from {err}");
+    }
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("[4.0, 4.0"), "{stdout}");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -671,6 +671,44 @@ EXIT;
         }
     }
 
+    fn parse_error(src: &str) -> (usize, String) {
+        match assemble(src, Generation::Fermi) {
+            Err(SassError::Parse { line, message }) => (line, message),
+            other => panic!("expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn unknown_modifiers_are_rejected_with_their_line() {
+        // Each used to assemble as the plain mnemonic, modifier dropped.
+        for inst in [
+            "IADD.X R1, R2, R3;",
+            "FADD.FTZ R1, R2, R3;",
+            "MOV.U32 R1, R2;",
+            "EXIT.KEEP;",
+        ] {
+            let (line, message) = parse_error(&format!(".kernel t\nNOP;\n{inst}\n"));
+            assert_eq!(line, 3, "{inst}");
+            assert!(message.starts_with("unknown mnemonic"), "{inst}: {message}");
+        }
+    }
+
+    #[test]
+    fn every_instruction_error_names_its_line() {
+        for (inst, needle) in [
+            ("IADD R1, R2, R64;", "register index 64"),
+            ("ISETP.LT P8, R1, R2;", "predicate index 8"),
+            ("LDS R1, [R2+-0x4];", "after `+`"),
+            ("FADD R1, R2, 0x1;", "floating-point"),
+            ("LDS.64 R7, [R0];", "2-register aligned"),
+            ("ISCADD R1, R2, R3, 0x20;", "shift 32"),
+        ] {
+            let (line, message) = parse_error(&format!(".kernel t\n{inst}\n"));
+            assert_eq!(line, 2, "{inst}");
+            assert!(message.contains(needle), "{inst}: {message}");
+        }
+    }
+
     #[test]
     fn disassembly_reassembles() {
         let src = r#"
