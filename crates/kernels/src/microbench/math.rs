@@ -9,143 +9,77 @@
 //! bank) the throughput.
 
 use peakperf_arch::{Generation, GpuConfig};
-use peakperf_sass::{CmpOp, CtlInfo, Kernel, KernelBuilder, Operand, Pred, Reg};
+use peakperf_sass::{
+    assemble, CmpOp, CtlInfo, Instruction, Kernel, KernelBuilder, Op, Pred, Reg, Role, Slot,
+};
 use peakperf_sim::SimError;
 
 use super::{run_on_sm, throughput_of};
 
-/// The math operation being measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MathOp {
-    /// `FADD dst, a, b`.
-    Fadd,
-    /// `FMUL dst, a, b`.
-    Fmul,
-    /// `FFMA dst, a, b, c`.
-    Ffma,
-    /// `IADD dst, a, b`.
-    Iadd,
-    /// `IMUL dst, a, b`.
-    Imul,
-    /// `IMAD dst, a, b, c`.
-    Imad,
-}
-
-impl MathOp {
-    /// Mnemonic for reports.
-    pub fn mnemonic(self) -> &'static str {
-        match self {
-            MathOp::Fadd => "FADD",
-            MathOp::Fmul => "FMUL",
-            MathOp::Ffma => "FFMA",
-            MathOp::Iadd => "IADD",
-            MathOp::Imul => "IMUL",
-            MathOp::Imad => "IMAD",
-        }
-    }
-
-    fn has_three_sources(self) -> bool {
-        matches!(self, MathOp::Ffma | MathOp::Imad)
-    }
-}
-
-/// One row of Table 2: an operation plus concrete operand registers.
+/// One row of Table 2: a math instruction with concrete operand registers.
 ///
 /// `dst` aliasing a source (e.g. `FADD R0, R1, R0`) is part of the pattern;
 /// bank conflicts are determined by the *distinct* source registers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MathPattern {
-    /// The operation.
-    pub op: MathOp,
-    /// Destination register.
-    pub dst: Reg,
-    /// First source.
-    pub a: Reg,
-    /// Second source.
-    pub b: Reg,
-    /// Third source (FFMA/IMAD only; ignored otherwise).
-    pub c: Reg,
+    /// The instruction, registers as Table 2 gives them.
+    pub op: Op,
 }
 
 impl MathPattern {
     /// Render like the paper: `FFMA R0, R1, R4, R5`.
     pub fn label(&self) -> String {
-        if self.op.has_three_sources() {
-            format!(
-                "{} {}, {}, {}, {}",
-                self.op.mnemonic(),
-                self.dst,
-                self.a,
-                self.b,
-                self.c
-            )
-        } else {
-            format!(
-                "{} {}, {}, {}",
-                self.op.mnemonic(),
-                self.dst,
-                self.a,
-                self.b
-            )
-        }
+        let text = Instruction::new(self.op).to_string();
+        text.trim_end_matches(';').to_owned()
     }
 
-    fn emit(&self, b: &mut KernelBuilder, dst: Reg) {
-        match self.op {
-            MathOp::Fadd => {
-                b.fadd(dst, self.a, Operand::Reg(self.b));
+    fn has_three_sources(&self) -> bool {
+        self.op.info().syntax.contains(&Slot::C)
+    }
+
+    /// The instruction with destination `dst`.
+    fn with_dst(&self, dst: Reg) -> Op {
+        let mut op = self.op;
+        op.map_regs(|role, r| {
+            if role == Role::Def {
+                *r = dst;
             }
-            MathOp::Fmul => {
-                b.fmul(dst, self.a, Operand::Reg(self.b));
-            }
-            MathOp::Ffma => {
-                b.ffma(dst, self.a, Operand::Reg(self.b), self.c);
-            }
-            MathOp::Iadd => {
-                b.iadd(dst, self.a, Operand::Reg(self.b));
-            }
-            MathOp::Imul => {
-                b.imul(dst, self.a, Operand::Reg(self.b));
-            }
-            MathOp::Imad => {
-                b.imad(dst, self.a, Operand::Reg(self.b), self.c);
-            }
-        }
+        });
+        op
     }
 }
 
-/// The exact pattern set of Table 2.
+/// The exact pattern set of Table 2, in the paper's notation.
 pub fn table2_patterns() -> Vec<MathPattern> {
-    let r = Reg::r;
-    let p = |op, dst, a, b, c| MathPattern {
-        op,
-        dst: r(dst),
-        a: r(a),
-        b: r(b),
-        c: r(c),
-    };
-    vec![
-        p(MathOp::Fadd, 0, 1, 0, 0),
-        p(MathOp::Fadd, 0, 1, 2, 0),
-        p(MathOp::Fadd, 0, 1, 3, 0),
-        p(MathOp::Fmul, 0, 1, 0, 0),
-        p(MathOp::Fmul, 0, 1, 2, 0),
-        p(MathOp::Fmul, 0, 1, 3, 0),
-        p(MathOp::Ffma, 0, 1, 4, 0),
-        p(MathOp::Ffma, 0, 1, 4, 5),
-        p(MathOp::Ffma, 0, 1, 3, 5),
-        p(MathOp::Ffma, 0, 1, 3, 9),
-        p(MathOp::Iadd, 0, 1, 0, 0),
-        p(MathOp::Iadd, 0, 1, 2, 0),
-        p(MathOp::Iadd, 0, 1, 3, 0),
-        p(MathOp::Imul, 0, 1, 0, 0),
-        p(MathOp::Imul, 0, 1, 2, 0),
-        p(MathOp::Imul, 0, 1, 3, 0),
-        p(MathOp::Imad, 0, 1, 4, 0),
-        p(MathOp::Imad, 0, 1, 4, 5),
-        p(MathOp::Imad, 0, 1, 3, 5),
-        p(MathOp::Imad, 0, 1, 3, 9),
-    ]
+    const TABLE2: [&str; 20] = [
+        "FADD R0, R1, R0",
+        "FADD R0, R1, R2",
+        "FADD R0, R1, R3",
+        "FMUL R0, R1, R0",
+        "FMUL R0, R1, R2",
+        "FMUL R0, R1, R3",
+        "FFMA R0, R1, R4, R0",
+        "FFMA R0, R1, R4, R5",
+        "FFMA R0, R1, R3, R5",
+        "FFMA R0, R1, R3, R9",
+        "IADD R0, R1, R0",
+        "IADD R0, R1, R2",
+        "IADD R0, R1, R3",
+        "IMUL R0, R1, R0",
+        "IMUL R0, R1, R2",
+        "IMUL R0, R1, R3",
+        "IMAD R0, R1, R4, R0",
+        "IMAD R0, R1, R4, R5",
+        "IMAD R0, R1, R3, R5",
+        "IMAD R0, R1, R3, R9",
+    ];
+    let source: String = TABLE2.iter().map(|inst| format!("{inst};\n")).collect();
+    let module = assemble(&format!(".kernel table2\n{source}"), Generation::Fermi)
+        .expect("the Table 2 patterns are valid SASS");
+    let code = &module.kernels[0].code;
+    code.iter()
+        .map(|inst| MathPattern { op: inst.op })
+        .collect()
 }
 
 /// Build the throughput kernel for one pattern: `unroll` independent
@@ -189,13 +123,9 @@ pub fn build_math_kernel(
         // Rotate destinations over R24..R27 unless the pattern aliases the
         // destination onto a source — then keep it, to preserve the
         // dependence structure of the original benchmark.
-        let dst = if pattern.dst == pattern.a
-            || pattern.dst == pattern.b
-            || (pattern.op.has_three_sources() && pattern.dst == pattern.c)
-        {
-            pattern.dst
-        } else {
-            Reg::r(24 + (k % 4) as u8)
+        let dst = match pattern.op.def_regs()[..] {
+            [dst] if pattern.op.use_regs().contains(&dst) => dst,
+            _ => Reg::r(24 + (k % 4) as u8),
         };
         if generation.uses_control_notation() {
             // Schedule the stream the way `cuobjdump` shows compiled Kepler
@@ -210,14 +140,14 @@ pub fn build_math_kernel(
             // of the paper's Section 3.3 "carefully designed" streams and
             // would be charged the discounted issue-token cost (176/cycle),
             // which Table 2's plain 2-source streams do not reach.
-            let ctl = if pattern.op.has_three_sources() && k % 2 == 0 {
+            let ctl = if pattern.has_three_sources() && k % 2 == 0 {
                 CtlInfo::dual_stall(1)
             } else {
                 CtlInfo::stall(1)
             };
             b.with_ctl(ctl);
         }
-        pattern.emit(&mut b, dst);
+        b.push(pattern.with_dst(dst));
     }
     if generation.uses_control_notation() {
         b.with_ctl(CtlInfo::stall(1));
@@ -281,10 +211,10 @@ mod tests {
         measure_math(&kepler(), &pattern).unwrap().throughput
     }
 
-    fn find(op: MathOp, b: u8, c: u8) -> MathPattern {
+    fn find(label: &str) -> MathPattern {
         *table2_patterns()
             .iter()
-            .find(|p| p.op == op && p.b == Reg::r(b) && p.c == Reg::r(c))
+            .find(|p| p.label() == label)
             .unwrap()
     }
 
@@ -293,38 +223,38 @@ mod tests {
         // Paper: 132.0 (the 33-token/8-cycle issue ceiling). Measured:
         // 129.4 — about 2% under, from the unannotated loop tail and the
         // start/drain transient. The band is ±3.5% around the paper value.
-        let t = tp(find(MathOp::Ffma, 4, 5));
+        let t = tp(find("FFMA R0, R1, R4, R5"));
         assert!((127.4..=136.6).contains(&t), "FFMA R0,R1,R4,R5 -> {t}");
     }
 
     #[test]
     fn ffma_two_way_conflict_halves() {
-        let t = tp(find(MathOp::Ffma, 3, 5));
+        let t = tp(find("FFMA R0, R1, R3, R5"));
         assert!((60.0..=70.0).contains(&t), "FFMA R0,R1,R3,R5 -> {t}");
     }
 
     #[test]
     fn ffma_three_way_conflict_thirds() {
-        let t = tp(find(MathOp::Ffma, 3, 9));
+        let t = tp(find("FFMA R0, R1, R3, R9"));
         assert!((40.0..=48.0).contains(&t), "FFMA R0,R1,R3,R9 -> {t}");
     }
 
     #[test]
     fn imad_runs_at_quarter_rate() {
-        let t = tp(find(MathOp::Imad, 4, 5));
+        let t = tp(find("IMAD R0, R1, R4, R5"));
         assert!((30.0..=36.0).contains(&t), "IMAD R0,R1,R4,R5 -> {t}");
         // 2-way conflict is hidden under the 4x cost...
-        let t2 = tp(find(MathOp::Imad, 3, 5));
+        let t2 = tp(find("IMAD R0, R1, R3, R5"));
         assert!((30.0..=36.0).contains(&t2), "IMAD R0,R1,R3,R5 -> {t2}");
         // ...but a 3-way conflict shows (26.5 in Table 2).
-        let t3 = tp(find(MathOp::Imad, 3, 9));
+        let t3 = tp(find("IMAD R0, R1, R3, R9"));
         assert!((24.0..=29.0).contains(&t3), "IMAD R0,R1,R3,R9 -> {t3}");
     }
 
     #[test]
     fn fermi_ffma_saturates_its_32() {
         let fermi = GpuConfig::gtx580();
-        let p = find(MathOp::Ffma, 4, 5);
+        let p = find("FFMA R0, R1, R4, R5");
         let t = measure_math(&fermi, &p).unwrap().throughput;
         assert!((28.0..=32.5).contains(&t), "Fermi FFMA -> {t}");
     }
@@ -332,7 +262,7 @@ mod tests {
     #[test]
     fn patterns_cover_table2() {
         assert_eq!(table2_patterns().len(), 20);
-        let p = find(MathOp::Ffma, 3, 9);
+        let p = find("FFMA R0, R1, R3, R9");
         assert_eq!(p.label(), "FFMA R0, R1, R3, R9");
     }
 }

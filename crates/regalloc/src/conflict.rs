@@ -10,9 +10,9 @@ use peakperf_sass::{Instruction, Reg, Role};
 ///
 /// `RZ` is materialized by the operand collector and never conflicts;
 /// repeated uses of the same register read one bank port once.
-pub fn ffma_conflict_ways(srcs: &[Reg]) -> u32 {
+pub fn ffma_conflict_ways(srcs: impl IntoIterator<Item = Reg>) -> u32 {
     let mut distinct: Vec<Reg> = Vec::with_capacity(3);
-    for &r in srcs {
+    for r in srcs {
         if !r.is_rz() && !distinct.contains(&r) {
             distinct.push(r);
         }
@@ -26,12 +26,9 @@ pub fn ffma_conflict_ways(srcs: &[Reg]) -> u32 {
 
 /// The register sources of an FFMA in operand order (`a`, `b` when it is a
 /// register, `c`); `None` for any other instruction.
-pub(crate) fn ffma_sources(inst: &Instruction) -> Option<Vec<Reg>> {
-    let sources = inst.op.reg_slots().filter_map(|(role, r)| match role {
-        Role::Use | Role::Operand => Some(r),
-        _ => None,
-    });
-    (inst.op.mnemonic() == "FFMA").then(|| sources.collect())
+pub(crate) fn ffma_sources(inst: &Instruction) -> Option<impl Iterator<Item = Reg>> {
+    let source = |(role, r)| matches!(role, Role::Use | Role::Operand).then_some(r);
+    (inst.op.mnemonic() == "FFMA").then(|| inst.op.reg_slots().filter_map(source))
 }
 
 /// Per-kernel conflict census of FFMA instructions, as plotted in Figure 8.
@@ -92,7 +89,7 @@ pub fn analyze_ffma_conflicts(code: &[Instruction]) -> ConflictReport {
     let mut report = ConflictReport::default();
     for sources in code.iter().filter_map(ffma_sources) {
         report.total += 1;
-        match ffma_conflict_ways(&sources) {
+        match ffma_conflict_ways(sources) {
             1 => report.free += 1,
             2 => report.two_way += 1,
             _ => report.three_way += 1,
@@ -118,24 +115,24 @@ mod tests {
     #[test]
     fn ways_match_table2_examples() {
         // FFMA R0, R1, R4, R5: O0, E1, O1 -> conflict-free.
-        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(4), Reg::r(5)]), 1);
+        assert_eq!(ffma_conflict_ways([Reg::r(1), Reg::r(4), Reg::r(5)]), 1);
         // FFMA R0, R1, R3, R5: R1 and R3 on odd0 -> 2-way.
-        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(3), Reg::r(5)]), 2);
+        assert_eq!(ffma_conflict_ways([Reg::r(1), Reg::r(3), Reg::r(5)]), 2);
         // FFMA R0, R1, R3, R9: all odd0 -> 3-way.
-        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(3), Reg::r(9)]), 3);
+        assert_eq!(ffma_conflict_ways([Reg::r(1), Reg::r(3), Reg::r(9)]), 3);
     }
 
     #[test]
     fn repeated_registers_do_not_conflict() {
         // FFMA R0, R1, R4, R0 with repeated R1: only distinct regs count.
-        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(1), Reg::r(5)]), 1);
-        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::r(1)]), 1);
+        assert_eq!(ffma_conflict_ways([Reg::r(1), Reg::r(1), Reg::r(5)]), 1);
+        assert_eq!(ffma_conflict_ways([Reg::r(1), Reg::r(1)]), 1);
     }
 
     #[test]
     fn rz_never_conflicts() {
-        assert_eq!(ffma_conflict_ways(&[Reg::RZ, Reg::RZ, Reg::RZ]), 1);
-        assert_eq!(ffma_conflict_ways(&[Reg::r(1), Reg::RZ, Reg::r(9)]), 2);
+        assert_eq!(ffma_conflict_ways([Reg::RZ, Reg::RZ, Reg::RZ]), 1);
+        assert_eq!(ffma_conflict_ways([Reg::r(1), Reg::RZ, Reg::r(9)]), 2);
     }
 
     #[test]

@@ -178,7 +178,7 @@ impl SgemmPlan {
         let mut three = 0;
         for i in 0..self.br {
             for j in 0..self.br {
-                let ways = ffma_conflict_ways(&[self.a_col[i], self.b_row[j % 2], self.c[i][j]]);
+                let ways = ffma_conflict_ways([self.a_col[i], self.b_row[j % 2], self.c[i][j]]);
                 match ways {
                     1 => free += 1,
                     2 => two += 1,

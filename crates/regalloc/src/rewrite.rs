@@ -45,8 +45,11 @@ pub fn apply_mapping(code: &[Instruction], map: &HashMap<Reg, Reg>) -> Vec<Instr
     code.iter()
         .map(|inst| {
             let mut inst = *inst;
-            inst.op
-                .map_regs(|_, r| *r = *map.get(r).filter(|_| !r.is_rz()).unwrap_or(r));
+            inst.op.map_regs(|_, r| {
+                if let Some(&renamed) = map.get(r).filter(|_| !r.is_rz()) {
+                    *r = renamed;
+                }
+            });
             inst
         })
         .collect()

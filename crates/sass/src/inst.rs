@@ -49,27 +49,24 @@ impl From<Op> for Instruction {
 impl fmt::Display for Instruction {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(p) = self.pred {
-            if self.pred_neg {
-                write!(f, "@!{p} ")?;
-            } else {
-                write!(f, "@{p} ")?;
-            }
+            let negated = if self.pred_neg { "!" } else { "" };
+            write!(f, "@{negated}{p} ")?;
         }
         let (row, x) = self.op.split();
         f.write_str(row.names[x.m])?;
         for (i, slot) in row.syntax.iter().enumerate() {
-            f.write_str(if i == 0 { " " } else { ", " })?;
+            let sep = if i == 0 { " " } else { ", " };
             match slot {
-                Slot::Dst | Slot::Load | Slot::Store => write!(f, "{}", x.dst)?,
-                Slot::P => write!(f, "{}", x.p)?,
-                Slot::A => write!(f, "{}", x.a)?,
-                Slot::B { .. } | Slot::Const => write!(f, "{}", x.b)?,
-                Slot::C => write!(f, "{}", x.c)?,
-                Slot::Shift | Slot::Imm32 | Slot::Target => write!(f, "{:#x}", x.n)?,
-                Slot::Special => f.write_str(SpecialReg::ALL[x.n as usize].name())?,
-                Slot::Addr if x.n > 0 => write!(f, "[{}+{:#x}]", x.a, x.n)?,
-                Slot::Addr if x.n < 0 => write!(f, "[{}-{:#x}]", x.a, -x.n)?,
-                Slot::Addr => write!(f, "[{}]", x.a)?,
+                Slot::Dst | Slot::Load | Slot::Store => write!(f, "{sep}{}", x.dst)?,
+                Slot::P => write!(f, "{sep}{}", x.p)?,
+                Slot::A => write!(f, "{sep}{}", x.a)?,
+                Slot::B { .. } | Slot::Const => write!(f, "{sep}{}", x.b)?,
+                Slot::C => write!(f, "{sep}{}", x.c)?,
+                Slot::Shift | Slot::Imm32 | Slot::Target => write!(f, "{sep}{:#x}", x.n)?,
+                Slot::Special => write!(f, "{sep}{}", SpecialReg::ALL[x.n as usize].name())?,
+                Slot::Addr if x.n > 0 => write!(f, "{sep}[{}+{:#x}]", x.a, x.n)?,
+                Slot::Addr if x.n < 0 => write!(f, "{sep}[{}-{:#x}]", x.a, -x.n)?,
+                Slot::Addr => write!(f, "{sep}[{}]", x.a)?,
             }
         }
         f.write_str(";")

@@ -26,11 +26,9 @@
 //! ```
 //!
 //! The 6-bit register fields are what limit a Fermi/GK104 thread to 63
-//! registers (Section 2). Adding an instruction is one row here, one lane
-//! function in the simulator's `execute_op`, and optionally a
-//! `KernelBuilder` helper.
-
-use std::mem::discriminant;
+//! registers (Section 2). Adding an instruction is a row here (with its
+//! `Op` variant and its `split` and `build` arms), one lane function in the
+//! simulator's `execute_op`, and optionally a `KernelBuilder` helper.
 
 use crate::op::{CmpOp, LogicOp, MemSpace, MemWidth, OpClass, SpecialReg};
 use crate::{Operand, Pred, Reg};
@@ -41,7 +39,7 @@ use crate::{Operand, Pred, Reg};
 /// registers and one flexible operand; memory ops use register + immediate
 /// offset addressing (32-bit addressing, as the paper's kernels use to save
 /// address registers).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Op {
     /// No operation.
     Nop,
@@ -247,11 +245,9 @@ pub enum Slot {
     Special,
     /// A 32-bit immediate.
     Imm32,
-    /// A branch target: an absolute instruction index within 24 bits of
-    /// the branch.
+    /// A branch target: an absolute instruction index.
     Target,
-    /// The first register a load writes (`.64` / `.128`: an aligned run
-    /// that stops at `R62`).
+    /// The first register a load writes (`.64`/`.128`: an aligned run).
     Load,
     /// The first register a store reads (aligned like [`Slot::Load`]).
     Store,
@@ -276,6 +272,16 @@ pub enum Role {
     Load(MemWidth),
     /// Reads `width.words()` consecutive registers starting at it.
     Store(MemWidth),
+}
+
+impl Role {
+    /// The consecutive registers the slot covers (several for wide data).
+    pub fn words(self) -> u32 {
+        match self {
+            Role::Load(width) | Role::Store(width) => width.words(),
+            _ => 1,
+        }
+    }
 }
 
 /// One row of [`TABLE`]: everything the toolchain knows about an opcode.
@@ -365,33 +371,28 @@ const ST_NAMES: [[&str; 3]; 3] = [
 ];
 static LDC: OpInfo = row(&["LDC"], 22, Move, 0, &[Dst, Const]);
 
-/// The instruction set, one row per opcode (memory opcodes one per
-/// address space).
+/// The instruction set: a row per opcode (memory opcodes, per space).
 pub static TABLE: [&OpInfo; 27] = [
     &NOP, &EXIT, &BRA, &BAR, &MOV, &MOV32I, &S2R, &FADD, &FMUL, &FFMA, &IADD, &IMUL, &IMAD,
     &ISCADD, &SHL, &SHR, &LOP[0], &LOP[1], &LOP[2], &ISETP, &LD[0], &LD[1], &LD[2], &ST[0], &ST[1],
     &ST[2], &LDC,
 ];
 
-/// One operation's operands in table form: a row uses the fields its
-/// slots name; register fields it leaves unused hold `RZ`, which is what
-/// the encoding stores there.
+/// One operation's operands in table form: `dst` holds [`Slot::Dst`],
+/// [`Slot::Load`] or [`Slot::Store`], `p` [`Slot::P`], `a` [`Slot::A`] or
+/// the register of [`Slot::Addr`], `b` [`Slot::B`] or [`Slot::Const`], `c`
+/// [`Slot::C`], `n` the number of [`Slot::Shift`], [`Slot::Special`],
+/// [`Slot::Imm32`], [`Slot::Target`] or [`Slot::Addr`], and `m` the modifier
+/// (an index into the row's names). Register fields a row leaves unused
+/// hold `RZ`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Fields {
-    /// [`Slot::Dst`], [`Slot::Load`] or [`Slot::Store`].
     pub dst: Reg,
-    /// [`Slot::P`].
     pub p: Pred,
-    /// [`Slot::A`], or the register of [`Slot::Addr`].
     pub a: Reg,
-    /// [`Slot::B`] or [`Slot::Const`].
     pub b: Operand,
-    /// [`Slot::C`].
     pub c: Reg,
-    /// [`Slot::Shift`], [`Slot::Special`], [`Slot::Imm32`],
-    /// [`Slot::Target`] or the offset of [`Slot::Addr`].
     pub n: i64,
-    /// The modifier: an index into the row's names.
     pub m: usize,
 }
 
@@ -423,6 +424,27 @@ fn fits_signed(v: i64, bits: u32) -> bool {
 impl OpInfo {
     pub(crate) fn has(&self, slot: Slot) -> bool {
         self.syntax.contains(&slot)
+    }
+
+    /// The roles of the register fields `[dst|data, a|addr, b, c]` under
+    /// modifier `m` (`None` where the row has no such operand).
+    fn roles(&self, m: usize) -> [Option<Role>; 4] {
+        let width = MemWidth::ALL.get(m).copied().unwrap_or(MemWidth::B32);
+        let mut roles = [None; 4];
+        for slot in self.syntax {
+            let (i, role) = match slot {
+                Dst => (0, Role::Def),
+                Load => (0, Role::Load(width)),
+                Store => (0, Role::Store(width)),
+                A => (1, Role::Use),
+                Addr => (1, Role::Addr),
+                Slot::B { .. } => (2, Role::Operand),
+                C => (3, Role::Use),
+                _ => continue,
+            };
+            roles[i] = Some(role);
+        }
+        roles
     }
 
     /// The address space of a memory row (`Global` for any other).
@@ -466,10 +488,9 @@ impl OpInfo {
                 }
                 Load | Store => {
                     let words = MemWidth::ALL[x.m].words();
-                    let (what, access) = if *slot == Load {
-                        ("destination", "load")
-                    } else {
-                        ("source", "store")
+                    let (what, access) = match slot {
+                        Load => ("destination", "load"),
+                        _ => ("source", "store"),
                     };
                     if !x.dst.is_aligned_for(words) {
                         return Err(format!(
@@ -653,8 +674,7 @@ impl Op {
 
     /// The branch target, for a branch.
     pub fn target(&self) -> Option<u32> {
-        let (row, x) = self.split();
-        row.has(Target).then_some(x.n as u32)
+        { *self }.target_mut().copied()
     }
 
     /// The branch target, mutably, for a branch.
@@ -665,8 +685,7 @@ impl Op {
         }
     }
 
-    /// The immediate field, mutably, for `MOV32I`, memory operations,
-    /// `LDC` and `ISCADD`.
+    /// The immediate of `MOV32I`, a load or store, `LDC` or `ISCADD`.
     pub fn imm_mut(&mut self) -> Option<ImmMut<'_>> {
         match self {
             Op::Mov32i { imm, .. } => Some(ImmMut::Word(imm)),
@@ -683,8 +702,7 @@ impl Op {
         (row.has(B) || row.has(BF)).then_some(x.b)
     }
 
-    /// Replace the flexible operand B (no effect on an operation without
-    /// one).
+    /// Replace the flexible operand B, if the operation has one.
     pub fn set_operand(&mut self, b: Operand) {
         let (row, x) = self.split();
         if self.operand().is_some() {
@@ -696,45 +714,31 @@ impl Op {
     /// memory data, source A or address, the register of operand B, source
     /// C. Total on any operation, including invalid ones.
     pub fn reg_slots(&self) -> impl Iterator<Item = (Role, Reg)> {
-        let (mut slots, mut n) = ([None; 4], 0);
-        { *self }.map_regs(|role, r| {
-            slots[n] = Some((role, *r));
-            n += 1;
-        });
-        slots.into_iter().flatten()
+        let (row, x) = self.split();
+        let b = match x.b {
+            Operand::Reg(r) => Some(r),
+            _ => None,
+        };
+        let regs = [Some(x.dst), Some(x.a), b, Some(x.c)];
+        row.roles(x.m)
+            .into_iter()
+            .zip(regs)
+            .filter_map(|(role, r)| role.zip(r))
     }
 
     /// Rewrite every register slot in place, in [`Op::reg_slots`] order.
     pub fn map_regs(&mut self, mut f: impl FnMut(Role, &mut Reg)) {
         let (row, mut x) = self.split();
-        let width = MemWidth::ALL.get(x.m).copied().unwrap_or(MemWidth::B32);
-        let roles = [
-            (Dst, Role::Def),
-            (Load, Role::Load(width)),
-            (Store, Role::Store(width)),
-            (A, Role::Use),
-            (Addr, Role::Addr),
-            (B, Role::Operand),
-            (C, Role::Use),
-        ];
-        for (slot, role) in roles {
-            if !row
-                .syntax
-                .iter()
-                .any(|s| discriminant(s) == discriminant(&slot))
-            {
-                continue;
+        let roles = row.roles(x.m);
+        let b = match &mut x.b {
+            Operand::Reg(r) => Some(r),
+            _ => None,
+        };
+        let regs = [Some(&mut x.dst), Some(&mut x.a), b, Some(&mut x.c)];
+        for (role, reg) in roles.into_iter().zip(regs) {
+            if let (Some(role), Some(reg)) = (role, reg) {
+                f(role, reg);
             }
-            let reg = match slot {
-                A | Addr => &mut x.a,
-                C => &mut x.c,
-                Slot::B { .. } => match &mut x.b {
-                    Operand::Reg(r) => r,
-                    _ => continue,
-                },
-                _ => &mut x.dst,
-            };
-            f(role, reg);
         }
         *self = row.build(&x);
     }
@@ -743,16 +747,14 @@ impl Op {
     /// reads, runs of wide accesses expanded; `RZ` and registers past the
     /// file are left out.
     fn regs(&self, defs: bool) -> Vec<Reg> {
-        let words = |role| match role {
-            Role::Def | Role::Use | Role::Operand | Role::Addr => 1,
-            Role::Load(width) | Role::Store(width) => width.words(),
-        };
-        let written = |role| matches!(role, Role::Def | Role::Load(_));
-        self.reg_slots()
-            .filter(|&(role, _)| written(role) == defs)
-            .flat_map(|(role, r)| (0..words(role) as u8).filter_map(move |i| r.offset_checked(i)))
-            .filter(|r| !r.is_rz())
-            .collect()
+        let mut regs = Vec::new();
+        for (role, r) in self.reg_slots() {
+            if matches!(role, Role::Def | Role::Load(_)) == defs {
+                let run = (0..role.words() as u8).filter_map(|i| r.offset_checked(i));
+                regs.extend(run.filter(|r| !r.is_rz()));
+            }
+        }
+        regs
     }
 
     /// General-purpose registers written by this operation (wide loads

@@ -20,9 +20,8 @@
 //!
 //! The crate provides:
 //!
-//! * the instruction set: one [`TABLE`] row per opcode, from which
-//!   everything below is derived ([`Op`], [`Instruction`], [`Reg`],
-//!   [`Operand`]);
+//! * the instruction set, one [`TABLE`] row per opcode that everything
+//!   below derives from ([`Op`], [`Instruction`], [`Reg`], [`Operand`]);
 //! * a text assembler ([`assemble`]) and disassembler (`Display` on
 //!   [`Instruction`] / [`Module`]);
 //! * a binary encoder/decoder ([`encode`], [`decode`]) and a cubin-like

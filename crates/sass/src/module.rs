@@ -79,8 +79,9 @@ impl Kernel {
     pub fn regs_used(&self) -> u32 {
         self.code
             .iter()
-            .flat_map(|i| i.op.def_regs().into_iter().chain(i.op.use_regs()))
-            .map(|r| u32::from(r.index()) + 1)
+            .flat_map(|i| i.op.reg_slots())
+            .filter(|(_, r)| !r.is_rz())
+            .map(|(role, r)| (u32::from(r.index()) + role.words()).min(63))
             .max()
             .unwrap_or(0)
     }

@@ -20,7 +20,7 @@
 
 use crate::ctl::CtlInfo;
 use crate::op::{MemSpace, OpClass};
-use crate::{Instruction, Op, Reg, Role};
+use crate::{Instruction, Op, Reg, Slot};
 
 /// Options for [`schedule`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,11 +38,10 @@ fn is_region_boundary(inst: &Instruction) -> bool {
 
 /// A memory operation's address space and whether it stores.
 fn mem_kind(op: &Op) -> Option<(MemSpace, bool)> {
-    let OpClass::Mem(space) = op.class() else {
-        return None;
-    };
-    let mut slots = op.reg_slots();
-    Some((space, slots.any(|(role, _)| matches!(role, Role::Store(_)))))
+    match op.class() {
+        OpClass::Mem(space) => Some((space, op.info().has(Slot::Store))),
+        _ => None,
+    }
 }
 
 /// Accesses to one space conflict unless both are loads.
@@ -200,7 +199,7 @@ pub fn schedule(
     // keeps all indices within the region... which is NOT index-stable for
     // branch targets pointing into the middle of a region. To stay safe we
     // only permute regions no branch jumps into: conservatively, regions
-    // in code without any Bra target inside them.
+    // in code without any branch target inside them.
     let targets: Vec<u32> = code.iter().filter_map(|i| i.op.target()).collect();
     let mut i = 0usize;
     while i <= code.len() {

@@ -7,9 +7,9 @@
 //! ```
 
 use peakperf::arch::{register_bank, GpuConfig};
-use peakperf::kernels::microbench::math::{measure_math, MathOp, MathPattern};
+use peakperf::kernels::microbench::math::{measure_math, MathPattern};
 use peakperf::regalloc::{solve, AllocProblem, SgemmPlan, VReg};
-use peakperf::sass::Reg;
+use peakperf::sass::{Op, Operand, Reg};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let kepler = GpuConfig::gtx680();
@@ -29,11 +29,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         (3, 9, "R1,R3,R9 all odd0 (3-way)"),
     ] {
         let pattern = MathPattern {
-            op: MathOp::Ffma,
-            dst: Reg::r(0),
-            a: Reg::r(1),
-            b: Reg::r(b),
-            c: Reg::r(c),
+            op: Op::Ffma {
+                dst: Reg::r(0),
+                a: Reg::r(1),
+                b: Operand::reg(b),
+                c: Reg::r(c),
+            },
         };
         let t = measure_math(&kepler, &pattern)?;
         println!("  {:<28} {:>6.1} thread insts/cycle", label, t.throughput);

@@ -396,6 +396,83 @@ fn every_table_row_round_trips() {
     }
 }
 
+/// Every instruction encodes to 64 bits and decodes back identically.
+#[test]
+fn encode_decode_round_trip() {
+    let mut rng = Rng::seed_from_u64(0xE1C0DE);
+    for case in 0..512 {
+        let inst = instruction(&mut rng);
+        let index = rng.gen_range_u32(0, 4096);
+        let w = encode(&inst, index).unwrap();
+        let back = decode(w, index).unwrap();
+        assert_eq!(back, inst, "case {case} at index {index}: {inst:?}");
+    }
+}
+
+/// The canonical text form re-assembles to the same instruction.
+#[test]
+fn display_assemble_round_trip() {
+    let mut rng = Rng::seed_from_u64(0xA55E);
+    for case in 0..512 {
+        let code = instruction_vec(&mut rng, 1, 40);
+        let mut text = String::from(".kernel prop\n");
+        for inst in &code {
+            text.push_str(&inst.to_string());
+            text.push('\n');
+        }
+        let module = assemble(&text, Generation::Fermi).unwrap();
+        assert_eq!(module.kernels[0].code, code, "case {case}:\n{text}");
+    }
+}
+
+/// The binary container round-trips arbitrary kernels, including Kepler
+/// control notation.
+#[test]
+fn module_binary_round_trip() {
+    let mut rng = Rng::seed_from_u64(0xB17A);
+    for case in 0..256 {
+        let code = instruction_vec(&mut rng, 1, 60);
+        let shared = rng.gen_range_u32(0, 49152);
+        let kepler = rng.gen_bool();
+        let generation = if kepler {
+            Generation::Kepler
+        } else {
+            Generation::Fermi
+        };
+        let mut kernel = peakperf::sass::Kernel::new("prop");
+        kernel.shared_bytes = shared;
+        kernel.num_regs = 63;
+        if kepler {
+            kernel.ctl = Some(
+                (0..code.len())
+                    .map(|_| CtlInfo::from_byte((rng.next_u64() & 0x3F) as u8).unwrap())
+                    .collect(),
+            );
+        }
+        kernel.code = code;
+        let mut module = Module::new(generation);
+        module.kernels.push(kernel);
+        let bytes = module.to_bytes().unwrap();
+        let back = Module::from_bytes(&bytes).unwrap();
+        assert_eq!(back, module, "case {case}");
+    }
+}
+
+/// Control fields round-trip through the packed 0x..7/0x2.. words.
+#[test]
+fn ctl_word_round_trip() {
+    let mut rng = Rng::seed_from_u64(0xC71);
+    for case in 0..512 {
+        let n = rng.gen_range_usize(1, 50);
+        let fields: Vec<CtlInfo> = (0..n)
+            .map(|_| CtlInfo::from_byte((rng.next_u64() & 0x3F) as u8).unwrap())
+            .collect();
+        let words = peakperf::sass::ctl::pack_stream(&fields);
+        let back = peakperf::sass::ctl::unpack_stream(&words, fields.len()).unwrap();
+        assert_eq!(back, fields, "case {case}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Register allocator properties
 // ---------------------------------------------------------------------
