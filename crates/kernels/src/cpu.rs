@@ -1,5 +1,7 @@
 //! CPU reference GEMM (the correctness oracle).
 
+use peakperf_sim::exec::ffma_lanes;
+
 /// Transpose selector for one GEMM operand (`op(X) = X` or `op(X) = Xᵀ`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Trans {
@@ -54,9 +56,12 @@ impl Variant {
 /// `K×M` when transposed; similarly for `b`. `c` is always `M×N` with
 /// leading dimension `ldc`.
 ///
-/// Accumulates in `f32` with `mul_add`, matching the GPU's FFMA data path,
-/// so results are bit-comparable with the simulated kernels when the
-/// summation order matches (k-inner, ascending).
+/// Each element is `fma(acc, alpha, beta·c)`, where `acc` starts at `0.0`
+/// and takes one fused multiply-add `fma(op(A)[i,k], op(B)[k,j], acc)` per
+/// `k`, ascending: the FFMA sequence of the simulated kernels, which
+/// therefore compute the same bits. The fused multiply-adds are
+/// [`ffma_lanes`], the simulator's own, run one column of `C` at a time
+/// with `k` outer, down a contiguous copy of `op(A)` (`M×K` floats).
 ///
 /// # Panics
 ///
@@ -77,27 +82,34 @@ pub fn sgemm(
     ldc: usize,
 ) {
     let (ta, tb) = variant.ops();
-    let a_at = |row: usize, kk: usize| -> f32 {
-        match ta {
-            Trans::N => a[row + kk * lda],
-            Trans::T => a[kk + row * lda],
-        }
-    };
+    let op_a: Vec<f32> = (0..k)
+        .flat_map(|kk| {
+            (0..m).map(move |row| match ta {
+                Trans::N => a[row + kk * lda],
+                Trans::T => a[kk + row * lda],
+            })
+        })
+        .collect();
     let b_at = |kk: usize, col: usize| -> f32 {
         match tb {
             Trans::N => b[kk + col * ldb],
             Trans::T => b[col + kk * ldb],
         }
     };
+    let (mut acc, mut next, mut splat) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
     for col in 0..n {
-        for row in 0..m {
-            let mut acc = 0.0f32;
-            for kk in 0..k {
-                acc = a_at(row, kk).mul_add(b_at(kk, col), acc);
-            }
-            let idx = row + col * ldc;
-            c[idx] = acc.mul_add(alpha, beta * c[idx]);
+        acc.fill(0.0);
+        for kk in 0..k {
+            splat.fill(b_at(kk, col));
+            ffma_lanes(&op_a[kk * m..][..m], &splat, &acc, &mut next);
+            std::mem::swap(&mut acc, &mut next);
         }
+        let c_col = &mut c[col * ldc..][..m];
+        for (scaled, &old) in next.iter_mut().zip(&*c_col) {
+            *scaled = beta * old;
+        }
+        splat.fill(alpha);
+        ffma_lanes(&acc, &splat, &next, c_col);
     }
 }
 
@@ -165,6 +177,77 @@ mod tests {
         // C = A^T B^T: C(0,0)=1*5+3*6=23, C(1,0)=2*5+4*6=34,
         //              C(0,1)=1*7+3*8=31, C(1,1)=2*7+4*8=46
         assert_eq!(c, vec![23.0, 34.0, 31.0, 46.0]);
+    }
+
+    /// The k-inner triple loop `sgemm` used to be: one `mul_add` chain per
+    /// element.
+    #[allow(clippy::too_many_arguments)]
+    fn k_inner_sgemm(
+        variant: Variant,
+        m: usize,
+        n: usize,
+        k: usize,
+        alpha: f32,
+        a: &[f32],
+        lda: usize,
+        b: &[f32],
+        ldb: usize,
+        beta: f32,
+        c: &mut [f32],
+        ldc: usize,
+    ) {
+        let (ta, tb) = variant.ops();
+        for col in 0..n {
+            for row in 0..m {
+                let mut acc = 0.0f32;
+                for kk in 0..k {
+                    let a = match ta {
+                        Trans::N => a[row + kk * lda],
+                        Trans::T => a[kk + row * lda],
+                    };
+                    let b = match tb {
+                        Trans::N => b[kk + col * ldb],
+                        Trans::T => b[col + kk * ldb],
+                    };
+                    acc = a.mul_add(b, acc);
+                }
+                let idx = row + col * ldc;
+                c[idx] = acc.mul_add(alpha, beta * c[idx]);
+            }
+        }
+    }
+
+    #[test]
+    fn column_form_matches_the_k_inner_loop_bit_for_bit() {
+        let (m, n, k) = (37, 5, 19);
+        let mut rng = crate::rng::Rng::seed_from_u64(0xC01);
+        let mut random =
+            |len: usize| -> Vec<f32> { (0..len).map(|_| rng.gen_range_f32(-3.0, 3.0)).collect() };
+        for variant in Variant::ALL {
+            let (ta, tb) = variant.ops();
+            // Leading dimensions past the minimum, so padding must be skipped.
+            let (lda, a_cols) = if ta == Trans::N {
+                (m + 3, k)
+            } else {
+                (k + 2, m)
+            };
+            let (ldb, b_cols) = if tb == Trans::N {
+                (k + 4, n)
+            } else {
+                (n + 1, k)
+            };
+            let ldc = m + 5;
+            let (a, b, c0) = (random(lda * a_cols), random(ldb * b_cols), random(ldc * n));
+            let (mut got, mut want) = (c0.clone(), c0);
+            sgemm(
+                variant, m, n, k, 1.5, &a, lda, &b, ldb, -0.75, &mut got, ldc,
+            );
+            k_inner_sgemm(
+                variant, m, n, k, 1.5, &a, lda, &b, ldb, -0.75, &mut want, ldc,
+            );
+            let bits = |c: &[f32]| c.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{}", variant.name());
+        }
     }
 
     #[test]

@@ -712,11 +712,11 @@ mod tests {
             ld: m as usize,
             data: c_ref,
         };
-        let diff = run.c.max_abs_diff(&c_ref);
-        let tol = 1e-3 * (k as f32).sqrt() / 16.0 + 1e-4;
-        assert!(
-            diff < tol,
-            "{generation:?} {} {m}x{n}x{k} {}: diff {diff} > {tol}",
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&run.c),
+            bits(&c_ref),
+            "{generation:?} {} {m}x{n}x{k} {}",
             variant.name(),
             preset.name()
         );

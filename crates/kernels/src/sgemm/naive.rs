@@ -158,8 +158,8 @@ mod tests {
             ld: m as usize,
             data: c_ref,
         };
-        let diff = run.c.max_abs_diff(&c_ref);
-        assert!(diff < 1e-4, "{variant:?} {m}x{n}x{k}: diff {diff}");
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run.c), bits(&c_ref), "{variant:?} {m}x{n}x{k}");
     }
 
     #[test]

@@ -142,21 +142,55 @@ fn operand_row<'a>(
     Ok(splat)
 }
 
-/// `f` of every lane in `exec_mask` (zero elsewhere): one straight loop
-/// for a full warp, a masked one otherwise.
+/// `f` of every lane, in one straight loop. The arms that use it have no
+/// side effects, and [`WarpState::set_row`] keeps only the executing lanes.
 #[inline(always)]
-fn map_lanes(exec_mask: u32, f: impl Fn(usize) -> u32) -> [u32; 32] {
-    let mut out = [0; 32];
-    if exec_mask == u32::MAX {
-        for (l, v) in out.iter_mut().enumerate() {
-            *v = f(l);
-        }
-    } else {
-        for l in lanes(exec_mask) {
-            out[l] = f(l);
+fn map_lanes(f: impl Fn(usize) -> u32) -> [u32; 32] {
+    std::array::from_fn(f)
+}
+
+/// `out[l] = a[l] · b[l] + c[l]` rounded once, bit for bit
+/// `f32::mul_add`, without a libm `fmaf` call per lane on hosts that lack
+/// an FMA instruction.
+///
+/// An `f32` product is exact in `f64`, so `s = a·b + c` in `f64` is
+/// rounded once, and `s as f32` is the fused result unless rounding twice
+/// can differ: `s` lies on an `f32` midpoint (its low 29 mantissa bits are
+/// `0x1000_0000`), or `|s|` is outside `[2⁻¹²⁶, 2¹²⁸)` and not an exact
+/// zero (subnormal, overflow, Inf, NaN). Only those lanes are redone with
+/// `mul_add`, so it alone defines the rounding. The first loop has no
+/// branch and packs into SSE2.
+///
+/// # Panics
+///
+/// Panics if `a`, `b` or `c` is shorter than `out`.
+#[inline]
+pub fn ffma_lanes(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
+    const TWO_POW_128: f64 = f64::from_bits((1023 + 128) << 52);
+    let n = out.len();
+    let (a, b, c) = (&a[..n], &b[..n], &c[..n]);
+    let wide = |l: usize| f64::from(a[l]) * f64::from(b[l]) + f64::from(c[l]);
+    let ambiguous = |s: f64| {
+        let midpoint = s.to_bits() as u32 & 0x1fff_ffff == 0x1000_0000;
+        let abs = s.abs();
+        // At least 2¹²⁸, or NaN, in one compare.
+        #[allow(clippy::neg_cmp_op_on_partial_ord)]
+        let huge = !(abs < TWO_POW_128);
+        midpoint | (abs < f64::from(f32::MIN_POSITIVE)) & (s != 0.0) | huge
+    };
+    let mut any = false;
+    for (l, o) in out.iter_mut().enumerate() {
+        let s = wide(l);
+        *o = s as f32;
+        any |= ambiguous(s);
+    }
+    if any {
+        for (l, o) in out.iter_mut().enumerate() {
+            if ambiguous(wide(l)) {
+                *o = a[l].mul_add(b[l], c[l]);
+            }
         }
     }
-    out
 }
 
 /// The lanes of `mask`, ascending.
@@ -231,50 +265,55 @@ pub fn execute_op(
         Op::Mov32i { dst, imm } => (dst, [imm; 32]),
         Op::S2r { dst, sr } => {
             let special = |l| special_value(block, warp.warp_id, l, sr);
-            (dst, map_lanes(exec_mask, special))
+            (dst, map_lanes(special))
         }
         Op::Fadd { dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
-            (dst, map_lanes(exec_mask, |l| (f(a[l]) + f(b[l])).to_bits()))
+            (dst, map_lanes(|l| (f(a[l]) + f(b[l])).to_bits()))
         }
         Op::Fmul { dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
-            (dst, map_lanes(exec_mask, |l| (f(a[l]) * f(b[l])).to_bits()))
+            (dst, map_lanes(|l| (f(a[l]) * f(b[l])).to_bits()))
         }
         Op::Ffma { dst, a, b, c } => {
             let (a, b, c) = (warp.row(a), operand!(b), warp.row(c));
-            let fma = |l: usize| f(a[l]).mul_add(f(b[l]), f(c[l])).to_bits();
-            (dst, map_lanes(exec_mask, fma))
+            let mut out = [0.0; 32];
+            ffma_lanes(&a.map(f), &b.map(f), &c.map(f), &mut out);
+            for l in lanes(exec_mask) {
+                let fused = f(a[l]).mul_add(f(b[l]), f(c[l]));
+                debug_assert_eq!(out[l].to_bits(), fused.to_bits(), "FFMA lane {l}");
+            }
+            (dst, out.map(f32::to_bits))
         }
         Op::Iadd { dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
-            (dst, map_lanes(exec_mask, |l| a[l].wrapping_add(b[l])))
+            (dst, map_lanes(|l| a[l].wrapping_add(b[l])))
         }
         Op::Imul { dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
-            (dst, map_lanes(exec_mask, |l| a[l].wrapping_mul(b[l])))
+            (dst, map_lanes(|l| a[l].wrapping_mul(b[l])))
         }
         Op::Imad { dst, a, b, c } => {
             let (a, b, c) = (warp.row(a), operand!(b), warp.row(c));
             let mad = |l: usize| a[l].wrapping_mul(b[l]).wrapping_add(c[l]);
-            (dst, map_lanes(exec_mask, mad))
+            (dst, map_lanes(mad))
         }
         Op::Iscadd { dst, a, b, shift } => {
             let (a, b) = (warp.row(a), operand!(b));
             let scadd = |l: usize| a[l].wrapping_shl(u32::from(shift)).wrapping_add(b[l]);
-            (dst, map_lanes(exec_mask, scadd))
+            (dst, map_lanes(scadd))
         }
         Op::Shl { dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
-            (dst, map_lanes(exec_mask, |l| a[l] << (b[l] & 31)))
+            (dst, map_lanes(|l| a[l] << (b[l] & 31)))
         }
         Op::Shr { dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
-            (dst, map_lanes(exec_mask, |l| a[l] >> (b[l] & 31)))
+            (dst, map_lanes(|l| a[l] >> (b[l] & 31)))
         }
         Op::Lop { op, dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
-            (dst, map_lanes(exec_mask, |l| op.eval(a[l], b[l])))
+            (dst, map_lanes(|l| op.eval(a[l], b[l])))
         }
         Op::Isetp { p, cmp, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));

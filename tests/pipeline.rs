@@ -80,11 +80,18 @@ fn blocked_kernel_full_toolchain_round_trip() {
     };
     let run = run_sgemm(&mut gpu, &rebuilt, &a, &b, &c0, 1.0, 0.0).unwrap();
     let expect = reference(&problem, &a, &b, &c0, 1.0, 0.0);
-    assert!(run.c.max_abs_diff(&expect) < 1e-3);
+    assert_eq!(bits(&run.c), bits(&expect));
 }
 
-/// All four variants, blocked vs naive vs CPU, on Kepler (with control
-/// notation) and Fermi.
+/// The bits of every element.
+fn bits(m: &Matrix) -> Vec<u32> {
+    m.data.iter().map(|v| v.to_bits()).collect()
+}
+
+/// Every variant of every preset and of the naive kernel, on Kepler (with
+/// control notation) and Fermi, with and without α/β scaling, computes
+/// exactly the bits of the CPU reference: the same fused multiply-adds in
+/// the same order.
 #[test]
 fn variants_agree_across_generations_and_kernels() {
     for generation in [Generation::Fermi, Generation::Kepler] {
@@ -100,25 +107,23 @@ fn variants_agree_across_generations_and_kernels() {
             let a = Matrix::random(ar, ac, 10);
             let b = Matrix::random(br, bc, 20);
             let c0 = Matrix::random(96, 96, 30);
-            let expect = reference(&problem, &a, &b, &c0, 2.0, 0.5);
-
-            let blocked = build_preset(generation, &problem, Preset::AsmOpt).unwrap();
-            let mut gpu = Gpu::new(generation);
-            let run = run_sgemm(&mut gpu, &blocked, &a, &b, &c0, 2.0, 0.5).unwrap();
-            assert!(
-                run.c.max_abs_diff(&expect) < 1e-3,
-                "blocked {generation:?} {}",
-                variant.name()
-            );
-
-            let naive = build_naive(generation, &problem).unwrap();
-            let mut gpu = Gpu::new(generation);
-            let run = run_sgemm(&mut gpu, &naive, &a, &b, &c0, 2.0, 0.5).unwrap();
-            assert!(
-                run.c.max_abs_diff(&expect) < 1e-3,
-                "naive {generation:?} {}",
-                variant.name()
-            );
+            let builds = Preset::ALL
+                .map(|preset| (preset.name(), build_preset(generation, &problem, preset)));
+            let naive = ("naive", build_naive(generation, &problem));
+            for (name, build) in builds.into_iter().chain([naive]) {
+                let build = build.unwrap();
+                for (alpha, beta) in [(1.0, 0.0), (2.0, 0.5)] {
+                    let expect = reference(&problem, &a, &b, &c0, alpha, beta);
+                    let mut gpu = Gpu::new(generation);
+                    let run = run_sgemm(&mut gpu, &build, &a, &b, &c0, alpha, beta).unwrap();
+                    assert_eq!(
+                        bits(&run.c),
+                        bits(&expect),
+                        "{name} {generation:?} {} alpha {alpha} beta {beta}",
+                        variant.name()
+                    );
+                }
+            }
         }
     }
 }

@@ -21,7 +21,7 @@ use peakperf::sass::{
     assemble, decode, encode, validate_instruction, CmpOp, CtlInfo, ImmMut, Instruction, LogicOp,
     MemSpace, MemWidth, Module, Op, Operand, Pred, Reg, Role, Slot, SpecialReg, TABLE,
 };
-use peakperf::sim::exec::{step_warp, BlockCtx, MemCtx};
+use peakperf::sim::exec::{ffma_lanes, step_warp, BlockCtx, MemCtx};
 use peakperf::sim::timing::{global_transactions, shared_conflict_factor};
 use peakperf::sim::{Dim3, GlobalMemory, Gpu, SimError, StepEvent, WarpState};
 
@@ -607,6 +607,200 @@ fn conflict_and_coalescing_match_their_oracles() {
 }
 
 // ---------------------------------------------------------------------
+// The shared fused multiply-add against `f32::mul_add`
+// ---------------------------------------------------------------------
+
+/// `±m · 2^e` for a random `m` of `bits` significant bits, `e` in `[lo, hi)`
+/// (rounded to `f32`, so it may underflow or overflow).
+fn short_float(rng: &mut Rng, bits: u32, lo: i32, hi: i32) -> f32 {
+    let top = 1u64 << (bits - 1);
+    let m = (top | rng.gen_below(top)) as f64;
+    let e = rng.gen_range_i64(i64::from(lo), i64::from(hi)) as i32;
+    let v = (m * 2f64.powi(e - bits as i32 + 1)) as f32;
+    if rng.gen_bool() {
+        -v
+    } else {
+        v
+    }
+}
+
+/// A finite `f32` of the kinds that reach the fused multiply-add's
+/// fallback: short mantissas, subnormals, signed zeros.
+fn edge_float(rng: &mut Rng) -> f32 {
+    let sign = rng.next_u32() & 0x8000_0000;
+    match rng.gen_below(3) {
+        0 => {
+            let bits = rng.gen_range_u32(1, 13);
+            short_float(rng, bits, -40, 40)
+        }
+        1 => f32::from_bits(sign | rng.next_u32() & 0x007f_ffff),
+        _ => f32::from_bits(sign),
+    }
+}
+
+/// `±2^t·(1 + 2^-p)` and `2^(e-t)·(1 ± 2^-p)`: a product a hair off `2^e`
+/// (the half-ulp of some `f32` grid), by `2^(e-2p)` below or by about
+/// `2^(e+1-p)` above.
+fn near_power_pair(rng: &mut Rng, e: i32) -> (f32, f32) {
+    let t = e / 2 + rng.gen_range_i64(-20, 21) as i32;
+    let d = 2f64.powi(-(rng.gen_range_i64(10, 24) as i32));
+    let d_b = if rng.gen_bool() { -d } else { d };
+    let a = (2f64.powi(t) * (1.0 + d)) as f32;
+    let b = (2f64.powi(e - t) * (1.0 + d_b)) as f32;
+    (if rng.gen_bool() { -a } else { a }, b)
+}
+
+/// `±a` and a `b` whose product with it is about `±2^e`.
+fn product_near(rng: &mut Rng, e: i32, a_lo: i32, a_hi: i32) -> (f32, f32) {
+    let a = short_float(rng, 24, a_lo, a_hi);
+    let e_b = e - a.abs().log2().floor() as i32;
+    (a, short_float(rng, 24, e_b, e_b + 1))
+}
+
+/// One `(a, b, c)` of input class `class` (see the test).
+fn fma_triple(rng: &mut Rng, class: usize) -> (f32, f32, f32) {
+    let bits = |rng: &mut Rng| f32::from_bits(rng.next_u32());
+    match class {
+        0 => (bits(rng), bits(rng), bits(rng)),
+        1 => {
+            // c ≈ −a·b: the result is the product's rounding error.
+            let a = short_float(rng, 24, -60, 60);
+            let b = short_float(rng, 24, -60, 60);
+            let ulps = rng.gen_range_u32(0, 5);
+            let c = f32::from_bits((-(a * b)).to_bits().wrapping_add(ulps).wrapping_sub(2));
+            (a, b, c)
+        }
+        2 => {
+            // Short mantissas: exact sums, often exactly on a midpoint.
+            let bits = [14, 14, 25].map(|hi| rng.gen_range_u32(1, hi));
+            let a = short_float(rng, bits[0], -20, 20);
+            let b = short_float(rng, bits[1], -20, 20);
+            (a, b, short_float(rng, bits[2], -45, 45))
+        }
+        3 => {
+            // An odd 13-bit × 13-bit product (often a midpoint) plus a
+            // far smaller c, which the f64 sum rounds onto the midpoint.
+            let a = short_float(rng, 13, 0, 1);
+            let b = short_float(rng, 13, 0, 1);
+            let odd = |v: f32| f32::from_bits(v.to_bits() | 1 << 11);
+            (odd(a), odd(b), short_float(rng, 24, -80, -25))
+        }
+        4 => {
+            // Subnormal results: a subnormal grid point plus a product a
+            // hair off its half-ulp 2⁻¹⁵⁰, or plus any tiny product.
+            let c = f32::from_bits(rng.next_u32() & 0x807f_ffff);
+            let (a, b) = if rng.gen_bool() {
+                near_power_pair(rng, -150)
+            } else {
+                let e = rng.gen_range_i64(-160, -115) as i32;
+                product_near(rng, e, -100, -20)
+            };
+            (a, b, c)
+        }
+        5 => {
+            // Across 2⁻¹²⁶: ±MIN_POSITIVE a few ulps either way, plus a
+            // product of either sign.
+            let bound = f32::MIN_POSITIVE.to_bits() + rng.gen_range_u32(0, 9) - 4;
+            let c = f32::from_bits(bound | rng.next_u32() & 0x8000_0000);
+            let e = rng.gen_range_i64(-152, -124) as i32;
+            let (a, b) = product_near(rng, e, -80, -40);
+            (a, b, c)
+        }
+        6 => {
+            // MAX-sized c plus a product near its half-ulp 2¹⁰³: around
+            // the overflow midpoint 2¹²⁸ − 2¹⁰³.
+            let c = f32::from_bits(f32::MAX.to_bits() - rng.gen_range_u32(0, 3));
+            let e = 103 + rng.gen_range_i64(0, 2) as i32;
+            let (a, b) = near_power_pair(rng, e);
+            let c = if rng.gen_bool() { -c } else { c };
+            (a, if (a < 0.0) == (c < 0.0) { b } else { -b }, c)
+        }
+        7 => {
+            // Signed zeros in every position, and exact cancellation to 0.
+            let zero = |rng: &mut Rng| f32::from_bits(rng.next_u32() & 0x8000_0000);
+            let x = short_float(rng, 12, -10, 10);
+            let y = short_float(rng, 12, -10, 10);
+            match rng.gen_below(3) {
+                0 => (zero(rng), zero(rng), zero(rng)),
+                1 => (x, y, zero(rng)),
+                _ => (x, y, -(x * y)),
+            }
+        }
+        8 => {
+            // ±Inf and NaNs (quiet or signalling, any payload) among
+            // finite values.
+            let special = |rng: &mut Rng| match rng.gen_below(4) {
+                0 => f32::from_bits(0x7f80_0000 | rng.next_u32() & 0x8000_0000),
+                1 => f32::from_bits(0x7f80_0001 | rng.next_u32() & 0x807f_ffff),
+                2 => edge_float(rng),
+                _ => bits(rng),
+            };
+            (special(rng), special(rng), special(rng))
+        }
+        _ => (edge_float(rng), edge_float(rng), edge_float(rng)),
+    }
+}
+
+/// `exec::ffma_lanes`, the fused multiply-add of the simulator's FFMA and
+/// of `cpu::sgemm`, equals `f32::mul_add` bit for bit — NaN payloads
+/// included — on 10⁷ seeded triples, in batches of 1–40 lanes so that
+/// lanes of every class share a batch with lanes that need the fallback.
+/// Every class where rounding `a·b + c` in `f64` and again to `f32` goes
+/// wrong must show such lanes, so a dropped fallback condition fails here.
+#[test]
+fn ffma_lanes_is_bit_equal_to_mul_add() {
+    const CLASSES: [&str; 10] = [
+        "random bits",
+        "cancellation",
+        "short mantissas",
+        "midpoint + tiny",
+        "subnormal",
+        "2^-126 boundary",
+        "overflow",
+        "signed zeros",
+        "inf/nan",
+        "edge values",
+    ];
+    let mut rng = Rng::seed_from_u64(0xF3A);
+    let mut double_rounding_wrong = [0u32; CLASSES.len()];
+    let mut triples = 0;
+    while triples < 10_000_000 {
+        let lanes = rng.gen_range_usize(1, 41);
+        let class: Vec<usize> = (0..lanes)
+            .map(|_| rng.gen_range_usize(0, CLASSES.len()))
+            .collect();
+        let abc: Vec<_> = class.iter().map(|&k| fma_triple(&mut rng, k)).collect();
+        let a: Vec<f32> = abc.iter().map(|t| t.0).collect();
+        let b: Vec<f32> = abc.iter().map(|t| t.1).collect();
+        let c: Vec<f32> = abc.iter().map(|t| t.2).collect();
+        let mut out = vec![0.0; lanes];
+        ffma_lanes(&a, &b, &c, &mut out);
+        for (l, &(a, b, c)) in abc.iter().enumerate() {
+            let want = a.mul_add(b, c);
+            let naive = (f64::from(a) * f64::from(b) + f64::from(c)) as f32;
+            double_rounding_wrong[class[l]] += u32::from(naive.to_bits() != want.to_bits());
+            assert_eq!(
+                out[l].to_bits(),
+                want.to_bits(),
+                "{}: {:#010x} * {:#010x} + {:#010x}",
+                CLASSES[class[l]],
+                a.to_bits(),
+                b.to_bits(),
+                c.to_bits()
+            );
+        }
+        triples += lanes;
+    }
+    for (name, wrong) in CLASSES.iter().zip(double_rounding_wrong) {
+        let needs_fallback = ["midpoint + tiny", "subnormal", "overflow", "inf/nan"];
+        assert!(
+            wrong > 0 || !needs_fallback.contains(name),
+            "{name}: no lane where the f64 shortcut alone is wrong"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
 // Warp-wide execution against the per-lane interpreter it replaced
 // ---------------------------------------------------------------------
 
@@ -955,10 +1149,17 @@ fn warp_wide_execution_matches_the_per_lane_interpreter() {
                 .collect(),
         };
         for r in 0..63 {
+            // Some rows are half short-mantissa, subnormal and ±0 values,
+            // so FFMA lanes reach the fallback of `ffma_lanes`.
+            let edge_row = rng.gen_below(3) == 0;
             for lane in 0..32 {
                 // Any bits except NaN and infinity: which payload a NaN
                 // result carries is the compiler's choice of operand order.
-                let mut bits = rng.next_u32();
+                let mut bits = if edge_row && rng.gen_bool() {
+                    edge_float(&mut rng).to_bits()
+                } else {
+                    rng.next_u32()
+                };
                 if bits & 0x7f80_0000 == 0x7f80_0000 {
                     bits &= !0x0080_0000;
                 }
@@ -1052,7 +1253,8 @@ fn warp_wide_execution_matches_the_per_lane_interpreter() {
 // SGEMM functional equivalence on random shapes
 // ---------------------------------------------------------------------
 
-/// Naive kernel == CPU reference on random small shapes and scalars.
+/// Naive kernel == CPU reference, bit for bit, on random small shapes and
+/// scalars.
 #[test]
 fn naive_sgemm_matches_cpu() {
     let mut rng = Rng::seed_from_u64(0x5E33);
@@ -1098,14 +1300,13 @@ fn naive_sgemm_matches_cpu() {
             ld: problem.m as usize,
             data: c_ref,
         };
-        assert!(
-            run.c.max_abs_diff(&reference) < 2e-3,
-            "case {case}: {problem:?}"
-        );
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run.c), bits(&reference), "case {case}: {problem:?}");
     }
 }
 
-/// Blocked kernel == CPU reference on random multiples of the tile.
+/// Blocked kernel == CPU reference, bit for bit, on random multiples of
+/// the tile.
 #[test]
 fn blocked_sgemm_matches_cpu() {
     let mut rng = Rng::seed_from_u64(0xB10C);
@@ -1149,9 +1350,7 @@ fn blocked_sgemm_matches_cpu() {
             ld: problem.m as usize,
             data: c_ref,
         };
-        assert!(
-            run.c.max_abs_diff(&reference) < 2e-3,
-            "case {case}: {problem:?}"
-        );
+        let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&run.c), bits(&reference), "case {case}: {problem:?}");
     }
 }
