@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [options] <experiment>...
-//! reproduce all            # everything (quick mode unless --full)
+//! reproduce all            # everything, at the paper's sizes
 //! reproduce profile <target>... [--trace-out <path>] [--profile-out <path>]
 //! reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]...
 //!                [--corpus-dir <path>] [--replay <dir>]
@@ -19,8 +19,6 @@
 //! it); without one the positional words are experiment names.
 //!
 //! options:
-//!   --full               simulate the full problem sizes
-//!   --quick              thin the size grids (default)
 //!   --workers <n>        worker threads (default: autodetect)
 //!   --no-cache           disable the in-memory timing cache
 //!   --cache-dir <path>   persist timing-cache entries under <path>
@@ -97,7 +95,7 @@ use std::time::Instant;
 
 use peakperf_arch::Generation;
 use peakperf_bench::exec;
-use peakperf_bench::experiments::{self, Speed};
+use peakperf_bench::experiments;
 use peakperf_bench::fault;
 use peakperf_bench::hostprof;
 use peakperf_bench::profiling;
@@ -109,7 +107,7 @@ use peakperf_sim::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: reproduce [--full|--quick] [--workers <n>] [--no-cache] \
+        "usage: reproduce [--workers <n>] [--no-cache] \
          [--cache-dir <path>] <experiment>...\n\
          \x20      reproduce profile [--trace-out <path>] [--profile-out <path>] \
          <target>...\n\
@@ -134,23 +132,23 @@ fn usage() -> ExitCode {
     ExitCode::FAILURE
 }
 
-fn run_one(name: &str, speed: Speed) -> Result<String, String> {
+fn run_one(name: &str) -> Result<String, String> {
     let out = match name {
         "table1" => experiments::table1(),
         "table2" => experiments::table2().map_err(|e| e.to_string())?,
-        "fig2" => experiments::fig2(speed).map_err(|e| e.to_string())?,
+        "fig2" => experiments::fig2().map_err(|e| e.to_string())?,
         "fig3" => experiments::fig3(),
-        "fig4" => experiments::fig4(speed).map_err(|e| e.to_string())?,
-        "fig5" => experiments::fig5(speed).map_err(|e| e.to_string())?,
-        "fig6" => experiments::fig6(speed).map_err(|e| e.to_string())?,
-        "fig7" => experiments::fig7(speed).map_err(|e| e.to_string())?,
+        "fig4" => experiments::fig4().map_err(|e| e.to_string())?,
+        "fig5" => experiments::fig5().map_err(|e| e.to_string())?,
+        "fig6" => experiments::fig6().map_err(|e| e.to_string())?,
+        "fig7" => experiments::fig7().map_err(|e| e.to_string())?,
         "fig8" => experiments::fig8().map_err(|e| e.to_string())?,
         "fig9" => experiments::fig9().map_err(|e| e.to_string())?,
         "upperbound" => experiments::upperbound(),
         "ablation" => experiments::ablation(),
-        "optimizer" => experiments::optimizer(speed).map_err(|e| e.to_string())?,
+        "optimizer" => experiments::optimizer().map_err(|e| e.to_string())?,
         "throughputdb" => experiments::throughput_db().map_err(|e| e.to_string())?,
-        "achieved" => experiments::achieved(speed).map_err(|e| e.to_string())?,
+        "achieved" => experiments::achieved().map_err(|e| e.to_string())?,
         other => return Err(format!("unknown experiment `{other}`")),
     };
     Ok(out)
@@ -197,7 +195,6 @@ const SUBCOMMANDS: [(&str, Mode); 5] = [
 
 struct Options {
     mode: Mode,
-    speed: Speed,
     names: Vec<String>,
     json_path: Option<String>,
     cache_dir: Option<String>,
@@ -259,7 +256,6 @@ fn check_targets(what: &str, names: &[String]) -> Result<(), String> {
 fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut opts = Options {
         mode: Mode::Experiments,
-        speed: Speed::Quick,
         names: Vec::new(),
         json_path: None,
         cache_dir: None,
@@ -284,8 +280,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--full" => opts.speed = Speed::Full,
-            "--quick" => opts.speed = Speed::Quick,
             "--no-cache" => opts.use_cache = false,
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
@@ -572,7 +566,7 @@ fn run_experiments(opts: &Options) -> ExitCode {
         // Panic boundary: a crashing experiment is reported as FAILED and
         // flips the exit code, but the remaining ones still run — one
         // broken experiment should not cost the results of the others.
-        let status = match exec::run_isolated(|| run_one(name, opts.speed)) {
+        let status = match exec::run_isolated(|| run_one(name)) {
             Ok(out) => {
                 println!("{out}");
                 "done"

@@ -23,11 +23,19 @@ use peakperf_sim::{GlobalMemory, SimError};
 use crate::exec::Executor;
 use crate::report::{f1, pct, Table};
 
+/// The paper's headline SGEMM size (Section 5, Figure 5): the size of
+/// `achieved`, Figure 5's first table and the `reproduce bench` SGEMM rows.
+pub const PAPER_SGEMM_SIZE: u32 = 2400;
+
 /// How much simulation to spend.
+///
+/// Exists only for the API the benchmark package pins
+/// (`benchmark/src/api.rs` re-exports [`sgemm_gflops`] with this
+/// parameter); every caller in this workspace passes `Speed::Full`.
+/// ROADMAP item 8(c) deletes it together with that `api.rs` edit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Speed {
-    /// Cap the k dimension at 960 and use a thinned size grid
-    /// (steady-state GFLOPS are k-invariant to within a few percent).
+    /// Cap the k dimension at 960.
     Quick,
     /// Simulate the full problem sizes.
     Full,
@@ -145,12 +153,9 @@ pub fn table2() -> Result<String, SimError> {
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn fig2(speed: Speed) -> Result<String, SimError> {
+pub fn fig2() -> Result<String, SimError> {
     let mut out = String::new();
-    let ratios: Vec<u32> = match speed {
-        Speed::Quick => vec![0, 1, 2, 3, 4, 6, 8, 12, 16, 24, 32],
-        Speed::Full => (0..=32).collect(),
-    };
+    let ratios: Vec<u32> = (0..=32).collect();
     let gpus = [GpuConfig::gtx580(), GpuConfig::gtx680()];
     let jobs: Vec<(usize, u32, LdsWidth)> = gpus
         .iter()
@@ -222,25 +227,17 @@ pub fn fig3() -> String {
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn fig4(speed: Speed) -> Result<String, SimError> {
+pub fn fig4() -> Result<String, SimError> {
     let mut out = String::new();
     let gpus = [GpuConfig::gtx580(), GpuConfig::gtx680()];
     let counts_for = |gpu: &GpuConfig| -> Vec<u32> {
-        match speed {
-            Speed::Quick => [64u32, 128, 256, 384, 512, 768, 1024, 1536, 2048]
-                .into_iter()
-                .filter(|&c| c <= gpu.max_threads_per_sm)
-                .collect(),
-            Speed::Full => {
-                let mut v = Vec::new();
-                let mut c = 32;
-                while c <= gpu.max_threads_per_sm {
-                    v.push(c);
-                    c += if c < 256 { 32 } else { 128 };
-                }
-                v
-            }
+        let mut v = Vec::new();
+        let mut c = 32;
+        while c <= gpu.max_threads_per_sm {
+            v.push(c);
+            c += if c < 256 { 32 } else { 128 };
         }
+        v
     };
     let jobs: Vec<(usize, threads::Dependence, u32)> = gpus
         .iter()
@@ -350,11 +347,8 @@ pub fn upperbound() -> String {
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn fig5(speed: Speed) -> Result<String, SimError> {
-    let sizes: &[u32] = match speed {
-        Speed::Quick => &[2400],
-        Speed::Full => &[2400, 4800],
-    };
+pub fn fig5() -> Result<String, SimError> {
+    let sizes = [PAPER_SGEMM_SIZE, 4800];
     let mut out = String::new();
     let gpus = [GpuConfig::gtx580(), GpuConfig::gtx680()];
     let jobs: Vec<(usize, Variant, Preset, u32)> = gpus
@@ -372,11 +366,11 @@ pub fn fig5(speed: Speed) -> Result<String, SimError> {
         })
         .collect();
     let results = Executor::auto().try_map(&jobs, |&(g, variant, preset, size)| {
-        sgemm_gflops(&gpus[g], variant, preset, size, speed)
+        sgemm_gflops(&gpus[g], variant, preset, size, Speed::Full)
     })?;
     let mut results = results.into_iter();
     for gpu in &gpus {
-        for &size in sizes {
+        for size in sizes {
             let mut t = Table::new(
                 format!("Figure 5 — {} SGEMM variants at {size} (GFLOPS)", gpu.name),
                 &["variant", "cublas-like", "asm"],
@@ -401,11 +395,8 @@ pub fn fig5(speed: Speed) -> Result<String, SimError> {
 // Figures 6 and 7
 // ---------------------------------------------------------------------
 
-fn fig67(gpu: &GpuConfig, speed: Speed) -> Result<String, SimError> {
-    let sizes: Vec<u32> = match speed {
-        Speed::Quick => vec![480, 960, 1440, 1920, 2400, 3360, 4800],
-        Speed::Full => (1..=10).map(|i| i * 480).collect(),
-    };
+fn fig67(gpu: &GpuConfig) -> Result<String, SimError> {
+    let sizes: Vec<u32> = (1..=10).map(|i| i * 480).collect();
     let fig = if gpu.generation == Generation::Fermi {
         "Figure 6"
     } else {
@@ -422,7 +413,7 @@ fn fig67(gpu: &GpuConfig, speed: Speed) -> Result<String, SimError> {
         })
         .collect();
     let results = Executor::auto().try_map(&jobs, |&(size, preset)| {
-        sgemm_gflops(gpu, Variant::NN, preset, size, speed)
+        sgemm_gflops(gpu, Variant::NN, preset, size, Speed::Full)
     })?;
     for (size, chunk) in sizes.iter().zip(results.chunks(3)) {
         t.row(vec![
@@ -440,8 +431,8 @@ fn fig67(gpu: &GpuConfig, speed: Speed) -> Result<String, SimError> {
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn fig6(speed: Speed) -> Result<String, SimError> {
-    fig67(&GpuConfig::gtx580(), speed)
+pub fn fig6() -> Result<String, SimError> {
+    fig67(&GpuConfig::gtx580())
 }
 
 /// Figure 7: SGEMM NN performance sweep on GTX680.
@@ -449,8 +440,8 @@ pub fn fig6(speed: Speed) -> Result<String, SimError> {
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn fig7(speed: Speed) -> Result<String, SimError> {
-    fig67(&GpuConfig::gtx680(), speed)
+pub fn fig7() -> Result<String, SimError> {
+    fig67(&GpuConfig::gtx680())
 }
 
 // ---------------------------------------------------------------------
@@ -568,8 +559,8 @@ pub fn fig9() -> Result<String, SimError> {
 /// # Errors
 ///
 /// Propagates simulation errors.
-pub fn achieved(speed: Speed) -> Result<String, SimError> {
-    let size = 2400;
+pub fn achieved() -> Result<String, SimError> {
+    let size = PAPER_SGEMM_SIZE;
     let mut t = Table::new(
         format!("Section 5 — achieved SGEMM NN at {size} vs bound"),
         &[
@@ -589,7 +580,7 @@ pub fn achieved(speed: Speed) -> Result<String, SimError> {
         .flat_map(|(g, _)| [(g, Preset::AsmOpt), (g, Preset::CublasLike)])
         .collect();
     let results = Executor::auto().try_map(&jobs, |&(g, preset)| {
-        sgemm_gflops(&gpus[g], Variant::NN, preset, size, speed)
+        sgemm_gflops(&gpus[g], Variant::NN, preset, size, Speed::Full)
     })?;
     let mut results = results.into_iter();
     for gpu in &gpus {
@@ -659,10 +650,9 @@ pub fn ablation() -> String {
 /// # Errors
 ///
 /// Propagates build/simulation errors.
-pub fn optimizer(speed: Speed) -> Result<String, SimError> {
+pub fn optimizer() -> Result<String, SimError> {
     let gpu = GpuConfig::gtx680();
-    let size = 960;
-    let problem = SgemmProblem::square(Variant::NN, size);
+    let problem = SgemmProblem::square(Variant::NN, 960);
     let build = build_preset(gpu.generation, &problem, Preset::AsmNaiveRegs)?;
     let rewritten = optimize_banks(&build.kernel).map_err(|e| SimError::Invalid {
         message: e.to_string(),
@@ -677,13 +667,7 @@ pub fn optimizer(speed: Speed) -> Result<String, SimError> {
             build.config,
             &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
             &mut memory,
-            Some(
-                SgemmProblem {
-                    k: speed.cap_k(size),
-                    ..problem
-                }
-                .flops(),
-            ),
+            Some(problem.flops()),
         )?
         .gflops)
     };

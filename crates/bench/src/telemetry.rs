@@ -5,8 +5,8 @@
 //! *modeled* bounds; this module does the same to the repository itself.
 //! [`run_suite`] executes a fixed benchmark suite — every Table-2
 //! microbenchmark row plus the assembly-optimized SGEMM in all four
-//! transpose variants on both GPUs — and records two kinds of telemetry
-//! per row:
+//! transpose variants on both GPUs, at the paper's headline size
+//! ([`PAPER_SGEMM_SIZE`]³) — and records two kinds of telemetry per row:
 //!
 //! * **harness performance** — wall time, simulated cycles/sec and
 //!   warp-instructions/sec, executor utilization, and timing-cache
@@ -45,13 +45,8 @@ use peakperf_sim::timing::StallKind;
 use peakperf_sim::{ensure, obj, Counters, Json, SimError};
 
 use crate::exec::{Executor, JobStats};
-use crate::experiments::{sgemm_gflops, Speed, TABLE2_PAPER};
+use crate::experiments::{sgemm_gflops, Speed, PAPER_SGEMM_SIZE, TABLE2_PAPER};
 use crate::report::{envelope, Table, PAPER_GPUS};
-
-/// Matrix size for the SGEMM bench rows: a common multiple of the Fermi
-/// (96) and Kepler (64) tile sizes, the same steady-state-but-interactive
-/// size the profiling targets use.
-pub const SGEMM_BENCH_SIZE: u32 = 576;
 
 /// The schema identifier of the bench document.
 pub const BENCH_SCHEMA: &str = "peakperf-bench-v1";
@@ -402,7 +397,7 @@ fn run_row(spec: &RowSpec) -> Result<(BenchRow, Duration), SimError> {
                 &gpu,
                 *variant,
                 Preset::AsmOpt,
-                SGEMM_BENCH_SIZE,
+                PAPER_SGEMM_SIZE,
                 Speed::Full,
             )?;
             // The paper reports per-GPU achieved GFLOPS for the asm
@@ -413,7 +408,7 @@ fn run_row(spec: &RowSpec) -> Result<(BenchRow, Duration), SimError> {
             (
                 gpu.name,
                 "sgemm",
-                format!("asm {} @ {}", variant.name(), SGEMM_BENCH_SIZE),
+                format!("asm {} @ {}", variant.name(), PAPER_SGEMM_SIZE),
                 "GFLOPS",
                 gflops,
                 paper,
@@ -917,7 +912,7 @@ mod tests {
                     id: "sgemm/gtx580/nn".into(),
                     kind: "sgemm",
                     gpu: "GTX580",
-                    label: "asm NN @ 576".into(),
+                    label: "asm NN @ 2400".into(),
                     unit: "GFLOPS",
                     simulated: 1100.0,
                     paper: 1173.0,

@@ -108,6 +108,24 @@ fn options_of_another_mode_are_rejected() {
 }
 
 #[test]
+fn there_is_no_grid_option() {
+    // Every experiment and the bench suite run at the paper's sizes: no
+    // option picks another grid.
+    for args in [
+        &["--quick", "table1"][..],
+        &["--full", "table1"],
+        &["bench", "--quick"],
+        &["bench", "--full"],
+    ] {
+        let out = reproduce(args);
+        assert_eq!(out.status.code(), Some(1), "{args:?}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains("unknown option"), "{args:?}: {err}");
+        assert!(out.stdout.is_empty(), "{args:?} ran something");
+    }
+}
+
+#[test]
 fn profile_subcommand_emits_trace_and_profile_documents() {
     let dir = std::env::temp_dir().join(format!("peakperf-cli-prof-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
