@@ -1,8 +1,9 @@
-//! The accuracy and exact-counter gate of `reproduce bench --compare
-//! bench/baselines/ci.json`, in-process: every suite row's simulated
-//! value stays inside the accuracy band and its cycles, warp instructions
-//! and per-kind stall cycles equal the baseline's. Host time is not
-//! compared — `benchmark/` owns that axis.
+//! The scorecard of `reproduce bench`, in-process: every suite row's
+//! simulated value, cycles, warp instructions and per-kind stall cycles
+//! equal `tests/bench_golden.txt`, one line per row in suite order. An
+//! intended model change re-blesses it with
+//! `UPDATE_GOLDEN=1 cargo test --test bench_gate`. Host time is not
+//! recorded — `benchmark/` owns that axis.
 //!
 //! The same 20 simulated Table-2 rows are the calibration gate: each must
 //! track the paper's GTX680 measurement within an explicit tolerance. The
@@ -16,8 +17,12 @@
 //! GPUs, at the paper's 2400³) are held to the paper's achieved GFLOPS on
 //! their GPU. The worst row today is GTX680 NN at −4.3%.
 
-use peakperf::sim::Json;
+use std::fmt::Write as _;
+
+use peakperf::sim::timing::StallKind;
 use peakperf_bench::telemetry;
+
+mod common;
 
 /// Every Table 2 row must be within this many percent of the paper's
 /// measurement.
@@ -31,21 +36,33 @@ const SGEMM_TOLERANCE_PCT: f64 = 6.0;
 /// ceiling (132.0) is the quantity DESIGN.md section 5 calibrates.
 const FFMA_TOLERANCE_PCT: f64 = 3.5;
 
+/// One golden line: the row id, `simulated` at full precision, then the
+/// row's exact counters.
+fn golden_line(lines: &mut String, row: &telemetry::BenchRow) {
+    let c = &row.counters;
+    write!(
+        lines,
+        "{} simulated={:?} sim_cycles={} warp_instructions={}",
+        row.id, row.simulated, c.sim_cycles, c.warp_instructions
+    )
+    .unwrap();
+    for kind in StallKind::ALL {
+        write!(lines, " {}={}", kind.as_str(), c.stall_cycles[kind.index()]).unwrap();
+    }
+    lines.push('\n');
+}
+
 #[test]
 fn suite_matches_the_checked_in_baseline() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/bench/baselines/ci.json");
-    let baseline = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
     let report = telemetry::run_suite().unwrap();
     // A row answered from the timing cache simulated nothing and would
-    // pass the counter gate vacuously.
+    // record zero counters.
     assert_eq!(report.totals().cache_hits, 0);
-    let comparison = telemetry::compare(&report, &baseline).unwrap();
-    let failures = comparison.failures();
-    assert!(
-        failures.is_empty(),
-        "{} gated metric(s) differ from {path}:\n{failures:#?}",
-        failures.len()
-    );
+    let mut lines = String::new();
+    for row in &report.rows {
+        golden_line(&mut lines, row);
+    }
+    common::assert_matches_golden(&lines, "bench_golden.txt");
 
     let table2: Vec<_> = report.rows.iter().filter(|r| r.kind == "table2").collect();
     assert_eq!(table2.len(), 20);

@@ -20,21 +20,16 @@ use peakperf::kernels::sgemm::{build_naive, build_preset, Preset, SgemmProblem, 
 use peakperf::regalloc::optimize_banks;
 use peakperf::sass::{Kernel, Module};
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(FNV_OFFSET, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
+mod common;
+use common::{assert_matches_golden, fnv64, FNV_OFFSET};
 
 fn record(lines: &mut String, name: &str, gpu: &GpuConfig, kernel: Kernel) {
     let module = Module {
         generation: gpu.generation,
         kernels: vec![kernel],
     };
-    let text = fnv64(module.to_string().as_bytes());
-    let bytes = fnv64(&module.to_bytes().unwrap());
+    let text = fnv64(FNV_OFFSET, module.to_string().as_bytes());
+    let bytes = fnv64(FNV_OFFSET, &module.to_bytes().unwrap());
     writeln!(lines, "{name}/{} {text:016x} {bytes:016x}", gpu.name).unwrap();
 }
 
@@ -95,19 +90,5 @@ fn golden_lines() -> String {
 
 #[test]
 fn text_and_binary_formats_match_the_golden_digests() {
-    let lines = golden_lines();
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/isa_golden.txt");
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(path, &lines).unwrap();
-    }
-    let golden = std::fs::read_to_string(path)
-        .expect("golden file missing; regenerate with UPDATE_GOLDEN=1");
-    for (got, want) in lines.lines().zip(golden.lines()) {
-        assert_eq!(
-            got, want,
-            "format drifted from tests/isa_golden.txt; \
-             if intentional, regenerate with UPDATE_GOLDEN=1 cargo test"
-        );
-    }
-    assert_eq!(lines.lines().count(), golden.lines().count());
+    assert_matches_golden(&golden_lines(), "isa_golden.txt");
 }

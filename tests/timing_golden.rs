@@ -31,15 +31,10 @@ use peakperf_bench::fault::{
     FUZZ_CYCLE_LIMIT, FUZZ_STEP_LIMIT,
 };
 
+mod common;
+use common::{assert_matches_golden, fnv64, FNV_OFFSET};
+
 const MUTANTS_PER_GPU: u64 = 200;
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-
-fn fnv64(seed: u64, bytes: &[u8]) -> u64 {
-    bytes.iter().fold(seed, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
 
 /// Continue `seed` over every mapped word of `memory` (address 0 is the
 /// unmapped null word).
@@ -180,23 +175,6 @@ fn digests() -> &'static Digests {
         }
         digests
     })
-}
-
-fn assert_matches_golden(lines: &str, file: &str) {
-    let golden_path = format!("{}/tests/{file}", env!("CARGO_MANIFEST_DIR"));
-    if std::env::var_os("UPDATE_GOLDEN").is_some() {
-        std::fs::write(&golden_path, lines).unwrap();
-    }
-    let golden = std::fs::read_to_string(&golden_path)
-        .expect("golden file missing; regenerate with UPDATE_GOLDEN=1");
-    for (got, want) in lines.lines().zip(golden.lines()) {
-        assert_eq!(
-            got, want,
-            "result drifted from tests/{file}; \
-             if intentional, regenerate with UPDATE_GOLDEN=1 cargo test"
-        );
-    }
-    assert_eq!(lines.lines().count(), golden.lines().count());
 }
 
 #[test]
