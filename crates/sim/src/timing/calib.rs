@@ -49,9 +49,9 @@ pub struct Calibration {
     /// Replay penalty (cycles) when a Kepler ALU read-after-write hazard is
     /// not covered by the producer's control-notation stall field.
     pub hazard_penalty: u32,
-    /// SP-pipe warp-instruction capacity per cycle (192 SPs / 32 = 6 on
-    /// Kepler; on Fermi the issue rate already limits the SP pipe).
-    pub sp_warps_per_cycle: u32,
+    /// SP-pipe lanes per SM (GTX280 8, GTX580 32, GTX680 192): a math
+    /// warp instruction occupies the pipe for `32 / sp_lanes` cycles.
+    pub sp_lanes: u32,
 }
 
 impl Calibration {
@@ -76,7 +76,7 @@ impl Calibration {
                 mem_bytes_per_cycle_sm: mem_bpc_sm,
                 barrier_latency: 12,
                 hazard_penalty: 0,
-                sp_warps_per_cycle: 1,
+                sp_lanes: 8,
             },
             Generation::Fermi => Calibration {
                 generation,
@@ -93,7 +93,7 @@ impl Calibration {
                 mem_bytes_per_cycle_sm: mem_bpc_sm,
                 barrier_latency: 10,
                 hazard_penalty: 0,
-                sp_warps_per_cycle: 1,
+                sp_lanes: 32,
             },
             Generation::Kepler => Calibration {
                 generation,
@@ -110,7 +110,7 @@ impl Calibration {
                 mem_bytes_per_cycle_sm: mem_bpc_sm,
                 barrier_latency: 6,
                 hazard_penalty: 10,
-                sp_warps_per_cycle: 6,
+                sp_lanes: 192,
             },
         }
     }

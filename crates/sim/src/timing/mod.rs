@@ -57,9 +57,11 @@ pub struct GpuTiming {
 ///
 /// Simulates one resident wave of blocks on a single SM cycle by cycle and
 /// extrapolates: the grid is split into `waves` sequential waves of
-/// `blocks_per_sm * num_sms` blocks; total time is `waves` times the
-/// simulated wave (the standard steady-state approximation for regular
-/// kernels such as GEMM).
+/// `blocks_per_sm * num_sms` blocks. Total time is the simulated wave
+/// times the number of full waves plus a trailing partial wave, which
+/// costs its fill fraction of a wave but at least 0.7 of one; it is never
+/// less than one simulated wave (the steady-state approximation for
+/// regular kernels such as GEMM).
 ///
 /// `flops_override`: when the caller knows the true useful FLOP count of
 /// the whole launch (e.g. `2*M*N*K` for GEMM), pass it to get GFLOPS of

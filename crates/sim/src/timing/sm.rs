@@ -730,7 +730,7 @@ impl TimingSim {
         };
 
         if meta.is_math {
-            st.sp_free = st.sp_free.max(cycle as f64) + 32.0 / self.sp_rate();
+            st.sp_free = st.sp_free.max(cycle as f64) + 32.0 / f64::from(self.calib.sp_lanes);
         }
 
         let mut result_ready = cycle + u64::from(meta.latency);
@@ -827,15 +827,6 @@ impl TimingSim {
             gate.sb_ready = gate.sb_ready.max(slot.sb_pred[p.index() as usize]);
         }
         gate
-    }
-
-    fn sp_rate(&self) -> f64 {
-        // Warp-instructions per cycle the SP array can absorb.
-        match self.calib.generation {
-            peakperf_arch::Generation::Gt200 => 8.0,
-            peakperf_arch::Generation::Fermi => 32.0,
-            peakperf_arch::Generation::Kepler => 192.0,
-        }
     }
 }
 
