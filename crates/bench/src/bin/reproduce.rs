@@ -6,8 +6,7 @@
 //! reproduce profile <target>... [--trace-out <path>] [--profile-out <path>]
 //! reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]...
 //!                [--corpus-dir <path>] [--replay <dir>]
-//! reproduce bench [--json <path>] [--compare <baseline.json>]
-//!                 [--compare-out <path>] [--filter <prefix>]
+//! reproduce bench [--json <path>] [--filter <prefix>]
 //! reproduce hostprof <target>... [--json <path>]
 //! reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>]
 //!                 [--queue-cap <n>] [--results <path.jsonl>] [--json <path>]
@@ -20,6 +19,8 @@
 //!
 //! options:
 //!   --workers <n>        worker threads (default: autodetect)
+//!
+//! experiment and profile options:
 //!   --no-cache           disable the in-memory timing cache
 //!   --cache-dir <path>   persist timing-cache entries under <path>
 //!
@@ -38,12 +39,9 @@
 //!   --replay <dir>       replay a corpus directory instead of fuzzing
 //!
 //! bench options:
-//!   --json <path>        write the peakperf-bench-v1 telemetry document
-//!   --compare <path>     diff against a baseline document; the exit code
-//!                        fails on any gated regression (accuracy drift
-//!                        beyond 0.5 pp in either direction, any change in
-//!                        a row's simulated counters, lost rows)
-//!   --compare-out <path> write the peakperf-bench-compare-v1 diff
+//!   --json <path>        write the peakperf-bench-v1 scorecard document
+//!                        (every row simulated: bench never reads the
+//!                        timing cache)
 //!   --filter <prefix>    run only suite rows whose id starts with
 //!                        <prefix> (e.g. `table2/` or `sgemm/gtx680`)
 //!
@@ -113,8 +111,7 @@ fn usage() -> ExitCode {
          <target>...\n\
          \x20      reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]... \
          [--corpus-dir <path>] [--replay <dir>] [--json <path>]\n\
-         \x20      reproduce bench [--json <path>] [--compare <baseline.json>] \
-         [--compare-out <path>] [--filter <prefix>]\n\
+         \x20      reproduce bench [--json <path>] [--filter <prefix>]\n\
          \x20      reproduce hostprof [--json <path>] <target>...\n\
          \x20      reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>] \
          [--queue-cap <n>] [--results <path.jsonl>] [--json <path>] \
@@ -206,8 +203,6 @@ struct Options {
     fuzz_gpus: Vec<Generation>,
     corpus_dir: Option<String>,
     replay_dir: Option<String>,
-    compare: Option<String>,
-    compare_out: Option<String>,
     bench_filter: Option<String>,
     jobs_path: Option<String>,
     soak: Option<u64>,
@@ -267,8 +262,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         fuzz_gpus: Vec::new(),
         corpus_dir: None,
         replay_dir: None,
-        compare: None,
-        compare_out: None,
         bench_filter: None,
         jobs_path: None,
         soak: None,
@@ -375,14 +368,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .map_err(|_| format!("invalid snapshot interval `{v}`"))?,
                 );
             }
-            "--compare" => {
-                let v = it.next().ok_or("--compare needs a value")?;
-                opts.compare = Some(v.clone());
-            }
-            "--compare-out" => {
-                let v = it.next().ok_or("--compare-out needs a value")?;
-                opts.compare_out = Some(v.clone());
-            }
             "--filter" => {
                 let v = it.next().ok_or("--filter needs a value")?;
                 opts.bench_filter = Some(v.clone());
@@ -408,15 +393,20 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
 
     // Options that belong to some subcommands are an error in the others.
-    let owned: [(&str, bool, &[Mode]); 6] = [
+    let owned: [(&str, bool, &[Mode]); 7] = [
+        (
+            "--no-cache/--cache-dir apply only to experiments and the `profile` subcommand",
+            !opts.use_cache || opts.cache_dir.is_some(),
+            &[Mode::Experiments, Mode::Profile],
+        ),
         (
             "--json requires the fuzz, bench, hostprof or serve subcommand",
             opts.json_path.is_some(),
             &[Mode::Fuzz, Mode::Bench, Mode::Hostprof, Mode::Serve],
         ),
         (
-            "--compare/--compare-out/--filter require the `bench` subcommand",
-            opts.compare.is_some() || opts.compare_out.is_some() || opts.bench_filter.is_some(),
+            "--filter requires the `bench` subcommand",
+            opts.bench_filter.is_some(),
             &[Mode::Bench],
         ),
         (
@@ -913,9 +903,8 @@ fn write_out(what: &str, path: &str, text: &str) -> u32 {
     }
 }
 
-/// Run the `bench` subcommand: the fixed telemetry suite, optionally
-/// written as a `peakperf-bench-v1` document and/or gated against a
-/// checked-in baseline.
+/// Run the `bench` subcommand: the fixed scorecard suite, optionally
+/// written as a `peakperf-bench-v1` document.
 fn run_bench(opts: &Options) -> ExitCode {
     let report = match telemetry::run_suite_filtered(opts.bench_filter.as_deref()) {
         Ok(r) => r,
@@ -928,27 +917,6 @@ fn run_bench(opts: &Options) -> ExitCode {
     let mut failures = 0u32;
     if let Some(path) = &opts.json_path {
         failures += write_out("bench document", path, &report.to_json().pretty());
-    }
-    if let Some(baseline_path) = &opts.compare {
-        let comparison = std::fs::read_to_string(baseline_path)
-            .map_err(|e| format!("could not read baseline {baseline_path}: {e}"))
-            .and_then(|text| {
-                Json::parse(&text).map_err(|e| format!("baseline {baseline_path}: {e}"))
-            })
-            .and_then(|baseline| telemetry::compare(&report, &baseline));
-        match comparison {
-            Ok(cmp) => {
-                println!("{}", cmp.render_text());
-                if let Some(path) = &opts.compare_out {
-                    failures += write_out("comparison", path, &cmp.to_json().pretty());
-                }
-                failures += u32::try_from(cmp.failures().len()).unwrap_or(u32::MAX);
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                failures += 1;
-            }
-        }
     }
     exit_code(failures)
 }
@@ -971,7 +939,7 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let cached = matches!(opts.mode, Mode::Experiments | Mode::Profile | Mode::Bench);
+    let cached = matches!(opts.mode, Mode::Experiments | Mode::Profile);
     if cached && opts.use_cache {
         cache::enable_global(opts.cache_dir.clone().map(std::path::PathBuf::from));
     }

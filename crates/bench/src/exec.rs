@@ -11,57 +11,11 @@
 //! uneven job sizes — a 4096³ SGEMM wave next to a 128³ one — balance
 //! automatically.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
-use std::time::Instant;
 
 /// Worker count override set by `--workers`; 0 = auto.
 static DEFAULT_WORKERS: AtomicUsize = AtomicUsize::new(0);
-
-/// Jobs completed by any executor in this process.
-static JOBS_EXECUTED: AtomicU64 = AtomicU64::new(0);
-/// Total busy time (nanoseconds) spent inside jobs, summed over workers.
-static JOB_BUSY_NANOS: AtomicU64 = AtomicU64::new(0);
-
-/// A monotonic snapshot of the process-wide job counters (same
-/// snapshot/delta pattern as [`peakperf_sim::Counters`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct JobStats {
-    /// Jobs completed.
-    pub jobs: u64,
-    /// Wall time spent inside jobs, summed over workers, in nanoseconds.
-    /// Divided by the enclosing wall time this gives the effective
-    /// parallelism; divided by `jobs` the mean per-job wall time.
-    pub busy_nanos: u64,
-}
-
-impl JobStats {
-    /// Current values of the process-wide job counters.
-    pub fn snapshot() -> JobStats {
-        JobStats {
-            jobs: JOBS_EXECUTED.load(Ordering::Relaxed),
-            busy_nanos: JOB_BUSY_NANOS.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Counter growth since an earlier snapshot.
-    pub fn delta_since(&self, earlier: &JobStats) -> JobStats {
-        JobStats {
-            jobs: self.jobs - earlier.jobs,
-            busy_nanos: self.busy_nanos - earlier.busy_nanos,
-        }
-    }
-
-    /// Busy time in milliseconds.
-    pub fn busy_ms(&self) -> f64 {
-        self.busy_nanos as f64 / 1e6
-    }
-}
-
-fn record_job(elapsed: std::time::Duration) {
-    JOBS_EXECUTED.fetch_add(1, Ordering::Relaxed);
-    JOB_BUSY_NANOS.fetch_add(elapsed.as_nanos() as u64, Ordering::Relaxed);
-}
 
 /// Set the process-wide default worker count (0 restores auto-detection).
 pub fn set_default_workers(n: usize) {
@@ -166,16 +120,9 @@ impl Executor {
         E: Send,
         F: Fn(&I) -> Result<T, E> + Sync,
     {
-        let run = |item: &I| -> Result<T, E> {
-            let t0 = Instant::now();
-            let result = f(item);
-            record_job(t0.elapsed());
-            result
-        };
-
         let workers = self.workers.min(items.len());
         if workers <= 1 {
-            return items.iter().map(run).collect();
+            return items.iter().map(&f).collect();
         }
 
         let cursor = AtomicUsize::new(0);
@@ -191,7 +138,7 @@ impl Executor {
                     }
                     let i = cursor.fetch_add(1, Ordering::Relaxed);
                     let Some(item) = items.get(i) else { break };
-                    let result = run(item);
+                    let result = f(item);
                     if result.is_err() {
                         failed.store(true, Ordering::Release);
                     }

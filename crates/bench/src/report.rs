@@ -45,7 +45,6 @@ pub fn check_document(doc: &Json) -> Vec<String> {
         "peakperf-profile-v1" => profiling::check(doc, &mut errors),
         "peakperf-fuzz-v1" => fault::check(doc, &mut errors),
         telemetry::BENCH_SCHEMA => telemetry::check_bench(doc, &mut errors),
-        telemetry::COMPARE_SCHEMA => telemetry::check_compare(doc, &mut errors),
         "peakperf-hostprof-v1" => hostprof::check(doc, &mut errors),
         "peakperf-service-v1" => service::check(doc, &mut errors),
         "peakperf-servicetrace-v1" => service::journal::check(doc, &mut errors),

@@ -98,6 +98,11 @@ fn options_of_another_mode_are_rejected() {
         &["bench", "--soak", "3"],
         &["serve", "--soak", "3", "--profile-out", "x.json"],
         &["hostprof", "fermi_ffma", "--trace-out", "x.json"],
+        // Only experiments and `profile` read the timing cache.
+        &["fuzz", "--iters", "3", "--no-cache"],
+        &["hostprof", "fermi_ffma", "--cache-dir", "x"],
+        &["serve", "--soak", "3", "--cache-dir", "x"],
+        &["bench", "--filter", "table2/imul", "--no-cache"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");

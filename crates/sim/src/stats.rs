@@ -9,7 +9,7 @@ use peakperf_sass::Instruction;
 
 use crate::json::Json;
 use crate::obj;
-use crate::timing::profile::{check_stall_kinds, stall_kinds_json};
+use crate::timing::profile::stall_kinds_json;
 use crate::timing::StallKind;
 
 // ---------------------------------------------------------------------
@@ -106,24 +106,6 @@ impl Counters {
     pub fn to_json(&self) -> Json {
         obj!(self; timing_runs, sim_cycles, warp_instructions, cache_hits, cache_misses,
             stall_cycles = stall_kinds_json(&self.stall_cycles))
-    }
-
-    /// Read back an object written by [`Counters::to_json`] (called `at`
-    /// in the messages). Every missing or mistyped key, and any drift of
-    /// the `stall_cycles` keys from [`StallKind::ALL`], is reported into
-    /// `errors` and read as zero.
-    pub fn from_json(obj: &Json, at: &str, errors: &mut Vec<String>) -> Counters {
-        obj.conforms(&Counters::default().to_json(), &at, errors);
-        let stalls = &obj["stall_cycles"];
-        check_stall_kinds(stalls, &format!("{at}.stall_cycles"), errors);
-        Counters {
-            timing_runs: obj.count("timing_runs"),
-            sim_cycles: obj.count("sim_cycles"),
-            warp_instructions: obj.count("warp_instructions"),
-            cache_hits: obj.count("cache_hits"),
-            cache_misses: obj.count("cache_misses"),
-            stall_cycles: StallKind::ALL.map(|k| stalls.count(k.as_str())),
-        }
     }
 }
 
@@ -353,31 +335,6 @@ mod tests {
             addr: Reg::r(6),
             offset: 0,
         })
-    }
-
-    #[test]
-    fn counters_round_trip_through_json_and_drift_is_reported() {
-        let mut c = Counters {
-            timing_runs: 3,
-            sim_cycles: u64::MAX,
-            cache_misses: 2,
-            ..Counters::default()
-        };
-        c.stall_cycles[StallKind::Barrier.index()] = 7;
-        let mut errors = Vec::new();
-        assert_eq!(Counters::from_json(&c.to_json(), "c", &mut errors), c);
-        assert_eq!(errors, Vec::<String>::new());
-
-        let mut doc = c.to_json();
-        if let Some(Json::Obj(stalls)) = doc.get_mut("stall_cycles") {
-            stalls.remove(1);
-        }
-        *doc.get_mut("cache_hits").unwrap() = "many".into();
-        Counters::from_json(&doc, "c", &mut errors);
-        assert_eq!(errors.len(), 3, "{errors:?}");
-        assert_eq!(errors[0], "c.cache_hits: expected an integer, got a string");
-        assert_eq!(errors[1], "c.stall_cycles: missing key `pipe`");
-        assert!(errors[2].starts_with("c.stall_cycles: keys"), "{errors:?}");
     }
 
     #[test]

@@ -220,11 +220,6 @@ pub fn disable_global() {
     ENABLED.store(false, Ordering::Release);
 }
 
-/// Whether the process-wide cache is currently enabled.
-pub fn global_enabled() -> bool {
-    ENABLED.load(Ordering::Acquire)
-}
-
 /// The active process-wide cache, or `None` when disabled.
 fn active() -> Option<&'static SimCache> {
     if ENABLED.load(Ordering::Acquire) {
