@@ -102,7 +102,6 @@ fn options_of_another_mode_are_rejected() {
         &["fuzz", "--iters", "3", "--no-cache"],
         &["hostprof", "fermi_ffma", "--cache-dir", "x"],
         &["serve", "--soak", "3", "--cache-dir", "x"],
-        &["bench", "--filter", "table2/imul", "--no-cache"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");

@@ -127,14 +127,6 @@ fn bench_documents() {
         ("", Remove("filter"), "are not the suite rows under ``"),
     ];
     assert_checked(&doc, &cases);
-
-    // The retired comparison family is no longer a document this
-    // workspace knows.
-    let schema = "peakperf-bench-compare-v1";
-    assert_eq!(
-        check_document(&obj!((); schema = schema)),
-        [format!("unknown schema `{schema}`")]
-    );
 }
 
 #[test]
@@ -191,7 +183,11 @@ fn profile_and_hostprof_documents() {
     assert_checked(&doc, &cases);
 
     // The retired families are no longer documents this workspace knows.
-    for schema in ["peakperf-perf-v1", "peakperf-metrics-v1"] {
+    for schema in [
+        "peakperf-perf-v1",
+        "peakperf-metrics-v1",
+        "peakperf-bench-compare-v1",
+    ] {
         assert_eq!(
             check_document(&obj!((); schema = schema)),
             [format!("unknown schema `{schema}`")]
