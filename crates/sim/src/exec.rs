@@ -1,7 +1,7 @@
 //! Functional execution of warp instructions (shared by the functional and
 //! timing engines).
 
-use peakperf_sass::{Instruction, MemSpace, MemWidth, Op, Operand, SpecialReg};
+use peakperf_sass::{Instruction, MemSpace, MemWidth, Op, Operand, Reg, SpecialReg};
 
 use crate::warp::{StepEvent, WarpState};
 use crate::{Dim3, GlobalMemory, SimError};
@@ -49,19 +49,31 @@ pub struct MemAccess {
 }
 
 impl MemAccess {
-    fn new(space: MemSpace, width: MemWidth, store: bool) -> MemAccess {
+    /// The access of the lanes in `mask`, whose addresses `addrs` holds.
+    fn new(
+        space: MemSpace,
+        width: MemWidth,
+        store: bool,
+        mask: u32,
+        addrs: &[u32; 32],
+    ) -> MemAccess {
+        // Branch-free packing: every lane writes at the next free slot
+        // (at most its own index), and only a lane of `mask` claims it, so
+        // the unclaimed tail stays zero.
+        let mut packed = [0; 32];
+        let mut n = 0;
+        for (l, &addr) in addrs.iter().enumerate() {
+            let claimed = mask >> l & 1;
+            packed[n & 31] = addr & claimed.wrapping_neg();
+            n += claimed as usize;
+        }
         MemAccess {
             space,
             width,
             store,
-            addrs: [0; 32],
-            lanes: 0,
+            addrs: packed,
+            lanes: n,
         }
-    }
-
-    fn push(&mut self, addr: u32) {
-        self.addrs[self.lanes] = addr;
-        self.lanes += 1;
     }
 
     /// Per-lane base byte addresses (active lanes only).
@@ -198,33 +210,62 @@ fn lanes(mask: u32) -> impl Iterator<Item = usize> {
     (0..32).filter(move |l| mask >> l & 1 != 0)
 }
 
-fn check_aligned(space: &'static str, addr: u32, width: MemWidth) -> Result<(), SimError> {
-    if !addr.is_multiple_of(width.bytes()) {
-        return Err(SimError::Misaligned {
-            space,
-            addr: u64::from(addr),
-            align: width.bytes(),
-        });
+/// The fault of a lane's `bytes`-wide access at `base` that does not fit
+/// a space of `size` bytes, with how many of the lane's leading words move
+/// before it. A window (shared, local) is checked for the whole width at
+/// once, global memory word by word; global address 0 is unmapped.
+fn lane_fault(space: MemSpace, base: u32, bytes: u32, size: u64) -> (u32, SimError) {
+    let global = space == MemSpace::Global;
+    let space = match space {
+        MemSpace::Global => "global",
+        MemSpace::Shared => "shared",
+        MemSpace::Local => "local",
+    };
+    let addr = u64::from(base);
+    if base & (bytes - 1) != 0 {
+        let align = bytes;
+        return (0, SimError::Misaligned { space, addr, align });
     }
-    Ok(())
+    let words = if global && base != 0 {
+        size.saturating_sub(addr) / 4
+    } else {
+        0
+    };
+    let addr = addr + 4 * words;
+    (words as u32, SimError::OutOfBounds { space, addr, size })
 }
 
-/// Check an access to a shared- or local-memory window of `size` bytes.
-fn window_access(
-    space: &'static str,
-    size: usize,
-    addr: u32,
-    width: MemWidth,
-) -> Result<usize, SimError> {
-    check_aligned(space, addr, width)?;
-    if u64::from(addr) + u64::from(width.bytes()) > size as u64 {
-        return Err(SimError::OutOfBounds {
-            space,
-            addr: u64::from(addr),
-            size: size as u64,
-        });
+/// Move the first `words` words of every lane in `mask` between `window`,
+/// where lane `l`'s access starts at byte `at[l]`, and the data registers
+/// from `data` on, one register row per word.
+fn move_rows(
+    warp: &mut WarpState,
+    window: &mut [u8],
+    at: &[usize; 32],
+    data: Reg,
+    store: bool,
+    mask: u32,
+    words: u32,
+) {
+    for w in 0..words {
+        // `offset_checked` keeps this total on unvalidated kernels: a slot
+        // at/past RZ stores zero (`ST [addr], RZ` is the store-zero idiom)
+        // and discards a loaded word.
+        let r = data.offset_checked(w as u8);
+        let byte = |l: usize| at[l] + 4 * w as usize;
+        if store {
+            let row = r.map_or(&[0; 32], |r| warp.row(r));
+            for l in lanes(mask) {
+                window[byte(l)..byte(l) + 4].copy_from_slice(&row[l].to_le_bytes());
+            }
+        } else if let Some(r) = r {
+            let mut row = [0; 32];
+            for l in lanes(mask) {
+                row[l] = read_word(window, byte(l));
+            }
+            warp.set_row(r, mask, &row);
+        }
     }
-    Ok(addr as usize)
 }
 
 /// Read a little-endian word out of a byte buffer without the panicking
@@ -338,56 +379,43 @@ pub fn execute_op(
             offset,
         } => {
             let store = matches!(inst.op, Op::St { .. });
-            let mut access = MemAccess::new(space, width, store);
-            // Copied: a load may overwrite its own address register.
+            let (bytes, global) = (width.bytes(), space == MemSpace::Global);
+            // Local memory is `local_bytes` per thread, indexed by thread.
+            let (window, local): (&mut [u8], _) = match space {
+                MemSpace::Global => (mem.global.bytes_mut(), None),
+                MemSpace::Shared => (mem.shared, None),
+                MemSpace::Local => (mem.local, Some(mem.local_bytes as usize)),
+            };
+            let (size, stride) = local.map_or((window.len(), 0), |n| (n, n));
+            // Every lane's address, its first byte in `window` and whether
+            // it faults, branch-free over all 32 lanes before any data
+            // moves. Copied: a load may overwrite its own address register.
             let bases = *warp.row(addr);
-            for l in lanes(exec_mask) {
-                let base = bases[l].wrapping_add(offset as u32);
-                access.push(base);
-                // The lane's window and its first word there, checked once
-                // for the whole width; global words are bounds-checked one
-                // by one as they are accessed.
-                let (window, at): (&mut [u8], usize) = match space {
-                    MemSpace::Global => {
-                        check_aligned("global", base, width)?;
-                        (&mut [], 0)
-                    }
-                    MemSpace::Shared => {
-                        let at = window_access("shared", mem.shared.len(), base, width)?;
-                        (&mut *mem.shared, at)
-                    }
-                    MemSpace::Local => {
-                        let size = mem.local_bytes as usize;
-                        let at = window_access("local", size, base, width)?;
-                        let t = lane_linear_tid(warp.warp_id, l) as usize;
-                        (&mut *mem.local, t * size + at)
-                    }
-                };
-                for w in 0..width.words() {
-                    // `offset_checked` keeps this total on unvalidated
-                    // kernels: a slot at/past RZ stores zero (`ST [addr],
-                    // RZ` is the store-zero idiom) and discards a loaded
-                    // word (the memory access itself still happens).
-                    let r = data.offset_checked(w as u8);
-                    let i = at + 4 * w as usize;
-                    if store {
-                        let value = r.map_or(0, |r| warp.reg(l, r));
-                        match space {
-                            MemSpace::Global => mem.global.write_u32(base + 4 * w, value)?,
-                            _ => window[i..i + 4].copy_from_slice(&value.to_le_bytes()),
-                        }
-                    } else {
-                        let value = match space {
-                            MemSpace::Global => mem.global.read_u32(base + 4 * w)?,
-                            _ => read_word(window, i),
-                        };
-                        if let Some(r) = r {
-                            warp.set_reg(l, r, value);
-                        }
-                    }
-                }
+            let addrs = map_lanes(|l| bases[l].wrapping_add(offset as u32));
+            let at = std::array::from_fn(|l| {
+                lane_linear_tid(warp.warp_id, l) as usize * stride + addrs[l] as usize
+            });
+            let fits = |a: u32| {
+                (a & (bytes - 1) == 0)
+                    & (u64::from(a) + u64::from(bytes) <= size as u64)
+                    & (a != 0 || !global)
+            };
+            let fit = (0..32).fold(0, |m, l| m | u32::from(fits(addrs[l])) << l);
+            let faulting = exec_mask & !fit;
+            if faulting == 0 {
+                move_rows(warp, window, &at, data, store, exec_mask, width.words());
+                let access = MemAccess::new(space, width, store, exec_mask, &addrs);
+                return Ok(ExecOutcome { mem: Some(access) });
             }
-            return Ok(ExecOutcome { mem: Some(access) });
+            // What moving lane by lane leaves behind: every word of the
+            // lanes below the first faulting one, and its words before the
+            // fault.
+            let lane = faulting.trailing_zeros() as usize;
+            let (words, error) = lane_fault(space, addrs[lane], bytes, size as u64);
+            let below = exec_mask & ((1 << lane) - 1);
+            move_rows(warp, window, &at, data, store, below, width.words());
+            move_rows(warp, window, &at, data, store, 1 << lane, words);
+            return Err(error);
         }
     };
     warp.set_row(dst, exec_mask, &out);
@@ -677,6 +705,71 @@ mod tests {
             offset: 0,
         });
         assert!(execute_op(&ld, &mut warp, 1, &mut mem, &block).is_err());
+    }
+
+    #[test]
+    fn a_wide_global_fault_keeps_the_words_before_it() {
+        // Memory ends mid-access: lane 2's first word is the last one in
+        // bounds, its second is past the end. Lane 3 is in bounds but comes
+        // after the fault.
+        let bases = [112, 120, 128, 104];
+        let fault = SimError::OutOfBounds {
+            space: "global",
+            addr: 132,
+            size: 132,
+        };
+        let run = |op, global: &mut GlobalMemory, warp: &mut WarpState| {
+            let mut mem = empty_mem(global);
+            execute_op(&Instruction::new(op), warp, 0b1111, &mut mem, &ctx_1d(4))
+        };
+        let (space, width, addr, offset) = (MemSpace::Global, MemWidth::B64, Reg::r(1), 0);
+
+        let mut global = GlobalMemory::with_size(132);
+        for a in (4..132).step_by(4) {
+            global.write_u32(a, 10 * a).unwrap();
+        }
+        let mut warp = WarpState::new(0, 4);
+        for (l, &base) in bases.iter().enumerate() {
+            warp.set_reg(l, addr, base);
+            warp.set_reg(l, Reg::r(4), 7);
+            warp.set_reg(l, Reg::r(5), 7);
+        }
+        let dst = Reg::r(4);
+        let ld = Op::Ld {
+            space,
+            width,
+            dst,
+            addr,
+            offset,
+        };
+        assert_eq!(run(ld, &mut global, &mut warp).unwrap_err(), fault);
+        let loaded = |l| [warp.reg(l, Reg::r(4)), warp.reg(l, Reg::r(5))];
+        assert_eq!(loaded(0), [1120, 1160]);
+        assert_eq!(loaded(1), [1200, 1240]);
+        assert_eq!(loaded(2), [1280, 7]);
+        assert_eq!(loaded(3), [7, 7]);
+
+        let mut global = GlobalMemory::with_size(132);
+        let mut warp = WarpState::new(0, 4);
+        for (l, &base) in bases.iter().enumerate() {
+            warp.set_reg(l, addr, base);
+            warp.set_reg(l, Reg::r(4), 100 + l as u32);
+            warp.set_reg(l, Reg::r(5), 200 + l as u32);
+        }
+        let src = Reg::r(4);
+        let st = Op::St {
+            space,
+            width,
+            src,
+            addr,
+            offset,
+        };
+        assert_eq!(run(st, &mut global, &mut warp).unwrap_err(), fault);
+        let stored = |a| global.read_u32(a).unwrap();
+        assert_eq!([stored(112), stored(116)], [100, 200]);
+        assert_eq!([stored(120), stored(124)], [101, 201]);
+        assert_eq!(stored(128), 102);
+        assert_eq!([stored(104), stored(108)], [0, 0]);
     }
 
     #[test]

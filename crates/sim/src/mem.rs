@@ -69,6 +69,22 @@ impl GlobalMemory {
         Ok(base)
     }
 
+    /// The backing bytes, indexed by address; their length is
+    /// [`GlobalMemory::size`].
+    pub(crate) fn bytes_mut(&mut self) -> &mut [u8] {
+        &mut self.data
+    }
+
+    /// A memory backed by exactly `bytes` bytes, which allocation never
+    /// produces unless `bytes` is a multiple of its 128-byte granularity.
+    #[cfg(test)]
+    pub(crate) fn with_size(bytes: usize) -> GlobalMemory {
+        GlobalMemory {
+            data: vec![0; bytes],
+            next: ALLOC_ALIGN,
+        }
+    }
+
     fn check(&self, addr: u32, len: u32) -> Result<usize, SimError> {
         let end = u64::from(addr) + u64::from(len);
         if addr == 0 || end > self.data.len() as u64 {

@@ -605,6 +605,15 @@ mod tests {
     }
 
     #[test]
+    fn cache_key_is_the_run_key_of_the_same_inputs() {
+        let gpu = GpuConfig::gtx580();
+        let kernel = sample_kernel();
+        let config = LaunchConfig::linear(4, 64);
+        let sim = TimingSim::new(&gpu, &kernel, config, &[], 2).unwrap();
+        assert_eq!(sim.cache_key(), run_key(&gpu, &kernel, config, &[], 2));
+    }
+
+    #[test]
     fn memory_tier_hits() {
         let cache = SimCache::new(None);
         let report = sample_report();

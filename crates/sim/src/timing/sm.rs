@@ -125,7 +125,6 @@ impl TimingReport {
 struct WarpSlot {
     state: WarpState,
     block: usize,
-    next_issue: u64,
     /// Ready cycle per architectural register.
     sb_reg: [u64; 64],
     /// Ready cycle per predicate.
@@ -133,6 +132,14 @@ struct WarpSlot {
     /// Kepler: the producer of this register did not carry a covering
     /// control-notation stall (replay hazard).
     hazard: u64, // bitmask over 64 registers
+}
+
+/// Everything the scheduler scan reads to classify a warp, kept apart
+/// from the ~750-byte [`WarpSlot`] so that a pass over blocked warps reads
+/// one small contiguous array.
+#[derive(Default)]
+struct IssueState {
+    next_issue: u64,
     at_barrier: bool,
     done: bool,
     gate: Gate,
@@ -144,7 +151,7 @@ struct WarpSlot {
 /// warp's own issue, its hazard replay (which clears the flags behind
 /// `hazard_until`) and its barrier release. Pipes and tokens are shared
 /// with warps that issue earlier in the same cycle and stay uncached.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 struct Gate {
     /// Min-PC of the warp's running lanes.
     pc: u32,
@@ -153,6 +160,10 @@ struct Gate {
     sb_ready: u64,
     /// Same, over the touched registers flagged as Kepler replay hazards.
     hazard_until: u64,
+    /// The instruction's [`InstMeta`] pipe bits and token cost.
+    is_mem: bool,
+    is_math: bool,
+    token_cost: f64,
 }
 
 struct BlockRes {
@@ -183,9 +194,11 @@ impl MemIf {
     }
 }
 
-/// The mutable state of one run, threaded through `try_issue`.
+/// The mutable state of one run, threaded through `classify` and `issue`.
 struct RunState {
     slots: Vec<WarpSlot>,
+    /// Per warp, beside `slots`.
+    issue: Vec<IssueState>,
     blocks: Vec<BlockRes>,
     memif: MemIf,
     ldst_free: f64,
@@ -248,9 +261,8 @@ pub struct TimingSim {
     resident_blocks: u32,
     /// Pre-extracted per-instruction metadata.
     meta: Vec<InstMeta>,
-    /// Hash of every input the run result depends on (see
-    /// [`TimingSim::cache_key`]).
-    cache_key: u128,
+    /// Kept for [`TimingSim::cache_key`].
+    gpu: GpuConfig,
 }
 
 /// Everything the issue path needs about one instruction that does not
@@ -342,7 +354,6 @@ impl TimingSim {
                 }
             })
             .collect();
-        let cache_key = crate::timing::cache::run_key(gpu, kernel, config, params, resident_blocks);
         Ok(TimingSim {
             calib,
             kernel: kernel.clone(),
@@ -350,7 +361,7 @@ impl TimingSim {
             params: params.to_vec(),
             resident_blocks,
             meta,
-            cache_key,
+            gpu: gpu.clone(),
         })
     }
 
@@ -407,15 +418,17 @@ impl TimingSim {
                 WarpSlot {
                     state: WarpState::new(w_in_block, lanes),
                     block: i / warps_per_block as usize,
-                    next_issue: 0,
                     sb_reg: [0; 64],
                     sb_pred: [0; 8],
                     hazard: 0,
-                    at_barrier: false,
-                    done: false,
-                    // Every lane starts at PC 0 with a clear scoreboard.
-                    gate: Gate::default(),
                 }
+            })
+            .collect();
+        let issue = slots
+            .iter()
+            .map(|slot| IssueState {
+                gate: self.gate(slot),
+                ..IssueState::default()
             })
             .collect();
 
@@ -430,6 +443,7 @@ impl TimingSim {
         let token_cap = self.calib.tokens_per_cycle.unwrap_or(0) as f64 * 2.0;
         let mut st = RunState {
             slots,
+            issue,
             blocks,
             memif: MemIf {
                 bytes_per_cycle: self.calib.mem_bytes_per_cycle_sm,
@@ -463,13 +477,13 @@ impl TimingSim {
             if cycle > cycle_limit {
                 return Err(SimError::StepLimit {
                     limit: cycle_limit,
-                    snapshot: Some(timing_hang_snapshot(cycle, &st.slots)),
+                    snapshot: Some(timing_hang_snapshot(cycle, &st)),
                 });
             }
             if cycle.is_multiple_of(CHECK_INTERVAL_CYCLES) {
                 if let Some(token) = cancel {
                     if let Some(cause) = token.fire_state(cycle) {
-                        let snapshot = Some(timing_hang_snapshot(cycle, &st.slots));
+                        let snapshot = Some(timing_hang_snapshot(cycle, &st));
                         return Err(match cause {
                             CancelCause::Cancelled => SimError::Cancelled {
                                 at_cycle: cycle,
@@ -507,26 +521,27 @@ impl TimingSim {
                 let (before, from_start) = owned.split_at(start);
                 for (k, &w) in from_start.iter().chain(before).enumerate() {
                     let at = (cycle, sched, w);
-                    match self.try_issue(w, cycle, &mut st, memory, obs)? {
-                        IssueResult::Issued { pc, lanes } => {
-                            trace_issue(obs, at, pc, lanes, false, st.slots[w].done);
-                            rr[sched] = (start + k) % owned.len() + 1;
-                            // Dual dispatch: try one more instruction from
-                            // the same warp (Kepler's second dispatch unit).
-                            if self.calib.dispatch_per_scheduler > 1 {
-                                if let IssueResult::Issued { pc, lanes } =
-                                    self.try_issue(w, cycle, &mut st, memory, obs)?
-                                {
-                                    trace_issue(obs, at, pc, lanes, true, st.slots[w].done);
-                                }
-                            }
-                            break;
-                        }
-                        IssueResult::Blocked { kind, pc } => {
+                    match self.classify(w, cycle, &mut st) {
+                        Visit::Done => {}
+                        Visit::Blocked(kind, pc) => {
                             st.stalls[kind.index()] += 1;
                             emit(obs, at, pc, TraceEventKind::Stall(kind));
                         }
-                        IssueResult::NotReady => {}
+                        Visit::Ready => {
+                            let (pc, lanes) = self.issue(w, cycle, &mut st, memory, obs)?;
+                            trace_issue(obs, at, pc, lanes, false, st.issue[w].done);
+                            rr[sched] = (start + k) % owned.len() + 1;
+                            // Dual dispatch: try one more instruction from
+                            // the same warp (Kepler's second dispatch unit);
+                            // a block here is not a stall of this cycle.
+                            if self.calib.dispatch_per_scheduler > 1
+                                && matches!(self.classify(w, cycle, &mut st), Visit::Ready)
+                            {
+                                let (pc, lanes) = self.issue(w, cycle, &mut st, memory, obs)?;
+                                trace_issue(obs, at, pc, lanes, true, st.issue[w].done);
+                            }
+                            break;
+                        }
                     }
                 }
             }
@@ -546,7 +561,7 @@ impl TimingSim {
                 if block.running as usize != wpb {
                     let pc = members
                         .clone()
-                        .find(|&w| !st.slots[w].done)
+                        .find(|&w| !st.issue[w].done)
                         .and_then(|w| st.slots[w].state.current_group())
                         .map(|(pc, _)| pc)
                         .unwrap_or(0);
@@ -559,14 +574,15 @@ impl TimingSim {
                 block.arrived = 0;
                 for w in members {
                     let slot = &mut st.slots[w];
-                    slot.at_barrier = false;
                     let mut bar_pc = NO_PC;
                     if let Some((pc, _)) = slot.state.current_group() {
                         release_barrier(&mut slot.state, pc);
                         bar_pc = pc;
                     }
-                    slot.gate = self.gate(slot);
-                    slot.next_issue = cycle + u64::from(self.calib.barrier_latency);
+                    let rec = &mut st.issue[w];
+                    rec.at_barrier = false;
+                    rec.gate = self.gate(slot);
+                    rec.next_issue = cycle + u64::from(self.calib.barrier_latency);
                     if O::EVENTS {
                         // Event delivery is its own phase, not barrier time.
                         barrier_sw.stop(obs, Phase::BarrierRelease);
@@ -605,79 +621,75 @@ impl TimingSim {
     /// launch configuration, the parameter values, and the resident-block
     /// count — everything [`TimingSim::run`]'s result depends on.
     pub fn cache_key(&self) -> u128 {
-        self.cache_key
+        let (kernel, params) = (&self.kernel, &self.params);
+        crate::timing::cache::run_key(&self.gpu, kernel, self.config, params, self.resident_blocks)
     }
 
-    fn try_issue<O: Observer>(
+    /// Whether warp `w` can issue at `cycle`, from its [`IssueState`]
+    /// alone, checked in the hardware's order. A hazard replay is charged
+    /// to the warp here.
+    #[inline]
+    fn classify(&self, w: usize, cycle: u64, st: &mut RunState) -> Visit {
+        let rec = &mut st.issue[w];
+        if rec.done {
+            return Visit::Done;
+        }
+        if rec.at_barrier {
+            return Visit::Blocked(StallKind::Barrier, NO_PC);
+        }
+        if rec.next_issue > cycle {
+            return Visit::Blocked(StallKind::CtlStall, NO_PC);
+        }
+        debug_assert_eq!(
+            (rec.done, rec.gate),
+            (st.slots[w].state.done(), self.gate(&st.slots[w])),
+            "stale issue state, warp {w}"
+        );
+        let gate = &mut rec.gate;
+
+        // Scoreboard.
+        if gate.sb_ready > cycle {
+            if gate.hazard_until > cycle && self.calib.hazard_penalty > 0 {
+                // Kepler replay: the scheduler trusted the (insufficient)
+                // control notation and must replay the instruction.
+                rec.next_issue = gate.sb_ready + u64::from(self.calib.hazard_penalty);
+                // Clear hazard flags we just paid for.
+                st.slots[w].hazard &= !self.meta[gate.pc as usize].touched;
+                gate.hazard_until = 0;
+                st.report.hazard_replays += 1;
+                return Visit::Blocked(StallKind::HazardReplay, gate.pc);
+            }
+            return Visit::Blocked(StallKind::Scoreboard, gate.pc);
+        }
+
+        // Structural pipes.
+        if (gate.is_mem && st.ldst_free >= (cycle + 1) as f64)
+            || (gate.is_math && st.sp_free >= (cycle + 1) as f64)
+        {
+            return Visit::Blocked(StallKind::Pipe, gate.pc);
+        }
+
+        // Kepler issue tokens.
+        if st.tokens < gate.token_cost {
+            return Visit::Blocked(StallKind::IssueTokens, gate.pc);
+        }
+        Visit::Ready
+    }
+
+    /// Issue warp `w`, which [`TimingSim::classify`] found ready at
+    /// `cycle`: execute its next instruction and charge its costs.
+    /// Returns the instruction's PC and executed lane count.
+    fn issue<O: Observer>(
         &self,
         w: usize,
         cycle: u64,
         st: &mut RunState,
         memory: &mut GlobalMemory,
         obs: &mut O,
-    ) -> Result<IssueResult, SimError> {
-        let slot = &mut st.slots[w];
-        if slot.done {
-            return Ok(IssueResult::NotReady);
-        }
-        if slot.at_barrier {
-            return Ok(IssueResult::Blocked {
-                kind: StallKind::Barrier,
-                pc: NO_PC,
-            });
-        }
-        if slot.next_issue > cycle {
-            return Ok(IssueResult::Blocked {
-                kind: StallKind::CtlStall,
-                pc: NO_PC,
-            });
-        }
-        debug_assert_eq!(slot.gate, self.gate(slot), "stale issue gate, warp {w}");
-        let Gate {
-            pc,
-            sb_ready,
-            hazard_until,
-        } = slot.gate;
+    ) -> Result<(u32, u32), SimError> {
+        let (slot, rec) = (&mut st.slots[w], &mut st.issue[w]);
+        let pc = rec.gate.pc;
         let meta = self.meta.get(pc as usize).ok_or(SimError::RanOffEnd)?;
-
-        // Scoreboard.
-        if sb_ready > cycle {
-            if hazard_until > cycle && self.calib.hazard_penalty > 0 {
-                // Kepler replay: the scheduler trusted the (insufficient)
-                // control notation and must replay the instruction.
-                slot.next_issue = sb_ready + u64::from(self.calib.hazard_penalty);
-                // Clear hazard flags we just paid for.
-                slot.hazard &= !meta.touched;
-                slot.gate.hazard_until = 0;
-                st.report.hazard_replays += 1;
-                return Ok(IssueResult::Blocked {
-                    kind: StallKind::HazardReplay,
-                    pc,
-                });
-            }
-            return Ok(IssueResult::Blocked {
-                kind: StallKind::Scoreboard,
-                pc,
-            });
-        }
-
-        // Structural pipes.
-        if (meta.is_mem && st.ldst_free >= (cycle + 1) as f64)
-            || (meta.is_math && st.sp_free >= (cycle + 1) as f64)
-        {
-            return Ok(IssueResult::Blocked {
-                kind: StallKind::Pipe,
-                pc,
-            });
-        }
-
-        // Kepler issue tokens.
-        if st.tokens < meta.token_cost {
-            return Ok(IssueResult::Blocked {
-                kind: StallKind::IssueTokens,
-                pc,
-            });
-        }
 
         // Execute functionally.
         let block = &mut st.blocks[slot.block];
@@ -698,17 +710,17 @@ impl TimingSim {
         st.issued[pc as usize] += 1;
         let lanes = match result.event {
             StepEvent::AtBarrier { .. } => {
-                slot.at_barrier = true;
+                rec.at_barrier = true;
                 block.arrived += 1;
                 let lanes = slot.state.running_mask().count_ones();
                 st.report.thread_instructions += u64::from(lanes);
-                return Ok(IssueResult::Issued { pc, lanes });
+                return Ok((pc, lanes));
             }
             StepEvent::Exited => {
-                slot.done = true;
+                rec.done = true;
                 block.running -= 1;
                 st.live -= 1;
-                return Ok(IssueResult::Issued { pc, lanes: 0 });
+                return Ok((pc, 0));
             }
             StepEvent::Executed { exec_mask, .. } => exec_mask.count_ones(),
         };
@@ -723,7 +735,7 @@ impl TimingSim {
         // and the 33/8-token ceiling of 132 is unreachable.
         let ctl_stall = u64::from(meta.ctl.stall);
         let kepler_ctl = self.calib.generation.uses_control_notation();
-        slot.next_issue = if kepler_ctl && meta.ctl.dual {
+        rec.next_issue = if kepler_ctl && meta.ctl.dual {
             cycle
         } else {
             cycle + 1 + if kepler_ctl { ctl_stall } else { 0 }
@@ -799,10 +811,10 @@ impl TimingSim {
         if let Some(p) = meta.def_pred {
             slot.sb_pred[p.index() as usize] = result_ready;
         }
-        slot.gate = self.gate(slot);
+        rec.gate = self.gate(slot);
         sbu_sw.stop(obs, Phase::Scoreboard);
 
-        Ok(IssueResult::Issued { pc, lanes })
+        Ok((pc, lanes))
     }
 
     /// A warp's issue gate, from scratch.
@@ -814,9 +826,13 @@ impl TimingSim {
             pc,
             ..Gate::default()
         };
+        // Past the end the gate blocks nothing: the warp reaches `issue`,
+        // which reports `RanOffEnd`.
         let Some(meta) = self.meta.get(pc as usize) else {
             return gate;
         };
+        (gate.is_mem, gate.is_math) = (meta.is_mem, meta.is_math);
+        gate.token_cost = meta.token_cost;
         for idx in bits(meta.touched) {
             gate.sb_ready = gate.sb_ready.max(slot.sb_reg[idx]);
             if slot.hazard & (1 << idx) != 0 {
@@ -841,25 +857,28 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     })
 }
 
-enum IssueResult {
-    Issued { pc: u32, lanes: u32 },
-    Blocked { kind: StallKind, pc: u32 },
-    NotReady,
+/// What the scheduler scan finds for one warp.
+enum Visit {
+    Done,
+    Blocked(StallKind, u32),
+    Ready,
 }
 
 /// Capture the scheduling state of every warp slot for cycle-limit
 /// diagnostics.
-fn timing_hang_snapshot(cycle: u64, slots: &[WarpSlot]) -> HangSnapshot {
-    let warps = slots
+fn timing_hang_snapshot(cycle: u64, st: &RunState) -> HangSnapshot {
+    let warps = st
+        .slots
         .iter()
+        .zip(&st.issue)
         .enumerate()
-        .map(|(w, slot)| {
+        .map(|(w, (slot, rec))| {
             let pc = slot.state.current_group().map(|(pc, _)| pc);
-            let (pc, state) = if slot.done {
+            let (pc, state) = if rec.done {
                 (None, "done")
-            } else if slot.at_barrier {
+            } else if rec.at_barrier {
                 (pc, "barrier")
-            } else if slot.next_issue > cycle {
+            } else if rec.next_issue > cycle {
                 (pc, "ctl_stall")
             } else {
                 (pc, "runnable")

@@ -53,30 +53,49 @@ fn traced_run(
 // Stall attribution accounting
 // ---------------------------------------------------------------------
 
+/// A Kepler chain of dependent FFMAs without control notation (every
+/// stall field 0): each one replays on the hazard its producer left.
+fn unannotated_kepler_kernel() -> Kernel {
+    let mut b = KernelBuilder::new("unannotated", Generation::Kepler);
+    b.mov_f32(Reg::r(1), 1.5);
+    b.mov_f32(Reg::r(4), 2.5);
+    for _ in 0..8 {
+        b.ffma(Reg::r(8), Reg::r(1), Operand::reg(4), Reg::r(8));
+    }
+    b.exit();
+    b.finish().unwrap()
+}
+
 #[test]
 fn trace_stalls_account_for_every_reported_stall() {
     let gpu = GpuConfig::gtx680();
     let pattern = &table2_patterns()[7]; // FFMA R0,R1,R4,R5
-    let kernel = build_math_kernel(gpu.generation, pattern, 16, 8).unwrap();
-    let (report, buffer, profile) = traced_run(&gpu, &kernel, LaunchConfig::linear(4, 256), 4);
+    let table2 = build_math_kernel(gpu.generation, pattern, 16, 8).unwrap();
+    for kernel in [table2, unannotated_kepler_kernel()] {
+        let (report, buffer, profile) = traced_run(&gpu, &kernel, LaunchConfig::linear(4, 256), 4);
 
-    let reported: u64 = report.stalls.values().sum();
-    assert_eq!(profile.stalled_cycles(), reported);
-    for kind in StallKind::ALL {
-        let traced = profile.stall_totals[kind.index()];
-        let counted = report.stalls.get(&kind).copied().unwrap_or(0);
-        assert_eq!(traced, counted, "stall kind {}", kind.as_str());
-    }
-    // The trace-event view agrees with the aggregated view.
-    let mut from_events = [0u64; StallKind::COUNT];
-    for e in buffer.events() {
-        if let peakperf::sim::timing::TraceEventKind::Stall(k) = e.kind {
-            from_events[k.index()] += 1;
+        let reported: u64 = report.stalls.values().sum();
+        assert_eq!(profile.stalled_cycles(), reported);
+        for kind in StallKind::ALL {
+            let traced = profile.stall_totals[kind.index()];
+            let counted = report.stalls.get(&kind).copied().unwrap_or(0);
+            assert_eq!(traced, counted, "stall kind {}", kind.as_str());
+        }
+        // The trace-event view agrees with the aggregated view.
+        let mut from_events = [0u64; StallKind::COUNT];
+        for e in buffer.events() {
+            if let peakperf::sim::timing::TraceEventKind::Stall(k) = e.kind {
+                from_events[k.index()] += 1;
+            }
+        }
+        assert_eq!(from_events, profile.stall_totals);
+        // Every issued warp instruction appears in the trace.
+        assert_eq!(profile.issues, report.warp_instructions);
+        if kernel.name == "unannotated" {
+            let replays = profile.stall_totals[StallKind::HazardReplay.index()];
+            assert!(report.hazard_replays > 0 && replays > 0, "no hazard replay");
         }
     }
-    assert_eq!(from_events, profile.stall_totals);
-    // Every issued warp instruction appears in the trace.
-    assert_eq!(profile.issues, report.warp_instructions);
 }
 
 #[test]
