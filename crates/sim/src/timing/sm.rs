@@ -621,8 +621,13 @@ impl TimingSim {
     /// launch configuration, the parameter values, and the resident-block
     /// count — everything [`TimingSim::run`]'s result depends on.
     pub fn cache_key(&self) -> u128 {
-        let (kernel, params) = (&self.kernel, &self.params);
-        crate::timing::cache::run_key(&self.gpu, kernel, self.config, params, self.resident_blocks)
+        crate::timing::cache::run_key(
+            &self.gpu,
+            &self.kernel,
+            self.config,
+            &self.params,
+            self.resident_blocks,
+        )
     }
 
     /// Whether warp `w` can issue at `cycle`, from its [`IssueState`]
