@@ -1,6 +1,6 @@
 //! Concrete GPU configurations (the cards used in the paper).
 
-use crate::{Generation, OccupancyLimits, ThroughputTable, WARP_SIZE};
+use crate::{Generation, OccupancyLimits};
 
 /// A concrete GPU configuration: one row of Table 1, plus the derived
 /// quantities the upper-bound analysis and the simulator need.
@@ -151,8 +151,8 @@ impl GpuConfig {
     /// (Table 1). GT200's single scheduler issues one warp instruction per
     /// core cycle = 16 thread instructions per shader cycle; Fermi's two
     /// schedulers sustain 32; Kepler's claimed figure is 128 (marked `?` in
-    /// the paper — the measured effective limit is lower, see
-    /// [`ThroughputTable::kepler_issue_limit`]).
+    /// the paper — the measured effective limit, Table 2's 132, is what the
+    /// upper-bound model uses).
     pub fn issue_throughput_per_cycle(&self) -> u32 {
         match self.generation {
             Generation::Gt200 => 16,
@@ -172,20 +172,9 @@ impl GpuConfig {
         self.mem_bytes_per_cycle() / f64::from(self.num_sms)
     }
 
-    /// Maximum resident warps per SM (thread limit / warp size).
-    pub fn max_warps_per_sm(&self) -> u32 {
-        self.max_threads_per_sm / WARP_SIZE
-    }
-
     /// The occupancy calculator for this configuration.
     pub fn occupancy(&self) -> OccupancyLimits {
         OccupancyLimits::new(self)
-    }
-
-    /// The measured instruction-throughput table for this generation
-    /// (the calibration database of Section 3.3 / Figure 2).
-    pub fn throughput(&self) -> ThroughputTable {
-        ThroughputTable::for_generation(self.generation)
     }
 }
 

@@ -22,16 +22,6 @@ impl Generation {
     /// All generations, in chronological order.
     pub const ALL: [Generation; 3] = [Generation::Gt200, Generation::Fermi, Generation::Kepler];
 
-    /// The CUDA "compute capability" style tag used by the assembler
-    /// (`sm_13`, `sm_20`, `sm_30`).
-    pub fn sm_tag(self) -> &'static str {
-        match self {
-            Generation::Gt200 => "sm_13",
-            Generation::Fermi => "sm_20",
-            Generation::Kepler => "sm_30",
-        }
-    }
-
     /// Hard limit on registers per thread imposed by the instruction
     /// encoding (Section 2: 6 bits per register operand on Fermi/GK104,
     /// 7 bits on GT200).
@@ -55,12 +45,6 @@ impl Generation {
             Generation::Gt200 => 16 * 1024,
             Generation::Fermi | Generation::Kepler => 48 * 1024,
         }
-    }
-
-    /// Whether the register file is split into 4 banks with FFMA operand
-    /// conflicts (Kepler only, Section 3.3).
-    pub fn has_register_banks(self) -> bool {
-        matches!(self, Generation::Kepler)
     }
 }
 
@@ -112,11 +96,9 @@ mod tests {
     }
 
     #[test]
-    fn only_kepler_has_control_notation_and_banks() {
+    fn only_kepler_has_control_notation() {
         assert!(!Generation::Fermi.uses_control_notation());
         assert!(Generation::Kepler.uses_control_notation());
-        assert!(!Generation::Fermi.has_register_banks());
-        assert!(Generation::Kepler.has_register_banks());
     }
 
     #[test]
@@ -127,11 +109,5 @@ mod tests {
         }
         assert_eq!("gtx680".parse::<Generation>().unwrap(), Generation::Kepler);
         assert!("voodoo2".parse::<Generation>().is_err());
-    }
-
-    #[test]
-    fn sm_tags() {
-        assert_eq!(Generation::Fermi.sm_tag(), "sm_20");
-        assert_eq!(Generation::Kepler.sm_tag(), "sm_30");
     }
 }

@@ -21,16 +21,16 @@
 mod banks;
 mod config;
 mod generation;
+mod lds;
 mod limits;
 mod table1;
-mod throughput;
 
 pub use banks::{register_bank, RegisterBank};
 pub use config::GpuConfig;
 pub use generation::Generation;
+pub use lds::LdsWidth;
 pub use limits::{BlockShape, OccupancyLimits, OccupancyResult};
 pub use table1::{render_table1, Table1Row};
-pub use throughput::{LdsWidth, ThroughputTable};
 
 /// Number of threads in a warp on every generation this crate models.
 pub const WARP_SIZE: u32 = 32;

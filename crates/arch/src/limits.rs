@@ -105,18 +105,6 @@ impl OccupancyLimits {
         }
     }
 
-    /// Maximum active threads per SM for a kernel using `regs_per_thread`
-    /// registers, ignoring shared memory (Equation 1:
-    /// `T_SM * R_T <= R_SM`).
-    pub fn threads_by_registers(&self, regs_per_thread: u32) -> u32 {
-        if regs_per_thread == 0 {
-            return self.max_threads_per_sm;
-        }
-        // Allocation granularity is a warp: round down to whole warps.
-        let threads = self.registers_per_sm / regs_per_thread;
-        (threads / WARP_SIZE) * WARP_SIZE
-    }
-
     /// Resident blocks/threads per SM for a kernel with the given per-thread
     /// register count, per-block shared memory, and block size.
     ///
@@ -189,10 +177,9 @@ mod tests {
     #[test]
     fn fermi_sgemm_occupancy_matches_paper() {
         // Section 4.5: with 63 registers/thread the Fermi register file
-        // (32K regs) supports up to 512 threads per SM.
-        assert_eq!(fermi_limits().threads_by_registers(63), 512);
-        // 256-thread blocks, 12 KiB shared (A+B tiles, 96x16 floats each):
-        // two blocks resident, register-bound.
+        // (32K regs) supports up to 512 threads per SM: with 256-thread
+        // blocks and 12 KiB shared (A+B tiles, 96x16 floats each), two
+        // blocks resident, register-bound.
         let occ = fermi_limits().occupancy(63, 12 * 1024, 256).unwrap();
         assert_eq!(occ.blocks_per_sm, 2);
         assert_eq!(occ.threads_per_sm, 512);
@@ -203,7 +190,6 @@ mod tests {
     fn kepler_sgemm_occupancy_matches_paper() {
         // Section 4.5: 64K registers per SMX support 1024 active threads at
         // 63 registers each.
-        assert_eq!(kepler_limits().threads_by_registers(63), 1024);
         let occ = kepler_limits().occupancy(63, 12 * 1024, 256).unwrap();
         assert_eq!(occ.blocks_per_sm, 4);
         assert_eq!(occ.threads_per_sm, 1024);
@@ -230,13 +216,5 @@ mod tests {
         assert!(fermi_limits().occupancy(32, 49 * 1024, 256).is_none());
         assert!(fermi_limits().occupancy(32, 0, 2048).is_none());
         assert!(fermi_limits().occupancy(32, 0, 0).is_none());
-    }
-
-    #[test]
-    fn zero_register_kernel_uses_thread_limit() {
-        assert_eq!(
-            fermi_limits().threads_by_registers(0),
-            GpuConfig::gtx580().max_threads_per_sm
-        );
     }
 }

@@ -105,7 +105,7 @@ pub enum SeedSpec {
 pub struct SeedCase {
     /// The kernel before mutation.
     pub kernel: Kernel,
-    /// Launch shape (always a single block, see [`SGEMM_SIZE`]).
+    /// Launch shape (always a single block, see `SGEMM_SIZE`).
     pub config: LaunchConfig,
     /// SGEMM problem for parameter upload; `None` for parameterless seeds.
     pub problem: Option<SgemmProblem>,

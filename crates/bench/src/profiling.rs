@@ -29,6 +29,7 @@ use peakperf_sim::timing::{
 };
 use peakperf_sim::{ensure, obj, CancelToken, GlobalMemory, Json, LaunchConfig, SimError};
 
+use crate::experiments::TABLE2_PAPER;
 use crate::report::envelope;
 
 /// A named profiling target.
@@ -244,28 +245,19 @@ pub(crate) fn prepare(name: &str) -> Result<PreparedTarget, SimError> {
         bound,
         paper,
     };
+    let row = |index: usize, mnemonic, bound| {
+        math_target(
+            GpuConfig::gtx680(),
+            &patterns[index],
+            ipc(mnemonic, bound, Some(TABLE2_PAPER[index])),
+        )
+    };
     match name {
-        // Pattern indices follow `table2_patterns()` / Table 2 row order.
-        "table2_ffma" => math_target(
-            GpuConfig::gtx680(),
-            &patterns[7],
-            ipc("FFMA", 132.0, Some(132.0)),
-        ),
-        "table2_ffma_2way" => math_target(
-            GpuConfig::gtx680(),
-            &patterns[8],
-            ipc("FFMA", 66.0, Some(66.2)),
-        ),
-        "table2_ffma_3way" => math_target(
-            GpuConfig::gtx680(),
-            &patterns[9],
-            ipc("FFMA", 44.0, Some(44.2)),
-        ),
-        "table2_imad" => math_target(
-            GpuConfig::gtx680(),
-            &patterns[17],
-            ipc("IMAD", 33.2, Some(33.1)),
-        ),
+        // Row indices follow `table2_patterns()` / Table 2 row order.
+        "table2_ffma" => row(7, "FFMA", 132.0),
+        "table2_ffma_2way" => row(8, "FFMA", 66.0),
+        "table2_ffma_3way" => row(9, "FFMA", 44.0),
+        "table2_imad" => row(17, "IMAD", 33.2),
         // Fermi issues one warp instruction per shader cycle per SM.
         "fermi_ffma" => math_target(GpuConfig::gtx580(), &patterns[7], ipc("FFMA", 32.0, None)),
         "sgemm_fermi" => sgemm_target(GpuConfig::gtx580()),

@@ -1,10 +1,10 @@
 //! A resilient, embeddable job-service core over the simulator.
 //!
 //! ROADMAP's "long-running simulation service" needs more than a loop
-//! around [`TimingSim`](peakperf_sim::timing::TimingSim): jobs arrive
-//! faster than they finish, hostile inputs panic or spin forever, and the
-//! process gets killed mid-write. This module is that hardening layer —
-//! the `reproduce serve` subcommand is a thin CLI over it:
+//! around [`TimingSim`]: jobs arrive faster than they finish, hostile
+//! inputs panic or spin forever, and the process gets killed mid-write.
+//! This module is that hardening layer — the `reproduce serve` subcommand
+//! is a thin CLI over it:
 //!
 //! * **bounded queue, explicit shedding** — [`Service::submit`] either
 //!   accepts a job or rejects it *now* with a reason

@@ -58,11 +58,6 @@ impl PaperNumbers {
     pub fn achieved_gflops(&self) -> f64 {
         self.achieved_fraction * self.theoretical_peak_gflops
     }
-
-    /// Upper bound in GFLOPS.
-    pub fn upper_bound_gflops(&self) -> f64 {
-        self.upper_bound_fraction * self.theoretical_peak_gflops
-    }
 }
 
 #[cfg(test)]

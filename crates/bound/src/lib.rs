@@ -5,17 +5,19 @@
 //! performance an application **cannot exceed** on a GPU, from
 //!
 //! * the architecture limits ([`peakperf_arch::GpuConfig`]: register file,
-//!   63-register encoding limit, shared-memory size, scheduler issue
-//!   throughput), and
-//! * the measured instruction-throughput database
-//!   ([`peakperf_arch::ThroughputTable`], populated from assembly-level
-//!   microbenchmarks — Figures 2 and 4, Table 2).
+//!   63-register encoding limit, shared-memory size, SP throughput), and
+//! * the instruction throughputs the paper measured on real silicon
+//!   (Table 2, Section 4.1), stated once in
+//!   [`UpperBoundModel::throughput_factor`]. They are the paper's
+//!   published figures; nothing here reads them from the microbenchmarks
+//!   of `peakperf-kernels`.
 //!
 //! The flow for SGEMM (Sections 4.2-4.5):
 //!
 //! 1. [`ffma_fraction`] — the FFMA percentage of the main loop as a
 //!    function of the register blocking factor and LDS width (Figure 3);
-//! 2. [`constraints`] — Equations 1-5: the register/shared-memory budget
+//! 2. [`registers_required`], [`shared_bytes_per_block`] and
+//!    [`occupancy`] — Equations 1-5: the register/shared-memory budget
 //!    that limits the blocking factor to 6 and the active threads to
 //!    512 (Fermi) / 1024 (Kepler);
 //! 3. [`UpperBoundModel`] — Equations 6-9: the memory-bandwidth bound and

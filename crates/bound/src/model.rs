@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use peakperf_arch::{GpuConfig, LdsWidth, ThroughputTable};
+use peakperf_arch::{Generation, GpuConfig, LdsWidth};
 
 use crate::constraints::{occupancy, SgemmConfig};
 use crate::{ffma_lds_ratio, stride_is_valid};
@@ -43,20 +43,17 @@ pub struct BoundEstimate {
 }
 
 /// The performance upper-bound model (Section 4.5): architecture limits
-/// plus the measured throughput database.
+/// plus the measured instruction throughputs of
+/// [`UpperBoundModel::throughput_factor`].
 #[derive(Debug, Clone)]
 pub struct UpperBoundModel {
     gpu: GpuConfig,
-    throughput: ThroughputTable,
 }
 
 impl UpperBoundModel {
     /// Build the model for a GPU.
     pub fn new(gpu: &GpuConfig) -> UpperBoundModel {
-        UpperBoundModel {
-            gpu: gpu.clone(),
-            throughput: gpu.throughput(),
-        }
+        UpperBoundModel { gpu: gpu.clone() }
     }
 
     /// The GPU this model describes.
@@ -69,22 +66,46 @@ impl UpperBoundModel {
     /// processing throughput, for the optimistic conditions of the bound
     /// (saturating active threads, best measured efficiency).
     ///
+    /// Its measured inputs are stated here and nowhere else, in thread
+    /// instructions per shader cycle per SM: the FFMA peak (Table 2; on
+    /// Kepler the scheduler/operand limit of 132, well below the 192 SPs),
+    /// the issue peak, and the `LDS` rate per width (Section 4.1). A pipe
+    /// model turns them into the ideal mixed throughput.
+    ///
     /// The paper's Section 4.5 plugs in slightly more optimistic values
     /// than its own steady measurements (30.8 vs 30.4 on Fermi); we follow
     /// it: the ideal pipe model derated by the *bound* efficiency — Fermi
     /// 30.8/32, Kepler the measured 122.4/132 (LDS.64) and 119.9/132
     /// (LDS.128) points.
     pub fn throughput_factor(&self, config: &SgemmConfig) -> f64 {
-        let ratio = ffma_lds_ratio(config.br, config.width).round() as u32;
-        let ideal = self.throughput.mixed_throughput_ideal(ratio, config.width);
-        let eff = match (self.gpu.generation, config.width) {
-            (peakperf_arch::Generation::Fermi, _) => 30.8 / 32.0,
-            (peakperf_arch::Generation::Kepler, LdsWidth::B64) => 122.4 / 132.0,
-            (peakperf_arch::Generation::Kepler, LdsWidth::B128) => 119.9 / 132.0,
-            (peakperf_arch::Generation::Kepler, LdsWidth::B32) => 122.4 / 132.0,
-            (peakperf_arch::Generation::Gt200, _) => 1.0,
+        let (ffma_peak, issue_peak) = match self.gpu.generation {
+            Generation::Gt200 => (8.0, 16.0),
+            Generation::Fermi => (32.0, 32.0),
+            Generation::Kepler => (132.0, 132.0),
         };
-        ideal * eff / f64::from(self.gpu.sp_throughput_per_cycle())
+        let (lds_rate, derating) = match (self.gpu.generation, config.width) {
+            (Generation::Gt200, LdsWidth::B32) => (8.0, 1.0),
+            (Generation::Gt200, LdsWidth::B64) => (4.0, 1.0),
+            (Generation::Gt200, LdsWidth::B128) => (1.0, 1.0),
+            (Generation::Fermi, LdsWidth::B32) => (16.0, 30.8 / 32.0),
+            (Generation::Fermi, LdsWidth::B64) => (8.0, 30.8 / 32.0),
+            (Generation::Fermi, LdsWidth::B128) => (2.0, 30.8 / 32.0),
+            (Generation::Kepler, LdsWidth::B32) => (33.1, 122.4 / 132.0),
+            (Generation::Kepler, LdsWidth::B64) => (33.1, 122.4 / 132.0),
+            (Generation::Kepler, LdsWidth::B128) => (16.55, 119.9 / 132.0),
+        };
+        let ratio = f64::from(ffma_lds_ratio(config.br, config.width).round() as u32);
+        let group = ratio + 1.0;
+        // Cycles consumed per group of (ratio FFMA + 1 LDS) warp insts,
+        // normalized to thread instructions: each pipe processes at its peak.
+        let ffma_cycles = ratio * 32.0 / ffma_peak;
+        let lds_cycles = 32.0 / lds_rate;
+        let issue_cycles = group * 32.0 / issue_peak;
+        // The SP and LD/ST pipes drain in parallel; the group takes as long
+        // as its most loaded resource (issue, SP, or LD/ST).
+        let cycles = issue_cycles.max(ffma_cycles).max(lds_cycles);
+        let ideal = group * 32.0 / cycles;
+        ideal * derating / f64::from(self.gpu.sp_throughput_per_cycle())
     }
 
     /// The instruction factor `F_I` as plugged into Equation 8:

@@ -98,15 +98,6 @@ pub fn measure_mix(gpu: &GpuConfig, ratio: u32, width: LdsWidth) -> Result<MixPo
     })
 }
 
-/// Sweep ratios 0..=32 for one width (the x-axis of Figure 2).
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn sweep_ratio(gpu: &GpuConfig, width: LdsWidth) -> Result<Vec<MixPoint>, SimError> {
-    (0..=32).map(|r| measure_mix(gpu, r, width)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -135,22 +135,6 @@ pub fn measure_threads(
     })
 }
 
-/// Sweep the active-thread axis of Figure 4.
-///
-/// # Errors
-///
-/// Propagates simulation errors.
-pub fn sweep_threads(gpu: &GpuConfig, dep: Dependence) -> Result<Vec<ThreadsPoint>, SimError> {
-    let max = gpu.max_threads_per_sm;
-    let mut out = Vec::new();
-    let mut t = 32;
-    while t <= max {
-        out.push(measure_threads(gpu, dep, t)?);
-        t += if t < 256 { 32 } else { 128 };
-    }
-    Ok(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

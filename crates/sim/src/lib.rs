@@ -21,7 +21,9 @@
 //!
 //! Calibration constants (latencies, issue rates, pipe initiation
 //! intervals) live in [`timing::Calibration`] and come from the paper's
-//! microbenchmark measurements (Tables 1-2, Figures 2 and 4).
+//! microbenchmark measurements (Table 2, Figures 2 and 4); the Table 1
+//! facts (schedulers, dispatch units, SPs, bandwidth) come from the
+//! simulated [`peakperf_arch::GpuConfig`].
 //!
 //! # Example: run a kernel functionally
 //!

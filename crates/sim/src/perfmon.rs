@@ -5,12 +5,12 @@
 //! before you optimize" discipline to the *host code* that runs the
 //! simulation, in two layers:
 //!
-//! * **host timing** through the timing simulator's one
-//!   [`Observer`](crate::timing::Observer) trait: the scheduler loop wraps
-//!   its sections in [`Stopwatch`] pairs that read the clock only when
-//!   the observer's `HOST_TIMING` constant is set, so the default `()`
-//!   monomorphization contains no timing code at all. Observers are pure
-//!   — an observed run's cycle results are identical to an unobserved one.
+//! * **host timing** through the timing simulator's one [`Observer`]
+//!   trait: the scheduler loop wraps its sections in [`Stopwatch`] pairs
+//!   that read the clock only when the observer's `HOST_TIMING` constant
+//!   is set, so the default `()` monomorphization contains no timing
+//!   code at all. Observers are pure — an observed run's cycle results
+//!   are identical to an unobserved one.
 //! * the **[`HostProf`]** observer: wall-time attribution per loop
 //!   [`Phase`], plus the number of idle cycles (no warp issued on any
 //!   scheduler) — the unit ROADMAP's parked idle fast-forward states its

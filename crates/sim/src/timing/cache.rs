@@ -1,8 +1,8 @@
 //! A memoization cache for timing runs.
 //!
-//! A [`TimingSim`](crate::timing::TimingSim) run is a pure function of its
-//! inputs (GPU configuration, kernel, launch configuration, parameter
-//! values, resident-block count), so repeated runs — the experiment drivers
+//! A [`TimingSim`] run is a pure function of its inputs (GPU
+//! configuration, kernel, launch configuration, parameter values,
+//! resident-block count), so repeated runs — the experiment drivers
 //! re-time identical microbenchmark kernels across figures, and repeated
 //! `reproduce` invocations redo everything — can be answered from a cache.
 //!

@@ -1,7 +1,7 @@
 //! Calibration constants of the timing model.
 //!
 //! Every number here is either taken directly from the paper's published
-//! measurements (Tables 1-2, Section 4.1, Figures 2 and 4) or tuned so that
+//! measurements (Table 2, Section 4.1, Figures 2 and 4) or tuned so that
 //! the microbenchmarks of `peakperf-kernels` reproduce those measurements
 //! on the simulator. `DESIGN.md` (Section 5) documents the mapping.
 
@@ -14,15 +14,14 @@ use peakperf_sass::{MemWidth, Op, OpClass};
 /// 33/8 warp instructions per cycle (= 132 thread instructions).
 pub const TOKEN_UNIT: u64 = 8;
 
-/// Per-generation microarchitectural constants.
+/// Per-generation microarchitectural constants that Table 1 does not
+/// state. The Table 1 facts the timing model needs (schedulers, dispatch
+/// units, SPs, memory bandwidth) come from the simulated
+/// [`peakperf_arch::GpuConfig`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct Calibration {
     /// Target generation.
     pub generation: Generation,
-    /// Warp schedulers per SM.
-    pub schedulers: u32,
-    /// Maximum instructions issued per scheduler per cycle (dual dispatch).
-    pub dispatch_per_scheduler: u32,
     /// On hot-clock generations (GT200/Fermi) each scheduler runs at the
     /// core clock and may only issue on alternate shader cycles.
     pub scheduler_half_rate: bool,
@@ -42,29 +41,19 @@ pub struct Calibration {
     /// Cycles per 32-bit shared-memory *phase* on the LD/ST pipe
     /// (Fermi: 2 → LDS at 16 thread-insts/cycle; Kepler uses 64-bit banks).
     pub lds_phase_cycles: u32,
-    /// Global-memory bandwidth share of one SM, bytes per shader cycle.
-    pub mem_bytes_per_cycle_sm: f64,
     /// Barrier release overhead in cycles.
     pub barrier_latency: u32,
     /// Replay penalty (cycles) when a Kepler ALU read-after-write hazard is
     /// not covered by the producer's control-notation stall field.
     pub hazard_penalty: u32,
-    /// SP-pipe lanes per SM (GTX280 8, GTX580 32, GTX680 192): a math
-    /// warp instruction occupies the pipe for `32 / sp_lanes` cycles.
-    pub sp_lanes: u32,
 }
 
 impl Calibration {
-    /// The calibration for a generation, using the paper's card presets
-    /// (GTX280 / GTX580 / GTX680).
+    /// The calibration for a generation.
     pub fn for_generation(generation: Generation) -> Calibration {
-        let config = peakperf_arch::GpuConfig::preset(generation);
-        let mem_bpc_sm = config.mem_bytes_per_cycle_per_sm();
         match generation {
             Generation::Gt200 => Calibration {
                 generation,
-                schedulers: 1,
-                dispatch_per_scheduler: 1,
                 scheduler_half_rate: false,
                 tokens_per_cycle: None,
                 alu_latency: 24,
@@ -73,15 +62,11 @@ impl Calibration {
                 lds_latency: 36,
                 global_latency: 500,
                 lds_phase_cycles: 4,
-                mem_bytes_per_cycle_sm: mem_bpc_sm,
                 barrier_latency: 12,
                 hazard_penalty: 0,
-                sp_lanes: 8,
             },
             Generation::Fermi => Calibration {
                 generation,
-                schedulers: 2,
-                dispatch_per_scheduler: 1,
                 scheduler_half_rate: true,
                 tokens_per_cycle: None,
                 alu_latency: 18,
@@ -90,15 +75,11 @@ impl Calibration {
                 lds_latency: 30,
                 global_latency: 450,
                 lds_phase_cycles: 2,
-                mem_bytes_per_cycle_sm: mem_bpc_sm,
                 barrier_latency: 10,
                 hazard_penalty: 0,
-                sp_lanes: 32,
             },
             Generation::Kepler => Calibration {
                 generation,
-                schedulers: 4,
-                dispatch_per_scheduler: 2,
                 scheduler_half_rate: false,
                 tokens_per_cycle: Some(33),
                 alu_latency: 9,
@@ -107,10 +88,8 @@ impl Calibration {
                 lds_latency: 24,
                 global_latency: 350,
                 lds_phase_cycles: 1,
-                mem_bytes_per_cycle_sm: mem_bpc_sm,
                 barrier_latency: 6,
                 hazard_penalty: 10,
-                sp_lanes: 192,
             },
         }
     }

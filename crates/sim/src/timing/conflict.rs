@@ -67,7 +67,7 @@ pub fn shared_conflict_factor(generation: Generation, width: MemWidth, addrs: &[
     total_ser.div_ceil(phases.max(1)).max(1)
 }
 
-/// Number of [`SEGMENT_BYTES`]-byte global-memory transactions needed to
+/// Number of `SEGMENT_BYTES`-byte global-memory transactions needed to
 /// service a warp access: the count of distinct 128-byte segments touched.
 ///
 /// # Panics

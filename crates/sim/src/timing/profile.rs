@@ -92,7 +92,7 @@ pub struct SchedStats {
 /// Occupancy timeline: issue/stall counts per fixed-width cycle bucket.
 ///
 /// The bucket width doubles whenever the run outgrows
-/// [`MAX_TIMELINE_BUCKETS`], so the timeline is always a bounded,
+/// `MAX_TIMELINE_BUCKETS`, so the timeline is always a bounded,
 /// power-of-two-granular view regardless of kernel length.
 #[derive(Debug, Clone, Default)]
 pub struct Timeline {

@@ -261,7 +261,11 @@ pub struct TimingSim {
     resident_blocks: u32,
     /// Pre-extracted per-instruction metadata.
     meta: Vec<InstMeta>,
-    /// Kept for [`TimingSim::cache_key`].
+    /// SP-pipe cycles per math warp instruction (`32 / sps_per_sm`).
+    sp_cycles: f64,
+    /// The simulated card: its Table 1 facts drive the scheduler, the SP
+    /// pipe and the memory interface, and [`TimingSim::cache_key`] hashes
+    /// it.
     gpu: GpuConfig,
 }
 
@@ -361,6 +365,7 @@ impl TimingSim {
             params: params.to_vec(),
             resident_blocks,
             meta,
+            sp_cycles: 32.0 / f64::from(gpu.sps_per_sm),
             gpu: gpu.clone(),
         })
     }
@@ -446,7 +451,7 @@ impl TimingSim {
             issue,
             blocks,
             memif: MemIf {
-                bytes_per_cycle: self.calib.mem_bytes_per_cycle_sm,
+                bytes_per_cycle: self.gpu.mem_bytes_per_cycle_per_sm(),
                 latency: self.calib.global_latency,
                 next_free: 0.0,
             },
@@ -460,7 +465,9 @@ impl TimingSim {
             report: TimingReport::default(),
         };
 
-        let schedulers = self.calib.schedulers as usize;
+        let schedulers = self.gpu.warp_schedulers_per_sm as usize;
+        // Kepler's second dispatch unit per scheduler.
+        let dual_dispatch = self.gpu.dispatch_units_per_sm > self.gpu.warp_schedulers_per_sm;
         // Round-robin pointers per scheduler.
         let mut rr: Vec<usize> = vec![0; schedulers];
         // Warps owned by each scheduler.
@@ -534,7 +541,7 @@ impl TimingSim {
                             // Dual dispatch: try one more instruction from
                             // the same warp (Kepler's second dispatch unit);
                             // a block here is not a stall of this cycle.
-                            if self.calib.dispatch_per_scheduler > 1
+                            if dual_dispatch
                                 && matches!(self.classify(w, cycle, &mut st), Visit::Ready)
                             {
                                 let (pc, lanes) = self.issue(w, cycle, &mut st, memory, obs)?;
@@ -747,7 +754,7 @@ impl TimingSim {
         };
 
         if meta.is_math {
-            st.sp_free = st.sp_free.max(cycle as f64) + 32.0 / f64::from(self.calib.sp_lanes);
+            st.sp_free = st.sp_free.max(cycle as f64) + self.sp_cycles;
         }
 
         let mut result_ready = cycle + u64::from(meta.latency);
@@ -962,6 +969,25 @@ mod tests {
         assert!(
             (25.0..=32.5).contains(&ipc),
             "Fermi FFMA thread IPC {ipc} outside expected band"
+        );
+    }
+
+    #[test]
+    fn sp_count_comes_from_the_given_gpu() {
+        // A GTX580 with half its SPs: the SP pipe, not issue, caps FFMA.
+        let gpu = GpuConfig {
+            sps_per_sm: 16,
+            ..GpuConfig::gtx580()
+        };
+        let kernel = ffma_kernel(Generation::Fermi, 32, 64);
+        let mut mem = GlobalMemory::new();
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 512), &[], 1).unwrap();
+        let ipc = sim.run(&mut mem, Hooks::default()).unwrap().thread_ipc();
+        // BRA skips the SP pipe, so a 35-instruction loop body can reach
+        // 16 * 35/34 = 16.5.
+        assert!(
+            (15.0..=16.5).contains(&ipc),
+            "16-SP Fermi FFMA thread IPC {ipc} should sit near 16"
         );
     }
 

@@ -1,6 +1,7 @@
 //! Figure-shape assertions: the claims the reproduction must preserve from
 //! the paper's evaluation (who wins, saturation points, conflict effects),
-//! measured on the simulator.
+//! measured on the simulator — and the analytic tables, pinned to the
+//! checked-in `reproduce all` output.
 
 use peakperf::arch::{GpuConfig, LdsWidth};
 use peakperf::bound::UpperBoundModel;
@@ -9,6 +10,7 @@ use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProble
 use peakperf::regalloc::analyze_ffma_conflicts;
 use peakperf::sim::timing::time_kernel;
 use peakperf::sim::GlobalMemory;
+use peakperf_bench::experiments;
 
 fn gflops(gpu: &GpuConfig, preset: Preset, size: u32) -> f64 {
     let problem = SgemmProblem {
@@ -213,4 +215,23 @@ fn optimizer_fixes_naive_kernel_and_preserves_semantics() {
     let rewritten = run_sgemm(&mut gpu, &rewritten_build, &a, &b, &c0, 1.5, 0.5).unwrap();
     // Bit-identical: a register permutation changes nothing numerically.
     assert_eq!(original.c.data, rewritten.c.data);
+}
+
+#[test]
+fn analytic_tables_match_the_checked_in_output() {
+    // Table 1, Figure 3, the Section 4.5 bounds and the register-limit
+    // ablation simulate nothing, so any drift in the bound's inputs (`F_T`
+    // included) shows here without running `reproduce all`.
+    let output = include_str!("../reproduce_output.txt");
+    for (name, table) in [
+        ("table1", experiments::table1()),
+        ("fig3", experiments::fig3()),
+        ("upperbound", experiments::upperbound()),
+        ("ablation", experiments::ablation()),
+    ] {
+        assert!(
+            output.contains(&table),
+            "`{name}` no longer prints what reproduce_output.txt holds:\n{table}"
+        );
+    }
 }
