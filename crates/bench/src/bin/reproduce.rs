@@ -3,15 +3,13 @@
 //! ```text
 //! reproduce [options] <experiment>...
 //! reproduce all            # everything, at the paper's sizes
-//! reproduce profile <target>... [--trace-out <path>] [--profile-out <path>]
+//! reproduce profile <target>... [--trace-out <path>] [--json <path>]
 //! reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]...
-//!                [--corpus-dir <path>] [--replay <dir>]
+//!                [--corpus-dir <path>] [--replay <dir>] [--json <path>]
 //! reproduce bench [--json <path>] [--filter <prefix>]
 //! reproduce hostprof <target>... [--json <path>]
 //! reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>]
-//!                 [--queue-cap <n>] [--results <path.jsonl>] [--json <path>]
-//!                 [--journal-out <path>] [--trace-out <path>]
-//!                 [--snapshot-ms <n>]
+//!                 [--queue-cap <n>] [--json <path>] [--trace-out <path>]
 //! reproduce check <file>...
 //!
 //! The subcommand is the first positional word (options may precede
@@ -27,14 +25,14 @@
 //! profile options:
 //!   --trace-out <path>   write a Chrome trace-event JSON (Perfetto /
 //!                        chrome://tracing) for the single profiled target
-//!   --profile-out <path> write the peakperf-profile-v1 JSON document
+//!   --json <path>        write the peakperf-profile-v1 document
 //!
 //! fuzz options:
 //!   --json <path>        write the peakperf-fuzz-v1 campaign summary
 //!   --seed <n>           campaign master seed (default 1)
 //!   --iters <n>          number of mutants (default 500)
-//!   --gpu <gen>          fermi|kepler|gt200, repeatable (default both
-//!                        paper GPUs: fermi and kepler)
+//!   --gpu <gen>          fermi|kepler, repeatable (default both paper
+//!                        GPUs)
 //!   --corpus-dir <path>  write minimized violations as .case files
 //!   --replay <dir>       replay a corpus directory instead of fuzzing
 //!
@@ -62,15 +60,12 @@
 //!   --seed <n>           soak mix seed (default 1)
 //!   --queue-cap <n>      bounded queue capacity; submissions beyond it
 //!                        are shed as `rejected` (default 256)
-//!   --results <path>     write one peakperf-job-result-v1 line per job
-//!   --json <path>        write the peakperf-service-v1 summary document
-//!   --journal-out <path> record every job-lifecycle event and write the
-//!                        peakperf-servicetrace-v1 journal document
+//!   --json <path>        write the peakperf-service-v1 document: health
+//!                        counters, every job's result, and every
+//!                        job-lifecycle event of the run
 //!   --trace-out <path>   write the journal as Chrome trace-event JSON
 //!                        (Perfetto): one track per worker, queue depth
 //!                        as a counter track
-//!   --snapshot-ms <n>    health time-series snapshot interval for the
-//!                        journal (default 100; 0 disables snapshots)
 //! ```
 //!
 //! `check` validates documents this binary wrote: each file says what it
@@ -79,17 +74,19 @@
 //! `.jsonl` file is checked line by line. Any violation is listed and
 //! fails the exit code.
 //!
-//! `serve` always arms a bounded flight-recorder ring even without
-//! `--journal-out`: when a resilience invariant fails, the last events
-//! are dumped as a servicetrace document and the error message points at
-//! the dump.
+//! `serve` journals every event when it writes the document or the trace,
+//! and otherwise arms a bounded flight-recorder ring: when a resilience
+//! invariant fails without `--json`, the service document with the last
+//! events is dumped to `serve-flightrec.json` and the error message
+//! points at the dump.
 //!
 //! Experiment names are validated up front; a failing (or panicking)
 //! experiment is reported and the remaining ones still run, with the exit
 //! code reflecting whether any failed.
 
 use std::process::ExitCode;
-use std::time::Instant;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use peakperf_arch::Generation;
 use peakperf_bench::exec;
@@ -98,7 +95,7 @@ use peakperf_bench::fault;
 use peakperf_bench::hostprof;
 use peakperf_bench::profiling;
 use peakperf_bench::report::check_document;
-use peakperf_bench::service;
+use peakperf_bench::service::{self, journal, journal::Journal};
 use peakperf_bench::telemetry;
 use peakperf_sim::timing::cache;
 use peakperf_sim::Json;
@@ -107,15 +104,13 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: reproduce [--workers <n>] [--no-cache] \
          [--cache-dir <path>] <experiment>...\n\
-         \x20      reproduce profile [--trace-out <path>] [--profile-out <path>] \
-         <target>...\n\
+         \x20      reproduce profile [--trace-out <path>] [--json <path>] <target>...\n\
          \x20      reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]... \
          [--corpus-dir <path>] [--replay <dir>] [--json <path>]\n\
          \x20      reproduce bench [--json <path>] [--filter <prefix>]\n\
          \x20      reproduce hostprof [--json <path>] <target>...\n\
          \x20      reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>] \
-         [--queue-cap <n>] [--results <path.jsonl>] [--json <path>] \
-         [--journal-out <path>] [--trace-out <path>] [--snapshot-ms <n>]\n\
+         [--queue-cap <n>] [--json <path>] [--trace-out <path>]\n\
          \x20      reproduce check <file>...\n\
          experiments: {} all\n\
          profile targets: {}",
@@ -169,6 +164,9 @@ const ALL: [&str; 15] = [
     "throughputdb",
 ];
 
+/// How often `serve` samples the health counters into its journal.
+const SNAPSHOT_INTERVAL: Duration = Duration::from_millis(100);
+
 /// What one invocation does: a subcommand, or — without one — the
 /// listed experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +195,6 @@ struct Options {
     cache_dir: Option<String>,
     use_cache: bool,
     trace_out: Option<String>,
-    profile_out: Option<String>,
     fuzz_seed: u64,
     fuzz_iters: u64,
     fuzz_gpus: Vec<Generation>,
@@ -207,9 +204,6 @@ struct Options {
     jobs_path: Option<String>,
     soak: Option<u64>,
     queue_cap: Option<usize>,
-    results_path: Option<String>,
-    journal_out: Option<String>,
-    snapshot_ms: Option<u64>,
 }
 
 /// `what` takes options only: `names` must be empty.
@@ -256,7 +250,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         cache_dir: None,
         use_cache: true,
         trace_out: None,
-        profile_out: None,
         fuzz_seed: 1,
         fuzz_iters: 500,
         fuzz_gpus: Vec::new(),
@@ -266,9 +259,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         jobs_path: None,
         soak: None,
         queue_cap: None,
-        results_path: None,
-        journal_out: None,
-        snapshot_ms: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -295,10 +285,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 let v = it.next().ok_or("--trace-out needs a value")?;
                 opts.trace_out = Some(v.clone());
             }
-            "--profile-out" => {
-                let v = it.next().ok_or("--profile-out needs a value")?;
-                opts.profile_out = Some(v.clone());
-            }
             "--seed" => {
                 let v = it.next().ok_or("--seed needs a value")?;
                 opts.fuzz_seed = v.parse().map_err(|_| format!("invalid seed `{v}`"))?;
@@ -313,12 +299,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             }
             "--gpu" => {
                 let v = it.next().ok_or("--gpu needs a value")?;
-                let gen = match v.as_str() {
-                    "gt200" => Generation::Gt200,
-                    "fermi" => Generation::Fermi,
-                    "kepler" => Generation::Kepler,
-                    other => return Err(format!("unknown gpu `{other}`")),
-                };
+                let gen = fault::parse_generation(v).ok_or_else(|| format!("unknown gpu `{v}`"))?;
                 if !opts.fuzz_gpus.contains(&gen) {
                     opts.fuzz_gpus.push(gen);
                 }
@@ -353,21 +334,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                         .ok_or_else(|| format!("invalid queue capacity `{v}`"))?,
                 );
             }
-            "--results" => {
-                let v = it.next().ok_or("--results needs a value")?;
-                opts.results_path = Some(v.clone());
-            }
-            "--journal-out" => {
-                let v = it.next().ok_or("--journal-out needs a value")?;
-                opts.journal_out = Some(v.clone());
-            }
-            "--snapshot-ms" => {
-                let v = it.next().ok_or("--snapshot-ms needs a value")?;
-                opts.snapshot_ms = Some(
-                    v.parse()
-                        .map_err(|_| format!("invalid snapshot interval `{v}`"))?,
-                );
-            }
             "--filter" => {
                 let v = it.next().ok_or("--filter needs a value")?;
                 opts.bench_filter = Some(v.clone());
@@ -393,16 +359,22 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
 
     // Options that belong to some subcommands are an error in the others.
-    let owned: [(&str, bool, &[Mode]); 7] = [
+    let owned: [(&str, bool, &[Mode]); 6] = [
         (
             "--no-cache/--cache-dir apply only to experiments and the `profile` subcommand",
             !opts.use_cache || opts.cache_dir.is_some(),
             &[Mode::Experiments, Mode::Profile],
         ),
         (
-            "--json requires the fuzz, bench, hostprof or serve subcommand",
+            "--json requires a subcommand: profile, fuzz, bench, hostprof or serve",
             opts.json_path.is_some(),
-            &[Mode::Fuzz, Mode::Bench, Mode::Hostprof, Mode::Serve],
+            &[
+                Mode::Profile,
+                Mode::Fuzz,
+                Mode::Bench,
+                Mode::Hostprof,
+                Mode::Serve,
+            ],
         ),
         (
             "--filter requires the `bench` subcommand",
@@ -410,14 +382,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             &[Mode::Bench],
         ),
         (
-            "--jobs/--soak/--queue-cap/--results/--journal-out/--snapshot-ms \
-             require the `serve` subcommand",
-            opts.jobs_path.is_some()
-                || opts.soak.is_some()
-                || opts.queue_cap.is_some()
-                || opts.results_path.is_some()
-                || opts.journal_out.is_some()
-                || opts.snapshot_ms.is_some(),
+            "--jobs/--soak/--queue-cap require the `serve` subcommand",
+            opts.jobs_path.is_some() || opts.soak.is_some() || opts.queue_cap.is_some(),
             &[Mode::Serve],
         ),
         (
@@ -429,11 +395,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--trace-out requires the `profile` or `serve` subcommand",
             opts.trace_out.is_some(),
             &[Mode::Profile, Mode::Serve],
-        ),
-        (
-            "--profile-out requires the `profile` subcommand",
-            opts.profile_out.is_some(),
-            &[Mode::Profile],
         ),
     ];
     if let Some((message, ..)) = owned
@@ -507,7 +468,7 @@ fn exit_code(failures: u32) -> ExitCode {
 
 /// Run the `profile` subcommand: each target simulates under the tracer,
 /// prints its gap decomposition + profile, and contributes a
-/// `peakperf-profile-v1` object to `--profile-out`.
+/// `peakperf-profile-v1` object to `--json`.
 fn run_profiles(opts: &Options) -> ExitCode {
     let mut failures = 0u32;
     let mut profile_jsons: Vec<Json> = Vec::new();
@@ -540,7 +501,7 @@ fn run_profiles(opts: &Options) -> ExitCode {
         };
         eprintln!("[profile:{name} {status} in {:.1?}]", t0.elapsed());
     }
-    if let Some(path) = &opts.profile_out {
+    if let Some(path) = &opts.json_path {
         let doc = profiling::profile_document(profile_jsons, &profile_gpus);
         failures += write_out("profile document", path, &doc.pretty());
     }
@@ -737,23 +698,15 @@ fn run_serve(opts: &Options) -> ExitCode {
         ..service::ServiceConfig::default()
     };
     // The flight recorder is always armed: a full journal when the run
-    // asked for one (`--journal-out`/`--trace-out`), else a bounded ring
-    // whose tail is dumped if a resilience invariant fails.
-    let snapshot_interval = match opts.snapshot_ms.unwrap_or(100) {
-        0 => None,
-        ms => Some(std::time::Duration::from_millis(ms)),
-    };
-    let want_full = opts.journal_out.is_some() || opts.trace_out.is_some();
-    let journal = std::sync::Arc::new(if want_full {
-        service::journal::Journal::full(snapshot_interval)
+    // writes the document or the trace (`--json`/`--trace-out`), else a
+    // bounded ring whose tail is dumped if a resilience invariant fails.
+    let snapshot_interval = Some(SNAPSHOT_INTERVAL);
+    let journal = Arc::new(if opts.json_path.is_some() || opts.trace_out.is_some() {
+        Journal::full(snapshot_interval)
     } else {
-        service::journal::Journal::flight_recorder(
-            service::journal::DEFAULT_RING_CAPACITY,
-            snapshot_interval,
-        )
+        Journal::flight_recorder(journal::DEFAULT_RING_CAPACITY, snapshot_interval)
     });
-    let (svc, rx) =
-        service::Service::start_with_journal(config, Some(std::sync::Arc::clone(&journal)));
+    let (svc, rx) = service::Service::start_with_journal(config, Some(Arc::clone(&journal)));
     let workers = exec::default_workers();
     let submitted = jobs.len();
     let t0 = Instant::now();
@@ -766,23 +719,20 @@ fn run_serve(opts: &Options) -> ExitCode {
     println!("{}", service::render_summary(&health, &results, wall_ms));
     eprintln!("[serve: {submitted} job(s) in {wall_ms:.1} ms, {workers} workers]");
 
+    let document = || {
+        let doc = service::service_document(
+            workers,
+            queue_capacity,
+            &health,
+            &results,
+            wall_ms,
+            &journal,
+        );
+        doc.pretty()
+    };
     let mut failures = 0u32;
-    if let Some(path) = &opts.results_path {
-        let lines = results
-            .iter()
-            .map(service::JobResult::to_json_line)
-            .collect::<Vec<_>>()
-            .join("\n")
-            + "\n";
-        failures += write_out("results", path, &lines);
-    }
     if let Some(path) = &opts.json_path {
-        let doc = service::service_document(workers, queue_capacity, &health, &results, wall_ms);
-        failures += write_out("service document", path, &doc.pretty());
-    }
-    if let Some(path) = &opts.journal_out {
-        let doc = journal.document(workers, queue_capacity, &health, wall_ms);
-        failures += write_out("journal", path, &doc.pretty());
+        failures += write_out("service document", path, &document());
     }
     if let Some(path) = &opts.trace_out {
         let trace = journal.chrome_trace(workers);
@@ -820,13 +770,14 @@ fn run_serve(opts: &Options) -> ExitCode {
         }
     }
     if failures > 0 {
-        // Any failure ships with its history: dump the flight-recorder
-        // ring (unless the full journal was already written above) and
-        // point at it from the error message.
-        if opts.journal_out.is_none() {
+        // Any failure ships with its history: dump the service document
+        // with the flight-recorder ring (unless the document was already
+        // written above) and point at it from the error message.
+        if let Some(path) = &opts.json_path {
+            eprintln!("error: serve run failed; see the service document at {path}");
+        } else {
             let dump_path = "serve-flightrec.json";
-            let doc = journal.document(workers, queue_capacity, &health, wall_ms);
-            match std::fs::write(dump_path, doc.pretty()) {
+            match std::fs::write(dump_path, document()) {
                 Ok(()) => eprintln!(
                     "error: serve run failed; flight recorder ({} event(s)) dumped to \
                      {dump_path}",
@@ -834,8 +785,6 @@ fn run_serve(opts: &Options) -> ExitCode {
                 ),
                 Err(e) => eprintln!("error: could not dump flight recorder to {dump_path}: {e}"),
             }
-        } else if let Some(path) = &opts.journal_out {
-            eprintln!("error: serve run failed; see the journal at {path}");
         }
         ExitCode::FAILURE
     } else {

@@ -61,30 +61,18 @@ const SGEMM_SIZE: u32 = 96;
 /// Deterministic seed for the SGEMM input matrices.
 const UPLOAD_SEED: u64 = 0xF00D;
 
-/// The GPU model a generation is fuzzed on.
-pub fn gpu_config_for(generation: Generation) -> GpuConfig {
-    match generation {
-        Generation::Gt200 => GpuConfig::gtx280(),
-        Generation::Fermi => GpuConfig::gtx580(),
-        Generation::Kepler => GpuConfig::gtx680(),
-    }
+/// A generation's name in corpus files, job lines and fuzz documents.
+pub(crate) fn generation_name(g: Generation) -> String {
+    g.to_string().to_ascii_lowercase()
 }
 
-pub(crate) fn generation_name(g: Generation) -> &'static str {
-    match g {
-        Generation::Gt200 => "gt200",
-        Generation::Fermi => "fermi",
-        Generation::Kepler => "kepler",
-    }
-}
-
-pub(crate) fn parse_generation(s: &str) -> Option<Generation> {
-    match s {
-        "gt200" => Some(Generation::Gt200),
-        "fermi" => Some(Generation::Fermi),
-        "kepler" => Some(Generation::Kepler),
-        _ => None,
-    }
+/// The generation named `name` (`fermi` or `kepler`): the fuzzer drives
+/// only the paper's two GPUs, since the timing model has no GT200
+/// calibration.
+pub fn parse_generation(name: &str) -> Option<Generation> {
+    [Generation::Fermi, Generation::Kepler]
+        .into_iter()
+        .find(|&g| generation_name(g) == name)
 }
 
 // ---------------------------------------------------------------------------
@@ -799,7 +787,7 @@ pub fn run_case_with(case: &FuzzCase, removals: &[usize]) -> Result<MutantReport
     let (seed, kernel, kinds) = mutant_kernel(case, removals)?;
     let problem = seed.problem.as_ref();
     let func = engine(|| run_func(&kernel, seed.config, problem, case.generation));
-    let gpu = gpu_config_for(case.generation);
+    let gpu = GpuConfig::preset(case.generation);
     let timing = engine(|| run_timing(&kernel, seed.config, problem, &gpu, false));
     let traced = engine(|| run_timing(&kernel, seed.config, problem, &gpu, true));
     // The round-trip oracle calls into the validator/encoder on an
@@ -1186,7 +1174,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
 
 /// Render a campaign summary as a text table plus violation listing.
 pub fn render_campaign(cfg: &CampaignConfig, result: &CampaignResult) -> String {
-    let gens: Vec<&str> = cfg
+    let gens: Vec<String> = cfg
         .generations
         .iter()
         .map(|&g| generation_name(g))
@@ -1238,11 +1226,12 @@ pub fn render_campaign(cfg: &CampaignConfig, result: &CampaignResult) -> String 
 
 /// The machine-readable `peakperf-fuzz-v1` campaign summary.
 pub fn campaign_json(cfg: &CampaignConfig, result: &CampaignResult, wall_ms: f64) -> Json {
-    let gens: Vec<&str> = cfg
+    let gens: Vec<String> = cfg
         .generations
         .iter()
         .map(|&g| generation_name(g))
         .collect();
+    let gens: Vec<&str> = gens.iter().map(String::as_str).collect();
     let t = &result.tally;
     let violations = result.violations.iter().map(|vc| {
         obj!(vc.case; gen = generation_name(vc.case.generation), seed = vc.case.seed.id(),
@@ -1405,7 +1394,7 @@ mod tests {
         for generation in [Generation::Fermi, Generation::Kepler] {
             let seed = SeedSpec::Table2(0).build(generation).unwrap();
             let func = engine(|| run_func(&seed.kernel, seed.config, None, generation));
-            let gpu = gpu_config_for(generation);
+            let gpu = GpuConfig::preset(generation);
             let timing = engine(|| run_timing(&seed.kernel, seed.config, None, &gpu, false));
             let traced = engine(|| run_timing(&seed.kernel, seed.config, None, &gpu, true));
             assert_eq!(func, Outcome::Ok { cycles: 0 });

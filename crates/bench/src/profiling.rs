@@ -409,7 +409,7 @@ fn render_json(name: &str, gpu: &str, gap: &GapDecomposition, profile: &Profile)
 }
 
 /// Wrap per-target entries into the `peakperf-profile-v1` document
-/// written by `--profile-out`. `gpus` lists the GPUs the profiled targets
+/// written by `--json`. `gpus` lists the GPUs the profiled targets
 /// ran on, for the shared document envelope.
 pub fn profile_document(profiles: Vec<Json>, gpus: &[&str]) -> Json {
     let stall_kinds: Json = StallKind::ALL.map(StallKind::as_str).into_iter().collect();

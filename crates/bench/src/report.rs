@@ -39,15 +39,11 @@ pub fn check_document(doc: &Json) -> Vec<String> {
     }
     match doc.text("schema") {
         "peakperf-job-v1" => errors.extend(service::JobSpec::from_json(doc).err()),
-        "peakperf-job-result-v1" => {
-            service::check_result(doc, "result", &mut errors);
-        }
         "peakperf-profile-v1" => profiling::check(doc, &mut errors),
         "peakperf-fuzz-v1" => fault::check(doc, &mut errors),
         telemetry::BENCH_SCHEMA => telemetry::check_bench(doc, &mut errors),
         "peakperf-hostprof-v1" => hostprof::check(doc, &mut errors),
         "peakperf-service-v1" => service::check(doc, &mut errors),
-        "peakperf-servicetrace-v1" => service::journal::check(doc, &mut errors),
         "" => errors.push("document has neither a string `schema` nor `traceEvents`".to_owned()),
         other => errors.push(format!("unknown schema `{other}`")),
     }

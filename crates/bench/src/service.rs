@@ -38,7 +38,9 @@
 //! and `rejected`; their counts must sum to `submitted` once the service
 //! has drained — [`Health::check_drained`] states this identity once, for
 //! the exit code of `reproduce serve` and for [`check`], which
-//! `reproduce check` runs on the emitted `peakperf-service-v1` document.
+//! `reproduce check` runs on the emitted `peakperf-service-v1` document:
+//! the one record of a serve run, holding its results, its counters and
+//! its journal.
 
 pub mod journal;
 
@@ -60,7 +62,7 @@ use crate::exec::run_isolated;
 use crate::fault::{generation_name, parse_generation, FuzzCase, Outcome, SeedSpec};
 use crate::profiling;
 use crate::report::{envelope, Table, PAPER_GPUS};
-use journal::{ErrorClass, EventKind, Journal};
+use journal::{check_events, derive_counts, ErrorClass, Event, EventKind, Journal};
 
 // ---------------------------------------------------------------------------
 // Job specification
@@ -165,11 +167,6 @@ impl JobSpec {
         doc.push_some("max_retries", Some(self.max_retries).filter(|&n| n > 0));
         doc.push_some("cancel_at_cycle", self.cancel_at_cycle);
         doc
-    }
-
-    /// One `peakperf-job-v1` JSONL line (inverse of [`parse_job_line`]).
-    pub fn to_json_line(&self) -> String {
-        self.to_json().render()
     }
 
     /// Read one `peakperf-job-v1` object.
@@ -305,7 +302,8 @@ impl JobStatus {
     }
 }
 
-/// The terminal result of one job (`peakperf-job-result-v1`).
+/// The terminal result of one job: an element of the service document's
+/// `results`.
 #[derive(Debug, Clone)]
 pub struct JobResult {
     /// The submission's id.
@@ -327,7 +325,7 @@ pub struct JobResult {
     pub cycles: Option<u64>,
     /// The structured report for kinds that produce one (profile jobs:
     /// their `peakperf-profile-v1` entry). Not serialized into the result
-    /// line; available to embedders.
+    /// object; available to embedders.
     pub report: Option<Json>,
     /// Microseconds the job waited in the queue before a worker picked
     /// it up. `None` for jobs that never reached a worker (rejected, or
@@ -360,10 +358,9 @@ impl JobResult {
         }
     }
 
-    /// The `peakperf-job-result-v1` object.
+    /// The result object.
     pub fn to_json(&self) -> Json {
-        let mut doc = obj!(self; schema = "peakperf-job-result-v1", id, kind,
-            status = self.status.as_str(), attempts, wall_ms);
+        let mut doc = obj!(self; id, kind, status = self.status.as_str(), attempts, wall_ms);
         doc.push_some("queue_wait_us", self.queue_wait_us);
         doc.push_some("attempts_wall_us", self.attempts_wall_us);
         doc.push_some(
@@ -374,29 +371,19 @@ impl JobResult {
         doc.push("detail", self.detail.as_str());
         doc
     }
-
-    /// One `peakperf-job-result-v1` JSONL line.
-    pub fn to_json_line(&self) -> String {
-        self.to_json().render()
-    }
 }
 
-/// Check one `peakperf-job-result-v1` object (called `at` in the
-/// messages) and return its status: shaped like a result this module
-/// writes, a known job kind, a *terminal* status — a hung or lost job
-/// cannot produce a valid result — and an attempt count that fits it
-/// (none for a job shed or cancelled while queued, at least one for a
-/// job that completed, failed or ran out of time).
-pub fn check_result(result: &Json, at: &str, errors: &mut Vec<String>) -> Option<JobStatus> {
+/// Check one result object (called `at` in the messages) and return its
+/// status: shaped like a result this module writes, a known job kind, a
+/// *terminal* status — a hung or lost job cannot produce a valid
+/// result — and an attempt count that fits it (none for a job shed or
+/// cancelled while queued, at least one for a job that completed, failed
+/// or ran out of time).
+fn check_result(result: &Json, at: &str, errors: &mut Vec<String>) -> Option<JobStatus> {
     let spec = JobSpec::new("", JobKind::Spin);
     let sample = JobResult::unrun(spec, JobStatus::Rejected, "", None).to_json();
     result.conforms(&sample, &at, errors);
-    let (schema, kind) = (result.text("schema"), result.text("kind"));
-    ensure!(
-        errors,
-        schema == sample.text("schema"),
-        "{at}: schema is `{schema}`"
-    );
+    let kind = result.text("kind");
     ensure!(
         errors,
         JobKind::NAMES.contains(&kind),
@@ -483,8 +470,8 @@ impl Health {
         obj!(self; submitted, completed, failed, cancelled, deadline, rejected, retried)
     }
 
-    /// The `health` object of the service and servicetrace documents
-    /// (and the payload of a journal snapshot event).
+    /// The `health` object of the service document (and the payload of a
+    /// journal snapshot event).
     pub fn to_json(&self) -> Json {
         let mut doc = self.ledger_json();
         doc.extend(obj!(self; in_flight, queue_depth, queue_depth_max));
@@ -709,7 +696,8 @@ fn sampler_loop(shared: &Shared, journal: &Journal, interval: Duration) {
 }
 
 /// The running service: worker threads plus the bounded queue. See the
-/// module docs for the guarantees. Obtain one with [`Service::start`].
+/// module docs for the guarantees. Obtain one with
+/// [`Service::start_with_journal`].
 #[derive(Debug)]
 pub struct Service {
     shared: Arc<Shared>,
@@ -720,15 +708,10 @@ pub struct Service {
 
 impl Service {
     /// Start the worker pool. Terminal results (including rejections)
-    /// arrive on the returned channel in completion order.
-    pub fn start(config: ServiceConfig) -> (Service, mpsc::Receiver<JobResult>) {
-        Service::start_with_journal(config, None)
-    }
-
-    /// [`Service::start`] with a flight recorder attached: every job
-    /// transition is journaled, and if the journal has a snapshot
-    /// interval a sampler thread records periodic `HealthSnapshot`
-    /// events until the service drains.
+    /// arrive on the returned channel in completion order. With a flight
+    /// recorder attached, every job transition is journaled, and if the
+    /// journal has a snapshot interval a sampler thread records periodic
+    /// `HealthSnapshot` events until the service drains.
     pub fn start_with_journal(
         config: ServiceConfig,
         journal: Option<Arc<Journal>>,
@@ -1376,30 +1359,46 @@ pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
 // Documents and rendering
 // ---------------------------------------------------------------------------
 
-/// The `peakperf-service-v1` summary document for one `reproduce serve`
-/// run.
+/// The `peakperf-service-v1` document, the one record of a `reproduce
+/// serve` run: the run configuration, the health counters, every job's
+/// result, and the journal — whether it holds every event it recorded,
+/// its ring capacity and drop count, the snapshot settings, the counts
+/// its events re-derive (so the accounting identity is checkable from the
+/// document alone), and every retained event.
 pub fn service_document(
     workers: usize,
     queue_capacity: usize,
     health: &Health,
     results: &[JobResult],
     wall_ms: f64,
+    journal: &Journal,
 ) -> Json {
     let results = results.iter().map(JobResult::to_json);
+    let events = journal.events();
+    let interval_ms = journal.snapshot_interval().map(|iv| iv.as_millis() as u64);
     let body = obj!((); workers = workers, queue_capacity = queue_capacity,
         wall_ms = wall_ms, health = health.to_json(),
-        results = results.collect::<Json>());
+        results = results.collect::<Json>(),
+        complete = journal.is_complete(), capacity = journal.capacity(),
+        dropped = journal.dropped(), snapshot_interval_ms = interval_ms,
+        snapshot_queue_depth_max = journal.snapshot_queue_depth_max(),
+        derived = derive_counts(&events).ledger_json(),
+        events = events.iter().map(Event::to_json).collect::<Json>());
     envelope("peakperf-service-v1", &PAPER_GPUS, body)
 }
 
 /// Check a `peakperf-service-v1` document: shaped like the sample
 /// [`service_document`] writes; every result valid ([`check_result`])
 /// with a unique id; the results tallying the health counters status by
-/// status; and the health counters those of a soundly drained service
+/// status; the health counters those of a soundly drained service
 /// ([`Health::check_drained`]: the accounting identity, nothing left
-/// queued or in flight, the queue bound held).
+/// queued or in flight, the queue bound held); every event readable
+/// ([`Event::from_json`]) and the journal invariants holding on them
+/// ([`check_events`], against `health`); the `derived` object equal to
+/// the counts the events re-derive; and the sampled queue-depth peak
+/// within `queue_capacity`. Stops reading events after 20 violations.
 pub fn check(doc: &Json, errors: &mut Vec<String>) {
-    let sample = service_document(0, 0, &Health::default(), &[], 0.0);
+    let sample = service_document(0, 0, &Health::default(), &[], 0.0, &Journal::full(None));
     doc.conforms(&sample, &"service document", errors);
     let mut tally = [0u64; JobStatus::ALL.len()];
     let mut ids = std::collections::HashSet::new();
@@ -1416,22 +1415,52 @@ pub fn check(doc: &Json, errors: &mut Vec<String>) {
             tally[slot] += 1;
         }
     }
+    let queue_capacity = doc["queue_capacity"].as_u64().unwrap_or(u64::MAX);
     let counters = &doc["health"];
-    let health = match Health::from_json(counters) {
-        Ok(health) => health,
-        Err(e) => return errors.push(format!("service health: {e}")),
-    };
-    // Each terminal status names its health counter.
-    for (status, results) in JobStatus::ALL.map(JobStatus::as_str).into_iter().zip(tally) {
-        let counted = counters.count(status);
-        ensure!(
-            errors,
-            results == counted,
-            "service document: {results} {status} result(s) but health counts {counted}"
-        );
+    let health = Health::from_json(counters)
+        .map_err(|e| errors.push(format!("service health: {e}")))
+        .ok();
+    if let Some(health) = &health {
+        // Each terminal status names its health counter.
+        for (status, results) in JobStatus::ALL.map(JobStatus::as_str).into_iter().zip(tally) {
+            let counted = counters.count(status);
+            ensure!(
+                errors,
+                results == counted,
+                "service document: {results} {status} result(s) but health counts {counted}"
+            );
+        }
+        let drained = health.check_drained(queue_capacity);
+        errors.extend(drained.iter().map(|v| format!("service document: {v}")));
     }
-    let drained = health.check_drained(doc["queue_capacity"].as_u64().unwrap_or(u64::MAX));
-    errors.extend(drained.iter().map(|v| format!("service document: {v}")));
+
+    let mut events = Vec::new();
+    for (i, event) in doc.items("events").iter().enumerate() {
+        match Event::from_json(event) {
+            Ok(event) => events.push(event),
+            Err(e) => errors.push(format!("events[{i}]: {e}")),
+        }
+        if errors.len() > 20 {
+            return errors.push("... (stopping after 20 violations)".to_owned());
+        }
+    }
+    let complete = doc.count("dropped") == 0;
+    errors.extend(check_events(&events, complete, health.as_ref()));
+    let rederived = derive_counts(&events).ledger_json();
+    let agrees = !complete || doc.get("derived") == Some(&rederived);
+    ensure!(
+        errors,
+        agrees,
+        "`derived` is {} but the events re-derive {rederived}",
+        doc["derived"]
+    );
+    let peak = doc.count("snapshot_queue_depth_max");
+    ensure!(
+        errors,
+        peak <= queue_capacity,
+        "snapshot_queue_depth_max {peak} exceeds queue_capacity {queue_capacity} \
+         (backpressure bound violated)"
+    );
 }
 
 /// Text summary table for one serve run.
@@ -1492,11 +1521,21 @@ mod tests {
     }
 
     fn small_service(workers: usize, cap: usize) -> (Service, mpsc::Receiver<JobResult>) {
-        Service::start(ServiceConfig {
+        let config = ServiceConfig {
             workers,
             queue_capacity: cap,
             retry_backoff_ms: 1,
-        })
+        };
+        Service::start_with_journal(config, None)
+    }
+
+    /// The events of one job, in sequence order: its span chain.
+    fn chain_of(journal: &Journal, job: &str) -> Vec<Event> {
+        journal
+            .events()
+            .into_iter()
+            .filter(|e| e.job == job)
+            .collect()
     }
 
     #[test]
@@ -1753,13 +1792,13 @@ mod tests {
             JobSpec::new("fl", JobKind::Flaky { fail_attempts: 3 }),
         ];
         for spec in &specs {
-            let line = spec.to_json_line();
+            let line = spec.to_json().render();
             let back = parse_job_line(&line).unwrap_or_else(|e| panic!("{line}: {e}"));
             assert_eq!(&back, spec, "{line}");
         }
         let text = specs
             .iter()
-            .map(JobSpec::to_json_line)
+            .map(|spec| spec.to_json().render())
             .collect::<Vec<_>>()
             .join("\n");
         assert_eq!(parse_jobs_jsonl(&text).unwrap(), specs);
@@ -1796,22 +1835,65 @@ mod tests {
 
     #[test]
     fn service_document_round_trips_and_passes_its_check() {
-        let (service, rx) = small_service(2, 8);
-        service.submit(JobSpec::new("a", JobKind::Flaky { fail_attempts: 0 }));
+        let journal = Arc::new(Journal::full(None));
+        let config = ServiceConfig {
+            workers: 2,
+            queue_capacity: 8,
+            retry_backoff_ms: 1,
+        };
+        let (service, rx) = Service::start_with_journal(config, Some(Arc::clone(&journal)));
+        service.submit(JobSpec {
+            max_retries: 1,
+            ..JobSpec::new("a", JobKind::Flaky { fail_attempts: 1 })
+        });
         service.submit(JobSpec::new("b", JobKind::Panic));
         let health = service.drain();
         let results = drain_results(&rx);
-        let doc = service_document(2, 8, &health, &results, 12.5);
+        let doc = service_document(2, 8, &health, &results, 12.5, &journal);
         assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
         assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
         assert_eq!(Health::from_json(doc.get("health").unwrap()), Ok(health));
         assert_eq!(doc.items("results").len(), 2);
-        for result in &results {
-            let line = Json::parse(&result.to_json_line()).unwrap();
-            assert_eq!(crate::report::check_document(&line), Vec::<String>::new());
-        }
+        assert_eq!(doc.items("events").len(), journal.len());
+        assert_eq!(doc.get("capacity"), Some(&Json::Null));
+        assert_eq!(
+            doc.get("derived").unwrap().render(),
+            "{\"submitted\":2,\"completed\":1,\"failed\":1,\"cancelled\":0,\
+             \"deadline\":0,\"rejected\":0,\"retried\":1}"
+        );
         let summary = render_summary(&health, &results, 12.5);
         assert!(summary.contains("identity holds"), "{summary}");
+
+        // One check covers the results and the journal: a result that
+        // disagrees with `health` on its status, and a `derived` object
+        // the events do not re-derive, are both violations.
+        let completed = results.iter().position(|r| r.id == "a").unwrap();
+        let mut misfiled = doc.clone();
+        if let Some(Json::Arr(items)) = misfiled.get_mut("results") {
+            *items[completed].get_mut("status").unwrap() = "failed".into();
+        }
+        let mut misderived = doc.clone();
+        let derived = misderived.get_mut("derived").unwrap();
+        *derived.get_mut("completed").unwrap() = 2.into();
+        for (broken, want) in [
+            (misfiled, "2 failed result(s) but health counts 1"),
+            (misderived, "`derived` is"),
+        ] {
+            let errors = crate::report::check_document(&broken);
+            assert!(errors.iter().any(|e| e.contains(want)), "{errors:?}");
+        }
+
+        // A flight-recorder ring that dropped events says so, and its
+        // document still passes: only the span-chain checks need every
+        // event.
+        let ring = Journal::flight_recorder(3, None);
+        for e in journal.events() {
+            ring.record(&e.job, e.worker, e.kind);
+        }
+        let doc = service_document(2, 8, &health, &results, 12.5, &ring);
+        assert_eq!(doc.get("complete"), Some(&Json::Bool(false)));
+        assert_eq!(doc.items("events").len(), 3);
+        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
     }
 
     #[test]
@@ -1844,14 +1926,14 @@ mod tests {
         );
         assert!(journal.derived().accounted());
 
-        let flaky = journal.spans_for("flaky");
+        let flaky = chain_of(&journal, "flaky");
         assert_eq!(flaky[0].kind.type_name(), "submitted");
         assert!(flaky.iter().any(|e| e.kind.type_name() == "attempt_failed"));
         assert_eq!(flaky.last().unwrap().kind.type_name(), "terminal");
 
         // The cycle-cancelled spin names its trigger path, both in the
         // journal and on the result line.
-        let spin = journal.spans_for("spin");
+        let spin = chain_of(&journal, "spin");
         assert!(spin.iter().any(|e| matches!(
             e.kind,
             EventKind::CancelRequested {
@@ -1911,8 +1993,7 @@ mod tests {
         assert_eq!(shed.queue_wait_us, None);
         assert_eq!(shed.attempts_wall_us, None);
         assert_eq!(shed.to_json().get("queue_wait_us"), None);
-        let chain: Vec<&'static str> = journal
-            .spans_for("shed")
+        let chain: Vec<&'static str> = chain_of(&journal, "shed")
             .iter()
             .map(|e| e.kind.type_name())
             .collect();

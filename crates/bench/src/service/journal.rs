@@ -14,9 +14,9 @@
 //!
 //! * **zero overhead when absent** — the service holds an
 //!   `Option<Arc<Journal>>`; `None` means no event is even constructed.
-//!   Job results and documents are identical with and without a journal
-//!   attached (locked by test), the same discipline as the timing
-//!   simulator's `Observer`.
+//!   Job results are identical with and without a journal attached
+//!   (locked by test), the same discipline as the timing simulator's
+//!   `Observer`.
 //! * **lock-cheap** — events are recorded at *job* granularity (a job
 //!   runs for milliseconds to seconds), so one short `Mutex` push per
 //!   transition is far below measurement noise; the snapshot high-water
@@ -24,21 +24,22 @@
 //! * **bounded** — a journal has a capacity; past it the *oldest* events
 //!   are dropped (and counted), so the tail — the part that explains a
 //!   failure — is always retained. [`Journal::flight_recorder`] is the
-//!   fixed-capacity ring `reproduce serve` always arms: when a resilience
-//!   invariant breaks, the ring is dumped as a `peakperf-servicetrace-v1`
-//!   document so the failure arrives with its history attached.
+//!   fixed-capacity ring `reproduce serve` arms when it writes neither the
+//!   service document nor a trace: when a resilience invariant breaks, the
+//!   run's `peakperf-service-v1` document is dumped with the ring's events,
+//!   so the failure arrives with its history attached.
 //! * **self-verifying** — the journal alone re-derives the accounting
 //!   identity (`completed + failed + cancelled + deadline + rejected ==
 //!   submitted`) via [`Journal::derived`], and [`Journal::check_invariants`]
 //!   proves every job's span chain is gap-free from `Submitted` to
-//!   `Terminal`. [`check`] reads the events back out of an emitted
-//!   document ([`Event::from_json`]) and runs the same functions on
-//!   them, which is what `reproduce check` does in CI.
+//!   `Terminal`. The service document carries the events, and its check
+//!   ([`super::check`]) reads them back ([`Event::from_json`]) and runs the
+//!   same functions on them, which is what `reproduce check` does in CI.
 //!
 //! [`Journal::chrome_trace`] renders the journal with the shared
-//! [`ChromeTraceWriter`] (the PR-2 trace-event writer): one track per
-//! worker, queue-wait and attempt spans as complete events, and queue
-//! depth as a counter track, so a whole serve/soak run opens in Perfetto.
+//! [`ChromeTraceWriter`]: one track per worker, queue-wait and attempt
+//! spans as complete events, and queue depth as a counter track, so a
+//! whole serve/soak run opens in Perfetto.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +50,6 @@ use peakperf_sim::json::{ChromeTraceWriter, Json};
 use peakperf_sim::{ensure, obj, CancelSource};
 
 use super::{Health, JobStatus, REJECT_REASONS};
-use crate::report::{envelope, PAPER_GPUS};
 
 /// Default capacity of the always-on flight-recorder ring.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
@@ -213,11 +213,6 @@ impl Event {
         doc
     }
 
-    /// The event as one compact JSON line.
-    pub fn to_json_line(&self) -> String {
-        self.to_json().render()
-    }
-
     /// Read an event back (inverse of [`Event::to_json`]).
     ///
     /// # Errors
@@ -288,11 +283,11 @@ struct Inner {
     dropped: u64,
 }
 
-/// The journal itself. Construct with [`Journal::full`] (unbounded, for
-/// `--journal-out`) or [`Journal::flight_recorder`] (fixed-capacity
-/// ring), attach via `Service::start_with_journal`, and read back with
-/// [`Journal::events`] / [`Journal::document`] / [`Journal::chrome_trace`]
-/// once the service has drained.
+/// The journal itself. Construct with [`Journal::full`] (unbounded) or
+/// [`Journal::flight_recorder`] (fixed-capacity ring), attach via
+/// `Service::start_with_journal`, and read back with [`Journal::events`] /
+/// [`Journal::chrome_trace`] / `service_document` once the service has
+/// drained.
 #[derive(Debug)]
 pub struct Journal {
     epoch: Instant,
@@ -331,6 +326,11 @@ impl Journal {
     /// The configured health-snapshot interval, if any.
     pub fn snapshot_interval(&self) -> Option<Duration> {
         self.snapshot_interval
+    }
+
+    /// The ring capacity; `None` for an unbounded journal.
+    pub fn capacity(&self) -> Option<usize> {
+        Some(self.capacity).filter(|&n| n != usize::MAX)
     }
 
     /// Microseconds since the journal's epoch (monotonic).
@@ -400,16 +400,6 @@ impl Journal {
         self.snapshot_depth_max.load(Ordering::Relaxed)
     }
 
-    /// The events of one job, in sequence order — its span chain.
-    pub fn spans_for(&self, job: &str) -> Vec<Event> {
-        lock(&self.inner)
-            .events
-            .iter()
-            .filter(|e| e.job == job)
-            .cloned()
-            .collect()
-    }
-
     /// Re-derive the ledger counters from the events alone
     /// ([`derive_counts`]).
     pub fn derived(&self) -> Health {
@@ -421,31 +411,6 @@ impl Journal {
     /// skipped for wrapped rings.
     pub fn check_invariants(&self, health: Option<&Health>) -> Vec<String> {
         check_events(&self.events(), self.is_complete(), health)
-    }
-
-    /// The `peakperf-servicetrace-v1` document: envelope, run
-    /// configuration, the health counters, the journal-derived counts
-    /// (so the identity is checkable from the document alone), and every
-    /// retained event.
-    pub fn document(
-        &self,
-        workers: usize,
-        queue_capacity: usize,
-        health: &Health,
-        wall_ms: f64,
-    ) -> Json {
-        let events = self.events();
-        let interval_ms = self.snapshot_interval.map(|iv| iv.as_millis() as u64);
-        let body = obj!((); workers = workers, queue_capacity = queue_capacity, wall_ms = wall_ms,
-            complete = self.is_complete(),
-            capacity = Some(self.capacity).filter(|&n| n != usize::MAX),
-            dropped = self.dropped(),
-            snapshot_interval_ms = interval_ms,
-            snapshot_queue_depth_max = self.snapshot_queue_depth_max(),
-            health = health.to_json(),
-            derived = derive_counts(&events).ledger_json(),
-            events = events.iter().map(Event::to_json).collect::<Json>());
-        envelope("peakperf-servicetrace-v1", &PAPER_GPUS, body)
     }
 
     /// Render the journal as Chrome trace-event JSON via the shared
@@ -462,51 +427,6 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     // Nothing panics while holding the journal lock (pushes and clones
     // only), so poisoning is recoverable.
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-/// Check a `peakperf-servicetrace-v1` document: shaped like the sample
-/// [`Journal::document`] writes; every event readable
-/// ([`Event::from_json`]: per-type payload shapes, known enum tags); the
-/// journal invariants on the events read back ([`check_events`], against
-/// the document's `health` object); the `derived` object equal to the
-/// counts those events re-derive; and the sampled queue-depth peak within
-/// `queue_capacity`. Stops reading events after 20 violations.
-pub fn check(doc: &Json, errors: &mut Vec<String>) {
-    let sample = Journal::full(None).document(0, 0, &Health::default(), 0.0);
-    doc.conforms(&sample, &"servicetrace document", errors);
-    let mut events = Vec::new();
-    for (i, event) in doc.items("events").iter().enumerate() {
-        match Event::from_json(event) {
-            Ok(event) => events.push(event),
-            Err(e) => errors.push(format!("events[{i}]: {e}")),
-        }
-        if errors.len() > 20 {
-            return errors.push("... (stopping after 20 violations)".to_owned());
-        }
-    }
-    let health = Health::from_json(&doc["health"])
-        .map_err(|e| errors.push(format!("servicetrace health: {e}")))
-        .ok();
-    let complete = doc.count("dropped") == 0;
-    errors.extend(check_events(&events, complete, health.as_ref()));
-    let rederived = derive_counts(&events).ledger_json();
-    let agrees = !complete || doc.get("derived") == Some(&rederived);
-    ensure!(
-        errors,
-        agrees,
-        "`derived` is {} but the events re-derive {rederived}",
-        doc["derived"]
-    );
-    let (peak, capacity) = (
-        doc.count("snapshot_queue_depth_max"),
-        doc.count("queue_capacity"),
-    );
-    ensure!(
-        errors,
-        peak <= capacity,
-        "snapshot_queue_depth_max {peak} exceeds queue_capacity {capacity} \
-         (backpressure bound violated)"
-    );
 }
 
 /// Every journal invariant over an event slice, one message per
@@ -1071,7 +991,7 @@ mod tests {
         };
         events.push(ev(10, 1400, "", None, EventKind::HealthSnapshot { health }));
         for e in &events {
-            let line = e.to_json_line();
+            let line = e.to_json().render();
             let parsed = Json::parse(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
             assert_eq!(Event::from_json(&parsed).as_ref(), Ok(e), "{line}");
             assert_eq!(
@@ -1105,35 +1025,6 @@ mod tests {
         assert!(Event::from_json(&unplaced)
             .unwrap_err()
             .contains("`worker`"));
-    }
-
-    #[test]
-    fn document_round_trips_and_passes_its_check() {
-        let journal = Journal::full(None);
-        for e in sample_events() {
-            journal.record(&e.job, e.worker, e.kind);
-        }
-        let health = Health {
-            submitted: 2,
-            completed: 1,
-            rejected: 1,
-            retried: 1,
-            ..Health::default()
-        };
-        assert_eq!(
-            journal.check_invariants(Some(&health)),
-            Vec::<String>::new()
-        );
-        let doc = journal.document(2, 8, &health, 3.5);
-        assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
-        assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());
-        assert_eq!(doc.get("capacity"), Some(&Json::Null));
-        assert_eq!(
-            doc.get("derived").unwrap().render(),
-            "{\"submitted\":2,\"completed\":1,\"failed\":0,\"cancelled\":0,\
-             \"deadline\":0,\"rejected\":1,\"retried\":1}"
-        );
-        assert_eq!(doc.items("events").len(), journal.len());
     }
 
     #[test]

@@ -92,11 +92,10 @@ fn the_subcommand_is_read_once() {
 #[test]
 fn options_of_another_mode_are_rejected() {
     for args in [
-        // The experiment and profile modes write no `--json` document.
+        // The experiments write no `--json` document.
         &["--json", "x.json", "table1"][..],
-        &["profile", "--json", "x.json", "fermi_ffma"],
         &["bench", "--soak", "3"],
-        &["serve", "--soak", "3", "--profile-out", "x.json"],
+        &["serve", "--soak", "3", "--replay", "x"],
         &["hostprof", "fermi_ffma", "--trace-out", "x.json"],
         // Only experiments and `profile` read the timing cache.
         &["fuzz", "--iters", "3", "--no-cache"],
@@ -112,14 +111,19 @@ fn options_of_another_mode_are_rejected() {
 }
 
 #[test]
-fn there_is_no_grid_option() {
+fn there_is_no_grid_option_and_no_second_document_flag() {
     // Every experiment and the bench suite run at the paper's sizes: no
-    // option picks another grid.
+    // option picks another grid. Every document is written by `--json`,
+    // and a serve run writes one.
     for args in [
         &["--quick", "table1"][..],
         &["--full", "table1"],
         &["bench", "--quick"],
         &["bench", "--full"],
+        &["profile", "fermi_ffma", "--profile-out", "x.json"],
+        &["serve", "--soak", "3", "--results", "x.jsonl"],
+        &["serve", "--soak", "3", "--journal-out", "x.json"],
+        &["serve", "--soak", "3", "--snapshot-ms", "10"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -141,7 +145,7 @@ fn profile_subcommand_emits_trace_and_profile_documents() {
         "fermi_ffma",
         "--trace-out",
         trace.to_str().unwrap(),
-        "--profile-out",
+        "--json",
         profile.to_str().unwrap(),
     ]);
     assert!(
@@ -228,9 +232,14 @@ fn fuzz_rejects_bad_usage() {
     let out = reproduce(&["table1", "--replay", "x"]);
     assert!(!out.status.success());
 
-    // Unknown GPU names are rejected.
-    let out = reproduce(&["fuzz", "--gpu", "hopper"]);
-    assert!(!out.status.success());
+    // Unknown GPU names are rejected, and so is GT200: the timing model
+    // simulates only the paper's two GPUs.
+    for gpu in ["hopper", "gt200"] {
+        let out = reproduce(&["fuzz", "--gpu", gpu]);
+        assert_eq!(out.status.code(), Some(1), "{gpu}");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(err.contains(&format!("unknown gpu `{gpu}`")), "{err}");
+    }
 }
 
 fn sassc(args: &[&str]) -> Output {

@@ -51,11 +51,12 @@ fn chaos_soak_reaches_terminal_state_for_every_job() {
     let jobs = service::soak_jobs(220, 2026);
     let total = jobs.len();
     let capacity = 32;
-    let (svc, rx) = Service::start(ServiceConfig {
+    let config = ServiceConfig {
         workers: 4,
         queue_capacity: capacity,
         retry_backoff_ms: 1,
-    });
+    };
+    let (svc, rx) = Service::start_with_journal(config, None);
     for job in jobs {
         svc.submit(job);
     }
@@ -112,10 +113,11 @@ fn soak_results_are_deterministic_for_simulator_jobs() {
         .find(|j| j.kind == JobKind::Spin && j.cancel_at_cycle.is_some())
         .expect("the soak mix includes cycle-triggered spins");
     let run = |spec: JobSpec| {
-        let (svc, rx) = Service::start(ServiceConfig {
+        let config = ServiceConfig {
             workers: 1,
             ..ServiceConfig::default()
-        });
+        };
+        let (svc, rx) = Service::start_with_journal(config, None);
         svc.submit(spec);
         let results = collect(&rx, 1, Duration::from_secs(60));
         svc.drain();
@@ -128,12 +130,11 @@ fn soak_results_are_deterministic_for_simulator_jobs() {
 }
 
 #[test]
-fn serve_cli_runs_a_jobs_file_and_emits_valid_documents() {
+fn serve_cli_runs_a_jobs_file_and_emits_one_valid_document() {
     let dir = std::env::temp_dir().join(format!("peakperf-serve-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let jobs_path = dir.join("jobs.jsonl");
     let json_path = dir.join("service.json");
-    let results_path = dir.join("results.jsonl");
     // Well-behaved production jobs only: a mutant evaluation, a flaky
     // job within its retry budget, and a deadline-doomed spin (deadline
     // is requested semantics, not a failure).
@@ -159,7 +160,7 @@ fn serve_cli_runs_a_jobs_file_and_emits_valid_documents() {
     ];
     let text = jobs
         .iter()
-        .map(JobSpec::to_json_line)
+        .map(|job| job.to_json().render())
         .collect::<Vec<_>>()
         .join("\n");
     std::fs::write(&jobs_path, text).unwrap();
@@ -170,14 +171,12 @@ fn serve_cli_runs_a_jobs_file_and_emits_valid_documents() {
         jobs_path.to_str().unwrap(),
         "--json",
         json_path.to_str().unwrap(),
-        "--results",
-        results_path.to_str().unwrap(),
     ]);
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(out.status.success(), "serve failed:\n{err}");
 
-    // The summary document carries the envelope, balanced health
-    // counters, and one result per job.
+    // The document carries the envelope, balanced health counters, one
+    // result per job, and the journal's events.
     let doc = Json::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
     assert_eq!(check_document(&doc), Vec::<String>::new());
     assert_eq!(
@@ -192,24 +191,13 @@ fn serve_cli_runs_a_jobs_file_and_emits_valid_documents() {
     assert_eq!(n("failed") + n("cancelled") + n("rejected"), 0);
     assert!(n("retried") >= 1, "the flaky job must have retried");
 
-    // The results JSONL round-trips line by line.
-    let lines: Vec<String> = std::fs::read_to_string(&results_path)
-        .unwrap()
-        .lines()
-        .map(str::to_owned)
-        .collect();
-    assert_eq!(lines.len(), 3);
-    for line in &lines {
-        let r = Json::parse(line).unwrap();
-        assert_eq!(check_document(&r), Vec::<String>::new());
-        assert_eq!(
-            r.get("schema").and_then(Json::as_str),
-            Some("peakperf-job-result-v1")
-        );
-        assert!(
-            ["completed", "deadline"].contains(&r.get("status").and_then(Json::as_str).unwrap())
-        );
+    let results = doc.items("results");
+    assert_eq!(results.len(), 3);
+    for r in results {
+        assert!(["completed", "deadline"].contains(&r.text("status")), "{r}");
     }
+    assert_eq!(doc.get("complete"), Some(&Json::Bool(true)));
+    assert!(doc.items("events").len() >= 3 * 2);
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -220,7 +208,7 @@ fn serve_cli_fails_when_a_file_job_fails_and_dumps_the_flight_recorder() {
     let jobs_path = dir.join("jobs.jsonl");
     std::fs::write(
         &jobs_path,
-        JobSpec::new("boom", JobKind::Panic).to_json_line(),
+        JobSpec::new("boom", JobKind::Panic).to_json().render(),
     )
     .unwrap();
     let out = Command::new(env!("CARGO_BIN_EXE_reproduce"))
@@ -234,8 +222,9 @@ fn serve_cli_fails_when_a_file_job_fails_and_dumps_the_flight_recorder() {
     );
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("boom"), "stderr should name the job: {err}");
-    // A failing run ships with its history: the always-armed flight
-    // recorder is dumped and the error message points at it.
+    // A failing run ships with its history: the service document with the
+    // always-armed flight recorder is dumped and the error message points
+    // at it.
     assert!(
         err.contains("serve-flightrec.json"),
         "stderr should point at the flight-recorder dump: {err}"
@@ -246,8 +235,9 @@ fn serve_cli_fails_when_a_file_job_fails_and_dumps_the_flight_recorder() {
     assert_eq!(check_document(&doc), Vec::<String>::new());
     assert_eq!(
         doc.get("schema").and_then(Json::as_str),
-        Some("peakperf-servicetrace-v1")
+        Some("peakperf-service-v1")
     );
+    assert_eq!(doc.items("results")[0].text("status"), "failed");
     assert!(
         !doc.items("events").is_empty(),
         "the dump must carry the event history"
@@ -288,10 +278,13 @@ fn journal_rederives_identity_on_a_200_job_seeded_soak() {
     assert!(journal.is_complete(), "full journals never drop events");
 
     // Every result's terminal status is readable from its span chain.
+    let events = journal.events();
     for r in &results {
-        let chain = journal.spans_for(&r.id);
-        assert!(!chain.is_empty(), "job {} has no journal chain", r.id);
-        match chain.last().unwrap().kind {
+        let last = events.iter().rfind(|e| e.job == r.id);
+        let Some(last) = last else {
+            panic!("job {} has no journal chain", r.id)
+        };
+        match last.kind {
             EventKind::Terminal { status, .. } => {
                 assert_eq!(status, r.status, "journal disagrees on {}", r.id)
             }
@@ -299,19 +292,18 @@ fn journal_rederives_identity_on_a_200_job_seeded_soak() {
         }
     }
     // The health time-series ran alongside the soak.
-    assert!(journal
-        .events()
+    assert!(events
         .iter()
         .any(|e| matches!(e.kind, EventKind::HealthSnapshot { .. })));
 }
 
 #[test]
-fn journal_attachment_leaves_results_and_documents_identical() {
+fn journal_attachment_leaves_results_identical() {
     // The zero-overhead-when-off lock: the same deterministic job list,
     // run with no journal and with a full journal + aggressive
-    // snapshots, must produce the same service document up to volatile
-    // wall-time fields — attaching the flight recorder changes what is
-    // *recorded*, never what the service *does*.
+    // snapshots, must produce the same results and health counters up to
+    // volatile wall-time fields — attaching the flight recorder changes
+    // what is *recorded*, never what the service *does*.
     let jobs = || {
         vec![
             JobSpec {
@@ -341,19 +333,18 @@ fn journal_attachment_leaves_results_and_documents_identical() {
         for job in jobs() {
             svc.submit(job);
         }
-        let results = collect(&rx, 3, Duration::from_secs(60));
+        let results: Json = collect(&rx, 3, Duration::from_secs(60))
+            .iter()
+            .map(JobResult::to_json)
+            .collect();
         let health = svc.drain();
-        service::service_document(1, 8, &health, &results, 0.0)
+        (health.to_json(), common::mask_volatile(results))
     };
     let off = run(None);
     let on = run(Some(Arc::new(Journal::full(Some(Duration::from_millis(
         2,
     ))))));
-    assert!(
-        !on.render().contains("snapshot"),
-        "the journal must not leak into the service document"
-    );
-    assert_eq!(common::mask_volatile(off), common::mask_volatile(on));
+    assert_eq!(off, on);
 }
 
 /// A fixed, clock-free event sequence locking the Chrome-trace export
@@ -500,10 +491,10 @@ fn servicetrace_chrome_export_matches_golden_file() {
 }
 
 #[test]
-fn serve_cli_writes_journal_and_trace_artifacts() {
+fn serve_cli_writes_document_and_trace_artifacts() {
     let dir = std::env::temp_dir().join(format!("peakperf-serve-jrn-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let journal_path = dir.join("journal.json");
+    let doc_path = dir.join("service.json");
     let trace_path = dir.join("trace.json");
     let out = reproduce(&[
         "serve",
@@ -513,10 +504,8 @@ fn serve_cli_writes_journal_and_trace_artifacts() {
         "3",
         "--queue-cap",
         "8",
-        "--snapshot-ms",
-        "10",
-        "--journal-out",
-        journal_path.to_str().unwrap(),
+        "--json",
+        doc_path.to_str().unwrap(),
         "--trace-out",
         trace_path.to_str().unwrap(),
     ]);
@@ -524,7 +513,7 @@ fn serve_cli_writes_journal_and_trace_artifacts() {
     assert!(out.status.success(), "serve failed:\n{err}");
 
     // `reproduce check` accepts both artifacts (and the checked-in golden
-    // trace) — so the identity is re-derivable from the journal document
+    // trace) — so the identity is re-derivable from the service document
     // alone and agrees with `derived` and `health` — and names what is
     // wrong with a document that lost an event.
     let golden = concat!(
@@ -533,7 +522,7 @@ fn serve_cli_writes_journal_and_trace_artifacts() {
     );
     let out = reproduce(&[
         "check",
-        journal_path.to_str().unwrap(),
+        doc_path.to_str().unwrap(),
         trace_path.to_str().unwrap(),
         golden,
     ]);
@@ -548,7 +537,7 @@ fn serve_cli_writes_journal_and_trace_artifacts() {
             .count(),
         3
     );
-    let mut doc = Json::parse(&std::fs::read_to_string(&journal_path).unwrap()).unwrap();
+    let mut doc = Json::parse(&std::fs::read_to_string(&doc_path).unwrap()).unwrap();
     let Some(Json::Arr(events)) = doc.get_mut("events") else {
         panic!("events is not an array")
     };
@@ -567,7 +556,7 @@ fn serve_cli_writes_journal_and_trace_artifacts() {
         "{err}"
     );
 
-    let doc = Json::parse(&std::fs::read_to_string(&journal_path).unwrap()).unwrap();
+    let doc = Json::parse(&std::fs::read_to_string(&doc_path).unwrap()).unwrap();
     assert_eq!(doc.get("complete"), Some(&Json::Bool(true)));
     assert!(
         doc.items("events").len() >= 25 * 2,

@@ -1,9 +1,10 @@
 //! Functional (untimed) whole-grid execution.
 
 use peakperf_arch::{Generation, GpuConfig, WARP_SIZE};
-use peakperf_sass::{validate_kernel, Kernel};
+use peakperf_sass::Kernel;
 
 use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
+use crate::launch::check_launch;
 use crate::warp::{StepEvent, WarpState};
 use crate::{Dim3, FuncStats, GlobalMemory, HangSnapshot, LaunchConfig, SimError, WarpHang};
 
@@ -78,23 +79,7 @@ impl Gpu {
         config: LaunchConfig,
         params: &[u32],
     ) -> Result<FuncStats, SimError> {
-        validate_kernel(kernel, self.generation)?;
-        if params.len() != kernel.params.len() {
-            return Err(SimError::Launch {
-                message: format!(
-                    "kernel `{}` expects {} parameters, got {}",
-                    kernel.name,
-                    kernel.params.len(),
-                    params.len()
-                ),
-            });
-        }
-        let threads = config.threads_per_block();
-        if threads == 0 || threads > 1024 {
-            return Err(SimError::Launch {
-                message: format!("block size {threads} out of range 1..=1024"),
-            });
-        }
+        check_launch(&GpuConfig::preset(self.generation), kernel, config, params)?;
         let mut stats = FuncStats::default();
         for bz in 0..config.grid.z {
             for by in 0..config.grid.y {

@@ -1,8 +1,11 @@
-//! Grid/block launch geometry.
+//! Grid/block launch geometry, and the launch check both engines make.
 
 use std::fmt;
 
-use peakperf_arch::WARP_SIZE;
+use peakperf_arch::{GpuConfig, WARP_SIZE};
+use peakperf_sass::{validate_kernel, Kernel};
+
+use crate::SimError;
 
 /// A 3-component dimension (grid or block).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -89,6 +92,37 @@ impl fmt::Display for LaunchConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "grid {} block {}", self.grid, self.block)
     }
+}
+
+/// What [`crate::Gpu::launch`] and [`crate::timing::TimingSim::new`] both
+/// check before running anything: the kernel validates for `gpu`'s
+/// generation, `params` has one value per kernel parameter, and a block
+/// holds between 1 and `gpu`'s Table 1 `max_threads_per_block` threads
+/// (1024 on Fermi and Kepler).
+pub(crate) fn check_launch(
+    gpu: &GpuConfig,
+    kernel: &Kernel,
+    config: LaunchConfig,
+    params: &[u32],
+) -> Result<(), SimError> {
+    validate_kernel(kernel, gpu.generation)?;
+    if params.len() != kernel.params.len() {
+        return Err(SimError::Launch {
+            message: format!(
+                "kernel `{}` expects {} parameters, got {}",
+                kernel.name,
+                kernel.params.len(),
+                params.len()
+            ),
+        });
+    }
+    let (threads, max) = (config.threads_per_block(), gpu.max_threads_per_block);
+    if threads == 0 || threads > max {
+        return Err(SimError::Launch {
+            message: format!("block size {threads} out of range 1..={max}"),
+        });
+    }
+    Ok(())
 }
 
 #[cfg(test)]

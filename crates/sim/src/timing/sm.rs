@@ -3,10 +3,11 @@
 use std::collections::BTreeMap;
 
 use peakperf_arch::{register_bank, GpuConfig, WARP_SIZE};
-use peakperf_sass::{validate_kernel, CtlInfo, Kernel, MemSpace, OpClass, Pred, Reg};
+use peakperf_sass::{CtlInfo, Kernel, MemSpace, OpClass, Pred, Reg};
 
 use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
 use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
+use crate::launch::check_launch;
 use crate::perfmon::{Phase, Stopwatch};
 use crate::timing::conflict::{global_transactions, shared_conflict_factor, SEGMENT_BYTES};
 use crate::timing::trace::{Hooks, Observer, TraceEvent, TraceEventKind, NO_PC};
@@ -292,8 +293,9 @@ impl TimingSim {
     ///
     /// # Errors
     ///
-    /// Fails if the kernel does not validate for the GPU's generation or
-    /// the launch parameters are inconsistent.
+    /// Fails if the kernel does not validate for the GPU's generation, the
+    /// launch parameters are inconsistent, or the generation has no timing
+    /// calibration (GT200).
     pub fn new(
         gpu: &GpuConfig,
         kernel: &Kernel,
@@ -301,23 +303,13 @@ impl TimingSim {
         params: &[u32],
         resident_blocks: u32,
     ) -> Result<TimingSim, SimError> {
-        validate_kernel(kernel, gpu.generation)?;
-        if params.len() != kernel.params.len() {
-            return Err(SimError::Launch {
-                message: format!(
-                    "kernel `{}` expects {} parameters, got {}",
-                    kernel.name,
-                    kernel.params.len(),
-                    params.len()
-                ),
-            });
-        }
+        check_launch(gpu, kernel, config, params)?;
         if resident_blocks == 0 {
             return Err(SimError::Launch {
                 message: "resident block count must be positive".to_owned(),
             });
         }
-        let calib = Calibration::for_generation(gpu.generation);
+        let calib = Calibration::for_generation(gpu.generation)?;
         let meta = kernel
             .code
             .iter()
@@ -1168,7 +1160,11 @@ mod tests {
         assert_eq!(report.mix.count("BAR.SYNC"), 4); // 4 warps
         assert!(
             report.cycles
-                > u64::from(Calibration::for_generation(Generation::Fermi).barrier_latency)
+                > u64::from(
+                    Calibration::for_generation(Generation::Fermi)
+                        .unwrap()
+                        .barrier_latency
+                )
         );
     }
 }

@@ -1,10 +1,11 @@
-//! Determinism and cross-generation sanity tests.
+//! Determinism, cross-generation sanity and launch-check tests.
 
 use peakperf::arch::{Generation, GpuConfig};
-use peakperf::kernels::microbench::{mix, run_on_sm};
+use peakperf::kernels::microbench::mix;
 use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
-use peakperf::sim::timing::time_kernel;
-use peakperf::sim::GlobalMemory;
+use peakperf::sass::KernelBuilder;
+use peakperf::sim::timing::{time_kernel, TimingSim};
+use peakperf::sim::{GlobalMemory, Gpu, LaunchConfig, SimError};
 
 /// The simulator is a pure function of its inputs: identical launches
 /// produce identical cycle counts and results, run after run.
@@ -47,40 +48,48 @@ fn microbenchmarks_are_deterministic() {
     assert_eq!(a.throughput.to_bits(), b.throughput.to_bits());
 }
 
-/// GT200 sanity: its scheduler can issue faster than its 8 SPs can
-/// process, so a pure-FFMA stream is SP-bound at ~8 thread-insts/cycle —
-/// the "free cycles for auxiliary instructions" observation of
-/// Section 4.2.
+/// GT200 has no timing model: the paper measures only Fermi and Kepler,
+/// so the timing engine refuses a GT200 card with a typed launch error.
 #[test]
-fn gt200_is_sp_bound_not_issue_bound() {
-    use peakperf::sass::{CmpOp, KernelBuilder, Operand, Pred, Reg};
-    let gpu = GpuConfig::gtx280();
-    let mut b = KernelBuilder::new("gt200_ffma", Generation::Gt200);
-    for i in 0..8u8 {
-        b.mov_f32(Reg::r(i), 1.0);
-    }
-    let counter = Reg::r(30);
-    b.mov32i(counter, 32);
-    let top = b.label_here();
-    for k in 0..64u8 {
-        b.ffma(
-            Reg::r(8 + (k % 8)),
-            Reg::r(1),
-            Operand::reg(4),
-            Reg::r(8 + (k % 8)),
-        );
-    }
-    b.iadd(counter, counter, -1);
-    b.isetp(Pred::p(0), CmpOp::Gt, counter, 0);
-    b.bra_if(Pred::p(0), false, top);
+fn gt200_has_no_timing_model() {
+    let mut b = KernelBuilder::new("gt200_exit", Generation::Gt200);
     b.exit();
     let kernel = b.finish().unwrap();
-    let report = run_on_sm(&gpu, &kernel, 512, 2).unwrap();
-    let ipc = report.thread_ipc();
+    let config = LaunchConfig::linear(1, 32);
+    let err = TimingSim::new(&GpuConfig::gtx280(), &kernel, config, &[], 1).err();
     assert!(
-        (6.5..=8.2).contains(&ipc),
-        "GT200 FFMA thread IPC {ipc} should sit at the 8-SP limit"
+        matches!(&err, Some(SimError::Launch { message }) if message.contains("only Fermi and Kepler")),
+        "{err:?}"
     );
+}
+
+/// The functional and the timing engine make one launch check: an empty
+/// block, a block over Table 1's 1024 threads, or the wrong parameter
+/// count is a typed launch error from both, and a full block is not.
+#[test]
+fn both_engines_reject_the_same_launches() {
+    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+        let mut b = KernelBuilder::new("one_param", gpu.generation);
+        b.param("out");
+        b.exit();
+        let kernel = b.finish().unwrap();
+        for (threads, params) in [(0, &[0u32][..]), (1025, &[0]), (32, &[])] {
+            let config = LaunchConfig::linear(1, threads);
+            let func = Gpu::from_config(&gpu).launch(&kernel, config, params).err();
+            let timing = TimingSim::new(&gpu, &kernel, config, params, 1).err();
+            for (engine, err) in [("functional", func), ("timing", timing)] {
+                assert!(
+                    matches!(err, Some(SimError::Launch { .. })),
+                    "{} {engine}: {threads} threads, {} params: {err:?}",
+                    gpu.name,
+                    params.len()
+                );
+            }
+        }
+        let config = LaunchConfig::linear(1, 1024);
+        assert!(Gpu::from_config(&gpu).launch(&kernel, config, &[0]).is_ok());
+        assert!(TimingSim::new(&gpu, &kernel, config, &[0], 1).is_ok());
+    }
 }
 
 /// The three generations order as Table 1 says for the same SGEMM: Kepler

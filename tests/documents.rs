@@ -187,6 +187,8 @@ fn profile_and_hostprof_documents() {
         "peakperf-perf-v1",
         "peakperf-metrics-v1",
         "peakperf-bench-compare-v1",
+        "peakperf-job-result-v1",
+        "peakperf-servicetrace-v1",
     ] {
         assert_eq!(
             check_document(&obj!((); schema = schema)),
@@ -276,26 +278,14 @@ fn service_documents_from_a_seeded_soak() {
     let health = svc.drain();
     let results: Vec<service::JobResult> = rx.try_iter().collect();
     assert_eq!(results.len(), jobs.len());
-    for result in &results {
-        let cases = [
-            (
-                "status",
-                Set("running".into()),
-                "status `running` is not terminal",
-            ),
-            (
-                "kind",
-                Set("teleport".into()),
-                "unknown job kind `teleport`",
-            ),
-            ("", Remove("detail"), "missing key `detail`"),
-        ];
-        assert_checked(&result.to_json(), &cases);
-    }
-
-    let doc = service::service_document(2, 8, &health, &results, 12.5);
+    let doc = service::service_document(2, 8, &health, &results, 12.5, &journal);
     let ran = index_of(doc.items("results"), "status", "completed");
     let attempts = format!("results.{ran}.attempts");
+    let events = doc.items("events");
+    let terminal = format!("events.{}", index_of(events, "type", "terminal"));
+    let terminal_status = format!("{terminal}.status");
+    let snapshot_ts = format!("events.{}.ts_us", events.len() - 1);
+    assert_eq!(events.last().unwrap().text("type"), "health_snapshot");
     let cases = [
         ("health.completed", Bump, "accounting identity violated"),
         ("health.completed", Bump, "result(s) but health counts"),
@@ -313,6 +303,12 @@ fn service_documents_from_a_seeded_soak() {
         ("results", RepeatLast, "duplicate result id"),
         ("results.0.status", Set("running".into()), "is not terminal"),
         (
+            "results.0.kind",
+            Set("teleport".into()),
+            "unknown job kind `teleport`",
+        ),
+        ("results.0", Remove("detail"), "missing key `detail`"),
+        (
             attempts.as_str(),
             Set(0.into()),
             "completed job reports 0 attempt",
@@ -322,16 +318,6 @@ fn service_documents_from_a_seeded_soak() {
             Set("wide".into()),
             "queue_capacity: expected an integer, got",
         ),
-    ];
-    assert_checked(&doc, &cases);
-
-    let doc = journal.document(2, 8, &health, 12.5);
-    let events = doc.items("events");
-    let terminal = format!("events.{}", index_of(events, "type", "terminal"));
-    let terminal_status = format!("{terminal}.status");
-    let snapshot_ts = format!("events.{}.ts_us", events.len() - 1);
-    assert_eq!(events.last().unwrap().text("type"), "health_snapshot");
-    let cases = [
         (
             "events",
             RemoveType("terminal"),

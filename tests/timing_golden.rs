@@ -27,8 +27,8 @@ use peakperf::sass::Kernel;
 use peakperf::sim::timing::{Hooks, TimingReport, TimingSim};
 use peakperf::sim::{FuncStats, GlobalMemory, Gpu, LaunchConfig, SimError};
 use peakperf_bench::fault::{
-    campaign_cases, gpu_config_for, mutant_kernel, parse_corpus_case, CampaignConfig, FuzzCase,
-    FUZZ_CYCLE_LIMIT, FUZZ_STEP_LIMIT,
+    campaign_cases, mutant_kernel, parse_corpus_case, CampaignConfig, FuzzCase, FUZZ_CYCLE_LIMIT,
+    FUZZ_STEP_LIMIT,
 };
 
 mod common;
@@ -112,7 +112,7 @@ impl Digests {
     fn record_mutant(&mut self, name: &str, case: &FuzzCase, removals: &[usize]) {
         let (seed, kernel, _) = mutant_kernel(case, removals).expect("seed kernels build");
         let launch = Launch {
-            gpu: &gpu_config_for(case.generation),
+            gpu: &GpuConfig::preset(case.generation),
             kernel: &kernel,
             config: seed.config,
             problem: seed.problem.as_ref(),
