@@ -18,7 +18,7 @@
 //! options:
 //!   --workers <n>        worker threads (default: autodetect)
 //!
-//! experiment and profile options:
+//! experiment options:
 //!   --no-cache           disable the in-memory timing cache
 //!   --cache-dir <path>   persist timing-cache entries under <path>
 //!
@@ -86,7 +86,7 @@
 
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use peakperf_arch::Generation;
 use peakperf_bench::exec;
@@ -163,9 +163,6 @@ const ALL: [&str; 15] = [
     "optimizer",
     "throughputdb",
 ];
-
-/// How often `serve` samples the health counters into its journal.
-const SNAPSHOT_INTERVAL: Duration = Duration::from_millis(100);
 
 /// What one invocation does: a subcommand, or — without one — the
 /// listed experiments.
@@ -361,9 +358,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     // Options that belong to some subcommands are an error in the others.
     let owned: [(&str, bool, &[Mode]); 6] = [
         (
-            "--no-cache/--cache-dir apply only to experiments and the `profile` subcommand",
+            "--no-cache/--cache-dir apply only to experiments",
             !opts.use_cache || opts.cache_dir.is_some(),
-            &[Mode::Experiments, Mode::Profile],
+            &[Mode::Experiments],
         ),
         (
             "--json requires a subcommand: profile, fuzz, bench, hostprof or serve",
@@ -695,16 +692,14 @@ fn run_serve(opts: &Options) -> ExitCode {
     let config = service::ServiceConfig {
         workers: 0,
         queue_capacity,
-        ..service::ServiceConfig::default()
     };
     // The flight recorder is always armed: a full journal when the run
     // writes the document or the trace (`--json`/`--trace-out`), else a
     // bounded ring whose tail is dumped if a resilience invariant fails.
-    let snapshot_interval = Some(SNAPSHOT_INTERVAL);
     let journal = Arc::new(if opts.json_path.is_some() || opts.trace_out.is_some() {
-        Journal::full(snapshot_interval)
+        Journal::full(None)
     } else {
-        Journal::flight_recorder(journal::DEFAULT_RING_CAPACITY, snapshot_interval)
+        Journal::flight_recorder(journal::DEFAULT_RING_CAPACITY)
     });
     let (svc, rx) = service::Service::start_with_journal(config, Some(Arc::clone(&journal)));
     let workers = exec::default_workers();
@@ -888,8 +883,7 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    let cached = matches!(opts.mode, Mode::Experiments | Mode::Profile);
-    if cached && opts.use_cache {
+    if opts.mode == Mode::Experiments && opts.use_cache {
         cache::enable_global(opts.cache_dir.clone().map(std::path::PathBuf::from));
     }
     let code = match opts.mode {

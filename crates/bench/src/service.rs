@@ -18,11 +18,11 @@
 //!   so runaway simulations abort with a typed error and a per-warp
 //!   snapshot instead of hanging a worker. [`Service::cancel`] aborts a
 //!   queued *or* in-flight job by id.
-//! * **panic isolation and bounded retries** — every attempt runs under
-//!   [`run_isolated`], so a panicking job becomes a `failed` result
-//!   (message + condensed backtrace) and the worker survives. Transient
-//!   failures retry up to [`JobSpec::max_retries`] times with bounded
-//!   exponential backoff; deadlines span attempts.
+//! * **panic isolation, one attempt** — each job runs at most once,
+//!   under [`run_isolated`], so a panicking job becomes a `failed` result
+//!   (message + condensed backtrace) and the worker survives. Nothing is
+//!   retried: every job kind is a deterministic simulation, so a failure
+//!   would only repeat.
 //! * **graceful shutdown** — [`Service::drain`] stops intake and runs the
 //!   queue dry; [`Service::shutdown_now`] additionally cancels in-flight
 //!   work and reports queued jobs as `cancelled`. Either way every
@@ -30,9 +30,10 @@
 //! * **observability** — a [`Health`] snapshot (queue depth, in-flight,
 //!   per-status counters) backed by atomics; and, when a
 //!   [`journal::Journal`] is attached via [`Service::start_with_journal`],
-//!   a structured event for every lifecycle transition (the flight
-//!   recorder — see the [`journal`] module docs). No journal attached
-//!   means no events are even constructed.
+//!   a structured event for every lifecycle transition, queue pushes and
+//!   pops with the depth they left (the flight recorder — see the
+//!   [`journal`] module docs). No journal attached means no events are
+//!   even constructed, and no thread runs besides the workers.
 //!
 //! Terminal statuses are `completed`, `failed`, `cancelled`, `deadline`
 //! and `rejected`; their counts must sum to `submitted` once the service
@@ -46,7 +47,7 @@ pub mod journal;
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,15 +63,15 @@ use crate::exec::run_isolated;
 use crate::fault::{generation_name, parse_generation, FuzzCase, Outcome, SeedSpec};
 use crate::profiling;
 use crate::report::{envelope, Table, PAPER_GPUS};
-use journal::{check_events, derive_counts, ErrorClass, Event, EventKind, Journal};
+use journal::{check_events, derive_counts, Event, EventKind, Journal};
 
 // ---------------------------------------------------------------------------
 // Job specification
 // ---------------------------------------------------------------------------
 
-/// What one job runs. The hostile kinds (`Spin`, `Panic`, `Flaky`) exist
-/// so the chaos-soak mode (and the tests) can prove the resilience
-/// properties against worst-case inputs, not just well-behaved ones.
+/// What one job runs. The hostile kinds (`Spin`, `Panic`) exist so the
+/// chaos-soak mode (and the tests) can prove the resilience properties
+/// against worst-case inputs, not just well-behaved ones.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobKind {
     /// Profile one named [`profiling::TARGETS`] target (no trace capture);
@@ -82,8 +83,8 @@ pub enum JobKind {
     },
     /// Run one differential fuzz mutant through [`crate::fault::run_case`]
     /// — the service's "untrusted kernel" ingestion path. The mutant's own
-    /// step/cycle budgets bound each attempt; a deadline additionally
-    /// bounds the job across attempts.
+    /// step/cycle budgets bound the run; a deadline additionally bounds
+    /// its wall time.
     Fault {
         /// The fully-specified mutant.
         case: FuzzCase,
@@ -92,20 +93,13 @@ pub enum JobKind {
     /// token (deadline or [`cancel_at_cycle`](JobSpec::cancel_at_cycle)),
     /// else the simulator's cycle watchdog fails it.
     Spin,
-    /// Panics on every attempt — proves the isolation boundary.
+    /// Panics — proves the isolation boundary.
     Panic,
-    /// Fails the first `fail_attempts` attempts, then succeeds — proves
-    /// the retry policy (terminally fails when
-    /// `fail_attempts > max_retries`).
-    Flaky {
-        /// Attempts that fail before the first success.
-        fail_attempts: u32,
-    },
 }
 
 impl JobKind {
     /// Every kind tag [`JobKind::name`] can return.
-    pub const NAMES: [&'static str; 5] = ["profile", "fault", "spin", "panic", "flaky"];
+    pub const NAMES: [&'static str; 4] = ["profile", "fault", "spin", "panic"];
 
     /// Stable kind tag used in job/result documents.
     pub fn name(&self) -> &'static str {
@@ -114,7 +108,6 @@ impl JobKind {
             JobKind::Fault { .. } => "fault",
             JobKind::Spin => "spin",
             JobKind::Panic => "panic",
-            JobKind::Flaky { .. } => "flaky",
         }
     }
 }
@@ -126,26 +119,22 @@ pub struct JobSpec {
     pub id: String,
     /// What to run.
     pub kind: JobKind,
-    /// Wall-clock budget for the whole job (all attempts), measured from
-    /// the moment a worker picks it up. `None` = no deadline (hostile
-    /// simulations are still bounded by the cycle watchdog).
+    /// Wall-clock budget for the job, measured from the moment a worker
+    /// picks it up. `None` = no deadline (hostile simulations are still
+    /// bounded by the cycle watchdog).
     pub deadline_ms: Option<u64>,
-    /// Extra attempts after a failure (0 = fail fast). Cancellation and
-    /// deadline expiry are never retried.
-    pub max_retries: u32,
     /// Deterministic abort: fire the job's token at this simulated cycle
     /// (only meaningful for kinds that run the timing simulator).
     pub cancel_at_cycle: Option<u64>,
 }
 
 impl JobSpec {
-    /// A job with no deadline, no retries and no cycle trigger.
+    /// A job with no deadline and no cycle trigger.
     pub fn new(id: impl Into<String>, kind: JobKind) -> JobSpec {
         JobSpec {
             id: id.into(),
             kind,
             deadline_ms: None,
-            max_retries: 0,
             cancel_at_cycle: None,
         }
     }
@@ -160,11 +149,9 @@ impl JobSpec {
                 doc.push("seed", case.seed.id());
                 doc.push("mutation_seed", case.mutation_seed);
             }
-            JobKind::Flaky { fail_attempts } => doc.push("fail_attempts", *fail_attempts),
             JobKind::Spin | JobKind::Panic => {}
         }
         doc.push_some("deadline_ms", self.deadline_ms);
-        doc.push_some("max_retries", Some(self.max_retries).filter(|&n| n > 0));
         doc.push_some("cancel_at_cycle", self.cancel_at_cycle);
         doc
     }
@@ -173,8 +160,10 @@ impl JobSpec {
     ///
     /// # Errors
     ///
-    /// A wrong/missing `schema`, an unknown `kind`, or missing or
-    /// mistyped kind-specific fields.
+    /// A wrong/missing `schema`, an unknown `kind`, missing or mistyped
+    /// kind-specific fields, or a member [`JobSpec::to_json`] never writes
+    /// for that kind (a misspelled `deadline_ms` must not run the job
+    /// without a deadline).
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
         let (schema, id) = (doc.text("schema"), doc.text("id"));
         if schema != "peakperf-job-v1" {
@@ -186,9 +175,6 @@ impl JobSpec {
         let optional = |key: &str| match doc[key] {
             Json::Null => Ok(None),
             _ => doc.need_u64(key).map(Some),
-        };
-        let optional32 = |key: &str, default: u32| -> Result<u32, String> {
-            Ok(optional(key)?.map_or(default, |n| n.min(u64::from(u32::MAX)) as u32))
         };
         let kind = match doc.need_str("kind")? {
             "profile" => JobKind::Profile {
@@ -212,9 +198,6 @@ impl JobSpec {
             }
             "spin" => JobKind::Spin,
             "panic" => JobKind::Panic,
-            "flaky" => JobKind::Flaky {
-                fail_attempts: optional32("fail_attempts", 1)?,
-            },
             other => {
                 return Err(format!(
                     "unknown job kind `{other}`; known: {}",
@@ -222,13 +205,24 @@ impl JobSpec {
                 ))
             }
         };
-        Ok(JobSpec {
+        let spec = JobSpec {
             id: id.to_owned(),
             kind,
             deadline_ms: optional("deadline_ms")?,
-            max_retries: optional32("max_retries", 0)?,
             cancel_at_cycle: optional("cancel_at_cycle")?,
-        })
+        };
+        let written = JobSpec {
+            deadline_ms: Some(0),
+            cancel_at_cycle: Some(0),
+            ..spec.clone()
+        }
+        .to_json();
+        let known = written.keys();
+        if let Some(key) = doc.keys().into_iter().find(|key| !known.contains(key)) {
+            let kind = spec.kind.name();
+            return Err(format!("unknown member `{key}` in a {kind} job"));
+        }
+        Ok(spec)
     }
 }
 
@@ -267,9 +261,9 @@ pub fn parse_jobs_jsonl(text: &str) -> Result<Vec<JobSpec>, String> {
 /// checks).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum JobStatus {
-    /// Ran to completion (possibly after retries).
+    /// Ran to completion.
     Completed,
-    /// Failed on its final attempt (structured error or isolated panic).
+    /// Its attempt failed (structured error or isolated panic).
     Failed,
     /// Aborted by [`Service::cancel`], a cycle trigger, or shutdown.
     Cancelled,
@@ -312,7 +306,9 @@ pub struct JobResult {
     pub kind: &'static str,
     /// Terminal state.
     pub status: JobStatus,
-    /// Attempts actually started (0 for rejected jobs).
+    /// Attempts actually started: 1 for a job that ran, 0 for one that
+    /// never did (rejected, cancelled while queued, or aborted between
+    /// pickup and its attempt).
     pub attempts: u32,
     /// Wall time from worker pickup to the terminal state (0 for
     /// rejected jobs).
@@ -331,8 +327,8 @@ pub struct JobResult {
     /// it up. `None` for jobs that never reached a worker (rejected, or
     /// cancelled while queued).
     pub queue_wait_us: Option<u64>,
-    /// Microseconds spent actually executing attempts (excluding queue
-    /// wait and retry backoff sleeps). `None` for jobs that never ran.
+    /// Microseconds spent executing the attempt (excluding queue wait).
+    /// `None` for jobs no worker picked up.
     pub attempts_wall_us: Option<u64>,
     /// Which trigger path aborted the job, for `cancelled`/`deadline`
     /// results (`api | cycle | deadline | shutdown`).
@@ -376,9 +372,10 @@ impl JobResult {
 /// Check one result object (called `at` in the messages) and return its
 /// status: shaped like a result this module writes, a known job kind, a
 /// *terminal* status — a hung or lost job cannot produce a valid
-/// result — and an attempt count that fits it (none for a job shed or
-/// cancelled while queued, at least one for a job that completed, failed
-/// or ran out of time).
+/// result — and an attempt count that fits it: exactly one for a job
+/// that completed or failed; none for a job shed or cancelled while
+/// queued; at most one for a job aborted after a worker picked it up,
+/// whose token may fire before its attempt starts.
 fn check_result(result: &Json, at: &str, errors: &mut Vec<String>) -> Option<JobStatus> {
     let spec = JobSpec::new("", JobKind::Spin);
     let sample = JobResult::unrun(spec, JobStatus::Rejected, "", None).to_json();
@@ -395,13 +392,12 @@ fn check_result(result: &Json, at: &str, errors: &mut Vec<String>) -> Option<Job
         return None;
     };
     let attempts = result.count("attempts");
+    // Only a worker measures a queue wait.
+    let picked_up = result.get("queue_wait_us").is_some();
     let fits = match terminal {
         JobStatus::Rejected => attempts == 0,
-        // Cancelled while queued (no worker ever measured its queue wait)
-        // means never started; a dequeued job may still be cancelled
-        // before its first attempt.
-        JobStatus::Cancelled => attempts == 0 || result.get("queue_wait_us").is_some(),
-        JobStatus::Completed | JobStatus::Failed | JobStatus::Deadline => attempts >= 1,
+        JobStatus::Completed | JobStatus::Failed => attempts == 1,
+        JobStatus::Cancelled | JobStatus::Deadline => attempts <= u64::from(picked_up),
     };
     ensure!(
         errors,
@@ -447,7 +443,11 @@ pub struct Health {
     pub cancelled: u64,
     /// Jobs that exceeded their deadline.
     pub deadline: u64,
-    /// Retry attempts performed (not jobs — a job retried twice counts 2).
+    /// Always 0: jobs run once, and no document or log line shows it.
+    ///
+    /// Exists only for the benchmark package, whose `service_mix`
+    /// workload reads it (`benchmark/src/workloads/service_mix.rs`).
+    /// ROADMAP item 8 deletes it together with that read.
     pub retried: u64,
     /// Jobs currently executing on a worker.
     pub in_flight: u64,
@@ -456,22 +456,16 @@ pub struct Health {
     /// High-water mark of the queue depth (never exceeds the configured
     /// capacity).
     pub queue_depth_max: u64,
-    /// Highest queue depth any periodic journal snapshot observed (0
-    /// when no journal with snapshots is attached). Unlike
-    /// `queue_depth_max` this is the *sampled* high-water mark — the one
-    /// a dashboard polling health would have seen.
-    pub snapshot_queue_depth_max: u64,
 }
 
 impl Health {
-    /// The seven ledger counters as a JSON object: the journal's `derived`
+    /// The six ledger counters as a JSON object: the journal's `derived`
     /// object, and the head of [`Health::to_json`].
     pub fn ledger_json(&self) -> Json {
-        obj!(self; submitted, completed, failed, cancelled, deadline, rejected, retried)
+        obj!(self; submitted, completed, failed, cancelled, deadline, rejected)
     }
 
-    /// The `health` object of the service document (and the payload of a
-    /// journal snapshot event).
+    /// The `health` object of the service document.
     pub fn to_json(&self) -> Json {
         let mut doc = self.ledger_json();
         doc.extend(obj!(self; in_flight, queue_depth, queue_depth_max));
@@ -492,11 +486,10 @@ impl Health {
             failed: count("failed")?,
             cancelled: count("cancelled")?,
             deadline: count("deadline")?,
-            retried: count("retried")?,
+            retried: 0,
             in_flight: count("in_flight")?,
             queue_depth: count("queue_depth")?,
             queue_depth_max: count("queue_depth_max")?,
-            snapshot_queue_depth_max: 0,
         })
     }
 
@@ -532,28 +525,21 @@ impl Health {
         self.terminal() + self.queue_depth + self.in_flight == self.submitted
     }
 
-    /// One-line text rendering for logs. The snapshot-derived peak only
-    /// appears when a journal with snapshots observed one, so the line
-    /// is unchanged for journal-less runs.
+    /// One-line text rendering for logs.
     pub fn render_line(&self) -> String {
-        let mut line = format!(
+        format!(
             "submitted {} | completed {} failed {} cancelled {} deadline {} rejected {} \
-             | retried {} | queued {} in-flight {} (peak queue {})",
+             | queued {} in-flight {} (peak queue {})",
             self.submitted,
             self.completed,
             self.failed,
             self.cancelled,
             self.deadline,
             self.rejected,
-            self.retried,
             self.queue_depth,
             self.in_flight,
             self.queue_depth_max,
-        );
-        if self.snapshot_queue_depth_max > 0 {
-            let _ = write!(line, " (snapshot peak {})", self.snapshot_queue_depth_max);
-        }
-        line
+        )
     }
 }
 
@@ -561,7 +547,7 @@ impl Health {
 // The service core
 // ---------------------------------------------------------------------------
 
-/// Service sizing and policy.
+/// Service sizing.
 #[derive(Debug, Clone, Copy)]
 pub struct ServiceConfig {
     /// Worker threads (0 = [`crate::exec::default_workers`]).
@@ -569,15 +555,6 @@ pub struct ServiceConfig {
     /// Queue bound; submissions beyond it are rejected with
     /// `overloaded`.
     pub queue_capacity: usize,
-    /// Base backoff between retry attempts; attempt `n` waits
-    /// `base << (n-1)`, capped at [`ServiceConfig::MAX_BACKOFF_MS`] and at
-    /// the job's remaining deadline.
-    pub retry_backoff_ms: u64,
-}
-
-impl ServiceConfig {
-    /// Upper bound on a single retry backoff sleep.
-    pub const MAX_BACKOFF_MS: u64 = 250;
 }
 
 impl Default for ServiceConfig {
@@ -585,7 +562,6 @@ impl Default for ServiceConfig {
         ServiceConfig {
             workers: 0,
             queue_capacity: 256,
-            retry_backoff_ms: 10,
         }
     }
 }
@@ -617,7 +593,6 @@ struct HealthCounters {
     failed: AtomicU64,
     cancelled: AtomicU64,
     deadline: AtomicU64,
-    retried: AtomicU64,
     in_flight: AtomicU64,
     queue_depth_max: AtomicU64,
 }
@@ -634,8 +609,6 @@ struct Shared {
     /// The attached flight recorder; `None` = record nothing (the
     /// zero-overhead-when-off discipline).
     journal: Option<Arc<Journal>>,
-    /// Tells the snapshot sampler thread to exit.
-    sampler_stop: AtomicBool,
 }
 
 impl Shared {
@@ -666,33 +639,12 @@ impl Shared {
             failed: c.failed.load(Ordering::Relaxed),
             cancelled: c.cancelled.load(Ordering::Relaxed),
             deadline: c.deadline.load(Ordering::Relaxed),
-            retried: c.retried.load(Ordering::Relaxed),
+            retried: 0,
             in_flight: c.in_flight.load(Ordering::Relaxed),
             queue_depth: lock(&self.state).queue.len() as u64,
             queue_depth_max: c.queue_depth_max.load(Ordering::Relaxed),
-            snapshot_queue_depth_max: self
-                .journal
-                .as_ref()
-                .map_or(0, |j| j.snapshot_queue_depth_max()),
         }
     }
-}
-
-/// The periodic health sampler: turns [`Health`] into the journal's
-/// time-series. Sleeps in short chunks so shutdown is never blocked on a
-/// long snapshot interval.
-fn sampler_loop(shared: &Shared, journal: &Journal, interval: Duration) {
-    let chunk = interval.min(Duration::from_millis(25));
-    let mut last = Instant::now();
-    while !shared.sampler_stop.load(Ordering::Relaxed) {
-        std::thread::sleep(chunk);
-        if last.elapsed() >= interval {
-            journal.record_snapshot(shared.health());
-            last = Instant::now();
-        }
-    }
-    // One final sample so the series covers the end of the run.
-    journal.record_snapshot(shared.health());
 }
 
 /// The running service: worker threads plus the bounded queue. See the
@@ -702,16 +654,13 @@ fn sampler_loop(shared: &Shared, journal: &Journal, interval: Duration) {
 pub struct Service {
     shared: Arc<Shared>,
     workers: Vec<JoinHandle<()>>,
-    sampler: Option<JoinHandle<()>>,
     results: mpsc::Sender<JobResult>,
 }
 
 impl Service {
     /// Start the worker pool. Terminal results (including rejections)
     /// arrive on the returned channel in completion order. With a flight
-    /// recorder attached, every job transition is journaled, and if the
-    /// journal has a snapshot interval a sampler thread records periodic
-    /// `HealthSnapshot` events until the service drains.
+    /// recorder attached, every job transition is journaled.
     pub fn start_with_journal(
         config: ServiceConfig,
         journal: Option<Arc<Journal>>,
@@ -733,7 +682,6 @@ impl Service {
             inflight: Mutex::new(HashMap::new()),
             config,
             journal,
-            sampler_stop: AtomicBool::new(false),
         });
         let (tx, rx) = mpsc::channel();
         let handles = (0..workers)
@@ -743,18 +691,10 @@ impl Service {
                 std::thread::spawn(move || worker_loop(&shared, &tx, w as u32))
             })
             .collect();
-        let sampler = shared.journal.as_ref().and_then(|journal| {
-            journal.snapshot_interval().map(|interval| {
-                let shared = Arc::clone(&shared);
-                let journal = Arc::clone(journal);
-                std::thread::spawn(move || sampler_loop(&shared, &journal, interval))
-            })
-        });
         (
             Service {
                 shared,
                 workers: handles,
-                sampler,
                 results: tx,
             },
             rx,
@@ -887,7 +827,6 @@ impl Service {
         }
         self.shared.jobs_ready.notify_all();
         self.join_workers();
-        self.stop_sampler();
         self.health()
     }
 
@@ -942,7 +881,6 @@ impl Service {
             let _ = self.results.send(result);
         }
         self.join_workers();
-        self.stop_sampler();
         self.health()
     }
 
@@ -951,15 +889,6 @@ impl Service {
             // Workers run jobs under the isolation boundary, so a join
             // error means a harness bug; the counters already reflect
             // every job that produced a result.
-            let _ = handle.join();
-        }
-    }
-
-    /// Stop and join the snapshot sampler (after the workers, so its
-    /// final sample sees the drained counters).
-    fn stop_sampler(&mut self) {
-        self.shared.sampler_stop.store(true, Ordering::Relaxed);
-        if let Some(handle) = self.sampler.take() {
             let _ = handle.join();
         }
     }
@@ -981,7 +910,6 @@ impl Drop for Service {
         }
         self.shared.jobs_ready.notify_all();
         self.join_workers();
-        self.stop_sampler();
     }
 }
 
@@ -991,16 +919,30 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
+/// Whole microseconds in `d`, saturating.
+fn micros(d: Duration) -> u64 {
+    d.as_micros().min(u128::from(u64::MAX)) as u64
+}
+
 fn worker_loop(shared: &Shared, results: &mpsc::Sender<JobResult>, worker: u32) {
     loop {
-        let queued = {
+        let (queued, queue_wait_us) = {
             let mut state = lock(&shared.state);
             loop {
                 if state.stop_now {
                     return;
                 }
                 if let Some(queued) = state.queue.pop_front() {
-                    break queued;
+                    let queue_wait_us = micros(queued.enqueued.elapsed());
+                    // Journaled under the state lock, as `Submitted` is, so
+                    // the depths the events record are in `seq` order.
+                    let queue_depth = state.queue.len() as u64;
+                    let kind = EventKind::Dequeued {
+                        queue_wait_us,
+                        queue_depth,
+                    };
+                    shared.record(&queued.spec.id, Some(worker), kind);
+                    break (queued, queue_wait_us);
                 }
                 if state.stop {
                     return;
@@ -1011,13 +953,6 @@ fn worker_loop(shared: &Shared, results: &mpsc::Sender<JobResult>, worker: u32) 
                     .unwrap_or_else(std::sync::PoisonError::into_inner);
             }
         };
-        let queue_wait = queued.enqueued.elapsed();
-        let queue_wait_us = queue_wait.as_micros().min(u128::from(u64::MAX)) as u64;
-        shared.record(
-            &queued.spec.id,
-            Some(worker),
-            EventKind::Dequeued { queue_wait_us },
-        );
         shared.counters.in_flight.fetch_add(1, Ordering::Relaxed);
         let result = run_job(shared, queued.spec, worker, queue_wait_us);
         shared.bump(result.status);
@@ -1030,8 +965,8 @@ fn worker_loop(shared: &Shared, results: &mpsc::Sender<JobResult>, worker: u32) 
 // Job execution
 // ---------------------------------------------------------------------------
 
-/// What one attempt produced, distinguished from retryable failures
-/// (which travel as `Err(String)` through [`run_isolated`]).
+/// What an attempt produced, distinguished from failures (which travel
+/// as `Err(String)` through [`run_isolated`]).
 enum Attempt {
     Done {
         detail: String,
@@ -1047,8 +982,6 @@ enum Attempt {
 }
 
 fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> JobResult {
-    // One token per job: the deadline spans attempts, and an explicit
-    // cancel (or a fired deadline) stays fired across retries.
     let token = match spec.deadline_ms {
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::new(),
@@ -1058,95 +991,50 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
     }
     lock(&shared.inflight).insert(spec.id.clone(), token.clone());
     let t0 = Instant::now();
+    let deadline_ms = spec.deadline_ms.unwrap_or(0);
     let mut attempts: u32 = 0;
-    let mut attempts_wall = Duration::ZERO;
-    let (status, detail, cycles, report) = loop {
-        // Between attempts (and before the first), honour a token that
-        // fired while we were not inside the simulator — a cancel during
-        // backoff sleep, or a deadline consumed by earlier attempts.
-        // `fire_state(0)` never trips an armed `cancel_at_cycle > 0`.
-        match token.fire_state(0) {
-            Some(CancelCause::Cancelled) if spec.cancel_at_cycle != Some(0) => {
-                break (
-                    JobStatus::Cancelled,
-                    format!("cancelled before attempt {}", attempts + 1),
-                    None,
-                    None,
-                );
-            }
-            Some(CancelCause::DeadlineExceeded) => {
-                break (
-                    JobStatus::Deadline,
-                    format!(
-                        "deadline of {} ms exhausted before attempt {}",
-                        spec.deadline_ms.unwrap_or(0),
-                        attempts + 1
-                    ),
-                    None,
-                    None,
-                );
-            }
-            _ => {}
-        }
-        attempts += 1;
-        let attempt = attempts;
-        shared.record(
-            &spec.id,
-            Some(worker),
-            EventKind::AttemptStarted { attempt },
-        );
-        let attempt_t0 = Instant::now();
-        let outcome = run_isolated(|| run_attempt(&spec, &token, attempt));
-        attempts_wall += attempt_t0.elapsed();
-        match outcome {
-            Ok(Attempt::Done {
-                detail,
-                cycles,
-                report,
-            }) => break (JobStatus::Completed, detail, cycles, report),
-            Ok(Attempt::Cancelled { at_cycle }) => {
-                break (
+    let mut attempt_wall = Duration::ZERO;
+    // Honour a token that fired before the attempt could start: a cancel
+    // that arrived right after pickup, or a zero deadline.
+    // `fire_state(0)` never trips an armed `cancel_at_cycle > 0`.
+    let (status, detail, cycles, report) = match token.fire_state(0) {
+        Some(CancelCause::Cancelled) if spec.cancel_at_cycle != Some(0) => (
+            JobStatus::Cancelled,
+            "cancelled before its attempt".to_owned(),
+            None,
+            None,
+        ),
+        Some(CancelCause::DeadlineExceeded) => (
+            JobStatus::Deadline,
+            format!("deadline of {deadline_ms} ms exhausted before its attempt"),
+            None,
+            None,
+        ),
+        _ => {
+            attempts = 1;
+            shared.record(&spec.id, Some(worker), EventKind::AttemptStarted);
+            let attempt_t0 = Instant::now();
+            let outcome = run_isolated(|| run_attempt(&spec, &token));
+            attempt_wall = attempt_t0.elapsed();
+            match outcome {
+                Ok(Attempt::Done {
+                    detail,
+                    cycles,
+                    report,
+                }) => (JobStatus::Completed, detail, cycles, report),
+                Ok(Attempt::Cancelled { at_cycle }) => (
                     JobStatus::Cancelled,
                     format!("cancelled at cycle {at_cycle}"),
                     None,
                     None,
-                );
-            }
-            Ok(Attempt::Deadline { at_cycle }) => {
-                break (
+                ),
+                Ok(Attempt::Deadline { at_cycle }) => (
                     JobStatus::Deadline,
-                    format!(
-                        "deadline of {} ms exceeded at cycle {at_cycle}",
-                        spec.deadline_ms.unwrap_or(0)
-                    ),
+                    format!("deadline of {deadline_ms} ms exceeded at cycle {at_cycle}"),
                     None,
                     None,
-                );
-            }
-            Err(message) => {
-                if attempts > spec.max_retries {
-                    break (
-                        JobStatus::Failed,
-                        format!("attempt {attempts}: {message}"),
-                        None,
-                        None,
-                    );
-                }
-                shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-                let backoff = Duration::from_millis(
-                    (shared.config.retry_backoff_ms << (attempts - 1).min(8))
-                        .min(ServiceConfig::MAX_BACKOFF_MS),
-                );
-                shared.record(
-                    &spec.id,
-                    Some(worker),
-                    EventKind::AttemptFailed {
-                        attempt,
-                        error_class: ErrorClass::classify(&message),
-                        backoff_us: backoff.as_micros().min(u128::from(u64::MAX)) as u64,
-                    },
-                );
-                std::thread::sleep(backoff);
+                ),
+                Err(message) => (JobStatus::Failed, message, None, None),
             }
         }
     };
@@ -1175,7 +1063,7 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
         Some(worker),
         EventKind::Terminal {
             status,
-            total_wall_us: wall.as_micros().min(u128::from(u64::MAX)) as u64,
+            total_wall_us: micros(wall),
         },
     );
     JobResult {
@@ -1188,13 +1076,13 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
         cycles,
         report,
         queue_wait_us: Some(queue_wait_us),
-        attempts_wall_us: Some(attempts_wall.as_micros().min(u128::from(u64::MAX)) as u64),
+        attempts_wall_us: Some(micros(attempt_wall)),
         cancel_source,
     }
 }
 
 /// Map a simulator error to its attempt outcome: token-driven aborts are
-/// terminal states, everything else is a retryable failure.
+/// their own terminal states, everything else is a failure.
 fn classify_sim_error(e: SimError) -> Result<Attempt, String> {
     match e {
         SimError::Cancelled { at_cycle, .. } => Ok(Attempt::Cancelled { at_cycle }),
@@ -1203,7 +1091,7 @@ fn classify_sim_error(e: SimError) -> Result<Attempt, String> {
     }
 }
 
-fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Attempt, String> {
+fn run_attempt(spec: &JobSpec, token: &CancelToken) -> Result<Attempt, String> {
     match &spec.kind {
         JobKind::Profile { target } => match profiling::run_target(target, false, Some(token)) {
             Ok(out) => Ok(Attempt::Done {
@@ -1258,20 +1146,7 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Atte
                 Err(e) => classify_sim_error(e),
             }
         }
-        JobKind::Panic => panic!("forced panic job (isolation check), attempt {attempt}"),
-        JobKind::Flaky { fail_attempts } => {
-            if attempt <= *fail_attempts {
-                Err(format!(
-                    "flaky job failed attempt {attempt} of {fail_attempts} planned failure(s)"
-                ))
-            } else {
-                Ok(Attempt::Done {
-                    detail: format!("succeeded on attempt {attempt}"),
-                    cycles: None,
-                    report: None,
-                })
-            }
-        }
+        JobKind::Panic => panic!("forced panic job (isolation check)"),
     }
 }
 
@@ -1280,9 +1155,9 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken, attempt: u32) -> Result<Atte
 // ---------------------------------------------------------------------------
 
 /// Generate a deterministic chaos-soak job mix: fault mutants (hostile
-/// kernels), flaky and panicking jobs (isolation + retry), spins with
-/// short deadlines or cycle triggers (cancellation), and a sprinkle of
-/// real profile jobs — everything the resilience claims must survive.
+/// kernels), panicking jobs (isolation), spins with short deadlines or
+/// cycle triggers (cancellation), and a sprinkle of real profile jobs —
+/// everything the resilience claims must survive.
 pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
     let mut rng = peakperf_kernels::rng::Rng::seed_from_u64(seed ^ 0x5EED_50AC);
     let seeds = SeedSpec::all();
@@ -1292,7 +1167,7 @@ pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
             let roll = rng.gen_below(100);
             match roll {
                 // Hostile mutants are the bulk of the traffic.
-                0..=54 => {
+                0..=69 => {
                     let generation = if rng.gen_bool() {
                         Generation::Fermi
                     } else {
@@ -1313,17 +1188,6 @@ pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
                         )
                     }
                 }
-                // Flaky jobs: some recover within their retry budget,
-                // some exhaust it and fail terminally.
-                55..=69 => JobSpec {
-                    max_retries: rng.gen_range_u32(0, 4),
-                    ..JobSpec::new(
-                        id,
-                        JobKind::Flaky {
-                            fail_attempts: rng.gen_range_u32(1, 4),
-                        },
-                    )
-                },
                 70..=79 => JobSpec::new(id, JobKind::Panic),
                 // Deadline-doomed spins: must come back as `deadline`.
                 80..=89 => JobSpec {
@@ -1362,9 +1226,9 @@ pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
 /// The `peakperf-service-v1` document, the one record of a `reproduce
 /// serve` run: the run configuration, the health counters, every job's
 /// result, and the journal — whether it holds every event it recorded,
-/// its ring capacity and drop count, the snapshot settings, the counts
-/// its events re-derive (so the accounting identity is checkable from the
-/// document alone), and every retained event.
+/// its ring capacity and drop count, the counts its events re-derive (so
+/// the accounting identity is checkable from the document alone), and
+/// every retained event.
 pub fn service_document(
     workers: usize,
     queue_capacity: usize,
@@ -1375,28 +1239,26 @@ pub fn service_document(
 ) -> Json {
     let results = results.iter().map(JobResult::to_json);
     let events = journal.events();
-    let interval_ms = journal.snapshot_interval().map(|iv| iv.as_millis() as u64);
     let body = obj!((); workers = workers, queue_capacity = queue_capacity,
         wall_ms = wall_ms, health = health.to_json(),
         results = results.collect::<Json>(),
         complete = journal.is_complete(), capacity = journal.capacity(),
-        dropped = journal.dropped(), snapshot_interval_ms = interval_ms,
-        snapshot_queue_depth_max = journal.snapshot_queue_depth_max(),
-        derived = derive_counts(&events).ledger_json(),
+        dropped = journal.dropped(), derived = derive_counts(&events).ledger_json(),
         events = events.iter().map(Event::to_json).collect::<Json>());
     envelope("peakperf-service-v1", &PAPER_GPUS, body)
 }
 
 /// Check a `peakperf-service-v1` document: shaped like the sample
-/// [`service_document`] writes; every result valid ([`check_result`])
+/// [`service_document`] writes; every result valid (`check_result`)
 /// with a unique id; the results tallying the health counters status by
 /// status; the health counters those of a soundly drained service
 /// ([`Health::check_drained`]: the accounting identity, nothing left
 /// queued or in flight, the queue bound held); every event readable
 /// ([`Event::from_json`]) and the journal invariants holding on them
 /// ([`check_events`], against `health`); the `derived` object equal to
-/// the counts the events re-derive; and the sampled queue-depth peak
-/// within `queue_capacity`. Stops reading events after 20 violations.
+/// the counts the events re-derive; and every queue depth an event
+/// records within `queue_capacity`. Stops reading events after 20
+/// violations.
 pub fn check(doc: &Json, errors: &mut Vec<String>) {
     let sample = service_document(0, 0, &Health::default(), &[], 0.0, &Journal::full(None));
     doc.conforms(&sample, &"service document", errors);
@@ -1437,7 +1299,16 @@ pub fn check(doc: &Json, errors: &mut Vec<String>) {
     let mut events = Vec::new();
     for (i, event) in doc.items("events").iter().enumerate() {
         match Event::from_json(event) {
-            Ok(event) => events.push(event),
+            Ok(event) => {
+                let depth = event.kind.queue_depth().unwrap_or(0);
+                ensure!(
+                    errors,
+                    depth <= queue_capacity,
+                    "events[{i}]: queue_depth {depth} exceeds queue_capacity {queue_capacity} \
+                     (backpressure bound violated)"
+                );
+                events.push(event);
+            }
             Err(e) => errors.push(format!("events[{i}]: {e}")),
         }
         if errors.len() > 20 {
@@ -1453,13 +1324,6 @@ pub fn check(doc: &Json, errors: &mut Vec<String>) {
         agrees,
         "`derived` is {} but the events re-derive {rederived}",
         doc["derived"]
-    );
-    let peak = doc.count("snapshot_queue_depth_max");
-    ensure!(
-        errors,
-        peak <= queue_capacity,
-        "snapshot_queue_depth_max {peak} exceeds queue_capacity {queue_capacity} \
-         (backpressure bound violated)"
     );
 }
 
@@ -1524,9 +1388,18 @@ mod tests {
         let config = ServiceConfig {
             workers,
             queue_capacity: cap,
-            retry_backoff_ms: 1,
         };
         Service::start_with_journal(config, None)
+    }
+
+    /// A fault job that completes: one deterministic mutant.
+    fn mutant(id: &str) -> JobSpec {
+        let case = FuzzCase {
+            generation: Generation::Kepler,
+            seed: SeedSpec::parse("table2:07").unwrap(),
+            mutation_seed: 3,
+        };
+        JobSpec::new(id, JobKind::Fault { case })
     }
 
     /// The events of one job, in sequence order: its span chain.
@@ -1539,41 +1412,10 @@ mod tests {
     }
 
     #[test]
-    fn flaky_job_retries_to_completion() {
-        let (service, rx) = small_service(1, 8);
-        service.submit(JobSpec {
-            max_retries: 3,
-            ..JobSpec::new("flaky", JobKind::Flaky { fail_attempts: 2 })
-        });
-        let health = service.drain();
-        let results = drain_results(&rx);
-        assert_eq!(results.len(), 1);
-        assert_eq!(results[0].status, JobStatus::Completed);
-        assert_eq!(results[0].attempts, 3);
-        assert_eq!(health.retried, 2);
-        assert_eq!(health.completed, 1);
-        assert!(health.accounted());
-    }
-
-    #[test]
-    fn flaky_job_exhausting_retries_fails_terminally() {
-        let (service, rx) = small_service(1, 8);
-        service.submit(JobSpec {
-            max_retries: 1,
-            ..JobSpec::new("doomed", JobKind::Flaky { fail_attempts: 5 })
-        });
-        service.drain();
-        let results = drain_results(&rx);
-        assert_eq!(results[0].status, JobStatus::Failed);
-        assert_eq!(results[0].attempts, 2);
-        assert!(results[0].detail.contains("flaky job failed"));
-    }
-
-    #[test]
     fn panic_job_is_isolated_and_reports_a_backtrace() {
         let (service, rx) = small_service(2, 8);
         service.submit(JobSpec::new("boom", JobKind::Panic));
-        service.submit(JobSpec::new("ok", JobKind::Flaky { fail_attempts: 0 }));
+        service.submit(mutant("ok"));
         let health = service.drain();
         let results = drain_results(&rx);
         assert_eq!(results.len(), 2);
@@ -1590,16 +1432,31 @@ mod tests {
     #[test]
     fn deadline_doomed_spin_reports_deadline() {
         let (service, rx) = small_service(1, 8);
-        service.submit(JobSpec {
-            deadline_ms: Some(20),
-            ..JobSpec::new("spin", JobKind::Spin)
-        });
+        for (id, ms) in [("spin", 20), ("zero", 0)] {
+            service.submit(JobSpec {
+                deadline_ms: Some(ms),
+                ..JobSpec::new(id, JobKind::Spin)
+            });
+        }
         let health = service.drain();
         let results = drain_results(&rx);
-        assert_eq!(results[0].status, JobStatus::Deadline);
-        assert!(results[0].detail.contains("20 ms"), "{}", results[0].detail);
-        assert_eq!(health.deadline, 1);
+        let spin = results.iter().find(|r| r.id == "spin").unwrap();
+        assert_eq!(spin.status, JobStatus::Deadline);
+        assert!(spin.detail.contains("20 ms"), "{}", spin.detail);
+        assert_eq!(spin.attempts, 1);
+        assert_eq!(health.deadline, 2);
         assert!(health.accounted());
+        // A zero deadline fires between pickup and the attempt: a valid
+        // result with no attempt, unlike one claiming two.
+        let zero = results.iter().find(|r| r.id == "zero").unwrap();
+        assert_eq!(zero.status, JobStatus::Deadline);
+        assert_eq!(zero.attempts, 0);
+        let mut errors = Vec::new();
+        let mut line = zero.to_json();
+        check_result(&line, "zero", &mut errors);
+        *line.get_mut("attempts").unwrap() = 2.into();
+        check_result(&line, "zero", &mut errors);
+        assert_eq!(errors, ["zero: deadline job reports 2 attempt(s)"]);
     }
 
     #[test]
@@ -1702,7 +1559,7 @@ mod tests {
         assert_eq!(queued.attempts, 0);
         let running = results.iter().find(|r| r.id == "running").unwrap();
         assert_eq!(running.status, JobStatus::Cancelled);
-        assert!(running.attempts >= 1);
+        assert_eq!(running.attempts, 1);
         // Only a job some worker dequeued may report attempts.
         let mut errors = Vec::new();
         let mut line = queued.to_json();
@@ -1739,16 +1596,7 @@ mod tests {
     #[test]
     fn fault_mutant_jobs_complete_with_outcome_detail() {
         let (service, rx) = small_service(2, 8);
-        service.submit(JobSpec::new(
-            "mutant",
-            JobKind::Fault {
-                case: FuzzCase {
-                    generation: Generation::Kepler,
-                    seed: SeedSpec::parse("table2:07").unwrap(),
-                    mutation_seed: 3,
-                },
-            },
-        ));
+        service.submit(mutant("mutant"));
         service.drain();
         let results = drain_results(&rx);
         assert_eq!(results[0].status, JobStatus::Completed);
@@ -1764,7 +1612,6 @@ mod tests {
         let specs = vec![
             JobSpec {
                 deadline_ms: Some(2500),
-                max_retries: 2,
                 ..JobSpec::new(
                     "p1",
                     JobKind::Profile {
@@ -1789,7 +1636,6 @@ mod tests {
                 ..JobSpec::new("s1", JobKind::Spin)
             },
             JobSpec::new("x1", JobKind::Panic),
-            JobSpec::new("fl", JobKind::Flaky { fail_attempts: 3 }),
         ];
         for spec in &specs {
             let line = spec.to_json().render();
@@ -1825,6 +1671,16 @@ mod tests {
                 "{\"schema\":\"peakperf-job-v1\",\"id\":\"a\",\"kind\":\"spin\",\"deadline_ms\":-3}",
                 "deadline_ms",
             ),
+            // A member no kind has, and one of another kind, would
+            // otherwise run the job as if they were absent.
+            (
+                "{\"schema\":\"peakperf-job-v1\",\"id\":\"a\",\"kind\":\"spin\",\"max_retries\":2}",
+                "unknown member `max_retries` in a spin job",
+            ),
+            (
+                "{\"schema\":\"peakperf-job-v1\",\"id\":\"a\",\"kind\":\"panic\",\"target\":\"fermi_ffma\"}",
+                "unknown member `target` in a panic job",
+            ),
         ] {
             let err = parse_job_line(bad).unwrap_err();
             assert!(err.contains(want), "`{bad}` -> `{err}`");
@@ -1839,13 +1695,9 @@ mod tests {
         let config = ServiceConfig {
             workers: 2,
             queue_capacity: 8,
-            retry_backoff_ms: 1,
         };
         let (service, rx) = Service::start_with_journal(config, Some(Arc::clone(&journal)));
-        service.submit(JobSpec {
-            max_retries: 1,
-            ..JobSpec::new("a", JobKind::Flaky { fail_attempts: 1 })
-        });
+        service.submit(mutant("a"));
         service.submit(JobSpec::new("b", JobKind::Panic));
         let health = service.drain();
         let results = drain_results(&rx);
@@ -1859,7 +1711,7 @@ mod tests {
         assert_eq!(
             doc.get("derived").unwrap().render(),
             "{\"submitted\":2,\"completed\":1,\"failed\":1,\"cancelled\":0,\
-             \"deadline\":0,\"rejected\":0,\"retried\":1}"
+             \"deadline\":0,\"rejected\":0}"
         );
         let summary = render_summary(&health, &results, 12.5);
         assert!(summary.contains("identity holds"), "{summary}");
@@ -1886,7 +1738,7 @@ mod tests {
         // A flight-recorder ring that dropped events says so, and its
         // document still passes: only the span-chain checks need every
         // event.
-        let ring = Journal::flight_recorder(3, None);
+        let ring = Journal::flight_recorder(3);
         for e in journal.events() {
             ring.record(&e.job, e.worker, e.kind);
         }
@@ -1903,14 +1755,9 @@ mod tests {
             ServiceConfig {
                 workers: 2,
                 queue_capacity: 8,
-                retry_backoff_ms: 1,
             },
             Some(Arc::clone(&journal)),
         );
-        service.submit(JobSpec {
-            max_retries: 2,
-            ..JobSpec::new("flaky", JobKind::Flaky { fail_attempts: 1 })
-        });
         service.submit(JobSpec::new("boom", JobKind::Panic));
         service.submit(JobSpec {
             cancel_at_cycle: Some(2048),
@@ -1919,17 +1766,22 @@ mod tests {
         });
         let health = service.drain();
         let results = drain_results(&rx);
-        assert_eq!(results.len(), 3);
+        assert_eq!(results.len(), 2);
         assert_eq!(
             journal.check_invariants(Some(&health)),
             Vec::<String>::new()
         );
         assert!(journal.derived().accounted());
 
-        let flaky = chain_of(&journal, "flaky");
-        assert_eq!(flaky[0].kind.type_name(), "submitted");
-        assert!(flaky.iter().any(|e| e.kind.type_name() == "attempt_failed"));
-        assert_eq!(flaky.last().unwrap().kind.type_name(), "terminal");
+        // A failed job ran once: no retry follows its attempt.
+        let boom: Vec<&'static str> = chain_of(&journal, "boom")
+            .iter()
+            .map(|e| e.kind.type_name())
+            .collect();
+        assert_eq!(
+            boom,
+            ["submitted", "dequeued", "attempt_started", "terminal"]
+        );
 
         // The cycle-cancelled spin names its trigger path, both in the
         // journal and on the result line.
@@ -1960,7 +1812,6 @@ mod tests {
             ServiceConfig {
                 workers: 1,
                 queue_capacity: 1,
-                retry_backoff_ms: 1,
             },
             Some(Arc::clone(&journal)),
         );
@@ -1974,7 +1825,7 @@ mod tests {
             assert!(t0.elapsed() < Duration::from_secs(10), "job never started");
             std::thread::sleep(Duration::from_millis(1));
         }
-        service.submit(JobSpec::new("fill", JobKind::Flaky { fail_attempts: 0 }));
+        service.submit(JobSpec::new("fill", JobKind::Panic));
         let outcome = service.submit(JobSpec::new("shed", JobKind::Panic));
         assert_eq!(
             outcome,
@@ -2004,46 +1855,12 @@ mod tests {
     }
 
     #[test]
-    fn sampler_emits_health_snapshots_and_a_final_sample() {
-        let journal = Arc::new(Journal::full(Some(Duration::from_millis(5))));
-        let (service, rx) = Service::start_with_journal(
-            ServiceConfig {
-                workers: 1,
-                queue_capacity: 8,
-                retry_backoff_ms: 1,
-            },
-            Some(Arc::clone(&journal)),
-        );
-        service.submit(JobSpec::new("a", JobKind::Flaky { fail_attempts: 0 }));
-        let health = service.drain();
-        drain_results(&rx);
-        // The sampler records one final snapshot on stop, so at least one
-        // exists no matter how fast the drain was.
-        let snapshots: Vec<Health> = journal
-            .events()
-            .iter()
-            .filter_map(|e| match e.kind {
-                EventKind::HealthSnapshot { health } => Some(health),
-                _ => None,
-            })
-            .collect();
-        assert!(!snapshots.is_empty(), "final sample must exist");
-        let last = snapshots.last().unwrap();
-        assert_eq!(last.completed, health.completed);
-        assert_eq!(
-            journal.check_invariants(Some(&health)),
-            Vec::<String>::new()
-        );
-    }
-
-    #[test]
     fn shutdown_tags_cancellations_with_the_shutdown_source() {
         let journal = Arc::new(Journal::full(None));
         let (service, rx) = Service::start_with_journal(
             ServiceConfig {
                 workers: 1,
                 queue_capacity: 16,
-                retry_backoff_ms: 1,
             },
             Some(Arc::clone(&journal)),
         );

@@ -1,14 +1,15 @@
 //! The service flight recorder: a structured journal of job-lifecycle
 //! events.
 //!
-//! The [`Health`] counters say *that* a soak job shed, retried or died on
+//! The [`Health`] counters say *that* a soak job shed, failed or died on
 //! a deadline; this module records *when* and *why*. Every transition a
 //! job makes through [`super::Service`] — submitted, rejected, dequeued,
-//! attempt started/failed, cancel requested, terminal — lands in the
-//! journal as one typed [`Event`] with a monotonic timestamp (µs since
-//! the journal's epoch), a global sequence number, the causal job id, and
-//! the worker that performed it; periodic [`EventKind::HealthSnapshot`]
-//! events turn the counters into a time-series.
+//! attempt started, cancel requested, terminal — lands in the journal as
+//! one typed [`Event`] with a monotonic timestamp (µs since the journal's
+//! epoch), a global sequence number, the causal job id, and the worker
+//! that performed it. `Submitted` and `Dequeued` carry the queue depth
+//! after their push or pop, so the job events are also the record of the
+//! queue.
 //!
 //! Design constraints, in the order they were chosen:
 //!
@@ -19,8 +20,7 @@
 //!   `Observer`.
 //! * **lock-cheap** — events are recorded at *job* granularity (a job
 //!   runs for milliseconds to seconds), so one short `Mutex` push per
-//!   transition is far below measurement noise; the snapshot high-water
-//!   mark is a relaxed atomic.
+//!   transition is far below measurement noise.
 //! * **bounded** — a journal has a capacity; past it the *oldest* events
 //!   are dropped (and counted), so the tail — the part that explains a
 //!   failure — is always retained. [`Journal::flight_recorder`] is the
@@ -36,13 +36,18 @@
 //!   ([`super::check`]) reads them back ([`Event::from_json`]) and runs the
 //!   same functions on them, which is what `reproduce check` does in CI.
 //!
+//! A span chain — one job's events in sequence order — is `submitted`,
+//! then one of: `rejected`; a `cancel_requested` that removed the job
+//! from the queue; or `dequeued` followed by at most one `attempt_started`
+//! and any `cancel_requested` events that reached the running job. It
+//! ends with exactly one `terminal`.
+//!
 //! [`Journal::chrome_trace`] renders the journal with the shared
 //! [`ChromeTraceWriter`]: one track per worker, queue-wait and attempt
 //! spans as complete events, and queue depth as a counter track, so a
 //! whole serve/soak run opens in Perfetto.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
@@ -54,49 +59,11 @@ use super::{Health, JobStatus, REJECT_REASONS};
 /// Default capacity of the always-on flight-recorder ring.
 pub const DEFAULT_RING_CAPACITY: usize = 4096;
 
-/// Why an attempt failed, as far as the journal can classify it from the
-/// attempt's error message (attempts fail through the panic-isolation
-/// boundary, so only the rendered message crosses it).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ErrorClass {
-    /// The attempt panicked (isolated; message carries a backtrace).
-    Panic,
-    /// A planned flaky-job failure (the retry-policy test kind).
-    Flaky,
-    /// Any other structured error (simulator errors, bad kernels, ...).
-    Error,
-}
-
-impl ErrorClass {
-    /// Every class, in declaration order.
-    pub const ALL: [ErrorClass; 3] = [ErrorClass::Panic, ErrorClass::Flaky, ErrorClass::Error];
-
-    /// Stable tag used in journal events.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            ErrorClass::Panic => "panic",
-            ErrorClass::Flaky => "flaky",
-            ErrorClass::Error => "error",
-        }
-    }
-
-    /// Classify one attempt's error message.
-    pub fn classify(message: &str) -> ErrorClass {
-        if message.contains("backtrace:") {
-            ErrorClass::Panic
-        } else if message.starts_with("flaky job failed") {
-            ErrorClass::Flaky
-        } else {
-            ErrorClass::Error
-        }
-    }
-}
-
-/// One job-lifecycle transition (or a periodic health sample).
+/// One job-lifecycle transition.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EventKind {
     /// The job entered the queue; `queue_depth` is the depth *after* the
-    /// push (also the source of the Chrome queue-depth counter track).
+    /// push (the depth it found, for a job shed at submission).
     Submitted {
         /// Queue depth right after this submission.
         queue_depth: u64,
@@ -110,24 +77,11 @@ pub enum EventKind {
     Dequeued {
         /// Microseconds between submission and pickup.
         queue_wait_us: u64,
+        /// Queue depth right after this pickup.
+        queue_depth: u64,
     },
-    /// Attempt `attempt` (1-based) began executing.
-    AttemptStarted {
-        /// 1-based attempt number.
-        attempt: u32,
-    },
-    /// Attempt `attempt` failed and the job will retry after
-    /// `backoff_us`. The *final* failure of a job is not an
-    /// `AttemptFailed` — it is carried by the `Terminal{failed}` event —
-    /// so a gap-free chain has exactly `attempts - 1` of these.
-    AttemptFailed {
-        /// 1-based attempt number that failed.
-        attempt: u32,
-        /// Why, as classified from the error message.
-        error_class: ErrorClass,
-        /// Backoff slept before the next attempt.
-        backoff_us: u64,
-    },
+    /// The job's one attempt began executing.
+    AttemptStarted,
     /// Cancellation reached the job, from the given source.
     CancelRequested {
         /// Which trigger path fired (api/cycle/deadline/shutdown).
@@ -141,25 +95,29 @@ pub enum EventKind {
         /// Microseconds from pickup to terminal state.
         total_wall_us: u64,
     },
-    /// A periodic sample of the service counters (empty job id).
-    HealthSnapshot {
-        /// The counters at sample time.
-        health: Health,
-    },
 }
 
 impl EventKind {
-    /// Stable type tag used in the servicetrace document.
+    /// Stable type tag used in the service document.
     pub fn type_name(&self) -> &'static str {
         match self {
             EventKind::Submitted { .. } => "submitted",
             EventKind::Rejected { .. } => "rejected",
             EventKind::Dequeued { .. } => "dequeued",
-            EventKind::AttemptStarted { .. } => "attempt_started",
-            EventKind::AttemptFailed { .. } => "attempt_failed",
+            EventKind::AttemptStarted => "attempt_started",
             EventKind::CancelRequested { .. } => "cancel_requested",
             EventKind::Terminal { .. } => "terminal",
-            EventKind::HealthSnapshot { .. } => "health_snapshot",
+        }
+    }
+
+    /// The queue depth a push or pop left behind, for the events that
+    /// record one.
+    pub fn queue_depth(&self) -> Option<u64> {
+        match *self {
+            EventKind::Submitted { queue_depth } | EventKind::Dequeued { queue_depth, .. } => {
+                Some(queue_depth)
+            }
+            _ => None,
         }
     }
 }
@@ -171,7 +129,7 @@ pub struct Event {
     pub seq: u64,
     /// Microseconds since the journal's epoch (monotonic clock).
     pub ts_us: u64,
-    /// The job this event belongs to (empty for health snapshots).
+    /// The job this event belongs to.
     pub job: String,
     /// Worker index that performed the transition, when one did.
     pub worker: Option<u32>,
@@ -183,23 +141,19 @@ impl Event {
     /// The event as a JSON object: one element of the document's `events`
     /// array.
     pub fn to_json(&self) -> Json {
-        let mut doc = obj!(self; seq, ts_us, type = self.kind.type_name());
-        doc.push_some("job", Some(self.job.as_str()).filter(|job| !job.is_empty()));
+        let mut doc = obj!(self; seq, ts_us, type = self.kind.type_name(), job = self.job.as_str());
         doc.push_some("worker", self.worker);
         match &self.kind {
             EventKind::Submitted { queue_depth } => doc.push("queue_depth", *queue_depth),
             EventKind::Rejected { reason } => doc.push("reason", *reason),
-            EventKind::Dequeued { queue_wait_us } => doc.push("queue_wait_us", *queue_wait_us),
-            EventKind::AttemptStarted { attempt } => doc.push("attempt", *attempt),
-            EventKind::AttemptFailed {
-                attempt,
-                error_class,
-                backoff_us,
+            EventKind::Dequeued {
+                queue_wait_us,
+                queue_depth,
             } => {
-                doc.push("attempt", *attempt);
-                doc.push("error_class", error_class.as_str());
-                doc.push("backoff_us", *backoff_us);
+                doc.push("queue_wait_us", *queue_wait_us);
+                doc.push("queue_depth", *queue_depth);
             }
+            EventKind::AttemptStarted => {}
             EventKind::CancelRequested { source } => doc.push("source", source.as_str()),
             EventKind::Terminal {
                 status,
@@ -208,7 +162,6 @@ impl Event {
                 doc.push("status", status.as_str());
                 doc.push("total_wall_us", *total_wall_us);
             }
-            EventKind::HealthSnapshot { health } => doc.extend(health.to_json()),
         }
         doc
     }
@@ -218,13 +171,10 @@ impl Event {
     /// # Errors
     ///
     /// An unknown `type`; a missing or mistyped field of the common part
-    /// or of that type's payload (every event but a health snapshot names
-    /// its job, and dequeue/attempt events their worker); an enum field
-    /// holding a tag its table does not know.
+    /// or of that type's payload (every event names its job, and dequeue
+    /// and attempt events their worker); an enum field holding a tag its
+    /// table does not know.
     pub fn from_json(doc: &Json) -> Result<Event, String> {
-        let int32 = |key: &str| {
-            u32::try_from(doc.need_u64(key)?).map_err(|_| format!("`{key}` does not fit 32 bits"))
-        };
         let kind = match doc.need_str("type")? {
             "submitted" => EventKind::Submitted {
                 queue_depth: doc.need_u64("queue_depth")?,
@@ -234,15 +184,9 @@ impl Event {
             },
             "dequeued" => EventKind::Dequeued {
                 queue_wait_us: doc.need_u64("queue_wait_us")?,
+                queue_depth: doc.need_u64("queue_depth")?,
             },
-            "attempt_started" => EventKind::AttemptStarted {
-                attempt: int32("attempt")?,
-            },
-            "attempt_failed" => EventKind::AttemptFailed {
-                attempt: int32("attempt")?,
-                error_class: doc.need_tag("error_class", &ErrorClass::ALL, ErrorClass::as_str)?,
-                backoff_us: doc.need_u64("backoff_us")?,
-            },
+            "attempt_started" => EventKind::AttemptStarted,
             "cancel_requested" => EventKind::CancelRequested {
                 source: doc.need_tag("source", &CancelSource::ALL, CancelSource::as_str)?,
             },
@@ -250,27 +194,19 @@ impl Event {
                 status: doc.need_tag("status", &JobStatus::ALL, JobStatus::as_str)?,
                 total_wall_us: doc.need_u64("total_wall_us")?,
             },
-            "health_snapshot" => EventKind::HealthSnapshot {
-                health: Health::from_json(doc)?,
-            },
             other => return Err(format!("unknown event type `{other}`")),
         };
-        let on_worker = matches!(
-            kind,
-            EventKind::Dequeued { .. }
-                | EventKind::AttemptStarted { .. }
-                | EventKind::AttemptFailed { .. }
-        );
+        let on_worker = matches!(kind, EventKind::Dequeued { .. } | EventKind::AttemptStarted);
         Ok(Event {
             seq: doc.need_u64("seq")?,
             ts_us: doc.need_u64("ts_us")?,
-            job: match kind {
-                EventKind::HealthSnapshot { .. } => String::new(),
-                _ => doc.need_str("job")?.to_owned(),
-            },
+            job: doc.need_str("job")?.to_owned(),
             worker: match doc.get("worker") {
                 None if !on_worker => None,
-                _ => Some(int32("worker")?),
+                _ => Some(
+                    u32::try_from(doc.need_u64("worker")?)
+                        .map_err(|_| "`worker` does not fit 32 bits".to_owned())?,
+                ),
             },
             kind,
         })
@@ -293,39 +229,35 @@ pub struct Journal {
     epoch: Instant,
     /// `usize::MAX` = unbounded.
     capacity: usize,
-    snapshot_interval: Option<Duration>,
-    snapshot_depth_max: AtomicU64,
     inner: Mutex<Inner>,
 }
 
 impl Journal {
     /// An unbounded journal recording every event of the run.
-    pub fn full(snapshot_interval: Option<Duration>) -> Journal {
-        Journal::with_capacity(usize::MAX, snapshot_interval)
+    ///
+    /// The parameter is unused: it exists only for the API the benchmark
+    /// package pins (`benchmark/src/api.rs` re-exports this constructor,
+    /// and its callers pass `None`). ROADMAP item 8 deletes it together
+    /// with that caller.
+    pub fn full(_unused: Option<Duration>) -> Journal {
+        Journal::with_capacity(usize::MAX)
     }
 
     /// A fixed-capacity ring keeping the *last* `capacity` events — the
     /// flight-recorder mode `reproduce serve` always arms.
-    pub fn flight_recorder(capacity: usize, snapshot_interval: Option<Duration>) -> Journal {
-        Journal::with_capacity(capacity.max(1), snapshot_interval)
+    pub fn flight_recorder(capacity: usize) -> Journal {
+        Journal::with_capacity(capacity.max(1))
     }
 
-    fn with_capacity(capacity: usize, snapshot_interval: Option<Duration>) -> Journal {
+    fn with_capacity(capacity: usize) -> Journal {
         Journal {
             epoch: Instant::now(),
             capacity,
-            snapshot_interval,
-            snapshot_depth_max: AtomicU64::new(0),
             inner: Mutex::new(Inner {
                 events: std::collections::VecDeque::new(),
                 dropped: 0,
             }),
         }
-    }
-
-    /// The configured health-snapshot interval, if any.
-    pub fn snapshot_interval(&self) -> Option<Duration> {
-        self.snapshot_interval
     }
 
     /// The ring capacity; `None` for an unbounded journal.
@@ -361,13 +293,6 @@ impl Journal {
         inner.events.push_back(event);
     }
 
-    /// Record one periodic health sample.
-    pub fn record_snapshot(&self, health: Health) {
-        self.snapshot_depth_max
-            .fetch_max(health.queue_depth, Ordering::Relaxed);
-        self.record("", None, EventKind::HealthSnapshot { health });
-    }
-
     /// Snapshot of the recorded events, in sequence order.
     pub fn events(&self) -> Vec<Event> {
         lock(&self.inner).events.iter().cloned().collect()
@@ -393,11 +318,6 @@ impl Journal {
     /// only apply to complete journals).
     pub fn is_complete(&self) -> bool {
         self.dropped() == 0
-    }
-
-    /// Highest queue depth any health snapshot observed.
-    pub fn snapshot_queue_depth_max(&self) -> u64 {
-        self.snapshot_depth_max.load(Ordering::Relaxed)
     }
 
     /// Re-derive the ledger counters from the events alone
@@ -463,15 +383,13 @@ pub fn check_events(events: &[Event], complete: bool, health: Option<&Health>) -
 }
 
 /// The ledger counters re-derived from an event slice alone — the
-/// journal-side half of the accounting identity: submissions, terminals
-/// by status and retries (each `AttemptFailed` is exactly one retry), in
-/// a [`Health`] whose gauges stay zero.
+/// journal-side half of the accounting identity: submissions and
+/// terminals by status, in a [`Health`] whose gauges stay zero.
 pub fn derive_counts(events: &[Event]) -> Health {
     let mut d = Health::default();
     for e in events {
         match &e.kind {
             EventKind::Submitted { .. } => d.submitted += 1,
-            EventKind::AttemptFailed { .. } => d.retried += 1,
             EventKind::Terminal { status, .. } => match status {
                 JobStatus::Completed => d.completed += 1,
                 JobStatus::Failed => d.failed += 1,
@@ -513,12 +431,11 @@ fn check_event_order(events: &[Event]) -> Vec<String> {
     violations
 }
 
-/// Each job's events — its span chain — in first-seen job order (health
-/// snapshots belong to no job).
+/// Each job's events — its span chain — in first-seen job order.
 fn span_chains(events: &[Event]) -> Vec<(&str, Vec<&Event>)> {
     let mut index: HashMap<&str, usize> = HashMap::new();
     let mut chains: Vec<(&str, Vec<&Event>)> = Vec::new();
-    for e in events.iter().filter(|e| !e.job.is_empty()) {
+    for e in events {
         let slot = *index.entry(e.job.as_str()).or_insert(chains.len());
         if slot == chains.len() {
             chains.push((e.job.as_str(), Vec::new()));
@@ -528,29 +445,21 @@ fn span_chains(events: &[Event]) -> Vec<(&str, Vec<&Event>)> {
     chains
 }
 
-/// Per-job span-chain closure: every job's chain is gap-free from
-/// `Submitted` to `Terminal` (see the module docs for the grammar).
-/// Only meaningful on complete journals.
+/// Per-job span-chain closure: every job's chain follows the one-attempt
+/// grammar of the module docs and its terminal status fits it. Only
+/// meaningful on complete journals.
 fn check_span_chains(events: &[Event]) -> Vec<String> {
     let mut violations = Vec::new();
     for (job, chain) in span_chains(events) {
         let mut bad = |msg: String| violations.push(format!("job `{job}`: {msg}"));
-        if !matches!(chain[0].kind, EventKind::Submitted { .. }) {
+        let names: Vec<&str> = chain.iter().map(|e| e.kind.type_name()).collect();
+        if names[0] != "submitted" {
             bad(format!(
                 "chain starts with {} instead of submitted",
-                chain[0].kind.type_name()
+                names[0]
             ));
         }
-        if chain[1..]
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Submitted { .. }))
-        {
-            bad("submitted more than once".to_owned());
-        }
-        let terminals = chain
-            .iter()
-            .filter(|e| matches!(e.kind, EventKind::Terminal { .. }))
-            .count();
+        let terminals = names.iter().filter(|&&n| n == "terminal").count();
         if terminals != 1 {
             bad(format!("{terminals} terminal events, expected exactly 1"));
             continue;
@@ -563,66 +472,31 @@ fn check_span_chains(events: &[Event]) -> Vec<String> {
             ));
             continue;
         };
-        let was_rejected = chain
-            .iter()
-            .any(|e| matches!(e.kind, EventKind::Rejected { .. }));
-        if was_rejected != (status == JobStatus::Rejected) {
+        // Between `submitted` and `terminal`: a rejection, a cancel that
+        // removed the job from the queue, or a pickup followed by at most
+        // one attempt and any cancel requests that reached the job.
+        let body = names.get(1..names.len() - 1).unwrap_or_default();
+        let fits = match body {
+            ["rejected"] => status == JobStatus::Rejected,
+            ["cancel_requested"] => status == JobStatus::Cancelled,
+            ["dequeued", rest @ ..] => {
+                let attempts = rest.iter().filter(|&&n| n == "attempt_started").count();
+                let others = rest
+                    .iter()
+                    .all(|&n| n == "attempt_started" || n == "cancel_requested");
+                let aborted = matches!(status, JobStatus::Cancelled | JobStatus::Deadline);
+                others
+                    && status != JobStatus::Rejected
+                    && (attempts == 1 || attempts == 0 && aborted)
+            }
+            _ => false,
+        };
+        if !fits {
             bad(format!(
-                "rejected event presence disagrees with terminal status `{}`",
+                "`{}` is not a one-attempt chain ending {}",
+                names.join(" "),
                 status.as_str()
             ));
-        }
-        // Attempt numbering: consecutive from 1, each failure matching
-        // the attempt it ends, failures strictly between starts, and
-        // exactly one fewer failure than starts on the retry path.
-        let mut started: u32 = 0;
-        let mut failed: u32 = 0;
-        let mut dequeued = false;
-        for e in chain.iter() {
-            match e.kind {
-                EventKind::Dequeued { .. } => dequeued = true,
-                EventKind::AttemptStarted { attempt } => {
-                    if !dequeued {
-                        bad(format!("attempt {attempt} started before dequeue"));
-                    }
-                    if attempt != started + 1 {
-                        bad(format!(
-                            "attempt numbering gap: attempt {attempt} after {started}"
-                        ));
-                    }
-                    if failed != started {
-                        bad(format!(
-                            "attempt {attempt} started while attempt {started} \
-                             has no recorded failure"
-                        ));
-                    }
-                    started = attempt;
-                }
-                EventKind::AttemptFailed { attempt, .. } => {
-                    if attempt != started {
-                        bad(format!(
-                            "failure of attempt {attempt} but attempt {started} was running"
-                        ));
-                    }
-                    failed += 1;
-                }
-                _ => {}
-            }
-        }
-        // A completed/failed job records exactly starts - 1 retry
-        // failures (the final failure travels on `Terminal{failed}`).
-        // A cancelled/deadline job may also have failed == started:
-        // the abort landed during the retry backoff, after the failure
-        // was journaled but before the next start.
-        let aborted = matches!(status, JobStatus::Cancelled | JobStatus::Deadline);
-        if started > 0 && failed != started - 1 && !(aborted && failed == started) {
-            bad(format!(
-                "{failed} attempt failures for {started} starts \
-                 (a gap-free chain has exactly starts - 1)"
-            ));
-        }
-        if status == JobStatus::Rejected && started > 0 {
-            bad("rejected job has attempt events".to_owned());
         }
     }
     violations
@@ -654,9 +528,12 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
             EventKind::Terminal { status, .. } => status.as_str(),
             _ => unreachable!(),
         });
-        for (i, e) in chain.iter().enumerate() {
+        let attempted = chain
+            .iter()
+            .any(|e| matches!(e.kind, EventKind::AttemptStarted));
+        for e in chain {
             match e.kind {
-                EventKind::Dequeued { queue_wait_us } => {
+                EventKind::Dequeued { queue_wait_us, .. } => {
                     if let Some(ts) = submitted_ts {
                         writer.complete(
                             &format!("queued:{job}"),
@@ -668,30 +545,16 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
                         );
                     }
                 }
-                EventKind::AttemptStarted { attempt } => {
-                    // The attempt span ends at its failure event, or at
-                    // the terminal event for the last attempt. An attempt
-                    // that ends in `AttemptFailed` is labelled `retried`
-                    // (its failure fed a retry); only the final attempt
-                    // carries the job's terminal status.
-                    let end = chain[i + 1..].iter().find(|n| {
-                        matches!(
-                            n.kind,
-                            EventKind::AttemptFailed { .. } | EventKind::Terminal { .. }
-                        )
-                    });
-                    let end_ts = end.map_or(e.ts_us, |n| n.ts_us);
-                    let outcome = match end.map(|n| &n.kind) {
-                        Some(EventKind::AttemptFailed { .. }) => "retried",
-                        _ => status,
-                    };
+                EventKind::AttemptStarted => {
+                    // The attempt span ends at the terminal event.
+                    let end_ts = terminal.map_or(e.ts_us, |n| n.ts_us);
                     writer.complete(
                         job,
                         "attempt",
                         e.ts_us,
                         end_ts.saturating_sub(e.ts_us),
                         tid(e),
-                        obj!((); attempt = attempt, status = outcome),
+                        obj!((); status = status),
                     );
                 }
                 EventKind::Rejected { reason } => {
@@ -712,38 +575,26 @@ pub fn chrome_trace_from_events(events: &[Event], workers: usize) -> String {
                         obj!((); source = source.as_str()),
                     );
                 }
-                EventKind::Terminal { status, .. } => {
-                    // Jobs that never started an attempt (queue-
-                    // cancelled) still get a visible mark.
-                    let attempted = chain
-                        .iter()
-                        .any(|c| matches!(c.kind, EventKind::AttemptStarted { .. }));
-                    if !attempted {
-                        writer.instant(
-                            &format!("{}:{job}", status.as_str()),
-                            "terminal",
-                            e.ts_us,
-                            tid(e),
-                            obj!(();),
-                        );
-                    }
+                // Jobs that never started an attempt (queue-cancelled)
+                // still get a visible mark.
+                EventKind::Terminal { status, .. } if !attempted => {
+                    writer.instant(
+                        &format!("{}:{job}", status.as_str()),
+                        "terminal",
+                        e.ts_us,
+                        tid(e),
+                        obj!(();),
+                    );
                 }
                 _ => {}
             }
         }
     }
 
-    // Queue depth as a counter track, sampled at every submission and
-    // health snapshot.
+    // Queue depth as a counter track, sampled at every push and pop.
     for e in events {
-        match e.kind {
-            EventKind::Submitted { queue_depth } => {
-                writer.counter("queue_depth", e.ts_us, queue_depth);
-            }
-            EventKind::HealthSnapshot { ref health } => {
-                writer.counter("queue_depth", e.ts_us, health.queue_depth);
-            }
-            _ => {}
+        if let Some(depth) = e.kind.queue_depth() {
+            writer.counter("queue_depth", e.ts_us, depth);
         }
     }
 
@@ -768,44 +619,30 @@ mod tests {
         }
     }
 
-    /// A well-formed two-attempt completed job plus a rejected one.
+    /// A well-formed completed job plus a rejected one.
     fn sample_events() -> Vec<Event> {
+        let dequeued = EventKind::Dequeued {
+            queue_wait_us: 5,
+            queue_depth: 0,
+        };
         vec![
             ev(0, 0, "a", None, EventKind::Submitted { queue_depth: 1 }),
-            ev(1, 5, "a", Some(0), EventKind::Dequeued { queue_wait_us: 5 }),
-            ev(2, 6, "a", Some(0), EventKind::AttemptStarted { attempt: 1 }),
+            ev(1, 5, "a", Some(0), dequeued),
+            ev(2, 6, "a", Some(0), EventKind::AttemptStarted),
             ev(
                 3,
-                20,
-                "a",
-                Some(0),
-                EventKind::AttemptFailed {
-                    attempt: 1,
-                    error_class: ErrorClass::Flaky,
-                    backoff_us: 1000,
-                },
-            ),
-            ev(
-                4,
-                1030,
-                "a",
-                Some(0),
-                EventKind::AttemptStarted { attempt: 2 },
-            ),
-            ev(
-                5,
-                1100,
+                100,
                 "a",
                 Some(0),
                 EventKind::Terminal {
                     status: JobStatus::Completed,
-                    total_wall_us: 1095,
+                    total_wall_us: 95,
                 },
             ),
-            ev(6, 1200, "b", None, EventKind::Submitted { queue_depth: 1 }),
+            ev(4, 200, "b", None, EventKind::Submitted { queue_depth: 1 }),
             ev(
-                7,
-                1201,
+                5,
+                201,
                 "b",
                 None,
                 EventKind::Rejected {
@@ -813,8 +650,8 @@ mod tests {
                 },
             ),
             ev(
-                8,
-                1202,
+                6,
+                202,
                 "b",
                 None,
                 EventKind::Terminal {
@@ -831,7 +668,6 @@ mod tests {
         assert_eq!(d.submitted, 2);
         assert_eq!(d.completed, 1);
         assert_eq!(d.rejected, 1);
-        assert_eq!(d.retried, 1);
         assert!(d.accounted());
     }
 
@@ -843,18 +679,24 @@ mod tests {
 
     #[test]
     fn gaps_in_span_chains_are_detected() {
-        // Missing attempt 1: numbering gap + orphan failure count.
+        let one_attempt = |events: &[Event]| {
+            check_span_chains(events)
+                .iter()
+                .any(|v| v.contains("is not a one-attempt chain"))
+        };
+        // A second attempt.
+        let mut events = sample_events();
+        events.insert(3, ev(3, 50, "a", Some(0), EventKind::AttemptStarted));
+        assert!(one_attempt(&events), "{:?}", check_span_chains(&events));
+
+        // A completed job that never started its attempt.
         let mut events = sample_events();
         events.remove(2);
-        let violations = check_span_chains(&events);
-        assert!(
-            violations.iter().any(|v| v.contains("numbering gap")),
-            "{violations:?}"
-        );
+        assert!(one_attempt(&events), "{:?}", check_span_chains(&events));
 
         // Terminal before the last event.
         let mut events = sample_events();
-        events.swap(4, 5);
+        events.swap(2, 3);
         assert!(check_span_chains(&events)
             .iter()
             .any(|v| v.contains("terminal is not the last event")));
@@ -877,7 +719,7 @@ mod tests {
         // Attempt started before dequeue.
         let events = vec![
             ev(0, 0, "y", None, EventKind::Submitted { queue_depth: 1 }),
-            ev(1, 1, "y", Some(0), EventKind::AttemptStarted { attempt: 1 }),
+            ev(1, 1, "y", Some(0), EventKind::AttemptStarted),
             ev(
                 2,
                 2,
@@ -889,9 +731,7 @@ mod tests {
                 },
             ),
         ];
-        assert!(check_span_chains(&events)
-            .iter()
-            .any(|v| v.contains("before dequeue")));
+        assert!(one_attempt(&events), "{:?}", check_span_chains(&events));
     }
 
     #[test]
@@ -903,7 +743,7 @@ mod tests {
             .any(|v| v.contains("seq not strictly increasing")));
 
         let mut events = sample_events();
-        events[4].ts_us = 1;
+        events[3].ts_us = 1;
         assert!(check_event_order(&events)
             .iter()
             .any(|v| v.contains("timestamp went backwards")));
@@ -911,7 +751,7 @@ mod tests {
 
     #[test]
     fn ring_drops_oldest_and_marks_incomplete() {
-        let journal = Journal::flight_recorder(3, None);
+        let journal = Journal::flight_recorder(3);
         for i in 0..5u64 {
             journal.record(
                 &format!("j{i}"),
@@ -936,7 +776,7 @@ mod tests {
         // taken, so a recorder preempted in between landed out of order
         // (seen as "seq not strictly increasing: 9 after 164" on a one-CPU
         // soak). All four threads record for one job, as an api cancel
-        // and a worker's attempt failure do.
+        // and a worker's cancel request do.
         let journal = Journal::full(None);
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|scope| {
@@ -958,25 +798,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_track_the_depth_high_water_mark() {
-        let journal = Journal::full(Some(Duration::from_millis(10)));
-        let mut health = Health {
-            queue_depth: 7,
-            ..Health::default()
-        };
-        journal.record_snapshot(health);
-        health.queue_depth = 3;
-        journal.record_snapshot(health);
-        assert_eq!(journal.snapshot_queue_depth_max(), 7);
-        assert_eq!(journal.len(), 2);
-        assert_eq!(journal.events()[0].kind.type_name(), "health_snapshot");
-    }
-
-    #[test]
     fn events_round_trip_through_their_json_lines() {
         let mut events = sample_events();
         events.push(ev(
-            9,
+            7,
             1300,
             "c",
             None,
@@ -984,12 +809,6 @@ mod tests {
                 source: CancelSource::Shutdown,
             },
         ));
-        let health = Health {
-            submitted: 3,
-            queue_depth: 2,
-            ..Health::default()
-        };
-        events.push(ev(10, 1400, "", None, EventKind::HealthSnapshot { health }));
         for e in &events {
             let line = e.to_json().render();
             let parsed = Json::parse(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
@@ -999,9 +818,8 @@ mod tests {
                 Some(e.kind.type_name())
             );
         }
-        let snapshot = events.last().unwrap().to_json();
-        assert_eq!(snapshot.get("queue_depth"), Some(&Json::Int(2)));
-        assert_eq!(snapshot.get("job"), None, "snapshots carry no job id");
+        let dequeued = events[1].to_json();
+        assert_eq!(dequeued.get("queue_depth"), Some(&Json::Int(0)));
 
         // The reader rejects what the writer cannot have written.
         for (edit, want) in [
@@ -1012,8 +830,9 @@ mod tests {
             ),
             (("total_wall_us", Json::Num(1.5)), "`total_wall_us` must be"),
             (("seq", Json::Null), "`seq` must be"),
+            (("job", Json::Null), "`job` must be"),
         ] {
-            let mut doc = events[5].to_json();
+            let mut doc = events[3].to_json();
             *doc.get_mut(edit.0).unwrap() = edit.1;
             let err = Event::from_json(&doc).unwrap_err();
             assert!(err.contains(want), "{err}");
@@ -1057,23 +876,15 @@ mod tests {
             assert!(names.contains(&want), "{want} missing from {names:?}");
         }
         assert!(trace.contains("worker 0"), "worker tracks are named");
+        // The counter falls when a worker picks a job up.
+        let depths: Vec<u64> = doc
+            .items("traceEvents")
+            .iter()
+            .filter(|e| e.text("ph") == "C")
+            .map(|e| e["args"].count("value"))
+            .collect();
+        assert_eq!(depths, [1, 0, 1]);
         let other = doc.get("otherData").unwrap();
         assert_eq!(other.get("unit").unwrap().as_str(), Some("microseconds"));
-    }
-
-    #[test]
-    fn error_classes_classify_the_three_failure_shapes() {
-        assert_eq!(
-            ErrorClass::classify("panicked at x\nbacktrace:\n  ..."),
-            ErrorClass::Panic
-        );
-        assert_eq!(
-            ErrorClass::classify("flaky job failed attempt 1 of 2 planned failure(s)"),
-            ErrorClass::Flaky
-        );
-        assert_eq!(
-            ErrorClass::classify("step limit exceeded"),
-            ErrorClass::Error
-        );
     }
 }

@@ -97,7 +97,9 @@ fn options_of_another_mode_are_rejected() {
         &["bench", "--soak", "3"],
         &["serve", "--soak", "3", "--replay", "x"],
         &["hostprof", "fermi_ffma", "--trace-out", "x.json"],
-        // Only experiments and `profile` read the timing cache.
+        // Only experiments read the timing cache: `profile` always
+        // simulates, to observe every event.
+        &["profile", "fermi_ffma", "--no-cache"],
         &["fuzz", "--iters", "3", "--no-cache"],
         &["hostprof", "fermi_ffma", "--cache-dir", "x"],
         &["serve", "--soak", "3", "--cache-dir", "x"],

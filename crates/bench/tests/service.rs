@@ -47,14 +47,13 @@ fn collect(rx: &mpsc::Receiver<JobResult>, want: usize, budget: Duration) -> Vec
 fn chaos_soak_reaches_terminal_state_for_every_job() {
     // 220 hostile-heavy jobs through a deliberately tight queue so the
     // backpressure path is exercised alongside panics, deadline-doomed
-    // spins, cycle-triggered cancels, flaky retries and mutants.
+    // spins, cycle-triggered cancels and mutants.
     let jobs = service::soak_jobs(220, 2026);
     let total = jobs.len();
     let capacity = 32;
     let config = ServiceConfig {
         workers: 4,
         queue_capacity: capacity,
-        retry_backoff_ms: 1,
     };
     let (svc, rx) = Service::start_with_journal(config, None);
     for job in jobs {
@@ -83,13 +82,13 @@ fn chaos_soak_reaches_terminal_state_for_every_job() {
         health.render_line()
     );
 
-    // The hostile mix must actually exercise every terminal state and
-    // the retry path, or the soak proves nothing.
+    // The hostile mix must actually exercise every terminal state, or
+    // the soak proves nothing; and no job runs twice.
     assert!(health.completed > 0, "{}", health.render_line());
     assert!(health.failed > 0, "{}", health.render_line());
     assert!(health.deadline > 0, "{}", health.render_line());
     assert!(health.cancelled > 0, "{}", health.render_line());
-    assert!(health.retried > 0, "{}", health.render_line());
+    assert!(results.iter().all(|r| r.attempts <= 1));
 
     // Spot-check semantics: panics are failures with a backtrace, and
     // cycle-triggered spins were cancelled mid-simulation.
@@ -135,9 +134,9 @@ fn serve_cli_runs_a_jobs_file_and_emits_one_valid_document() {
     std::fs::create_dir_all(&dir).unwrap();
     let jobs_path = dir.join("jobs.jsonl");
     let json_path = dir.join("service.json");
-    // Well-behaved production jobs only: a mutant evaluation, a flaky
-    // job within its retry budget, and a deadline-doomed spin (deadline
-    // is requested semantics, not a failure).
+    // Well-behaved production jobs only: a mutant evaluation, a profile,
+    // and a deadline-doomed spin (deadline is requested semantics, not a
+    // failure).
     let jobs = [
         JobSpec::new(
             "mutant-1",
@@ -149,10 +148,12 @@ fn serve_cli_runs_a_jobs_file_and_emits_one_valid_document() {
                 },
             },
         ),
-        JobSpec {
-            max_retries: 2,
-            ..JobSpec::new("flaky-1", JobKind::Flaky { fail_attempts: 1 })
-        },
+        JobSpec::new(
+            "profile-1",
+            JobKind::Profile {
+                target: "fermi_ffma".to_owned(),
+            },
+        ),
         JobSpec {
             deadline_ms: Some(40),
             ..JobSpec::new("doomed-1", JobKind::Spin)
@@ -189,12 +190,13 @@ fn serve_cli_runs_a_jobs_file_and_emits_one_valid_document() {
     assert_eq!(n("completed"), 2);
     assert_eq!(n("deadline"), 1);
     assert_eq!(n("failed") + n("cancelled") + n("rejected"), 0);
-    assert!(n("retried") >= 1, "the flaky job must have retried");
+    assert_eq!(health.get("retried"), None, "no job is ever retried");
 
     let results = doc.items("results");
     assert_eq!(results.len(), 3);
     for r in results {
         assert!(["completed", "deadline"].contains(&r.text("status")), "{r}");
+        assert_eq!(r.count("attempts"), 1, "{r}");
     }
     assert_eq!(doc.get("complete"), Some(&Json::Bool(true)));
     assert!(doc.items("events").len() >= 3 * 2);
@@ -253,12 +255,11 @@ fn journal_rederives_identity_on_a_200_job_seeded_soak() {
     // chain gap-free from Submitted to Terminal — and (b) the accounting
     // identity re-derived from the event stream alone, agreeing with the
     // atomic health counters status by status.
-    let journal = Arc::new(Journal::full(Some(Duration::from_millis(20))));
+    let journal = Arc::new(Journal::full(None));
     let (svc, rx) = Service::start_with_journal(
         ServiceConfig {
             workers: 4,
             queue_capacity: 32,
-            retry_backoff_ms: 1,
         },
         Some(Arc::clone(&journal)),
     );
@@ -291,29 +292,34 @@ fn journal_rederives_identity_on_a_200_job_seeded_soak() {
             ref other => panic!("job {} chain ends with {}", r.id, other.type_name()),
         }
     }
-    // The health time-series ran alongside the soak.
-    assert!(events
-        .iter()
-        .any(|e| matches!(e.kind, EventKind::HealthSnapshot { .. })));
+    // The job events are the record of the queue: replaying their
+    // depths never exceeds the bound, and pickups drain it.
+    let depths: Vec<u64> = events.iter().filter_map(|e| e.kind.queue_depth()).collect();
+    assert!(depths.iter().all(|&d| d <= 32), "{depths:?}");
+    assert!(depths.windows(2).any(|w| w[1] < w[0]), "{depths:?}");
 }
 
 #[test]
 fn journal_attachment_leaves_results_identical() {
     // The zero-overhead-when-off lock: the same deterministic job list,
-    // run with no journal and with a full journal + aggressive
-    // snapshots, must produce the same results and health counters up to
-    // volatile wall-time fields — attaching the flight recorder changes
-    // what is *recorded*, never what the service *does*.
+    // run with no journal and with a full journal, must produce the same
+    // results and health counters up to volatile wall-time fields —
+    // attaching the flight recorder changes what is *recorded*, never
+    // what the service *does*.
     let jobs = || {
         vec![
-            JobSpec {
-                max_retries: 2,
-                ..JobSpec::new("recovers", JobKind::Flaky { fail_attempts: 1 })
-            },
-            JobSpec {
-                max_retries: 1,
-                ..JobSpec::new("exhausts", JobKind::Flaky { fail_attempts: 3 })
-            },
+            JobSpec::new(
+                "completes",
+                JobKind::Fault {
+                    case: peakperf_bench::fault::FuzzCase {
+                        generation: peakperf_arch::Generation::Fermi,
+                        seed: peakperf_bench::fault::SeedSpec::parse("table2:07").unwrap(),
+                        mutation_seed: 5,
+                    },
+                },
+            ),
+            // An untriggered spin fails on the cycle watchdog.
+            JobSpec::new("fails", JobKind::Spin),
             JobSpec {
                 cancel_at_cycle: Some(4096),
                 deadline_ms: Some(30_000),
@@ -326,7 +332,6 @@ fn journal_attachment_leaves_results_identical() {
             ServiceConfig {
                 workers: 1,
                 queue_capacity: 8,
-                retry_backoff_ms: 1,
             },
             journal,
         );
@@ -341,16 +346,14 @@ fn journal_attachment_leaves_results_identical() {
         (health.to_json(), common::mask_volatile(results))
     };
     let off = run(None);
-    let on = run(Some(Arc::new(Journal::full(Some(Duration::from_millis(
-        2,
-    ))))));
+    let on = run(Some(Arc::new(Journal::full(None))));
     assert_eq!(off, on);
 }
 
 /// A fixed, clock-free event sequence locking the Chrome-trace export
-/// format: a retried-then-completed job, a shed job, and a
-/// cycle-cancelled job across two workers, plus one health snapshot for
-/// the counter track.
+/// format: a completed job, a shed job, and a cycle-cancelled job across
+/// two workers; the queue-depth counter rises at each submission and
+/// falls at each pickup.
 fn synthetic_events() -> Vec<Event> {
     let ev = |seq: u64, ts_us: u64, job: &str, worker: Option<u32>, kind: EventKind| Event {
         seq,
@@ -359,14 +362,9 @@ fn synthetic_events() -> Vec<Event> {
         worker,
         kind,
     };
-    let health = service::Health {
-        submitted: 3,
-        completed: 1,
-        rejected: 1,
-        retried: 1,
-        in_flight: 1,
-        queue_depth: 0,
-        ..service::Health::default()
+    let dequeued = |queue_wait_us, queue_depth| EventKind::Dequeued {
+        queue_wait_us,
+        queue_depth,
     };
     vec![
         ev(0, 0, "alpha", None, EventKind::Submitted { queue_depth: 1 }),
@@ -391,48 +389,12 @@ fn synthetic_events() -> Vec<Event> {
                 total_wall_us: 0,
             },
         ),
-        ev(
-            5,
-            10,
-            "alpha",
-            Some(0),
-            EventKind::Dequeued { queue_wait_us: 10 },
-        ),
-        ev(
-            6,
-            12,
-            "alpha",
-            Some(0),
-            EventKind::AttemptStarted { attempt: 1 },
-        ),
-        ev(
-            7,
-            15,
-            "gamma",
-            Some(1),
-            EventKind::Dequeued { queue_wait_us: 12 },
-        ),
-        ev(
-            8,
-            16,
-            "gamma",
-            Some(1),
-            EventKind::AttemptStarted { attempt: 1 },
-        ),
+        ev(5, 10, "alpha", Some(0), dequeued(10, 1)),
+        ev(6, 12, "alpha", Some(0), EventKind::AttemptStarted),
+        ev(7, 15, "gamma", Some(1), dequeued(12, 0)),
+        ev(8, 16, "gamma", Some(1), EventKind::AttemptStarted),
         ev(
             9,
-            40,
-            "alpha",
-            Some(0),
-            EventKind::AttemptFailed {
-                attempt: 1,
-                error_class: journal::ErrorClass::Flaky,
-                backoff_us: 1000,
-            },
-        ),
-        ev(10, 50, "", None, EventKind::HealthSnapshot { health }),
-        ev(
-            11,
             60,
             "gamma",
             Some(1),
@@ -441,7 +403,7 @@ fn synthetic_events() -> Vec<Event> {
             },
         ),
         ev(
-            12,
+            10,
             62,
             "gamma",
             Some(1),
@@ -451,14 +413,7 @@ fn synthetic_events() -> Vec<Event> {
             },
         ),
         ev(
-            13,
-            1045,
-            "alpha",
-            Some(0),
-            EventKind::AttemptStarted { attempt: 2 },
-        ),
-        ev(
-            14,
+            11,
             1100,
             "alpha",
             Some(0),

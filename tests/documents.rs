@@ -4,7 +4,6 @@
 //! every single thing a table of edits breaks in a sound document.
 
 use std::sync::Arc;
-use std::time::Duration;
 
 use peakperf_bench::report::check_document;
 use peakperf_bench::service::journal::Journal;
@@ -247,11 +246,10 @@ fn chrome_traces() {
 
 #[test]
 fn service_documents_from_a_seeded_soak() {
-    let journal = Arc::new(Journal::full(Some(Duration::from_millis(5))));
+    let journal = Arc::new(Journal::full(None));
     let config = ServiceConfig {
         workers: 2,
         queue_capacity: 8,
-        retry_backoff_ms: 1,
     };
     let (svc, rx) = Service::start_with_journal(config, Some(Arc::clone(&journal)));
     let jobs = service::soak_jobs(20, 7);
@@ -270,6 +268,11 @@ fn service_documents_from_a_seeded_soak() {
                 Push("cancel_at_cycle", 1.5.into()),
                 "`cancel_at_cycle` must be a non-negative",
             ),
+            (
+                "",
+                Push("deadline_msec", 5.into()),
+                "unknown member `deadline_msec`",
+            ),
         ];
         assert_checked(&line, &cases);
         assert_eq!(JobSpec::from_json(&job.to_json()).as_ref(), Ok(job));
@@ -284,8 +287,7 @@ fn service_documents_from_a_seeded_soak() {
     let events = doc.items("events");
     let terminal = format!("events.{}", index_of(events, "type", "terminal"));
     let terminal_status = format!("{terminal}.status");
-    let snapshot_ts = format!("events.{}.ts_us", events.len() - 1);
-    assert_eq!(events.last().unwrap().text("type"), "health_snapshot");
+    let last_ts = format!("events.{}.ts_us", events.len() - 1);
     let cases = [
         ("health.completed", Bump, "accounting identity violated"),
         ("health.completed", Bump, "result(s) but health counts"),
@@ -294,11 +296,6 @@ fn service_documents_from_a_seeded_soak() {
             "health.queue_depth_max",
             Set(9.into()),
             "queue depth peaked at 9 with capacity 8",
-        ),
-        (
-            "health",
-            Remove("retried"),
-            "`retried` must be a non-negative integer",
         ),
         ("results", RepeatLast, "duplicate result id"),
         ("results.0.status", Set("running".into()), "is not terminal"),
@@ -329,11 +326,7 @@ fn service_documents_from_a_seeded_soak() {
             "accounting identity violated from events alone",
         ),
         ("events.3.seq", Set(0.into()), "seq not strictly increasing"),
-        (
-            snapshot_ts.as_str(),
-            Set(0.into()),
-            "timestamp went backwards",
-        ),
+        (last_ts.as_str(), Set(0.into()), "timestamp went backwards"),
         (
             terminal_status.as_str(),
             Set("pending".into()),
@@ -352,9 +345,9 @@ fn service_documents_from_a_seeded_soak() {
         ("derived.completed", Bump, "`derived` is"),
         ("health.failed", Bump, "disagree with health counters"),
         (
-            "snapshot_queue_depth_max",
+            "events.0.queue_depth",
             Set(9.into()),
-            "exceeds queue_capacity 8",
+            "queue_depth 9 exceeds queue_capacity 8",
         ),
         ("", Remove("dropped"), "missing key `dropped`"),
     ];
