@@ -267,7 +267,7 @@ impl Journal {
 
     /// Microseconds since the journal's epoch (monotonic).
     pub fn now_us(&self) -> u64 {
-        self.epoch.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+        super::micros(self.epoch.elapsed())
     }
 
     /// Record one transition.
