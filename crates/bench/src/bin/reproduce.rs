@@ -5,7 +5,7 @@
 //! reproduce all            # everything, at the paper's sizes
 //! reproduce profile <target>... [--trace-out <path>] [--json <path>]
 //! reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]...
-//!                [--corpus-dir <path>] [--replay <dir>] [--json <path>]
+//!                [--corpus-dir <path>] [--json <path>]
 //! reproduce bench [--json <path>] [--filter <prefix>]
 //! reproduce hostprof <target>... [--json <path>]
 //! reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>]
@@ -33,8 +33,9 @@
 //!   --iters <n>          number of mutants (default 500)
 //!   --gpu <gen>          fermi|kepler, repeatable (default both paper
 //!                        GPUs)
-//!   --corpus-dir <path>  write minimized violations as .case files
-//!   --replay <dir>       replay a corpus directory instead of fuzzing
+//!   --corpus-dir <path>  write minimized violations as .case files (one
+//!                        JSON record each; `cargo test` replays the
+//!                        checked-in corpus under tests/fault_corpus)
 //!
 //! bench options:
 //!   --json <path>        write the peakperf-bench-v1 scorecard document
@@ -106,7 +107,7 @@ fn usage() -> ExitCode {
          [--cache-dir <path>] <experiment>...\n\
          \x20      reproduce profile [--trace-out <path>] [--json <path>] <target>...\n\
          \x20      reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]... \
-         [--corpus-dir <path>] [--replay <dir>] [--json <path>]\n\
+         [--corpus-dir <path>] [--json <path>]\n\
          \x20      reproduce bench [--json <path>] [--filter <prefix>]\n\
          \x20      reproduce hostprof [--json <path>] <target>...\n\
          \x20      reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>] \
@@ -196,7 +197,6 @@ struct Options {
     fuzz_iters: u64,
     fuzz_gpus: Vec<Generation>,
     corpus_dir: Option<String>,
-    replay_dir: Option<String>,
     bench_filter: Option<String>,
     jobs_path: Option<String>,
     soak: Option<u64>,
@@ -251,7 +251,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         fuzz_iters: 500,
         fuzz_gpus: Vec::new(),
         corpus_dir: None,
-        replay_dir: None,
         bench_filter: None,
         jobs_path: None,
         soak: None,
@@ -304,10 +303,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             "--corpus-dir" => {
                 let v = it.next().ok_or("--corpus-dir needs a value")?;
                 opts.corpus_dir = Some(v.clone());
-            }
-            "--replay" => {
-                let v = it.next().ok_or("--replay needs a value")?;
-                opts.replay_dir = Some(v.clone());
             }
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
@@ -384,8 +379,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
             &[Mode::Serve],
         ),
         (
-            "--corpus-dir/--replay require the `fuzz` subcommand",
-            opts.corpus_dir.is_some() || opts.replay_dir.is_some(),
+            "--corpus-dir requires the `fuzz` subcommand",
+            opts.corpus_dir.is_some(),
             &[Mode::Fuzz],
         ),
         (
@@ -530,42 +525,10 @@ fn run_experiments(opts: &Options) -> ExitCode {
     exit_code(failures)
 }
 
-/// Run the `fuzz` subcommand: a differential fuzz campaign (or a corpus
-/// replay with `--replay`), with minimized violations optionally written
-/// to `--corpus-dir` and a `peakperf-fuzz-v1` summary to `--json`.
+/// Run the `fuzz` subcommand: a differential fuzz campaign, with
+/// minimized violations optionally written to `--corpus-dir` and a
+/// `peakperf-fuzz-v1` summary to `--json`.
 fn run_fuzz(opts: &Options) -> ExitCode {
-    if let Some(dir) = &opts.replay_dir {
-        let dir = std::path::Path::new(dir);
-        return match fault::replay_corpus(dir) {
-            Ok(entries) => {
-                let mut failures = 0u32;
-                for (path, violation) in &entries {
-                    match violation {
-                        None => println!("replay ok      {}", path.display()),
-                        Some(v) => {
-                            println!(
-                                "replay VIOLATION {} [{}] {}",
-                                path.display(),
-                                v.kind.name(),
-                                v.detail
-                            );
-                            failures += 1;
-                        }
-                    }
-                }
-                println!(
-                    "{} corpus case(s), {failures} still violating",
-                    entries.len()
-                );
-                exit_code(failures)
-            }
-            Err(e) => {
-                eprintln!("error: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     let cfg = fault::CampaignConfig {
         seed: opts.fuzz_seed,
         iters: opts.fuzz_iters,

@@ -40,7 +40,7 @@ use peakperf_sass::{
     assemble, validate_kernel, CtlInfo, ImmMut, Instruction, Kernel, Module, Op, OpClass, Operand,
     Reg, Role,
 };
-use peakperf_sim::timing::{Hooks, Observer, TimingSim, TraceEvent};
+use peakperf_sim::timing::{Hooks, TimingSim, TraceBuffer};
 use peakperf_sim::{ensure, obj, GlobalMemory, Gpu, Json, LaunchConfig, SimError};
 
 use crate::exec::{panic_message, run_isolated, Executor};
@@ -62,7 +62,7 @@ const SGEMM_SIZE: u32 = 96;
 const UPLOAD_SEED: u64 = 0xF00D;
 
 /// A generation's name in corpus files, job lines and fuzz documents.
-pub(crate) fn generation_name(g: Generation) -> String {
+fn generation_name(g: Generation) -> String {
     g.to_string().to_ascii_lowercase()
 }
 
@@ -492,6 +492,30 @@ pub struct FuzzCase {
     pub mutation_seed: u64,
 }
 
+impl FuzzCase {
+    /// The members `gpu`, `seed` and `mutation_seed`: the one encoding of
+    /// a case, shared by corpus files, fuzz documents and fault job lines.
+    pub fn to_json(&self) -> Json {
+        obj!(self; gpu = generation_name(self.generation), seed = self.seed.id(), mutation_seed)
+    }
+
+    /// Read the members [`FuzzCase::to_json`] writes; each is required.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first member that is missing, mistyped or
+    /// names no GPU or seed kernel.
+    pub fn from_json(doc: &Json) -> Result<FuzzCase, String> {
+        let (gpu, seed) = (doc.need_str("gpu")?, doc.need_str("seed")?);
+        Ok(FuzzCase {
+            generation: parse_generation(gpu).ok_or_else(|| format!("unknown gpu `{gpu}`"))?,
+            seed: SeedSpec::parse(seed)
+                .ok_or_else(|| format!("unknown seed spec `{seed}` (e.g. table2:07)"))?,
+            mutation_seed: doc.need_u64("mutation_seed")?,
+        })
+    }
+}
+
 /// What one engine did with a mutant.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
@@ -510,15 +534,53 @@ pub enum Outcome {
     Panic(String),
 }
 
+/// The coarse class of an [`Outcome`], declared in severity order: a
+/// mutant counts under the most severe class any engine reached.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OutcomeClass {
+    /// Completed.
+    Ok,
+    /// Rejected by validation or launch checks.
+    Reject,
+    /// Stopped by a structured runtime fault.
+    Fault,
+    /// Exhausted a watchdog budget.
+    Timeout,
+    /// Panicked (always a violation too).
+    Panic,
+}
+
+impl OutcomeClass {
+    /// Every class, least severe first.
+    pub const ALL: [OutcomeClass; 5] = [
+        OutcomeClass::Ok,
+        OutcomeClass::Reject,
+        OutcomeClass::Fault,
+        OutcomeClass::Timeout,
+        OutcomeClass::Panic,
+    ];
+
+    /// Stable name used in reports, fuzz documents and job details.
+    pub fn name(self) -> &'static str {
+        match self {
+            OutcomeClass::Ok => "ok",
+            OutcomeClass::Reject => "reject",
+            OutcomeClass::Fault => "fault",
+            OutcomeClass::Timeout => "timeout",
+            OutcomeClass::Panic => "panic",
+        }
+    }
+}
+
 impl Outcome {
     /// Coarse class used for cross-model agreement.
-    pub fn class(&self) -> &'static str {
+    pub fn class(&self) -> OutcomeClass {
         match self {
-            Outcome::Ok { .. } => "ok",
-            Outcome::Reject(_) => "reject",
-            Outcome::Fault(_) => "fault",
-            Outcome::Timeout => "timeout",
-            Outcome::Panic(_) => "panic",
+            Outcome::Ok { .. } => OutcomeClass::Ok,
+            Outcome::Reject(_) => OutcomeClass::Reject,
+            Outcome::Fault(_) => OutcomeClass::Fault,
+            Outcome::Timeout => OutcomeClass::Timeout,
+            Outcome::Panic(_) => OutcomeClass::Panic,
         }
     }
 }
@@ -551,6 +613,14 @@ pub enum ViolationKind {
 }
 
 impl ViolationKind {
+    /// Every violation kind.
+    pub const ALL: [ViolationKind; 4] = [
+        ViolationKind::Panic,
+        ViolationKind::FuncTimingDisagree,
+        ViolationKind::TraceDivergence,
+        ViolationKind::RoundTrip,
+    ];
+
     /// Stable kebab-case name used in reports and corpus files.
     pub fn name(self) -> &'static str {
         match self {
@@ -558,17 +628,6 @@ impl ViolationKind {
             ViolationKind::FuncTimingDisagree => "func-timing-disagree",
             ViolationKind::TraceDivergence => "trace-divergence",
             ViolationKind::RoundTrip => "round-trip",
-        }
-    }
-
-    /// Inverse of [`ViolationKind::name`].
-    pub fn parse(s: &str) -> Option<ViolationKind> {
-        match s {
-            "panic" => Some(ViolationKind::Panic),
-            "func-timing-disagree" => Some(ViolationKind::FuncTimingDisagree),
-            "trace-divergence" => Some(ViolationKind::TraceDivergence),
-            "round-trip" => Some(ViolationKind::RoundTrip),
-            _ => None,
         }
     }
 }
@@ -597,22 +656,6 @@ pub struct MutantReport {
     pub traced: Outcome,
     /// The oracle's verdict; `None` means the mutant is accepted.
     pub violation: Option<Violation>,
-}
-
-/// A trace sink that only counts events: forces the traced code path
-/// (`ENABLED = true`) with bounded memory, unlike a recording buffer.
-#[derive(Debug, Default)]
-pub struct CountSink {
-    /// Events observed.
-    pub events: u64,
-}
-
-impl Observer for CountSink {
-    const EVENTS: bool = true;
-
-    fn event(&mut self, _event: TraceEvent) {
-        self.events += 1;
-    }
 }
 
 /// Map a simulation result onto the fuzzer's outcome classes.
@@ -682,7 +725,8 @@ fn run_timing(
     let params = launch_params(&mut memory, problem)?;
     let sim = TimingSim::new(gpu, kernel, config, &params, 1)?;
     let report = if traced {
-        let hooks = Hooks::observe(CountSink::default());
+        // Keeps no events: the traced code path with bounded memory.
+        let hooks = Hooks::observe(TraceBuffer::with_limit(0));
         sim.run(&mut memory, hooks.cycle_limit(FUZZ_CYCLE_LIMIT))?
     } else {
         sim.run(&mut memory, Hooks::default().cycle_limit(FUZZ_CYCLE_LIMIT))?
@@ -883,7 +927,7 @@ pub fn shrink_case(case: &FuzzCase) -> Result<(Vec<usize>, MutantReport), String
 // ---------------------------------------------------------------------------
 
 /// A minimized violation ready for the corpus.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ViolationCase {
     /// The originating fuzz input.
     pub case: FuzzCase,
@@ -893,81 +937,38 @@ pub struct ViolationCase {
     pub removed: Vec<usize>,
 }
 
-const CORPUS_HEADER: &str = "peakperf-fault-case v1";
+impl ViolationCase {
+    /// The case's members plus `kind`, `detail` and `removed`: a corpus
+    /// file, and one entry of a fuzz document's `violations`.
+    pub fn to_json(&self) -> Json {
+        let mut doc = self.case.to_json();
+        doc.extend(obj!(self; kind = self.violation.kind.name(),
+            detail = self.violation.detail.as_str(),
+            removed = self.removed.iter().copied().collect::<Json>()));
+        doc
+    }
 
-/// Render a violation case in the line-based corpus format.
-pub fn render_corpus_case(vc: &ViolationCase) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "{CORPUS_HEADER}");
-    let _ = writeln!(out, "gen = {}", generation_name(vc.case.generation));
-    let _ = writeln!(out, "seed = {}", vc.case.seed.id());
-    let _ = writeln!(out, "mutation_seed = {}", vc.case.mutation_seed);
-    let _ = writeln!(out, "kind = {}", vc.violation.kind.name());
-    let _ = writeln!(out, "detail = {}", vc.violation.detail.replace('\n', " "));
-    if !vc.removed.is_empty() {
-        let list: Vec<String> = vc.removed.iter().map(usize::to_string).collect();
-        let _ = writeln!(out, "removed = {}", list.join(","));
+    /// Read the members [`ViolationCase::to_json`] writes; each is
+    /// required.
+    ///
+    /// # Errors
+    ///
+    /// As [`FuzzCase::from_json`], or a message naming `kind`, `detail`
+    /// or `removed`.
+    pub fn from_json(doc: &Json) -> Result<ViolationCase, String> {
+        let index = |i: &Json| i.as_u64().and_then(|i| usize::try_from(i).ok());
+        let removed = doc["removed"]
+            .as_arr()
+            .and_then(|items| items.iter().map(index).collect());
+        Ok(ViolationCase {
+            case: FuzzCase::from_json(doc)?,
+            violation: Violation {
+                kind: doc.need_tag("kind", &ViolationKind::ALL, ViolationKind::name)?,
+                detail: doc.need_str("detail")?.to_owned(),
+            },
+            removed: removed.ok_or("`removed` must be an array of instruction indices")?,
+        })
     }
-    out
-}
-
-/// Parse a corpus file back into `(case, removals, recorded kind)`.
-///
-/// # Errors
-///
-/// Reports malformed files as strings.
-pub fn parse_corpus_case(text: &str) -> Result<(FuzzCase, Vec<usize>, ViolationKind), String> {
-    let mut lines = text.lines().filter(|l| !l.trim().is_empty());
-    if lines.next().map(str::trim) != Some(CORPUS_HEADER) {
-        return Err(format!("missing `{CORPUS_HEADER}` header"));
-    }
-    let mut generation = None;
-    let mut seed = None;
-    let mut mutation_seed = None;
-    let mut kind = None;
-    let mut removed = Vec::new();
-    for line in lines {
-        let Some((key, value)) = line.split_once('=') else {
-            return Err(format!("malformed line `{line}`"));
-        };
-        let (key, value) = (key.trim(), value.trim());
-        match key {
-            "gen" => {
-                generation =
-                    Some(parse_generation(value).ok_or_else(|| format!("bad gen `{value}`"))?);
-            }
-            "seed" => {
-                seed = Some(SeedSpec::parse(value).ok_or_else(|| format!("bad seed `{value}`"))?);
-            }
-            "mutation_seed" => {
-                mutation_seed = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("bad mutation_seed `{value}`"))?,
-                );
-            }
-            "kind" => {
-                kind =
-                    Some(ViolationKind::parse(value).ok_or_else(|| format!("bad kind `{value}`"))?);
-            }
-            "removed" => {
-                removed = value
-                    .split(',')
-                    .filter(|s| !s.is_empty())
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<Vec<_>, _>>()
-                    .map_err(|_| format!("bad removed list `{value}`"))?;
-            }
-            "detail" => {}
-            other => return Err(format!("unknown key `{other}`")),
-        }
-    }
-    let case = FuzzCase {
-        generation: generation.ok_or("missing gen")?,
-        seed: seed.ok_or("missing seed")?,
-        mutation_seed: mutation_seed.ok_or("missing mutation_seed")?,
-    };
-    Ok((case, removed, kind.ok_or("missing kind")?))
 }
 
 /// File name for a corpus case (unique per case within a campaign).
@@ -988,7 +989,7 @@ pub fn corpus_file_name(case: &FuzzCase) -> String {
 pub fn write_corpus_case(dir: &Path, vc: &ViolationCase) -> std::io::Result<PathBuf> {
     std::fs::create_dir_all(dir)?;
     let path = dir.join(corpus_file_name(&vc.case));
-    std::fs::write(&path, render_corpus_case(vc))?;
+    std::fs::write(&path, vc.to_json().pretty())?;
     Ok(path)
 }
 
@@ -1011,9 +1012,10 @@ pub fn replay_corpus(dir: &Path) -> Result<Vec<(PathBuf, Option<Violation>)>, St
     for path in entries {
         let text = std::fs::read_to_string(&path)
             .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let (case, removed, _kind) =
-            parse_corpus_case(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        let report = run_isolated(|| run_case_with(&case, &removed))
+        let vc = Json::parse(&text)
+            .and_then(|doc| ViolationCase::from_json(&doc))
+            .map_err(|e| format!("{}: {e}", path.display()))?;
+        let report = run_isolated(|| run_case_with(&vc.case, &vc.removed))
             .map_err(|e| format!("{}: {e}", path.display()))?;
         out.push((path, report.violation));
     }
@@ -1045,49 +1047,25 @@ impl Default for CampaignConfig {
     }
 }
 
-/// Per-class outcome tallies (a mutant counts under its most severe
-/// engine outcome: panic > timeout > fault > reject > ok).
+/// Per-class outcome tallies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Tally {
-    /// Mutants where every engine completed.
-    pub ok: u64,
-    /// Mutants rejected by validation/launch checks.
-    pub reject: u64,
-    /// Mutants stopped by a structured runtime fault.
-    pub fault: u64,
-    /// Mutants that exhausted a watchdog budget.
-    pub timeout: u64,
-    /// Mutants that panicked somewhere (always a violation too).
-    pub panic: u64,
+    /// Mutants per class, aligned with [`OutcomeClass::ALL`]: a mutant
+    /// counts under the most severe class any engine reached.
+    pub classes: [u64; OutcomeClass::ALL.len()],
     /// Harness-level failures (seed build errors) — not mutant behavior.
     pub harness_errors: u64,
 }
 
 impl Tally {
-    fn severity(class: &str) -> u8 {
-        match class {
-            "panic" => 4,
-            "timeout" => 3,
-            "fault" => 2,
-            "reject" => 1,
-            _ => 0,
-        }
+    /// Mutants counted under `class`.
+    pub fn of(&self, class: OutcomeClass) -> u64 {
+        self.classes[class as usize]
     }
 
     fn count(&mut self, report: &MutantReport) {
-        let outcomes = [&report.func, &report.timing, &report.traced];
-        let class = outcomes
-            .iter()
-            .map(|o| o.class())
-            .max_by_key(|c| Tally::severity(c))
-            .unwrap_or("ok");
-        match class {
-            "panic" => self.panic += 1,
-            "timeout" => self.timeout += 1,
-            "fault" => self.fault += 1,
-            "reject" => self.reject += 1,
-            _ => self.ok += 1,
-        }
+        let class = report.func.class().max(report.timing.class());
+        self.classes[class.max(report.traced.class()) as usize] += 1;
     }
 }
 
@@ -1189,16 +1167,13 @@ pub fn render_campaign(cfg: &CampaignConfig, result: &CampaignResult) -> String 
         &["class", "mutants"],
     );
     let t = &result.tally;
-    for (name, count) in [
-        ("ok", t.ok),
-        ("reject", t.reject),
-        ("fault", t.fault),
-        ("timeout", t.timeout),
-        ("panic", t.panic),
-        ("harness-error", t.harness_errors),
-    ] {
-        table.row(vec![name.to_owned(), count.to_string()]);
+    for class in OutcomeClass::ALL {
+        table.row(vec![class.name().to_owned(), t.of(class).to_string()]);
     }
+    table.row(vec![
+        "harness-error".to_owned(),
+        t.harness_errors.to_string(),
+    ]);
     let mut kinds = Table::new("Mutations applied", &["class", "count"]);
     for (kind, count) in MutationKind::ALL.iter().zip(result.kind_counts) {
         kinds.row(vec![kind.name().to_owned(), count.to_string()]);
@@ -1233,17 +1208,14 @@ pub fn campaign_json(cfg: &CampaignConfig, result: &CampaignResult, wall_ms: f64
         .collect();
     let gens: Vec<&str> = gens.iter().map(String::as_str).collect();
     let t = &result.tally;
-    let violations = result.violations.iter().map(|vc| {
-        obj!(vc.case; gen = generation_name(vc.case.generation), seed = vc.case.seed.id(),
-            mutation_seed, kind = vc.violation.kind.name(), detail = vc.violation.detail.as_str(),
-            removed = vc.removed.iter().copied().collect::<Json>())
-    });
+    let mut outcomes = Json::obj(OutcomeClass::ALL.map(|class| (class.name(), t.of(class).into())));
+    outcomes.push("harness_errors", t.harness_errors);
     let mutations = MutationKind::ALL.iter().zip(result.kind_counts);
     let mutations = Json::obj(mutations.map(|(kind, count)| (kind.name(), count.into())));
     let body = obj!(cfg; seed, iters, wall_ms = wall_ms,
-        outcomes = obj!(t; ok, reject, fault, timeout, panic, harness_errors),
+        outcomes = outcomes,
         mutations = mutations,
-        violations = violations.collect::<Json>());
+        violations = result.violations.iter().map(ViolationCase::to_json).collect::<Json>());
     envelope("peakperf-fuzz-v1", &gens, body)
 }
 
@@ -1255,8 +1227,10 @@ pub fn check(doc: &Json, errors: &mut Vec<String>) {
     let sample = campaign_json(&CampaignConfig::default(), &CampaignResult::default(), 0.0);
     doc.conforms(&sample, &"fuzz document", errors);
     let outcomes = &doc["outcomes"];
-    let classes = ["ok", "reject", "fault", "timeout", "panic"];
-    let mutants: u64 = classes.iter().map(|class| outcomes.count(class)).sum();
+    let mutants: u64 = OutcomeClass::ALL
+        .map(|class| outcomes.count(class.name()))
+        .iter()
+        .sum();
     let (iters, harness) = (doc.count("iters"), outcomes.count("harness_errors"));
     let accounted = mutants <= iters && mutants + harness >= iters;
     ensure!(
@@ -1272,15 +1246,11 @@ pub fn check(doc: &Json, errors: &mut Vec<String>) {
         "mutations: keys drifted from MutationKind::ALL"
     );
     for (i, v) in doc.items("violations").iter().enumerate() {
-        let replayable = parse_generation(v.text("gen")).is_some()
-            && SeedSpec::parse(v.text("seed")).is_some()
-            && ViolationKind::parse(v.text("kind")).is_some()
-            && v["mutation_seed"].as_u64().is_some();
-        ensure!(
-            errors,
-            replayable,
-            "violations[{i}]: {v} does not name a replayable case"
-        );
+        if let Err(e) = ViolationCase::from_json(v) {
+            errors.push(format!(
+                "violations[{i}]: {v} does not name a replayable case: {e}"
+            ));
+        }
     }
 }
 
@@ -1350,21 +1320,24 @@ mod tests {
     }
 
     #[test]
-    fn corpus_format_round_trips() {
+    fn corpus_records_round_trip() {
         let vc = ViolationCase {
-            case: case(SeedSpec::Sgemm(Variant::ALL[1]), Generation::Fermi, 42),
+            case: case(
+                SeedSpec::Sgemm(Variant::ALL[1]),
+                Generation::Fermi,
+                u64::MAX,
+            ),
             violation: Violation {
                 kind: ViolationKind::TraceDivergence,
-                detail: "timing=ok(cycles=10) traced=ok(cycles=11)".to_owned(),
+                detail: "timing=ok(cycles=10)\ntraced=ok(cycles=11)".to_owned(),
             },
             removed: vec![3, 0, 7],
         };
-        let text = render_corpus_case(&vc);
-        let (parsed, removed, kind) = parse_corpus_case(&text).unwrap();
-        assert_eq!(parsed, vc.case);
-        assert_eq!(removed, vc.removed);
-        assert_eq!(kind, ViolationKind::TraceDivergence);
-        assert!(parse_corpus_case("not a corpus file").is_err());
+        let doc = Json::parse(&vc.to_json().pretty()).unwrap();
+        assert_eq!(ViolationCase::from_json(&doc), Ok(vc.clone()));
+        assert_eq!(FuzzCase::from_json(&doc), Ok(vc.case));
+        let err = ViolationCase::from_json(&obj!((); gpu = "fermi")).unwrap_err();
+        assert!(err.contains("`seed`"), "{err}");
     }
 
     #[test]
@@ -1448,7 +1421,11 @@ mod tests {
         assert_eq!(a, b);
         let result = run_campaign(&cfg);
         assert_eq!(result.cases, 6);
-        assert_eq!(result.tally.panic, 0, "mutants must never panic");
+        assert_eq!(
+            result.tally.of(OutcomeClass::Panic),
+            0,
+            "mutants must never panic"
+        );
         let doc = campaign_json(&cfg, &result, 12.0);
         assert_eq!(Json::parse(&doc.pretty()).unwrap(), doc);
         assert_eq!(crate::report::check_document(&doc), Vec::<String>::new());

@@ -60,7 +60,7 @@ use peakperf_sim::{CancelCause, CancelSource, CancelToken, GlobalMemory, LaunchC
 use peakperf_sim::{ensure, obj, Json};
 
 use crate::exec::run_isolated;
-use crate::fault::{generation_name, parse_generation, FuzzCase, Outcome, SeedSpec};
+use crate::fault::{FuzzCase, Outcome, SeedSpec};
 use crate::profiling;
 use crate::report::{envelope, Table, PAPER_GPUS};
 use journal::{check_events, derive_counts, Event, EventKind, Journal};
@@ -144,11 +144,7 @@ impl JobSpec {
         let mut doc = obj!(self; schema = "peakperf-job-v1", id, kind = self.kind.name());
         match &self.kind {
             JobKind::Profile { target } => doc.push("target", target.as_str()),
-            JobKind::Fault { case } => {
-                doc.push("gpu", generation_name(case.generation));
-                doc.push("seed", case.seed.id());
-                doc.push("mutation_seed", case.mutation_seed);
-            }
+            JobKind::Fault { case } => doc.extend(case.to_json()),
             JobKind::Spin | JobKind::Panic => {}
         }
         doc.push_some("deadline_ms", self.deadline_ms);
@@ -167,7 +163,7 @@ impl JobSpec {
     pub fn from_json(doc: &Json) -> Result<JobSpec, String> {
         let (schema, id) = (doc.text("schema"), doc.text("id"));
         if schema != "peakperf-job-v1" {
-            return Err(format!("expected schema peakperf-job-v1, got `{schema}`"));
+            return Err(format!("`schema` must be peakperf-job-v1, got `{schema}`"));
         }
         if id.is_empty() {
             return Err("job needs a non-empty string `id`".to_owned());
@@ -180,22 +176,9 @@ impl JobSpec {
             "profile" => JobKind::Profile {
                 target: doc.need_str("target")?.to_owned(),
             },
-            "fault" => {
-                let (gpu, seed) = (
-                    doc["gpu"].as_str().unwrap_or("kepler"),
-                    doc.need_str("seed")?,
-                );
-                JobKind::Fault {
-                    case: FuzzCase {
-                        generation: parse_generation(gpu)
-                            .ok_or_else(|| format!("unknown gpu `{gpu}`"))?,
-                        seed: SeedSpec::parse(seed).ok_or_else(|| {
-                            format!("unknown seed spec `{seed}` (e.g. table2:07)")
-                        })?,
-                        mutation_seed: optional("mutation_seed")?.unwrap_or(1),
-                    },
-                }
-            }
+            "fault" => JobKind::Fault {
+                case: FuzzCase::from_json(doc)?,
+            },
             "spin" => JobKind::Spin,
             "panic" => JobKind::Panic,
             other => {
@@ -1107,8 +1090,8 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken) -> Result<Attempt, String> {
                 Some(v) => format!("mutant violation [{}]: {}", v.kind.name(), v.detail),
                 None => format!(
                     "mutant ok: func={} timing={}",
-                    report.func.class(),
-                    report.timing.class()
+                    report.func.class().name(),
+                    report.timing.class().name()
                 ),
             };
             let cycles = match report.timing {
@@ -1664,7 +1647,7 @@ mod tests {
                 "target",
             ),
             (
-                "{\"schema\":\"peakperf-job-v1\",\"id\":\"a\",\"kind\":\"fault\",\"seed\":\"zzz\"}",
+                "{\"schema\":\"peakperf-job-v1\",\"id\":\"a\",\"kind\":\"fault\",\"gpu\":\"kepler\",\"seed\":\"zzz\"}",
                 "seed spec",
             ),
             (

@@ -95,7 +95,7 @@ fn options_of_another_mode_are_rejected() {
         // The experiments write no `--json` document.
         &["--json", "x.json", "table1"][..],
         &["bench", "--soak", "3"],
-        &["serve", "--soak", "3", "--replay", "x"],
+        &["serve", "--soak", "3", "--corpus-dir", "x"],
         &["hostprof", "fermi_ffma", "--trace-out", "x.json"],
         // Only experiments read the timing cache: `profile` always
         // simulates, to observe every event.
@@ -116,7 +116,8 @@ fn options_of_another_mode_are_rejected() {
 fn there_is_no_grid_option_and_no_second_document_flag() {
     // Every experiment and the bench suite run at the paper's sizes: no
     // option picks another grid. Every document is written by `--json`,
-    // and a serve run writes one.
+    // and a serve run writes one. The fault corpus is replayed by
+    // `cargo test`, not by a flag.
     for args in [
         &["--quick", "table1"][..],
         &["--full", "table1"],
@@ -126,6 +127,7 @@ fn there_is_no_grid_option_and_no_second_document_flag() {
         &["serve", "--soak", "3", "--results", "x.jsonl"],
         &["serve", "--soak", "3", "--journal-out", "x.json"],
         &["serve", "--soak", "3", "--snapshot-ms", "10"],
+        &["fuzz", "--replay", "tests/fault_corpus"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -228,10 +230,8 @@ fn fuzz_rejects_bad_usage() {
     let out = reproduce(&["fuzz", "table1"]);
     assert!(!out.status.success());
 
-    // Corpus flags outside the subcommand are rejected.
+    // The corpus flag outside the subcommand is rejected.
     let out = reproduce(&["table1", "--corpus-dir", "x"]);
-    assert!(!out.status.success());
-    let out = reproduce(&["table1", "--replay", "x"]);
     assert!(!out.status.success());
 
     // Unknown GPU names are rejected, and so is GT200: the timing model

@@ -203,8 +203,19 @@ fn fuzz_document() {
         iters: 12,
         ..fault::CampaignConfig::default()
     };
-    let doc = fault::campaign_json(&cfg, &fault::run_campaign(&cfg), 1.5);
-    let alien = Json::Arr(vec![obj!((); gen = "hopper")]);
+    // The campaign finds no violation, so one is added by hand: each
+    // entry must read back the way a corpus replay reads it.
+    let mut result = fault::run_campaign(&cfg);
+    result.violations.push(fault::ViolationCase {
+        case: fault::campaign_cases(&cfg)[0],
+        violation: fault::Violation {
+            kind: fault::ViolationKind::RoundTrip,
+            detail: "synthetic".to_owned(),
+        },
+        removed: vec![4, 0],
+    });
+    let doc = fault::campaign_json(&cfg, &result, 1.5);
+    let alien = Json::Arr(vec![obj!((); gpu = "hopper")]);
     let cases = [
         ("mutations", SwapFirstTwo, "drifted from MutationKind::ALL"),
         (
@@ -215,6 +226,17 @@ fn fuzz_document() {
         ("outcomes", Remove("panic"), "missing key `panic`"),
         ("iters", Set("12".into()), "iters: expected an integer, got"),
         ("violations", Set(alien), "does not name a replayable case"),
+        (
+            "violations.0.removed",
+            Set(Json::Arr(vec!["x".into()])),
+            "does not name a replayable case",
+        ),
+        ("violations.0.detail", Set(7.into()), "`detail` must be"),
+        (
+            "violations.0",
+            Remove("mutation_seed"),
+            "`mutation_seed` must be",
+        ),
     ];
     assert_checked(&doc, &cases);
 }
@@ -256,7 +278,7 @@ fn service_documents_from_a_seeded_soak() {
     for job in &jobs {
         let mut line = job.to_json();
         Remove("cancel_at_cycle").apply(&mut line);
-        let cases = [
+        let mut cases = vec![
             (
                 "kind",
                 Set("teleport".into()),
@@ -274,6 +296,11 @@ fn service_documents_from_a_seeded_soak() {
                 "unknown member `deadline_msec`",
             ),
         ];
+        if line.text("kind") == "fault" {
+            // A fault line names its GPU: no member falls back to Kepler.
+            cases.push(("gpu", Set(580.into()), "`gpu` must be a string"));
+            cases.push(("", Remove("gpu"), "`gpu` must be a string"));
+        }
         assert_checked(&line, &cases);
         assert_eq!(JobSpec::from_json(&job.to_json()).as_ref(), Ok(job));
         svc.submit(job.clone());

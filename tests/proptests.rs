@@ -23,7 +23,9 @@ use peakperf::sass::{
 };
 use peakperf::sim::exec::{ffma_lanes, step_warp, BlockCtx, MemCtx};
 use peakperf::sim::timing::{global_transactions, shared_conflict_factor};
-use peakperf::sim::{Dim3, GlobalMemory, Gpu, SimError, StepEvent, WarpState};
+use peakperf::sim::{Dim3, GlobalMemory, Gpu, Json, SimError, StepEvent, WarpState};
+use peakperf_bench::fault::{FuzzCase, SeedSpec, Violation, ViolationCase, ViolationKind};
+use peakperf_bench::service::{parse_job_line, JobKind, JobSpec};
 
 // ---------------------------------------------------------------------
 // Samplers (the proptest "strategies", hand-rolled)
@@ -221,8 +223,8 @@ fn instruction_vec(rng: &mut Rng, lo: usize, hi: usize) -> Vec<Instruction> {
 // Encoder / assembler round trips
 // ---------------------------------------------------------------------
 
-fn one_of<T: Copy>(rng: &mut Rng, items: &[T]) -> T {
-    items[rng.gen_range_usize(0, items.len())]
+fn one_of<T: Clone>(rng: &mut Rng, items: &[T]) -> T {
+    items[rng.gen_range_usize(0, items.len())].clone()
 }
 
 /// [`instruction`], with half the cases pushed to or past the edge of one
@@ -1352,5 +1354,119 @@ fn blocked_sgemm_matches_cpu() {
         };
         let bits = |m: &Matrix| m.data.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&run.c), bits(&reference), "case {case}: {problem:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
+// The fuzz case codec under seeded edits
+// ---------------------------------------------------------------------
+
+/// A well-formed corpus record.
+fn violation_case(rng: &mut Rng) -> ViolationCase {
+    let removed = rng.gen_below(4) as usize;
+    ViolationCase {
+        case: FuzzCase {
+            generation: one_of(rng, &[Generation::Fermi, Generation::Kepler]),
+            seed: one_of(rng, &SeedSpec::all()),
+            mutation_seed: rng.next_u64(),
+        },
+        violation: Violation {
+            kind: one_of(rng, &ViolationKind::ALL),
+            detail: format!("timing=\"{}\"\ntraced=?", rng.next_u32()),
+        },
+        removed: (0..removed).map(|_| rng.gen_range_usize(0, 300)).collect(),
+    }
+}
+
+/// One seeded edit of the object `doc`, rendered by `render`: drop one of
+/// the `required` members, retype any member (or an element of an array
+/// member), or truncate the rendered text. Returns the edited text and the
+/// member its error must name (`None` for a truncation).
+fn edit(
+    rng: &mut Rng,
+    doc: &Json,
+    required: &[&'static str],
+    render: fn(&Json) -> String,
+) -> (String, Option<String>) {
+    let mut members = doc.as_obj().unwrap().to_vec();
+    match rng.gen_below(3) {
+        0 => {
+            let key = one_of(rng, required);
+            members.retain(|(k, _)| k != key);
+            (render(&Json::Obj(members)), Some(key.to_owned()))
+        }
+        1 => {
+            let i = rng.gen_range_usize(0, members.len());
+            let (key, value) = &mut members[i];
+            let other_type = match value {
+                Json::Str(_) => one_of(rng, &[Json::Int(580), Json::Bool(true), Json::Arr(vec![])]),
+                Json::Int(_) => {
+                    let beyond_u64 = Json::Int(1 << 64);
+                    one_of(
+                        rng,
+                        &[Json::from("7"), Json::Num(1.5), Json::Int(-1), beyond_u64],
+                    )
+                }
+                Json::Arr(items) if !items.is_empty() && rng.gen_bool() => {
+                    let j = rng.gen_range_usize(0, items.len());
+                    items[j] = one_of(rng, &[Json::from("x"), Json::Int(-1)]);
+                    Json::Arr(items.clone())
+                }
+                _ => Json::from("x"),
+            };
+            *value = other_type;
+            let key = key.clone();
+            (render(&Json::Obj(members)), Some(key))
+        }
+        _ => {
+            // Any strict prefix of an object's text, short of its closing
+            // brace, is not a document.
+            let text = render(doc);
+            let keep = rng.gen_range_usize(0, text.trim_end().len());
+            (text[..keep].to_owned(), None)
+        }
+    }
+}
+
+#[test]
+fn case_codec_ends_every_edit_in_an_error_naming_the_member() {
+    let mut rng = Rng::seed_from_u64(0xC0DEC);
+    let record_members = ["gpu", "seed", "mutation_seed", "kind", "detail", "removed"];
+    let job_members = ["schema", "id", "kind", "gpu", "seed", "mutation_seed"];
+    let read_record = |text: &str| ViolationCase::from_json(&Json::parse(text)?);
+    for case in 0..200 {
+        let record = violation_case(&mut rng);
+        let job = JobSpec {
+            deadline_ms: rng.gen_bool().then(|| rng.gen_below(60_000)),
+            ..JobSpec::new(format!("f{case}"), JobKind::Fault { case: record.case })
+        };
+        let (record_doc, job_doc) = (record.to_json(), job.to_json());
+        assert_eq!(
+            read_record(&record_doc.pretty()),
+            Ok(record.clone()),
+            "case {case}"
+        );
+        assert_eq!(
+            parse_job_line(&job_doc.render()),
+            Ok(job.clone()),
+            "case {case}"
+        );
+
+        let (text, named) = edit(&mut rng, &record_doc, &record_members, Json::pretty);
+        let err = read_record(&text).expect_err(&format!("case {case}: accepted {text}"));
+        if let Some(key) = named {
+            assert!(
+                err.contains(&format!("`{key}`")),
+                "case {case}: {text} -> {err}"
+            );
+        }
+        let (text, named) = edit(&mut rng, &job_doc, &job_members, Json::render);
+        let err = parse_job_line(&text).expect_err(&format!("case {case}: accepted {text}"));
+        if let Some(key) = named {
+            assert!(
+                err.contains(&format!("`{key}`")),
+                "case {case}: {text} -> {err}"
+            );
+        }
     }
 }

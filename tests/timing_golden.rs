@@ -17,24 +17,31 @@
 //!
 //! An intended change re-blesses both with
 //! `UPDATE_GOLDEN=1 cargo test --test timing_golden`.
+//!
+//! The corpus is also replayed through the whole differential pipeline:
+//! every pinned case must stay free of oracle violations.
 
 use std::fmt::Write as _;
+use std::path::Path;
 use std::sync::OnceLock;
 
 use peakperf::arch::{Generation, GpuConfig};
 use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
 use peakperf::sass::Kernel;
 use peakperf::sim::timing::{Hooks, TimingReport, TimingSim};
-use peakperf::sim::{FuncStats, GlobalMemory, Gpu, LaunchConfig, SimError};
+use peakperf::sim::{FuncStats, GlobalMemory, Gpu, Json, LaunchConfig, SimError};
 use peakperf_bench::fault::{
-    campaign_cases, mutant_kernel, parse_corpus_case, CampaignConfig, FuzzCase, FUZZ_CYCLE_LIMIT,
-    FUZZ_STEP_LIMIT,
+    campaign_cases, mutant_kernel, replay_corpus, CampaignConfig, FuzzCase, ViolationCase,
+    FUZZ_CYCLE_LIMIT, FUZZ_STEP_LIMIT,
 };
 
 mod common;
 use common::{assert_matches_golden, fnv64, FNV_OFFSET};
 
 const MUTANTS_PER_GPU: u64 = 200;
+
+/// The fault corpus: one `ViolationCase` JSON record per `.case` file.
+const CORPUS_DIR: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fault_corpus");
 
 /// Continue `seed` over every mapped word of `memory` (address 0 is the
 /// unmapped null word).
@@ -127,19 +134,18 @@ fn digests() -> &'static Digests {
     DIGESTS.get_or_init(|| {
         let mut digests = Digests::default();
 
-        let corpus_dir = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fault_corpus");
-        let mut corpus: Vec<_> = std::fs::read_dir(corpus_dir)
+        let mut corpus: Vec<_> = std::fs::read_dir(CORPUS_DIR)
             .unwrap()
             .map(|entry| entry.unwrap().path())
             .filter(|path| path.extension().is_some_and(|ext| ext == "case"))
             .collect();
         corpus.sort();
-        assert!(!corpus.is_empty(), "no corpus cases under {corpus_dir}");
+        assert!(!corpus.is_empty(), "no corpus cases under {CORPUS_DIR}");
         for path in corpus {
             let text = std::fs::read_to_string(&path).unwrap();
-            let (case, removals, _) = parse_corpus_case(&text).unwrap();
+            let vc = ViolationCase::from_json(&Json::parse(&text).unwrap()).unwrap();
             let name = path.file_name().unwrap().to_string_lossy().into_owned();
-            digests.record_mutant(&format!("corpus/{name}"), &case, &removals);
+            digests.record_mutant(&format!("corpus/{name}"), &vc.case, &vc.removed);
         }
 
         for generation in [Generation::Fermi, Generation::Kepler] {
@@ -185,4 +191,20 @@ fn timing_results_match_the_golden_digests() {
 #[test]
 fn architectural_state_matches_the_golden_digests() {
     assert_matches_golden(&digests().arch, "arch_golden.txt");
+}
+
+#[test]
+fn fault_corpus_replays_without_violations() {
+    let entries = replay_corpus(Path::new(CORPUS_DIR)).expect("corpus must parse and replay");
+    assert!(
+        !entries.is_empty(),
+        "tests/fault_corpus exists but holds no .case files"
+    );
+    for (path, violation) in entries {
+        assert!(
+            violation.is_none(),
+            "{} violates the oracle again: {violation:?}",
+            path.display()
+        );
+    }
 }
