@@ -1398,23 +1398,21 @@ fn edit(
         1 => {
             let i = rng.gen_range_usize(0, members.len());
             let (key, value) = &mut members[i];
-            let other_type = match value {
-                Json::Str(_) => one_of(rng, &[Json::Int(580), Json::Bool(true), Json::Arr(vec![])]),
+            match value {
+                Json::Str(_) => {
+                    *value = one_of(rng, &[Json::Int(580), Json::Bool(true), Json::Arr(vec![])]);
+                }
                 Json::Int(_) => {
                     let beyond_u64 = Json::Int(1 << 64);
-                    one_of(
-                        rng,
-                        &[Json::from("7"), Json::Num(1.5), Json::Int(-1), beyond_u64],
-                    )
+                    let other = [Json::from("7"), Json::Num(1.5), Json::Int(-1), beyond_u64];
+                    *value = one_of(rng, &other);
                 }
                 Json::Arr(items) if !items.is_empty() && rng.gen_bool() => {
                     let j = rng.gen_range_usize(0, items.len());
                     items[j] = one_of(rng, &[Json::from("x"), Json::Int(-1)]);
-                    Json::Arr(items.clone())
                 }
-                _ => Json::from("x"),
-            };
-            *value = other_type;
+                _ => *value = Json::from("x"),
+            }
             let key = key.clone();
             (render(&Json::Obj(members)), Some(key))
         }
