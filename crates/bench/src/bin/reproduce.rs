@@ -69,7 +69,8 @@
 //!                        as a counter track
 //! ```
 //!
-//! `check` validates documents this binary wrote: each file says what it
+//! `check` validates documents this binary wrote, and the checked-in
+//! benchmark ledger `BENCH_LEDGER.json`: each file says what it
 //! is (its `schema` id, or `traceEvents` for a Chrome trace) and is
 //! checked against that family's required keys, types and invariants; a
 //! `.jsonl` file is checked line by line. Any violation is listed and

@@ -15,7 +15,7 @@ use peakperf_bound::{
     ffma_fraction, paper_reference, register_limit_sweep, SgemmConfig, SweepEntry, UpperBoundModel,
 };
 use peakperf_kernels::microbench::{math, mix, threads};
-use peakperf_kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
+use peakperf_kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
 use peakperf_regalloc::{analyze_ffma_conflicts, optimize_banks, SgemmPlan};
 use peakperf_sim::timing::time_kernel;
 use peakperf_sim::{GlobalMemory, SimError};
@@ -51,7 +51,8 @@ impl Speed {
 }
 
 /// Simulated GFLOPS of one preset on one GPU at `size` (k possibly capped
-/// by `speed`).
+/// by `speed`), timed on the zeroed operands of
+/// [`alloc_problem`]: simulated time does not depend on their values.
 ///
 /// # Errors
 ///
@@ -71,7 +72,7 @@ pub fn sgemm_gflops(
     };
     let build = build_preset(gpu.generation, &problem, preset)?;
     let mut memory = GlobalMemory::new();
-    let (a, b, c) = upload_problem(&mut memory, &problem, 0xC0FFEE)?;
+    let (a, b, c) = alloc_problem(&mut memory, &problem)?;
     let timing = time_kernel(
         gpu,
         &build.kernel,
@@ -660,7 +661,7 @@ pub fn optimizer() -> Result<String, SimError> {
 
     let time = |kernel: &peakperf_sass::Kernel| -> Result<f64, SimError> {
         let mut memory = GlobalMemory::new();
-        let (a, b, c) = upload_problem(&mut memory, &problem, 0xBEEF)?;
+        let (a, b, c) = alloc_problem(&mut memory, &problem)?;
         Ok(time_kernel(
             &gpu,
             kernel,

@@ -8,6 +8,7 @@ pub mod exec;
 pub mod experiments;
 pub mod fault;
 pub mod hostprof;
+pub mod ledger;
 pub mod profiling;
 pub mod report;
 pub mod service;

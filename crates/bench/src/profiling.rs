@@ -22,7 +22,7 @@ use std::fmt::Write as _;
 use peakperf_arch::GpuConfig;
 use peakperf_bound::UpperBoundModel;
 use peakperf_kernels::microbench::math::{build_math_kernel, table2_patterns, MathPattern};
-use peakperf_kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
+use peakperf_kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
 use peakperf_sass::Kernel;
 use peakperf_sim::timing::{
     chrome_trace, Hooks, Profile, ProfileBuilder, StallKind, TimingSim, TraceBuffer,
@@ -206,7 +206,7 @@ fn sgemm_target(gpu: GpuConfig) -> Result<PreparedTarget, SimError> {
     };
     let build = build_preset(gpu.generation, &problem, Preset::AsmOpt)?;
     let mut memory = GlobalMemory::new();
-    let (a, b, c) = upload_problem(&mut memory, &problem, 0xC0FFEE)?;
+    let (a, b, c) = alloc_problem(&mut memory, &problem)?;
     let threads = build.config.threads_per_block();
     let occ = gpu
         .occupancy()

@@ -6,7 +6,7 @@
 use peakperf_sim::json::{check_chrome_trace, Json};
 use peakperf_sim::obj;
 
-use crate::{fault, hostprof, profiling, service, telemetry};
+use crate::{fault, hostprof, ledger, profiling, service, telemetry};
 
 /// The producing crate and version, stamped into every JSON document.
 pub const GENERATED_BY: &str = concat!("peakperf-bench ", env!("CARGO_PKG_VERSION"));
@@ -44,6 +44,7 @@ pub fn check_document(doc: &Json) -> Vec<String> {
         telemetry::BENCH_SCHEMA => telemetry::check_bench(doc, &mut errors),
         "peakperf-hostprof-v1" => hostprof::check(doc, &mut errors),
         "peakperf-service-v1" => service::check(doc, &mut errors),
+        ledger::SCHEMA => ledger::check(doc, &mut errors),
         "" => errors.push("document has neither a string `schema` nor `traceEvents`".to_owned()),
         other => errors.push(format!("unknown schema `{other}`")),
     }

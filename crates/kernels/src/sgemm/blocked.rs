@@ -612,11 +612,10 @@ impl Emitter {
         if self.builder.generation().uses_control_notation() {
             self.apply_ctl_defaults();
         }
-        // Note: sched::auto_ctl can compute latency-exact stall fields, but
-        // on a scoreboarded simulator long warp-level stalls only idle the
-        // warp — the lightweight per-class notation measures faster, so the
-        // Scheduled mode keeps it (the auto_ctl pass stays available as a
-        // library transform).
+        // Latency-exact stall fields would not pay: on a scoreboarded
+        // simulator a long warp-level stall only idles the warp, so the
+        // lightweight per-class notation measures faster and the Scheduled
+        // mode keeps it.
         self.builder.finish().map_err(SimError::from)
     }
 

@@ -233,8 +233,40 @@ pub fn run_sgemm(
     Ok(SgemmRun { c: c_out, stats })
 }
 
-/// Upload matrices for a problem into `memory` and return
-/// `(a, b, c)` addresses, with C zero-initialized.
+/// Reserve zeroed A, B and C for a problem in one allocation of `memory`
+/// and return their `(a, b, c)` addresses. Each matrix starts on a
+/// [`GlobalMemory::ALIGN`] boundary, where three allocations in a row
+/// would put it; this is the one statement of that layout.
+///
+/// Simulated time does not depend on the operands' values, so a caller
+/// that only times the kernel launches on this memory as it is: on a
+/// fresh [`GlobalMemory`], no page of A, B or C is touched until the
+/// simulation reads or writes it.
+///
+/// # Errors
+///
+/// Fails with [`SimError::OutOfBounds`] when the three matrices do not
+/// fit below the 32-bit address ceiling.
+pub fn alloc_problem(
+    memory: &mut GlobalMemory,
+    problem: &SgemmProblem,
+) -> Result<(u32, u32, u32), SimError> {
+    let bytes = |(rows, cols): (usize, usize)| 4 * (rows * cols) as u64;
+    let align = |bytes: u64| bytes.next_multiple_of(u64::from(GlobalMemory::ALIGN));
+    let b_off = align(bytes(problem.a_shape()));
+    let c_off = b_off + align(bytes(problem.b_shape()));
+    let end = c_off + bytes((problem.m as usize, problem.n as usize));
+    let total = u32::try_from(end).map_err(|_| SimError::OutOfBounds {
+        space: "global",
+        addr: end,
+        size: u64::from(u32::MAX),
+    })?;
+    let a = memory.alloc_zeroed(total)?;
+    Ok((a, a + b_off as u32, a + c_off as u32))
+}
+
+/// Lay out a problem with [`alloc_problem`] and fill A and B with seeded
+/// random values (C stays zero); returns the `(a, b, c)` addresses.
 ///
 /// # Errors
 ///
@@ -244,12 +276,10 @@ pub fn upload_problem(
     problem: &SgemmProblem,
     seed: u64,
 ) -> Result<(u32, u32, u32), SimError> {
+    let (a_addr, b_addr, c_addr) = alloc_problem(memory, problem)?;
     let (ar, ac) = problem.a_shape();
     let (br, bc) = problem.b_shape();
-    let a = Matrix::random(ar, ac, seed);
-    let b = Matrix::random(br, bc, seed + 1);
-    let a_addr = a.upload(memory)?;
-    let b_addr = b.upload(memory)?;
-    let c_addr = memory.alloc_zeroed(problem.m * problem.n * 4)?;
+    memory.write_f32_slice(a_addr, &Matrix::random(ar, ac, seed).data)?;
+    memory.write_f32_slice(b_addr, &Matrix::random(br, bc, seed + 1).data)?;
     Ok((a_addr, b_addr, c_addr))
 }

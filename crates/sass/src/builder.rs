@@ -207,15 +207,6 @@ impl KernelBuilder {
         self.push(Op::S2r { dst, sr })
     }
 
-    /// `FADD dst, a, b`.
-    pub fn fadd(&mut self, dst: Reg, a: Reg, b: impl Into<Operand>) -> &mut Self {
-        self.push(Op::Fadd {
-            dst,
-            a,
-            b: b.into(),
-        })
-    }
-
     /// `FMUL dst, a, b`.
     pub fn fmul(&mut self, dst: Reg, a: Reg, b: impl Into<Operand>) -> &mut Self {
         self.push(Op::Fmul {

@@ -29,8 +29,6 @@
 //! * the Kepler control notation ([`ctl`]);
 //! * a programmatic [`KernelBuilder`] with labels, used by the kernel
 //!   generators in `peakperf-kernels`;
-//! * a latency-aware list scheduler and automatic control-notation
-//!   generator ([`sched`]), automating the Section 5.3 hand reorderings;
 //! * a [`validate_kernel`] pass enforcing the ISA's structural constraints.
 //!
 //! # Example
@@ -69,7 +67,6 @@ mod op;
 mod operand;
 mod parse;
 mod reg;
-pub mod sched;
 mod validate;
 
 pub use builder::{KernelBuilder, Label};

@@ -13,17 +13,18 @@ pub struct GlobalMemory {
     next: u32,
 }
 
-/// Allocation alignment (matches a 128-byte memory transaction, so distinct
-/// buffers never share a transaction segment).
-const ALLOC_ALIGN: u32 = 128;
-
 impl GlobalMemory {
-    /// An empty memory with the default capacity (256 MiB address ceiling;
-    /// storage grows on demand).
+    /// Allocation alignment (matches a 128-byte memory transaction, so
+    /// distinct buffers never share a transaction segment).
+    pub const ALIGN: u32 = 128;
+
+    /// An empty memory. Storage grows on demand; the only ceiling is the
+    /// 32-bit address space, so allocations must end at or below
+    /// `u32::MAX`.
     pub fn new() -> GlobalMemory {
         GlobalMemory {
             data: Vec::new(),
-            next: ALLOC_ALIGN, // keep address 0 unmapped
+            next: Self::ALIGN, // keep address 0 unmapped
         }
     }
 
@@ -34,23 +35,29 @@ impl GlobalMemory {
 
     /// Allocate `bytes` zero-initialized bytes and return the base address.
     ///
+    /// The first allocation of an empty memory takes fresh zeroed pages
+    /// from the system allocator instead of writing zeros, so a page costs
+    /// nothing until an access touches it.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::OutOfBounds`] if the 32-bit address space is
-    /// exhausted.
+    /// exhausted; the memory is then unchanged.
     pub fn alloc_zeroed(&mut self, bytes: u32) -> Result<u32, SimError> {
         let base = self.next;
         let end = base
             .checked_add(bytes)
-            .and_then(|e| e.checked_add(ALLOC_ALIGN - 1))
+            .and_then(|e| e.checked_add(Self::ALIGN - 1))
             .ok_or(SimError::OutOfBounds {
                 space: "global",
                 addr: u64::from(base) + u64::from(bytes),
                 size: u64::from(u32::MAX),
             })?;
-        let end = end / ALLOC_ALIGN * ALLOC_ALIGN;
+        let end = end / Self::ALIGN * Self::ALIGN;
         self.next = end;
-        if self.data.len() < end as usize {
+        if self.data.is_empty() {
+            self.data = vec![0; end as usize];
+        } else if self.data.len() < end as usize {
             self.data.resize(end as usize, 0);
         }
         Ok(base)
@@ -63,9 +70,7 @@ impl GlobalMemory {
     /// See [`GlobalMemory::alloc_zeroed`].
     pub fn alloc_f32(&mut self, values: &[f32]) -> Result<u32, SimError> {
         let base = self.alloc_zeroed((values.len() * 4) as u32)?;
-        for (i, v) in values.iter().enumerate() {
-            self.write_f32(base + (i * 4) as u32, *v)?;
-        }
+        self.write_f32_slice(base, values)?;
         Ok(base)
     }
 
@@ -81,12 +86,23 @@ impl GlobalMemory {
     pub(crate) fn with_size(bytes: usize) -> GlobalMemory {
         GlobalMemory {
             data: vec![0; bytes],
-            next: ALLOC_ALIGN,
+            next: Self::ALIGN,
         }
     }
 
-    fn check(&self, addr: u32, len: u32) -> Result<usize, SimError> {
-        let end = u64::from(addr) + u64::from(len);
+    fn aligned(addr: u32) -> Result<(), SimError> {
+        if !addr.is_multiple_of(4) {
+            return Err(SimError::Misaligned {
+                space: "global",
+                addr: u64::from(addr),
+                align: 4,
+            });
+        }
+        Ok(())
+    }
+
+    fn check(&self, addr: u32, len: u64) -> Result<usize, SimError> {
+        let end = u64::from(addr) + len;
         if addr == 0 || end > self.data.len() as u64 {
             return Err(SimError::OutOfBounds {
                 space: "global",
@@ -103,13 +119,7 @@ impl GlobalMemory {
     ///
     /// Out-of-bounds and misaligned accesses fail.
     pub fn read_u32(&self, addr: u32) -> Result<u32, SimError> {
-        if !addr.is_multiple_of(4) {
-            return Err(SimError::Misaligned {
-                space: "global",
-                addr: u64::from(addr),
-                align: 4,
-            });
-        }
+        Self::aligned(addr)?;
         let i = self.check(addr, 4)?;
         let mut b = [0u8; 4];
         b.copy_from_slice(&self.data[i..i + 4]);
@@ -122,13 +132,7 @@ impl GlobalMemory {
     ///
     /// Out-of-bounds and misaligned accesses fail.
     pub fn write_u32(&mut self, addr: u32, value: u32) -> Result<(), SimError> {
-        if !addr.is_multiple_of(4) {
-            return Err(SimError::Misaligned {
-                space: "global",
-                addr: u64::from(addr),
-                align: 4,
-            });
-        }
+        Self::aligned(addr)?;
         let i = self.check(addr, 4)?;
         self.data[i..i + 4].copy_from_slice(&value.to_le_bytes());
         Ok(())
@@ -161,6 +165,22 @@ impl GlobalMemory {
         (0..n)
             .map(|i| self.read_f32(addr + (i * 4) as u32))
             .collect()
+    }
+
+    /// Write `values` as consecutive `f32`s starting at `addr`.
+    ///
+    /// # Errors
+    ///
+    /// As [`GlobalMemory::write_u32`] for any element; nothing is written
+    /// then.
+    pub fn write_f32_slice(&mut self, addr: u32, values: &[f32]) -> Result<(), SimError> {
+        Self::aligned(addr)?;
+        let i = self.check(addr, values.len() as u64 * 4)?;
+        let dst = &mut self.data[i..i + values.len() * 4];
+        for (word, v) in dst.chunks_exact_mut(4).zip(values) {
+            word.copy_from_slice(&v.to_le_bytes());
+        }
+        Ok(())
     }
 }
 
@@ -201,6 +221,36 @@ mod tests {
         assert!(m.read_u32(0).is_err());
         assert!(m.read_u32(a + 4096).is_err());
         assert!(m.read_u32(a + 2).is_err()); // misaligned
+    }
+
+    #[test]
+    fn allocation_past_the_address_space_fails_and_changes_nothing() {
+        let mut m = GlobalMemory::new();
+        let a = m.alloc_zeroed(16).unwrap();
+        let size = m.size();
+        let err = m.alloc_zeroed(u32::MAX - a).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SimError::OutOfBounds {
+                    space: "global",
+                    ..
+                }
+            ),
+            "{err:?}"
+        );
+        assert_eq!(m.size(), size);
+        assert_eq!(m.alloc_zeroed(16).unwrap(), a + GlobalMemory::ALIGN);
+    }
+
+    #[test]
+    fn bulk_write_matches_word_writes() {
+        let mut m = GlobalMemory::new();
+        let a = m.alloc_zeroed(16).unwrap();
+        m.write_f32_slice(a + 4, &[1.5, -2.0]).unwrap();
+        assert_eq!(m.read_f32_slice(a, 4).unwrap(), vec![0.0, 1.5, -2.0, 0.0]);
+        assert!(m.write_f32_slice(a + 2, &[1.0]).is_err()); // misaligned
+        assert!(m.write_f32_slice(a + 128, &[1.0]).is_err()); // past the end
     }
 
     #[test]

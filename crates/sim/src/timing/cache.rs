@@ -17,6 +17,11 @@
 //! library's `Hasher` because the key also names on-disk entries, so it
 //! must be stable across Rust versions and processes.
 //!
+//! Keys omit the contents of global memory. A report does not depend on
+//! them: simulated time never reads operand values, which
+//! `tests/determinism.rs::timing_does_not_read_operand_values` checks for
+//! every SGEMM preset and variant on both GPUs.
+//!
 //! The disk tier is hardened for concurrent, long-lived use (the
 //! simulation service shares one `--cache-dir` across processes and
 //! restarts): entries are written atomically (temp file + rename, so a

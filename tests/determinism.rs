@@ -2,7 +2,9 @@
 
 use peakperf::arch::{Generation, GpuConfig};
 use peakperf::kernels::microbench::mix;
-use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
+use peakperf::kernels::sgemm::{
+    alloc_problem, build_preset, upload_problem, Preset, SgemmProblem, Variant,
+};
 use peakperf::sass::KernelBuilder;
 use peakperf::sim::timing::{time_kernel, TimingSim};
 use peakperf::sim::{GlobalMemory, Gpu, LaunchConfig, SimError};
@@ -36,6 +38,96 @@ fn timing_simulation_is_deterministic() {
     let first = run();
     for _ in 0..3 {
         assert_eq!(run(), first);
+    }
+}
+
+/// Simulated time does not read operand values: every preset and variant
+/// on both GPUs times the same on seeded random operands
+/// (`upload_problem`) as on the zeros `alloc_problem` leaves, to the cycle
+/// and the last bit. Timing-only callers rely on this to skip generating
+/// operands, and the timing cache's key omits memory contents for the
+/// same reason.
+#[test]
+fn timing_does_not_read_operand_values() {
+    let mut cases = Vec::new();
+    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+        for preset in Preset::ALL {
+            for variant in Variant::ALL {
+                cases.push((gpu.clone(), preset, SgemmProblem::square(variant, 96)));
+            }
+        }
+        cases.push((gpu, Preset::AsmOpt, SgemmProblem::square(Variant::NN, 192)));
+    }
+    for (gpu, preset, problem) in &cases {
+        let build = build_preset(gpu.generation, problem, *preset).unwrap();
+        let time = |random: bool| {
+            let mut memory = GlobalMemory::new();
+            let (a, b, c) = if random {
+                upload_problem(&mut memory, problem, 0xC0FFEE)
+            } else {
+                alloc_problem(&mut memory, problem)
+            }
+            .unwrap();
+            time_kernel(
+                gpu,
+                &build.kernel,
+                build.config,
+                &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
+                &mut memory,
+                Some(problem.flops()),
+            )
+            .unwrap()
+        };
+        let (random, zero) = (time(true), time(false));
+        let at = format!(
+            "{} {} {} {}³",
+            gpu.name,
+            preset.name(),
+            problem.variant.name(),
+            problem.m
+        );
+        assert_eq!(zero.sm, random.sm, "{at}");
+        assert_eq!(zero.total_cycles, random.total_cycles, "{at}");
+        assert_eq!(zero.waves, random.waves, "{at}");
+        assert_eq!(zero.gflops.to_bits(), random.gflops.to_bits(), "{at}");
+    }
+}
+
+/// `alloc_problem` and `upload_problem` put A, B and C where three
+/// allocations in a row put them: the same three addresses and the same
+/// backing size, for shapes whose matrices end off the 128-byte
+/// allocation grid and on a memory that already holds an allocation.
+#[test]
+fn sgemm_operands_sit_where_three_allocations_put_them() {
+    let odd = SgemmProblem {
+        variant: Variant::NN,
+        m: 33,
+        n: 17,
+        k: 5,
+    };
+    let bytes = |(rows, cols): (usize, usize)| (4 * rows * cols) as u32;
+    let fresh = || {
+        let mut memory = GlobalMemory::new();
+        memory.alloc_zeroed(4).unwrap();
+        memory
+    };
+    for variant in Variant::ALL {
+        for problem in [
+            SgemmProblem { variant, ..odd },
+            SgemmProblem::square(variant, 96),
+        ] {
+            let mut memory = fresh();
+            let a = memory.alloc_zeroed(bytes(problem.a_shape())).unwrap();
+            let b = memory.alloc_zeroed(bytes(problem.b_shape())).unwrap();
+            let c = memory.alloc_zeroed(problem.m * problem.n * 4).unwrap();
+            let want = ((a, b, c), memory.size());
+            let mut memory = fresh();
+            let zeroed = alloc_problem(&mut memory, &problem).unwrap();
+            assert_eq!((zeroed, memory.size()), want, "{problem:?}");
+            let mut memory = fresh();
+            let uploaded = upload_problem(&mut memory, &problem, 0xC0FFEE).unwrap();
+            assert_eq!((uploaded, memory.size()), want, "{problem:?}");
+        }
     }
 }
 

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use peakperf_bench::report::check_document;
 use peakperf_bench::service::journal::Journal;
 use peakperf_bench::service::{self, JobSpec, Service, ServiceConfig};
-use peakperf_bench::{fault, hostprof, profiling, telemetry};
+use peakperf_bench::{fault, hostprof, ledger, profiling, telemetry};
 use peakperf_sim::{obj, Json};
 
 /// One way to break a value.
@@ -264,6 +264,62 @@ fn chrome_traces() {
     ];
     assert_checked(&checked_in("tests/golden_trace_2warp.json"), &cases);
     assert_sound(&checked_in("crates/bench/tests/golden_servicetrace.json"));
+}
+
+/// The checked-in benchmark ledger passes, names each defect, and speaks
+/// of the workloads and end-to-end metrics `BENCHMARK.json` declares.
+#[test]
+fn benchmark_ledger() {
+    let spec = checked_in("BENCHMARK.json");
+    let names = |key| {
+        spec.items(key)
+            .iter()
+            .map(|m| m.text("name"))
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(names("workloads"), ledger::WORKLOADS);
+    assert_eq!(names("end_to_end"), ledger::END_TO_END);
+    let cases = [
+        (
+            "entries.0",
+            Remove("pairs"),
+            "entries[0]: missing key `pairs`",
+        ),
+        (
+            "entries.1.medians",
+            Remove("peak_rss_mb"),
+            "entries[1].medians: missing key `peak_rss_mb`",
+        ),
+        (
+            "entries.0.pr",
+            Set("x".into()),
+            "entries[0].pr: expected an integer, got a string",
+        ),
+        (
+            "entries.1.exact",
+            Push("sim.timing.cycles", "many".into()),
+            "entries[1].exact.sim.timing.cycles: expected a number",
+        ),
+        (
+            "entries.0.reproduce_all_wall_s",
+            Set("fast".into()),
+            "entries[0].reproduce_all_wall_s: expected a number",
+        ),
+        (
+            "entries.2.workload",
+            Set("gemm_sweep".into()),
+            "entries[2]: unknown workload `gemm_sweep`",
+        ),
+        (
+            "entries.0.side",
+            Set("before".into()),
+            "entries[0]: side `before` is not one of",
+        ),
+        ("entries", RepeatLast, "duplicate entry for PR"),
+        ("entries", RemoveAt(0), "entries without both sides"),
+        ("", Remove("entries"), "ledger: missing key `entries`"),
+    ];
+    assert_checked(&checked_in("BENCH_LEDGER.json"), &cases);
 }
 
 #[test]
