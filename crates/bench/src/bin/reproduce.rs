@@ -16,11 +16,7 @@
 //! it); without one the positional words are experiment names.
 //!
 //! options:
-//!   --workers <n>        worker threads (default: autodetect)
-//!
-//! experiment options:
-//!   --no-cache           disable the in-memory timing cache
-//!   --cache-dir <path>   persist timing-cache entries under <path>
+//!   --workers <n>        worker threads, 1 to 256 (default: autodetect)
 //!
 //! profile options:
 //!   --trace-out <path>   write a Chrome trace-event JSON (Perfetto /
@@ -82,6 +78,10 @@
 //! events is dumped to `serve-flightrec.json` and the error message
 //! points at the dump.
 //!
+//! Experiments memoize their timing runs in memory for the length of the
+//! process (`peakperf_sim::timing::cache`); every subcommand always
+//! simulates.
+//!
 //! Experiment names are validated up front; a failing (or panicking)
 //! experiment is reported and the remaining ones still run, with the exit
 //! code reflecting whether any failed.
@@ -104,8 +104,7 @@ use peakperf_sim::Json;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: reproduce [--workers <n>] [--no-cache] \
-         [--cache-dir <path>] <experiment>...\n\
+        "usage: reproduce [--workers <n>] <experiment>...\n\
          \x20      reproduce profile [--trace-out <path>] [--json <path>] <target>...\n\
          \x20      reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]... \
          [--corpus-dir <path>] [--json <path>]\n\
@@ -114,6 +113,7 @@ fn usage() -> ExitCode {
          \x20      reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>] \
          [--queue-cap <n>] [--json <path>] [--trace-out <path>]\n\
          \x20      reproduce check <file>...\n\
+         --workers <n>: worker threads, 1 to {MAX_WORKERS} (default: autodetect)\n\
          experiments: {} all\n\
          profile targets: {}",
         ALL.join(" "),
@@ -166,6 +166,11 @@ const ALL: [&str; 15] = [
     "throughputdb",
 ];
 
+/// The most worker threads `--workers` accepts. `serve` starts that many
+/// threads up front, so a larger count is a usage error rather than a
+/// failed thread spawn.
+const MAX_WORKERS: usize = 256;
+
 /// What one invocation does: a subcommand, or — without one — the
 /// listed experiments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -191,8 +196,6 @@ struct Options {
     mode: Mode,
     names: Vec<String>,
     json_path: Option<String>,
-    cache_dir: Option<String>,
-    use_cache: bool,
     trace_out: Option<String>,
     fuzz_seed: u64,
     fuzz_iters: u64,
@@ -245,8 +248,6 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         mode: Mode::Experiments,
         names: Vec::new(),
         json_path: None,
-        cache_dir: None,
-        use_cache: true,
         trace_out: None,
         fuzz_seed: 1,
         fuzz_iters: 500,
@@ -260,19 +261,14 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--no-cache" => opts.use_cache = false,
             "--workers" => {
                 let v = it.next().ok_or("--workers needs a value")?;
                 let n: usize = v
                     .parse()
                     .ok()
-                    .filter(|&n| n > 0)
+                    .filter(|n| (1..=MAX_WORKERS).contains(n))
                     .ok_or_else(|| format!("invalid worker count `{v}`"))?;
                 exec::set_default_workers(n);
-            }
-            "--cache-dir" => {
-                let v = it.next().ok_or("--cache-dir needs a value")?;
-                opts.cache_dir = Some(v.clone());
             }
             "--json" => {
                 let v = it.next().ok_or("--json needs a value")?;
@@ -352,12 +348,7 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     }
 
     // Options that belong to some subcommands are an error in the others.
-    let owned: [(&str, bool, &[Mode]); 6] = [
-        (
-            "--no-cache/--cache-dir apply only to experiments",
-            !opts.use_cache || opts.cache_dir.is_some(),
-            &[Mode::Experiments],
-        ),
+    let owned: [(&str, bool, &[Mode]); 5] = [
         (
             "--json requires a subcommand: profile, fuzz, bench, hostprof or serve",
             opts.json_path.is_some(),
@@ -847,20 +838,15 @@ fn main() -> ExitCode {
             return usage();
         }
     };
-    if opts.mode == Mode::Experiments && opts.use_cache {
-        cache::enable_global(opts.cache_dir.clone().map(std::path::PathBuf::from));
+    if opts.mode == Mode::Experiments {
+        cache::enable_global(None);
     }
-    let code = match opts.mode {
+    match opts.mode {
         Mode::Experiments => run_experiments(&opts),
         Mode::Profile => run_profiles(&opts),
         Mode::Fuzz => run_fuzz(&opts),
         Mode::Bench => run_bench(&opts),
         Mode::Hostprof => run_hostprof(&opts),
         Mode::Serve => run_serve(&opts),
-    };
-    let quarantined = cache::quarantined_count();
-    if quarantined > 0 {
-        eprintln!("[cache: {quarantined} entries quarantined]");
     }
-    code
 }

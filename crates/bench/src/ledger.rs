@@ -90,7 +90,7 @@ pub fn check(doc: &Json, errors: &mut Vec<String>) {
         ensure!(
             errors,
             !repeated,
-            "{at}: duplicate entry for PR {pr} {workload} {side}"
+            "{at}.side: duplicate entry for PR {pr} {workload} {side}"
         );
         seen.push(side);
     }

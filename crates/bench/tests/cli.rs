@@ -20,28 +20,27 @@ fn reproduce(args: &[&str]) -> Output {
 fn output_is_identical_across_worker_counts() {
     // table1 and fig3 are analytical (no simulation), upperbound is the
     // bound model: the full pipeline, cheap enough for a test.
-    let one = reproduce(&[
-        "--workers",
-        "1",
-        "--no-cache",
-        "table1",
-        "fig3",
-        "upperbound",
-    ]);
-    let four = reproduce(&[
-        "--workers",
-        "4",
-        "--no-cache",
-        "table1",
-        "fig3",
-        "upperbound",
-    ]);
+    let one = reproduce(&["--workers", "1", "table1", "fig3", "upperbound"]);
+    let four = reproduce(&["--workers", "4", "table1", "fig3", "upperbound"]);
     assert!(one.status.success(), "workers=1 run failed");
     assert!(four.status.success(), "workers=4 run failed");
     assert_eq!(
         one.stdout, four.stdout,
         "stdout must be byte-identical regardless of worker count"
     );
+}
+
+#[test]
+fn the_worker_count_has_a_ceiling() {
+    // `serve` starts every worker thread up front: a count past the
+    // ceiling is a usage error before anything runs.
+    let out = reproduce(&["--workers", "257", "table1"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(err.contains("invalid worker count"), "{err}");
+    assert!(out.stdout.is_empty(), "a rejected invocation ran something");
+    let out = reproduce(&["--workers", "256", "table1"]);
+    assert!(out.status.success(), "--workers 256 must be accepted");
 }
 
 #[test]
@@ -97,12 +96,6 @@ fn options_of_another_mode_are_rejected() {
         &["bench", "--soak", "3"],
         &["serve", "--soak", "3", "--corpus-dir", "x"],
         &["hostprof", "fermi_ffma", "--trace-out", "x.json"],
-        // Only experiments read the timing cache: `profile` always
-        // simulates, to observe every event.
-        &["profile", "fermi_ffma", "--no-cache"],
-        &["fuzz", "--iters", "3", "--no-cache"],
-        &["hostprof", "fermi_ffma", "--cache-dir", "x"],
-        &["serve", "--soak", "3", "--cache-dir", "x"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -117,7 +110,8 @@ fn there_is_no_grid_option_and_no_second_document_flag() {
     // Every experiment and the bench suite run at the paper's sizes: no
     // option picks another grid. Every document is written by `--json`,
     // and a serve run writes one. The fault corpus is replayed by
-    // `cargo test`, not by a flag.
+    // `cargo test`, not by a flag. The timing cache lives in memory only
+    // and no option turns it on or off.
     for args in [
         &["--quick", "table1"][..],
         &["--full", "table1"],
@@ -128,6 +122,18 @@ fn there_is_no_grid_option_and_no_second_document_flag() {
         &["serve", "--soak", "3", "--journal-out", "x.json"],
         &["serve", "--soak", "3", "--snapshot-ms", "10"],
         &["fuzz", "--replay", "tests/fault_corpus"],
+        &["--cache-dir", "x", "table1"],
+        &["--no-cache", "table1"],
+        &["profile", "fermi_ffma", "--cache-dir", "x"],
+        &["profile", "fermi_ffma", "--no-cache"],
+        &["fuzz", "--iters", "3", "--cache-dir", "x"],
+        &["fuzz", "--iters", "3", "--no-cache"],
+        &["bench", "--cache-dir", "x"],
+        &["bench", "--no-cache"],
+        &["hostprof", "fermi_ffma", "--cache-dir", "x"],
+        &["hostprof", "fermi_ffma", "--no-cache"],
+        &["serve", "--soak", "3", "--cache-dir", "x"],
+        &["serve", "--soak", "3", "--no-cache"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");

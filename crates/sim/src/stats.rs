@@ -223,13 +223,6 @@ impl InstMix {
         }
     }
 
-    /// Record `n` executions of a mnemonic directly (used when
-    /// reconstructing a mix from a serialized cache entry).
-    pub fn add_count(&mut self, mnemonic: &str, n: u64) {
-        *self.counts.entry(mnemonic.to_owned()).or_insert(0) += n;
-        self.total += n;
-    }
-
     /// Total instructions recorded.
     pub fn total(&self) -> u64 {
         self.total

@@ -25,6 +25,8 @@ use peakperf::sim::exec::{ffma_lanes, step_warp, BlockCtx, MemCtx};
 use peakperf::sim::timing::{global_transactions, shared_conflict_factor};
 use peakperf::sim::{Dim3, GlobalMemory, Gpu, Json, SimError, StepEvent, WarpState};
 use peakperf_bench::fault::{FuzzCase, SeedSpec, Violation, ViolationCase, ViolationKind};
+use peakperf_bench::ledger::END_TO_END;
+use peakperf_bench::report::check_document;
 use peakperf_bench::service::{parse_job_line, JobKind, JobSpec};
 
 // ---------------------------------------------------------------------
@@ -1466,5 +1468,111 @@ fn case_codec_ends_every_edit_in_an_error_naming_the_member() {
                 "case {case}: {text} -> {err}"
             );
         }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The benchmark ledger under seeded edits
+// ---------------------------------------------------------------------
+
+/// The members every ledger entry holds.
+const LEDGER_MEMBERS: [&str; 7] = [
+    "pr", "commit", "workload", "side", "medians", "pairs", "exact",
+];
+
+/// A value of another type than `value`, none of which its check accepts
+/// in its place (an integer passes where a number is asked for).
+fn retyped(rng: &mut Rng, value: &Json) -> Json {
+    match value {
+        Json::Str(_) => one_of(rng, &[Json::Int(37), Json::Bool(true), Json::Arr(vec![])]),
+        Json::Int(_) | Json::Num(_) => {
+            one_of(rng, &[Json::from("7"), Json::Bool(false), Json::Null])
+        }
+        _ => one_of(rng, &[Json::from("x"), Json::Int(0), Json::Arr(vec![])]),
+    }
+}
+
+/// One seeded hand edit of one entry of the ledger `doc`: delete or
+/// retype one of its members or one of its five medians, or turn its side
+/// into the other one, which its pair already holds. Returns the edited
+/// document and the text of the error that must name the member.
+fn edit_ledger(rng: &mut Rng, doc: &Json) -> (Json, String) {
+    let mut entries = doc.items("entries").to_vec();
+    let i = rng.gen_range_usize(0, entries.len());
+    let at = format!("entries[{i}]");
+    let mut members = entries[i].as_obj().unwrap().to_vec();
+    let member = |members: &[(String, Json)], key: &str| -> usize {
+        members.iter().position(|(k, _)| k == key).unwrap()
+    };
+    let expected = match rng.gen_below(5) {
+        0 => {
+            let key = one_of(rng, &LEDGER_MEMBERS);
+            members.retain(|(k, _)| k != key);
+            format!("{at}: missing key `{key}`")
+        }
+        1 => {
+            let key = one_of(rng, &LEDGER_MEMBERS);
+            let slot = member(&members, key);
+            members[slot].1 = retyped(rng, &members[slot].1);
+            format!("{at}.{key}: expected")
+        }
+        edit @ (2 | 3) => {
+            let slot = member(&members, "medians");
+            let mut medians = members[slot].1.as_obj().unwrap().to_vec();
+            let name = one_of(rng, &END_TO_END);
+            let expected = if edit == 2 {
+                medians.retain(|(k, _)| k != name);
+                format!("{at}.medians: missing key `{name}`")
+            } else {
+                let m = member(&medians, name);
+                medians[m].1 = retyped(rng, &medians[m].1);
+                format!("{at}.medians.{name}: expected")
+            };
+            members[slot].1 = Json::Obj(medians);
+            expected
+        }
+        _ => {
+            let (pr, workload, side) = {
+                let entry = &entries[i];
+                (
+                    entry.count("pr"),
+                    entry.text("workload"),
+                    entry.text("side"),
+                )
+            };
+            let other = if side == "parent" { "change" } else { "parent" };
+            let partner = entries
+                .iter()
+                .position(|e| {
+                    e.count("pr") == pr && e.text("workload") == workload && e.text("side") == other
+                })
+                .unwrap();
+            let slot = member(&members, "side");
+            members[slot].1 = Json::from(other);
+            format!("entries[{}].side: duplicate entry", i.max(partner))
+        }
+    };
+    entries[i] = Json::Obj(members);
+    let mut top = doc.as_obj().unwrap().to_vec();
+    let slot = top.iter().position(|(k, _)| k == "entries").unwrap();
+    top[slot].1 = Json::Arr(entries);
+    (Json::Obj(top), expected)
+}
+
+#[test]
+fn ledger_check_ends_every_edit_in_an_error_naming_the_member() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_LEDGER.json");
+    let ledger = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
+    assert_eq!(check_document(&ledger), Vec::<String>::new());
+    let mut rng = Rng::seed_from_u64(0x1ED6E2);
+    for case in 0..300 {
+        let (edited, expected) = edit_ledger(&mut rng, &ledger);
+        // A hand edit is made to the text of the file.
+        let text = edited.pretty();
+        let errors = check_document(&Json::parse(&text).unwrap());
+        assert!(
+            errors.iter().any(|e| e.contains(&expected)),
+            "case {case}: no error says {expected:?}: {errors:?}"
+        );
     }
 }

@@ -150,7 +150,7 @@ fn stallkind_all_matches_declaration_and_index() {
         assert_eq!(kind.index(), i, "ALL[{i}] = {} out of place", kind.as_str());
     }
     // Declaration order is the Ord order; ALL must follow it so the
-    // serialized order (cache files, JSON reports) equals the enum order.
+    // serialized order (JSON reports) equals the enum order.
     let mut sorted = StallKind::ALL;
     sorted.sort();
     assert_eq!(sorted, StallKind::ALL);
