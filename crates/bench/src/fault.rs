@@ -46,8 +46,10 @@ use peakperf_sim::{ensure, obj, GlobalMemory, Gpu, Json, LaunchConfig, SimError}
 use crate::exec::{panic_message, run_isolated, Executor};
 use crate::report::{envelope, Table};
 
-/// Functional-model step budget per mutant (mutants routinely turn loop
-/// bounds into near-infinite counters; the watchdog keeps them cheap).
+/// Functional-model step budget per mutant. A hang whose warp state recurs
+/// exactly reaches it without simulating the repeated periods (DESIGN.md
+/// §5.1); the budget bounds the cost of the rest, loops whose counters or
+/// pointers advance.
 pub const FUZZ_STEP_LIMIT: u64 = 2_000_000;
 
 /// Timing-model cycle budget per mutant.

@@ -5,6 +5,7 @@ use peakperf_sass::Kernel;
 
 use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
 use crate::launch::check_launch;
+use crate::recur::Brent;
 use crate::warp::{StepEvent, WarpState};
 use crate::{Dim3, FuncStats, GlobalMemory, HangSnapshot, LaunchConfig, SimError, WarpHang};
 
@@ -34,9 +35,11 @@ impl Gpu {
         }
     }
 
-    /// Lower (or raise) the per-block step watchdog. Fuzzing campaigns use
-    /// a small budget so runaway mutants trip quickly instead of spinning
-    /// for the default 2^34 steps.
+    /// Lower (or raise) the per-block step watchdog (default 2^34 steps).
+    /// A warp whose state recurs exactly at a back-edge, with no store in
+    /// between, reaches the watchdog without simulating the repeated
+    /// periods, so the budget bounds only hangs that never recur, such as
+    /// loops whose pointers or counters advance.
     pub fn set_step_limit(&mut self, limit: u64) {
         self.step_limit = limit.max(1);
     }
@@ -126,13 +129,16 @@ impl Gpu {
         // Warp status: None = runnable, Some(pc) = waiting at barrier.
         let mut at_barrier: Vec<Option<u32>> = vec![None; n_warps as usize];
         let mut steps: u64 = 0;
+        let (mut stores, mut skipped) = (0u64, false);
 
         loop {
             for w in 0..n_warps as usize {
                 if at_barrier[w].is_some() || warps[w].done() {
                     continue;
                 }
-                // Run this warp until it blocks or exits.
+                // Run this warp until it blocks or exits. It runs alone, so
+                // its state and the stores are the whole state (DESIGN.md §5.1).
+                let mut recur = Brent::default();
                 loop {
                     steps += 1;
                     if steps > self.step_limit {
@@ -149,6 +155,7 @@ impl Gpu {
                         params,
                     };
                     let result = step_warp(&kernel.code, &mut warps[w], &mut mem, &block)?;
+                    stores += u64::from(result.mem.as_ref().is_some_and(|m| m.store));
                     let (pc, lanes, parked) = match result.event {
                         StepEvent::Executed { pc, exec_mask } => {
                             (pc, exec_mask.count_ones(), false)
@@ -165,6 +172,14 @@ impl Gpu {
                         at_barrier[w] = Some(pc);
                         break;
                     }
+                    let warp = &warps[w];
+                    if warp.current_group().is_some_and(|(next, _)| next <= pc) {
+                        let same = |saved: &WarpState| saved == warp;
+                        if let Some(period) = recur.check(steps, stores, same, || warp.clone()) {
+                            steps += (self.step_limit - steps) / period * period;
+                            skipped = true;
+                        }
+                    }
                 }
             }
 
@@ -174,6 +189,7 @@ impl Gpu {
             // can never be released — a deadlock on real hardware.
             let running = warps.iter().filter(|warp| !warp.done()).count();
             if running == 0 {
+                debug_assert!(!skipped, "a recurring run completed");
                 let mut stats = FuncStats::default();
                 for (inst, &(warps, lanes)) in kernel.code.iter().zip(&executed) {
                     stats.record(inst, warps, lanes);

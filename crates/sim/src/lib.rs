@@ -62,6 +62,7 @@ pub mod json;
 mod launch;
 mod mem;
 pub mod perfmon;
+mod recur;
 mod stats;
 pub mod timing;
 mod warp;

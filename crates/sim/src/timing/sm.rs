@@ -9,6 +9,7 @@ use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
 use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
 use crate::launch::check_launch;
 use crate::perfmon::{Phase, Stopwatch};
+use crate::recur::Brent;
 use crate::timing::conflict::{global_transactions, shared_conflict_factor, SEGMENT_BYTES};
 use crate::timing::trace::{Hooks, Observer, TraceEvent, TraceEventKind, NO_PC};
 use crate::timing::Calibration;
@@ -67,7 +68,7 @@ impl StallKind {
         }
     }
 
-    /// Stable identifier used in reports and the on-disk timing cache.
+    /// Stable identifier used in reports and profile documents.
     pub fn as_str(self) -> &'static str {
         match self {
             StallKind::Scoreboard => "scoreboard",
@@ -214,6 +215,10 @@ struct RunState {
     issued: Vec<u64>,
     stalls: [u64; StallKind::COUNT],
     report: TimingReport,
+    /// Round-robin pointers per scheduler.
+    rr: Vec<usize>,
+    /// Stores to any memory space so far.
+    stores: u64,
 }
 
 /// Deliver one scheduler event (compiled out unless `O::EVENTS`).
@@ -455,18 +460,22 @@ impl TimingSim {
             issued: vec![0; self.kernel.code.len()],
             stalls: [0; StallKind::COUNT],
             report: TimingReport::default(),
+            rr: vec![0; self.gpu.warp_schedulers_per_sm as usize],
+            stores: 0,
         };
 
         let schedulers = self.gpu.warp_schedulers_per_sm as usize;
         // Kepler's second dispatch unit per scheduler.
         let dual_dispatch = self.gpu.dispatch_units_per_sm > self.gpu.warp_schedulers_per_sm;
-        // Round-robin pointers per scheduler.
-        let mut rr: Vec<usize> = vec![0; schedulers];
         // Warps owned by each scheduler.
         let owned: Vec<Vec<usize>> = (0..schedulers)
             .map(|sched| (0..n_warps).filter(|&w| w % schedulers == sched).collect())
             .collect();
         let wpb = warps_per_block as usize;
+        // Only a run that nothing observes and no token polls skips the
+        // periods of an exact recurrence (DESIGN.md §5.1).
+        let detect = !O::EVENTS && !O::HOST_TIMING && cancel.is_none();
+        let (mut recur, mut back_edge) = (Recurrence::default(), false);
 
         let mut cycle: u64 = 0;
         loop {
@@ -516,7 +525,7 @@ impl TimingSim {
                 if owned.is_empty() {
                     continue;
                 }
-                let start = rr[sched] % owned.len();
+                let start = st.rr[sched] % owned.len();
                 let (before, from_start) = owned.split_at(start);
                 for (k, &w) in from_start.iter().chain(before).enumerate() {
                     let at = (cycle, sched, w);
@@ -528,8 +537,9 @@ impl TimingSim {
                         }
                         Visit::Ready => {
                             let (pc, lanes) = self.issue(w, cycle, &mut st, memory, obs)?;
+                            back_edge |= detect && st.back_edge(w, pc);
                             trace_issue(obs, at, pc, lanes, false, st.issue[w].done);
-                            rr[sched] = (start + k) % owned.len() + 1;
+                            st.rr[sched] = (start + k) % owned.len() + 1;
                             // Dual dispatch: try one more instruction from
                             // the same warp (Kepler's second dispatch unit);
                             // a block here is not a stall of this cycle.
@@ -537,6 +547,7 @@ impl TimingSim {
                                 && matches!(self.classify(w, cycle, &mut st), Visit::Ready)
                             {
                                 let (pc, lanes) = self.issue(w, cycle, &mut st, memory, obs)?;
+                                back_edge |= detect && st.back_edge(w, pc);
                                 trace_issue(obs, at, pc, lanes, true, st.issue[w].done);
                             }
                             break;
@@ -593,11 +604,15 @@ impl TimingSim {
             }
             barrier_sw.stop(obs, Phase::BarrierRelease);
 
+            if std::mem::take(&mut back_edge) {
+                recur.checkpoint(self, &mut st, &mut cycle, cycle_limit);
+            }
             if O::HOST_TIMING {
                 obs.cycle_end(cycle);
             }
             cycle += 1;
         }
+        debug_assert!(!recur.skipped, "a recurring run completed");
         let mut report = st.report;
         report.cycles = cycle.max(1);
         for (inst, &n) in self.kernel.code.iter().zip(&st.issued) {
@@ -709,6 +724,7 @@ impl TimingSim {
         fx_sw.stop(obs, Phase::FuncExec);
 
         st.tokens -= meta.token_cost;
+        st.stores += u64::from(result.mem.as_ref().is_some_and(|m| m.store));
 
         st.report.warp_instructions += 1;
         st.issued[pc as usize] += 1;
@@ -821,6 +837,58 @@ impl TimingSim {
         Ok((pc, lanes))
     }
 
+    /// Feed the state at the end of `cycle` to `out` word by word, every
+    /// time stamp relative to the next cycle and clamped at 0 (a stamp at
+    /// or before it holds nothing back): all of it but the warps'
+    /// [`WarpState`]s, the scoreboards only if `full`. False if a busy pipe
+    /// or memory-interface stamp is fractional, since shifting it in time
+    /// would not be exact.
+    fn relative(&self, st: &RunState, cycle: u64, full: bool, out: &mut impl FnMut(u64)) -> bool {
+        let next = cycle + 1;
+        for x in [st.ldst_free, st.sp_free, st.memif.next_free] {
+            if x > next as f64 && x.fract() != 0.0 {
+                return false;
+            }
+            out((x - next as f64).max(0.0) as u64);
+        }
+        out(st.tokens.to_bits());
+        // The scheduler order repeats every `schedulers` cycles, Fermi's
+        // half rate every two.
+        let schedulers = u64::from(self.gpu.warp_schedulers_per_sm);
+        let half_rate = self.calib.scheduler_half_rate && schedulers % 2 == 1;
+        out(cycle % (schedulers << u32::from(half_rate)).max(1));
+        st.rr.iter().for_each(|&p| out(p as u64));
+        for block in &st.blocks {
+            out(u64::from(block.running) << 32 | u64::from(block.arrived));
+        }
+        for (slot, rec) in st.slots.iter().zip(&st.issue) {
+            let (gate, sb) = (&rec.gate, if full { &slot.sb_reg[..] } else { &[] });
+            out(u64::from(gate.pc) << 2 | u64::from(rec.at_barrier) << 1 | u64::from(rec.done));
+            out(slot.hazard);
+            let stamps = [rec.next_issue, gate.sb_ready, gate.hazard_until];
+            let preds = if full { &slot.sb_pred[..] } else { &[] };
+            for &t in stamps.iter().chain(sb).chain(preds) {
+                out(t.saturating_sub(next));
+            }
+        }
+        true
+    }
+
+    /// The whole state at the end of `cycle`, if it can be compared.
+    fn canon(&self, st: &RunState, cycle: u64) -> Option<Canon> {
+        let mut words = Vec::new();
+        let exact = self.relative(st, cycle, true, &mut |v| words.push(v));
+        exact.then(|| (words, st.slots.iter().map(|s| s.state.clone()).collect()))
+    }
+
+    /// Whether the whole state at the end of `cycle` equals `canon`,
+    /// compared in place.
+    fn is_canon(&self, st: &RunState, cycle: u64, (words, states): &Canon) -> bool {
+        let (mut words, mut same) = (words.iter(), true);
+        let exact = self.relative(st, cycle, true, &mut |v| same &= words.next() == Some(&v));
+        exact && same && words.next().is_none() && st.slots.iter().map(|s| &s.state).eq(states)
+    }
+
     /// A warp's issue gate, from scratch.
     fn gate(&self, slot: &WarpSlot) -> Gate {
         // A warp without running lanes was marked done by its `EXIT` and
@@ -859,6 +927,95 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
             idx
         })
     })
+}
+
+impl RunState {
+    /// Whether warp `w`, having issued `pc`, took a back-edge (its next PC
+    /// is at or below `pc`) as the lowest-numbered live warp.
+    fn back_edge(&self, w: usize, pc: u32) -> bool {
+        let rec = &self.issue[w];
+        !rec.done && !rec.at_barrier && rec.gate.pc <= pc && self.issue[..w].iter().all(|r| r.done)
+    }
+}
+
+/// A run's whole state: [`TimingSim::relative`] in full and every
+/// warp's [`WarpState`].
+type Canon = (Vec<u64>, Vec<WarpState>);
+
+/// The timing engine's exact recurrence detector (DESIGN.md §5.1). A
+/// checkpoint is the end of a cycle in which the lowest-numbered live warp
+/// took a back-edge.
+#[derive(Default)]
+struct Recurrence {
+    /// Brent's search over a cheap key: a fingerprint of the relative
+    /// state, the lowest live warp and its [`WarpState`].
+    brent: Brent<(u64, usize, WarpState)>,
+    /// A match to confirm at a later cycle: that cycle, the period, the
+    /// store count and the whole state at the match.
+    candidate: Option<(u64, u64, u64, Canon)>,
+    /// Whether periods were skipped: the run can only end at its limit.
+    skipped: bool,
+}
+
+impl Recurrence {
+    /// Feed the checkpoint at the end of `*cycle`. Once the whole state
+    /// has recurred, with no store in between, skip whole periods towards
+    /// `limit`, moving every stamp still ahead of the next cycle along.
+    fn checkpoint(&mut self, sim: &TimingSim, st: &mut RunState, cycle: &mut u64, limit: u64) {
+        let now = *cycle;
+        if let Some((due, period, stores, canon)) = &self.candidate {
+            if now < *due {
+                return;
+            }
+            if now == *due && *stores == st.stores && sim.is_canon(st, now, canon) {
+                // Skip only while every time value the skipped periods
+                // compute stays in the binade of the confirming period's:
+                // shifted by an integer within one binade, an `f64` sum
+                // rounds as before; across binades it may not. Stamps
+                // never fall, so none exceeds today's, shifted.
+                let binade_end = (due - period + 2).next_power_of_two().min(1 << 52);
+                let next = (now + 1) as f64;
+                let memif = st.memif.next_free.max(next) + f64::from(st.memif.latency);
+                let latest = st.ldst_free.max(st.sp_free).max(memif).max(next);
+                let room = binade_end.saturating_sub(latest as u64 + 1);
+                let skip = room.min(limit - now) / period * period;
+                for (slot, rec) in st.slots.iter_mut().zip(&mut st.issue) {
+                    let g = &mut rec.gate;
+                    let stamps = [&mut rec.next_issue, &mut g.sb_ready, &mut g.hazard_until];
+                    let sb = slot.sb_reg.iter_mut().chain(&mut slot.sb_pred);
+                    for t in sb.chain(stamps).filter(|t| **t > now + 1) {
+                        *t += skip;
+                    }
+                }
+                for x in [&mut st.ldst_free, &mut st.sp_free, &mut st.memif.next_free] {
+                    if *x > next {
+                        *x += skip as f64;
+                    }
+                }
+                *cycle += skip;
+                self.skipped |= skip > 0;
+                // The next search starts afresh, in the binade it reaches.
+                self.brent = Brent::default();
+            }
+            self.candidate = None;
+            return;
+        }
+        let Some(w) = st.issue.iter().position(|rec| !rec.done) else {
+            return;
+        };
+        let mut fp = 0u64;
+        let mix = &mut |v: u64| fp = (fp.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
+        if !sim.relative(st, now, false, mix) {
+            return;
+        }
+        let state = &st.slots[w].state;
+        let same = |(f, sw, s): &(u64, usize, WarpState)| (*f, *sw) == (fp, w) && s == state;
+        let copy = || (fp, w, state.clone());
+        if let Some(period) = self.brent.check(now, st.stores, same, copy) {
+            let canon = sim.canon(st, now);
+            self.candidate = canon.map(|canon| (now + period, period, st.stores, canon));
+        }
+    }
 }
 
 /// What the scheduler scan finds for one warp.

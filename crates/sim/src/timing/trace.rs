@@ -193,7 +193,8 @@ impl<'a, O: Observer> Hooks<'a, O> {
     }
 
     /// Abort with [`SimError::StepLimit`](crate::SimError::StepLimit)
-    /// once more than `limit` cycles have been simulated.
+    /// once the run passes cycle `limit`. An untokened run nothing
+    /// observes skips there from an exact recurrence of its state.
     pub fn cycle_limit(mut self, limit: u64) -> Self {
         self.cycle_limit = limit;
         self

@@ -39,7 +39,7 @@ pub enum StepEvent {
 /// all zeros, the PT mask is all ones, and `running`/`group` equal what a
 /// scan of `pcs` finds ([`WarpState::current_group`] asserts the last in
 /// debug builds).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WarpState {
     /// Warp index within its block.
     pub warp_id: u32,

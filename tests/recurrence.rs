@@ -1,0 +1,311 @@
+//! A run whose whole state recurs can only end at its watchdog, and both
+//! simulators skip the repeated periods to get there. The skip must be
+//! exact: the error, its per-warp snapshot, the step or cycle it reports
+//! and global memory are what simulating every step or cycle gives.
+
+use std::time::{Duration, Instant};
+
+use peakperf::arch::{Generation, GpuConfig};
+use peakperf::sass::{CmpOp, Kernel, KernelBuilder, LogicOp, MemSpace, MemWidth, Pred, Reg};
+use peakperf::sass::{Operand, SpecialReg};
+use peakperf::sim::cancel::CHECK_INTERVAL_CYCLES;
+use peakperf::sim::exec::{step_warp, BlockCtx, MemCtx};
+use peakperf::sim::timing::{Hooks, TimingSim, TraceBuffer};
+use peakperf::sim::{CancelToken, Dim3, GlobalMemory, Gpu, HangSnapshot, LaunchConfig};
+use peakperf::sim::{SimError, StepEvent, WarpHang, WarpState};
+use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FUZZ_STEP_LIMIT};
+
+mod common;
+use common::{fnv64, FNV_OFFSET};
+
+/// Timing runs here stop after this many cycles: enough for the detector
+/// to find and skip periods in several binades, few enough for a debug
+/// build to simulate every cycle of the traced runs.
+const CYCLE_LIMIT: u64 = 100_000;
+
+/// A digest of every mapped word of `memory`.
+fn memory_digest(memory: &GlobalMemory) -> u64 {
+    (4..memory.size()).step_by(4).fold(FNV_OFFSET, |h, addr| {
+        fnv64(h, &memory.read_u32(addr).unwrap().to_le_bytes())
+    })
+}
+
+/// A kernel that writes `out[tid] = tid` and then spins in a `BRA` to
+/// itself.
+fn spin_kernel(generation: Generation) -> Kernel {
+    let mut b = KernelBuilder::new("spin", generation);
+    let out = b.param("out");
+    b.s2r(Reg::r(0), SpecialReg::TidX);
+    b.mov(Reg::r(1), out);
+    b.iscadd(Reg::r(1), Reg::r(0), Reg::r(1), 2);
+    b.st(MemSpace::Global, MemWidth::B32, Reg::r(0), Reg::r(1), 0);
+    let top = b.label_here();
+    b.bra(top);
+    b.exit();
+    b.finish().unwrap()
+}
+
+/// One-warp hang kernels, each taking an `out` buffer of 32 words.
+fn hang_kernels() -> Vec<(&'static str, Kernel)> {
+    let mut kernels = vec![("spin", spin_kernel(Generation::Fermi))];
+    let build = |name: &'static str, body: &dyn Fn(&mut KernelBuilder, Operand)| {
+        let mut b = KernelBuilder::new(name, Generation::Fermi);
+        let out = b.param("out");
+        body(&mut b, out);
+        b.exit();
+        (name, b.finish().unwrap())
+    };
+    // Period 2: a register toggles.
+    kernels.push(build("toggle", &|b, _| {
+        let top = b.label_here();
+        b.lop(LogicOp::Xor, Reg::r(0), Reg::r(0), 1);
+        b.bra(top);
+    }));
+    // Period 8 after a counter wraps.
+    kernels.push(build("counter_mod_8", &|b, _| {
+        let top = b.label_here();
+        b.iadd(Reg::r(1), Reg::r(1), 1);
+        b.lop(LogicOp::And, Reg::r(1), Reg::r(1), 7);
+        b.bra(top);
+    }));
+    // A transient of ~50 iterations: x <- x/2 + 1 reaches 2.0 exactly.
+    kernels.push(build("converging_ffma", &|b, _| {
+        b.mov_f32(Reg::r(3), 0.5);
+        b.mov_f32(Reg::r(4), 1.0);
+        let top = b.label_here();
+        b.ffma(Reg::r(2), Reg::r(2), Operand::reg(3), Reg::r(4));
+        b.bra(top);
+    }));
+    // A store every iteration: never a recurrence, however equal the
+    // registers.
+    kernels.push(build("store_in_loop", &|b, out| {
+        b.mov(Reg::r(5), out);
+        let top = b.label_here();
+        b.iadd(Reg::r(0), Reg::r(0), 1);
+        b.lop(LogicOp::And, Reg::r(0), Reg::r(0), 3);
+        b.st(MemSpace::Global, MemWidth::B32, Reg::r(0), Reg::r(5), 0);
+        b.bra(top);
+    }));
+    // Divergent: the lanes at the lower PC loop, the others wait there.
+    kernels.push(build("divergent", &|b, _| {
+        b.s2r(Reg::r(0), SpecialReg::TidX);
+        b.isetp(Pred::p(0), CmpOp::Lt, Reg::r(0), 16);
+        let high = b.new_label();
+        b.bra_if(Pred::p(0), false, high);
+        let low = b.label_here();
+        b.iadd(Reg::r(1), Reg::r(1), 1);
+        b.lop(LogicOp::And, Reg::r(1), Reg::r(1), 3);
+        b.bra(low);
+        b.bind(high);
+        b.bra(high);
+    }));
+    kernels
+}
+
+/// What `Gpu::launch` does with a one-warp block that never reaches a
+/// barrier, one `step_warp` at a time: the oracle the skip is held to.
+fn step_by_step(
+    kernel: &Kernel,
+    memory: &mut GlobalMemory,
+    params: &[u32],
+    limit: u64,
+) -> Result<(), SimError> {
+    let mut warp = WarpState::new(0, 32);
+    let block = BlockCtx {
+        ctaid: Dim3::new_1d(0),
+        ntid: Dim3::new_1d(32),
+        nctaid: Dim3::new_1d(1),
+    };
+    let (mut shared, mut local) = (vec![0; kernel.shared_bytes as usize], vec![]);
+    let mut steps = 0;
+    loop {
+        steps += 1;
+        if steps > limit {
+            let pc = warp.current_group().map(|(pc, _)| pc);
+            let hang = WarpHang {
+                warp: 0,
+                pc,
+                state: "runnable",
+            };
+            let snapshot = HangSnapshot {
+                at: steps,
+                warps: vec![hang],
+            };
+            return Err(SimError::StepLimit {
+                limit,
+                snapshot: Some(snapshot),
+            });
+        }
+        let mut mem = MemCtx {
+            global: memory,
+            shared: &mut shared,
+            local: &mut local,
+            local_bytes: 0,
+            params,
+        };
+        if step_warp(&kernel.code, &mut warp, &mut mem, &block)?.event == StepEvent::Exited {
+            return Ok(());
+        }
+    }
+}
+
+#[test]
+fn functional_skip_matches_stepping_every_instruction() {
+    for (name, kernel) in hang_kernels() {
+        for limit in [1, 2, 3, 100, 12_345, FUZZ_STEP_LIMIT] {
+            let mut gpu = Gpu::new(Generation::Fermi);
+            gpu.set_step_limit(limit);
+            let out = gpu.memory_mut().alloc_zeroed(32 * 4).unwrap();
+            let mut memory = gpu.memory().clone();
+            let want = step_by_step(&kernel, &mut memory, &[out], limit);
+            let got = gpu.launch(&kernel, LaunchConfig::linear(1, 32), &[out]);
+            assert!(matches!(got, Err(SimError::StepLimit { .. })), "{name}");
+            assert_eq!(
+                format!("{got:?}"),
+                format!("{want:?}"),
+                "{name}, limit {limit}"
+            );
+            assert_eq!(
+                memory_digest(gpu.memory()),
+                memory_digest(&memory),
+                "{name}, limit {limit}"
+            );
+        }
+    }
+}
+
+#[test]
+fn a_counter_kept_in_memory_is_not_a_recurrence() {
+    // Registers and predicates are equal at every back-edge; only the
+    // stores tell the iterations apart, and the loop exits after 1000.
+    let kernel = |generation| {
+        let mut b = KernelBuilder::new("memory_counter", generation);
+        let out = b.param("out");
+        b.mov(Reg::r(5), out);
+        let top = b.label_here();
+        b.ld(MemSpace::Global, MemWidth::B32, Reg::r(1), Reg::r(5), 0);
+        b.iadd(Reg::r(1), Reg::r(1), 1);
+        b.st(MemSpace::Global, MemWidth::B32, Reg::r(1), Reg::r(5), 0);
+        b.isetp(Pred::p(0), CmpOp::Ge, Reg::r(1), 1000);
+        b.with_pred(Pred::p(0), false).exit();
+        b.mov(Reg::r(1), Reg::RZ);
+        b.bra(top);
+        b.exit();
+        b.finish().unwrap()
+    };
+    let config = LaunchConfig::linear(1, 32);
+    let mut gpu = Gpu::new(Generation::Fermi);
+    let out = gpu.memory_mut().alloc_zeroed(4).unwrap();
+    gpu.launch(&kernel(Generation::Fermi), config, &[out])
+        .unwrap();
+    assert_eq!(gpu.memory().read_u32(out).unwrap(), 1000);
+    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+        let mut memory = GlobalMemory::new();
+        let out = memory.alloc_zeroed(4).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel(gpu.generation), config, &[out], 1).unwrap();
+        let report = sim.run(&mut memory, Hooks::default());
+        assert!(report.is_ok(), "{}: {report:?}", gpu.name);
+        assert_eq!(memory.read_u32(out).unwrap(), 1000, "{}", gpu.name);
+    }
+}
+
+#[test]
+fn untraced_timing_of_every_campaign_hang_matches_a_traced_run() {
+    // A trace observer never skips: it must see every cycle.
+    let cfg = CampaignConfig {
+        iters: 300,
+        ..CampaignConfig::default()
+    };
+    let mut hangs = [0; 2];
+    for case in campaign_cases(&cfg) {
+        let (seed, kernel, _) = mutant_kernel(&case, &[]).unwrap();
+        let gpu = GpuConfig::preset(case.generation);
+        let run = |traced: bool| {
+            let mut memory = GlobalMemory::new();
+            let params = match &seed.problem {
+                Some(p) => {
+                    let (a, b, c) =
+                        peakperf::kernels::sgemm::upload_problem(&mut memory, p, 7).unwrap();
+                    vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()]
+                }
+                None => Vec::new(),
+            };
+            let sim = TimingSim::new(&gpu, &kernel, seed.config, &params, 1)?;
+            let result = if traced {
+                let hooks = Hooks::observe(TraceBuffer::with_limit(0));
+                sim.run(&mut memory, hooks.cycle_limit(CYCLE_LIMIT))
+            } else {
+                sim.run(&mut memory, Hooks::default().cycle_limit(CYCLE_LIMIT))
+            };
+            Ok::<_, SimError>((format!("{result:?}"), memory_digest(&memory)))
+        };
+        let Ok(untraced) = run(false) else { continue };
+        if !untraced.0.starts_with("Err(StepLimit") {
+            continue;
+        }
+        hangs[(case.generation == Generation::Kepler) as usize] += 1;
+        assert_eq!(untraced, run(true).unwrap(), "{case:?}");
+    }
+    assert!(
+        hangs.iter().all(|&n| n >= 5),
+        "too few hangs per GPU: {hangs:?}"
+    );
+}
+
+#[test]
+fn hangs_reach_the_default_watchdogs_in_well_under_a_second() {
+    let t0 = Instant::now();
+    let config = LaunchConfig::linear(1, 64);
+    let mut gpu = Gpu::new(Generation::Fermi);
+    let out = gpu.memory_mut().alloc_zeroed(64 * 4).unwrap();
+    match gpu.launch(&spin_kernel(Generation::Fermi), config, &[out]) {
+        Err(SimError::StepLimit { limit, snapshot }) => {
+            assert_eq!(limit, 1 << 34);
+            assert_eq!(snapshot.unwrap().at, (1 << 34) + 1);
+        }
+        other => panic!("expected StepLimit, got {other:?}"),
+    }
+    // Warp 0 spins, so warp 1 never ran.
+    assert_eq!(gpu.memory().read_u32(out + 4 * 33).unwrap(), 0);
+    assert_eq!(gpu.memory().read_u32(out + 4 * 31).unwrap(), 31);
+
+    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+        let mut memory = GlobalMemory::new();
+        let out = memory.alloc_zeroed(64 * 4).unwrap();
+        let kernel = spin_kernel(gpu.generation);
+        let sim = TimingSim::new(&gpu, &kernel, config, &[out], 1).unwrap();
+        match sim.run(&mut memory, Hooks::default()) {
+            Err(SimError::StepLimit { limit, snapshot }) => {
+                assert_eq!(limit, 200_000_000, "{}", gpu.name);
+                let snapshot = snapshot.unwrap();
+                assert_eq!(snapshot.at, 200_000_001, "{}", gpu.name);
+                assert!(snapshot.warps.iter().all(|w| w.pc == Some(4)));
+            }
+            other => panic!("{}: expected StepLimit, got {other:?}", gpu.name),
+        }
+        assert_eq!(memory.read_u32(out + 4 * 63).unwrap(), 63);
+    }
+    let elapsed = t0.elapsed();
+    assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+#[test]
+fn a_cycle_armed_cancel_still_stops_at_its_poll_boundary() {
+    // A token turns the skip off, so a spin kernel stops where the token
+    // fires, far past the point where an untokened run starts skipping.
+    let armed = 300_000 + 7;
+    let gpu = GpuConfig::gtx680();
+    let kernel = spin_kernel(gpu.generation);
+    let mut memory = GlobalMemory::new();
+    let out = memory.alloc_zeroed(64 * 4).unwrap();
+    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[out], 1).unwrap();
+    let token = CancelToken::new();
+    token.cancel_at_cycle(armed);
+    match sim.run(&mut memory, Hooks::default().cancel(Some(&token))) {
+        Err(SimError::Cancelled { at_cycle, snapshot }) => {
+            assert_eq!(at_cycle, armed.next_multiple_of(CHECK_INTERVAL_CYCLES));
+            assert_eq!(snapshot.unwrap().at, at_cycle);
+        }
+        other => panic!("expected Cancelled, got {other:?}"),
+    }
+}
