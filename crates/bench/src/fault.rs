@@ -727,7 +727,8 @@ fn run_timing(
     let params = launch_params(&mut memory, problem)?;
     let sim = TimingSim::new(gpu, kernel, config, &params, 1)?;
     let report = if traced {
-        // Keeps no events: the traced code path with bounded memory.
+        // Keeps no events: the traced code path with bounded memory. A
+        // hang skips here too, its recurring periods' events replayed.
         let hooks = Hooks::observe(TraceBuffer::with_limit(0));
         sim.run(&mut memory, hooks.cycle_limit(FUZZ_CYCLE_LIMIT))?
     } else {

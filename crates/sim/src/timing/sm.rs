@@ -221,6 +221,40 @@ struct RunState {
     stores: u64,
 }
 
+/// The length of a full tape (DESIGN.md §5.1): a period that delivers as
+/// many events is not skipped in a run that takes events, so a tape never
+/// holds more than 1.5 MB.
+const TAPE_CAP: usize = 1 << 16;
+
+/// The run's observer, and while a recurrence awaits confirmation the
+/// tape of the events it was given since the match (a full one marks a
+/// period too long to replay).
+struct Taped<O> {
+    inner: O,
+    tape: Option<Vec<TraceEvent>>,
+}
+
+impl<O: Observer> Observer for Taped<O> {
+    const EVENTS: bool = O::EVENTS;
+    const HOST_TIMING: bool = O::HOST_TIMING;
+
+    fn event(&mut self, event: TraceEvent) {
+        if let Some(tape) = self.tape.as_mut().filter(|t| t.len() < TAPE_CAP) {
+            tape.push(event);
+        }
+        self.inner.event(event);
+    }
+    fn phase(&mut self, phase: Phase, nanos: u64) {
+        self.inner.phase(phase, nanos);
+    }
+    fn cycle_end(&mut self, cycle: u64) {
+        self.inner.cycle_end(cycle);
+    }
+    fn finish(&mut self, cycles: u64, wall_nanos: u64) {
+        self.inner.finish(cycles, wall_nanos);
+    }
+}
+
 /// Deliver one scheduler event (compiled out unless `O::EVENTS`).
 #[inline]
 fn emit<O: Observer>(
@@ -384,11 +418,14 @@ impl TimingSim {
         hooks: Hooks<'_, O>,
     ) -> Result<TimingReport, SimError> {
         let Hooks {
-            observer: mut obs,
+            observer: obs,
             cancel,
             cycle_limit,
         } = hooks;
-        let obs = &mut obs;
+        let obs = &mut Taped {
+            inner: obs,
+            tape: None,
+        };
         let run_t0 = O::HOST_TIMING.then(std::time::Instant::now);
         let threads = self.config.threads_per_block();
         let warps_per_block = self.config.warps_per_block();
@@ -472,9 +509,10 @@ impl TimingSim {
             .map(|sched| (0..n_warps).filter(|&w| w % schedulers == sched).collect())
             .collect();
         let wpb = warps_per_block as usize;
-        // Only a run that nothing observes and no token polls skips the
-        // periods of an exact recurrence (DESIGN.md §5.1).
-        let detect = !O::EVENTS && !O::HOST_TIMING && cancel.is_none();
+        // A run that no host clock times and no token polls skips the
+        // periods of an exact recurrence, replaying one period's events to
+        // an observer that takes them (DESIGN.md §5.1).
+        let detect = !O::HOST_TIMING && cancel.is_none();
         let (mut recur, mut back_edge) = (Recurrence::default(), false);
 
         let mut cycle: u64 = 0;
@@ -605,7 +643,7 @@ impl TimingSim {
             barrier_sw.stop(obs, Phase::BarrierRelease);
 
             if std::mem::take(&mut back_edge) {
-                recur.checkpoint(self, &mut st, &mut cycle, cycle_limit);
+                recur.checkpoint(self, &mut st, &mut cycle, cycle_limit, obs);
             }
             if O::HOST_TIMING {
                 obs.cycle_end(cycle);
@@ -960,14 +998,24 @@ struct Recurrence {
 impl Recurrence {
     /// Feed the checkpoint at the end of `*cycle`. Once the whole state
     /// has recurred, with no store in between, skip whole periods towards
-    /// `limit`, moving every stamp still ahead of the next cycle along.
-    fn checkpoint(&mut self, sim: &TimingSim, st: &mut RunState, cycle: &mut u64, limit: u64) {
+    /// `limit`, moving every stamp still ahead of the next cycle along and
+    /// replaying the period's taped events to `obs` once per period.
+    fn checkpoint<O: Observer>(
+        &mut self,
+        sim: &TimingSim,
+        st: &mut RunState,
+        cycle: &mut u64,
+        limit: u64,
+        obs: &mut Taped<O>,
+    ) {
         let now = *cycle;
         if let Some((due, period, stores, canon)) = &self.candidate {
             if now < *due {
                 return;
             }
-            if now == *due && *stores == st.stores && sim.is_canon(st, now, canon) {
+            let tape = obs.tape.take().unwrap_or_default();
+            let fits = tape.len() < TAPE_CAP;
+            if now == *due && *stores == st.stores && fits && sim.is_canon(st, now, canon) {
                 // Skip only while every time value the skipped periods
                 // compute stays in the binade of the confirming period's:
                 // shifted by an integer within one binade, an `f64` sum
@@ -979,6 +1027,16 @@ impl Recurrence {
                 let latest = st.ldst_free.max(st.sp_free).max(memif).max(next);
                 let room = binade_end.saturating_sub(latest as u64 + 1);
                 let skip = room.min(limit - now) / period * period;
+                // The state at `due` is the state at the match, so each
+                // skipped period delivers the taped one's events, shifted.
+                if O::EVENTS {
+                    for shift in (1..=skip / period).map(|k| k * period) {
+                        for &event in &tape {
+                            let cycle = event.cycle + shift;
+                            obs.inner.event(TraceEvent { cycle, ..event });
+                        }
+                    }
+                }
                 for (slot, rec) in st.slots.iter_mut().zip(&mut st.issue) {
                     let g = &mut rec.gate;
                     let stamps = [&mut rec.next_issue, &mut g.sb_ready, &mut g.hazard_until];
@@ -1014,6 +1072,9 @@ impl Recurrence {
         if let Some(period) = self.brent.check(now, st.stores, same, copy) {
             let canon = sim.canon(st, now);
             self.candidate = canon.map(|canon| (now + period, period, st.stores, canon));
+            if O::EVENTS && self.candidate.is_some() {
+                obs.tape = Some(Vec::new());
+            }
         }
     }
 }

@@ -17,7 +17,10 @@
 //! constants, both `false` for `()`, and nothing an observer returns
 //! feeds back into the simulation — any observer leaves every
 //! [`TimingReport`](super::TimingReport) field unchanged (asserted by
-//! `tests/observer_identity.rs`).
+//! `tests/observer_identity.rs`). A hang skips its recurring periods under
+//! an event observer too, replaying one recorded period per skipped one,
+//! so the observer gets the stepping run's exact event stream (DESIGN.md
+//! §5.1); only a host-timing observer makes the run step every cycle.
 
 use peakperf_sass::Kernel;
 
@@ -193,8 +196,9 @@ impl<'a, O: Observer> Hooks<'a, O> {
     }
 
     /// Abort with [`SimError::StepLimit`](crate::SimError::StepLimit)
-    /// once the run passes cycle `limit`. An untokened run nothing
-    /// observes skips there from an exact recurrence of its state.
+    /// once the run passes cycle `limit`. An untokened run whose observer
+    /// reads no host clock skips there from an exact recurrence of its
+    /// state, replaying one recorded period's events to the observer.
     pub fn cycle_limit(mut self, limit: u64) -> Self {
         self.cycle_limit = limit;
         self

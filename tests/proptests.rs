@@ -26,6 +26,7 @@ use peakperf::sim::timing::{global_transactions, shared_conflict_factor};
 use peakperf::sim::{Dim3, GlobalMemory, Gpu, Json, SimError, StepEvent, WarpState};
 use peakperf_bench::fault::{FuzzCase, SeedSpec, Violation, ViolationCase, ViolationKind};
 use peakperf_bench::ledger::END_TO_END;
+use peakperf_bench::profiling::TARGETS;
 use peakperf_bench::report::check_document;
 use peakperf_bench::service::{parse_job_line, JobKind, JobSpec};
 
@@ -1434,6 +1435,8 @@ fn case_codec_ends_every_edit_in_an_error_naming_the_member() {
     let record_members = ["gpu", "seed", "mutation_seed", "kind", "detail", "removed"];
     let job_members = ["schema", "id", "kind", "gpu", "seed", "mutation_seed"];
     let read_record = |text: &str| ViolationCase::from_json(&Json::parse(text)?);
+    // The members the edits of profile, spin and panic job lines named.
+    let mut named_in_other_jobs = HashMap::new();
     for case in 0..200 {
         let record = violation_case(&mut rng);
         let job = JobSpec {
@@ -1468,6 +1471,39 @@ fn case_codec_ends_every_edit_in_an_error_naming_the_member() {
                 "case {case}: {text} -> {err}"
             );
         }
+
+        // The other kinds' lines, with and without their optional members.
+        let (kind, required) = match case % 3 {
+            0 => {
+                let target = one_of(&mut rng, &TARGETS).name.to_owned();
+                let required = &["schema", "id", "kind", "target"][..];
+                (JobKind::Profile { target }, required)
+            }
+            1 => (JobKind::Spin, &job_members[..3]),
+            _ => (JobKind::Panic, &job_members[..3]),
+        };
+        let job = JobSpec {
+            deadline_ms: rng.gen_bool().then(|| rng.gen_below(60_000)),
+            cancel_at_cycle: rng.gen_bool().then(|| rng.gen_below(1 << 40)),
+            ..JobSpec::new(format!("j{case}"), kind)
+        };
+        let job_doc = job.to_json();
+        assert_eq!(parse_job_line(&job_doc.render()), Ok(job), "case {case}");
+        let (text, named) = edit(&mut rng, &job_doc, required, Json::render);
+        let err = parse_job_line(&text).expect_err(&format!("case {case}: accepted {text}"));
+        if let Some(key) = named {
+            assert!(
+                err.contains(&format!("`{key}`")),
+                "case {case}: {text} -> {err}"
+            );
+            *named_in_other_jobs.entry(key).or_insert(0) += 1;
+        }
+    }
+    for key in ["target", "deadline_ms", "cancel_at_cycle"] {
+        assert!(
+            named_in_other_jobs.contains_key(key),
+            "no edit named `{key}`: {named_in_other_jobs:?}"
+        );
     }
 }
 

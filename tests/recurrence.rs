@@ -10,17 +10,18 @@ use peakperf::sass::{CmpOp, Kernel, KernelBuilder, LogicOp, MemSpace, MemWidth, 
 use peakperf::sass::{Operand, SpecialReg};
 use peakperf::sim::cancel::CHECK_INTERVAL_CYCLES;
 use peakperf::sim::exec::{step_warp, BlockCtx, MemCtx};
-use peakperf::sim::timing::{Hooks, TimingSim, TraceBuffer};
+use peakperf::sim::timing::{Hooks, Observer, TimingSim, TraceBuffer};
 use peakperf::sim::{CancelToken, Dim3, GlobalMemory, Gpu, HangSnapshot, LaunchConfig};
 use peakperf::sim::{SimError, StepEvent, WarpHang, WarpState};
-use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FUZZ_STEP_LIMIT};
+use peakperf_bench::fault::FUZZ_STEP_LIMIT;
+use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FuzzCase};
 
 mod common;
 use common::{fnv64, FNV_OFFSET};
 
 /// Timing runs here stop after this many cycles: enough for the detector
 /// to find and skip periods in several binades, few enough for a debug
-/// build to simulate every cycle of the traced runs.
+/// build to simulate every cycle of the stepping reference runs.
 const CYCLE_LIMIT: u64 = 100_000;
 
 /// A digest of every mapped word of `memory`.
@@ -209,47 +210,132 @@ fn a_counter_kept_in_memory_is_not_a_recurrence() {
     }
 }
 
-#[test]
-fn untraced_timing_of_every_campaign_hang_matches_a_traced_run() {
-    // A trace observer never skips: it must see every cycle.
+/// The first 300 seed-1 campaign mutants that build, as timing runs:
+/// each case, its simulation and global memory before the run.
+fn campaign_sims() -> impl Iterator<Item = (FuzzCase, TimingSim, GlobalMemory)> {
     let cfg = CampaignConfig {
         iters: 300,
         ..CampaignConfig::default()
     };
-    let mut hangs = [0; 2];
-    for case in campaign_cases(&cfg) {
+    campaign_cases(&cfg).into_iter().filter_map(|case| {
         let (seed, kernel, _) = mutant_kernel(&case, &[]).unwrap();
         let gpu = GpuConfig::preset(case.generation);
-        let run = |traced: bool| {
-            let mut memory = GlobalMemory::new();
-            let params = match &seed.problem {
-                Some(p) => {
-                    let (a, b, c) =
-                        peakperf::kernels::sgemm::upload_problem(&mut memory, p, 7).unwrap();
-                    vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()]
-                }
-                None => Vec::new(),
-            };
-            let sim = TimingSim::new(&gpu, &kernel, seed.config, &params, 1)?;
-            let result = if traced {
-                let hooks = Hooks::observe(TraceBuffer::with_limit(0));
-                sim.run(&mut memory, hooks.cycle_limit(CYCLE_LIMIT))
-            } else {
-                sim.run(&mut memory, Hooks::default().cycle_limit(CYCLE_LIMIT))
-            };
-            Ok::<_, SimError>((format!("{result:?}"), memory_digest(&memory)))
+        let mut memory = GlobalMemory::new();
+        let params = match &seed.problem {
+            Some(p) => {
+                let (a, b, c) =
+                    peakperf::kernels::sgemm::upload_problem(&mut memory, p, 7).unwrap();
+                vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()]
+            }
+            None => Vec::new(),
         };
-        let Ok(untraced) = run(false) else { continue };
+        let sim = TimingSim::new(&gpu, &kernel, seed.config, &params, 1).ok()?;
+        Some((case, sim, memory))
+    })
+}
+
+/// Run `sim` on a copy of `memory` under `hooks`, to at most
+/// [`CYCLE_LIMIT`] cycles: the result's `Debug` and a memory digest.
+fn run_to_limit<O: Observer>(
+    sim: &TimingSim,
+    memory: &GlobalMemory,
+    hooks: Hooks<'_, O>,
+) -> (String, u64) {
+    let mut memory = memory.clone();
+    let result = sim.run(&mut memory, hooks.cycle_limit(CYCLE_LIMIT));
+    (format!("{result:?}"), memory_digest(&memory))
+}
+
+#[test]
+fn untraced_timing_of_every_campaign_hang_matches_a_stepping_run() {
+    // A token turns the skip off, and one that never fires leaves the run
+    // cycle-identical: the reference simulates every cycle.
+    let never = CancelToken::new();
+    let mut hangs = [0; 2];
+    for (case, sim, memory) in campaign_sims() {
+        let untraced = run_to_limit(&sim, &memory, Hooks::default());
         if !untraced.0.starts_with("Err(StepLimit") {
             continue;
         }
         hangs[(case.generation == Generation::Kepler) as usize] += 1;
-        assert_eq!(untraced, run(true).unwrap(), "{case:?}");
+        let stepped = run_to_limit(&sim, &memory, Hooks::default().cancel(Some(&never)));
+        assert_eq!(untraced, stepped, "{case:?}");
     }
     assert!(
         hangs.iter().all(|&n| n >= 5),
         "too few hangs per GPU: {hangs:?}"
     );
+}
+
+#[test]
+fn traced_timing_of_every_campaign_hang_delivers_the_stepped_event_stream() {
+    // A traced run skips by replaying one recorded period per skipped
+    // period; a never-firing token makes the reference step every cycle.
+    let never = CancelToken::new();
+    let mut hangs = [0; 2];
+    for (case, sim, memory) in campaign_sims() {
+        for limit in [0, 1000, usize::MAX] {
+            let (mut skipped, mut stepped) = (
+                TraceBuffer::with_limit(limit),
+                TraceBuffer::with_limit(limit),
+            );
+            let got = run_to_limit(&sim, &memory, Hooks::observe(&mut skipped));
+            if !got.0.starts_with("Err(StepLimit") {
+                break;
+            }
+            let hooks = Hooks::observe(&mut stepped).cancel(Some(&never));
+            let want = run_to_limit(&sim, &memory, hooks);
+            let at = format!("{case:?}, trace limit {limit}");
+            assert_eq!(got, want, "{at}");
+            assert_eq!(skipped.len(), stepped.len(), "{at}");
+            assert_eq!(skipped.dropped(), stepped.dropped(), "{at}");
+            let mut pairs = skipped.events().iter().zip(stepped.events());
+            if let Some((got, want)) = pairs.find(|(got, want)| got != want) {
+                panic!("{at}: first differing event {got:?}, stepping gives {want:?}");
+            }
+            hangs[(case.generation == Generation::Kepler) as usize] += usize::from(limit == 0);
+        }
+    }
+    assert!(
+        hangs.iter().all(|&n| n >= 5),
+        "too few hangs per GPU: {hangs:?}"
+    );
+}
+
+#[test]
+fn a_period_too_long_to_tape_is_stepped_in_a_traced_run() {
+    // Warp 0 counts modulo 256 while the block's other 31 warps wait at a
+    // barrier it never reaches: each period of thousands of cycles
+    // delivers a barrier stall for every waiting warp a scheduler passes,
+    // more events than one period's tape holds. The untraced run skips;
+    // the traced one must step, or it would replay a truncated tape.
+    let mut b = KernelBuilder::new("long_period", Generation::Fermi);
+    b.s2r(Reg::r(0), SpecialReg::TidX);
+    b.isetp(Pred::p(0), CmpOp::Lt, Reg::r(0), 32);
+    let count = b.new_label();
+    b.bra_if(Pred::p(0), false, count);
+    b.bar();
+    b.exit();
+    b.bind(count);
+    b.iadd(Reg::r(1), Reg::r(1), 1);
+    b.lop(LogicOp::And, Reg::r(1), Reg::r(1), 255);
+    b.bra(count);
+    let kernel = b.finish().unwrap();
+    let gpu = GpuConfig::gtx580();
+    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 1024), &[], 1).unwrap();
+    let memory = GlobalMemory::new();
+    let never = CancelToken::new();
+    let (mut skipped, mut stepped) = (TraceBuffer::with_limit(0), TraceBuffer::with_limit(0));
+    let got = run_to_limit(&sim, &memory, Hooks::observe(&mut skipped));
+    let want = run_to_limit(
+        &sim,
+        &memory,
+        Hooks::observe(&mut stepped).cancel(Some(&never)),
+    );
+    assert!(want.0.starts_with("Err(StepLimit"), "{want:?}");
+    assert_eq!(got, want);
+    assert_eq!(run_to_limit(&sim, &memory, Hooks::default()), want);
+    assert_eq!(skipped.dropped(), stepped.dropped());
 }
 
 #[test]
