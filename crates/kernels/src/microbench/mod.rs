@@ -26,8 +26,10 @@ use peakperf_sim::{GlobalMemory, LaunchConfig, SimError};
 /// `threads` threads and return the timing report.
 ///
 /// Microbenchmarks never inspect memory afterwards, so this goes through
-/// the (opt-in) timing cache — identical patterns re-timed across figures
-/// are answered without re-simulating.
+/// [`run_cached`]: identical patterns re-timed across figures are answered
+/// from the (opt-in) timing cache without re-simulating, and a simulated
+/// run fast-forwards the loop's steady state. What the kernel would leave
+/// in memory is unspecified.
 ///
 /// # Errors
 ///

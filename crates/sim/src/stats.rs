@@ -18,6 +18,7 @@ use crate::timing::StallKind;
 
 static TIMING_RUNS: AtomicU64 = AtomicU64::new(0);
 static SIM_CYCLES: AtomicU64 = AtomicU64::new(0);
+static SKIPPED_CYCLES: AtomicU64 = AtomicU64::new(0);
 static SIM_WARP_INSTRUCTIONS: AtomicU64 = AtomicU64::new(0);
 static CACHE_HITS: AtomicU64 = AtomicU64::new(0);
 static CACHE_MISSES: AtomicU64 = AtomicU64::new(0);
@@ -41,6 +42,9 @@ pub struct Counters {
     pub timing_runs: u64,
     /// Total simulated shader cycles across those runs.
     pub sim_cycles: u64,
+    /// Of those cycles, the ones a recurrence skip passed over instead of
+    /// simulating (DESIGN.md §5.1).
+    pub skipped_cycles: u64,
     /// Total warp instructions issued across those runs.
     pub warp_instructions: u64,
     /// Timing-cache hits (runs answered without simulating).
@@ -61,6 +65,7 @@ impl Counters {
         Counters {
             timing_runs: TIMING_RUNS.load(Ordering::Relaxed),
             sim_cycles: SIM_CYCLES.load(Ordering::Relaxed),
+            skipped_cycles: SKIPPED_CYCLES.load(Ordering::Relaxed),
             warp_instructions: SIM_WARP_INSTRUCTIONS.load(Ordering::Relaxed),
             cache_hits: CACHE_HITS.load(Ordering::Relaxed),
             cache_misses: CACHE_MISSES.load(Ordering::Relaxed),
@@ -77,6 +82,7 @@ impl Counters {
         Counters {
             timing_runs: self.timing_runs - earlier.timing_runs,
             sim_cycles: self.sim_cycles - earlier.sim_cycles,
+            skipped_cycles: self.skipped_cycles - earlier.skipped_cycles,
             warp_instructions: self.warp_instructions - earlier.warp_instructions,
             cache_hits: self.cache_hits - earlier.cache_hits,
             cache_misses: self.cache_misses - earlier.cache_misses,
@@ -93,6 +99,7 @@ impl Counters {
     pub fn accumulate(&mut self, other: &Counters) {
         self.timing_runs += other.timing_runs;
         self.sim_cycles += other.sim_cycles;
+        self.skipped_cycles += other.skipped_cycles;
         self.warp_instructions += other.warp_instructions;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
@@ -104,7 +111,7 @@ impl Counters {
     /// The counters as a JSON object: `counters` / `totals` in the perf
     /// and bench documents.
     pub fn to_json(&self) -> Json {
-        obj!(self; timing_runs, sim_cycles, warp_instructions, cache_hits, cache_misses,
+        obj!(self; timing_runs, sim_cycles, skipped_cycles, warp_instructions, cache_hits, cache_misses,
             stall_cycles = stall_kinds_json(&self.stall_cycles))
     }
 }
@@ -164,9 +171,10 @@ fn scope_record(f: impl Fn(&mut Counters)) {
     });
 }
 
-pub(crate) fn record_timing_run(report: &crate::timing::TimingReport) {
+pub(crate) fn record_timing_run(report: &crate::timing::TimingReport, skipped: u64) {
     TIMING_RUNS.fetch_add(1, Ordering::Relaxed);
     SIM_CYCLES.fetch_add(report.cycles, Ordering::Relaxed);
+    SKIPPED_CYCLES.fetch_add(skipped, Ordering::Relaxed);
     SIM_WARP_INSTRUCTIONS.fetch_add(report.warp_instructions, Ordering::Relaxed);
     for (&kind, &n) in &report.stalls {
         STALL_CYCLES[kind.index()].fetch_add(n, Ordering::Relaxed);
@@ -174,6 +182,7 @@ pub(crate) fn record_timing_run(report: &crate::timing::TimingReport) {
     scope_record(|c| {
         c.timing_runs += 1;
         c.sim_cycles += report.cycles;
+        c.skipped_cycles += skipped;
         c.warp_instructions += report.warp_instructions;
         for (&kind, &n) in &report.stalls {
             c.stall_cycles[kind.index()] += n;

@@ -10,8 +10,11 @@
 //! functional execution entirely, including its writes to global memory.
 //! `reproduce` enables it for its experiments, which discard the memory
 //! after timing; every other mode (`bench`, `profile`, `hostprof`, `fuzz`,
-//! `serve`) leaves it off and always simulates. Code that inspects memory
-//! afterwards must not enable it.
+//! `serve`) leaves it off and always simulates. Either way [`run_cached`]
+//! is a timing-only run: a simulated one skips the steady-state periods of
+//! a finishing loop with their stores (DESIGN.md §5.1), so memory
+//! afterwards is unspecified. Code that inspects memory afterwards calls
+//! [`TimingSim::run`].
 //!
 //! Keys are 128-bit [FNV-1a] hashes over the `Debug` rendering of the
 //! inputs plus the raw parameter words: 128 bits make a collision among the
@@ -33,7 +36,6 @@ use peakperf_arch::GpuConfig;
 use peakperf_sass::Kernel;
 
 use crate::timing::sm::{TimingReport, TimingSim};
-use crate::timing::trace::Hooks;
 use crate::{GlobalMemory, LaunchConfig, SimError};
 
 // ---------------------------------------------------------------------
@@ -164,20 +166,22 @@ fn active() -> Option<&'static SimCache> {
     }
 }
 
-/// Run `sim` unobserved, consulting the process-wide cache when it has
-/// been enabled.
+/// Time `sim` for its report alone, consulting the process-wide cache
+/// when it has been enabled.
 ///
-/// On a cache hit the simulation is skipped entirely, so the functional
-/// side effects of the kernel (writes to `memory`) do **not** happen.
-/// Callers that inspect memory after timing — none of the experiment
-/// drivers do — must use [`TimingSim::run`] directly.
+/// `memory` is unspecified afterwards. On a cache hit the simulation is
+/// skipped entirely, and a simulated run skips the recurring periods of a
+/// finishing loop together with their stores (DESIGN.md §5.1); the report
+/// is what [`TimingSim::run`] gives either way. Callers that inspect
+/// memory after timing — none of the experiment drivers do — must use
+/// [`TimingSim::run`] directly.
 ///
 /// # Errors
 ///
 /// Same as [`TimingSim::run`].
 pub fn run_cached(sim: &TimingSim, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
     let Some(cache) = active() else {
-        return sim.run(memory, Hooks::default());
+        return sim.run_timing_only(memory);
     };
     let key = sim.cache_key();
     if let Some(report) = cache.lookup(key) {
@@ -185,7 +189,7 @@ pub fn run_cached(sim: &TimingSim, memory: &mut GlobalMemory) -> Result<TimingRe
         return Ok(report);
     }
     crate::stats::record_cache_miss();
-    let report = sim.run(memory, Hooks::default())?;
+    let report = sim.run_timing_only(memory)?;
     cache.store(key, &report);
     Ok(report)
 }
@@ -193,6 +197,7 @@ pub fn run_cached(sim: &TimingSim, memory: &mut GlobalMemory) -> Result<TimingRe
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::trace::Hooks;
     use peakperf_arch::Generation;
     use peakperf_sass::{KernelBuilder, Operand, Reg};
 

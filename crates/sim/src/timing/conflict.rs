@@ -29,10 +29,7 @@ pub fn shared_conflict_factor(generation: Generation, width: MemWidth, addrs: &[
     if addrs.is_empty() {
         return 1;
     }
-    let (bank_bytes, row_bytes) = match generation {
-        Generation::Gt200 | Generation::Fermi => (4u32, 128u32),
-        Generation::Kepler => (8, 256),
-    };
+    let (bank_bytes, row_bytes) = bank_geometry(generation);
     // Lanes per phase so that one phase moves at most one bank row.
     let lanes_per_phase = (row_bytes / width.bytes()).max(1) as usize;
     let mut total_ser = 0u32;
@@ -65,6 +62,15 @@ pub fn shared_conflict_factor(generation: Generation, width: MemWidth, addrs: &[
         phases += 1;
     }
     total_ser.div_ceil(phases.max(1)).max(1)
+}
+
+/// A bank's width and a bank row's (32 banks) in bytes: Fermi's banks are
+/// 32-bit wide, Kepler's 64-bit.
+pub(crate) fn bank_geometry(generation: Generation) -> (u32, u32) {
+    match generation {
+        Generation::Gt200 | Generation::Fermi => (4, 128),
+        Generation::Kepler => (8, 256),
+    }
 }
 
 /// Number of `SEGMENT_BYTES`-byte global-memory transactions needed to

@@ -67,6 +67,11 @@ pub struct GpuTiming {
 /// the whole launch (e.g. `2*M*N*K` for GEMM), pass it to get GFLOPS of
 /// useful work rather than of executed FFMAs.
 ///
+/// The wave is timed through [`cache::run_cached`], for its report alone:
+/// `memory` is unspecified afterwards (a cache hit writes nothing, and a
+/// simulated wave skips the stores of the loop periods it fast-forwards).
+/// To inspect what the kernel computes, run [`TimingSim::run`] directly.
+///
 /// # Errors
 ///
 /// Propagates validation/launch/memory errors from the simulation.

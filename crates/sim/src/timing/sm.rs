@@ -3,17 +3,18 @@
 use std::collections::BTreeMap;
 
 use peakperf_arch::{register_bank, GpuConfig, WARP_SIZE};
-use peakperf_sass::{CtlInfo, Kernel, MemSpace, OpClass, Pred, Reg};
+use peakperf_sass::{CtlInfo, Kernel, MemSpace, Op, OpClass, Operand, Pred, Reg};
 
 use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
-use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
+use crate::exec::{release_barrier, step_warp, BlockCtx, MemAccess, MemCtx};
 use crate::launch::check_launch;
 use crate::perfmon::{Phase, Stopwatch};
 use crate::recur::Brent;
-use crate::timing::conflict::{global_transactions, shared_conflict_factor, SEGMENT_BYTES};
+use crate::timing::conflict::SEGMENT_BYTES;
+use crate::timing::conflict::{bank_geometry, global_transactions, shared_conflict_factor};
 use crate::timing::trace::{Hooks, Observer, TraceEvent, TraceEventKind, NO_PC};
 use crate::timing::Calibration;
-use crate::warp::{StepEvent, WarpState};
+use crate::warp::{Control, StepEvent, WarpState};
 use crate::{Dim3, GlobalMemory, HangSnapshot, InstMix, LaunchConfig, SimError, WarpHang};
 
 /// L1 cache per SM available for local-memory (spill) data when shared
@@ -219,6 +220,8 @@ struct RunState {
     rr: Vec<usize>,
     /// Stores to any memory space so far.
     stores: u64,
+    /// The reference period of an affine recurrence, while it runs.
+    track: Option<Track>,
 }
 
 /// The length of a full tape (DESIGN.md §5.1): a period that delivers as
@@ -307,6 +310,11 @@ pub struct TimingSim {
     /// pipe and the memory interface, and [`TimingSim::cache_key`] hashes
     /// it.
     gpu: GpuConfig,
+    /// The control slice (DESIGN.md §5.1): per instruction, the registers
+    /// whose value on entry may reach a compare or an address; and all of
+    /// them, in ascending order.
+    live: Vec<u64>,
+    slice: Vec<u8>,
 }
 
 /// Everything the issue path needs about one instruction that does not
@@ -349,14 +357,53 @@ impl TimingSim {
             });
         }
         let calib = Calibration::for_generation(gpu.generation)?;
+        let mask = |regs: Vec<Reg>| regs.iter().fold(0, |m, r| m | 1u64 << r.index());
+        let regs: Vec<(u64, u64)> = (kernel.code.iter())
+            .map(|inst| (mask(inst.op.use_regs()), mask(inst.op.def_regs())))
+            .collect();
+        // Per instruction, the registers whose value on entry may still
+        // reach a compare or an address, to a fixed point over the
+        // control flow (a guarded write kills nothing).
+        let mut live = vec![0u64; kernel.code.len()];
+        loop {
+            let mut changed = false;
+            for (pc, inst) in kernel.code.iter().enumerate().rev() {
+                let at = |i: usize| live.get(i).copied().unwrap_or(0);
+                let guarded = if inst.pred.is_some() { at(pc + 1) } else { 0 };
+                let out = match inst.op {
+                    Op::Bra { target } => at(target as usize) | guarded,
+                    Op::Exit => guarded,
+                    _ => at(pc + 1),
+                };
+                let (uses, defs) = regs[pc];
+                let direct = match inst.op {
+                    Op::Isetp { .. } => uses,
+                    Op::Ld { addr, .. } | Op::St { addr, .. } if !addr.is_rz() => 1 << addr.index(),
+                    _ => 0,
+                };
+                let feeds = if defs & out != 0 { uses } else { 0 };
+                let kept = if inst.pred.is_some() {
+                    out
+                } else {
+                    out & !defs
+                };
+                let new = direct | feeds | kept;
+                changed |= std::mem::replace(&mut live[pc], new) != new;
+            }
+            if !changed {
+                break;
+            }
+        }
+        let slice = bits(live.iter().fold(0, |m, l| m | l))
+            .map(|r| r as u8)
+            .collect();
         let meta = kernel
             .code
             .iter()
             .enumerate()
             .map(|(i, inst)| {
                 let ctl = kernel.ctl_for(i);
-                let mask = |regs: Vec<Reg>| regs.iter().fold(0, |m, r| m | 1u64 << r.index());
-                let (uses, defs) = (mask(inst.op.use_regs()), mask(inst.op.def_regs()));
+                let (uses, defs) = regs[i];
                 // Register-bank conflict degree over distinct sources.
                 let mut per_bank = [0u32; 4];
                 for i in (0..63).filter(|i| uses >> i & 1 != 0) {
@@ -398,6 +445,8 @@ impl TimingSim {
             meta,
             sp_cycles: 32.0 / f64::from(gpu.sps_per_sm),
             gpu: gpu.clone(),
+            live,
+            slice,
         })
     }
 
@@ -416,6 +465,25 @@ impl TimingSim {
         &self,
         memory: &mut GlobalMemory,
         hooks: Hooks<'_, O>,
+    ) -> Result<TimingReport, SimError> {
+        self.drive(memory, hooks, false)
+    }
+
+    /// Run to completion, unobserved, for the report alone: a finishing
+    /// loop's recurring periods are skipped together with their stores,
+    /// so `memory` is unspecified afterwards (DESIGN.md §5.1).
+    pub(crate) fn run_timing_only(
+        &self,
+        memory: &mut GlobalMemory,
+    ) -> Result<TimingReport, SimError> {
+        self.drive(memory, Hooks::default(), true)
+    }
+
+    fn drive<O: Observer>(
+        &self,
+        memory: &mut GlobalMemory,
+        hooks: Hooks<'_, O>,
+        timing_only: bool,
     ) -> Result<TimingReport, SimError> {
         let Hooks {
             observer: obs,
@@ -499,6 +567,7 @@ impl TimingSim {
             report: TimingReport::default(),
             rr: vec![0; self.gpu.warp_schedulers_per_sm as usize],
             stores: 0,
+            track: None,
         };
 
         let schedulers = self.gpu.warp_schedulers_per_sm as usize;
@@ -511,9 +580,15 @@ impl TimingSim {
         let wpb = warps_per_block as usize;
         // A run that no host clock times and no token polls skips the
         // periods of an exact recurrence, replaying one period's events to
-        // an observer that takes them (DESIGN.md §5.1).
+        // an observer that takes them; a timing-only run also skips those
+        // of a recurrence modulo affine slice deltas (DESIGN.md §5.1).
         let detect = !O::HOST_TIMING && cancel.is_none();
-        let (mut recur, mut back_edge) = (Recurrence::default(), false);
+        let affine = detect && timing_only;
+        let mut recur = Recurrence {
+            affine,
+            ..Recurrence::default()
+        };
+        let mut back_edge = false;
 
         let mut cycle: u64 = 0;
         loop {
@@ -650,7 +725,10 @@ impl TimingSim {
             }
             cycle += 1;
         }
-        debug_assert!(!recur.skipped, "a recurring run completed");
+        debug_assert!(
+            recur.skipped == 0 || affine,
+            "only a timing-only run may complete after skipping"
+        );
         let mut report = st.report;
         report.cycles = cycle.max(1);
         for (inst, &n) in self.kernel.code.iter().zip(&st.issued) {
@@ -661,7 +739,7 @@ impl TimingSim {
                 report.stalls.insert(kind, st.stalls[kind.index()]);
             }
         }
-        crate::stats::record_timing_run(&report);
+        crate::stats::record_timing_run(&report, recur.skipped);
         if let Some(t0) = run_t0 {
             obs.finish(report.cycles, t0.elapsed().as_nanos() as u64);
         }
@@ -760,6 +838,16 @@ impl TimingSim {
         let fx_sw = Stopwatch::start::<O>();
         let result = step_warp(&self.kernel.code, &mut slot.state, &mut mem_ctx, &block.ctx)?;
         fx_sw.stop(obs, Phase::FuncExec);
+        if let (Some(track), StepEvent::Executed { exec_mask, .. }) = (&mut st.track, result.event)
+        {
+            let size = match result.mem.as_ref().map(|m| m.space) {
+                Some(MemSpace::Global) => u64::from(memory.size()),
+                Some(MemSpace::Shared) => block.shared.len() as u64,
+                _ => u64::from(self.kernel.local_bytes),
+            };
+            let access = result.mem.as_ref();
+            self.follow(track, w, pc, exec_mask, &slot.state, access, size);
+        }
 
         st.tokens -= meta.token_cost;
         st.stores += u64::from(result.mem.as_ref().is_some_and(|m| m.store));
@@ -912,19 +1000,203 @@ impl TimingSim {
         true
     }
 
-    /// The whole state at the end of `cycle`, if it can be compared.
-    fn canon(&self, st: &RunState, cycle: u64) -> Option<Canon> {
+    /// The whole state at the end of `cycle` with the rows of registers
+    /// `regs`, if it can be compared.
+    fn canon(&self, st: &RunState, cycle: u64, regs: &[u8]) -> Option<Canon> {
         let mut words = Vec::new();
         let exact = self.relative(st, cycle, true, &mut |v| words.push(v));
-        exact.then(|| (words, st.slots.iter().map(|s| s.state.clone()).collect()))
+        let control = st.slots.iter().map(|s| s.state.control()).collect();
+        exact.then(|| (words, control, rows(st, regs).copied().collect()))
     }
 
     /// Whether the whole state at the end of `cycle` equals `canon`,
-    /// compared in place.
-    fn is_canon(&self, st: &RunState, cycle: u64, (words, states): &Canon) -> bool {
-        let (mut words, mut same) = (words.iter(), true);
+    /// compared in place; with `affine`, register values are left out.
+    fn is_canon(&self, st: &RunState, cycle: u64, canon: &Canon, affine: bool) -> bool {
+        let (mut words, mut same) = (canon.0.iter(), true);
         let exact = self.relative(st, cycle, true, &mut |v| same &= words.next() == Some(&v));
-        exact && same && words.next().is_none() && st.slots.iter().map(|s| &s.state).eq(states)
+        let control = st
+            .slots
+            .iter()
+            .map(|s| s.state.control())
+            .eq(canon.1.iter().cloned());
+        exact
+            && same
+            && words.next().is_none()
+            && control
+            && (affine || rows(st, &ALL_REGS).eq(&canon.2))
+    }
+
+    /// The registers whose value may still reach a compare or an address
+    /// from where the warp's running lanes stand.
+    fn live_regs(&self, state: &WarpState) -> u64 {
+        let live = |pc: u32| self.live.get(pc as usize).copied().unwrap_or(0);
+        state.lane_pcs().fold(0, |m, pc| m | live(pc))
+    }
+
+    /// Per warp and slice register, each lane's change since the rows
+    /// `then` (0 for a register not live in the warp).
+    fn slice_delta(&self, st: &RunState, then: &[[u32; 32]]) -> Vec<[u32; 32]> {
+        let n = self.slice.len().max(1);
+        let live: Vec<u64> = st.slots.iter().map(|s| self.live_regs(&s.state)).collect();
+        let regs = st.slots.iter().flat_map(|_| &self.slice);
+        let moved =
+            (rows(st, &self.slice).zip(then).zip(regs).enumerate()).map(|(i, ((now, then), r))| {
+                let live = (live[i / n] >> r & 1) as u32;
+                std::array::from_fn(|l| now[l].wrapping_sub(then[l]) * live)
+            });
+        moved.collect()
+    }
+
+    /// Whether the deltas `t` carried through a period are `delta` again
+    /// on every register live in every warp.
+    fn delta_holds(&self, st: &RunState, t: &Track, delta: &[[u32; 32]]) -> bool {
+        let n = self.slice.len();
+        st.slots.iter().enumerate().all(|(w, slot)| {
+            let live = self.live_regs(&slot.state);
+            let same = |(i, &r): (usize, &u8)| {
+                live >> r & 1 == 0 || t.delta[w * n + i] == delta[w * n + i]
+            };
+            t.known[w] & live == live && self.slice.iter().enumerate().all(same)
+        })
+    }
+
+    /// Follow one issue of warp `w` in the reference period of an affine
+    /// recurrence (DESIGN.md §5.1): bound the periods after this one by
+    /// its compares and addresses, and carry the per-lane deltas through
+    /// its write.
+    #[allow(clippy::too_many_arguments)]
+    fn follow(
+        &self,
+        t: &mut Track,
+        w: usize,
+        pc: u32,
+        exec: u32,
+        state: &WarpState,
+        access: Option<&MemAccess>,
+        size: u64,
+    ) {
+        let slice = &self.slice;
+        let at = |r: Reg| {
+            slice
+                .binary_search(&r.index())
+                .ok()
+                .map(|i| w * slice.len() + i)
+        };
+        // An operand's deltas, if known (immediates and constants move by 0).
+        let of = |t: &Track, b: Operand| match b {
+            Operand::Reg(r) if !r.is_rz() => at(r)
+                .filter(|_| t.known[w] >> r.index() & 1 != 0)
+                .map(|i| t.delta[i]),
+            _ => Some([0; 32]),
+        };
+        let reg = Operand::Reg;
+        let lanes = || bits(u64::from(exec));
+        let int = |x: u32| i128::from(x as i32);
+        let op = self.kernel.code[pc as usize].op;
+        match op {
+            Op::Isetp { a, b, .. } => {
+                let values = match b {
+                    Operand::Reg(r) => *state.row(r),
+                    Operand::Imm(v) => [v as u32; 32],
+                    Operand::Const { .. } => return t.room = 0,
+                };
+                let (Some(da), Some(db)) = (of(t, reg(a)), of(t, b)) else {
+                    return t.room = 0;
+                };
+                for l in lanes() {
+                    let (va, vb) = (int(state.row(a)[l]), int(values[l]));
+                    let (sa, sb) = (int(da[l]), int(db[l]));
+                    let (lo, hi) = (i32::MIN.into(), i32::MAX.into());
+                    // Both sides stay off the 32-bit wrap, and the sign of
+                    // their gap, which decides every comparison, holds.
+                    let gap = match (va - vb).signum() {
+                        1 => (1, i128::MAX),
+                        -1 => (i128::MIN, -1),
+                        _ => (0, 0),
+                    };
+                    let k = within(va, sa, lo, hi).min(within(vb, sb, lo, hi));
+                    t.room = t.room.min(k).min(within(va - vb, sa - sb, gap.0, gap.1));
+                }
+            }
+            Op::Ld {
+                space, width, addr, ..
+            }
+            | Op::St {
+                space, width, addr, ..
+            } => {
+                let Some(step) = of(t, reg(addr)) else {
+                    return t.room = 0;
+                };
+                let first = lanes().next().map(|l| step[l]);
+                if lanes().any(|l| Some(step[l]) != first) {
+                    return t.room = 0;
+                }
+                let step = first.map_or(0, int);
+                if let (Some(access), true) = (access, step != 0) {
+                    // Shifted by whole segments or bank rows, an access
+                    // costs what it costs here; so it must at every
+                    // remainder the step leaves.
+                    let cost = |shift: u32| {
+                        let addrs: Vec<u32> = (access.addrs().iter())
+                            .map(|a| a.wrapping_add(shift))
+                            .collect();
+                        match space {
+                            MemSpace::Global => global_transactions(width, &addrs),
+                            MemSpace::Shared => {
+                                shared_conflict_factor(self.calib.generation, width, &addrs)
+                            }
+                            MemSpace::Local => 0,
+                        }
+                    };
+                    let grain = match space {
+                        MemSpace::Global => SEGMENT_BYTES,
+                        _ => bank_geometry(self.calib.generation).1,
+                    };
+                    let unit = 1 << step.trailing_zeros().min(grain.trailing_zeros());
+                    if (unit..grain)
+                        .step_by(unit as usize)
+                        .any(|r| cost(r) != cost(0))
+                    {
+                        return t.room = 0;
+                    }
+                    let lo = i128::from(space == MemSpace::Global);
+                    let hi = i128::from(size) - i128::from(width.bytes());
+                    for &x in access.addrs() {
+                        t.room = t.room.min(within(x.into(), step, lo, hi));
+                    }
+                }
+            }
+            _ => {}
+        }
+        // A write carries the deltas of an affine form, or of a constant;
+        // any other write, a load's included, leaves its value unknown.
+        let moved = match op {
+            Op::Iadd { a, b, .. } => (of(t, reg(a)).zip(of(t, b)))
+                .map(|(da, db)| std::array::from_fn(|l| da[l].wrapping_add(db[l]))),
+            Op::Iscadd { a, b, shift, .. } => (of(t, reg(a)).zip(of(t, b))).map(|(da, db)| {
+                std::array::from_fn(|l| da[l].wrapping_shl(u32::from(shift)).wrapping_add(db[l]))
+            }),
+            Op::Shl {
+                a,
+                b: Operand::Imm(n),
+                ..
+            } => of(t, reg(a)).map(|da| da.map(|d| d.wrapping_shl(n as u32))),
+            Op::Mov { src, .. } => of(t, src),
+            Op::Ld { .. } => None,
+            _ => (op.use_regs().into_iter())
+                .all(|r| of(t, reg(r)).is_some_and(|d| lanes().all(|l| d[l] == 0)))
+                .then_some([0; 32]),
+        };
+        for d in op.def_regs() {
+            let whole = t.known[w] >> d.index() & 1 != 0 || exec == state.running_mask();
+            match (moved, at(d)) {
+                (Some(moved), Some(i)) if whole => {
+                    lanes().for_each(|l| t.delta[i][l] = moved[l]);
+                    t.known[w] |= 1 << d.index();
+                }
+                _ => t.known[w] &= !(1 << d.index()),
+            }
+        }
     }
 
     /// A warp's issue gate, from scratch.
@@ -956,6 +1228,22 @@ impl TimingSim {
     }
 }
 
+/// Every register but `RZ`: the rows an exact recurrence compares.
+const ALL_REGS: [u8; 63] = {
+    let mut regs = [0; 63];
+    let mut r = 0;
+    while r < 63 {
+        regs[r] = r as u8;
+        r += 1;
+    }
+    regs
+};
+
+/// Warp by warp, the rows of registers `regs`.
+fn rows<'a>(st: &'a RunState, regs: &'a [u8]) -> impl Iterator<Item = &'a [u32; 32]> {
+    (st.slots.iter()).flat_map(move |s| regs.iter().map(move |&r| s.state.row(Reg::r(r))))
+}
+
 /// The indices of the set bits of a register mask, ascending.
 fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
@@ -968,6 +1256,25 @@ fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
 }
 
 impl RunState {
+    /// Every counter a period adds to: the report's, the issues per
+    /// instruction, the stalls per kind and the stores.
+    fn counts(&mut self) -> impl Iterator<Item = &mut u64> {
+        let r = &mut self.report;
+        [
+            &mut r.warp_instructions,
+            &mut r.thread_instructions,
+            &mut r.flops,
+            &mut r.lds_conflict_cycles,
+            &mut r.global_transactions,
+            &mut r.global_bytes,
+            &mut r.hazard_replays,
+            &mut self.stores,
+        ]
+        .into_iter()
+        .chain(&mut self.issued)
+        .chain(&mut self.stalls)
+    }
+
     /// Whether warp `w`, having issued `pc`, took a back-edge (its next PC
     /// is at or below `pc`) as the lowest-numbered live warp.
     fn back_edge(&self, w: usize, pc: u32) -> bool {
@@ -976,11 +1283,34 @@ impl RunState {
     }
 }
 
-/// A run's whole state: [`TimingSim::relative`] in full and every
-/// warp's [`WarpState`].
-type Canon = (Vec<u64>, Vec<WarpState>);
+/// A run's whole state: [`TimingSim::relative`] in full, every warp's
+/// [`Control`] and, warp by warp, the rows of the registers compared (all
+/// of them, or the slice's in an affine run).
+type Canon = (Vec<u64>, Vec<Control>, Vec<[u32; 32]>);
 
-/// The timing engine's exact recurrence detector (DESIGN.md §5.1). A
+/// The most periods `k` for which `v + k·slope` stays within `lo..=hi`.
+fn within(v: i128, slope: i128, lo: i128, hi: i128) -> u64 {
+    let k = match slope.signum() {
+        1 => (hi - v) / slope,
+        -1 => (v - lo) / -slope,
+        _ => return u64::MAX,
+    };
+    k.clamp(0, u64::MAX.into()) as u64
+}
+
+/// The reference period of an affine recurrence, followed issue by issue.
+struct Track {
+    /// Per warp and slice register, per lane: how far the value at this
+    /// point of the period moves from one period to the next.
+    delta: Vec<[u32; 32]>,
+    /// Per warp, the registers whose deltas are known.
+    known: Vec<u64>,
+    /// How many periods after this one compare and address as it does
+    /// (0 once an instruction leaves the affine form).
+    room: u64,
+}
+
+/// The timing engine's recurrence detector (DESIGN.md §5.1). A
 /// checkpoint is the end of a cycle in which the lowest-numbered live warp
 /// took a back-edge.
 #[derive(Default)]
@@ -988,18 +1318,47 @@ struct Recurrence {
     /// Brent's search over a cheap key: a fingerprint of the relative
     /// state, the lowest live warp and its [`WarpState`].
     brent: Brent<(u64, usize, WarpState)>,
-    /// A match to confirm at a later cycle: that cycle, the period, the
-    /// store count and the whole state at the match.
-    candidate: Option<(u64, u64, u64, Canon)>,
-    /// Whether periods were skipped: the run can only end at its limit.
-    skipped: bool,
+    /// The recurrence being confirmed.
+    candidate: Option<Candidate>,
+    /// A timing-only run with a control slice: register values off the
+    /// slice and stores are left out, and the slice may move by constant
+    /// per-lane deltas.
+    affine: bool,
+    /// Cycles skipped so far.
+    skipped: u64,
+}
+
+/// A recurrence under confirmation: what happens at checkpoint `due`.
+struct Candidate {
+    due: u64,
+    period: u64,
+    stage: Stage,
+    /// The whole state, store count and counters one period before `due`
+    /// (no state while a `Save` waits).
+    canon: Option<Canon>,
+    stores: u64,
+    counts: Vec<u64>,
+    /// Affine runs: per warp and slice register, each lane's change over
+    /// one period, once measured.
+    delta: Vec<[u32; 32]>,
+}
+
+#[derive(Clone, Copy, PartialEq)]
+enum Stage {
+    /// Take the state, to confirm it one period later.
+    Save,
+    /// Affine runs: measure the deltas since one period ago, then save.
+    Delta,
+    /// Skip whole periods if the state recurred.
+    Check,
 }
 
 impl Recurrence {
-    /// Feed the checkpoint at the end of `*cycle`. Once the whole state
-    /// has recurred, with no store in between, skip whole periods towards
-    /// `limit`, moving every stamp still ahead of the next cycle along and
-    /// replaying the period's taped events to `obs` once per period.
+    /// Feed the checkpoint at the end of `*cycle`. Once the state has
+    /// recurred, skip whole periods towards `limit`: move every stamp
+    /// still ahead of the next cycle along, add the period's deltas to the
+    /// slice and its counts to the counters, and replay the period's taped
+    /// events to `obs` once per period.
     fn checkpoint<O: Observer>(
         &mut self,
         sim: &TimingSim,
@@ -1009,55 +1368,45 @@ impl Recurrence {
         obs: &mut Taped<O>,
     ) {
         let now = *cycle;
-        if let Some((due, period, stores, canon)) = &self.candidate {
-            if now < *due {
-                return;
-            }
-            let tape = obs.tape.take().unwrap_or_default();
-            let fits = tape.len() < TAPE_CAP;
-            if now == *due && *stores == st.stores && fits && sim.is_canon(st, now, canon) {
-                // Skip only while every time value the skipped periods
-                // compute stays in the binade of the confirming period's:
-                // shifted by an integer within one binade, an `f64` sum
-                // rounds as before; across binades it may not. Stamps
-                // never fall, so none exceeds today's, shifted.
-                let binade_end = (due - period + 2).next_power_of_two().min(1 << 52);
-                let next = (now + 1) as f64;
-                let memif = st.memif.next_free.max(next) + f64::from(st.memif.latency);
-                let latest = st.ldst_free.max(st.sp_free).max(memif).max(next);
-                let room = binade_end.saturating_sub(latest as u64 + 1);
-                let skip = room.min(limit - now) / period * period;
-                // The state at `due` is the state at the match, so each
-                // skipped period delivers the taped one's events, shifted.
-                if O::EVENTS {
-                    for shift in (1..=skip / period).map(|k| k * period) {
-                        for &event in &tape {
-                            let cycle = event.cycle + shift;
-                            obs.inner.event(TraceEvent { cycle, ..event });
-                        }
-                    }
-                }
-                for (slot, rec) in st.slots.iter_mut().zip(&mut st.issue) {
-                    let g = &mut rec.gate;
-                    let stamps = [&mut rec.next_issue, &mut g.sb_ready, &mut g.hazard_until];
-                    let sb = slot.sb_reg.iter_mut().chain(&mut slot.sb_pred);
-                    for t in sb.chain(stamps).filter(|t| **t > now + 1) {
-                        *t += skip;
-                    }
-                }
-                for x in [&mut st.ldst_free, &mut st.sp_free, &mut st.memif.next_free] {
-                    if *x > next {
-                        *x += skip as f64;
-                    }
-                }
-                *cycle += skip;
-                self.skipped |= skip > 0;
-                // The next search starts afresh, in the binade it reaches.
-                self.brent = Brent::default();
-            }
-            self.candidate = None;
+        let Some(mut cand) = self.candidate.take() else {
+            return self.search(sim, st, now, obs);
+        };
+        if now < cand.due {
+            self.candidate = Some(cand);
             return;
         }
+        let (tape, track) = (obs.tape.take().unwrap_or_default(), st.track.take());
+        let same = now == cand.due
+            && (self.affine || cand.stores == st.stores)
+            && (cand.canon.as_ref()).is_none_or(|c| sim.is_canon(st, now, c, self.affine));
+        let then = cand.canon.take().map(|(.., rows)| rows).unwrap_or_default();
+        match cand.stage {
+            _ if !same => return,
+            Stage::Save => {}
+            Stage::Delta => cand.delta = sim.slice_delta(st, &then),
+            Stage::Check => {
+                let moved = !self.affine
+                    || (track.as_ref()).is_some_and(|t| sim.delta_holds(st, t, &cand.delta))
+                        && sim.slice_delta(st, &then) == cand.delta;
+                let room = track.map_or(u64::MAX, |t| t.room);
+                if moved && room > 0 && tape.len() < TAPE_CAP {
+                    self.skip(sim, st, cycle, limit, obs, cand, &tape, room);
+                }
+                return;
+            }
+        }
+        self.begin(sim, st, now, cand, Stage::Check, obs);
+    }
+
+    /// Search for a recurrence with Brent's method, and begin confirming
+    /// a match.
+    fn search<O: Observer>(
+        &mut self,
+        sim: &TimingSim,
+        st: &mut RunState,
+        now: u64,
+        obs: &mut Taped<O>,
+    ) {
         let Some(w) = st.issue.iter().position(|rec| !rec.done) else {
             return;
         };
@@ -1066,15 +1415,134 @@ impl Recurrence {
         if !sim.relative(st, now, false, mix) {
             return;
         }
-        let state = &st.slots[w].state;
-        let same = |(f, sw, s): &(u64, usize, WarpState)| (*f, *sw) == (fp, w) && s == state;
+        let (state, affine) = (&st.slots[w].state, self.affine);
+        let same = |(f, sw, s): &(u64, usize, WarpState)| {
+            (*f, *sw) == (fp, w)
+                && if affine {
+                    s.control() == state.control()
+                } else {
+                    s == state
+                }
+        };
         let copy = || (fp, w, state.clone());
-        if let Some(period) = self.brent.check(now, st.stores, same, copy) {
-            let canon = sim.canon(st, now);
-            self.candidate = canon.map(|canon| (now + period, period, st.stores, canon));
-            if O::EVENTS && self.candidate.is_some() {
-                obs.tape = Some(Vec::new());
+        let stores = if affine { 0 } else { st.stores };
+        if let Some(period) = self.brent.check(now, stores, same, copy) {
+            let cand = Candidate {
+                due: now,
+                period,
+                stage: Stage::Save,
+                canon: None,
+                stores: 0,
+                counts: Vec::new(),
+                delta: Vec::new(),
+            };
+            let next = if affine { Stage::Delta } else { Stage::Check };
+            self.begin(sim, st, now, cand, next, obs);
+        }
+    }
+
+    /// Take the state at `now` and wait one period for `next`, following
+    /// the period if it is an affine reference period.
+    fn begin<O: Observer>(
+        &mut self,
+        sim: &TimingSim,
+        st: &mut RunState,
+        now: u64,
+        mut cand: Candidate,
+        next: Stage,
+        obs: &mut Taped<O>,
+    ) {
+        cand.canon = sim.canon(st, now, if self.affine { &sim.slice } else { &ALL_REGS });
+        if cand.canon.is_none() {
+            return;
+        }
+        (cand.due, cand.stage, cand.stores) = (now + cand.period, next, st.stores);
+        cand.counts = st.counts().map(|c| *c).collect();
+        if self.affine && next == Stage::Check {
+            let delta = cand.delta.clone();
+            let known = st.slots.iter().map(|s| sim.live_regs(&s.state)).collect();
+            st.track = Some(Track {
+                delta,
+                known,
+                room: u64::MAX,
+            });
+        }
+        if O::EVENTS {
+            obs.tape = Some(Vec::new());
+        }
+        self.candidate = Some(cand);
+    }
+
+    /// Skip at most `room` confirmed periods of `cand` from `*cycle`, and
+    /// re-confirm them in the next binade if that is what stopped the skip.
+    #[allow(clippy::too_many_arguments)]
+    fn skip<O: Observer>(
+        &mut self,
+        sim: &TimingSim,
+        st: &mut RunState,
+        cycle: &mut u64,
+        limit: u64,
+        obs: &mut Taped<O>,
+        mut cand: Candidate,
+        tape: &[TraceEvent],
+        room: u64,
+    ) {
+        let (now, period) = (*cycle, cand.period);
+        // Skip only while every time value the skipped periods compute
+        // stays in the binade of the confirming period's: shifted by an
+        // integer within one binade, an `f64` sum rounds as before; across
+        // binades it may not. Stamps never fall, so none exceeds today's,
+        // shifted.
+        let binade_end = (now - period + 2).next_power_of_two().min(1 << 52);
+        let next = (now + 1) as f64;
+        let memif = st.memif.next_free.max(next) + f64::from(st.memif.latency);
+        let latest = st.ldst_free.max(st.sp_free).max(memif).max(next);
+        let in_binade = binade_end.saturating_sub(latest as u64 + 1) / period;
+        let n = in_binade.min((limit - now) / period).min(room);
+        let skip = n * period;
+        // The state at `due` is the state a period before, so each skipped
+        // period delivers the taped one's events, shifted.
+        if O::EVENTS {
+            obs.inner.replay(tape, period, n);
+        }
+        for (slot, rec) in st.slots.iter_mut().zip(&mut st.issue) {
+            let g = &mut rec.gate;
+            let stamps = [&mut rec.next_issue, &mut g.sb_ready, &mut g.hazard_until];
+            let sb = slot.sb_reg.iter_mut().chain(&mut slot.sb_pred);
+            for t in sb.chain(stamps).filter(|t| **t > now + 1) {
+                *t += skip;
             }
+        }
+        for x in [&mut st.ldst_free, &mut st.sp_free, &mut st.memif.next_free] {
+            if *x > next {
+                *x += skip as f64;
+            }
+        }
+        let slice = &sim.slice;
+        for (slot, delta) in st
+            .slots
+            .iter_mut()
+            .zip(cand.delta.chunks(slice.len().max(1)))
+        {
+            for (&r, d) in slice.iter().zip(delta) {
+                let row = slot.state.row(Reg::r(r));
+                let moved =
+                    std::array::from_fn(|l| row[l].wrapping_add(d[l].wrapping_mul(n as u32)));
+                slot.state.set_row(Reg::r(r), u32::MAX, &moved);
+            }
+        }
+        for (c, then) in st.counts().zip(&cand.counts) {
+            *c += n * (*c - then);
+        }
+        *cycle += skip;
+        self.skipped += skip;
+        self.brent = Brent::default();
+        // Re-confirm on the first whole period in the next binade.
+        if n == in_binade {
+            let s = now + skip;
+            cand.due = s + period * binade_end.saturating_sub(s + 1).div_ceil(period).max(1);
+            cand.stage = Stage::Save;
+            self.candidate = Some(cand);
         }
     }
 }

@@ -87,6 +87,17 @@ pub trait Observer {
 
     /// Observe one scheduler event.
     fn event(&mut self, _event: TraceEvent) {}
+    /// Observe the events of `tape` again `times` times, the k-th time
+    /// with every cycle moved on by k·`period`: the periods a recurring
+    /// run skipped (DESIGN.md §5.1).
+    fn replay(&mut self, tape: &[TraceEvent], period: u64, times: u64) {
+        for shift in (1..=times).map(|k| k * period) {
+            for &event in tape {
+                let cycle = event.cycle + shift;
+                self.event(TraceEvent { cycle, ..event });
+            }
+        }
+    }
     /// Add `nanos` of host wall time to a leaf `phase`.
     fn phase(&mut self, _phase: Phase, _nanos: u64) {}
     /// The simulator finished `cycle` and is about to advance.
@@ -105,6 +116,9 @@ impl<O: Observer> Observer for &mut O {
 
     fn event(&mut self, event: TraceEvent) {
         (**self).event(event);
+    }
+    fn replay(&mut self, tape: &[TraceEvent], period: u64, times: u64) {
+        (**self).replay(tape, period, times);
     }
     fn phase(&mut self, phase: Phase, nanos: u64) {
         (**self).phase(phase, nanos);
@@ -138,6 +152,10 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
             self.1.event(event);
             sw.stop(&mut self.0, Phase::TraceEmit);
         }
+    }
+    fn replay(&mut self, tape: &[TraceEvent], period: u64, times: u64) {
+        self.0.replay(tape, period, times);
+        self.1.replay(tape, period, times);
     }
     fn phase(&mut self, phase: Phase, nanos: u64) {
         self.0.phase(phase, nanos);
@@ -265,6 +283,19 @@ impl Observer for TraceBuffer {
         } else {
             self.dropped += 1;
         }
+    }
+    fn replay(&mut self, tape: &[TraceEvent], period: u64, times: u64) {
+        let total = tape.len() as u64 * times;
+        let room = (self.limit.saturating_sub(self.events.len()) as u64).min(total);
+        for (k, event) in
+            (0..room).map(|i| (i / tape.len() as u64 + 1, tape[i as usize % tape.len()]))
+        {
+            self.events.push(TraceEvent {
+                cycle: event.cycle + k * period,
+                ..event
+            });
+        }
+        self.dropped += total - room;
     }
 }
 

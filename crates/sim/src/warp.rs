@@ -55,6 +55,10 @@ pub struct WarpState {
     preds: [u32; 8],
 }
 
+/// A [`WarpState`] without its register values.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Control(u32, [u32; 32], u32, u32, Option<(u32, u32)>, [u32; 8]);
+
 impl WarpState {
     /// A fresh warp with `lanes` live lanes, all registers zero, all PCs 0.
     ///
@@ -105,6 +109,24 @@ impl WarpState {
         let lanes_at = |pc| (0..32).fold(0, |m, lane| m | u32::from(self.pcs[lane] == pc) << lane);
         let running = !lanes_at(EXITED);
         (running, (running != 0).then(|| (min_pc, lanes_at(min_pc))))
+    }
+
+    /// Everything but the register values: the warp, its lanes, PCs and
+    /// predicates.
+    pub(crate) fn control(&self) -> Control {
+        Control(
+            self.warp_id,
+            self.pcs,
+            self.live,
+            self.running,
+            self.group,
+            self.preds,
+        )
+    }
+
+    /// The PCs of the running lanes.
+    pub(crate) fn lane_pcs(&self) -> impl Iterator<Item = u32> + '_ {
+        self.pcs.iter().copied().filter(|&pc| pc != EXITED)
     }
 
     /// Read a register in one lane (RZ reads as zero).

@@ -1612,3 +1612,49 @@ fn ledger_check_ends_every_edit_in_an_error_naming_the_member() {
         );
     }
 }
+
+/// One seeded byte edit of `bytes`: delete or duplicate a run of up to 8
+/// bytes, flip one bit, or truncate.
+fn edit_bytes(rng: &mut Rng, bytes: &[u8]) -> Vec<u8> {
+    let mut out = bytes.to_vec();
+    let at = rng.gen_range_usize(0, out.len());
+    let end = (at + rng.gen_range_usize(1, 9)).min(out.len());
+    match rng.gen_below(4) {
+        0 => drop(out.drain(at..end)),
+        1 => {
+            let run = out[at..end].to_vec();
+            out.splice(at..at, run);
+        }
+        2 => out[at] ^= 1 << rng.gen_below(8),
+        _ => out.truncate(at),
+    }
+    out
+}
+
+#[test]
+fn json_parse_survives_seeded_byte_edits_of_checked_in_documents() {
+    let root = env!("CARGO_MANIFEST_DIR");
+    let documents = [
+        "BENCH_LEDGER.json",
+        "crates/bench/tests/golden_servicetrace.json",
+    ]
+    .map(|path| std::fs::read(format!("{root}/{path}")).unwrap());
+    let mut rng = Rng::seed_from_u64(0x15_0ED1);
+    for case in 0..500 {
+        let edited = edit_bytes(&mut rng, &documents[case % 2]);
+        let text = String::from_utf8_lossy(&edited);
+        let t0 = std::time::Instant::now();
+        let parsed = std::panic::catch_unwind(|| Json::parse(&text))
+            .unwrap_or_else(|_| panic!("case {case}: Json::parse panicked"));
+        let took = t0.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "case {case} took {took:?}"
+        );
+        if let Ok(value) = parsed {
+            for rendered in [value.render(), value.pretty()] {
+                assert_eq!(Json::parse(&rendered), Ok(value.clone()), "case {case}");
+            }
+        }
+    }
+}
