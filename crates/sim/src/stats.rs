@@ -111,7 +111,7 @@ impl Counters {
     /// The counters as a JSON object: `counters` / `totals` in the perf
     /// and bench documents.
     pub fn to_json(&self) -> Json {
-        obj!(self; timing_runs, sim_cycles, skipped_cycles, warp_instructions, cache_hits, cache_misses,
+        obj!(self; timing_runs, sim_cycles, warp_instructions, cache_hits, cache_misses,
             stall_cycles = stall_kinds_json(&self.stall_cycles))
     }
 }

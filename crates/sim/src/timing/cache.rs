@@ -36,6 +36,7 @@ use peakperf_arch::GpuConfig;
 use peakperf_sass::Kernel;
 
 use crate::timing::sm::{TimingReport, TimingSim};
+use crate::timing::trace::Hooks;
 use crate::{GlobalMemory, LaunchConfig, SimError};
 
 // ---------------------------------------------------------------------
@@ -180,8 +181,12 @@ fn active() -> Option<&'static SimCache> {
 ///
 /// Same as [`TimingSim::run`].
 pub fn run_cached(sim: &TimingSim, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
+    let timing_only = Hooks {
+        timing_only: true,
+        ..Hooks::default()
+    };
     let Some(cache) = active() else {
-        return sim.run_timing_only(memory);
+        return sim.run(memory, timing_only);
     };
     let key = sim.cache_key();
     if let Some(report) = cache.lookup(key) {
@@ -189,7 +194,7 @@ pub fn run_cached(sim: &TimingSim, memory: &mut GlobalMemory) -> Result<TimingRe
         return Ok(report);
     }
     crate::stats::record_cache_miss();
-    let report = sim.run_timing_only(memory)?;
+    let report = sim.run(memory, timing_only)?;
     cache.store(key, &report);
     Ok(report)
 }

@@ -312,9 +312,13 @@ pub struct TimingSim {
     gpu: GpuConfig,
     /// The control slice (DESIGN.md §5.1): per instruction, the registers
     /// whose value on entry may reach a compare or an address; and all of
-    /// them, in ascending order.
+    /// them.
     live: Vec<u64>,
-    slice: Vec<u8>,
+    slice: u64,
+    /// Whether no load writes a register the slice needs after it: only
+    /// then may a timing-only run, which leaves the stores of the periods
+    /// it skips undone, skip periods whose slice moves.
+    affine: bool,
 }
 
 /// Everything the issue path needs about one instruction that does not
@@ -322,6 +326,7 @@ pub struct TimingSim {
 struct InstMeta {
     /// Bitmasks over the 64 registers: read or written, and written.
     touched: u64,
+    uses: u64,
     defs: u64,
     guard: Option<Pred>,
     def_pred: Option<Pred>,
@@ -364,9 +369,8 @@ impl TimingSim {
         // Per instruction, the registers whose value on entry may still
         // reach a compare or an address, to a fixed point over the
         // control flow (a guarded write kills nothing).
-        let mut live = vec![0u64; kernel.code.len()];
-        loop {
-            let mut changed = false;
+        let (mut live, mut changed) = (vec![0u64; kernel.code.len()], true);
+        while std::mem::take(&mut changed) {
             for (pc, inst) in kernel.code.iter().enumerate().rev() {
                 let at = |i: usize| live.get(i).copied().unwrap_or(0);
                 let guarded = if inst.pred.is_some() { at(pc + 1) } else { 0 };
@@ -382,21 +386,15 @@ impl TimingSim {
                     _ => 0,
                 };
                 let feeds = if defs & out != 0 { uses } else { 0 };
-                let kept = if inst.pred.is_some() {
-                    out
-                } else {
-                    out & !defs
-                };
+                let kept = out & if inst.pred.is_some() { !0 } else { !defs };
                 let new = direct | feeds | kept;
                 changed |= std::mem::replace(&mut live[pc], new) != new;
             }
-            if !changed {
-                break;
-            }
         }
-        let slice = bits(live.iter().fold(0, |m, l| m | l))
-            .map(|r| r as u8)
-            .collect();
+        let slice = live.iter().fold(0, |m, l| m | l);
+        let after = |pc: usize| live.get(pc + 1).copied().unwrap_or(0);
+        let affine = (kernel.code.iter().enumerate())
+            .all(|(pc, inst)| !matches!(inst.op, Op::Ld { .. }) || regs[pc].1 & after(pc) == 0);
         let meta = kernel
             .code
             .iter()
@@ -424,6 +422,7 @@ impl TimingSim {
                 };
                 InstMeta {
                     touched: uses | defs,
+                    uses,
                     defs,
                     guard: inst.pred,
                     def_pred: inst.op.def_pred(),
@@ -447,6 +446,7 @@ impl TimingSim {
             gpu: gpu.clone(),
             live,
             slice,
+            affine,
         })
     }
 
@@ -466,29 +466,11 @@ impl TimingSim {
         memory: &mut GlobalMemory,
         hooks: Hooks<'_, O>,
     ) -> Result<TimingReport, SimError> {
-        self.drive(memory, hooks, false)
-    }
-
-    /// Run to completion, unobserved, for the report alone: a finishing
-    /// loop's recurring periods are skipped together with their stores,
-    /// so `memory` is unspecified afterwards (DESIGN.md §5.1).
-    pub(crate) fn run_timing_only(
-        &self,
-        memory: &mut GlobalMemory,
-    ) -> Result<TimingReport, SimError> {
-        self.drive(memory, Hooks::default(), true)
-    }
-
-    fn drive<O: Observer>(
-        &self,
-        memory: &mut GlobalMemory,
-        hooks: Hooks<'_, O>,
-        timing_only: bool,
-    ) -> Result<TimingReport, SimError> {
         let Hooks {
             observer: obs,
             cancel,
             cycle_limit,
+            timing_only,
         } = hooks;
         let obs = &mut Taped {
             inner: obs,
@@ -583,9 +565,14 @@ impl TimingSim {
         // an observer that takes them; a timing-only run also skips those
         // of a recurrence modulo affine slice deltas (DESIGN.md §5.1).
         let detect = !O::HOST_TIMING && cancel.is_none();
-        let affine = detect && timing_only;
+        let affine = detect && timing_only && self.affine;
         let mut recur = Recurrence {
             affine,
+            regs: if affine {
+                bits(self.slice).map(|r| r as u8).collect()
+            } else {
+                (0..63).collect()
+            },
             ..Recurrence::default()
         };
         let mut back_edge = false;
@@ -840,13 +827,12 @@ impl TimingSim {
         fx_sw.stop(obs, Phase::FuncExec);
         if let (Some(track), StepEvent::Executed { exec_mask, .. }) = (&mut st.track, result.event)
         {
-            let size = match result.mem.as_ref().map(|m| m.space) {
-                Some(MemSpace::Global) => u64::from(memory.size()),
-                Some(MemSpace::Shared) => block.shared.len() as u64,
-                _ => u64::from(self.kernel.local_bytes),
-            };
-            let access = result.mem.as_ref();
-            self.follow(track, w, pc, exec_mask, &slot.state, access, size);
+            let access = result.mem.as_ref().map(|m| match m.space {
+                MemSpace::Global => (m, u64::from(memory.size())),
+                MemSpace::Shared => (m, block.shared.len() as u64),
+                MemSpace::Local => (m, u64::from(self.kernel.local_bytes)),
+            });
+            self.follow(track, (w, pc as usize, exec_mask), &slot.state, access);
         }
 
         st.tokens -= meta.token_cost;
@@ -1009,21 +995,13 @@ impl TimingSim {
         exact.then(|| (words, control, rows(st, regs).copied().collect()))
     }
 
-    /// Whether the whole state at the end of `cycle` equals `canon`,
-    /// compared in place; with `affine`, register values are left out.
-    fn is_canon(&self, st: &RunState, cycle: u64, canon: &Canon, affine: bool) -> bool {
-        let (mut words, mut same) = (canon.0.iter(), true);
+    /// Whether the whole state at the end of `cycle` but its register
+    /// rows equals `canon`, compared in place.
+    fn is_canon(&self, st: &RunState, cycle: u64, (words, control, _): &Canon) -> bool {
+        let (mut words, mut same) = (words.iter(), true);
         let exact = self.relative(st, cycle, true, &mut |v| same &= words.next() == Some(&v));
-        let control = st
-            .slots
-            .iter()
-            .map(|s| s.state.control())
-            .eq(canon.1.iter().cloned());
-        exact
-            && same
-            && words.next().is_none()
-            && control
-            && (affine || rows(st, &ALL_REGS).eq(&canon.2))
+        let control = (st.slots.iter().zip(control)).all(|(s, c)| s.state.control() == *c);
+        exact && same && words.next().is_none() && control
     }
 
     /// The registers whose value may still reach a compare or an address
@@ -1033,66 +1011,31 @@ impl TimingSim {
         state.lane_pcs().fold(0, |m, pc| m | live(pc))
     }
 
-    /// Per warp and slice register, each lane's change since the rows
-    /// `then` (0 for a register not live in the warp).
-    fn slice_delta(&self, st: &RunState, then: &[[u32; 32]]) -> Vec<[u32; 32]> {
-        let n = self.slice.len().max(1);
-        let live: Vec<u64> = st.slots.iter().map(|s| self.live_regs(&s.state)).collect();
-        let regs = st.slots.iter().flat_map(|_| &self.slice);
-        let moved =
-            (rows(st, &self.slice).zip(then).zip(regs).enumerate()).map(|(i, ((now, then), r))| {
-                let live = (live[i / n] >> r & 1) as u32;
-                std::array::from_fn(|l| now[l].wrapping_sub(then[l]) * live)
-            });
-        moved.collect()
-    }
-
-    /// Whether the deltas `t` carried through a period are `delta` again
-    /// on every register live in every warp.
-    fn delta_holds(&self, st: &RunState, t: &Track, delta: &[[u32; 32]]) -> bool {
-        let n = self.slice.len();
-        st.slots.iter().enumerate().all(|(w, slot)| {
-            let live = self.live_regs(&slot.state);
-            let same = |(i, &r): (usize, &u8)| {
-                live >> r & 1 == 0 || t.delta[w * n + i] == delta[w * n + i]
-            };
-            t.known[w] & live == live && self.slice.iter().enumerate().all(same)
-        })
-    }
-
-    /// Follow one issue of warp `w` in the reference period of an affine
-    /// recurrence (DESIGN.md §5.1): bound the periods after this one by
-    /// its compares and addresses, and carry the per-lane deltas through
-    /// its write.
-    #[allow(clippy::too_many_arguments)]
+    /// Follow one issue of warp `w`, on lanes `exec`, in the reference
+    /// period of an affine recurrence (DESIGN.md §5.1): bound the periods
+    /// after this one by its compares and by its memory access within a
+    /// space of `size` bytes, and carry the per-lane deltas through its
+    /// write.
     fn follow(
         &self,
         t: &mut Track,
-        w: usize,
-        pc: u32,
-        exec: u32,
+        (w, pc, exec): (usize, usize, u32),
         state: &WarpState,
-        access: Option<&MemAccess>,
-        size: u64,
+        access: Option<(&MemAccess, u64)>,
     ) {
-        let slice = &self.slice;
-        let at = |r: Reg| {
-            slice
-                .binary_search(&r.index())
-                .ok()
-                .map(|i| w * slice.len() + i)
+        let (op, meta, slice) = (self.kernel.code[pc].op, &self.meta[pc], self.slice);
+        // A slice register's place in `t.delta`.
+        let n = slice.count_ones() as usize;
+        let at = |r: usize| {
+            (slice >> r & 1 != 0).then(|| w * n + (slice & !(!0 << r)).count_ones() as usize)
         };
         // An operand's deltas, if known (immediates and constants move by 0).
         let of = |t: &Track, b: Operand| match b {
-            Operand::Reg(r) if !r.is_rz() => at(r)
-                .filter(|_| t.known[w] >> r.index() & 1 != 0)
-                .map(|i| t.delta[i]),
+            Operand::Reg(r) if !r.is_rz() => at(r.index().into()).and_then(|i| t.delta[i]),
             _ => Some([0; 32]),
         };
-        let reg = Operand::Reg;
-        let lanes = || bits(u64::from(exec));
+        let (reg, lanes) = (Operand::Reg, || bits(u64::from(exec)));
         let int = |x: u32| i128::from(x as i32);
-        let op = self.kernel.code[pc as usize].op;
         match op {
             Op::Isetp { a, b, .. } => {
                 let values = match b {
@@ -1103,12 +1046,12 @@ impl TimingSim {
                 let (Some(da), Some(db)) = (of(t, reg(a)), of(t, b)) else {
                     return t.room = 0;
                 };
+                let (lo, hi) = (i32::MIN.into(), i32::MAX.into());
                 for l in lanes() {
-                    let (va, vb) = (int(state.row(a)[l]), int(values[l]));
-                    let (sa, sb) = (int(da[l]), int(db[l]));
-                    let (lo, hi) = (i32::MIN.into(), i32::MAX.into());
+                    let (va, vb, sa, sb) =
+                        (int(state.row(a)[l]), int(values[l]), int(da[l]), int(db[l]));
                     // Both sides stay off the 32-bit wrap, and the sign of
-                    // their gap, which decides every comparison, holds.
+                    // their gap, which decides every (signed) compare, holds.
                     let gap = match (va - vb).signum() {
                         1 => (1, i128::MAX),
                         -1 => (i128::MIN, -1),
@@ -1127,23 +1070,23 @@ impl TimingSim {
                 let Some(step) = of(t, reg(addr)) else {
                     return t.room = 0;
                 };
-                let first = lanes().next().map(|l| step[l]);
-                if lanes().any(|l| Some(step[l]) != first) {
+                let first = lanes().next().map_or(0, |l| step[l]);
+                if lanes().any(|l| step[l] != first) {
                     return t.room = 0;
                 }
-                let step = first.map_or(0, int);
-                if let (Some(access), true) = (access, step != 0) {
+                if let (Some((access, size)), true) = (access, first != 0) {
                     // Shifted by whole segments or bank rows, an access
                     // costs what it costs here; so it must at every
                     // remainder the step leaves.
                     let cost = |shift: u32| {
-                        let addrs: Vec<u32> = (access.addrs().iter())
-                            .map(|a| a.wrapping_add(shift))
-                            .collect();
+                        let mut addrs = [0; 32];
+                        let addrs = &mut addrs[..access.addrs().len()];
+                        (addrs.iter_mut().zip(access.addrs()))
+                            .for_each(|(a, x)| *a = x.wrapping_add(shift));
                         match space {
-                            MemSpace::Global => global_transactions(width, &addrs),
+                            MemSpace::Global => global_transactions(width, addrs),
                             MemSpace::Shared => {
-                                shared_conflict_factor(self.calib.generation, width, &addrs)
+                                shared_conflict_factor(self.calib.generation, width, addrs)
                             }
                             MemSpace::Local => 0,
                         }
@@ -1152,21 +1095,25 @@ impl TimingSim {
                         MemSpace::Global => SEGMENT_BYTES,
                         _ => bank_geometry(self.calib.generation).1,
                     };
-                    let unit = 1 << step.trailing_zeros().min(grain.trailing_zeros());
+                    let unit = 1 << first.trailing_zeros().min(grain.trailing_zeros());
+                    let here = cost(0);
                     if (unit..grain)
                         .step_by(unit as usize)
-                        .any(|r| cost(r) != cost(0))
+                        .any(|r| cost(r) != here)
                     {
                         return t.room = 0;
                     }
                     let lo = i128::from(space == MemSpace::Global);
                     let hi = i128::from(size) - i128::from(width.bytes());
                     for &x in access.addrs() {
-                        t.room = t.room.min(within(x.into(), step, lo, hi));
+                        t.room = t.room.min(within(x.into(), int(first), lo, hi));
                     }
                 }
             }
             _ => {}
+        }
+        if meta.defs & slice == 0 {
+            return;
         }
         // A write carries the deltas of an affine form, or of a constant;
         // any other write, a load's included, leaves its value unknown.
@@ -1183,19 +1130,22 @@ impl TimingSim {
             } => of(t, reg(a)).map(|da| da.map(|d| d.wrapping_shl(n as u32))),
             Op::Mov { src, .. } => of(t, src),
             Op::Ld { .. } => None,
-            _ => (op.use_regs().into_iter())
-                .all(|r| of(t, reg(r)).is_some_and(|d| lanes().all(|l| d[l] == 0)))
+            _ => (bits(meta.uses))
+                .all(|r| {
+                    (at(r).and_then(|i| t.delta[i])).is_some_and(|d| lanes().all(|l| d[l] == 0))
+                })
                 .then_some([0; 32]),
         };
-        for d in op.def_regs() {
-            let whole = t.known[w] >> d.index() & 1 != 0 || exec == state.running_mask();
-            match (moved, at(d)) {
-                (Some(moved), Some(i)) if whole => {
-                    lanes().for_each(|l| t.delta[i][l] = moved[l]);
-                    t.known[w] |= 1 << d.index();
+        // Lanes the write skips keep their deltas.
+        for i in bits(meta.defs).filter_map(at) {
+            t.delta[i] = match (moved, t.delta[i]) {
+                (Some(moved), Some(mut d)) => {
+                    lanes().for_each(|l| d[l] = moved[l]);
+                    Some(d)
                 }
-                _ => t.known[w] &= !(1 << d.index()),
-            }
+                (moved, None) if exec == state.running_mask() => moved,
+                _ => None,
+            };
         }
     }
 
@@ -1227,17 +1177,6 @@ impl TimingSim {
         gate
     }
 }
-
-/// Every register but `RZ`: the rows an exact recurrence compares.
-const ALL_REGS: [u8; 63] = {
-    let mut regs = [0; 63];
-    let mut r = 0;
-    while r < 63 {
-        regs[r] = r as u8;
-        r += 1;
-    }
-    regs
-};
 
 /// Warp by warp, the rows of registers `regs`.
 fn rows<'a>(st: &'a RunState, regs: &'a [u8]) -> impl Iterator<Item = &'a [u32; 32]> {
@@ -1301,10 +1240,8 @@ fn within(v: i128, slope: i128, lo: i128, hi: i128) -> u64 {
 /// The reference period of an affine recurrence, followed issue by issue.
 struct Track {
     /// Per warp and slice register, per lane: how far the value at this
-    /// point of the period moves from one period to the next.
-    delta: Vec<[u32; 32]>,
-    /// Per warp, the registers whose deltas are known.
-    known: Vec<u64>,
+    /// point of the period moves from one period to the next, if known.
+    delta: Vec<Option<[u32; 32]>>,
     /// How many periods after this one compare and address as it does
     /// (0 once an instruction leaves the affine form).
     room: u64,
@@ -1316,25 +1253,31 @@ struct Track {
 #[derive(Default)]
 struct Recurrence {
     /// Brent's search over a cheap key: a fingerprint of the relative
-    /// state, the lowest live warp and its [`WarpState`].
-    brent: Brent<(u64, usize, WarpState)>,
+    /// state (in an exact run with the registers of the lowest live warp),
+    /// that warp and its [`Control`].
+    brent: Brent<(u64, usize, Control)>,
     /// The recurrence being confirmed.
     candidate: Option<Candidate>,
-    /// A timing-only run with a control slice: register values off the
-    /// slice and stores are left out, and the slice may move by constant
-    /// per-lane deltas.
+    /// A timing-only run of an eligible kernel (`TimingSim::affine`):
+    /// register values off the slice and stores are left out, and the
+    /// slice may move by constant per-lane deltas.
     affine: bool,
+    /// The registers whose rows the whole state holds: all of them, or the
+    /// slice's in an affine run.
+    regs: Vec<u8>,
     /// Cycles skipped so far.
     skipped: u64,
 }
 
 /// A recurrence under confirmation: what happens at checkpoint `due`.
+#[derive(Default)]
 struct Candidate {
     due: u64,
     period: u64,
     stage: Stage,
-    /// The whole state, store count and counters one period before `due`
-    /// (no state while a `Save` waits).
+    /// The whole state one period before `due` with its register rows
+    /// moved on by `delta`, and the store count and counters then (none
+    /// while a `Save` waits).
     canon: Option<Canon>,
     stores: u64,
     counts: Vec<u64>,
@@ -1343,9 +1286,10 @@ struct Candidate {
     delta: Vec<[u32; 32]>,
 }
 
-#[derive(Clone, Copy, PartialEq)]
+#[derive(Clone, Copy, Default, PartialEq)]
 enum Stage {
     /// Take the state, to confirm it one period later.
+    #[default]
     Save,
     /// Affine runs: measure the deltas since one period ago, then save.
     Delta,
@@ -1376,26 +1320,58 @@ impl Recurrence {
             return;
         }
         let (tape, track) = (obs.tape.take().unwrap_or_default(), st.track.take());
+        let canon = cand.canon.take();
         let same = now == cand.due
             && (self.affine || cand.stores == st.stores)
-            && (cand.canon.as_ref()).is_none_or(|c| sim.is_canon(st, now, c, self.affine));
-        let then = cand.canon.take().map(|(.., rows)| rows).unwrap_or_default();
-        match cand.stage {
+            && (canon.as_ref()).is_none_or(|c| sim.is_canon(st, now, c));
+        match (cand.stage, canon) {
             _ if !same => return,
-            Stage::Save => {}
-            Stage::Delta => cand.delta = sim.slice_delta(st, &then),
-            Stage::Check => {
-                let moved = !self.affine
-                    || (track.as_ref()).is_some_and(|t| sim.delta_holds(st, t, &cand.delta))
-                        && sim.slice_delta(st, &then) == cand.delta;
-                let room = track.map_or(u64::MAX, |t| t.room);
-                if moved && room > 0 && tape.len() < TAPE_CAP {
-                    self.skip(sim, st, cycle, limit, obs, cand, &tape, room);
+            (Stage::Delta, Some((.., then))) => {
+                let moved = rows(st, &self.regs).zip(&then);
+                cand.delta = (moved
+                    .map(|(now, then)| std::array::from_fn(|l| now[l].wrapping_sub(then[l]))))
+                .collect();
+            }
+            (Stage::Check, Some((.., want))) => {
+                let room = track.as_ref().map_or(u64::MAX, |t| t.room);
+                if room > 0
+                    && tape.len() < TAPE_CAP
+                    && self.holds(sim, st, &want, &cand.delta, track.as_ref())
+                {
+                    self.skip(st, cycle, limit, obs, cand, &tape, room);
                 }
                 return;
             }
+            _ => {}
         }
         self.begin(sim, st, now, cand, Stage::Check, obs);
+    }
+
+    /// Whether every register row the state holds is `want` again (in an
+    /// affine run, where live), and the reference period `track` carried
+    /// every live register to the deltas `delta`.
+    fn holds(
+        &self,
+        sim: &TimingSim,
+        st: &RunState,
+        want: &[[u32; 32]],
+        delta: &[[u32; 32]],
+        track: Option<&Track>,
+    ) -> bool {
+        let n = self.regs.len();
+        st.slots.iter().enumerate().all(|(w, slot)| {
+            let live = if self.affine {
+                sim.live_regs(&slot.state)
+            } else {
+                u64::MAX
+            };
+            let same = |(k, &r): (usize, &u8)| {
+                let i = w * n + k;
+                let carried = track.is_none_or(|t| t.delta[i] == Some(delta[i]));
+                live >> r & 1 == 0 || slot.state.row(Reg::r(r)) == &want[i] && carried
+            };
+            self.regs.iter().enumerate().all(same)
+        })
     }
 
     /// Search for a recurrence with Brent's method, and begin confirming
@@ -1415,34 +1391,30 @@ impl Recurrence {
         if !sim.relative(st, now, false, mix) {
             return;
         }
-        let (state, affine) = (&st.slots[w].state, self.affine);
-        let same = |(f, sw, s): &(u64, usize, WarpState)| {
-            (*f, *sw) == (fp, w)
-                && if affine {
-                    s.control() == state.control()
-                } else {
-                    s == state
-                }
-        };
-        let copy = || (fp, w, state.clone());
-        let stores = if affine { 0 } else { st.stores };
-        if let Some(period) = self.brent.check(now, stores, same, copy) {
-            let cand = Candidate {
-                due: now,
-                period,
-                stage: Stage::Save,
-                canon: None,
-                stores: 0,
-                counts: Vec::new(),
-                delta: Vec::new(),
+        let state = &st.slots[w].state;
+        if !self.affine {
+            let regs = self.regs.iter().flat_map(|&r| state.row(Reg::r(r)));
+            regs.for_each(|&v| mix(v.into()));
+        }
+        let key = (fp, w, state.control());
+        let stores = if self.affine { 0 } else { st.stores };
+        if let Some(period) = self.brent.check(now, stores, |k| *k == key, || key.clone()) {
+            let next = if self.affine {
+                Stage::Delta
+            } else {
+                Stage::Check
             };
-            let next = if affine { Stage::Delta } else { Stage::Check };
+            let cand = Candidate {
+                period,
+                ..Candidate::default()
+            };
             self.begin(sim, st, now, cand, next, obs);
         }
     }
 
-    /// Take the state at `now` and wait one period for `next`, following
-    /// the period if it is an affine reference period.
+    /// Take the state at `now`, its rows moved on by the deltas, and wait
+    /// one period for `next`, following the period if it is an affine
+    /// reference period.
     fn begin<O: Observer>(
         &mut self,
         sim: &TimingSim,
@@ -1452,18 +1424,18 @@ impl Recurrence {
         next: Stage,
         obs: &mut Taped<O>,
     ) {
-        cand.canon = sim.canon(st, now, if self.affine { &sim.slice } else { &ALL_REGS });
-        if cand.canon.is_none() {
+        let Some(mut canon) = sim.canon(st, now, &self.regs) else {
             return;
+        };
+        for (row, d) in canon.2.iter_mut().zip(&cand.delta) {
+            *row = std::array::from_fn(|l| row[l].wrapping_add(d[l]));
         }
         (cand.due, cand.stage, cand.stores) = (now + cand.period, next, st.stores);
+        cand.canon = Some(canon);
         cand.counts = st.counts().map(|c| *c).collect();
         if self.affine && next == Stage::Check {
-            let delta = cand.delta.clone();
-            let known = st.slots.iter().map(|s| sim.live_regs(&s.state)).collect();
             st.track = Some(Track {
-                delta,
-                known,
+                delta: cand.delta.iter().copied().map(Some).collect(),
                 room: u64::MAX,
             });
         }
@@ -1478,7 +1450,6 @@ impl Recurrence {
     #[allow(clippy::too_many_arguments)]
     fn skip<O: Observer>(
         &mut self,
-        sim: &TimingSim,
         st: &mut RunState,
         cycle: &mut u64,
         limit: u64,
@@ -1518,13 +1489,13 @@ impl Recurrence {
                 *x += skip as f64;
             }
         }
-        let slice = &sim.slice;
+        let regs = &self.regs;
         for (slot, delta) in st
             .slots
             .iter_mut()
-            .zip(cand.delta.chunks(slice.len().max(1)))
+            .zip(cand.delta.chunks(regs.len().max(1)))
         {
-            for (&r, d) in slice.iter().zip(delta) {
+            for (&r, d) in regs.iter().zip(delta) {
                 let row = slot.state.row(Reg::r(r));
                 let moved =
                     std::array::from_fn(|l| row[l].wrapping_add(d[l].wrapping_mul(n as u32)));

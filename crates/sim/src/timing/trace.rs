@@ -179,6 +179,10 @@ pub struct Hooks<'a, O = ()> {
     pub(crate) observer: O,
     pub(crate) cancel: Option<&'a CancelToken>,
     pub(crate) cycle_limit: u64,
+    /// For the report alone: a finishing loop's recurring periods may be
+    /// skipped together with their stores, which leaves memory
+    /// unspecified (DESIGN.md §5.1).
+    pub(crate) timing_only: bool,
 }
 
 /// Default safety limit on simulated cycles.
@@ -198,6 +202,7 @@ impl<'a, O: Observer> Hooks<'a, O> {
             observer,
             cancel: None,
             cycle_limit: DEFAULT_CYCLE_LIMIT,
+            timing_only: false,
         }
     }
 

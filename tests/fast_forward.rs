@@ -205,9 +205,10 @@ fn a_counter_that_reaches_its_exit_through_lop_or_shr_is_exact() {
 
 #[test]
 fn a_loop_whose_bound_is_loaded_from_memory_is_exact() {
-    // The kernel stores its bound and reloads it every iteration; a
-    // timing-only run may leave memory unwritten, so a loaded value is
-    // never trusted.
+    // The kernel stores its bound and reloads it every iteration. A
+    // timing-only run leaves the stores of skipped periods undone, so a
+    // kernel whose loads feed a compare or an address skips no period
+    // whose slice moves.
     let skipped = check_loop("loaded_bound", &|b, out| {
         b.mov32i(Reg::r(7), 3000);
         b.st(MemSpace::Global, MemWidth::B32, Reg::r(7), out, 0);
@@ -215,6 +216,32 @@ fn a_loop_whose_bound_is_loaded_from_memory_is_exact() {
             b.ld(MemSpace::Global, MemWidth::B32, Reg::r(6), out, 0);
             b.isetp(Pred::p(0), CmpOp::Lt, Reg::r(3), Reg::r(6));
         });
+    });
+    assert_eq!(skipped, [0, 0]);
+}
+
+#[test]
+fn a_counter_stored_in_the_loop_and_reloaded_after_it_steers_as_stepping_does() {
+    // The loop stores its counter one segment further each iteration.
+    // After it, the value stored by iteration 200, in the loop's steady
+    // state, decides whether a second loop of 3000 iterations runs: had
+    // a skip left that store undone, the run would take the short way.
+    let skipped = check_loop("stored_counter", &|b, out| {
+        b.mov(Reg::r(7), out);
+        counted(b, &|b| {
+            b.iadd(Reg::r(7), Reg::r(7), 128);
+            b.st(MemSpace::Global, MemWidth::B32, Reg::r(3), Reg::r(7), 0);
+            b.isetp(Pred::p(0), CmpOp::Lt, Reg::r(3), 400);
+        });
+        b.ld(MemSpace::Global, MemWidth::B32, Reg::r(6), out, 200 * 128);
+        b.isetp(Pred::p(1), CmpOp::Ne, Reg::r(6), 200);
+        let done = b.new_label();
+        b.bra_if(Pred::p(1), false, done);
+        b.mov32i(Reg::r(3), 0);
+        counted(b, &|b| {
+            b.isetp(Pred::p(0), CmpOp::Lt, Reg::r(3), 3000);
+        });
+        b.bind(done);
     });
     assert_eq!(skipped, [0, 0]);
 }
