@@ -161,17 +161,6 @@ impl GpuConfig {
         }
     }
 
-    /// Global memory bandwidth expressed in bytes per shader cycle for the
-    /// whole GPU.
-    pub fn mem_bytes_per_cycle(&self) -> f64 {
-        self.mem_bandwidth_gbps * 1.0e9 / (self.shader_clock_mhz * 1.0e6)
-    }
-
-    /// Global memory bandwidth share of one SM, in bytes per shader cycle.
-    pub fn mem_bytes_per_cycle_per_sm(&self) -> f64 {
-        self.mem_bytes_per_cycle() / f64::from(self.num_sms)
-    }
-
     /// The occupancy calculator for this configuration.
     pub fn occupancy(&self) -> OccupancyLimits {
         OccupancyLimits::new(self)
@@ -195,14 +184,6 @@ mod tests {
         assert_eq!(k.core_clock_mhz, k.shader_clock_mhz);
         let f = GpuConfig::gtx580();
         assert_eq!(f.shader_clock_mhz, 2.0 * f.core_clock_mhz);
-    }
-
-    #[test]
-    fn memory_bandwidth_per_cycle() {
-        let f = GpuConfig::gtx580();
-        // 192.4 GB/s at 1544 MHz = ~124.6 B/cycle for the GPU.
-        assert!((f.mem_bytes_per_cycle() - 124.6).abs() < 0.5);
-        assert!((f.mem_bytes_per_cycle_per_sm() - 7.79).abs() < 0.05);
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub struct Counters {
     pub timing_runs: u64,
     /// Total simulated shader cycles across those runs.
     pub sim_cycles: u64,
-    /// Of those cycles, the ones a recurrence skip passed over instead of
-    /// simulating (DESIGN.md §5.1).
+    /// Cycles a recurrence skip passed over instead of simulating, in
+    /// those runs and in runs that reached their cycle limit (DESIGN.md
+    /// §5.1).
     pub skipped_cycles: u64,
     /// Total warp instructions issued across those runs.
     pub warp_instructions: u64,
@@ -171,10 +172,9 @@ fn scope_record(f: impl Fn(&mut Counters)) {
     });
 }
 
-pub(crate) fn record_timing_run(report: &crate::timing::TimingReport, skipped: u64) {
+pub(crate) fn record_timing_run(report: &crate::timing::TimingReport) {
     TIMING_RUNS.fetch_add(1, Ordering::Relaxed);
     SIM_CYCLES.fetch_add(report.cycles, Ordering::Relaxed);
-    SKIPPED_CYCLES.fetch_add(skipped, Ordering::Relaxed);
     SIM_WARP_INSTRUCTIONS.fetch_add(report.warp_instructions, Ordering::Relaxed);
     for (&kind, &n) in &report.stalls {
         STALL_CYCLES[kind.index()].fetch_add(n, Ordering::Relaxed);
@@ -182,12 +182,16 @@ pub(crate) fn record_timing_run(report: &crate::timing::TimingReport, skipped: u
     scope_record(|c| {
         c.timing_runs += 1;
         c.sim_cycles += report.cycles;
-        c.skipped_cycles += skipped;
         c.warp_instructions += report.warp_instructions;
         for (&kind, &n) in &report.stalls {
             c.stall_cycles[kind.index()] += n;
         }
     });
+}
+
+pub(crate) fn record_skipped_cycles(n: u64) {
+    SKIPPED_CYCLES.fetch_add(n, Ordering::Relaxed);
+    scope_record(|c| c.skipped_cycles += n);
 }
 
 pub(crate) fn record_cache_hit() {

@@ -166,7 +166,7 @@ struct Gate {
     /// The instruction's [`InstMeta`] pipe bits and token cost.
     is_mem: bool,
     is_math: bool,
-    token_cost: f64,
+    token_cost: u64,
 }
 
 struct BlockRes {
@@ -179,21 +179,36 @@ struct BlockRes {
     arrived: u32,
 }
 
-/// Global-memory interface of one SM: fixed latency plus bandwidth
-/// queueing.
-struct MemIf {
-    bytes_per_cycle: f64,
-    latency: u32,
-    next_free: f64,
+/// A pipe the SM's warps share (the LD/ST pipe, the SP pipe, the
+/// global-memory interface): the tick it is next free, in ticks of
+/// 1/`per_cycle` cycle, a unit in which every occupation is a whole
+/// number, so time stays exact (DESIGN.md §5.1).
+struct Pipe {
+    free: u64,
+    per_cycle: u64,
 }
 
-impl MemIf {
-    /// Service `bytes` starting no earlier than `now`; returns the cycle
-    /// the data is available.
-    fn access(&mut self, now: u64, bytes: u64) -> u64 {
-        let start = self.next_free.max(now as f64);
-        self.next_free = start + bytes as f64 / self.bytes_per_cycle;
-        (start + f64::from(self.latency)) as u64
+impl Pipe {
+    fn new(per_cycle: u64) -> Pipe {
+        Pipe { free: 0, per_cycle }
+    }
+
+    /// Whether the pipe is busy into the cycle after `cycle`.
+    fn busy(&self, cycle: u64) -> bool {
+        self.free >= (cycle + 1) * self.per_cycle
+    }
+
+    /// Occupy the pipe for `ticks` from `cycle`, or from when it frees;
+    /// returns the cycle the occupation starts.
+    fn take(&mut self, cycle: u64, ticks: u64) -> u64 {
+        let start = self.free.max(cycle * self.per_cycle);
+        self.free = start + ticks;
+        start / self.per_cycle
+    }
+
+    /// The ticks the pipe stays busy past the start of cycle `next`.
+    fn ahead(&self, next: u64) -> u64 {
+        self.free.saturating_sub(next * self.per_cycle)
     }
 }
 
@@ -203,12 +218,13 @@ struct RunState {
     /// Per warp, beside `slots`.
     issue: Vec<IssueState>,
     blocks: Vec<BlockRes>,
-    memif: MemIf,
-    ldst_free: f64,
-    sp_free: f64,
-    tokens: f64,
-    /// Local-memory spill traffic: fraction of accesses missing L1.
-    local_miss_fraction: f64,
+    /// The LD/ST pipe in cycles, the SP pipe in SP-lane slots and the
+    /// global-memory interface in 1/(MB/s) of a cycle.
+    ldst: Pipe,
+    sp: Pipe,
+    memif: Pipe,
+    /// Kepler issue tokens in the bucket.
+    tokens: u64,
     /// Warps that have not exited.
     live: usize,
     /// Issues per instruction and stall cycles per kind, folded into the
@@ -304,8 +320,11 @@ pub struct TimingSim {
     resident_blocks: u32,
     /// Pre-extracted per-instruction metadata.
     meta: Vec<InstMeta>,
-    /// SP-pipe cycles per math warp instruction (`32 / sps_per_sm`).
-    sp_cycles: f64,
+    /// The memory interface's ticks per cycle (its bandwidth in MB/s) and
+    /// per byte (shader MHz × SMs): one SM's share of the bandwidth.
+    memif_ticks: (u64, u64),
+    /// Local-memory spill traffic: fraction of accesses missing L1.
+    local_miss_fraction: f64,
     /// The simulated card: its Table 1 facts drive the scheduler, the SP
     /// pipe and the memory interface, and [`TimingSim::cache_key`] hashes
     /// it.
@@ -335,7 +354,7 @@ struct InstMeta {
     is_math: bool,
     is_mem: bool,
     /// Kepler issue-token cost (0 off the bucket).
-    token_cost: f64,
+    token_cost: u64,
     flops_per_lane: u64,
     latency: u32,
 }
@@ -416,9 +435,9 @@ impl TimingSim {
                 );
                 let token_cost = if calib.tokens_per_cycle.is_some() && (is_math || is_mem) {
                     let distinct = uses.count_ones() as usize;
-                    calib.token_cost(&inst.op, token_ways, ctl.dual, distinct) as f64
+                    calib.token_cost(&inst.op, token_ways, ctl.dual, distinct)
                 } else {
-                    0.0
+                    0
                 };
                 InstMeta {
                     touched: uses | defs,
@@ -435,6 +454,15 @@ impl TimingSim {
                 }
             })
             .collect();
+        let threads = u64::from(config.threads_per_block());
+        let spill_footprint = u64::from(kernel.local_bytes) * threads * u64::from(resident_blocks);
+        let local_miss_fraction = if spill_footprint > u64::from(L1_BYTES) {
+            1.0 - L1_BYTES as f64 / spill_footprint as f64
+        } else {
+            0.0
+        };
+        let mb_per_s = (gpu.mem_bandwidth_gbps * 1e3).round() as u64;
+        let mhz_sms = gpu.shader_clock_mhz.round() as u64 * u64::from(gpu.num_sms);
         Ok(TimingSim {
             calib,
             kernel: kernel.clone(),
@@ -442,7 +470,8 @@ impl TimingSim {
             params: params.to_vec(),
             resident_blocks,
             meta,
-            sp_cycles: 32.0 / f64::from(gpu.sps_per_sm),
+            memif_ticks: (mb_per_s.max(1), mhz_sms),
+            local_miss_fraction,
             gpu: gpu.clone(),
             live,
             slice,
@@ -472,6 +501,10 @@ impl TimingSim {
             cycle_limit,
             timing_only,
         } = hooks;
+        // Every tick count stays below half of `u64::MAX`, leaving a
+        // pipe's lead over the cycle as much room again.
+        let ticks = self.memif_ticks.0.max(self.gpu.sps_per_sm.into());
+        let cycle_limit = cycle_limit.min(u64::MAX / ticks / 2);
         let obs = &mut Taped {
             inner: obs,
             tape: None,
@@ -521,28 +554,14 @@ impl TimingSim {
             })
             .collect();
 
-        let spill_footprint =
-            self.kernel.local_bytes as u64 * u64::from(threads) * u64::from(self.resident_blocks);
-        let local_miss_fraction = if spill_footprint > u64::from(L1_BYTES) {
-            1.0 - L1_BYTES as f64 / spill_footprint as f64
-        } else {
-            0.0
-        };
-
-        let token_cap = self.calib.tokens_per_cycle.unwrap_or(0) as f64 * 2.0;
         let mut st = RunState {
             slots,
             issue,
             blocks,
-            memif: MemIf {
-                bytes_per_cycle: self.gpu.mem_bytes_per_cycle_per_sm(),
-                latency: self.calib.global_latency,
-                next_free: 0.0,
-            },
-            ldst_free: 0.0,
-            sp_free: 0.0,
-            tokens: 0.0,
-            local_miss_fraction,
+            ldst: Pipe::new(1),
+            sp: Pipe::new(self.gpu.sps_per_sm.into()),
+            memif: Pipe::new(self.memif_ticks.0),
+            tokens: 0,
             live: n_warps,
             issued: vec![0; self.kernel.code.len()],
             stalls: [0; StallKind::COUNT],
@@ -583,6 +602,7 @@ impl TimingSim {
                 break;
             }
             if cycle > cycle_limit {
+                crate::stats::record_skipped_cycles(recur.skipped);
                 return Err(SimError::StepLimit {
                     limit: cycle_limit,
                     snapshot: Some(timing_hang_snapshot(cycle, &st)),
@@ -607,7 +627,7 @@ impl TimingSim {
                 }
             }
             if let Some(refill) = self.calib.tokens_per_cycle {
-                st.tokens = (st.tokens + refill as f64).min(token_cap.max(refill as f64));
+                st.tokens = (st.tokens + refill).min(2 * refill);
             }
 
             for s in 0..schedulers {
@@ -726,7 +746,8 @@ impl TimingSim {
                 report.stalls.insert(kind, st.stalls[kind.index()]);
             }
         }
-        crate::stats::record_timing_run(&report, recur.skipped);
+        crate::stats::record_timing_run(&report);
+        crate::stats::record_skipped_cycles(recur.skipped);
         if let Some(t0) = run_t0 {
             obs.finish(report.cycles, t0.elapsed().as_nanos() as u64);
         }
@@ -785,9 +806,7 @@ impl TimingSim {
         }
 
         // Structural pipes.
-        if (gate.is_mem && st.ldst_free >= (cycle + 1) as f64)
-            || (gate.is_math && st.sp_free >= (cycle + 1) as f64)
-        {
+        if (gate.is_mem && st.ldst.busy(cycle)) || (gate.is_math && st.sp.busy(cycle)) {
             return Visit::Blocked(StallKind::Pipe, gate.pc);
         }
 
@@ -874,7 +893,7 @@ impl TimingSim {
         };
 
         if meta.is_math {
-            st.sp_free = st.sp_free.max(cycle as f64) + self.sp_cycles;
+            st.sp.take(cycle, WARP_SIZE.into());
         }
 
         let mut result_ready = cycle + u64::from(meta.latency);
@@ -887,7 +906,7 @@ impl TimingSim {
                     let occ = self.calib.lds_pipe_cycles(access.width, factor);
                     let base = self.calib.lds_pipe_cycles(access.width, 1);
                     st.report.lds_conflict_cycles += u64::from(occ - base);
-                    st.ldst_free = st.ldst_free.max(cycle as f64) + f64::from(occ);
+                    st.ldst.take(cycle, occ.into());
                     result_ready = cycle + u64::from(meta.latency) + u64::from(occ - base);
                     mem_sw.stop(obs, Phase::BankConflict);
                 }
@@ -896,10 +915,10 @@ impl TimingSim {
                     let bytes = u64::from(txns) * u64::from(SEGMENT_BYTES);
                     st.report.global_transactions += u64::from(txns);
                     st.report.global_bytes += bytes;
-                    st.ldst_free = st.ldst_free.max(cycle as f64) + f64::from(txns.max(1));
-                    let data_at = st.memif.access(cycle, bytes);
+                    st.ldst.take(cycle, txns.max(1).into());
+                    let start = st.memif.take(cycle, bytes * self.memif_ticks.1);
                     if !access.store {
-                        result_ready = data_at;
+                        result_ready = start + u64::from(self.calib.global_latency);
                     }
                     mem_sw.stop(obs, Phase::MemModel);
                 }
@@ -908,16 +927,16 @@ impl TimingSim {
                     // memory; the L1-miss fraction also pays global
                     // bandwidth and latency (Section 5.5).
                     let occ = self.calib.lds_pipe_cycles(access.width, 1);
-                    st.ldst_free = st.ldst_free.max(cycle as f64) + f64::from(occ);
-                    if st.local_miss_fraction > 0.0 {
+                    st.ldst.take(cycle, occ.into());
+                    if self.local_miss_fraction > 0.0 {
                         let bytes = (access.addrs().len() as f64
                             * f64::from(access.width.bytes())
-                            * st.local_miss_fraction) as u64;
-                        let data_at = st.memif.access(cycle, bytes);
+                            * self.local_miss_fraction) as u64;
+                        let start = st.memif.take(cycle, bytes * self.memif_ticks.1);
                         if !access.store {
                             result_ready = result_ready
                                 .max(cycle + u64::from(self.calib.global_latency / 2))
-                                .max(data_at);
+                                .max(start + u64::from(self.calib.global_latency));
                         }
                     }
                     mem_sw.stop(obs, Phase::MemModel);
@@ -952,18 +971,11 @@ impl TimingSim {
     /// Feed the state at the end of `cycle` to `out` word by word, every
     /// time stamp relative to the next cycle and clamped at 0 (a stamp at
     /// or before it holds nothing back): all of it but the warps'
-    /// [`WarpState`]s, the scoreboards only if `full`. False if a busy pipe
-    /// or memory-interface stamp is fractional, since shifting it in time
-    /// would not be exact.
-    fn relative(&self, st: &RunState, cycle: u64, full: bool, out: &mut impl FnMut(u64)) -> bool {
+    /// [`WarpState`]s, the scoreboards only if `full`.
+    fn relative(&self, st: &RunState, cycle: u64, full: bool, out: &mut impl FnMut(u64)) {
         let next = cycle + 1;
-        for x in [st.ldst_free, st.sp_free, st.memif.next_free] {
-            if x > next as f64 && x.fract() != 0.0 {
-                return false;
-            }
-            out((x - next as f64).max(0.0) as u64);
-        }
-        out(st.tokens.to_bits());
+        [&st.ldst, &st.sp, &st.memif].iter().for_each(|p| out(p.ahead(next)));
+        out(st.tokens);
         // The scheduler order repeats every `schedulers` cycles, Fermi's
         // half rate every two.
         let schedulers = u64::from(self.gpu.warp_schedulers_per_sm);
@@ -983,25 +995,24 @@ impl TimingSim {
                 out(t.saturating_sub(next));
             }
         }
-        true
     }
 
     /// The whole state at the end of `cycle` with the rows of registers
-    /// `regs`, if it can be compared.
-    fn canon(&self, st: &RunState, cycle: u64, regs: &[u8]) -> Option<Canon> {
+    /// `regs`.
+    fn canon(&self, st: &RunState, cycle: u64, regs: &[u8]) -> Canon {
         let mut words = Vec::new();
-        let exact = self.relative(st, cycle, true, &mut |v| words.push(v));
+        self.relative(st, cycle, true, &mut |v| words.push(v));
         let control = st.slots.iter().map(|s| s.state.control()).collect();
-        exact.then(|| (words, control, rows(st, regs).copied().collect()))
+        (words, control, rows(st, regs).copied().collect())
     }
 
     /// Whether the whole state at the end of `cycle` but its register
     /// rows equals `canon`, compared in place.
     fn is_canon(&self, st: &RunState, cycle: u64, (words, control, _): &Canon) -> bool {
         let (mut words, mut same) = (words.iter(), true);
-        let exact = self.relative(st, cycle, true, &mut |v| same &= words.next() == Some(&v));
+        self.relative(st, cycle, true, &mut |v| same &= words.next() == Some(&v));
         let control = (st.slots.iter().zip(control)).all(|(s, c)| s.state.control() == *c);
-        exact && same && words.next().is_none() && control
+        same && words.next().is_none() && control
     }
 
     /// The registers whose value may still reach a compare or an address
@@ -1270,15 +1281,13 @@ struct Recurrence {
 }
 
 /// A recurrence under confirmation: what happens at checkpoint `due`.
-#[derive(Default)]
 struct Candidate {
     due: u64,
     period: u64,
     stage: Stage,
     /// The whole state one period before `due` with its register rows
-    /// moved on by `delta`, and the store count and counters then (none
-    /// while a `Save` waits).
-    canon: Option<Canon>,
+    /// moved on by `delta`, and the store count and counters then.
+    canon: Canon,
     stores: u64,
     counts: Vec<u64>,
     /// Affine runs: per warp and slice register, each lane's change over
@@ -1286,12 +1295,10 @@ struct Candidate {
     delta: Vec<[u32; 32]>,
 }
 
-#[derive(Clone, Copy, Default, PartialEq)]
+#[derive(Clone, Copy, PartialEq)]
 enum Stage {
-    /// Take the state, to confirm it one period later.
-    #[default]
-    Save,
-    /// Affine runs: measure the deltas since one period ago, then save.
+    /// Affine runs: measure the deltas since one period ago, then take
+    /// the state again.
     Delta,
     /// Skip whole periods if the state recurred.
     Check,
@@ -1312,7 +1319,7 @@ impl Recurrence {
         obs: &mut Taped<O>,
     ) {
         let now = *cycle;
-        let Some(mut cand) = self.candidate.take() else {
+        let Some(cand) = self.candidate.take() else {
             return self.search(sim, st, now, obs);
         };
         if now < cand.due {
@@ -1320,31 +1327,27 @@ impl Recurrence {
             return;
         }
         let (tape, track) = (obs.tape.take().unwrap_or_default(), st.track.take());
-        let canon = cand.canon.take();
-        let same = now == cand.due
-            && (self.affine || cand.stores == st.stores)
-            && (canon.as_ref()).is_none_or(|c| sim.is_canon(st, now, c));
-        match (cand.stage, canon) {
-            _ if !same => return,
-            (Stage::Delta, Some((.., then))) => {
-                let moved = rows(st, &self.regs).zip(&then);
-                cand.delta = (moved
-                    .map(|(now, then)| std::array::from_fn(|l| now[l].wrapping_sub(then[l]))))
-                .collect();
-            }
-            (Stage::Check, Some((.., want))) => {
-                let room = track.as_ref().map_or(u64::MAX, |t| t.room);
-                if room > 0
-                    && tape.len() < TAPE_CAP
-                    && self.holds(sim, st, &want, &cand.delta, track.as_ref())
-                {
-                    self.skip(st, cycle, limit, obs, cand, &tape, room);
-                }
-                return;
-            }
-            _ => {}
+        if now != cand.due
+            || !(self.affine || cand.stores == st.stores)
+            || !sim.is_canon(st, now, &cand.canon)
+        {
+            return;
         }
-        self.begin(sim, st, now, cand, Stage::Check, obs);
+        let then = &cand.canon.2;
+        if cand.stage == Stage::Check {
+            let room = track.as_ref().map_or(u64::MAX, |t| t.room);
+            let n = ((limit - now) / cand.period).min(room);
+            if n > 0
+                && tape.len() < TAPE_CAP
+                && self.holds(sim, st, then, &cand.delta, track.as_ref())
+            {
+                self.skip(st, cycle, obs, &cand, &tape, n);
+            }
+            return;
+        }
+        let moved = rows(st, &self.regs).zip(then);
+        let delta = moved.map(|(now, then)| std::array::from_fn(|l| now[l].wrapping_sub(then[l])));
+        self.begin(sim, st, now, (cand.period, delta.collect()), Stage::Check, obs);
     }
 
     /// Whether every register row the state holds is `want` again (in an
@@ -1388,9 +1391,7 @@ impl Recurrence {
         };
         let mut fp = 0u64;
         let mix = &mut |v: u64| fp = (fp.rotate_left(5) ^ v).wrapping_mul(0x517c_c1b7_2722_0a95);
-        if !sim.relative(st, now, false, mix) {
-            return;
-        }
+        sim.relative(st, now, false, mix);
         let state = &st.slots[w].state;
         if !self.affine {
             let regs = self.regs.iter().flat_map(|&r| state.row(Reg::r(r)));
@@ -1404,72 +1405,57 @@ impl Recurrence {
             } else {
                 Stage::Check
             };
-            let cand = Candidate {
-                period,
-                ..Candidate::default()
-            };
-            self.begin(sim, st, now, cand, next, obs);
+            self.begin(sim, st, now, (period, Vec::new()), next, obs);
         }
     }
 
-    /// Take the state at `now`, its rows moved on by the deltas, and wait
-    /// one period for `next`, following the period if it is an affine
-    /// reference period.
+    /// Take the state at `now`, its rows moved on by the deltas `delta`,
+    /// and wait one period for `stage`, following the period if it is an
+    /// affine reference period.
     fn begin<O: Observer>(
         &mut self,
         sim: &TimingSim,
         st: &mut RunState,
         now: u64,
-        mut cand: Candidate,
-        next: Stage,
+        (period, delta): (u64, Vec<[u32; 32]>),
+        stage: Stage,
         obs: &mut Taped<O>,
     ) {
-        let Some(mut canon) = sim.canon(st, now, &self.regs) else {
-            return;
-        };
-        for (row, d) in canon.2.iter_mut().zip(&cand.delta) {
+        let mut canon = sim.canon(st, now, &self.regs);
+        for (row, d) in canon.2.iter_mut().zip(&delta) {
             *row = std::array::from_fn(|l| row[l].wrapping_add(d[l]));
         }
-        (cand.due, cand.stage, cand.stores) = (now + cand.period, next, st.stores);
-        cand.canon = Some(canon);
-        cand.counts = st.counts().map(|c| *c).collect();
-        if self.affine && next == Stage::Check {
+        if self.affine && stage == Stage::Check {
             st.track = Some(Track {
-                delta: cand.delta.iter().copied().map(Some).collect(),
+                delta: delta.iter().copied().map(Some).collect(),
                 room: u64::MAX,
             });
         }
         if O::EVENTS {
             obs.tape = Some(Vec::new());
         }
-        self.candidate = Some(cand);
+        self.candidate = Some(Candidate {
+            due: now + period,
+            period,
+            stage,
+            canon,
+            stores: st.stores,
+            counts: st.counts().map(|c| *c).collect(),
+            delta,
+        });
     }
 
-    /// Skip at most `room` confirmed periods of `cand` from `*cycle`, and
-    /// re-confirm them in the next binade if that is what stopped the skip.
-    #[allow(clippy::too_many_arguments)]
+    /// Skip `n` confirmed periods of `cand` from `*cycle`.
     fn skip<O: Observer>(
         &mut self,
         st: &mut RunState,
         cycle: &mut u64,
-        limit: u64,
         obs: &mut Taped<O>,
-        mut cand: Candidate,
+        cand: &Candidate,
         tape: &[TraceEvent],
-        room: u64,
+        n: u64,
     ) {
         let (now, period) = (*cycle, cand.period);
-        // Skip only while every time value the skipped periods compute
-        // stays in the binade of the confirming period's: shifted by an
-        // integer within one binade, an `f64` sum rounds as before; across
-        // binades it may not. Stamps never fall, so none exceeds today's,
-        // shifted.
-        let binade_end = (now - period + 2).next_power_of_two().min(1 << 52);
-        let next = (now + 1) as f64;
-        let memif = st.memif.next_free.max(next) + f64::from(st.memif.latency);
-        let latest = st.ldst_free.max(st.sp_free).max(memif).max(next);
-        let in_binade = binade_end.saturating_sub(latest as u64 + 1) / period;
-        let n = in_binade.min((limit - now) / period).min(room);
         let skip = n * period;
         // The state at `due` is the state a period before, so each skipped
         // period delivers the taped one's events, shifted.
@@ -1484,9 +1470,9 @@ impl Recurrence {
                 *t += skip;
             }
         }
-        for x in [&mut st.ldst_free, &mut st.sp_free, &mut st.memif.next_free] {
-            if *x > next {
-                *x += skip as f64;
+        for p in [&mut st.ldst, &mut st.sp, &mut st.memif] {
+            if p.ahead(now + 1) > 0 {
+                p.free += skip * p.per_cycle;
             }
         }
         let regs = &self.regs;
@@ -1508,13 +1494,6 @@ impl Recurrence {
         *cycle += skip;
         self.skipped += skip;
         self.brent = Brent::default();
-        // Re-confirm on the first whole period in the next binade.
-        if n == in_binade {
-            let s = now + skip;
-            cand.due = s + period * binade_end.saturating_sub(s + 1).div_ceil(period).max(1);
-            cand.stage = Stage::Save;
-            self.candidate = Some(cand);
-        }
     }
 }
 
@@ -1653,6 +1632,20 @@ mod tests {
             (128.0..=136.5).contains(&ipc),
             "Kepler FFMA thread IPC {ipc} outside expected band"
         );
+    }
+
+    #[test]
+    fn memory_interface_ticks_are_one_sms_share_of_the_bandwidth() {
+        let ticks = |gpu: &GpuConfig| {
+            let kernel = ffma_kernel(gpu.generation, 1, 1);
+            let sim = TimingSim::new(gpu, &kernel, LaunchConfig::linear(1, 32), &[], 1);
+            sim.unwrap().memif_ticks
+        };
+        let (per_cycle, per_byte) = ticks(&GpuConfig::gtx580());
+        assert_eq!((per_cycle, per_byte), (192_400, 1544 * 16));
+        // 192.4 GB/s at 1544 MHz = ~124.6 B/cycle for the GPU.
+        assert_eq!(per_cycle * 10 / (per_byte / 16), 1246);
+        assert_eq!(ticks(&GpuConfig::gtx680()), (192_260, 1006 * 8));
     }
 
     #[test]

@@ -222,6 +222,10 @@ impl<'a, O: Observer> Hooks<'a, O> {
     /// once the run passes cycle `limit`. An untokened run whose observer
     /// reads no host clock skips there from an exact recurrence of its
     /// state, replaying one recorded period's events to the observer.
+    /// The SM's pipes count time in integer ticks, up to 192,400 a cycle
+    /// on GTX580; a limit past the cycle where those counts reach half of
+    /// `u64::MAX` (about 4.8·10¹³ on both GTX580 and GTX680) counts as
+    /// that cycle, so every count fits with room for a pipe's lead.
     pub fn cycle_limit(mut self, limit: u64) -> Self {
         self.cycle_limit = limit;
         self
