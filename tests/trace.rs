@@ -8,11 +8,13 @@
 use peakperf::arch::{Generation, GpuConfig};
 use peakperf::kernels::microbench::math::{build_math_kernel, table2_patterns};
 use peakperf::kernels::rng::Rng;
-use peakperf::sass::{CtlInfo, Kernel, KernelBuilder, Operand, Reg};
+use peakperf::sass::{CtlInfo, Kernel, KernelBuilder, OpClass, Operand, Reg};
 use peakperf::sim::timing::{
-    chrome_trace, Hooks, Profile, ProfileBuilder, StallKind, TimingReport, TimingSim, TraceBuffer,
+    chrome_trace, Hooks, Observer, Profile, ProfileBuilder, StallKind, TimingReport, TimingSim,
+    TraceBuffer, TraceEvent, TraceEventKind,
 };
 use peakperf::sim::{GlobalMemory, LaunchConfig};
+use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FUZZ_CYCLE_LIMIT};
 
 // ---------------------------------------------------------------------
 // Helpers
@@ -242,4 +244,71 @@ fn kepler_ctl_kernel_traces_dual_issues() {
     );
     let text = profile.render_text();
     assert!(text.contains("per-instruction issue histogram"));
+}
+
+// ---------------------------------------------------------------------
+// The SP pipe holds its Table 1 cap in every cycle
+// ---------------------------------------------------------------------
+
+/// The most SP-pipe warp instructions (FP32, integer, integer multiply
+/// and move classes) a run issues in one cycle.
+struct SpIssuesPerCycle<'k> {
+    kernel: &'k Kernel,
+    cycle: u64,
+    count: u32,
+    max: u32,
+}
+
+impl Observer for SpIssuesPerCycle<'_> {
+    const EVENTS: bool = true;
+
+    fn event(&mut self, event: TraceEvent) {
+        let TraceEventKind::Issue { .. } = event.kind else {
+            return;
+        };
+        let class = self.kernel.code[event.pc as usize].op.class();
+        if matches!(
+            class,
+            OpClass::Fp32 | OpClass::Int | OpClass::IntMul | OpClass::Move
+        ) {
+            if event.cycle != self.cycle {
+                (self.cycle, self.count) = (event.cycle, 0);
+            }
+            self.count += 1;
+            self.max = self.max.max(self.count);
+        }
+    }
+}
+
+#[test]
+fn no_cycle_issues_more_sp_instructions_than_the_sps_take() {
+    // The seed-1 campaign mutants that take no SGEMM problem, traced to
+    // the fuzzer's cycle limit: 32 SPs take one warp instruction a cycle
+    // on GTX580, 192 take six on GTX680.
+    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+        let cfg = CampaignConfig {
+            seed: 1,
+            iters: 200,
+            generations: vec![gpu.generation],
+        };
+        let cap = gpu.sps_per_sm / 32;
+        for (i, case) in campaign_cases(&cfg).iter().enumerate() {
+            let (seed, kernel, _) = mutant_kernel(case, &[]).unwrap();
+            if seed.problem.is_some() {
+                continue;
+            }
+            let Ok(sim) = TimingSim::new(&gpu, &kernel, seed.config, &[], 1) else {
+                continue;
+            };
+            let mut sp = SpIssuesPerCycle {
+                kernel: &kernel,
+                cycle: 0,
+                count: 0,
+                max: 0,
+            };
+            let hooks = Hooks::observe(&mut sp).cycle_limit(FUZZ_CYCLE_LIMIT);
+            let _ = sim.run(&mut GlobalMemory::new(), hooks);
+            assert!(sp.max <= cap, "{} mutant {i:03}: {} > {cap}", gpu.name, sp.max);
+        }
+    }
 }
