@@ -1637,24 +1637,32 @@ fn json_parse_survives_seeded_byte_edits_of_checked_in_documents() {
     let documents = [
         "BENCH_LEDGER.json",
         "crates/bench/tests/golden_servicetrace.json",
+        "tests/golden_trace_2warp.json",
     ]
     .map(|path| std::fs::read(format!("{root}/{path}")).unwrap());
     let mut rng = Rng::seed_from_u64(0x15_0ED1);
-    for case in 0..500 {
-        let edited = edit_bytes(&mut rng, &documents[case % 2]);
+    let within_a_second = |case: usize, what: &str, t0: std::time::Instant| {
+        let took = t0.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "case {case}: {what} took {took:?}"
+        );
+    };
+    for case in 0..500 * documents.len() {
+        let edited = edit_bytes(&mut rng, &documents[case % documents.len()]);
         let text = String::from_utf8_lossy(&edited);
         let t0 = std::time::Instant::now();
         let parsed = std::panic::catch_unwind(|| Json::parse(&text))
             .unwrap_or_else(|_| panic!("case {case}: Json::parse panicked"));
-        let took = t0.elapsed();
-        assert!(
-            took < std::time::Duration::from_secs(1),
-            "case {case} took {took:?}"
-        );
+        within_a_second(case, "Json::parse", t0);
         if let Ok(value) = parsed {
             for rendered in [value.render(), value.pretty()] {
                 assert_eq!(Json::parse(&rendered), Ok(value.clone()), "case {case}");
             }
+            let t0 = std::time::Instant::now();
+            std::panic::catch_unwind(|| check_document(&value))
+                .unwrap_or_else(|_| panic!("case {case}: check_document panicked"));
+            within_a_second(case, "check_document", t0);
         }
     }
 }

@@ -12,8 +12,9 @@ use peakperf::sim::cancel::CHECK_INTERVAL_CYCLES;
 use peakperf::sim::exec::{step_warp, BlockCtx, MemCtx};
 use peakperf::sim::timing::{Hooks, Observer, TimingSim, TraceBuffer};
 use peakperf::sim::{CancelToken, Dim3, GlobalMemory, Gpu, HangSnapshot, LaunchConfig};
+use peakperf::sim::with_counter_scope;
 use peakperf::sim::{SimError, StepEvent, WarpHang, WarpState};
-use peakperf_bench::fault::FUZZ_STEP_LIMIT;
+use peakperf_bench::fault::{FUZZ_CYCLE_LIMIT, FUZZ_STEP_LIMIT};
 use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FuzzCase};
 
 mod common;
@@ -370,9 +371,38 @@ fn hangs_reach_the_default_watchdogs_in_well_under_a_second() {
             other => panic!("{}: expected StepLimit, got {other:?}", gpu.name),
         }
         assert_eq!(memory.read_u32(out + 4 * 63).unwrap(), 63);
+        // No limit at all: the run skips to the last cycle its tick counts
+        // allow and stops there.
+        let unbounded = sim.run(&mut memory, Hooks::default().cycle_limit(u64::MAX));
+        assert!(
+            matches!(unbounded, Err(SimError::StepLimit { .. })),
+            "{}: {unbounded:?}",
+            gpu.name
+        );
     }
     let elapsed = t0.elapsed();
     assert!(elapsed < Duration::from_secs(1), "took {elapsed:?}");
+}
+
+#[test]
+fn a_period_long_against_its_start_cycle_is_skipped() {
+    // Seed-1 campaign case 97, a GTX680 `table2:10` mutant, first
+    // confirms a 73,728-cycle period at cycle 221,095: two whole periods
+    // are left before the fuzzer's limit.
+    let case = campaign_cases(&CampaignConfig::default())[97];
+    assert_eq!((case.generation, case.seed.id()), (Generation::Kepler, "table2:10".into()));
+    let (seed, kernel, _) = mutant_kernel(&case, &[]).unwrap();
+    let sim = TimingSim::new(&GpuConfig::gtx680(), &kernel, seed.config, &[], 1).unwrap();
+    let run = |hooks: Hooks<'_>| {
+        let mut memory = GlobalMemory::new();
+        let result = sim.run(&mut memory, hooks.cycle_limit(FUZZ_CYCLE_LIMIT));
+        (format!("{result:?}"), memory_digest(&memory))
+    };
+    let (untraced, counters) = with_counter_scope(|| run(Hooks::default()));
+    assert!(untraced.0.starts_with("Err(StepLimit"), "{untraced:?}");
+    assert!(counters.skipped_cycles > 0, "{case:?} skipped nothing");
+    let never = CancelToken::new();
+    assert_eq!(untraced, run(Hooks::default().cancel(Some(&never))));
 }
 
 #[test]
