@@ -974,7 +974,9 @@ impl TimingSim {
     /// [`WarpState`]s, the scoreboards only if `full`.
     fn relative(&self, st: &RunState, cycle: u64, full: bool, out: &mut impl FnMut(u64)) {
         let next = cycle + 1;
-        [&st.ldst, &st.sp, &st.memif].iter().for_each(|p| out(p.ahead(next)));
+        for pipe in [&st.ldst, &st.sp, &st.memif] {
+            out(pipe.ahead(next));
+        }
         out(st.tokens);
         // The scheduler order repeats every `schedulers` cycles, Fermi's
         // half rate every two.
@@ -1346,8 +1348,9 @@ impl Recurrence {
             return;
         }
         let moved = rows(st, &self.regs).zip(then);
-        let delta = moved.map(|(now, then)| std::array::from_fn(|l| now[l].wrapping_sub(then[l])));
-        self.begin(sim, st, now, (cand.period, delta.collect()), Stage::Check, obs);
+        let delta = moved.map(|(a, b)| std::array::from_fn(|l| a[l].wrapping_sub(b[l])));
+        let measured = (cand.period, delta.collect());
+        self.begin(sim, st, now, measured, Stage::Check, obs);
     }
 
     /// Whether every register row the state holds is `want` again (in an

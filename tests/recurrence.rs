@@ -11,18 +11,18 @@ use peakperf::sass::{Operand, SpecialReg};
 use peakperf::sim::cancel::CHECK_INTERVAL_CYCLES;
 use peakperf::sim::exec::{step_warp, BlockCtx, MemCtx};
 use peakperf::sim::timing::{Hooks, Observer, TimingSim, TraceBuffer};
-use peakperf::sim::{CancelToken, Dim3, GlobalMemory, Gpu, HangSnapshot, LaunchConfig};
 use peakperf::sim::with_counter_scope;
+use peakperf::sim::{CancelToken, Dim3, GlobalMemory, Gpu, HangSnapshot, LaunchConfig};
 use peakperf::sim::{SimError, StepEvent, WarpHang, WarpState};
-use peakperf_bench::fault::{FUZZ_CYCLE_LIMIT, FUZZ_STEP_LIMIT};
 use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FuzzCase};
+use peakperf_bench::fault::{FUZZ_CYCLE_LIMIT, FUZZ_STEP_LIMIT};
 
 mod common;
 use common::{fnv64, FNV_OFFSET};
 
 /// Timing runs here stop after this many cycles: enough for the detector
-/// to find and skip periods in several binades, few enough for a debug
-/// build to simulate every cycle of the stepping reference runs.
+/// to find and skip periods, few enough for a debug build to simulate
+/// every cycle of the stepping reference runs.
 const CYCLE_LIMIT: u64 = 100_000;
 
 /// A digest of every mapped word of `memory`.
@@ -390,7 +390,10 @@ fn a_period_long_against_its_start_cycle_is_skipped() {
     // confirms a 73,728-cycle period at cycle 221,095: two whole periods
     // are left before the fuzzer's limit.
     let case = campaign_cases(&CampaignConfig::default())[97];
-    assert_eq!((case.generation, case.seed.id()), (Generation::Kepler, "table2:10".into()));
+    assert_eq!(
+        (case.generation, case.seed.id()),
+        (Generation::Kepler, "table2:10".into())
+    );
     let (seed, kernel, _) = mutant_kernel(&case, &[]).unwrap();
     let sim = TimingSim::new(&GpuConfig::gtx680(), &kernel, seed.config, &[], 1).unwrap();
     let run = |hooks: Hooks<'_>| {

@@ -1,9 +1,11 @@
 //! Integration tests for the observability subsystem (that tracing does
 //! not perturb timing is `observer_identity.rs`): stall attribution must
 //! account for every stall the report counts, the Chrome-trace export must stay byte-stable on a
-//! golden kernel, and the `StallKind` string/index views must stay in
+//! golden kernel, the `StallKind` string/index views must stay in
 //! sync (property-tested with the in-repo deterministic PRNG, in the
-//! style of `proptests.rs`).
+//! style of `proptests.rs`), and the issue events of traced fuzz mutants
+//! must never put more instructions on the SP pipe in a cycle than its
+//! SPs take.
 
 use peakperf::arch::{Generation, GpuConfig};
 use peakperf::kernels::microbench::math::{build_math_kernel, table2_patterns};
@@ -308,7 +310,12 @@ fn no_cycle_issues_more_sp_instructions_than_the_sps_take() {
             };
             let hooks = Hooks::observe(&mut sp).cycle_limit(FUZZ_CYCLE_LIMIT);
             let _ = sim.run(&mut GlobalMemory::new(), hooks);
-            assert!(sp.max <= cap, "{} mutant {i:03}: {} > {cap}", gpu.name, sp.max);
+            assert!(
+                sp.max <= cap,
+                "{} mutant {i:03}: {} > {cap}",
+                gpu.name,
+                sp.max
+            );
         }
     }
 }
