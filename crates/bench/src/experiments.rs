@@ -18,7 +18,7 @@ use peakperf_kernels::microbench::{math, mix, threads};
 use peakperf_kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
 use peakperf_regalloc::{analyze_ffma_conflicts, optimize_banks, SgemmPlan};
 use peakperf_sim::timing::time_kernel;
-use peakperf_sim::{GlobalMemory, SimError};
+use peakperf_sim::{GlobalMemory, LaunchConfig, SimError};
 
 use crate::exec::Executor;
 use crate::report::{f1, pct, Table};
@@ -71,13 +71,25 @@ pub fn sgemm_gflops(
         k: speed.cap_k(size),
     };
     let build = build_preset(gpu.generation, &problem, preset)?;
+    timed_gflops(gpu, &build.kernel, build.config, &problem)
+}
+
+/// Simulated GFLOPS of `kernel` launched under `config` on `problem`,
+/// timed on the zeroed operands of [`alloc_problem`].
+fn timed_gflops(
+    gpu: &GpuConfig,
+    kernel: &peakperf_sass::Kernel,
+    config: LaunchConfig,
+    problem: &SgemmProblem,
+) -> Result<f64, SimError> {
     let mut memory = GlobalMemory::new();
-    let (a, b, c) = alloc_problem(&mut memory, &problem)?;
+    let (a, b, c) = alloc_problem(&mut memory, problem)?;
+    let params = [a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
     let timing = time_kernel(
         gpu,
-        &build.kernel,
-        build.config,
-        &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
+        kernel,
+        config,
+        &params,
         &mut memory,
         Some(problem.flops()),
     )?;
@@ -659,21 +671,9 @@ pub fn optimizer() -> Result<String, SimError> {
         message: e.to_string(),
     })?;
 
-    let time = |kernel: &peakperf_sass::Kernel| -> Result<f64, SimError> {
-        let mut memory = GlobalMemory::new();
-        let (a, b, c) = alloc_problem(&mut memory, &problem)?;
-        Ok(time_kernel(
-            &gpu,
-            kernel,
-            build.config,
-            &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
-            &mut memory,
-            Some(problem.flops()),
-        )?
-        .gflops)
-    };
     let kernels = [&build.kernel, &rewritten.kernel];
-    let timed = Executor::auto().try_map(&kernels, |k| time(k))?;
+    let timed =
+        Executor::auto().try_map(&kernels, |k| timed_gflops(&gpu, k, build.config, &problem))?;
     let (before_gf, after_gf) = (timed[0], timed[1]);
 
     let mut t = Table::new(

@@ -17,10 +17,10 @@
 use std::fmt::Write as _;
 
 use peakperf_sim::perfmon::{HostProf, Phase};
-use peakperf_sim::timing::{Hooks, TimingSim};
+use peakperf_sim::timing::Hooks;
 use peakperf_sim::{ensure, obj, Json, SimError};
 
-use crate::profiling::{self, PreparedTarget};
+use crate::profiling;
 use crate::report::envelope;
 
 /// The result of host-profiling one target.
@@ -34,28 +34,17 @@ pub struct HostProfOutcome {
     pub json: Json,
 }
 
-/// Every target `reproduce hostprof` accepts — the same named set as
-/// `reproduce profile`, so the two reports line up target for target.
-pub fn targets() -> &'static [profiling::ProfileTarget] {
-    &profiling::TARGETS
-}
-
 /// Run one named target under the host profiler.
 ///
 /// # Errors
 ///
 /// Unknown target names and simulation failures.
 pub fn run_target(name: &str) -> Result<HostProfOutcome, SimError> {
-    let mut prepared: PreparedTarget = profiling::prepare(name)?;
-    let sim = TimingSim::new(
-        &prepared.gpu,
-        &prepared.kernel,
-        prepared.config,
-        &prepared.params,
-        prepared.resident,
-    )?;
+    let mut prepared = profiling::prepare(name)?;
     let mut probe = HostProf::new();
-    let report = sim.run(&mut prepared.memory, Hooks::observe(&mut probe))?;
+    let report = prepared
+        .sim
+        .run(&mut prepared.memory, Hooks::observe(&mut probe))?;
     let text = render_text(name, prepared.gpu.name, &probe, &report);
     let json = render_json(name, prepared.gpu.name, &probe, &report);
     Ok(HostProfOutcome {

@@ -19,58 +19,75 @@
 
 use std::fmt::Write as _;
 
-use peakperf_arch::GpuConfig;
+use peakperf_arch::{Generation, GpuConfig};
 use peakperf_bound::UpperBoundModel;
-use peakperf_kernels::microbench::math::{build_math_kernel, table2_patterns, MathPattern};
+use peakperf_kernels::microbench::math::{math_kernel, table2_patterns};
+use peakperf_kernels::microbench::{saturating_launch, throughput_of};
 use peakperf_kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
 use peakperf_sass::Kernel;
 use peakperf_sim::timing::{
-    chrome_trace, Hooks, Profile, ProfileBuilder, StallKind, TimingSim, TraceBuffer,
+    chrome_trace, resident_blocks, Hooks, Profile, ProfileBuilder, StallKind, TimingReport,
+    TimingSim, TraceBuffer,
 };
 use peakperf_sim::{ensure, obj, CancelToken, GlobalMemory, Json, LaunchConfig, SimError};
 
 use crate::experiments::TABLE2_PAPER;
 use crate::report::envelope;
 
+/// What a profile target runs, and what its rate is measured against.
+#[derive(Debug, Clone, Copy)]
+enum Workload {
+    /// A Table 2 row (its index in `table2_patterns()`), the very run
+    /// `measure_math` reports; its rate is thread instructions per cycle
+    /// of the row's mnemonic, against `bound`.
+    Table2 { row: usize, bound: f64 },
+    /// The assembly-optimized SGEMM NN at [`SGEMM_PROFILE_SIZE`]³, one
+    /// resident wave on one SM, against the SGEMM upper bound.
+    Sgemm,
+}
+
 /// A named profiling target.
 #[derive(Debug, Clone, Copy)]
 pub struct ProfileTarget {
     /// Subcommand-level name (`reproduce profile <name>`).
     pub name: &'static str,
-    /// One-line description for `--help` and the report header.
-    pub description: &'static str,
+    /// The paper GPU it runs on.
+    generation: Generation,
+    workload: Workload,
 }
 
-/// Every target `reproduce profile` accepts.
+const fn table2(
+    name: &'static str,
+    generation: Generation,
+    row: usize,
+    bound: f64,
+) -> ProfileTarget {
+    ProfileTarget {
+        name,
+        generation,
+        workload: Workload::Table2 { row, bound },
+    }
+}
+
+const fn sgemm(name: &'static str, generation: Generation) -> ProfileTarget {
+    ProfileTarget {
+        name,
+        generation,
+        workload: Workload::Sgemm,
+    }
+}
+
+/// Every target `reproduce profile` and `reproduce hostprof` accept.
+/// Table 2 row indices follow `table2_patterns()`.
 pub const TARGETS: [ProfileTarget; 7] = [
-    ProfileTarget {
-        name: "table2_ffma",
-        description: "Kepler FFMA R0,R1,R4,R5 (distinct banks; Table 2 row, paper 132.0)",
-    },
-    ProfileTarget {
-        name: "table2_ffma_2way",
-        description: "Kepler FFMA R0,R1,R3,R5 (2-way bank conflict; paper 66.2)",
-    },
-    ProfileTarget {
-        name: "table2_ffma_3way",
-        description: "Kepler FFMA R0,R1,R3,R9 (3-way bank conflict; paper 44.2)",
-    },
-    ProfileTarget {
-        name: "table2_imad",
-        description: "Kepler IMAD R0,R1,R4,R5 (integer pipe ceiling; paper 33.1)",
-    },
-    ProfileTarget {
-        name: "fermi_ffma",
-        description: "Fermi FFMA R0,R1,R4,R5 (one warp inst/cycle issue ceiling)",
-    },
-    ProfileTarget {
-        name: "sgemm_fermi",
-        description: "GTX580 assembly-optimized SGEMM NN, one resident wave on one SM",
-    },
-    ProfileTarget {
-        name: "sgemm_kepler",
-        description: "GTX680 assembly-optimized SGEMM NN, one resident wave on one SM",
-    },
+    table2("table2_ffma", Generation::Kepler, 7, 132.0),
+    table2("table2_ffma_2way", Generation::Kepler, 8, 66.0),
+    table2("table2_ffma_3way", Generation::Kepler, 9, 44.0),
+    table2("table2_imad", Generation::Kepler, 17, 33.2),
+    // Fermi issues one warp instruction per shader cycle per SM.
+    table2("fermi_ffma", Generation::Fermi, 7, 32.0),
+    sgemm("sgemm_fermi", Generation::Fermi),
+    sgemm("sgemm_kepler", Generation::Kepler),
 ];
 
 /// Matrix size for the SGEMM profiling targets: a multiple of both the
@@ -112,6 +129,8 @@ pub struct ProfileOutcome {
     pub json: Json,
     /// Chrome trace-event JSON, when a trace was requested.
     pub chrome: Option<String>,
+    /// The profiled run's timing report.
+    pub report: TimingReport,
 }
 
 /// Run one named target under the profiler.
@@ -133,142 +152,104 @@ pub fn run_target(
     capture_trace: bool,
     cancel: Option<&CancelToken>,
 ) -> Result<ProfileOutcome, SimError> {
-    let mut prepared = prepare(name)?;
-    let sim = TimingSim::new(
-        &prepared.gpu,
-        &prepared.kernel,
-        prepared.config,
-        &prepared.params,
-        prepared.resident,
-    )?;
-    let memory = &mut prepared.memory;
+    let PreparedTarget {
+        gpu,
+        kernel,
+        sim,
+        mut memory,
+        basis,
+    } = prepare(name)?;
     let mut builder = ProfileBuilder::new();
     let (report, buffer) = if capture_trace {
         let mut buffer = TraceBuffer::new();
         let hooks = Hooks::observe((&mut buffer, &mut builder)).cancel(cancel);
-        (sim.run(memory, hooks)?, Some(buffer))
+        (sim.run(&mut memory, hooks)?, Some(buffer))
     } else {
         let hooks = Hooks::observe(&mut builder).cancel(cancel);
-        (sim.run(memory, hooks)?, None)
+        (sim.run(&mut memory, hooks)?, None)
     };
-    let profile = builder.finish(&prepared.kernel, &report);
+    let profile = builder.finish(&kernel, &report);
 
-    let gap = decompose_gap(&prepared.basis, &report, &profile);
-    let text = render_text(name, &prepared, &gap, &profile);
-    let json = render_json(name, prepared.gpu.name, &gap, &profile);
-    let chrome =
-        buffer.map(|b| chrome_trace(&b, &prepared.kernel, prepared.gpu.warp_schedulers_per_sm));
+    let gap = decompose_gap(&basis, &report, &profile);
+    let text = render_text(name, gpu.name, &gap, &profile);
+    let json = render_json(name, gpu.name, &gap, &profile);
+    let chrome = buffer.map(|b| chrome_trace(&b, &kernel, gpu.warp_schedulers_per_sm));
     Ok(ProfileOutcome {
-        gpu: prepared.gpu.name,
+        gpu: gpu.name,
         text,
         json,
         chrome,
+        report,
     })
 }
 
+/// A target ready to run: its simulator, the memory it runs on, and what
+/// its rate is measured against.
 pub(crate) struct PreparedTarget {
     pub(crate) gpu: GpuConfig,
     pub(crate) kernel: Kernel,
-    pub(crate) config: LaunchConfig,
-    pub(crate) params: Vec<u32>,
-    pub(crate) resident: u32,
+    pub(crate) sim: TimingSim,
     pub(crate) memory: GlobalMemory,
     basis: RateBasis,
 }
 
-fn math_target(
-    gpu: GpuConfig,
-    pattern: &MathPattern,
-    basis: RateBasis,
-) -> Result<PreparedTarget, SimError> {
-    // Mirror `measure_math`'s launch shape so the profiled run is the same
-    // run Table 2 reports.
-    let kernel = build_math_kernel(gpu.generation, pattern, 256, 12)?;
-    let threads = 1024.min(gpu.max_threads_per_block);
-    let blocks = (gpu.max_threads_per_sm / threads).clamp(1, 2);
+/// Build the simulator of the target `name`.
+///
+/// # Errors
+///
+/// Unknown target names, and build or launch failures.
+pub(crate) fn prepare(name: &str) -> Result<PreparedTarget, SimError> {
+    let target = TARGETS
+        .iter()
+        .find(|t| t.name == name)
+        .ok_or_else(|| SimError::Launch {
+            message: format!(
+                "unknown profile target `{name}`; known: {}",
+                TARGETS.map(|t| t.name).join(" ")
+            ),
+        })?;
+    let gpu = GpuConfig::preset(target.generation);
+    let mut memory = GlobalMemory::new();
+    let (kernel, config, params, resident, basis) = match target.workload {
+        Workload::Table2 { row, bound } => {
+            let pattern = table2_patterns()[row];
+            let (threads, blocks) = saturating_launch(&gpu);
+            let basis = RateBasis::ThreadIpc {
+                mnemonic: pattern.op.mnemonic(),
+                bound,
+                // Table 2 is the paper's GTX680 measurement.
+                paper: (gpu.generation == Generation::Kepler).then_some(TABLE2_PAPER[row]),
+            };
+            let kernel = math_kernel(gpu.generation, &pattern)?;
+            let config = LaunchConfig::linear(blocks, threads);
+            (kernel, config, Vec::new(), blocks, basis)
+        }
+        Workload::Sgemm => {
+            let problem = SgemmProblem::square(Variant::NN, SGEMM_PROFILE_SIZE);
+            let build = build_preset(gpu.generation, &problem, Preset::AsmOpt)?;
+            let (a, b, c) = alloc_problem(&mut memory, &problem)?;
+            let params = vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
+            let (_, resident) = resident_blocks(&gpu, &build.kernel, build.config)?;
+            let model = UpperBoundModel::new(&gpu);
+            // Per-SM flops per shader cycle at the bound.
+            let peak_fpc = gpu.theoretical_peak_gflops() * 1e9
+                / (f64::from(gpu.num_sms) * gpu.shader_clock_mhz * 1e6);
+            let paper = peakperf_bound::paper_reference(gpu.generation).achieved_fraction;
+            let basis = RateBasis::Flops {
+                bound: model.best_sgemm_bound().fraction_of_peak * peak_fpc,
+                paper: Some(paper * peak_fpc),
+            };
+            (build.kernel, build.config, params, resident, basis)
+        }
+    };
+    let sim = TimingSim::new(&gpu, &kernel, config, &params, resident)?;
     Ok(PreparedTarget {
         gpu,
         kernel,
-        config: LaunchConfig::linear(blocks, threads),
-        params: Vec::new(),
-        resident: blocks,
-        memory: GlobalMemory::new(),
+        sim,
+        memory,
         basis,
     })
-}
-
-fn sgemm_target(gpu: GpuConfig) -> Result<PreparedTarget, SimError> {
-    let problem = SgemmProblem {
-        variant: Variant::NN,
-        m: SGEMM_PROFILE_SIZE,
-        n: SGEMM_PROFILE_SIZE,
-        k: SGEMM_PROFILE_SIZE,
-    };
-    let build = build_preset(gpu.generation, &problem, Preset::AsmOpt)?;
-    let mut memory = GlobalMemory::new();
-    let (a, b, c) = alloc_problem(&mut memory, &problem)?;
-    let threads = build.config.threads_per_block();
-    let occ = gpu
-        .occupancy()
-        .occupancy(build.kernel.num_regs, build.kernel.shared_bytes, threads)
-        .ok_or_else(|| SimError::Launch {
-            message: format!("SGEMM kernel does not fit on {}", gpu.name),
-        })?;
-    let resident = (build
-        .config
-        .total_blocks()
-        .min(u64::from(occ.blocks_per_sm))) as u32;
-    let model = UpperBoundModel::new(&gpu);
-    let bound_est = model.best_sgemm_bound();
-    // Per-SM flops per shader cycle at the bound.
-    let peak_fpc =
-        gpu.theoretical_peak_gflops() * 1e9 / (f64::from(gpu.num_sms) * gpu.shader_clock_mhz * 1e6);
-    let paper_fraction = peakperf_bound::paper_reference(gpu.generation).achieved_fraction;
-    Ok(PreparedTarget {
-        gpu,
-        kernel: build.kernel,
-        config: build.config,
-        params: vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
-        resident,
-        memory,
-        basis: RateBasis::Flops {
-            bound: bound_est.fraction_of_peak * peak_fpc,
-            paper: Some(paper_fraction * peak_fpc),
-        },
-    })
-}
-
-pub(crate) fn prepare(name: &str) -> Result<PreparedTarget, SimError> {
-    let patterns = table2_patterns();
-    let ipc = |mnemonic, bound, paper| RateBasis::ThreadIpc {
-        mnemonic,
-        bound,
-        paper,
-    };
-    let row = |index: usize, mnemonic, bound| {
-        math_target(
-            GpuConfig::gtx680(),
-            &patterns[index],
-            ipc(mnemonic, bound, Some(TABLE2_PAPER[index])),
-        )
-    };
-    match name {
-        // Row indices follow `table2_patterns()` / Table 2 row order.
-        "table2_ffma" => row(7, "FFMA", 132.0),
-        "table2_ffma_2way" => row(8, "FFMA", 66.0),
-        "table2_ffma_3way" => row(9, "FFMA", 44.0),
-        "table2_imad" => row(17, "IMAD", 33.2),
-        // Fermi issues one warp instruction per shader cycle per SM.
-        "fermi_ffma" => math_target(GpuConfig::gtx580(), &patterns[7], ipc("FFMA", 32.0, None)),
-        "sgemm_fermi" => sgemm_target(GpuConfig::gtx580()),
-        "sgemm_kepler" => sgemm_target(GpuConfig::gtx680()),
-        other => Err(SimError::Launch {
-            message: format!(
-                "unknown profile target `{other}`; known: {}",
-                TARGETS.iter().map(|t| t.name).collect::<Vec<_>>().join(" ")
-            ),
-        }),
-    }
 }
 
 /// One attributed share of the bound-vs-achieved gap.
@@ -298,17 +279,13 @@ pub struct GapDecomposition {
     pub shares: Vec<GapShare>,
 }
 
-fn decompose_gap(
-    basis: &RateBasis,
-    report: &peakperf_sim::timing::TimingReport,
-    profile: &Profile,
-) -> GapDecomposition {
+fn decompose_gap(basis: &RateBasis, report: &TimingReport, profile: &Profile) -> GapDecomposition {
     let cycles = report.cycles.max(1) as f64;
     let (achieved, paper, overhead) = match basis {
         RateBasis::ThreadIpc {
             mnemonic, paper, ..
         } => {
-            let measured = report.mix.count_prefix(mnemonic) as f64 * 32.0 / cycles;
+            let measured = throughput_of(report, mnemonic);
             let total = report.thread_instructions as f64 / cycles;
             // Issue slots spent on instructions other than the measured
             // stream (loop control: IADD/ISETP/BRA) are throughput the
@@ -358,14 +335,9 @@ fn decompose_gap(
     }
 }
 
-fn render_text(
-    name: &str,
-    prepared: &PreparedTarget,
-    gap: &GapDecomposition,
-    profile: &Profile,
-) -> String {
+fn render_text(name: &str, gpu: &str, gap: &GapDecomposition, profile: &Profile) -> String {
     let mut out = String::new();
-    let _ = writeln!(out, "== profile: {name} ({}) ==", prepared.gpu.name);
+    let _ = writeln!(out, "== profile: {name} ({gpu}) ==");
     let _ = writeln!(
         out,
         "bound    {:>8.1} {}{}",

@@ -5,7 +5,8 @@
 //! that could be used by the auto-tuning tool". This module implements that
 //! proposal: a declarative [`MixSpec`] describes an instruction mix
 //! (components, dependence structure), [`generate`] turns it into a kernel,
-//! and [`ThroughputDb`] measures and caches the whole family for a GPU.
+//! [`measure_spec`] measures it, and [`ThroughputDb`] holds the measured
+//! family.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -16,7 +17,7 @@ use peakperf_sass::{
 };
 use peakperf_sim::SimError;
 
-use super::run_on_sm;
+use super::{run_on_sm, saturating_launch};
 
 /// One component of an instruction mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -194,8 +195,7 @@ pub struct Reference {
     pub threads: u32,
 }
 
-/// Measure a spec on a GPU (uncached — [`ThroughputDb::measure`] adds the
-/// memoization layer).
+/// Measure a spec on a GPU under the saturating launch.
 ///
 /// # Errors
 ///
@@ -204,8 +204,7 @@ pub fn measure_spec(gpu: &GpuConfig, spec: &MixSpec) -> Result<Reference, SimErr
     // Enough groups that the loop overhead (3 instructions) is noise.
     let groups = (120 / spec.group_len().max(1)).max(4);
     let kernel = generate(gpu.generation, spec, groups, 12)?;
-    let threads = 1024.min(gpu.max_threads_per_block);
-    let blocks = (gpu.max_threads_per_sm / threads).clamp(1, 2);
+    let (threads, blocks) = saturating_launch(gpu);
     let report = run_on_sm(gpu, &kernel, threads, blocks)?;
     let useful = report.mix.count("FFMA")
         + report.mix.count("IADD")
@@ -217,10 +216,9 @@ pub fn measure_spec(gpu: &GpuConfig, spec: &MixSpec) -> Result<Reference, SimErr
     })
 }
 
-/// The standard family [`ThroughputDb::populate_standard`] measures: pure
-/// streams of every component plus the FFMA/LDS mixes the SGEMM analysis
-/// needs. Exposed so callers can fan the measurements out in parallel and
-/// [`ThroughputDb::insert`] the results.
+/// The standard family: pure streams of every component plus the FFMA/LDS
+/// mixes the SGEMM analysis needs. Callers fan the measurements out in
+/// parallel and [`ThroughputDb::insert`] the results.
 pub fn standard_specs() -> Vec<MixSpec> {
     let mut specs: Vec<MixSpec> = [
         Component::Ffma,
@@ -244,7 +242,8 @@ pub fn standard_specs() -> Vec<MixSpec> {
 }
 
 /// The database of performance references the Section 5.5 auto-tuner would
-/// consult.
+/// consult, keyed `gpu/spec` and iterated in key order. It holds what it is
+/// given: [`measure_spec`] measures, and the timing cache memoizes.
 #[derive(Debug, Clone, Default)]
 pub struct ThroughputDb {
     entries: BTreeMap<String, Reference>,
@@ -256,48 +255,10 @@ impl ThroughputDb {
         ThroughputDb::default()
     }
 
-    /// Number of cached references.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the database is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Measure a spec on a GPU (or return the cached reference).
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn measure(&mut self, gpu: &GpuConfig, spec: &MixSpec) -> Result<Reference, SimError> {
-        let key = format!("{}/{}", gpu.name, spec.label());
-        if let Some(r) = self.entries.get(&key) {
-            return Ok(r.clone());
-        }
-        let reference = measure_spec(gpu, spec)?;
-        self.entries.insert(key, reference.clone());
-        Ok(reference)
-    }
-
-    /// Insert a reference measured elsewhere (e.g. by [`measure_spec`] on a
-    /// worker thread) under the standard `gpu/spec` key.
+    /// Insert a reference under the `gpu/spec` key.
     pub fn insert(&mut self, gpu: &GpuConfig, spec: &MixSpec, reference: Reference) {
         self.entries
             .insert(format!("{}/{}", gpu.name, spec.label()), reference);
-    }
-
-    /// Populate the standard family ([`standard_specs`]) for one GPU.
-    ///
-    /// # Errors
-    ///
-    /// Propagates simulation errors.
-    pub fn populate_standard(&mut self, gpu: &GpuConfig) -> Result<(), SimError> {
-        for spec in standard_specs() {
-            self.measure(gpu, &spec)?;
-        }
-        Ok(())
     }
 
     /// Iterate over `(key, reference)` pairs in order.
@@ -319,21 +280,9 @@ mod tests {
     }
 
     #[test]
-    fn database_caches() {
-        let gpu = GpuConfig::gtx580();
-        let mut db = ThroughputDb::new();
-        let spec = MixSpec::pure(Component::Ffma);
-        let a = db.measure(&gpu, &spec).unwrap();
-        let b = db.measure(&gpu, &spec).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(db.len(), 1);
-    }
-
-    #[test]
     fn pure_ffma_matches_direct_microbenchmark() {
         let gpu = GpuConfig::gtx580();
-        let mut db = ThroughputDb::new();
-        let r = db.measure(&gpu, &MixSpec::pure(Component::Ffma)).unwrap();
+        let r = measure_spec(&gpu, &MixSpec::pure(Component::Ffma)).unwrap();
         assert!(
             (26.0..=32.5).contains(&r.throughput),
             "Fermi pure FFMA: {}",
@@ -344,26 +293,11 @@ mod tests {
     #[test]
     fn conflicted_ffma_is_slower_on_kepler() {
         let gpu = GpuConfig::gtx680();
-        let mut db = ThroughputDb::new();
-        let free = db.measure(&gpu, &MixSpec::pure(Component::Ffma)).unwrap();
-        let two = db
-            .measure(&gpu, &MixSpec::pure(Component::FfmaConflicted(2)))
-            .unwrap();
-        let three = db
-            .measure(&gpu, &MixSpec::pure(Component::FfmaConflicted(3)))
-            .unwrap();
+        let measure = |c| measure_spec(&gpu, &MixSpec::pure(c)).unwrap();
+        let free = measure(Component::Ffma);
+        let two = measure(Component::FfmaConflicted(2));
+        let three = measure(Component::FfmaConflicted(3));
         assert!(free.throughput > 1.7 * two.throughput);
         assert!(two.throughput > 1.2 * three.throughput);
-    }
-
-    #[test]
-    fn standard_family_populates() {
-        let gpu = GpuConfig::gtx580();
-        let mut db = ThroughputDb::new();
-        db.populate_standard(&gpu).unwrap();
-        assert!(db.len() >= 17);
-        for (key, r) in db.iter() {
-            assert!(r.throughput > 0.0, "{key} has zero throughput");
-        }
     }
 }

@@ -14,7 +14,7 @@ use peakperf_sass::{
 };
 use peakperf_sim::SimError;
 
-use super::{run_on_sm, throughput_of};
+use super::{run_on_sm, saturating_launch, throughput_of};
 
 /// One row of Table 2: a math instruction with concrete operand registers.
 ///
@@ -157,6 +157,19 @@ pub fn build_math_kernel(
     b.finish().map_err(SimError::from)
 }
 
+/// The kernel [`measure_math`] times for `pattern`.
+///
+/// # Errors
+///
+/// Propagates builder failures.
+pub fn math_kernel(generation: Generation, pattern: &MathPattern) -> Result<Kernel, SimError> {
+    // 256 instances per iteration keeps the loop-control overhead (three
+    // unannotated tail instructions) close to 1%, so the conflict-free
+    // patterns can approach their issue ceilings; 12 iterations keeps the
+    // total instruction count the same as the previous 128x24 shape.
+    build_math_kernel(generation, pattern, 256, 12)
+}
+
 /// One measured row: the pattern and its thread-instruction throughput per
 /// shader cycle per SM.
 #[derive(Debug, Clone)]
@@ -173,13 +186,8 @@ pub struct MathThroughput {
 ///
 /// Propagates simulation errors.
 pub fn measure_math(gpu: &GpuConfig, pattern: &MathPattern) -> Result<MathThroughput, SimError> {
-    // 256 instances per iteration keeps the loop-control overhead (three
-    // unannotated tail instructions) close to 1%, so the conflict-free
-    // patterns can approach their issue ceilings; 12 iterations keeps the
-    // total instruction count the same as the previous 128x24 shape.
-    let kernel = build_math_kernel(gpu.generation, pattern, 256, 12)?;
-    let threads = 1024.min(gpu.max_threads_per_block);
-    let blocks = (gpu.max_threads_per_sm / threads).clamp(1, 2);
+    let kernel = math_kernel(gpu.generation, pattern)?;
+    let (threads, blocks) = saturating_launch(gpu);
     let report = run_on_sm(gpu, &kernel, threads, blocks)?;
     Ok(MathThroughput {
         pattern: *pattern,

@@ -6,7 +6,7 @@ use peakperf_sass::{
 };
 use peakperf_sim::SimError;
 
-use super::run_on_sm;
+use super::{run_on_sm, saturating_launch};
 
 /// Build the mix kernel: each loop iteration contains `groups` repetitions
 /// of (`ratio` independent FFMAs + one LDS of `width`), with conflict-free
@@ -87,8 +87,7 @@ pub struct MixPoint {
 /// Propagates simulation errors.
 pub fn measure_mix(gpu: &GpuConfig, ratio: u32, width: LdsWidth) -> Result<MixPoint, SimError> {
     let kernel = build_mix_kernel(gpu.generation, ratio, width, 12, 16)?;
-    let threads = 1024.min(gpu.max_threads_per_block);
-    let blocks = (gpu.max_threads_per_sm / threads).clamp(1, 2);
+    let (threads, blocks) = saturating_launch(gpu);
     let report = run_on_sm(gpu, &kernel, threads, blocks)?;
     let useful = report.mix.count("FFMA") + report.mix.count_prefix("LDS");
     Ok(MixPoint {

@@ -51,6 +51,14 @@ pub fn run_on_sm(
     run_cached(&sim, &mut memory)
 }
 
+/// The launch every throughput microbenchmark saturates one SM with, as
+/// `(threads, blocks)`: blocks of 1024 threads (or the GPU's largest
+/// block), as many as the SM holds, but at most two.
+pub fn saturating_launch(gpu: &GpuConfig) -> (u32, u32) {
+    let threads = 1024.min(gpu.max_threads_per_block);
+    (threads, (gpu.max_threads_per_sm / threads).clamp(1, 2))
+}
+
 /// Thread-instruction throughput (per shader cycle per SM) of the
 /// instructions whose mnemonic starts with `prefix`, excluding loop
 /// overhead.

@@ -53,6 +53,33 @@ pub struct GpuTiming {
     pub gflops: f64,
 }
 
+/// The blocks of `config`'s launch one SM holds, as `(blocks_per_sm,
+/// resident)`: the occupancy limit of the kernel's registers, shared
+/// memory and block size, and the blocks its first wave simulates (that
+/// limit, capped by the grid).
+///
+/// # Errors
+///
+/// [`SimError::Launch`] when not even one block fits on an SM.
+pub fn resident_blocks(
+    gpu: &GpuConfig,
+    kernel: &Kernel,
+    config: LaunchConfig,
+) -> Result<(u32, u32), SimError> {
+    let threads = config.threads_per_block();
+    let occ = gpu
+        .occupancy()
+        .occupancy(kernel.num_regs, kernel.shared_bytes, threads)
+        .ok_or_else(|| SimError::Launch {
+            message: format!(
+                "kernel `{}` ({} regs, {} B shared, {} threads) does not fit on {}",
+                kernel.name, kernel.num_regs, kernel.shared_bytes, threads, gpu.name
+            ),
+        })?;
+    let resident = config.total_blocks().min(u64::from(occ.blocks_per_sm)) as u32;
+    Ok((occ.blocks_per_sm, resident))
+}
+
 /// Time a kernel launch on `config`'s GPU.
 ///
 /// Simulates one resident wave of blocks on a single SM cycle by cycle and
@@ -83,22 +110,11 @@ pub fn time_kernel(
     memory: &mut crate::GlobalMemory,
     flops_override: Option<u64>,
 ) -> Result<GpuTiming, SimError> {
-    let threads = config.threads_per_block();
-    let occ = gpu
-        .occupancy()
-        .occupancy(kernel.num_regs, kernel.shared_bytes, threads)
-        .ok_or_else(|| SimError::Launch {
-            message: format!(
-                "kernel `{}` ({} regs, {} B shared, {} threads) does not fit on {}",
-                kernel.name, kernel.num_regs, kernel.shared_bytes, threads, gpu.name
-            ),
-        })?;
-    let blocks_per_sm = occ.blocks_per_sm;
+    let (blocks_per_sm, resident) = resident_blocks(gpu, kernel, config)?;
     let total_blocks = config.total_blocks();
     let wave_capacity = u64::from(blocks_per_sm) * u64::from(gpu.num_sms);
     let waves = total_blocks.div_ceil(wave_capacity).max(1);
 
-    let resident = (total_blocks.min(u64::from(blocks_per_sm))) as u32;
     let sim = TimingSim::new(gpu, kernel, config, params, resident)?;
     let report = cache::run_cached(&sim, memory)?;
 
