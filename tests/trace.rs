@@ -5,18 +5,21 @@
 //! sync (property-tested with the in-repo deterministic PRNG, in the
 //! style of `proptests.rs`), and the issue events of traced fuzz mutants
 //! must never put more instructions on the SP pipe in a cycle than its
-//! SPs take.
+//! SPs take. A profile target's run is the run its table reports.
 
 use peakperf::arch::{Generation, GpuConfig};
-use peakperf::kernels::microbench::math::{build_math_kernel, table2_patterns};
+use peakperf::kernels::microbench::math::{build_math_kernel, measure_math, table2_patterns};
+use peakperf::kernels::microbench::throughput_of;
 use peakperf::kernels::rng::Rng;
+use peakperf::kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
 use peakperf::sass::{CtlInfo, Kernel, KernelBuilder, OpClass, Operand, Reg};
 use peakperf::sim::timing::{
-    chrome_trace, Hooks, Observer, Profile, ProfileBuilder, StallKind, TimingReport, TimingSim,
-    TraceBuffer, TraceEvent, TraceEventKind,
+    chrome_trace, time_kernel, Hooks, Observer, Profile, ProfileBuilder, StallKind, TimingReport,
+    TimingSim, TraceBuffer, TraceEvent, TraceEventKind,
 };
-use peakperf::sim::{GlobalMemory, LaunchConfig};
+use peakperf::sim::{GlobalMemory, Json, LaunchConfig};
 use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FUZZ_CYCLE_LIMIT};
+use peakperf_bench::profiling::{run_target, TARGETS};
 
 // ---------------------------------------------------------------------
 // Helpers
@@ -317,5 +320,44 @@ fn no_cycle_issues_more_sp_instructions_than_the_sps_take() {
                 sp.max
             );
         }
+    }
+}
+
+#[test]
+fn profile_targets_run_what_the_tables_report() {
+    // Each Table 2 or Fermi target's run achieves, bit for bit, the
+    // throughput `measure_math` reports for its row; each SGEMM target simulates the
+    // wave `time_kernel` times at 576³.
+    let (fermi, kepler) = (GpuConfig::gtx580(), GpuConfig::gtx680());
+    let rows = [
+        ("table2_ffma", &kepler, 7),
+        ("table2_ffma_2way", &kepler, 8),
+        ("table2_ffma_3way", &kepler, 9),
+        ("table2_imad", &kepler, 17),
+        ("fermi_ffma", &fermi, 7),
+    ];
+    let sgemms = [("sgemm_fermi", &fermi), ("sgemm_kepler", &kepler)];
+    let mut names: Vec<&str> = rows.iter().map(|r| r.0).collect();
+    names.extend(sgemms.iter().map(|s| s.0));
+    assert_eq!(names, TARGETS.map(|t| t.name));
+
+    let patterns = table2_patterns();
+    for (name, gpu, row) in rows {
+        let profiled = run_target(name, false, None).unwrap();
+        let table = measure_math(gpu, &patterns[row]).unwrap().throughput;
+        let achieved = throughput_of(&profiled.report, patterns[row].op.mnemonic());
+        assert_eq!(achieved.to_bits(), table.to_bits(), "{name}");
+        // The document's `achieved` is the same number, rounded.
+        assert_eq!(profiled.json["achieved"], Json::from(table), "{name}");
+    }
+    for (name, gpu) in sgemms {
+        let problem = SgemmProblem::square(Variant::NN, 576);
+        let build = build_preset(gpu.generation, &problem, Preset::AsmOpt).unwrap();
+        let mut memory = GlobalMemory::new();
+        let (a, b, c) = alloc_problem(&mut memory, &problem).unwrap();
+        let params = [a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
+        let timed = time_kernel(gpu, &build.kernel, build.config, &params, &mut memory, None);
+        let report = run_target(name, false, None).unwrap().report;
+        assert_eq!(report, timed.unwrap().sm, "{name}");
     }
 }
