@@ -450,69 +450,100 @@ fn exit_code(failures: u32) -> ExitCode {
     }
 }
 
-/// Run the `profile` subcommand: each target simulates under the tracer,
-/// prints its gap decomposition + profile, and contributes a
-/// `peakperf-profile-v1` object to `--json`.
-fn run_profiles(opts: &Options) -> ExitCode {
+/// What one experiment, profile or hostprof target printed, and what it
+/// adds to the subcommand's document: its entry with the GPU it ran on,
+/// and a profile's Chrome trace.
+struct Ran {
+    text: String,
+    entry: Option<(&'static str, Json)>,
+    chrome: Option<String>,
+}
+
+impl Ran {
+    fn text(text: String) -> Ran {
+        Ran {
+            text,
+            entry: None,
+            chrome: None,
+        }
+    }
+}
+
+/// Run the listed experiments, or the `profile` or `hostprof` targets.
+/// Each prints its text to stdout and a `[<name> done in <wall>]` line
+/// (`[profile:<name> ...]`, `[hostprof:<name> ...]`) to stderr; `--json`
+/// collects the targets' entries into one document and `--trace-out`
+/// writes the profiled target's trace.
+fn run_named(opts: &Options) -> ExitCode {
+    let tag = match opts.mode {
+        Mode::Profile => "profile:",
+        Mode::Hostprof => "hostprof:",
+        _ => "",
+    };
+    let run = |name: &str| -> Result<Ran, String> {
+        let fail = |e: peakperf_sim::SimError| e.to_string();
+        Ok(match opts.mode {
+            Mode::Profile => {
+                let out =
+                    profiling::run_target(name, opts.trace_out.is_some(), None).map_err(fail)?;
+                Ran {
+                    text: out.text,
+                    entry: Some((out.gpu, out.json)),
+                    chrome: out.chrome,
+                }
+            }
+            Mode::Hostprof => {
+                let out = hostprof::run_target(name).map_err(fail)?;
+                Ran {
+                    entry: Some((out.gpu, out.json)),
+                    ..Ran::text(out.text)
+                }
+            }
+            _ => Ran::text(run_one(name)?),
+        })
+    };
     let mut failures = 0u32;
-    let mut profile_jsons: Vec<Json> = Vec::new();
-    let mut profile_gpus: Vec<&'static str> = Vec::new();
+    let (mut entries, mut gpus) = (Vec::new(), Vec::new());
     for name in &opts.names {
         let t0 = Instant::now();
-        let want_trace = opts.trace_out.is_some();
-        // Panic boundary: a crashing profile target is reported and
-        // flips the exit code instead of tearing down the whole run.
-        let outcome = exec::run_isolated(|| {
-            profiling::run_target(name, want_trace, None).map_err(|e| e.to_string())
-        });
-        let status = match outcome {
-            Ok(out) => {
-                println!("{}", out.text);
-                profile_jsons.push(out.json);
-                if !profile_gpus.contains(&out.gpu) {
-                    profile_gpus.push(out.gpu);
+        // Panic boundary: a crashing experiment or target is reported as
+        // FAILED and flips the exit code, but the remaining ones still
+        // run — one broken run should not cost the results of the others.
+        let status = match exec::run_isolated(|| run(name)) {
+            Ok(ran) => {
+                println!("{}", ran.text);
+                if let Some((gpu, json)) = ran.entry {
+                    entries.push(json);
+                    if !gpus.contains(&gpu) {
+                        gpus.push(gpu);
+                    }
                 }
-                if let (Some(path), Some(chrome)) = (&opts.trace_out, &out.chrome) {
+                if let (Some(path), Some(chrome)) = (&opts.trace_out, &ran.chrome) {
                     failures += write_out("trace", path, chrome);
                 }
                 "done"
             }
             Err(e) => {
-                eprintln!("error in profile {name}: {e}");
+                eprintln!("error in {tag}{name}: {e}");
                 failures += 1;
                 "FAILED"
             }
         };
-        eprintln!("[profile:{name} {status} in {:.1?}]", t0.elapsed());
+        eprintln!("[{tag}{name} {status} in {:.1?}]", t0.elapsed());
     }
+    // `--json` is a profile or hostprof option.
     if let Some(path) = &opts.json_path {
-        let doc = profiling::profile_document(profile_jsons, &profile_gpus);
-        failures += write_out("profile document", path, &doc.pretty());
-    }
-    exit_code(failures)
-}
-
-/// Run the listed experiments, printing each table to stdout and a
-/// `[<name> done in <wall>]` line to stderr.
-fn run_experiments(opts: &Options) -> ExitCode {
-    let mut failures = 0u32;
-    for name in &opts.names {
-        let t0 = Instant::now();
-        // Panic boundary: a crashing experiment is reported as FAILED and
-        // flips the exit code, but the remaining ones still run — one
-        // broken experiment should not cost the results of the others.
-        let status = match exec::run_isolated(|| run_one(name)) {
-            Ok(out) => {
-                println!("{out}");
-                "done"
-            }
-            Err(e) => {
-                eprintln!("error in {name}: {e}");
-                failures += 1;
-                "FAILED"
-            }
+        let (what, doc) = match opts.mode {
+            Mode::Profile => (
+                "profile document",
+                profiling::profile_document(entries, &gpus),
+            ),
+            _ => (
+                "hostprof document",
+                hostprof::hostprof_document(entries, &gpus),
+            ),
         };
-        eprintln!("[{name} {status} in {:.1?}]", t0.elapsed());
+        failures += write_out(what, path, &doc.pretty());
     }
     exit_code(failures)
 }
@@ -553,11 +584,8 @@ fn run_fuzz(opts: &Options) -> ExitCode {
         eprintln!("[re-run with --corpus-dir <path> to save minimized cases]");
     }
     if let Some(path) = &opts.json_path {
-        if let Err(e) = std::fs::write(path, fault::campaign_json(&cfg, &result, wall_ms).pretty())
-        {
-            eprintln!("error: could not write JSON report to {path}: {e}");
-            failures += 1;
-        }
+        let doc = fault::campaign_json(&cfg, &result, wall_ms);
+        failures += write_out("fuzz document", path, &doc.pretty());
     }
     if result.tally.harness_errors > 0 {
         eprintln!(
@@ -565,41 +593,6 @@ fn run_fuzz(opts: &Options) -> ExitCode {
             result.tally.harness_errors
         );
         failures += 1;
-    }
-    exit_code(failures)
-}
-
-/// Run the `hostprof` subcommand: each target simulates under a
-/// [`peakperf_sim::perfmon::HostProf`] observer, prints its wall-time
-/// attribution, and contributes a `peakperf-hostprof-v1` object to
-/// `--json`.
-fn run_hostprof(opts: &Options) -> ExitCode {
-    let mut failures = 0u32;
-    let mut jsons: Vec<Json> = Vec::new();
-    let mut gpus: Vec<&'static str> = Vec::new();
-    for name in &opts.names {
-        let t0 = Instant::now();
-        // Panic boundary: a crashing target becomes a failure, not a
-        // torn-down run.
-        let outcome = exec::run_isolated(|| hostprof::run_target(name).map_err(|e| e.to_string()));
-        match outcome {
-            Ok(out) => {
-                println!("{}", out.text);
-                jsons.push(out.json);
-                if !gpus.contains(&out.gpu) {
-                    gpus.push(out.gpu);
-                }
-                eprintln!("[hostprof:{name} done in {:.1?}]", t0.elapsed());
-            }
-            Err(e) => {
-                eprintln!("error in hostprof {name}: {e}");
-                failures += 1;
-            }
-        }
-    }
-    if let Some(path) = &opts.json_path {
-        let doc = hostprof::hostprof_document(jsons, &gpus);
-        failures += write_out("hostprof document", path, &doc.pretty());
     }
     exit_code(failures)
 }
@@ -842,11 +835,9 @@ fn main() -> ExitCode {
         cache::enable_global(None);
     }
     match opts.mode {
-        Mode::Experiments => run_experiments(&opts),
-        Mode::Profile => run_profiles(&opts),
+        Mode::Experiments | Mode::Profile | Mode::Hostprof => run_named(&opts),
         Mode::Fuzz => run_fuzz(&opts),
         Mode::Bench => run_bench(&opts),
-        Mode::Hostprof => run_hostprof(&opts),
         Mode::Serve => run_serve(&opts),
     }
 }
