@@ -46,6 +46,18 @@ impl fmt::Display for Component {
     }
 }
 
+impl Component {
+    /// The mnemonic, or for loads the mnemonic prefix, it executes as.
+    fn mnemonic(self) -> &'static str {
+        match self {
+            Component::Ffma | Component::FfmaConflicted(_) => "FFMA",
+            Component::Iadd => "IADD",
+            Component::Imad => "IMAD",
+            Component::Lds(_) => "LDS",
+        }
+    }
+}
+
 /// A declarative mix: `count` copies of each component per group, with the
 /// math instructions either independent or consuming the load results.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -76,6 +88,12 @@ impl MixSpec {
     /// Total instructions per group.
     pub fn group_len(&self) -> u32 {
         self.parts.iter().map(|(_, n)| *n).sum()
+    }
+
+    /// Groups per loop iteration of the measured kernel: enough that the
+    /// loop overhead (3 instructions) is noise.
+    pub fn groups(&self) -> u32 {
+        (120 / self.group_len().max(1)).max(4)
     }
 
     /// A stable label for reports (`LDS.64:1+FFMA:6 dep`).
@@ -193,26 +211,41 @@ pub struct Reference {
     pub throughput: f64,
     /// Active threads used for the measurement.
     pub threads: u32,
+    /// Warp instructions of the spec's stream the run executed: the
+    /// throughput's numerator.
+    pub warp_insts: u64,
 }
 
-/// Measure a spec on a GPU under the saturating launch.
+/// Loop iterations of every measured kernel.
+const ITERS: u32 = 12;
+
+/// Measure a spec on a GPU under the saturating launch. Only the spec's
+/// own stream counts: its components' instructions, without the loop
+/// counter's `IADD`.
 ///
 /// # Errors
 ///
 /// Propagates simulation errors.
 pub fn measure_spec(gpu: &GpuConfig, spec: &MixSpec) -> Result<Reference, SimError> {
-    // Enough groups that the loop overhead (3 instructions) is noise.
-    let groups = (120 / spec.group_len().max(1)).max(4);
-    let kernel = generate(gpu.generation, spec, groups, 12)?;
+    let kernel = generate(gpu.generation, spec, spec.groups(), ITERS)?;
     let (threads, blocks) = saturating_launch(gpu);
     let report = run_on_sm(gpu, &kernel, threads, blocks)?;
-    let useful = report.mix.count("FFMA")
-        + report.mix.count("IADD")
-        + report.mix.count("IMAD")
-        + report.mix.count_prefix("LDS");
+    let mut mnemonics: Vec<&str> = spec.parts.iter().map(|(c, _)| c.mnemonic()).collect();
+    mnemonics.sort_unstable();
+    mnemonics.dedup();
+    let executed: u64 = mnemonics.iter().map(|m| report.mix.count_prefix(m)).sum();
+    // Every warp's loop counter executes one IADD per iteration.
+    let warps = u64::from(threads * blocks / 32);
+    let loop_iadds = if mnemonics.contains(&"IADD") {
+        warps * u64::from(ITERS)
+    } else {
+        0
+    };
+    let warp_insts = executed - loop_iadds;
     Ok(Reference {
-        throughput: useful as f64 * 32.0 / report.cycles.max(1) as f64,
+        throughput: warp_insts as f64 * 32.0 / report.cycles.max(1) as f64,
         threads: threads * blocks,
+        warp_insts,
     })
 }
 

@@ -5,7 +5,7 @@
 
 use peakperf::arch::{GpuConfig, LdsWidth};
 use peakperf::bound::UpperBoundModel;
-use peakperf::kernels::microbench::{math, mix, threads};
+use peakperf::kernels::microbench::{family, math, mix, threads};
 use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
 use peakperf::regalloc::analyze_ffma_conflicts;
 use peakperf::sim::timing::time_kernel;
@@ -150,6 +150,20 @@ fn table2_within_tolerance() {
             row.throughput,
             rel * 100.0
         );
+    }
+}
+
+/// Section 5.5 database: a reference counts the spec's own stream, every
+/// group of every iteration in every warp, and not the loop counter.
+#[test]
+fn throughput_references_count_only_the_spec_stream() {
+    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+        for spec in family::standard_specs() {
+            let r = family::measure_spec(&gpu, &spec).unwrap();
+            let warps = u64::from(r.threads / 32);
+            let stream = u64::from(spec.groups() * spec.group_len()) * 12 * warps;
+            assert_eq!(r.warp_insts, stream, "{}/{}", gpu.name, spec.label());
+        }
     }
 }
 
