@@ -450,25 +450,6 @@ fn exit_code(failures: u32) -> ExitCode {
     }
 }
 
-/// What one experiment, profile or hostprof target printed, and what it
-/// adds to the subcommand's document: its entry with the GPU it ran on,
-/// and a profile's Chrome trace.
-struct Ran {
-    text: String,
-    entry: Option<(&'static str, Json)>,
-    chrome: Option<String>,
-}
-
-impl Ran {
-    fn text(text: String) -> Ran {
-        Ran {
-            text,
-            entry: None,
-            chrome: None,
-        }
-    }
-}
-
 /// Run the listed experiments, or the `profile` or `hostprof` targets.
 /// Each prints its text to stdout and a `[<name> done in <wall>]` line
 /// (`[profile:<name> ...]`, `[hostprof:<name> ...]`) to stderr; `--json`
@@ -480,27 +461,19 @@ fn run_named(opts: &Options) -> ExitCode {
         Mode::Hostprof => "hostprof:",
         _ => "",
     };
-    let run = |name: &str| -> Result<Ran, String> {
+    // A run's text, its document entry with the GPU it ran on, and a
+    // profile's Chrome trace.
+    let run = |name: &str| {
         let fail = |e: peakperf_sim::SimError| e.to_string();
-        Ok(match opts.mode {
-            Mode::Profile => {
-                let out =
-                    profiling::run_target(name, opts.trace_out.is_some(), None).map_err(fail)?;
-                Ran {
-                    text: out.text,
-                    entry: Some((out.gpu, out.json)),
-                    chrome: out.chrome,
-                }
-            }
-            Mode::Hostprof => {
-                let out = hostprof::run_target(name).map_err(fail)?;
-                Ran {
-                    entry: Some((out.gpu, out.json)),
-                    ..Ran::text(out.text)
-                }
-            }
-            _ => Ran::text(run_one(name)?),
-        })
+        match opts.mode {
+            Mode::Profile => profiling::run_target(name, opts.trace_out.is_some(), None)
+                .map(|out| (out.text, Some((out.gpu, out.json)), out.chrome))
+                .map_err(fail),
+            Mode::Hostprof => hostprof::run_target(name)
+                .map(|out| (out.text, Some((out.gpu, out.json)), None))
+                .map_err(fail),
+            _ => run_one(name).map(|text| (text, None, None)),
+        }
     };
     let mut failures = 0u32;
     let (mut entries, mut gpus) = (Vec::new(), Vec::new());
@@ -510,15 +483,15 @@ fn run_named(opts: &Options) -> ExitCode {
         // FAILED and flips the exit code, but the remaining ones still
         // run — one broken run should not cost the results of the others.
         let status = match exec::run_isolated(|| run(name)) {
-            Ok(ran) => {
-                println!("{}", ran.text);
-                if let Some((gpu, json)) = ran.entry {
+            Ok((text, entry, chrome)) => {
+                println!("{text}");
+                if let Some((gpu, json)) = entry {
                     entries.push(json);
                     if !gpus.contains(&gpu) {
                         gpus.push(gpu);
                     }
                 }
-                if let (Some(path), Some(chrome)) = (&opts.trace_out, &ran.chrome) {
+                if let (Some(path), Some(chrome)) = (&opts.trace_out, &chrome) {
                     failures += write_out("trace", path, chrome);
                 }
                 "done"
