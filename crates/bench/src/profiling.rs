@@ -187,7 +187,7 @@ pub fn run_target(
 /// its rate is measured against.
 pub(crate) struct PreparedTarget {
     pub(crate) gpu: GpuConfig,
-    pub(crate) kernel: Kernel,
+    kernel: Kernel,
     pub(crate) sim: TimingSim,
     pub(crate) memory: GlobalMemory,
     basis: RateBasis,
