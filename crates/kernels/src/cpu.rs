@@ -60,8 +60,10 @@ impl Variant {
 /// and takes one fused multiply-add `fma(op(A)[i,k], op(B)[k,j], acc)` per
 /// `k`, ascending: the FFMA sequence of the simulated kernels, which
 /// therefore compute the same bits. The fused multiply-adds are
-/// [`ffma_lanes`], the simulator's own, run one column of `C` at a time
-/// with `k` outer, down a contiguous copy of `op(A)` (`M×K` floats).
+/// [`ffma_lanes`], the simulator's own, run on 32-row strips of one
+/// column of `C` at a time with `k` inner, down a copy of `op(A)` in
+/// 32-lane rows of `f32` bits (`M×K` floats, `M` padded to a multiple of
+/// 32).
 ///
 /// # Panics
 ///
@@ -82,11 +84,19 @@ pub fn sgemm(
     ldc: usize,
 ) {
     let (ta, tb) = variant.ops();
-    let op_a: Vec<f32> = (0..k)
-        .flat_map(|kk| {
-            (0..m).map(move |row| match ta {
-                Trans::N => a[row + kk * lda],
-                Trans::T => a[kk + row * lda],
+    let strips = m.div_ceil(32);
+    // Row `strip * k + kk`: `op(A)[strip·32 + l, kk]` in lane `l`.
+    let op_a: Vec<[u32; 32]> = (0..strips * k)
+        .map(|i| {
+            let (strip, kk) = (i / k, i % k);
+            std::array::from_fn(|l| {
+                let row = strip * 32 + l;
+                let x = match ta {
+                    _ if row >= m => 0.0,
+                    Trans::N => a[row + kk * lda],
+                    Trans::T => a[kk + row * lda],
+                };
+                x.to_bits()
             })
         })
         .collect();
@@ -96,20 +106,23 @@ pub fn sgemm(
             Trans::T => b[col + kk * ldb],
         }
     };
-    let (mut acc, mut next, mut splat) = (vec![0.0; m], vec![0.0; m], vec![0.0; m]);
     for col in 0..n {
-        acc.fill(0.0);
-        for kk in 0..k {
-            splat.fill(b_at(kk, col));
-            ffma_lanes(&op_a[kk * m..][..m], &splat, &acc, &mut next);
-            std::mem::swap(&mut acc, &mut next);
-        }
         let c_col = &mut c[col * ldc..][..m];
-        for (scaled, &old) in next.iter_mut().zip(&*c_col) {
-            *scaled = beta * old;
+        for strip in 0..strips {
+            let mut acc = [0; 32];
+            for (kk, row) in op_a[strip * k..][..k].iter().enumerate() {
+                acc = ffma_lanes(row, &[b_at(kk, col).to_bits(); 32], &acc);
+            }
+            let c_strip = &mut c_col[strip * 32..m.min(strip * 32 + 32)];
+            let mut scaled = [0; 32];
+            for (scaled, &old) in scaled.iter_mut().zip(&*c_strip) {
+                *scaled = (beta * old).to_bits();
+            }
+            let out = ffma_lanes(&acc, &[alpha.to_bits(); 32], &scaled);
+            for (dst, bits) in c_strip.iter_mut().zip(out) {
+                *dst = f32::from_bits(bits);
+            }
         }
-        splat.fill(alpha);
-        ffma_lanes(&acc, &splat, &next, c_col);
     }
 }
 

@@ -57,15 +57,17 @@ impl MemAccess {
         mask: u32,
         addrs: &[u32; 32],
     ) -> MemAccess {
-        // Branch-free packing: every lane writes at the next free slot
-        // (at most its own index), and only a lane of `mask` claims it, so
-        // the unclaimed tail stays zero.
-        let mut packed = [0; 32];
-        let mut n = 0;
-        for (l, &addr) in addrs.iter().enumerate() {
-            let claimed = mask >> l & 1;
-            packed[n & 31] = addr & claimed.wrapping_neg();
-            n += claimed as usize;
+        let (mut packed, mut n) = (*addrs, 32);
+        if mask != u32::MAX {
+            // Branch-free packing: every lane writes at the next free slot
+            // (at most its own index), and only a lane of `mask` claims it,
+            // so the unclaimed tail stays zero.
+            (packed, n) = ([0; 32], 0);
+            for (l, &addr) in addrs.iter().enumerate() {
+                let claimed = mask >> l & 1;
+                packed[n & 31] = addr & claimed.wrapping_neg();
+                n += claimed as usize;
+            }
         }
         MemAccess {
             space,
@@ -161,9 +163,9 @@ fn map_lanes(f: impl Fn(usize) -> u32) -> [u32; 32] {
     std::array::from_fn(f)
 }
 
-/// `out[l] = a[l] · b[l] + c[l]` rounded once, bit for bit
-/// `f32::mul_add`, without a libm `fmaf` call per lane on hosts that lack
-/// an FMA instruction.
+/// `a[l] · b[l] + c[l]` rounded once, over 32 lanes of `f32` bits, bit
+/// for bit `f32::mul_add`, without a libm `fmaf` call per lane on hosts
+/// that lack an FMA instruction.
 ///
 /// An `f32` product is exact in `f64`, so `s = a·b + c` in `f64` is
 /// rounded once, and `s as f32` is the fused result unless rounding twice
@@ -172,16 +174,11 @@ fn map_lanes(f: impl Fn(usize) -> u32) -> [u32; 32] {
 /// zero (subnormal, overflow, Inf, NaN). Only those lanes are redone with
 /// `mul_add`, so it alone defines the rounding. The first loop has no
 /// branch and packs into SSE2.
-///
-/// # Panics
-///
-/// Panics if `a`, `b` or `c` is shorter than `out`.
 #[inline]
-pub fn ffma_lanes(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
+pub fn ffma_lanes(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
     const TWO_POW_128: f64 = f64::from_bits((1023 + 128) << 52);
-    let n = out.len();
-    let (a, b, c) = (&a[..n], &b[..n], &c[..n]);
-    let wide = |l: usize| f64::from(a[l]) * f64::from(b[l]) + f64::from(c[l]);
+    let f = |x: u32| f64::from(f32::from_bits(x));
+    let wide = |l: usize| f(a[l]) * f(b[l]) + f(c[l]);
     let ambiguous = |s: f64| {
         let midpoint = s.to_bits() as u32 & 0x1fff_ffff == 0x1000_0000;
         let abs = s.abs();
@@ -190,24 +187,33 @@ pub fn ffma_lanes(a: &[f32], b: &[f32], c: &[f32], out: &mut [f32]) {
         let huge = !(abs < TWO_POW_128);
         midpoint | (abs < f64::from(f32::MIN_POSITIVE)) & (s != 0.0) | huge
     };
+    let mut out = [0; 32];
     let mut any = false;
     for (l, o) in out.iter_mut().enumerate() {
         let s = wide(l);
-        *o = s as f32;
+        *o = (s as f32).to_bits();
         any |= ambiguous(s);
     }
     if any {
+        let f = f32::from_bits;
         for (l, o) in out.iter_mut().enumerate() {
             if ambiguous(wide(l)) {
-                *o = a[l].mul_add(b[l], c[l]);
+                *o = f(a[l]).mul_add(f(b[l]), f(c[l])).to_bits();
             }
         }
     }
+    out
 }
 
 /// The lanes of `mask`, ascending.
-fn lanes(mask: u32) -> impl Iterator<Item = usize> {
-    (0..32).filter(move |l| mask >> l & 1 != 0)
+fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        let lane = mask.trailing_zeros() as usize;
+        (mask != 0).then(|| {
+            mask &= mask - 1;
+            lane
+        })
+    })
 }
 
 /// The fault of a lane's `bytes`-wide access at `base` that does not fit
@@ -237,7 +243,9 @@ fn lane_fault(space: MemSpace, base: u32, bytes: u32, size: u64) -> (u32, SimErr
 
 /// Move the first `words` words of every lane in `mask` between `window`,
 /// where lane `l`'s access starts at byte `at[l]`, and the data registers
-/// from `data` on, one register row per word.
+/// from `data` on, one register row per word. Lane by lane: the aligned
+/// accesses of one instruction coincide or do not overlap, so the order
+/// does not show.
 fn move_rows(
     warp: &mut WarpState,
     window: &mut [u8],
@@ -247,33 +255,32 @@ fn move_rows(
     mask: u32,
     words: u32,
 ) {
-    for w in 0..words {
-        // `offset_checked` keeps this total on unvalidated kernels: a slot
-        // at/past RZ stores zero (`ST [addr], RZ` is the store-zero idiom)
-        // and discards a loaded word.
-        let r = data.offset_checked(w as u8);
-        let byte = |l: usize| at[l] + 4 * w as usize;
-        if store {
-            let row = r.map_or(&[0; 32], |r| warp.row(r));
-            for l in lanes(mask) {
-                window[byte(l)..byte(l) + 4].copy_from_slice(&row[l].to_le_bytes());
+    let words = words as usize;
+    if words == 0 {
+        return;
+    }
+    // `offset_checked` keeps this total on unvalidated kernels: a slot
+    // at/past RZ stores zero (`ST [addr], RZ` is the store-zero idiom)
+    // and discards a loaded word.
+    let regs: [_; 4] = std::array::from_fn(|w| data.offset_checked(w as u8));
+    let mut loaded = [[0; 32]; 4];
+    for l in lanes(mask) {
+        let (bytes, _) = window[at[l]..at[l] + 4 * words].as_chunks_mut::<4>();
+        for (w, word) in bytes.iter_mut().enumerate() {
+            if store {
+                *word = regs[w].map_or(0, |r| warp.row(r)[l]).to_le_bytes();
+            } else {
+                loaded[w][l] = u32::from_le_bytes(*word);
             }
-        } else if let Some(r) = r {
-            let mut row = [0; 32];
-            for l in lanes(mask) {
-                row[l] = read_word(window, byte(l));
-            }
-            warp.set_row(r, mask, &row);
         }
     }
-}
-
-/// Read a little-endian word out of a byte buffer without the panicking
-/// `try_into().unwrap()` slice conversion.
-fn read_word(buf: &[u8], i: usize) -> u32 {
-    let mut b = [0u8; 4];
-    b.copy_from_slice(&buf[i..i + 4]);
-    u32::from_le_bytes(b)
+    if !store {
+        for (&r, row) in regs[..words].iter().zip(&loaded) {
+            if let Some(r) = r {
+                warp.set_row(r, mask, row);
+            }
+        }
+    }
 }
 
 /// Execute one non-control instruction for the lanes in `exec_mask`.
@@ -284,6 +291,7 @@ fn read_word(buf: &[u8], i: usize) -> u32 {
 /// # Errors
 ///
 /// Propagates memory faults.
+#[inline]
 pub fn execute_op(
     inst: &Instruction,
     warp: &mut WarpState,
@@ -318,13 +326,16 @@ pub fn execute_op(
         }
         Op::Ffma { dst, a, b, c } => {
             let (a, b, c) = (warp.row(a), operand!(b), warp.row(c));
-            let mut out = [0.0; 32];
-            ffma_lanes(&a.map(f), &b.map(f), &c.map(f), &mut out);
-            for l in lanes(exec_mask) {
-                let fused = f(a[l]).mul_add(f(b[l]), f(c[l]));
-                debug_assert_eq!(out[l].to_bits(), fused.to_bits(), "FFMA lane {l}");
+            let out = ffma_lanes(a, b, c);
+            // Held to `f32::mul_add` in debug builds; a release loop that
+            // only asserts would still walk the lanes.
+            if cfg!(debug_assertions) {
+                for l in lanes(exec_mask) {
+                    let fused = f(a[l]).mul_add(f(b[l]), f(c[l]));
+                    assert_eq!(out[l], fused.to_bits(), "FFMA lane {l}");
+                }
             }
-            (dst, out.map(f32::to_bits))
+            (dst, out)
         }
         Op::Iadd { dst, a, b } => {
             let (a, b) = (warp.row(a), operand!(b));
@@ -443,6 +454,7 @@ pub struct StepResult {
 /// Propagates memory faults; reports [`SimError::DivergentBarrier`] when a
 /// barrier is reached by a diverged warp and [`SimError::RanOffEnd`] when
 /// the PC leaves the instruction stream.
+#[inline]
 pub fn step_warp(
     code: &[Instruction],
     warp: &mut WarpState,

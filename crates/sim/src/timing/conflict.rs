@@ -32,6 +32,26 @@ pub fn shared_conflict_factor(generation: Generation, width: MemWidth, addrs: &[
     let (bank_bytes, row_bytes) = bank_geometry(generation);
     // Lanes per phase so that one phase moves at most one bank row.
     let lanes_per_phase = (row_bytes / width.bytes()).max(1) as usize;
+    // Fast pass: the bank words a lane touches run from its first 32-bit
+    // word's to its last's (one per lane for Kepler `LDS.64`). If no phase
+    // puts two distinct words in one bank, every phase serializes once.
+    let (shift, last) = (bank_bytes.trailing_zeros(), 4 * (width.words() - 1));
+    let conflict_free = addrs.chunks(lanes_per_phase).all(|subset| {
+        let (mut used, mut word_of, mut clash) = (0u32, [0u32; 32], false);
+        for &a in subset {
+            for word in a >> shift..((a + last) >> shift) + 1 {
+                let bank = (word & 31) as usize;
+                // Without a branch: which banks repeat is data.
+                clash |= (used >> bank & 1 != 0) & (word_of[bank] != word);
+                used |= 1 << bank;
+                word_of[bank] = word;
+            }
+        }
+        !clash
+    });
+    if conflict_free {
+        return 1;
+    }
     let mut total_ser = 0u32;
     let mut phases = 0u32;
     for subset in addrs.chunks(lanes_per_phase) {
@@ -45,7 +65,7 @@ pub fn shared_conflict_factor(generation: Generation, width: MemWidth, addrs: &[
         let mut extra_per_bank = [0u32; 32];
         for &a in subset {
             for w in 0..width.words() {
-                let word = (a + w * 4) / bank_bytes;
+                let word = (a + w * 4) >> shift;
                 let bank = (word % 32) as usize;
                 match first[bank] {
                     None => first[bank] = Some(word),

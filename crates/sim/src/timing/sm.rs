@@ -630,14 +630,16 @@ impl TimingSim {
                 st.tokens = (st.tokens + refill).min(2 * refill);
             }
 
+            // Rotate which scheduler gets first claim on shared issue
+            // resources (the Kepler token bucket): with a fixed priority
+            // order, schedulers 0 and 1 would consume the whole refill every
+            // cycle once dual issue lets a scheduler spend two instructions'
+            // worth, and the warps of schedulers 2 and 3 would starve until
+            // the end of the kernel. One division per cycle; the scan below
+            // wraps its indices by compare.
+            let first = (cycle % schedulers as u64) as usize;
             for s in 0..schedulers {
-                // Rotate which scheduler gets first claim on shared issue
-                // resources (the Kepler token bucket): with a fixed priority
-                // order, schedulers 0 and 1 would consume the whole refill
-                // every cycle once dual issue lets a scheduler spend two
-                // instructions' worth, and the warps of schedulers 2 and 3
-                // would starve until the end of the kernel.
-                let sched = (s + cycle as usize) % schedulers;
+                let sched = wrap(first + s, schedulers);
                 if self.calib.scheduler_half_rate && !(cycle as usize + sched).is_multiple_of(2) {
                     continue;
                 }
@@ -645,9 +647,11 @@ impl TimingSim {
                 if owned.is_empty() {
                     continue;
                 }
-                let start = st.rr[sched] % owned.len();
-                let (before, from_start) = owned.split_at(start);
-                for (k, &w) in from_start.iter().chain(before).enumerate() {
+                // `rr` is in `0..=owned.len()`.
+                let start = wrap(st.rr[sched], owned.len());
+                for k in 0..owned.len() {
+                    let i = wrap(start + k, owned.len());
+                    let w = owned[i];
                     let at = (cycle, sched, w);
                     match self.classify(w, cycle, &mut st) {
                         Visit::Done => {}
@@ -659,7 +663,7 @@ impl TimingSim {
                             let (pc, lanes) = self.issue(w, cycle, &mut st, memory, obs)?;
                             back_edge |= detect && st.back_edge(w, pc);
                             trace_issue(obs, at, pc, lanes, false, st.issue[w].done);
-                            st.rr[sched] = (start + k) % owned.len() + 1;
+                            st.rr[sched] = i + 1;
                             // Dual dispatch: try one more instruction from
                             // the same warp (Kepler's second dispatch unit);
                             // a block here is not a stall of this cycle.
@@ -1180,9 +1184,9 @@ impl TimingSim {
         gate.token_cost = meta.token_cost;
         for idx in bits(meta.touched) {
             gate.sb_ready = gate.sb_ready.max(slot.sb_reg[idx]);
-            if slot.hazard & (1 << idx) != 0 {
-                gate.hazard_until = gate.hazard_until.max(slot.sb_reg[idx]);
-            }
+        }
+        for idx in bits(meta.touched & slot.hazard) {
+            gate.hazard_until = gate.hazard_until.max(slot.sb_reg[idx]);
         }
         for p in [meta.guard, meta.def_pred].into_iter().flatten() {
             gate.sb_ready = gate.sb_ready.max(slot.sb_pred[p.index() as usize]);
@@ -1194,6 +1198,12 @@ impl TimingSim {
 /// Warp by warp, the rows of registers `regs`.
 fn rows<'a>(st: &'a RunState, regs: &'a [u8]) -> impl Iterator<Item = &'a [u32; 32]> {
     (st.slots.iter()).flat_map(move |s| regs.iter().map(move |&r| s.state.row(Reg::r(r))))
+}
+
+/// `i % n` for `i < 2n`, without a division.
+#[inline]
+fn wrap(i: usize, n: usize) -> usize {
+    i - if i >= n { n } else { 0 }
 }
 
 /// The indices of the set bits of a register mask, ascending.

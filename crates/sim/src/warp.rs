@@ -199,9 +199,13 @@ impl WarpState {
         if mask == 0 {
             return;
         }
-        for (lane, pc) in self.pcs.iter_mut().enumerate() {
-            if mask >> lane & 1 != 0 {
-                *pc = target;
+        if mask == u32::MAX {
+            self.pcs = [target; 32];
+        } else {
+            for (lane, pc) in self.pcs.iter_mut().enumerate() {
+                if mask >> lane & 1 != 0 {
+                    *pc = target;
+                }
             }
         }
         if mask == self.running && target != EXITED {

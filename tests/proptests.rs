@@ -611,6 +611,52 @@ fn conflict_and_coalescing_match_their_oracles() {
     }
 }
 
+/// `shared_conflict_factor` answers conflict-free accesses from a fast
+/// pass over bank words and counts the rest in full; together they equal
+/// the map-based count on 1–32 lanes of seeded random, strided (step 0 is
+/// a broadcast), broadcast and stride-98-padded (the blocked SGEMM's shared
+/// tiles) address sets, width-aligned, for Fermi and Kepler × 32-, 64- and
+/// 128-bit widths. Every geometry sees both verdicts, so neither side of
+/// the fast pass goes untested.
+#[test]
+fn conflict_fast_pass_equals_the_serializing_count() {
+    let mut rng = Rng::seed_from_u64(0xFA57);
+    let generations = [Generation::Fermi, Generation::Kepler];
+    let mut verdicts = [[[0u32; 2]; 3]; 2];
+    for case in 0..6000 {
+        let lanes = rng.gen_range_u32(1, 33);
+        let (w, width) = (case / 4 % 3, MemWidth::ALL[case / 4 % 3]);
+        let bytes = width.bytes();
+        let base = rng.gen_range_u32(0, 1 << 14) * bytes;
+        let (step, per_row) = (rng.gen_range_u32(0, 66), rng.gen_range_u32(1, 33));
+        let addrs: Vec<u32> = (0..lanes)
+            .map(|lane| match case % 4 {
+                0 => rng.gen_range_u32(0, 1 << 14) * bytes,
+                1 => base + lane * step * bytes,
+                2 => base,
+                _ => base + lane % per_row * 98 * 4 + lane / per_row * bytes,
+            })
+            .collect();
+        for (g, &generation) in generations.iter().enumerate() {
+            let want = conflict_factor_oracle(generation, width, &addrs);
+            assert_eq!(
+                shared_conflict_factor(generation, width, &addrs),
+                want,
+                "case {case}: {generation:?} {width:?} {addrs:?}"
+            );
+            verdicts[g][w][usize::from(want > 1)] += 1;
+        }
+    }
+    for (generation, by_width) in generations.iter().zip(verdicts) {
+        for (width, [free, conflicting]) in MemWidth::ALL.iter().zip(by_width) {
+            assert!(
+                free > 0 && conflicting > 0,
+                "{generation:?} {width:?}: {free} conflict-free, {conflicting} conflicting"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // The shared fused multiply-add against `f32::mul_add`
 // ---------------------------------------------------------------------
@@ -748,8 +794,9 @@ fn fma_triple(rng: &mut Rng, class: usize) -> (f32, f32, f32) {
 
 /// `exec::ffma_lanes`, the fused multiply-add of the simulator's FFMA and
 /// of `cpu::sgemm`, equals `f32::mul_add` bit for bit — NaN payloads
-/// included — on 10⁷ seeded triples, in batches of 1–40 lanes so that
-/// lanes of every class share a batch with lanes that need the fallback.
+/// included — on 10⁷ seeded triples, in batches of 1–40 lanes (passed as
+/// zero-padded 32-lane rows) so that lanes of every class share a batch
+/// with lanes that need the fallback.
 /// Every class where rounding `a·b + c` in `f64` and again to `f32` goes
 /// wrong must show such lanes, so a dropped fallback condition fails here.
 #[test]
@@ -779,7 +826,13 @@ fn ffma_lanes_is_bit_equal_to_mul_add() {
         let b: Vec<f32> = abc.iter().map(|t| t.1).collect();
         let c: Vec<f32> = abc.iter().map(|t| t.2).collect();
         let mut out = vec![0.0; lanes];
-        ffma_lanes(&a, &b, &c, &mut out);
+        for at in (0..lanes).step_by(32) {
+            let row = |v: &[f32]| std::array::from_fn(|l| v.get(at + l).map_or(0, |x| x.to_bits()));
+            let fused = ffma_lanes(&row(&a), &row(&b), &row(&c));
+            for (o, bits) in out[at..].iter_mut().zip(fused) {
+                *o = f32::from_bits(bits);
+            }
+        }
         for (l, &(a, b, c)) in abc.iter().enumerate() {
             let want = a.mul_add(b, c);
             let naive = (f64::from(a) * f64::from(b) + f64::from(c)) as f32;
