@@ -205,13 +205,15 @@ pub fn ffma_lanes(a: &[u32; 32], b: &[u32; 32], c: &[u32; 32]) -> [u32; 32] {
     out
 }
 
-/// The lanes of `mask`, ascending.
-fn lanes(mut mask: u32) -> impl Iterator<Item = usize> {
+/// The indices of the set bits of a mask (of registers, or of lanes
+/// widened), ascending.
+#[inline]
+pub(crate) fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
     std::iter::from_fn(move || {
-        let lane = mask.trailing_zeros() as usize;
+        let idx = mask.trailing_zeros() as usize;
         (mask != 0).then(|| {
             mask &= mask - 1;
-            lane
+            idx
         })
     })
 }
@@ -264,7 +266,7 @@ fn move_rows(
     // and discards a loaded word.
     let regs: [_; 4] = std::array::from_fn(|w| data.offset_checked(w as u8));
     let mut loaded = [[0; 32]; 4];
-    for l in lanes(mask) {
+    for l in bits(mask.into()) {
         let (bytes, _) = window[at[l]..at[l] + 4 * words].as_chunks_mut::<4>();
         for (w, word) in bytes.iter_mut().enumerate() {
             if store {
@@ -330,7 +332,7 @@ pub fn execute_op(
             // Held to `f32::mul_add` in debug builds; a release loop that
             // only asserts would still walk the lanes.
             if cfg!(debug_assertions) {
-                for l in lanes(exec_mask) {
+                for l in bits(exec_mask.into()) {
                     let fused = f(a[l]).mul_add(f(b[l]), f(c[l]));
                     assert_eq!(out[l], fused.to_bits(), "FFMA lane {l}");
                 }

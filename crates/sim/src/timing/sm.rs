@@ -6,7 +6,7 @@ use peakperf_arch::{register_bank, GpuConfig, WARP_SIZE};
 use peakperf_sass::{CtlInfo, Kernel, MemSpace, Op, OpClass, Operand, Pred, Reg};
 
 use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
-use crate::exec::{release_barrier, step_warp, BlockCtx, MemAccess, MemCtx};
+use crate::exec::{bits, release_barrier, step_warp, BlockCtx, MemAccess, MemCtx};
 use crate::launch::check_launch;
 use crate::perfmon::{Phase, Stopwatch};
 use crate::recur::Brent;
@@ -1204,17 +1204,6 @@ fn rows<'a>(st: &'a RunState, regs: &'a [u8]) -> impl Iterator<Item = &'a [u32; 
 #[inline]
 fn wrap(i: usize, n: usize) -> usize {
     i - if i >= n { n } else { 0 }
-}
-
-/// The indices of the set bits of a register mask, ascending.
-fn bits(mut mask: u64) -> impl Iterator<Item = usize> {
-    std::iter::from_fn(move || {
-        let idx = mask.trailing_zeros() as usize;
-        (mask != 0).then(|| {
-            mask &= mask - 1;
-            idx
-        })
-    })
 }
 
 impl RunState {
