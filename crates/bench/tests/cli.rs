@@ -282,6 +282,25 @@ fn sassc_rejects_an_unknown_modifier_with_its_line() {
 }
 
 #[test]
+fn sassc_reads_unicode_spaces_and_rejects_other_non_ascii_with_its_line() {
+    let dir = scratch_dir("unicode");
+    let (src, bin) = (path(&dir, "k.sass"), path(&dir, "k.bin"));
+    // U+00A0 and U+3000 separate tokens the way a space does.
+    std::fs::write(&src, ".kernel k\nIADD R1,\u{a0}R2, 0x1\u{3000};\nEXIT;\n").unwrap();
+    let out = sassc(&["as", &src, &bin]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "{err}");
+    std::fs::remove_file(&bin).unwrap();
+    std::fs::write(&src, ".kernel k\nIADD R1,\u{a0}R2, 0x1\u{e9};\nEXIT;\n").unwrap();
+    let out = sassc(&["as", &src, &bin]);
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert!(err.contains("line 2:"), "{err}");
+    assert!(!dir.join("k.bin").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn sassc_as_dis_as_is_byte_identical_on_sgemm() {
     let dir = scratch_dir("roundtrip");
     for (generation, gen) in [(Generation::Fermi, "fermi"), (Generation::Kepler, "kepler")] {

@@ -123,8 +123,9 @@ pub fn build_math_kernel(
         // Rotate destinations over R24..R27 unless the pattern aliases the
         // destination onto a source — then keep it, to preserve the
         // dependence structure of the original benchmark.
-        let dst = match pattern.op.def_regs()[..] {
-            [dst] if pattern.op.use_regs().contains(&dst) => dst,
+        let (uses, defs) = pattern.op.reg_masks();
+        let dst = match defs.count_ones() {
+            1 if uses & defs != 0 => Reg::r(defs.trailing_zeros() as u8),
             _ => Reg::r(24 + (k % 4) as u8),
         };
         if generation.uses_control_notation() {

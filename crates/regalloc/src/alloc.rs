@@ -186,19 +186,22 @@ pub fn solve(problem: &AllocProblem) -> Result<HashMap<VReg, Reg>, RegAllocError
         }
     }
 
-    let pool_set: Vec<Reg> = problem.pool.clone();
-    let mut assignment: HashMap<VReg, Reg> = HashMap::new();
-    let mut used: Vec<bool> = vec![false; 64];
+    // The search state (each vreg's register, a bit per register taken)
+    // and the pool as a bit set.
+    let mut assignment: Vec<Option<Reg>> = vec![None; n];
+    let mut used = 0u64;
+    let bit = |r: Reg| 1u64 << r.index();
+    let in_pool = problem.pool.iter().fold(0, |set, &r| set | bit(r));
 
     // Apply pins.
     for (v, r) in &problem.pins {
-        if used[r.index() as usize] {
+        if used & bit(*r) != 0 {
             return Err(RegAllocError::Malformed {
                 message: format!("register {r} pinned twice"),
             });
         }
-        assignment.insert(*v, *r);
-        used[r.index() as usize] = true;
+        assignment[v.0] = Some(*r);
+        used |= bit(*r);
     }
 
     // Units to assign: wide groups first (most constrained), then single
@@ -213,134 +216,135 @@ pub fn solve(problem: &AllocProblem) -> Result<HashMap<VReg, Reg>, RegAllocError
     }
     let mut singles: Vec<VReg> = (0..n)
         .map(VReg)
-        .filter(|v| !in_wide[v.0] && !assignment.contains_key(v))
+        .filter(|v| !in_wide[v.0] && assignment[v.0].is_none())
         .collect();
     singles.sort_by_key(|v| std::cmp::Reverse(groups_of[v.0].len()));
     units.extend(singles.into_iter().map(Unit::Single));
 
-    fn banks_ok(
-        problem: &AllocProblem,
-        groups_of: &[Vec<usize>],
-        assignment: &HashMap<VReg, Reg>,
-        v: VReg,
-        r: Reg,
-    ) -> bool {
-        for &gi in &groups_of[v.0] {
-            for other in &problem.distinct_groups[gi] {
-                if *other == v {
-                    continue;
-                }
-                if let Some(o) = assignment.get(other) {
-                    if o.bank() == r.bank() {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+    struct Search<'a> {
+        problem: &'a AllocProblem,
+        groups_of: &'a [Vec<usize>],
+        pool: &'a [Reg],
+        in_pool: u64,
+        units: &'a [Unit],
+        assignment: Vec<Option<Reg>>,
+        used: u64,
     }
 
-    fn backtrack(
-        problem: &AllocProblem,
-        groups_of: &[Vec<usize>],
-        pool: &[Reg],
-        units: &[Unit],
-        idx: usize,
-        assignment: &mut HashMap<VReg, Reg>,
-        used: &mut Vec<bool>,
-    ) -> bool {
-        let Some(unit) = units.get(idx) else {
-            return true;
-        };
-        match unit {
-            Unit::Single(v) => {
-                if assignment.contains_key(v) {
-                    return backtrack(problem, groups_of, pool, units, idx + 1, assignment, used);
+    impl Search<'_> {
+        /// Whether `v` may take `r`: no member of its distinct-bank
+        /// groups already sits on `r`'s bank.
+        fn banks_ok(&self, v: VReg, r: Reg) -> bool {
+            let groups = self.groups_of[v.0].iter();
+            groups
+                .flat_map(|&gi| &self.problem.distinct_groups[gi])
+                .all(|other| {
+                    *other == v || self.assignment[other.0].is_none_or(|o| o.bank() != r.bank())
+                })
+        }
+
+        fn take(&mut self, v: VReg, r: Reg) {
+            self.assignment[v.0] = Some(r);
+            self.used |= 1 << r.index();
+        }
+
+        fn free(&mut self, v: VReg, r: Reg) {
+            self.assignment[v.0] = None;
+            self.used &= !(1 << r.index());
+        }
+
+        fn backtrack(&mut self, idx: usize) -> bool {
+            let Some(unit) = self.units.get(idx) else {
+                return true;
+            };
+            match *unit {
+                Unit::Single(v) => {
+                    if self.assignment[v.0].is_some() {
+                        return self.backtrack(idx + 1);
+                    }
+                    for &r in self.pool {
+                        if self.used & 1 << r.index() != 0 || r.is_rz() || !self.banks_ok(v, r) {
+                            continue;
+                        }
+                        self.take(v, r);
+                        if self.backtrack(idx + 1) {
+                            return true;
+                        }
+                        self.free(v, r);
+                    }
+                    false
                 }
-                for &r in pool {
-                    if used[r.index() as usize] || r.is_rz() {
-                        continue;
-                    }
-                    if !banks_ok(problem, groups_of, assignment, *v, r) {
-                        continue;
-                    }
-                    assignment.insert(*v, r);
-                    used[r.index() as usize] = true;
-                    if backtrack(problem, groups_of, pool, units, idx + 1, assignment, used) {
-                        return true;
-                    }
-                    assignment.remove(v);
-                    used[r.index() as usize] = false;
-                }
-                false
-            }
-            Unit::Wide(gi) => {
-                let group = &problem.wide_groups[*gi];
-                let len = group.len() as u8;
-                // If any member is pinned, the whole placement is forced.
-                let forced_base = group
-                    .iter()
-                    .enumerate()
-                    .find_map(|(i, v)| assignment.get(v).map(|r| r.index().wrapping_sub(i as u8)));
-                let candidates: Vec<u8> = match forced_base {
-                    Some(b) => vec![b],
-                    None => (0..=Reg::MAX_INDEX)
-                        .filter(|b| b % len == 0 && b + len - 1 <= Reg::MAX_INDEX)
-                        .collect(),
-                };
-                'base: for base in candidates {
-                    if base % len != 0 || base + len - 1 > Reg::MAX_INDEX {
-                        continue;
-                    }
-                    let regs: Vec<Reg> = (0..len).map(|i| Reg::r(base + i)).collect();
-                    // All members must be in the pool and free (unless
-                    // already assigned to exactly this slot).
-                    for (i, v) in group.iter().enumerate() {
-                        let r = regs[i];
-                        match assignment.get(v) {
-                            Some(cur) if *cur == r => {}
-                            Some(_) => continue 'base,
-                            None => {
-                                if used[r.index() as usize]
-                                    || !pool.contains(&r)
-                                    || !banks_ok(problem, groups_of, assignment, *v, r)
-                                {
-                                    continue 'base;
+                Unit::Wide(gi) => {
+                    let group = &self.problem.wide_groups[gi];
+                    let len = group.len() as u8;
+                    // If any member is pinned, the whole placement is forced.
+                    let forced_base = group.iter().enumerate().find_map(|(i, v)| {
+                        let r = self.assignment[v.0]?;
+                        Some(r.index().wrapping_sub(i as u8))
+                    });
+                    let bases = match forced_base {
+                        Some(b) => b..=b,
+                        None => 0..=Reg::MAX_INDEX,
+                    };
+                    'base: for base in bases {
+                        if base % len != 0
+                            || u16::from(base) + u16::from(len) - 1 > u16::from(Reg::MAX_INDEX)
+                        {
+                            continue;
+                        }
+                        // All members must be in the pool and free (unless
+                        // already assigned to exactly this slot).
+                        for (i, v) in (0u8..).zip(group) {
+                            let r = Reg::r(base + i);
+                            match self.assignment[v.0] {
+                                Some(cur) if cur == r => {}
+                                Some(_) => continue 'base,
+                                None => {
+                                    let bit = 1u64 << r.index();
+                                    if self.used & bit != 0
+                                        || self.in_pool & bit == 0
+                                        || !self.banks_ok(*v, r)
+                                    {
+                                        continue 'base;
+                                    }
                                 }
                             }
                         }
-                    }
-                    let mut placed = Vec::new();
-                    for (i, v) in group.iter().enumerate() {
-                        if !assignment.contains_key(v) {
-                            assignment.insert(*v, regs[i]);
-                            used[regs[i].index() as usize] = true;
-                            placed.push((*v, regs[i]));
+                        // Members this placement assigns, a bit each.
+                        let mut placed = 0u8;
+                        for (i, v) in (0u8..).zip(group) {
+                            if self.assignment[v.0].is_none() {
+                                self.take(*v, Reg::r(base + i));
+                                placed |= 1 << i;
+                            }
+                        }
+                        if self.backtrack(idx + 1) {
+                            return true;
+                        }
+                        for (i, v) in (0u8..).zip(group) {
+                            if placed & 1 << i != 0 {
+                                self.free(*v, Reg::r(base + i));
+                            }
                         }
                     }
-                    if backtrack(problem, groups_of, pool, units, idx + 1, assignment, used) {
-                        return true;
-                    }
-                    for (v, r) in placed {
-                        assignment.remove(&v);
-                        used[r.index() as usize] = false;
-                    }
+                    false
                 }
-                false
             }
         }
     }
 
-    if backtrack(
+    let mut search = Search {
         problem,
-        &groups_of,
-        &pool_set,
-        &units,
-        0,
-        &mut assignment,
-        &mut used,
-    ) {
-        Ok(assignment)
+        groups_of: &groups_of,
+        pool: &problem.pool,
+        in_pool,
+        units: &units,
+        assignment,
+        used,
+    };
+    if search.backtrack(0) {
+        let assigned = search.assignment.into_iter().enumerate();
+        Ok(assigned.filter_map(|(i, r)| Some((VReg(i), r?))).collect())
     } else {
         Err(RegAllocError::Unsatisfiable)
     }

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use peakperf_sass::{Instruction, Reg, Role};
+use peakperf_sass::{Instruction, Op, Operand, Reg};
 
 /// Conflict degree of one FFMA with source registers `srcs`: the
 /// maximum number of *distinct* sources that share a register bank
@@ -11,24 +11,30 @@ use peakperf_sass::{Instruction, Reg, Role};
 /// `RZ` is materialized by the operand collector and never conflicts;
 /// repeated uses of the same register read one bank port once.
 pub fn ffma_conflict_ways(srcs: impl IntoIterator<Item = Reg>) -> u32 {
-    let mut distinct: Vec<Reg> = Vec::with_capacity(3);
+    let (mut seen, mut per_bank) = (0u64, [0u32; 4]);
     for r in srcs {
-        if !r.is_rz() && !distinct.contains(&r) {
-            distinct.push(r);
+        let bit = 1 << r.index();
+        if !r.is_rz() && seen & bit == 0 {
+            seen |= bit;
+            per_bank[r.bank().index()] += 1;
         }
     }
-    let mut per_bank = [0u32; 4];
-    for r in &distinct {
-        per_bank[r.bank().index()] += 1;
-    }
-    per_bank.iter().copied().max().unwrap_or(1).max(1)
+    per_bank.into_iter().max().unwrap_or(1).max(1)
 }
 
-/// The register sources of an FFMA in operand order (`a`, `b` when it is a
-/// register, `c`); `None` for any other instruction.
-pub(crate) fn ffma_sources(inst: &Instruction) -> Option<impl Iterator<Item = Reg>> {
-    let source = |(role, r)| matches!(role, Role::Use | Role::Operand).then_some(r);
-    (inst.op.mnemonic() == "FFMA").then(|| inst.op.reg_slots().filter_map(source))
+/// The register sources of an FFMA in operand order (`a`, `b`, `c`), with
+/// `RZ` for a `b` that is no register; `None` for any other instruction.
+pub(crate) fn ffma_sources(inst: &Instruction) -> Option<[Reg; 3]> {
+    match inst.op {
+        Op::Ffma { a, b, c, .. } => {
+            let b = match b {
+                Operand::Reg(r) => r,
+                _ => Reg::RZ,
+            };
+            Some([a, b, c])
+        }
+        _ => None,
+    }
 }
 
 /// Per-kernel conflict census of FFMA instructions, as plotted in Figure 8.
@@ -101,7 +107,6 @@ pub fn analyze_ffma_conflicts(code: &[Instruction]) -> ConflictReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use peakperf_sass::{Op, Operand};
 
     fn ffma(a: u8, b: u8, c: u8) -> Instruction {
         Instruction::new(Op::Ffma {

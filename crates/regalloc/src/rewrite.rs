@@ -15,7 +15,7 @@
 //!   consecutive and aligned;
 //! * `RZ` and unused registers are untouched.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use peakperf_sass::{Instruction, Kernel, MemWidth, Reg, Role};
 
@@ -42,27 +42,41 @@ pub struct RewriteOutcome {
 /// caller must supply a mapping that keeps wide groups consecutive — as
 /// [`optimize_banks`] does).
 pub fn apply_mapping(code: &[Instruction], map: &HashMap<Reg, Reg>) -> Vec<Instruction> {
-    code.iter()
-        .map(|inst| {
-            let mut inst = *inst;
-            inst.op.map_regs(|_, r| {
-                if let Some(&renamed) = map.get(r).filter(|_| !r.is_rz()) {
-                    *r = renamed;
-                }
-            });
-            inst
-        })
-        .collect()
+    let mut renamed = code.to_vec();
+    rename(&mut renamed, &table(map));
+    renamed
 }
 
-/// Collect the wide-access groups of a kernel: each `.64`/`.128` load or
-/// store pins `width.words()` consecutive registers.
+/// `map` as a table indexed by register: the new name of each register
+/// the map renames (`RZ` never).
+fn table(map: &HashMap<Reg, Reg>) -> [Option<Reg>; 64] {
+    let mut table = [None; 64];
+    for (&old, &new) in map.iter().filter(|(old, _)| !old.is_rz()) {
+        table[usize::from(old.index())] = Some(new);
+    }
+    table
+}
+
+/// Rename every register slot of `code` through `table`, in place.
+fn rename(code: &mut [Instruction], table: &[Option<Reg>; 64]) {
+    for inst in code {
+        inst.op.map_regs(|_, r| {
+            if let Some(renamed) = table[usize::from(r.index())] {
+                *r = renamed;
+            }
+        });
+    }
+}
+
+/// Collect the wide-access groups of a kernel as `(base, words)`, in
+/// first-seen order: each `.64`/`.128` load or store pins `words`
+/// consecutive registers from `base`.
 ///
 /// # Errors
 ///
 /// [`RegAllocError::Malformed`] when a group runs past `R62`.
-fn wide_groups(code: &[Instruction]) -> Result<Vec<Vec<Reg>>, RegAllocError> {
-    let mut groups: Vec<Vec<Reg>> = Vec::new();
+fn wide_groups(code: &[Instruction]) -> Result<Vec<(Reg, u8)>, RegAllocError> {
+    let mut groups = Vec::new();
     for (role, base) in code.iter().flat_map(|inst| inst.op.reg_slots()) {
         let (Role::Load(width) | Role::Store(width)) = role else {
             continue;
@@ -70,14 +84,14 @@ fn wide_groups(code: &[Instruction]) -> Result<Vec<Vec<Reg>>, RegAllocError> {
         if width == MemWidth::B32 || base.is_rz() {
             continue;
         }
-        let group: Option<Vec<Reg>> = (0..width.words() as u8)
-            .map(|i| base.offset_checked(i).filter(|r| !r.is_rz()))
-            .collect();
-        let group = group.ok_or_else(|| RegAllocError::Malformed {
-            message: format!("wide access at {base} runs past R62"),
-        })?;
-        if !groups.contains(&group) {
-            groups.push(group);
+        let words = width.words() as u8;
+        if base.offset_checked(words - 1).is_none_or(Reg::is_rz) {
+            return Err(RegAllocError::Malformed {
+                message: format!("wide access at {base} runs past R62"),
+            });
+        }
+        if !groups.contains(&(base, words)) {
+            groups.push((base, words));
         }
     }
     Ok(groups)
@@ -100,42 +114,47 @@ fn wide_groups(code: &[Instruction]) -> Result<Vec<Vec<Reg>>, RegAllocError> {
 pub fn optimize_banks(kernel: &Kernel) -> Result<RewriteOutcome, RegAllocError> {
     let before = analyze_ffma_conflicts(&kernel.code);
 
-    // Virtual register per physical register in use.
-    let mut used: Vec<Reg> = Vec::new();
-    for inst in &kernel.code {
-        for r in inst.op.def_regs().into_iter().chain(inst.op.use_regs()) {
-            if !r.is_rz() && !used.contains(&r) {
-                used.push(r);
-            }
-        }
+    // Virtual register per physical register in use, in register order.
+    let in_use = (kernel.code.iter()).fold(0u64, |all, inst| {
+        let (uses, defs) = inst.op.reg_masks();
+        all | uses | defs
+    });
+    let used: Vec<Reg> = (0..Reg::RZ.index())
+        .filter(|i| in_use >> i & 1 == 1)
+        .map(Reg::r)
+        .collect();
+    let mut vreg_of = [None; 64];
+    for (i, r) in used.iter().enumerate() {
+        vreg_of[usize::from(r.index())] = Some(VReg(i));
     }
-    used.sort_unstable();
-    let index_of: HashMap<Reg, usize> = used.iter().enumerate().map(|(i, &r)| (r, i)).collect();
 
     let mut problem = AllocProblem::new(used.len());
-    for group in wide_groups(&kernel.code)? {
-        let vgroup: Vec<VReg> = group
-            .iter()
-            .filter_map(|r| index_of.get(r).map(|&i| VReg(i)))
+    for (base, words) in wide_groups(&kernel.code)? {
+        let vgroup: Option<Vec<VReg>> = (base.index()..base.index() + words)
+            .map(|i| vreg_of[usize::from(i)])
             .collect();
-        if vgroup.len() == group.len() {
+        if let Some(vgroup) = vgroup {
             problem.require_wide(&vgroup);
         }
     }
-    let mut seen_triples: Vec<Vec<VReg>> = Vec::new();
+    // A distinct-bank group per set of FFMA sources: its registers other
+    // than `RZ`, in operand order (padded with `RZ`, the set's key).
+    let mut seen_triples = HashSet::new();
     for sources in kernel.code.iter().filter_map(ffma_sources) {
-        let mut distinct: Vec<Reg> = Vec::new();
+        let (mut distinct, mut len) = ([Reg::RZ; 3], 0);
         for r in sources {
-            if !r.is_rz() && !distinct.contains(&r) {
-                distinct.push(r);
+            if !r.is_rz() && !distinct[..len].contains(&r) {
+                distinct[len] = r;
+                len += 1;
             }
         }
-        if distinct.len() < 2 {
+        if len < 2 || !seen_triples.insert(distinct) {
             continue;
         }
-        let vgroup: Vec<VReg> = distinct.iter().map(|r| VReg(index_of[r])).collect();
-        if !seen_triples.contains(&vgroup) {
-            seen_triples.push(vgroup.clone());
+        let vgroup: Option<Vec<VReg>> = (distinct[..len].iter())
+            .map(|r| vreg_of[usize::from(r.index())])
+            .collect();
+        if let Some(vgroup) = vgroup {
             problem.require_distinct_banks(&vgroup);
         }
     }
@@ -148,7 +167,7 @@ pub fn optimize_banks(kernel: &Kernel) -> Result<RewriteOutcome, RegAllocError> 
         .collect();
 
     let mut rewritten = kernel.clone();
-    rewritten.code = apply_mapping(&kernel.code, &mapping);
+    rename(&mut rewritten.code, &table(&mapping));
     rewritten.num_regs = rewritten.regs_used().max(kernel.num_regs.min(63));
     let after = analyze_ffma_conflicts(&rewritten.code);
     Ok(RewriteOutcome {

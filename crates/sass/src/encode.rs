@@ -4,8 +4,8 @@
 //! validator's own code, so a word decodes exactly when its instruction
 //! validates.
 
-use crate::isa::{Fields, Slot};
-use crate::{Instruction, OpClass, Operand, Pred, Reg, SassError, TABLE};
+use crate::isa::{Fields, OpInfo, Slot};
+use crate::{Instruction, Operand, Pred, Reg, SassError};
 
 fn bits(v: u64, lo: u32, hi: u32) -> u64 {
     (v >> lo) & ((1u64 << (hi - lo)) - 1)
@@ -97,13 +97,8 @@ pub fn decode(w: u64, index: u32) -> Result<Instruction, SassError> {
     let offset = index as usize * 8;
     let fail = |message| SassError::Decode { offset, message };
     let (opcode, space) = (bits(w, 5, 13), bits(w, 27, 29));
-    let row = TABLE
-        .iter()
-        .find(|row| {
-            u64::from(row.opcode) == opcode
-                && (!matches!(row.class, OpClass::Mem(_)) || row.space() as u64 == space)
-        })
-        .ok_or_else(|| fail(format!("unknown opcode {opcode}")))?;
+    let row =
+        OpInfo::by_opcode(opcode, space).ok_or_else(|| fail(format!("unknown opcode {opcode}")))?;
     let reg = |lo| Reg::new(bits(w, lo, lo + 6) as u8);
     let constant = |lo| Operand::Const {
         bank: bits(w, lo, lo + 4) as u8,
@@ -157,10 +152,11 @@ pub fn decode(w: u64, index: u32) -> Result<Instruction, SassError> {
 ///
 /// Propagates the first per-instruction encoding error.
 pub fn encode_stream(code: &[Instruction]) -> Result<Vec<u64>, SassError> {
-    code.iter()
-        .enumerate()
-        .map(|(i, inst)| encode(inst, i as u32))
-        .collect()
+    let mut words = Vec::with_capacity(code.len());
+    for (i, inst) in code.iter().enumerate() {
+        words.push(encode(inst, i as u32)?);
+    }
+    Ok(words)
 }
 
 /// Decode a whole instruction stream.
@@ -169,11 +165,11 @@ pub fn encode_stream(code: &[Instruction]) -> Result<Vec<u64>, SassError> {
 ///
 /// Propagates the first per-instruction decoding error.
 pub fn decode_stream(words: &[u64]) -> Result<Vec<Instruction>, SassError> {
-    words
-        .iter()
-        .enumerate()
-        .map(|(i, &w)| decode(w, i as u32))
-        .collect()
+    let mut code = Vec::with_capacity(words.len());
+    for (i, &w) in words.iter().enumerate() {
+        code.push(decode(w, i as u32)?);
+    }
+    Ok(code)
 }
 
 #[cfg(test)]

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::text::Text;
 use crate::{Op, Pred, Slot, SpecialReg};
 
 /// One SASS instruction: an operation under an optional predicate guard.
@@ -46,30 +47,43 @@ impl From<Op> for Instruction {
     }
 }
 
-impl fmt::Display for Instruction {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Instruction {
+    pub(crate) fn show(&self, t: &mut Text<'_, '_>) -> fmt::Result {
         if let Some(p) = self.pred {
-            let negated = if self.pred_neg { "!" } else { "" };
-            write!(f, "@{negated}{p} ")?;
+            t.str(if self.pred_neg { "@!" } else { "@" })?;
+            p.show(t)?;
+            t.str(" ")?;
         }
         let (row, x) = self.op.split();
-        f.write_str(row.names[x.m])?;
+        t.str(row.names[x.m])?;
         for (i, slot) in row.syntax.iter().enumerate() {
-            let sep = if i == 0 { " " } else { ", " };
+            t.str(if i == 0 { " " } else { ", " })?;
             match slot {
-                Slot::Dst | Slot::Load | Slot::Store => write!(f, "{sep}{}", x.dst)?,
-                Slot::P => write!(f, "{sep}{}", x.p)?,
-                Slot::A => write!(f, "{sep}{}", x.a)?,
-                Slot::B { .. } | Slot::Const => write!(f, "{sep}{}", x.b)?,
-                Slot::C => write!(f, "{sep}{}", x.c)?,
-                Slot::Shift | Slot::Imm32 | Slot::Target => write!(f, "{sep}{:#x}", x.n)?,
-                Slot::Special => write!(f, "{sep}{}", SpecialReg::ALL[x.n as usize].name())?,
-                Slot::Addr if x.n > 0 => write!(f, "{sep}[{}+{:#x}]", x.a, x.n)?,
-                Slot::Addr if x.n < 0 => write!(f, "{sep}[{}-{:#x}]", x.a, -x.n)?,
-                Slot::Addr => write!(f, "{sep}[{}]", x.a)?,
+                Slot::Dst | Slot::Load | Slot::Store => x.dst.show(t)?,
+                Slot::P => x.p.show(t)?,
+                Slot::A => x.a.show(t)?,
+                Slot::B { .. } | Slot::Const => x.b.show(t)?,
+                Slot::C => x.c.show(t)?,
+                Slot::Shift | Slot::Imm32 | Slot::Target => t.hex(x.n as u64)?,
+                Slot::Special => t.str(SpecialReg::ALL[x.n as usize].name())?,
+                Slot::Addr => {
+                    t.str("[")?;
+                    x.a.show(t)?;
+                    if x.n != 0 {
+                        t.str(if x.n > 0 { "+" } else { "-" })?;
+                        t.hex(x.n.unsigned_abs())?;
+                    }
+                    t.str("]")?;
+                }
             }
         }
-        f.write_str(";")
+        t.str(";")
+    }
+}
+
+impl fmt::Display for Instruction {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        Text::show(f, |t| self.show(t))
     }
 }
 

@@ -30,6 +30,9 @@
 //! `Op` variant and its `split` and `build` arms), one lane function in the
 //! simulator's `execute_op`, and optionally a `KernelBuilder` helper.
 
+use std::collections::HashMap;
+use std::sync::LazyLock;
+
 use crate::op::{CmpOp, LogicOp, MemSpace, MemWidth, OpClass, SpecialReg};
 use crate::{Operand, Pred, Reg};
 
@@ -378,6 +381,29 @@ pub static TABLE: [&OpInfo; 27] = [
     &ST[2], &LDC,
 ];
 
+/// The row and modifier of every mnemonic spelling: the assembler's
+/// index into [`TABLE`].
+static SPELLINGS: LazyLock<HashMap<&str, (&OpInfo, usize)>> = LazyLock::new(|| {
+    (TABLE.iter())
+        .flat_map(|row| (row.names.iter().enumerate()).map(move |(m, name)| (*name, (*row, m))))
+        .collect()
+});
+
+/// The row a word's opcode field (bits 5..13) and space field (bits
+/// 27..29) select: the decoder's index into [`TABLE`]. A memory row
+/// answers to its own space only, any other row to all four.
+static BY_OPCODE: LazyLock<Vec<[Option<&OpInfo>; 4]>> = LazyLock::new(|| {
+    let mut index = vec![[None; 4]; 256];
+    for row in TABLE {
+        for (space, entry) in index[usize::from(row.opcode)].iter_mut().enumerate() {
+            if !matches!(row.class, Mem(_)) || row.space() as usize == space {
+                entry.get_or_insert(row);
+            }
+        }
+    }
+    index
+});
+
 /// One operation's operands in table form: `dst` holds [`Slot::Dst`],
 /// [`Slot::Load`] or [`Slot::Store`], `p` [`Slot::P`], `a` [`Slot::A`] or
 /// the register of [`Slot::Addr`], `b` [`Slot::B`] or [`Slot::Const`], `c`
@@ -421,7 +447,106 @@ fn fits_signed(v: i64, bits: u32) -> bool {
     (-(1i64 << (bits - 1))..1i64 << (bits - 1)).contains(&v)
 }
 
+/// [`OpInfo::check`] for one slot of the row spelled `name`.
+fn check_slot(slot: Slot, name: &str, x: &Fields, index: usize) -> Result<(), String> {
+    match slot {
+        Shift if !(0..=31).contains(&x.n) => {
+            return Err(format!(
+                "{name} shift {} outside the encodable range 0..=31",
+                x.n
+            ));
+        }
+        Special if !(0..SpecialReg::ALL.len() as i64).contains(&x.n) => {
+            return Err(format!("invalid special register id {}", x.n));
+        }
+        Target if u32::try_from(x.n).is_err() || !fits_signed(x.n - index as i64 - 1, 24) => {
+            return Err(format!("branch target {} out of range", x.n));
+        }
+        Addr if !fits_signed(x.n, 24) => {
+            return Err(format!(
+                "memory offset {} outside the signed 24-bit encoding range",
+                x.n
+            ));
+        }
+        Load | Store => {
+            let words = MemWidth::ALL[x.m].words();
+            let (what, access) = match slot {
+                Load => ("destination", "load"),
+                _ => ("source", "store"),
+            };
+            if !x.dst.is_aligned_for(words) {
+                return Err(format!(
+                    "{name} {what} {} must be {words}-register aligned",
+                    x.dst
+                ));
+            }
+            // Wide accesses expand to consecutive general registers,
+            // so the range must stop at R62: index 63 is RZ, not
+            // storage. (Single-word RZ stays legal — a discard load,
+            // the store-zero idiom.)
+            if words > 1 && u32::from(x.dst.index()) + words > 63 {
+                return Err(format!(
+                    "wide {access} at {} runs past R62 into the zero register",
+                    x.dst
+                ));
+            }
+        }
+        Slot::B { imm: false } if matches!(x.b, Operand::Imm(_)) => {
+            return Err("floating-point instructions take register or constant \
+                        operands (use MOV32I for literals)"
+                .to_owned());
+        }
+        Slot::B { .. } | Const => match x.b {
+            Operand::Imm(v) if !fits_signed(v.into(), 20) => {
+                return Err(format!("immediate {v} does not fit in 20 bits"));
+            }
+            Operand::Const { bank, offset } if bank > 15 || offset > 0xFFFC || offset % 4 != 0 => {
+                return Err(format!(
+                    "constant operand c[{bank:#x}][{offset:#x}] out of range"
+                ));
+            }
+            _ => {}
+        },
+        _ => {}
+    }
+    Ok(())
+}
+
 impl OpInfo {
+    /// The row and modifier `mnemonic` spells exactly.
+    pub(crate) fn by_name(mnemonic: &str) -> Option<(&'static OpInfo, usize)> {
+        let found = SPELLINGS.get(mnemonic).copied();
+        debug_assert!({
+            let scan = (TABLE.iter())
+                .find_map(|row| Some((*row, row.names.iter().position(|n| *n == mnemonic)?)));
+            let same =
+                |(r, m): (&OpInfo, usize), (s, n): (&OpInfo, usize)| std::ptr::eq(r, s) && m == n;
+            match (found, scan) {
+                (Some(f), Some(s)) => same(f, s),
+                (f, s) => f.is_none() && s.is_none(),
+            }
+        });
+        found
+    }
+
+    /// The row a word's opcode and space fields select.
+    pub(crate) fn by_opcode(opcode: u64, space: u64) -> Option<&'static OpInfo> {
+        let found = usize::try_from(opcode)
+            .ok()
+            .and_then(|op| BY_OPCODE.get(op)?.get(space as usize).copied().flatten());
+        debug_assert!({
+            let scan = TABLE.iter().find(|row| {
+                u64::from(row.opcode) == opcode
+                    && (!matches!(row.class, Mem(_)) || row.space() as u64 == space)
+            });
+            match (found, scan) {
+                (Some(f), Some(s)) => std::ptr::eq(f, *s),
+                (f, s) => f.is_none() && s.is_none(),
+            }
+        });
+        found
+    }
+
     pub(crate) fn has(&self, slot: Slot) -> bool {
         self.syntax.contains(&slot)
     }
@@ -462,72 +587,10 @@ impl OpInfo {
         let Some(name) = self.names.get(x.m) else {
             return Err(format!("invalid modifier {} of {}", x.m, self.names[0]));
         };
-        let numeric = |s: &&Slot| matches!(s, Shift | Special | Target | Addr);
-        let ordered = self.syntax.iter().filter(numeric);
-        for slot in ordered.chain(self.syntax.iter().filter(|s| !numeric(s))) {
-            match *slot {
-                Shift if !(0..=31).contains(&x.n) => {
-                    return Err(format!(
-                        "{name} shift {} outside the encodable range 0..=31",
-                        x.n
-                    ));
-                }
-                Special if !(0..SpecialReg::ALL.len() as i64).contains(&x.n) => {
-                    return Err(format!("invalid special register id {}", x.n));
-                }
-                Target
-                    if u32::try_from(x.n).is_err() || !fits_signed(x.n - index as i64 - 1, 24) =>
-                {
-                    return Err(format!("branch target {} out of range", x.n));
-                }
-                Addr if !fits_signed(x.n, 24) => {
-                    return Err(format!(
-                        "memory offset {} outside the signed 24-bit encoding range",
-                        x.n
-                    ));
-                }
-                Load | Store => {
-                    let words = MemWidth::ALL[x.m].words();
-                    let (what, access) = match slot {
-                        Load => ("destination", "load"),
-                        _ => ("source", "store"),
-                    };
-                    if !x.dst.is_aligned_for(words) {
-                        return Err(format!(
-                            "{name} {what} {} must be {words}-register aligned",
-                            x.dst
-                        ));
-                    }
-                    // Wide accesses expand to consecutive general registers,
-                    // so the range must stop at R62: index 63 is RZ, not
-                    // storage. (Single-word RZ stays legal — a discard load,
-                    // the store-zero idiom.)
-                    if words > 1 && u32::from(x.dst.index()) + words > 63 {
-                        return Err(format!(
-                            "wide {access} at {} runs past R62 into the zero register",
-                            x.dst
-                        ));
-                    }
-                }
-                Slot::B { imm: false } if matches!(x.b, Operand::Imm(_)) => {
-                    return Err("floating-point instructions take register or constant \
-                                operands (use MOV32I for literals)"
-                        .to_owned());
-                }
-                Slot::B { .. } | Const => match x.b {
-                    Operand::Imm(v) if !fits_signed(v.into(), 20) => {
-                        return Err(format!("immediate {v} does not fit in 20 bits"));
-                    }
-                    Operand::Const { bank, offset }
-                        if bank > 15 || offset > 0xFFFC || offset % 4 != 0 =>
-                    {
-                        return Err(format!(
-                            "constant operand c[{bank:#x}][{offset:#x}] out of range"
-                        ));
-                    }
-                    _ => {}
-                },
-                _ => {}
+        let numeric = |s: &Slot| matches!(s, Shift | Special | Target | Addr);
+        for first in [true, false] {
+            for slot in self.syntax.iter().filter(|s| numeric(s) == first) {
+                check_slot(*slot, name, x, index)?;
             }
         }
         Ok(())
@@ -743,29 +806,26 @@ impl Op {
         *self = row.build(&x);
     }
 
-    /// The general-purpose registers the operation writes (`defs`) or
-    /// reads, runs of wide accesses expanded; `RZ` and registers past the
-    /// file are left out.
-    fn regs(&self, defs: bool) -> Vec<Reg> {
-        let mut regs = Vec::new();
-        for (role, r) in self.reg_slots() {
-            if matches!(role, Role::Def | Role::Load(_)) == defs {
-                let run = (0..role.words() as u8).filter_map(|i| r.offset_checked(i));
-                regs.extend(run.filter(|r| !r.is_rz()));
+    /// The general-purpose registers the operation reads and writes, as
+    /// masks `(uses, defs)` with bit `i` for `Ri`: runs of wide accesses
+    /// expanded, `RZ` and registers past the file left out.
+    pub fn reg_masks(&self) -> (u64, u64) {
+        let (row, x) = self.split();
+        // A B that is no register reads none: `RZ` stands in, masked out.
+        let b = match x.b {
+            Operand::Reg(r) => r,
+            _ => Reg::RZ,
+        };
+        let (mut uses, mut defs) = (0, 0);
+        for (role, r) in row.roles(x.m).into_iter().zip([x.dst, x.a, b, x.c]) {
+            let Some(role) = role else { continue };
+            let run = ((1u64 << role.words()) - 1) << r.index() & !(1 << Reg::RZ.index());
+            match role {
+                Role::Def | Role::Load(_) => defs |= run,
+                _ => uses |= run,
             }
         }
-        regs
-    }
-
-    /// General-purpose registers written by this operation (wide loads
-    /// expand to consecutive registers).
-    pub fn def_regs(&self) -> Vec<Reg> {
-        self.regs(true)
-    }
-
-    /// General-purpose registers read by this operation (`RZ` excluded).
-    pub fn use_regs(&self) -> Vec<Reg> {
-        self.regs(false)
+        (uses, defs)
     }
 
     /// The predicate register written, if any.
@@ -803,6 +863,11 @@ mod tests {
         }
     }
 
+    /// The register mask of `Ri` for each `i` in `regs`.
+    fn mask(regs: &[u8]) -> u64 {
+        regs.iter().fold(0, |m, i| m | 1 << i)
+    }
+
     #[test]
     fn ffma_def_use() {
         let op = Op::Ffma {
@@ -811,8 +876,7 @@ mod tests {
             b: Operand::reg(2),
             c: Reg::r(8),
         };
-        assert_eq!(op.def_regs(), vec![Reg::r(8)]);
-        assert_eq!(op.use_regs(), vec![Reg::r(1), Reg::r(2), Reg::r(8)]);
+        assert_eq!(op.reg_masks(), (mask(&[1, 2, 8]), mask(&[8])));
         assert_eq!(op.class(), OpClass::Fp32);
         assert_eq!(op.info().flops, 2);
     }
@@ -826,11 +890,7 @@ mod tests {
             addr: Reg::r(20),
             offset: 16,
         };
-        assert_eq!(
-            op.def_regs(),
-            vec![Reg::r(12), Reg::r(13), Reg::r(14), Reg::r(15)]
-        );
-        assert_eq!(op.use_regs(), vec![Reg::r(20)]);
+        assert_eq!(op.reg_masks(), (mask(&[20]), mask(&[12, 13, 14, 15])));
         assert_eq!(op.mnemonic(), "LDS.128");
         assert_eq!(op.class(), OpClass::Mem(MemSpace::Shared));
     }
@@ -844,8 +904,7 @@ mod tests {
             addr: Reg::r(10),
             offset: 0,
         };
-        assert_eq!(op.use_regs(), vec![Reg::r(4), Reg::r(5), Reg::r(10)]);
-        assert!(op.def_regs().is_empty());
+        assert_eq!(op.reg_masks(), (mask(&[4, 5, 10]), 0));
         assert_eq!(op.mnemonic(), "ST.64");
     }
 
@@ -856,8 +915,7 @@ mod tests {
             a: Reg::RZ,
             b: Operand::Reg(Reg::RZ),
         };
-        assert!(op.def_regs().is_empty());
-        assert!(op.use_regs().is_empty());
+        assert_eq!(op.reg_masks(), (0, 0));
     }
 
     #[test]
@@ -873,7 +931,7 @@ mod tests {
             addr: Reg::r(0),
             offset: 0,
         };
-        assert_eq!(ld.def_regs(), vec![Reg::r(62)]);
+        assert_eq!(ld.reg_masks(), (mask(&[0]), mask(&[62])));
         let st = Op::St {
             space: MemSpace::Global,
             width: MemWidth::B128,
@@ -881,7 +939,7 @@ mod tests {
             addr: Reg::r(10),
             offset: 0,
         };
-        assert_eq!(st.use_regs(), vec![Reg::r(61), Reg::r(62), Reg::r(10)]);
+        assert_eq!(st.reg_masks(), (mask(&[10, 61, 62]), 0));
         let st_rz = Op::St {
             space: MemSpace::Global,
             width: MemWidth::B32,
@@ -889,7 +947,7 @@ mod tests {
             addr: Reg::r(10),
             offset: 0,
         };
-        assert_eq!(st_rz.use_regs(), vec![Reg::r(10)]);
+        assert_eq!(st_rz.reg_masks(), (mask(&[10]), 0));
     }
 
     #[test]
@@ -910,14 +968,14 @@ mod tests {
             ]
         );
         op.map_regs(|_, r| *r = Reg::r(r.index() + 2));
-        assert_eq!(op.use_regs(), vec![Reg::r(6), Reg::r(7), Reg::r(12)]);
+        assert_eq!(op.reg_masks(), (mask(&[6, 7, 12]), 0));
         let mut mov = Op::Mov {
             dst: Reg::r(1),
             src: Operand::Imm(3),
         };
         assert_eq!(mov.operand(), Some(Operand::Imm(3)));
         mov.set_operand(Operand::reg(9));
-        assert_eq!(mov.use_regs(), vec![Reg::r(9)]);
+        assert_eq!(mov.reg_masks(), (mask(&[9]), mask(&[1])));
         assert_eq!(Op::Nop.operand(), None);
     }
 

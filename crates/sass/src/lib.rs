@@ -67,6 +67,7 @@ mod op;
 mod operand;
 mod parse;
 mod reg;
+mod text;
 mod validate;
 
 pub use builder::{KernelBuilder, Label};

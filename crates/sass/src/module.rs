@@ -4,8 +4,9 @@ use std::fmt;
 
 use peakperf_arch::Generation;
 
-use crate::ctl::{pack_stream, unpack_stream, CtlInfo, CtlWord};
-use crate::encode::{decode_stream, encode_stream};
+use crate::ctl::{pack_stream, unpack_stream, CtlInfo, CtlWord, GROUP};
+use crate::encode::{decode, encode};
+use crate::text::Text;
 use crate::{Instruction, SassError, PARAM_BASE};
 
 /// Description of one kernel parameter (a 32-bit word in constant bank 0).
@@ -77,13 +78,11 @@ impl Kernel {
     /// The registers the code needs: one past the highest index it reads
     /// or writes (`RZ` aside).
     pub fn regs_used(&self) -> u32 {
-        self.code
-            .iter()
-            .flat_map(|i| i.op.reg_slots())
-            .filter(|(_, r)| !r.is_rz())
-            .map(|(role, r)| (u32::from(r.index()) + role.words()).min(63))
-            .max()
-            .unwrap_or(0)
+        let all = (self.code.iter()).fold(0u64, |all, inst| {
+            let (uses, defs) = inst.op.reg_masks();
+            all | uses | defs
+        });
+        u64::BITS - all.leading_zeros()
     }
 
     /// Count instructions whose mnemonic starts with `prefix`
@@ -109,14 +108,21 @@ impl fmt::Display for Kernel {
         for p in &self.params {
             writeln!(f, ".param {}", p.name)?;
         }
+        let mut t = Text::new(f);
         for (i, inst) in self.code.iter().enumerate() {
             let ctl = self.ctl_for(i);
             if self.ctl.is_some() && ctl != CtlInfo::NONE {
-                writeln!(f, ".ctl {:#04x}", ctl.to_byte())?;
+                t.str(".ctl 0x")?;
+                t.digits::<16>(ctl.to_byte().into(), 2)?;
+                t.str("\n")?;
             }
-            writeln!(f, "/*{i:04x}*/ {inst}")?;
+            t.str("/*")?;
+            t.digits::<16>(i as u64, 4)?;
+            t.str("*/ ")?;
+            inst.show(&mut t)?;
+            t.str("\n")?;
         }
-        Ok(())
+        t.flush()
     }
 }
 
@@ -167,7 +173,10 @@ impl Module {
     ///
     /// Propagates encoding failures (e.g. out-of-range immediates).
     pub fn to_bytes(&self) -> Result<Vec<u8>, SassError> {
-        let mut out = Vec::new();
+        let words: usize = (self.kernels.iter())
+            .map(|k| k.code.len() + k.code.len().div_ceil(GROUP))
+            .sum();
+        let mut out = Vec::with_capacity(13 + 64 * self.kernels.len() + 8 * words);
         out.extend_from_slice(b"PKPF");
         out.extend_from_slice(&1u32.to_le_bytes());
         out.push(match self.generation {
@@ -187,8 +196,8 @@ impl Module {
                 out.extend_from_slice(&p.offset.to_le_bytes());
             }
             out.extend_from_slice(&(k.code.len() as u32).to_le_bytes());
-            for w in encode_stream(&k.code)? {
-                out.extend_from_slice(&w.to_le_bytes());
+            for (i, inst) in k.code.iter().enumerate() {
+                out.extend_from_slice(&encode(inst, i as u32)?.to_le_bytes());
             }
             match &k.ctl {
                 Some(fields) => {
@@ -232,15 +241,16 @@ impl Module {
                 })
             }
         };
+        // Counts come from the input: reserve no more than its bytes can hold.
         let nk = r.u32()? as usize;
-        let mut kernels = Vec::with_capacity(nk);
+        let mut kernels = Vec::with_capacity(nk.min(r.remaining()));
         for _ in 0..nk {
             let name = r.string()?;
             let num_regs = r.u32()?;
             let shared_bytes = r.u32()?;
             let local_bytes = r.u32()?;
             let np = r.u32()? as usize;
-            let mut params = Vec::with_capacity(np);
+            let mut params = Vec::with_capacity(np.min(r.remaining()));
             for _ in 0..np {
                 let pname = r.string()?;
                 let offset = r.u32()?;
@@ -250,17 +260,13 @@ impl Module {
                 });
             }
             let ni = r.u32()? as usize;
-            let mut words = Vec::with_capacity(ni);
-            for _ in 0..ni {
-                words.push(r.u64()?);
+            let words = r.words(ni)?;
+            let mut code = Vec::with_capacity(ni);
+            for (i, w) in words.enumerate() {
+                code.push(decode(w, i as u32)?);
             }
-            let code = decode_stream(&words)?;
             let ctl = if r.u8()? == 1 {
-                let nw = ni.div_ceil(crate::ctl::GROUP);
-                let mut cws = Vec::with_capacity(nw);
-                for _ in 0..nw {
-                    cws.push(CtlWord(r.u64()?));
-                }
+                let cws: Vec<CtlWord> = r.words(ni.div_ceil(GROUP))?.map(CtlWord).collect();
                 Some(unpack_stream(&cws, ni)?)
             } else {
                 None
@@ -324,10 +330,23 @@ impl<'a> Reader<'a> {
         Ok(u32::from_le_bytes(b))
     }
 
-    fn u64(&mut self) -> Result<u64, SassError> {
-        let mut b = [0u8; 8];
-        b.copy_from_slice(self.take(8)?);
-        Ok(u64::from_le_bytes(b))
+    fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// The next `n` little-endian 64-bit words. Input too short for them
+    /// is reported at the first word it cuts.
+    fn words(&mut self, n: usize) -> Result<impl Iterator<Item = u64> + 'a, SassError> {
+        let whole = n.min(self.remaining() / 8);
+        let bytes = self.take(8 * whole)?;
+        if whole < n {
+            self.take(8)?;
+        }
+        Ok(bytes.chunks_exact(8).map(|word| {
+            let mut b = [0u8; 8];
+            b.copy_from_slice(word);
+            u64::from_le_bytes(b)
+        }))
     }
 
     fn string(&mut self) -> Result<String, SassError> {

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use crate::text::Text;
 use crate::Reg;
 
 /// A source operand of an ALU instruction: a register, a signed 20-bit
@@ -46,19 +47,30 @@ impl From<i32> for Operand {
     }
 }
 
+impl Operand {
+    pub(crate) fn show(self, t: &mut Text<'_, '_>) -> fmt::Result {
+        match self {
+            Operand::Reg(r) => r.show(t),
+            Operand::Imm(v) => {
+                if v < 0 {
+                    t.str("-")?;
+                }
+                t.hex(v.unsigned_abs().into())
+            }
+            Operand::Const { bank, offset } => {
+                t.str("c[")?;
+                t.hex(bank.into())?;
+                t.str("][")?;
+                t.hex(offset.into())?;
+                t.str("]")
+            }
+        }
+    }
+}
+
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Operand::Reg(r) => write!(f, "{r}"),
-            Operand::Imm(v) => {
-                if *v < 0 {
-                    write!(f, "-{:#x}", -(i64::from(*v)))
-                } else {
-                    write!(f, "{v:#x}")
-                }
-            }
-            Operand::Const { bank, offset } => write!(f, "c[{bank:#x}][{offset:#x}]"),
-        }
+        Text::show(f, |t| self.show(t))
     }
 }
 

@@ -17,13 +17,14 @@
 //! Branch targets may be labels or absolute instruction indices, so
 //! disassembled output re-assembles bit-identically.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use peakperf_arch::Generation;
 
 use crate::ctl::CtlInfo;
-use crate::isa::Fields;
-use crate::{Instruction, Kernel, Module, Operand, Pred, Reg, SassError, Slot, SpecialReg, TABLE};
+use crate::isa::{Fields, OpInfo};
+use crate::{Instruction, Kernel, Module, Operand, Pred, Reg, SassError, Slot, SpecialReg};
 
 /// Assemble a source text into a [`Module`] for the given generation.
 ///
@@ -39,8 +40,8 @@ pub fn assemble(source: &str, generation: Generation) -> Result<Module, SassErro
     let mut state: Option<KernelState> = None;
 
     for (lineno, raw) in source.lines().enumerate() {
-        let stripped = strip_comment(raw);
-        let line = stripped.trim();
+        let code = strip_comment(raw);
+        let line = code.as_ref();
         if line.is_empty() {
             continue;
         }
@@ -188,36 +189,37 @@ fn parse_directive(
     Ok(())
 }
 
-fn strip_comment(line: &str) -> String {
-    // `//` comments and `/* ... */` (single-line) comments.
-    let mut out = String::with_capacity(line.len());
-    let mut chars = line.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        if c == '/' {
-            match chars.peek() {
-                Some((_, '/')) => break,
-                Some((_, '*')) => {
-                    chars.next();
-                    let rest = &line[i + 2..];
-                    if let Some(end) = rest.find("*/") {
-                        let skip_to = i + 2 + end + 2;
-                        while let Some(&(j, _)) = chars.peek() {
-                            if j >= skip_to {
-                                break;
-                            }
-                            chars.next();
-                        }
-                        continue;
-                    }
-                    break;
-                }
-                _ => out.push(c),
-            }
-        } else {
-            out.push(c);
-        }
+/// The code of one line without its comments, trimmed: `//` runs to the
+/// end of the line, `/* ... */` closes on it (or runs to its end). Borrowed
+/// from the line unless code sits on both sides of a comment.
+fn strip_comment(line: &str) -> Cow<'_, str> {
+    let mut code = code_segments(line).filter(|s| !s.trim().is_empty());
+    match (code.next(), code.next()) {
+        (None, _) => Cow::Borrowed(""),
+        (Some(only), None) => Cow::Borrowed(only.trim()),
+        _ => Cow::Owned(code_segments(line).collect::<String>().trim().to_owned()),
     }
-    out
+}
+
+/// The pieces of `line` outside its comments, in order.
+fn code_segments(line: &str) -> impl Iterator<Item = &str> {
+    let mut rest = Some(line);
+    std::iter::from_fn(move || {
+        let text = rest?;
+        let bytes = text.as_bytes();
+        let open = (bytes.windows(2)).position(|w| w[0] == b'/' && matches!(w[1], b'/' | b'*'));
+        let Some(i) = open else {
+            rest = None;
+            return Some(text);
+        };
+        rest = match bytes[i + 1] {
+            b'*' => (bytes[i + 2..].windows(2))
+                .position(|w| w == b"*/")
+                .map(|end| &text[i + 2 + end + 2..]),
+            _ => None,
+        };
+        Some(&text[..i])
+    })
 }
 
 fn is_ident(s: &str) -> bool {
@@ -243,7 +245,8 @@ fn err(line: usize, message: impl Into<String>) -> SassError {
     }
 }
 
-/// Character cursor over one statement.
+/// Cursor over one statement. Every token is ASCII, so it steps over
+/// bytes; only whitespace may be any Unicode `White_Space` character.
 struct Cursor<'a> {
     text: &'a str,
     pos: usize,
@@ -256,85 +259,81 @@ impl<'a> Cursor<'a> {
     }
 
     fn rest(&self) -> &'a str {
-        &self.text[self.pos..]
+        self.text.get(self.pos..).unwrap_or("")
     }
 
     fn done(&self) -> bool {
         self.pos >= self.text.len()
     }
 
+    /// Step over whitespace, a whole character at a time: the ASCII
+    /// kinds and any other Unicode `White_Space` (`U+00A0`, `U+3000`, ...).
     fn skip_ws(&mut self) {
-        while self
-            .rest()
-            .chars()
-            .next()
-            .is_some_and(|c| c.is_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<char> {
-        self.rest().chars().next()
-    }
-
-    fn eat(&mut self, c: char) -> bool {
-        if self.peek() == Some(c) {
+        while let Some(c) = self.next_char().filter(|c| c.is_whitespace()) {
             self.pos += c.len_utf8();
-            true
-        } else {
-            false
         }
     }
 
-    fn expect(&mut self, c: char) -> Result<(), SassError> {
+    /// The character at the cursor.
+    fn next_char(&self) -> Option<char> {
+        match self.peek()? {
+            b if b.is_ascii() => Some(char::from(b)),
+            _ => self.rest().chars().next(),
+        }
+    }
+
+    fn peek(&self) -> Option<u8> {
+        self.text.as_bytes().get(self.pos).copied()
+    }
+
+    /// Consume the ASCII character `c` if it comes next.
+    fn eat(&mut self, c: u8) -> bool {
+        let next = self.peek() == Some(c);
+        self.pos += usize::from(next);
+        next
+    }
+
+    fn expect(&mut self, c: u8) -> Result<(), SassError> {
         self.skip_ws();
         if self.eat(c) {
             Ok(())
         } else {
             Err(err(
                 self.line,
-                format!("expected `{c}` before `{}`", self.rest()),
+                format!("expected `{}` before `{}`", char::from(c), self.rest()),
             ))
         }
+    }
+
+    /// Step over the bytes that satisfy `keep`; the text stepped over.
+    fn take_while(&mut self, keep: impl Fn(u8) -> bool) -> &'a str {
+        let start = self.pos;
+        while self.peek().is_some_and(&keep) {
+            self.pos += 1;
+        }
+        &self.text[start..self.pos]
     }
 
     /// Consume a word: identifier characters plus `.` (mnemonics and
     /// special-register names contain dots).
     fn word(&mut self) -> &'a str {
         self.skip_ws();
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| c.is_ascii_alphanumeric() || c == '_' || c == '.')
-        {
-            self.pos += 1;
-        }
-        &self.text[start..self.pos]
+        self.take_while(|b| b.is_ascii_alphanumeric() || b == b'_' || b == b'.')
     }
 
     fn number_i64(&mut self) -> Result<i64, SassError> {
         self.skip_ws();
-        let neg = self.eat('-');
+        let neg = self.eat(b'-');
         let start = self.pos;
         let hex = self.rest().starts_with("0x") || self.rest().starts_with("0X");
-        if hex {
-            self.pos += 2;
-            while self.peek().is_some_and(|c| c.is_ascii_hexdigit()) {
-                self.pos += 1;
-            }
-        } else {
-            while self.peek().is_some_and(|c| c.is_ascii_digit()) {
-                self.pos += 1;
-            }
-        }
-        let text = &self.text[start..self.pos];
         let value = if hex {
-            i64::from_str_radix(&text[2..], 16)
+            self.pos += 2;
+            i64::from_str_radix(self.take_while(|b| b.is_ascii_hexdigit()), 16)
         } else {
-            text.parse()
-        }
-        .map_err(|_| err(self.line, format!("invalid number `{text}`")))?;
+            self.take_while(|b| b.is_ascii_digit()).parse()
+        };
+        let text = &self.text[start..self.pos];
+        let value = value.map_err(|_| err(self.line, format!("invalid number `{text}`")))?;
         Ok(if neg { -value } else { value })
     }
 
@@ -368,23 +367,23 @@ impl<'a> Cursor<'a> {
     fn operand(&mut self) -> Result<Operand, SassError> {
         self.skip_ws();
         match self.peek() {
-            Some('R') => Ok(Operand::Reg(self.reg()?)),
-            Some('c') => self.const_ref(),
+            Some(b'R') => Ok(Operand::Reg(self.reg()?)),
+            Some(b'c') => self.const_ref(),
             _ => Ok(Operand::Imm(self.number_i32()?)),
         }
     }
 
     fn const_ref(&mut self) -> Result<Operand, SassError> {
         self.skip_ws();
-        if !self.eat('c') {
+        if !self.eat(b'c') {
             return Err(err(self.line, "expected constant reference".to_owned()));
         }
-        self.expect('[')?;
+        self.expect(b'[')?;
         let bank = self.number_i64()?;
-        self.expect(']')?;
-        self.expect('[')?;
+        self.expect(b']')?;
+        self.expect(b'[')?;
         let offset = self.number_i64()?;
-        self.expect(']')?;
+        self.expect(b']')?;
         let bank = u8::try_from(bank)
             .map_err(|_| err(self.line, format!("constant bank {bank} out of range")))?;
         let offset = u32::try_from(offset)
@@ -394,21 +393,21 @@ impl<'a> Cursor<'a> {
 
     /// Parse `[Rn]`, `[Rn+0x8]`, or `[Rn-0x8]`.
     fn mem_addr(&mut self) -> Result<(Reg, i32), SassError> {
-        self.expect('[')?;
+        self.expect(b'[')?;
         let base = self.reg()?;
         self.skip_ws();
         // A `-` is consumed by `number_i32` as the sign; `+` is eaten here
         // and takes an unsigned number.
-        let plus = self.eat('+');
+        let plus = self.eat(b'+');
         self.skip_ws();
-        let offset = if plus && self.peek() == Some('-') {
+        let offset = if plus && self.peek() == Some(b'-') {
             return Err(err(self.line, "expected an offset after `+`, found `-`"));
-        } else if plus || self.peek() == Some('-') {
+        } else if plus || self.peek() == Some(b'-') {
             self.number_i32()?
         } else {
             0
         };
-        self.expect(']')?;
+        self.expect(b']')?;
         Ok((base, offset))
     }
 }
@@ -422,23 +421,21 @@ fn parse_instruction(
     index: usize,
 ) -> Result<(Instruction, Option<String>), SassError> {
     cur.skip_ws();
-    let (pred, pred_neg) = if cur.eat('@') {
-        let neg = cur.eat('!');
+    let (pred, pred_neg) = if cur.eat(b'@') {
+        let neg = cur.eat(b'!');
         (Some(cur.pred()?), neg)
     } else {
         (None, false)
     };
     let mnemonic = cur.word();
     let line = cur.line;
-    let (row, m) = TABLE
-        .iter()
-        .find_map(|row| Some((*row, row.names.iter().position(|n| *n == mnemonic)?)))
+    let (row, m) = OpInfo::by_name(mnemonic)
         .ok_or_else(|| err(line, format!("unknown mnemonic `{mnemonic}`")))?;
     let mut x = Fields { m, ..Fields::EMPTY };
     let mut label = None;
     for (i, slot) in row.syntax.iter().enumerate() {
         if i > 0 {
-            cur.expect(',')?;
+            cur.expect(b',')?;
         }
         match slot {
             Slot::Dst | Slot::Load | Slot::Store => x.dst = cur.reg()?,
@@ -463,7 +460,7 @@ fn parse_instruction(
             }
             Slot::Target => {
                 cur.skip_ws();
-                if cur.peek().is_some_and(|c| c.is_ascii_digit()) {
+                if cur.peek().is_some_and(|b| b.is_ascii_digit()) {
                     x.n = cur.number_i64()?;
                 } else {
                     let name = cur.word();
@@ -480,7 +477,7 @@ fn parse_instruction(
             Slot::Const => x.b = cur.const_ref()?,
         }
     }
-    cur.expect(';')?;
+    cur.expect(b';')?;
     row.check(&x, index).map_err(|m| err(line, m))?;
     let op = row.build(&x);
     Ok((Instruction { pred, pred_neg, op }, label))
@@ -707,6 +704,20 @@ EXIT;
             assert_eq!(line, 2, "{inst}");
             assert!(message.contains(needle), "{inst}: {message}");
         }
+    }
+
+    #[test]
+    fn unicode_whitespace_separates_tokens() {
+        // Each used to panic, stepping one byte into a multi-byte space.
+        let iadd = one("IADD R1, R2, 0x1;").op;
+        assert_eq!(one("IADD R1,\u{a0}R2, 0x1;").op, iadd);
+        assert_eq!(one("IADD\u{3000}R1, R2, 0x1\u{3000};").op, iadd);
+        // Any other non-ASCII character is an error on its line.
+        let (line, message) = parse_error(".kernel t\nIADD R1, R2, 0x1\u{e9};\n");
+        assert_eq!(
+            (line, message.as_str()),
+            (2, "expected `;` before `\u{e9};`")
+        );
     }
 
     #[test]

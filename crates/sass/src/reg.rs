@@ -4,6 +4,7 @@ use std::fmt;
 
 use peakperf_arch::{register_bank, RegisterBank};
 
+use crate::text::Text;
 use crate::SassError;
 
 /// A general-purpose 32-bit register.
@@ -89,13 +90,20 @@ impl Reg {
     }
 }
 
+impl Reg {
+    pub(crate) fn show(self, t: &mut Text<'_, '_>) -> fmt::Result {
+        if self.is_rz() {
+            t.str("RZ")
+        } else {
+            t.str("R")?;
+            t.digits::<10>(self.0.into(), 1)
+        }
+    }
+}
+
 impl fmt::Display for Reg {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_rz() {
-            f.write_str("RZ")
-        } else {
-            write!(f, "R{}", self.0)
-        }
+        Text::show(f, |t| self.show(t))
     }
 }
 
@@ -152,13 +160,20 @@ impl Pred {
     }
 }
 
+impl Pred {
+    pub(crate) fn show(self, t: &mut Text<'_, '_>) -> fmt::Result {
+        if self.is_pt() {
+            t.str("PT")
+        } else {
+            t.str("P")?;
+            t.digits::<10>(self.0.into(), 1)
+        }
+    }
+}
+
 impl fmt::Display for Pred {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        if self.is_pt() {
-            f.write_str("PT")
-        } else {
-            write!(f, "P{}", self.0)
-        }
+        Text::show(f, |t| self.show(t))
     }
 }
 

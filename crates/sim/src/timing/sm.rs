@@ -381,10 +381,7 @@ impl TimingSim {
             });
         }
         let calib = Calibration::for_generation(gpu.generation)?;
-        let mask = |regs: Vec<Reg>| regs.iter().fold(0, |m, r| m | 1u64 << r.index());
-        let regs: Vec<(u64, u64)> = (kernel.code.iter())
-            .map(|inst| (mask(inst.op.use_regs()), mask(inst.op.def_regs())))
-            .collect();
+        let regs: Vec<(u64, u64)> = kernel.code.iter().map(|inst| inst.op.reg_masks()).collect();
         // Per instruction, the registers whose value on entry may still
         // reach a compare or an address, to a fixed point over the
         // control flow (a guarded write kills nothing).

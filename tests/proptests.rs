@@ -19,7 +19,7 @@ use peakperf::regalloc::{solve, AllocProblem, VReg};
 use peakperf::sass::PARAM_BASE;
 use peakperf::sass::{
     assemble, decode, encode, validate_instruction, CmpOp, CtlInfo, ImmMut, Instruction, LogicOp,
-    MemSpace, MemWidth, Module, Op, Operand, Pred, Reg, Role, Slot, SpecialReg, TABLE,
+    MemSpace, MemWidth, Module, Op, Operand, Pred, Reg, Role, SassError, Slot, SpecialReg, TABLE,
 };
 use peakperf::sim::exec::{ffma_lanes, step_warp, BlockCtx, MemCtx};
 use peakperf::sim::timing::{global_transactions, shared_conflict_factor};
@@ -1716,6 +1716,73 @@ fn json_parse_survives_seeded_byte_edits_of_checked_in_documents() {
             std::panic::catch_unwind(|| check_document(&value))
                 .unwrap_or_else(|_| panic!("case {case}: check_document panicked"));
             within_a_second(case, "check_document", t0);
+        }
+    }
+}
+
+/// One seeded edit of assembly text: delete, duplicate or truncate at a
+/// run of up to 8 characters, or replace one character with an ASCII one
+/// or with a multi-byte one (two Unicode spaces and a letter).
+fn edit_text(rng: &mut Rng, text: &str) -> String {
+    const ASCII: &[u8] = b" \t,;:[]+-.@!/*\nRPZTcx0123456789abcdef";
+    const WIDE: [char; 3] = ['\u{a0}', '\u{3000}', '\u{e9}'];
+    let mut chars: Vec<char> = text.chars().collect();
+    let at = rng.gen_range_usize(0, chars.len());
+    let end = (at + rng.gen_range_usize(1, 9)).min(chars.len());
+    match rng.gen_below(5) {
+        0 => drop(chars.drain(at..end)),
+        1 => {
+            let run = chars[at..end].to_vec();
+            chars.splice(at..at, run);
+        }
+        2 => chars.truncate(at),
+        3 => chars[at] = char::from(ASCII[rng.gen_range_usize(0, ASCII.len())]),
+        _ => chars[at] = WIDE[rng.gen_range_usize(0, WIDE.len())],
+    }
+    chars.into_iter().collect()
+}
+
+/// The assembler ends every edit of a printed module in a module or a
+/// typed error, quickly, and a parse error names a line of the text: it
+/// reads user files (`sassc as`, `sassc run`).
+#[test]
+fn assembler_survives_seeded_edits_of_printed_modules() {
+    let mut texts = Vec::new();
+    for generation in [Generation::Fermi, Generation::Kepler] {
+        for preset in Preset::ALL {
+            for variant in Variant::ALL {
+                let problem = SgemmProblem {
+                    variant,
+                    m: 96,
+                    n: 96,
+                    k: 16,
+                };
+                let mut module = Module::new(generation);
+                module
+                    .kernels
+                    .push(build_preset(generation, &problem, preset).unwrap().kernel);
+                texts.push((generation, module.to_string()));
+            }
+        }
+    }
+    let mut rng = Rng::seed_from_u64(0xA55E_3B1E);
+    for case in 0..24 * texts.len() {
+        let (generation, text) = &texts[case % texts.len()];
+        let edited = edit_text(&mut rng, text);
+        let t0 = std::time::Instant::now();
+        let assembled = std::panic::catch_unwind(|| assemble(&edited, *generation))
+            .unwrap_or_else(|_| panic!("case {case}: assemble panicked"));
+        let took = t0.elapsed();
+        assert!(
+            took < std::time::Duration::from_secs(1),
+            "case {case}: assemble took {took:?}"
+        );
+        if let Err(SassError::Parse { line, message }) = assembled {
+            let lines = edited.lines().count();
+            assert!(
+                line <= lines,
+                "case {case}: line {line} of {lines}: {message}"
+            );
         }
     }
 }
