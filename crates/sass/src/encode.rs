@@ -54,14 +54,8 @@ pub fn encode(inst: &Instruction, index: u32) -> Result<u64, SassError> {
     if let Some(p) = inst.pred {
         w |= u64::from(p.index()) | u64::from(inst.pred_neg) << 3 | 1 << 4;
     }
-    if row
-        .syntax
-        .iter()
-        .any(|s| matches!(s, Slot::B { .. } | Slot::Special))
-    {
-        // ALU words (operand B or a special register) always carry A, C
-        // and B; a row without such an operand leaves `RZ` there
-        // (`Fields::EMPTY`).
+    if row.alu {
+        // A row without A, B or C leaves `RZ` there (`Fields::EMPTY`).
         w |= reg(x.a, 19) | reg(x.c, 25) | u64::from(x.m as u8) << 31;
         w |= match x.b {
             Operand::Reg(r) => reg(r, 38),

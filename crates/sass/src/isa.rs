@@ -301,18 +301,28 @@ pub struct OpInfo {
     pub flops: u64,
     /// The operands, in assembly order.
     pub syntax: Syntax,
+    /// Whether the row's words are ALU words, which always carry A, C
+    /// and B: it has operand B or a special register (from `syntax`).
+    pub(crate) alu: bool,
 }
 
 type Names = &'static [&'static str];
 type Syntax = &'static [Slot];
 
 const fn row(names: Names, opcode: u8, class: OpClass, flops: u64, syntax: Syntax) -> OpInfo {
+    let mut alu = false;
+    let mut i = 0;
+    while i < syntax.len() {
+        alu |= matches!(syntax[i], Slot::B { .. } | Slot::Special);
+        i += 1;
+    }
     OpInfo {
         names,
         opcode,
         class,
         flops,
         syntax,
+        alu,
     }
 }
 
