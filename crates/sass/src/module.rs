@@ -427,6 +427,35 @@ mod tests {
     }
 
     #[test]
+    fn counts_past_the_input_are_an_error_not_an_allocation() {
+        // Each count claims 2^32 - 1 records of a few bytes: reserving
+        // them up front aborted on a 480 GB allocation.
+        let word = |v: u32| v.to_le_bytes().to_vec();
+        let header = [b"PKPF".to_vec(), word(1), vec![1]].concat();
+        let kernel = |params: u32| {
+            [
+                word(1),
+                b"k".to_vec(),
+                word(8),
+                word(0),
+                word(0),
+                word(params),
+            ]
+        };
+        let cases = [
+            [header.clone(), word(u32::MAX)].concat(),
+            [header.clone(), word(1), kernel(u32::MAX).concat()].concat(),
+            [header, word(1), kernel(0).concat(), word(u32::MAX)].concat(),
+        ];
+        for bytes in cases {
+            assert!(matches!(
+                Module::from_bytes(&bytes),
+                Err(SassError::Container { .. })
+            ));
+        }
+    }
+
+    #[test]
     fn kernel_lookup_and_counts() {
         let mut m = Module::new(Generation::Fermi);
         m.kernels.push(sample_kernel());
