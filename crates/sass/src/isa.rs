@@ -304,6 +304,9 @@ pub struct OpInfo {
     /// Whether the row's words are ALU words, which always carry A, C
     /// and B: it has operand B or a special register (from `syntax`).
     pub(crate) alu: bool,
+    /// `syntax` in the order [`OpInfo::check`] checks it, numeric slots
+    /// first (its first `syntax.len()` entries).
+    checked: [Slot; 4],
 }
 
 type Names = &'static [&'static str];
@@ -311,10 +314,21 @@ type Syntax = &'static [Slot];
 
 const fn row(names: Names, opcode: u8, class: OpClass, flops: u64, syntax: Syntax) -> OpInfo {
     let mut alu = false;
-    let mut i = 0;
-    while i < syntax.len() {
-        alu |= matches!(syntax[i], Slot::B { .. } | Slot::Special);
-        i += 1;
+    let mut checked = [Slot::Dst; 4];
+    let mut n = 0;
+    let mut pass = 0;
+    while pass < 2 {
+        let mut i = 0;
+        while i < syntax.len() {
+            let slot = syntax[i];
+            alu |= matches!(slot, Slot::B { .. } | Slot::Special);
+            if is_numeric(slot) == (pass == 0) {
+                checked[n] = slot;
+                n += 1;
+            }
+            i += 1;
+        }
+        pass += 1;
     }
     OpInfo {
         names,
@@ -323,7 +337,13 @@ const fn row(names: Names, opcode: u8, class: OpClass, flops: u64, syntax: Synta
         flops,
         syntax,
         alu,
+        checked,
     }
+}
+
+/// Whether [`OpInfo::check`] checks `slot` before registers and operands.
+const fn is_numeric(slot: Slot) -> bool {
+    matches!(slot, Shift | Special | Target | Addr)
 }
 
 use MemSpace::{Global, Local, Shared};
@@ -597,11 +617,8 @@ impl OpInfo {
         let Some(name) = self.names.get(x.m) else {
             return Err(format!("invalid modifier {} of {}", x.m, self.names[0]));
         };
-        let numeric = |s: &Slot| matches!(s, Shift | Special | Target | Addr);
-        for first in [true, false] {
-            for slot in self.syntax.iter().filter(|s| numeric(s) == first) {
-                check_slot(*slot, name, x, index)?;
-            }
+        for slot in &self.checked[..self.syntax.len()] {
+            check_slot(*slot, name, x, index)?;
         }
         Ok(())
     }

@@ -78,11 +78,13 @@ impl Kernel {
     /// The registers the code needs: one past the highest index it reads
     /// or writes (`RZ` aside).
     pub fn regs_used(&self) -> u32 {
-        let all = (self.code.iter()).fold(0u64, |all, inst| {
-            let (uses, defs) = inst.op.reg_masks();
-            all | uses | defs
-        });
-        u64::BITS - all.leading_zeros()
+        self.code
+            .iter()
+            .flat_map(|i| i.op.reg_slots())
+            .filter(|(_, r)| !r.is_rz())
+            .map(|(role, r)| (u32::from(r.index()) + role.words()).min(63))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Count instructions whose mnemonic starts with `prefix`
