@@ -30,7 +30,6 @@
 //! `Op` variant and its `split` and `build` arms), one lane function in the
 //! simulator's `execute_op`, and optionally a `KernelBuilder` helper.
 
-use std::collections::HashMap;
 use std::sync::LazyLock;
 
 use crate::op::{CmpOp, LogicOp, MemSpace, MemWidth, OpClass, SpecialReg};
@@ -411,12 +410,19 @@ pub static TABLE: [&OpInfo; 27] = [
     &ST[2], &LDC,
 ];
 
-/// The row and modifier of every mnemonic spelling: the assembler's
-/// index into [`TABLE`].
-static SPELLINGS: LazyLock<HashMap<&str, (&OpInfo, usize)>> = LazyLock::new(|| {
-    (TABLE.iter())
-        .flat_map(|row| (row.names.iter().enumerate()).map(move |(m, name)| (*name, (*row, m))))
-        .collect()
+/// A mnemonic spelling with its row and modifier.
+type Spelling = (&'static str, &'static OpInfo, usize);
+
+/// Every [`Spelling`], in buckets by first byte: the assembler's index
+/// into [`TABLE`].
+static SPELLINGS: LazyLock<Vec<Vec<Spelling>>> = LazyLock::new(|| {
+    let mut index = vec![Vec::new(); 256];
+    for row in TABLE {
+        for (m, name) in row.names.iter().enumerate() {
+            index[usize::from(name.as_bytes()[0])].push((*name, row, m));
+        }
+    }
+    index
 });
 
 /// The row a word's opcode field (bits 5..13) and space field (bits
@@ -545,7 +551,10 @@ fn check_slot(slot: Slot, name: &str, x: &Fields, index: usize) -> Result<(), St
 impl OpInfo {
     /// The row and modifier `mnemonic` spells exactly.
     pub(crate) fn by_name(mnemonic: &str) -> Option<(&'static OpInfo, usize)> {
-        let found = SPELLINGS.get(mnemonic).copied();
+        let bucket = (mnemonic.as_bytes().first()).and_then(|&b| SPELLINGS.get(usize::from(b)));
+        let found = (bucket.into_iter().flatten())
+            .find(|&&(name, ..)| name == mnemonic)
+            .map(|&(_, row, m)| (row, m));
         debug_assert!({
             let scan = (TABLE.iter())
                 .find_map(|row| Some((*row, row.names.iter().position(|n| *n == mnemonic)?)));
