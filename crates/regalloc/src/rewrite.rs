@@ -42,30 +42,20 @@ pub struct RewriteOutcome {
 /// caller must supply a mapping that keeps wide groups consecutive — as
 /// [`optimize_banks`] does).
 pub fn apply_mapping(code: &[Instruction], map: &HashMap<Reg, Reg>) -> Vec<Instruction> {
-    let mut renamed = code.to_vec();
-    rename(&mut renamed, &table(map));
-    renamed
-}
-
-/// `map` as a table indexed by register: the new name of each register
-/// the map renames (`RZ` never).
-fn table(map: &HashMap<Reg, Reg>) -> [Option<Reg>; 64] {
+    // The new name of each register the map renames, by index.
     let mut table = [None; 64];
     for (&old, &new) in map.iter().filter(|(old, _)| !old.is_rz()) {
         table[usize::from(old.index())] = Some(new);
     }
-    table
-}
-
-/// Rename every register slot of `code` through `table`, in place.
-fn rename(code: &mut [Instruction], table: &[Option<Reg>; 64]) {
-    for inst in code {
+    let mut renamed = code.to_vec();
+    for inst in &mut renamed {
         inst.op.map_regs(|_, r| {
-            if let Some(renamed) = table[usize::from(r.index())] {
-                *r = renamed;
+            if let Some(new) = table[usize::from(r.index())] {
+                *r = new;
             }
         });
     }
+    renamed
 }
 
 /// Collect the wide-access groups of a kernel as `(base, words)`, in
@@ -167,7 +157,7 @@ pub fn optimize_banks(kernel: &Kernel) -> Result<RewriteOutcome, RegAllocError> 
         .collect();
 
     let mut rewritten = kernel.clone();
-    rename(&mut rewritten.code, &table(&mapping));
+    rewritten.code = apply_mapping(&kernel.code, &mapping);
     rewritten.num_regs = rewritten.regs_used().max(kernel.num_regs.min(63));
     let after = analyze_ffma_conflicts(&rewritten.code);
     Ok(RewriteOutcome {
