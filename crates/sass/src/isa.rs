@@ -483,71 +483,6 @@ fn fits_signed(v: i64, bits: u32) -> bool {
     (-(1i64 << (bits - 1))..1i64 << (bits - 1)).contains(&v)
 }
 
-/// [`OpInfo::check`] for one slot of the row spelled `name`.
-fn check_slot(slot: Slot, name: &str, x: &Fields, index: usize) -> Result<(), String> {
-    match slot {
-        Shift if !(0..=31).contains(&x.n) => {
-            return Err(format!(
-                "{name} shift {} outside the encodable range 0..=31",
-                x.n
-            ));
-        }
-        Special if !(0..SpecialReg::ALL.len() as i64).contains(&x.n) => {
-            return Err(format!("invalid special register id {}", x.n));
-        }
-        Target if u32::try_from(x.n).is_err() || !fits_signed(x.n - index as i64 - 1, 24) => {
-            return Err(format!("branch target {} out of range", x.n));
-        }
-        Addr if !fits_signed(x.n, 24) => {
-            return Err(format!(
-                "memory offset {} outside the signed 24-bit encoding range",
-                x.n
-            ));
-        }
-        Load | Store => {
-            let words = MemWidth::ALL[x.m].words();
-            let (what, access) = match slot {
-                Load => ("destination", "load"),
-                _ => ("source", "store"),
-            };
-            if !x.dst.is_aligned_for(words) {
-                return Err(format!(
-                    "{name} {what} {} must be {words}-register aligned",
-                    x.dst
-                ));
-            }
-            // Wide accesses expand to consecutive general registers,
-            // so the range must stop at R62: index 63 is RZ, not
-            // storage. (Single-word RZ stays legal — a discard load,
-            // the store-zero idiom.)
-            if words > 1 && u32::from(x.dst.index()) + words > 63 {
-                return Err(format!(
-                    "wide {access} at {} runs past R62 into the zero register",
-                    x.dst
-                ));
-            }
-        }
-        Slot::B { imm: false } if matches!(x.b, Operand::Imm(_)) => {
-            return Err("floating-point instructions take register or constant \
-                        operands (use MOV32I for literals)"
-                .to_owned());
-        }
-        Slot::B { .. } | Const => match x.b {
-            Operand::Imm(v) if !fits_signed(v.into(), 20) => {
-                return Err(format!("immediate {v} does not fit in 20 bits"));
-            }
-            Operand::Const { bank, offset } if bank > 15 || offset > 0xFFFC || offset % 4 != 0 => {
-                return Err(format!(
-                    "constant operand c[{bank:#x}][{offset:#x}] out of range"
-                ));
-            }
-            _ => {}
-        },
-        _ => {}
-    }
-    Ok(())
-}
-
 impl OpInfo {
     /// The row and modifier `mnemonic` spells exactly.
     pub(crate) fn by_name(mnemonic: &str) -> Option<(&'static OpInfo, usize)> {
@@ -627,7 +562,70 @@ impl OpInfo {
             return Err(format!("invalid modifier {} of {}", x.m, self.names[0]));
         };
         for slot in &self.checked[..self.syntax.len()] {
-            check_slot(*slot, name, x, index)?;
+            match *slot {
+                Shift if !(0..=31).contains(&x.n) => {
+                    return Err(format!(
+                        "{name} shift {} outside the encodable range 0..=31",
+                        x.n
+                    ));
+                }
+                Special if !(0..SpecialReg::ALL.len() as i64).contains(&x.n) => {
+                    return Err(format!("invalid special register id {}", x.n));
+                }
+                Target
+                    if u32::try_from(x.n).is_err() || !fits_signed(x.n - index as i64 - 1, 24) =>
+                {
+                    return Err(format!("branch target {} out of range", x.n));
+                }
+                Addr if !fits_signed(x.n, 24) => {
+                    return Err(format!(
+                        "memory offset {} outside the signed 24-bit encoding range",
+                        x.n
+                    ));
+                }
+                Load | Store => {
+                    let words = MemWidth::ALL[x.m].words();
+                    let (what, access) = match slot {
+                        Load => ("destination", "load"),
+                        _ => ("source", "store"),
+                    };
+                    if !x.dst.is_aligned_for(words) {
+                        return Err(format!(
+                            "{name} {what} {} must be {words}-register aligned",
+                            x.dst
+                        ));
+                    }
+                    // Wide accesses expand to consecutive general registers,
+                    // so the range must stop at R62: index 63 is RZ, not
+                    // storage. (Single-word RZ stays legal — a discard load,
+                    // the store-zero idiom.)
+                    if words > 1 && u32::from(x.dst.index()) + words > 63 {
+                        return Err(format!(
+                            "wide {access} at {} runs past R62 into the zero register",
+                            x.dst
+                        ));
+                    }
+                }
+                Slot::B { imm: false } if matches!(x.b, Operand::Imm(_)) => {
+                    return Err("floating-point instructions take register or constant \
+                                operands (use MOV32I for literals)"
+                        .to_owned());
+                }
+                Slot::B { .. } | Const => match x.b {
+                    Operand::Imm(v) if !fits_signed(v.into(), 20) => {
+                        return Err(format!("immediate {v} does not fit in 20 bits"));
+                    }
+                    Operand::Const { bank, offset }
+                        if bank > 15 || offset > 0xFFFC || offset % 4 != 0 =>
+                    {
+                        return Err(format!(
+                            "constant operand c[{bank:#x}][{offset:#x}] out of range"
+                        ));
+                    }
+                    _ => {}
+                },
+                _ => {}
+            }
         }
         Ok(())
     }

@@ -175,6 +175,8 @@ impl Module {
     ///
     /// Propagates encoding failures (e.g. out-of-range immediates).
     pub fn to_bytes(&self) -> Result<Vec<u8>, SassError> {
+        // The header, about 64 bytes of metadata per kernel, and 8 bytes
+        // per instruction and control word.
         let words: usize = (self.kernels.iter())
             .map(|k| k.code.len() + k.code.len().div_ceil(GROUP))
             .sum();
