@@ -17,7 +17,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use peakperf_sass::{Instruction, Kernel, MemWidth, Reg, Role};
+use peakperf_sass::{Instruction, Kernel, MemWidth, OpClass, Reg, Role};
 
 use crate::conflict::ffma_sources;
 use crate::{analyze_ffma_conflicts, solve, AllocProblem, ConflictReport, RegAllocError, VReg};
@@ -67,7 +67,11 @@ pub fn apply_mapping(code: &[Instruction], map: &HashMap<Reg, Reg>) -> Vec<Instr
 /// [`RegAllocError::Malformed`] when a group runs past `R62`.
 fn wide_groups(code: &[Instruction]) -> Result<Vec<(Reg, u8)>, RegAllocError> {
     let mut groups = Vec::new();
-    for (role, base) in code.iter().flat_map(|inst| inst.op.reg_slots()) {
+    // Only memory rows have data slots.
+    let memory = code
+        .iter()
+        .filter(|inst| matches!(inst.op.class(), OpClass::Mem(_)));
+    for (role, base) in memory.flat_map(|inst| inst.op.reg_slots()) {
         let (Role::Load(width) | Role::Store(width)) = role else {
             continue;
         };
