@@ -19,6 +19,7 @@ use peakperf::sim::timing::{
 };
 use peakperf::sim::{GlobalMemory, Json, LaunchConfig};
 use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FUZZ_CYCLE_LIMIT};
+use peakperf_bench::hostprof;
 use peakperf_bench::profiling::{run_target, TARGETS};
 
 // ---------------------------------------------------------------------
@@ -359,5 +360,27 @@ fn profile_targets_run_what_the_tables_report() {
         let timed = time_kernel(gpu, &build.kernel, build.config, &params, &mut memory, None);
         let report = run_target(name, false, None).unwrap().report;
         assert_eq!(report, timed.unwrap().sm, "{name}");
+    }
+}
+
+/// Per profile target: the cycles in which no warp issued on any
+/// scheduler, and the run's cycles, as counted by stepping every cycle.
+const IDLE_CYCLES: [(&str, u64, u64); 7] = [
+    ("table2_ffma", 36, 48_631),
+    ("table2_ffma_2way", 123, 96_144),
+    ("table2_ffma_3way", 16, 143_659),
+    ("table2_imad", 0, 191_321),
+    ("fermi_ffma", 0, 100_032),
+    ("sgemm_fermi", 80_656, 485_296),
+    ("sgemm_kepler", 38_657, 212_317),
+];
+
+#[test]
+fn profile_targets_count_their_idle_cycles() {
+    assert_eq!(IDLE_CYCLES.map(|t| t.0), TARGETS.map(|t| t.name));
+    for (name, idle, cycles) in IDLE_CYCLES {
+        let entry = hostprof::run_target(name).unwrap().json;
+        assert_eq!(entry.count("cycles"), cycles, "{name}");
+        assert_eq!(entry["idle"].count("idle_cycles"), idle, "{name}");
     }
 }
