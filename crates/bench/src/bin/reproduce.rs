@@ -7,7 +7,6 @@
 //! reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]...
 //!                [--corpus-dir <path>] [--json <path>]
 //! reproduce bench [--json <path>] [--filter <prefix>]
-//! reproduce hostprof <target>... [--json <path>]
 //! reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>]
 //!                 [--queue-cap <n>] [--json <path>] [--trace-out <path>]
 //! reproduce check <file>...
@@ -39,11 +38,6 @@
 //!                        timing cache)
 //!   --filter <prefix>    run only suite rows whose id starts with
 //!                        <prefix> (e.g. `table2/` or `sgemm/gtx680`)
-//!
-//! hostprof options:
-//!   --json <path>        write the peakperf-hostprof-v1 document (host
-//!                        wall-time attribution and idle-cycle count per
-//!                        target)
 //!
 //! serve options:
 //!   --jobs <file.jsonl>  submit one peakperf-job-v1 object per line; any
@@ -94,7 +88,6 @@ use peakperf_arch::Generation;
 use peakperf_bench::exec;
 use peakperf_bench::experiments;
 use peakperf_bench::fault;
-use peakperf_bench::hostprof;
 use peakperf_bench::profiling;
 use peakperf_bench::report::check_document;
 use peakperf_bench::service::{self, journal, journal::Journal};
@@ -109,7 +102,6 @@ fn usage() -> ExitCode {
          \x20      reproduce fuzz [--seed <n>] [--iters <n>] [--gpu <gen>]... \
          [--corpus-dir <path>] [--json <path>]\n\
          \x20      reproduce bench [--json <path>] [--filter <prefix>]\n\
-         \x20      reproduce hostprof [--json <path>] <target>...\n\
          \x20      reproduce serve [--jobs <file.jsonl>] [--soak <n>] [--seed <n>] \
          [--queue-cap <n>] [--json <path>] [--trace-out <path>]\n\
          \x20      reproduce check <file>...\n\
@@ -179,16 +171,14 @@ enum Mode {
     Profile,
     Fuzz,
     Bench,
-    Hostprof,
     Serve,
 }
 
 /// The subcommand words (`check` is dispatched before option parsing).
-const SUBCOMMANDS: [(&str, Mode); 5] = [
+const SUBCOMMANDS: [(&str, Mode); 4] = [
     ("profile", Mode::Profile),
     ("fuzz", Mode::Fuzz),
     ("bench", Mode::Bench),
-    ("hostprof", Mode::Hostprof),
     ("serve", Mode::Serve),
 ];
 
@@ -219,11 +209,11 @@ fn no_positionals(what: &str, names: &[String], hint: &str) -> Result<(), String
 }
 
 /// `names` must be a non-empty list of known profile targets.
-fn check_targets(what: &str, names: &[String]) -> Result<(), String> {
+fn check_targets(names: &[String]) -> Result<(), String> {
     let known: Vec<&str> = profiling::TARGETS.iter().map(|t| t.name).collect();
     if names.is_empty() {
         return Err(format!(
-            "{what} needs at least one target; known: {}",
+            "profile needs at least one target; known: {}",
             known.join(" ")
         ));
     }
@@ -234,7 +224,7 @@ fn check_targets(what: &str, names: &[String]) -> Result<(), String> {
         .collect();
     if !unknown.is_empty() {
         return Err(format!(
-            "unknown {what} target{} {}; known: {}",
+            "unknown profile target{} {}; known: {}",
             if unknown.len() > 1 { "s" } else { "" },
             unknown.join(", "),
             known.join(" ")
@@ -350,15 +340,9 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
     // Options that belong to some subcommands are an error in the others.
     let owned: [(&str, bool, &[Mode]); 5] = [
         (
-            "--json requires a subcommand: profile, fuzz, bench, hostprof or serve",
+            "--json requires a subcommand: profile, fuzz, bench or serve",
             opts.json_path.is_some(),
-            &[
-                Mode::Profile,
-                Mode::Fuzz,
-                Mode::Bench,
-                Mode::Hostprof,
-                Mode::Serve,
-            ],
+            &[Mode::Profile, Mode::Fuzz, Mode::Bench, Mode::Serve],
         ),
         (
             "--filter requires the `bench` subcommand",
@@ -406,9 +390,8 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
                 opts.fuzz_gpus = vec![Generation::Fermi, Generation::Kepler];
             }
         }
-        Mode::Hostprof => check_targets("hostprof", &opts.names)?,
         Mode::Profile => {
-            check_targets("profile", &opts.names)?;
+            check_targets(&opts.names)?;
             if opts.trace_out.is_some() && opts.names.len() != 1 {
                 return Err("--trace-out profiles exactly one target".to_owned());
             }
@@ -450,16 +433,16 @@ fn exit_code(failures: u32) -> ExitCode {
     }
 }
 
-/// Run the listed experiments, or the `profile` or `hostprof` targets.
-/// Each prints its text to stdout and a `[<name> done in <wall>]` line
-/// (`[profile:<name> ...]`, `[hostprof:<name> ...]`) to stderr; `--json`
-/// collects the targets' entries into one document and `--trace-out`
-/// writes the profiled target's trace.
+/// Run the listed experiments, or the `profile` targets. Each prints
+/// its text to stdout and a `[<name> done in <wall>]` line
+/// (`[profile:<name> ...]`) to stderr; `--json` collects the targets'
+/// entries into one document and `--trace-out` writes the profiled
+/// target's trace.
 fn run_named(opts: &Options) -> ExitCode {
-    let tag = match opts.mode {
-        Mode::Profile => "profile:",
-        Mode::Hostprof => "hostprof:",
-        _ => "",
+    let tag = if opts.mode == Mode::Profile {
+        "profile:"
+    } else {
+        ""
     };
     // A run's text, its document entry with the GPU it ran on, and a
     // profile's Chrome trace.
@@ -468,9 +451,6 @@ fn run_named(opts: &Options) -> ExitCode {
         match opts.mode {
             Mode::Profile => profiling::run_target(name, opts.trace_out.is_some(), None)
                 .map(|out| (out.text, Some((out.gpu, out.json)), out.chrome))
-                .map_err(fail),
-            Mode::Hostprof => hostprof::run_target(name)
-                .map(|out| (out.text, Some((out.gpu, out.json)), None))
                 .map_err(fail),
             _ => run_one(name).map(|text| (text, None, None)),
         }
@@ -504,19 +484,10 @@ fn run_named(opts: &Options) -> ExitCode {
         };
         eprintln!("[{tag}{name} {status} in {:.1?}]", t0.elapsed());
     }
-    // `--json` is a profile or hostprof option.
+    // `--json` is a profile option.
     if let Some(path) = &opts.json_path {
-        let (what, doc) = match opts.mode {
-            Mode::Profile => (
-                "profile document",
-                profiling::profile_document(entries, &gpus),
-            ),
-            _ => (
-                "hostprof document",
-                hostprof::hostprof_document(entries, &gpus),
-            ),
-        };
-        failures += write_out(what, path, &doc.pretty());
+        let doc = profiling::profile_document(entries, &gpus);
+        failures += write_out("profile document", path, &doc.pretty());
     }
     exit_code(failures)
 }
@@ -808,7 +779,7 @@ fn main() -> ExitCode {
         cache::enable_global(None);
     }
     match opts.mode {
-        Mode::Experiments | Mode::Profile | Mode::Hostprof => run_named(&opts),
+        Mode::Experiments | Mode::Profile => run_named(&opts),
         Mode::Fuzz => run_fuzz(&opts),
         Mode::Bench => run_bench(&opts),
         Mode::Serve => run_serve(&opts),

@@ -7,7 +7,6 @@
 pub mod exec;
 pub mod experiments;
 pub mod fault;
-pub mod hostprof;
 pub mod ledger;
 pub mod profiling;
 pub mod report;

@@ -77,7 +77,7 @@ const fn sgemm(name: &'static str, generation: Generation) -> ProfileTarget {
     }
 }
 
-/// Every target `reproduce profile` and `reproduce hostprof` accept.
+/// Every target `reproduce profile` accepts.
 /// Table 2 row indices follow `table2_patterns()`.
 pub const TARGETS: [ProfileTarget; 7] = [
     table2("table2_ffma", Generation::Kepler, 7, 132.0),

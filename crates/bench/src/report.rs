@@ -6,7 +6,7 @@
 use peakperf_sim::json::{check_chrome_trace, Json};
 use peakperf_sim::obj;
 
-use crate::{fault, hostprof, ledger, profiling, service, telemetry};
+use crate::{fault, ledger, profiling, service, telemetry};
 
 /// The producing crate and version, stamped into every JSON document.
 pub const GENERATED_BY: &str = concat!("peakperf-bench ", env!("CARGO_PKG_VERSION"));
@@ -42,7 +42,6 @@ pub fn check_document(doc: &Json) -> Vec<String> {
         "peakperf-profile-v1" => profiling::check(doc, &mut errors),
         "peakperf-fuzz-v1" => fault::check(doc, &mut errors),
         telemetry::BENCH_SCHEMA => telemetry::check_bench(doc, &mut errors),
-        "peakperf-hostprof-v1" => hostprof::check(doc, &mut errors),
         "peakperf-service-v1" => service::check(doc, &mut errors),
         ledger::SCHEMA => ledger::check(doc, &mut errors),
         "" => errors.push("document has neither a string `schema` nor `traceEvents`".to_owned()),
@@ -192,8 +191,8 @@ mod tests {
             ["unknown schema `peakperf-nonesuch-v9`"]
         );
         assert_eq!(check_document(&Json::Arr(vec![])).len(), 1);
-        let bare = obj!((); schema = "peakperf-hostprof-v1");
+        let bare = obj!((); schema = "peakperf-profile-v1");
         let errors = check_document(&bare);
-        assert_eq!(errors[0], "hostprof document: missing key `generated_by`");
+        assert_eq!(errors[0], "profile document: missing key `generated_by`");
     }
 }

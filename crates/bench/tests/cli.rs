@@ -71,7 +71,7 @@ fn the_subcommand_is_read_once() {
         &["bench", "fuzz", "--iters", "3"][..],
         &["fuzz", "bench"],
         &["serve", "profile"],
-        &["hostprof", "bench", "x"],
+        &["profile", "bench", "x"],
         &["table1", "fuzz"],
     ] {
         let out = reproduce(args);
@@ -95,7 +95,7 @@ fn options_of_another_mode_are_rejected() {
         &["--json", "x.json", "table1"][..],
         &["bench", "--soak", "3"],
         &["serve", "--soak", "3", "--corpus-dir", "x"],
-        &["hostprof", "fermi_ffma", "--trace-out", "x.json"],
+        &["fuzz", "--iters", "3", "--trace-out", "x.json"],
     ] {
         let out = reproduce(args);
         assert_eq!(out.status.code(), Some(1), "{args:?}");
@@ -130,8 +130,6 @@ fn there_is_no_grid_option_and_no_second_document_flag() {
         &["fuzz", "--iters", "3", "--no-cache"],
         &["bench", "--cache-dir", "x"],
         &["bench", "--no-cache"],
-        &["hostprof", "fermi_ffma", "--cache-dir", "x"],
-        &["hostprof", "fermi_ffma", "--no-cache"],
         &["serve", "--soak", "3", "--cache-dir", "x"],
         &["serve", "--soak", "3", "--no-cache"],
     ] {
@@ -172,6 +170,20 @@ fn profile_subcommand_emits_trace_and_profile_documents() {
     assert!(profile_json.contains("\"peakperf-profile-v1\""));
     assert!(profile_json.contains("\"stall_totals\""));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn hostprof_is_not_a_subcommand() {
+    // The host-clock profiler is retired: its word is an unknown
+    // experiment name, and nothing runs.
+    let out = reproduce(&["hostprof", "fermi_ffma"]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        err.contains("unknown experiments hostprof, fermi_ffma"),
+        "{err}"
+    );
+    assert!(out.stdout.is_empty(), "a retired subcommand ran something");
 }
 
 #[test]

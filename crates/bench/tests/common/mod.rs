@@ -3,15 +3,14 @@
 use peakperf_sim::Json;
 
 /// Blank every member whose value depends on the host clock or the build
-/// (`wall_ms`, `*_wall_ms`, `*_us`, the hostprof phase `share`,
-/// `generated_by`), wherever it sits in the tree, so two runs of the same
-/// deterministic work compare equal.
+/// (`wall_ms`, `*_wall_ms`, `*_us`, `generated_by`), wherever it sits in
+/// the tree, so two runs of the same deterministic work compare equal.
 pub fn mask_volatile(mut doc: Json) -> Json {
     fn mask(value: &mut Json) {
         match value {
             Json::Obj(members) => {
                 for (key, value) in members {
-                    let exact = ["wall_ms", "share", "generated_by"];
+                    let exact = ["wall_ms", "generated_by"];
                     let suffixed = ["_wall_ms", "_us"];
                     if exact.contains(&key.as_str()) || suffixed.iter().any(|s| key.ends_with(s)) {
                         *value = Json::Null;

@@ -61,7 +61,6 @@ mod func;
 pub mod json;
 mod launch;
 mod mem;
-pub mod perfmon;
 mod recur;
 mod stats;
 pub mod timing;

@@ -9,8 +9,8 @@
 //! The cache is **opt-in** (see [`enable_global`]) because a hit skips the
 //! functional execution entirely, including its writes to global memory.
 //! `reproduce` enables it for its experiments, which discard the memory
-//! after timing; every other mode (`bench`, `profile`, `hostprof`, `fuzz`,
-//! `serve`) leaves it off and always simulates. Either way [`run_cached`]
+//! after timing; every other mode (`bench`, `profile`, `fuzz`, `serve`)
+//! leaves it off and always simulates. Either way [`run_cached`]
 //! is a timing-only run: a simulated one skips the steady-state periods of
 //! a finishing loop with their stores (DESIGN.md §5.1), so memory
 //! afterwards is unspecified. Code that inspects memory afterwards calls

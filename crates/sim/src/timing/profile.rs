@@ -150,6 +150,10 @@ pub struct ProfileBuilder {
     issues: u64,
     dual_issues: u64,
     last_issue_cycle: Vec<u64>,
+    /// The last cycle with an issue on any scheduler, and how many
+    /// distinct cycles had one.
+    last_busy_cycle: u64,
+    busy_cycles: u64,
     events: u64,
 }
 
@@ -171,6 +175,8 @@ impl ProfileBuilder {
             issues: 0,
             dual_issues: 0,
             last_issue_cycle: Vec::new(),
+            last_busy_cycle: u64::MAX,
+            busy_cycles: 0,
             events: 0,
         }
     }
@@ -227,6 +233,7 @@ impl ProfileBuilder {
         Profile {
             kernel: kernel.name.clone(),
             cycles: report.cycles,
+            idle_cycles: report.cycles.saturating_sub(self.busy_cycles),
             warp_instructions: report.warp_instructions,
             thread_instructions: report.thread_instructions,
             issues: self.issues,
@@ -251,6 +258,11 @@ impl Observer for ProfileBuilder {
                 self.issues += 1;
                 if dual {
                     self.dual_issues += 1;
+                }
+                // Events arrive in cycle order, replayed periods included.
+                if self.last_busy_cycle != event.cycle {
+                    self.last_busy_cycle = event.cycle;
+                    self.busy_cycles += 1;
                 }
                 if event.pc != NO_PC {
                     let pc = self.pc_mut(event.pc);
@@ -305,6 +317,8 @@ pub struct Profile {
     pub kernel: String,
     /// Total shader cycles of the run.
     pub cycles: u64,
+    /// Cycles in which no warp issued on any scheduler.
+    pub idle_cycles: u64,
     /// Warp instructions issued (from the [`TimingReport`]).
     pub warp_instructions: u64,
     /// Thread instructions issued.
@@ -350,6 +364,13 @@ impl Profile {
             self.warp_instructions,
             self.ipc(),
             self.dual_issues
+        );
+        let _ = writeln!(
+            out,
+            "idle cycles: {} of {} ({:.1}%)",
+            self.idle_cycles,
+            self.cycles,
+            100.0 * self.idle_cycles as f64 / self.cycles.max(1) as f64
         );
         let stalled = self.stalled_cycles();
         let _ = writeln!(out, "stall breakdown (warp-cycles, total {stalled}):");
@@ -446,7 +467,8 @@ impl Profile {
         let timeline = obj!((); bucket_cycles = line.bucket_cycles(),
             issued = line.issued().iter().copied().collect::<Json>(),
             stalled = line.stalled().iter().copied().collect::<Json>());
-        obj!(self; kernel, cycles, warp_instructions, thread_instructions, issues, dual_issues,
+        obj!(self; kernel, cycles, idle_cycles, warp_instructions, thread_instructions, issues,
+            dual_issues,
             stalled_cycles = self.stalled_cycles(),
             stall_totals = stall_kinds_json(&self.stall_totals),
             per_pc = per_pc.collect::<Json>(),
@@ -456,9 +478,16 @@ impl Profile {
     }
 
     /// The invariants of one object written by [`Profile::to_json`]
-    /// (called `at` in the messages): one stall total per [`StallKind`],
-    /// in order, together summing to `stalled_cycles`.
+    /// (called `at` in the messages): no more idle cycles than cycles, and
+    /// one stall total per [`StallKind`], in order, together summing to
+    /// `stalled_cycles`.
     pub fn check(body: &Json, at: &str, errors: &mut Vec<String>) {
+        let (idle, cycles) = (body.count("idle_cycles"), body.count("cycles"));
+        ensure!(
+            errors,
+            idle <= cycles,
+            "{at}: idle_cycles {idle} exceed cycles {cycles}"
+        );
         let totals = &body["stall_totals"];
         check_stall_kinds(totals, &format!("{at}.stall_totals"), errors);
         let members = totals.as_obj().unwrap_or(&[]).iter();
@@ -547,6 +576,31 @@ mod tests {
         // NO_PC stalls count toward totals but are not blamed on a pc.
         let pc_stalled: u64 = b.per_pc.iter().map(PcStats::stalled).sum();
         assert_eq!(pc_stalled, 2);
+    }
+
+    #[test]
+    fn cycles_without_an_issue_are_idle() {
+        let issue = |cycle, sched, dual| {
+            let kind = TraceEventKind::Issue { lanes: 32, dual };
+            ev(cycle, sched, 0, 0, kind)
+        };
+        let stall = |cycle| ev(cycle, 0, 1, 0, TraceEventKind::Stall(StallKind::Scoreboard));
+        let mut b = ProfileBuilder::new();
+        // Cycle 0: two schedulers issue, one of them twice (busy once).
+        b.event(issue(0, 0, false));
+        b.event(issue(0, 0, true));
+        b.event(issue(0, 1, false));
+        // Cycles 1-3: stalls only; cycle 4 busy; cycles 5-6 no event.
+        (1..=3).for_each(|c| b.event(stall(c)));
+        b.event(issue(4, 1, false));
+        let report = TimingReport {
+            cycles: 7,
+            ..TimingReport::default()
+        };
+        let profile = b.finish(&Kernel::new("k"), &report);
+        assert_eq!(profile.idle_cycles, 5);
+        let text = profile.render_text();
+        assert!(text.contains("idle cycles: 5 of 7 (71.4%)"), "{text}");
     }
 
     #[test]

@@ -8,7 +8,6 @@ use peakperf_sass::{CtlInfo, Kernel, MemSpace, Op, OpClass, Operand, Pred, Reg};
 use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
 use crate::exec::{bits, release_barrier, step_warp, BlockCtx, MemAccess, MemCtx};
 use crate::launch::check_launch;
-use crate::perfmon::{Phase, Stopwatch};
 use crate::recur::Brent;
 use crate::timing::conflict::SEGMENT_BYTES;
 use crate::timing::conflict::{bank_geometry, global_transactions, shared_conflict_factor};
@@ -255,22 +254,12 @@ struct Taped<O> {
 
 impl<O: Observer> Observer for Taped<O> {
     const EVENTS: bool = O::EVENTS;
-    const HOST_TIMING: bool = O::HOST_TIMING;
 
     fn event(&mut self, event: TraceEvent) {
         if let Some(tape) = self.tape.as_mut().filter(|t| t.len() < TAPE_CAP) {
             tape.push(event);
         }
         self.inner.event(event);
-    }
-    fn phase(&mut self, phase: Phase, nanos: u64) {
-        self.inner.phase(phase, nanos);
-    }
-    fn cycle_end(&mut self, cycle: u64) {
-        self.inner.cycle_end(cycle);
-    }
-    fn finish(&mut self, cycles: u64, wall_nanos: u64) {
-        self.inner.finish(cycles, wall_nanos);
     }
 }
 
@@ -477,9 +466,9 @@ impl TimingSim {
     }
 
     /// Run to completion and report, under `hooks` (`Hooks::default()`
-    /// for none): scheduler events and host wall time per loop phase
-    /// stream into its observer, its token is polled every
-    /// [`CHECK_INTERVAL_CYCLES`], and its cycle limit bounds the run.
+    /// for none): scheduler events stream into its observer, its token
+    /// is polled every [`CHECK_INTERVAL_CYCLES`], and its cycle limit
+    /// bounds the run.
     /// Hooks only observe, so the report is identical under any of them.
     ///
     /// # Errors
@@ -506,7 +495,6 @@ impl TimingSim {
             inner: obs,
             tape: None,
         };
-        let run_t0 = O::HOST_TIMING.then(std::time::Instant::now);
         let threads = self.config.threads_per_block();
         let warps_per_block = self.config.warps_per_block();
         let n_warps = (warps_per_block * self.resident_blocks) as usize;
@@ -576,11 +564,11 @@ impl TimingSim {
             .map(|sched| (0..n_warps).filter(|&w| w % schedulers == sched).collect())
             .collect();
         let wpb = warps_per_block as usize;
-        // A run that no host clock times and no token polls skips the
-        // periods of an exact recurrence, replaying one period's events to
-        // an observer that takes them; a timing-only run also skips those
-        // of a recurrence modulo affine slice deltas (DESIGN.md §5.1).
-        let detect = !O::HOST_TIMING && cancel.is_none();
+        // A run that no token polls skips the periods of an exact
+        // recurrence, replaying one period's events to an observer that
+        // takes them; a timing-only run also skips those of a recurrence
+        // modulo affine slice deltas (DESIGN.md §5.1).
+        let detect = cancel.is_none();
         let affine = detect && timing_only && self.affine;
         let mut recur = Recurrence {
             affine,
@@ -657,7 +645,7 @@ impl TimingSim {
                             emit(obs, at, pc, TraceEventKind::Stall(kind));
                         }
                         Visit::Ready => {
-                            let (pc, lanes) = self.issue(w, cycle, &mut st, memory, obs)?;
+                            let (pc, lanes) = self.issue(w, cycle, &mut st, memory)?;
                             back_edge |= detect && st.back_edge(w, pc);
                             trace_issue(obs, at, pc, lanes, false, st.issue[w].done);
                             st.rr[sched] = i + 1;
@@ -667,7 +655,7 @@ impl TimingSim {
                             if dual_dispatch
                                 && matches!(self.classify(w, cycle, &mut st), Visit::Ready)
                             {
-                                let (pc, lanes) = self.issue(w, cycle, &mut st, memory, obs)?;
+                                let (pc, lanes) = self.issue(w, cycle, &mut st, memory)?;
                                 back_edge |= detect && st.back_edge(w, pc);
                                 trace_issue(obs, at, pc, lanes, true, st.issue[w].done);
                             }
@@ -678,7 +666,6 @@ impl TimingSim {
             }
 
             // Barrier release: per block, when every non-done warp waits.
-            let mut barrier_sw = Stopwatch::start::<O>();
             for (b, block) in st.blocks.iter_mut().enumerate() {
                 if block.arrived == 0 || block.arrived != block.running {
                     continue;
@@ -714,22 +701,13 @@ impl TimingSim {
                     rec.at_barrier = false;
                     rec.gate = self.gate(slot);
                     rec.next_issue = cycle + u64::from(self.calib.barrier_latency);
-                    if O::EVENTS {
-                        // Event delivery is its own phase, not barrier time.
-                        barrier_sw.stop(obs, Phase::BarrierRelease);
-                        let at = (cycle, w % schedulers, w);
-                        emit(obs, at, bar_pc, TraceEventKind::BarrierRelease);
-                        barrier_sw = Stopwatch::start::<O>();
-                    }
+                    let at = (cycle, w % schedulers, w);
+                    emit(obs, at, bar_pc, TraceEventKind::BarrierRelease);
                 }
             }
-            barrier_sw.stop(obs, Phase::BarrierRelease);
 
             if std::mem::take(&mut back_edge) {
                 recur.checkpoint(self, &mut st, &mut cycle, cycle_limit, obs);
-            }
-            if O::HOST_TIMING {
-                obs.cycle_end(cycle);
             }
             cycle += 1;
         }
@@ -749,9 +727,6 @@ impl TimingSim {
         }
         crate::stats::record_timing_run(&report);
         crate::stats::record_skipped_cycles(recur.skipped);
-        if let Some(t0) = run_t0 {
-            obs.finish(report.cycles, t0.elapsed().as_nanos() as u64);
-        }
         Ok(report)
     }
 
@@ -821,13 +796,12 @@ impl TimingSim {
     /// Issue warp `w`, which [`TimingSim::classify`] found ready at
     /// `cycle`: execute its next instruction and charge its costs.
     /// Returns the instruction's PC and executed lane count.
-    fn issue<O: Observer>(
+    fn issue(
         &self,
         w: usize,
         cycle: u64,
         st: &mut RunState,
         memory: &mut GlobalMemory,
-        obs: &mut O,
     ) -> Result<(u32, u32), SimError> {
         let (slot, rec) = (&mut st.slots[w], &mut st.issue[w]);
         let pc = rec.gate.pc;
@@ -842,9 +816,7 @@ impl TimingSim {
             local_bytes: self.kernel.local_bytes,
             params: &self.params,
         };
-        let fx_sw = Stopwatch::start::<O>();
         let result = step_warp(&self.kernel.code, &mut slot.state, &mut mem_ctx, &block.ctx)?;
-        fx_sw.stop(obs, Phase::FuncExec);
         if let (Some(track), StepEvent::Executed { exec_mask, .. }) = (&mut st.track, result.event)
         {
             let access = result.mem.as_ref().map(|m| match m.space {
@@ -899,7 +871,6 @@ impl TimingSim {
 
         let mut result_ready = cycle + u64::from(meta.latency);
         if let Some(access) = &result.mem {
-            let mem_sw = Stopwatch::start::<O>();
             match access.space {
                 MemSpace::Shared => {
                     let factor =
@@ -909,7 +880,6 @@ impl TimingSim {
                     st.report.lds_conflict_cycles += u64::from(occ - base);
                     st.ldst.take(cycle, occ.into());
                     result_ready = cycle + u64::from(meta.latency) + u64::from(occ - base);
-                    mem_sw.stop(obs, Phase::BankConflict);
                 }
                 MemSpace::Global => {
                     let txns = global_transactions(access.width, access.addrs());
@@ -921,7 +891,6 @@ impl TimingSim {
                     if !access.store {
                         result_ready = start + u64::from(self.calib.global_latency);
                     }
-                    mem_sw.stop(obs, Phase::MemModel);
                 }
                 MemSpace::Local => {
                     // Spill traffic: occupies the LD/ST pipe like shared
@@ -940,7 +909,6 @@ impl TimingSim {
                                 .max(start + u64::from(self.calib.global_latency));
                         }
                     }
-                    mem_sw.stop(obs, Phase::MemModel);
                 }
             }
         }
@@ -951,7 +919,6 @@ impl TimingSim {
         // exactly as the paper observed before decoding the notation
         // (Section 3.2).
         let covered = ctl_stall >= 1;
-        let sbu_sw = Stopwatch::start::<O>();
         for idx in bits(meta.defs) {
             slot.sb_reg[idx] = result_ready;
         }
@@ -964,7 +931,6 @@ impl TimingSim {
             slot.sb_pred[p.index() as usize] = result_ready;
         }
         rec.gate = self.gate(slot);
-        sbu_sw.stop(obs, Phase::Scoreboard);
 
         Ok((pc, lanes))
     }

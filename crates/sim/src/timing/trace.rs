@@ -5,29 +5,26 @@
 //! attempt outcome — an instruction issued (primary or dual dispatch
 //! slot), a runnable warp blocked with a [`StallKind`], a barrier
 //! released, a warp exited. The in-tree observers are [`TraceBuffer`]
-//! (records raw events, for the Chrome trace export),
+//! (records raw events, for the Chrome trace export) and
 //! [`super::profile::ProfileBuilder`] (aggregates in-flight, for
-//! arbitrarily long runs) and [`crate::perfmon::HostProf`] (host wall
-//! time per loop phase).
+//! arbitrarily long runs).
 //!
 //! # Overhead guarantee
 //!
 //! Observing must never perturb timing and must cost nothing when unused:
-//! every emission site and clock read is behind one of [`Observer`]'s two
-//! constants, both `false` for `()`, and nothing an observer returns
-//! feeds back into the simulation — any observer leaves every
-//! [`TimingReport`](super::TimingReport) field unchanged (asserted by
-//! `tests/observer_identity.rs`). A hang skips its recurring periods under
-//! an event observer too, replaying one recorded period per skipped one,
-//! so the observer gets the stepping run's exact event stream (DESIGN.md
-//! §5.1); only a host-timing observer makes the run step every cycle.
+//! every emission site is behind [`Observer::EVENTS`], `false` for `()`,
+//! and nothing an observer returns feeds back into the simulation — any
+//! observer leaves every [`TimingReport`](super::TimingReport) field
+//! unchanged (asserted by `tests/observer_identity.rs`). A hang skips its
+//! recurring periods under an observer too, replaying one recorded period
+//! per skipped one, so the observer gets the stepping run's exact event
+//! stream (DESIGN.md §5.1).
 
 use peakperf_sass::Kernel;
 
 use crate::cancel::CancelToken;
 use crate::json::ChromeTraceWriter;
 use crate::obj;
-use crate::perfmon::{Phase, Stopwatch};
 use crate::timing::sm::StallKind;
 
 /// Sentinel PC for events where the instruction index is not known
@@ -68,22 +65,16 @@ pub struct TraceEvent {
     pub kind: TraceEventKind,
 }
 
-/// The one observer of a [`TimingSim`](super::TimingSim) run: scheduler
-/// events for trace consumers, host wall-time attribution for profilers
-/// of the simulator itself, or both.
+/// The one observer of a [`TimingSim`](super::TimingSim) run: it takes
+/// the run's scheduler events.
 ///
 /// Implementations must be pure observers: nothing they record may feed
-/// back into the simulation. The two constants gate the simulator's
-/// emission sites at compile time — `if O::EVENTS` around every
-/// [`Observer::event`], `if O::HOST_TIMING` around every clock read — so
-/// the `()` instantiation is exactly the uninstrumented loop.
+/// back into the simulation. [`Observer::EVENTS`] gates the simulator's
+/// emission sites at compile time, so the `()` instantiation is exactly
+/// the uninstrumented loop.
 pub trait Observer {
     /// Whether [`Observer::event`] should be called at all.
     const EVENTS: bool = false;
-    /// Whether the loop should read the host clock and call
-    /// [`Observer::phase`], [`Observer::cycle_end`] and
-    /// [`Observer::finish`].
-    const HOST_TIMING: bool = false;
 
     /// Observe one scheduler event.
     fn event(&mut self, _event: TraceEvent) {}
@@ -98,12 +89,6 @@ pub trait Observer {
             }
         }
     }
-    /// Add `nanos` of host wall time to a leaf `phase`.
-    fn phase(&mut self, _phase: Phase, _nanos: u64) {}
-    /// The simulator finished `cycle` and is about to advance.
-    fn cycle_end(&mut self, _cycle: u64) {}
-    /// The run completed: `cycles` simulated in `wall_nanos` of host time.
-    fn finish(&mut self, _cycles: u64, _wall_nanos: u64) {}
 }
 
 /// The default observer: observes nothing, costs nothing.
@@ -112,7 +97,6 @@ impl Observer for () {}
 /// Observers are usually lent to a run and read afterwards.
 impl<O: Observer> Observer for &mut O {
     const EVENTS: bool = O::EVENTS;
-    const HOST_TIMING: bool = O::HOST_TIMING;
 
     fn event(&mut self, event: TraceEvent) {
         (**self).event(event);
@@ -120,54 +104,20 @@ impl<O: Observer> Observer for &mut O {
     fn replay(&mut self, tape: &[TraceEvent], period: u64, times: u64) {
         (**self).replay(tape, period, times);
     }
-    fn phase(&mut self, phase: Phase, nanos: u64) {
-        (**self).phase(phase, nanos);
-    }
-    fn cycle_end(&mut self, cycle: u64) {
-        (**self).cycle_end(cycle);
-    }
-    fn finish(&mut self, cycles: u64, wall_nanos: u64) {
-        (**self).finish(cycles, wall_nanos);
-    }
 }
 
 /// Two observers on one run (e.g. a [`TraceBuffer`] for the Chrome export
-/// and a `ProfileBuilder` for aggregation). A pair is also where a trace
-/// consumer can meet a host profiler, so it is where event delivery is
-/// priced: each side's `event` is timed on the other side's clock and
-/// charged to [`Phase::TraceEmit`]. A lone profiler therefore reports a
-/// zero `trace_emit` share by construction.
+/// and a `ProfileBuilder` for aggregation).
 impl<A: Observer, B: Observer> Observer for (A, B) {
     const EVENTS: bool = A::EVENTS || B::EVENTS;
-    const HOST_TIMING: bool = A::HOST_TIMING || B::HOST_TIMING;
 
     fn event(&mut self, event: TraceEvent) {
-        if A::EVENTS {
-            let sw = Stopwatch::start::<B>();
-            self.0.event(event);
-            sw.stop(&mut self.1, Phase::TraceEmit);
-        }
-        if B::EVENTS {
-            let sw = Stopwatch::start::<A>();
-            self.1.event(event);
-            sw.stop(&mut self.0, Phase::TraceEmit);
-        }
+        self.0.event(event);
+        self.1.event(event);
     }
     fn replay(&mut self, tape: &[TraceEvent], period: u64, times: u64) {
         self.0.replay(tape, period, times);
         self.1.replay(tape, period, times);
-    }
-    fn phase(&mut self, phase: Phase, nanos: u64) {
-        self.0.phase(phase, nanos);
-        self.1.phase(phase, nanos);
-    }
-    fn cycle_end(&mut self, cycle: u64) {
-        self.0.cycle_end(cycle);
-        self.1.cycle_end(cycle);
-    }
-    fn finish(&mut self, cycles: u64, wall_nanos: u64) {
-        self.0.finish(cycles, wall_nanos);
-        self.1.finish(cycles, wall_nanos);
     }
 }
 
@@ -219,9 +169,9 @@ impl<'a, O: Observer> Hooks<'a, O> {
     }
 
     /// Abort with [`SimError::StepLimit`](crate::SimError::StepLimit)
-    /// once the run passes cycle `limit`. An untokened run whose observer
-    /// reads no host clock skips there from an exact recurrence of its
-    /// state, replaying one recorded period's events to the observer.
+    /// once the run passes cycle `limit`. An untokened run skips there
+    /// from an exact recurrence of its state, replaying one recorded
+    /// period's events to its observer.
     /// The SM's pipes count time in integer ticks, up to 192,400 a cycle
     /// on GTX580; a limit past the cycle where those counts reach half of
     /// `u64::MAX` (about 4.8·10¹³ on both GTX580 and GTX680) counts as
@@ -394,27 +344,10 @@ mod tests {
     }
 
     #[test]
-    fn pair_prices_event_delivery_on_the_profiler_side() {
-        use crate::perfmon::HostProf;
-        let mut buf = TraceBuffer::new();
-        let mut prof = HostProf::new();
-        let mut pair = (&mut buf, &mut prof);
-        for i in 0..1000 {
-            pair.event(ev(i, 0, TraceEventKind::Stall(StallKind::Pipe)));
-        }
-        assert_eq!(buf.len(), 1000);
-        assert!(prof.phase_nanos(Phase::TraceEmit) > 0);
-        // A lone profiler pays nothing for its own bookkeeping.
-        let mut alone = HostProf::new();
-        alone.event(ev(0, 0, TraceEventKind::Stall(StallKind::Pipe)));
-        assert_eq!(alone.phase_nanos(Phase::TraceEmit), 0);
-    }
-
-    #[test]
     fn unit_observer_is_disabled() {
         const {
-            assert!(!<() as Observer>::EVENTS && !<() as Observer>::HOST_TIMING);
-            assert!(TraceBuffer::EVENTS && !TraceBuffer::HOST_TIMING);
+            assert!(!<() as Observer>::EVENTS);
+            assert!(TraceBuffer::EVENTS);
             assert!(<((), &mut TraceBuffer) as Observer>::EVENTS);
             assert!(!<((), ()) as Observer>::EVENTS);
         }

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use peakperf_bench::report::check_document;
 use peakperf_bench::service::journal::Journal;
 use peakperf_bench::service::{self, JobSpec, Service, ServiceConfig};
-use peakperf_bench::{fault, hostprof, ledger, profiling, telemetry};
+use peakperf_bench::{fault, ledger, profiling, telemetry};
 use peakperf_sim::{obj, Json};
 
 /// One way to break a value.
@@ -129,7 +129,7 @@ fn bench_documents() {
 }
 
 #[test]
-fn profile_and_hostprof_documents() {
+fn profile_documents() {
     let profiled = profiling::run_target("fermi_ffma", false, None).unwrap();
     let doc = profiling::profile_document(vec![profiled.json], &[profiled.gpu]);
     let cases = [
@@ -150,6 +150,11 @@ fn profile_and_hostprof_documents() {
             "missing key `cycles`",
         ),
         (
+            "profiles.0.profile.idle_cycles",
+            Set(u64::MAX.into()),
+            "idle_cycles 18446744073709551615 exceed cycles",
+        ),
+        (
             "profiles.0.gap_attribution",
             Push("gremlins", 1.0.into()),
             "unknown gap source",
@@ -159,25 +164,6 @@ fn profile_and_hostprof_documents() {
             Set("high".into()),
             "bound: expected a number, got",
         ),
-    ];
-    assert_checked(&doc, &cases);
-
-    let target = hostprof::run_target("fermi_ffma").unwrap();
-    let doc = hostprof::hostprof_document(vec![target.json], &[target.gpu]);
-    let cases = [
-        ("phases", SwapFirstTwo, "drifted from Phase::ALL"),
-        ("targets.0.phases", SwapFirstTwo, "drifted from Phase::ALL"),
-        (
-            "targets.0.phases.0.share",
-            Set(5.0.into()),
-            "phase shares sum to",
-        ),
-        (
-            "targets.0.idle.idle_cycles",
-            Set(u64::MAX.into()),
-            "idle_cycles exceed cycles",
-        ),
-        ("targets", Set(Json::Arr(vec![])), "targets is empty"),
     ];
     assert_checked(&doc, &cases);
 

@@ -4,24 +4,25 @@
 
 use peakperf::arch::GpuConfig;
 use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
-use peakperf::sim::perfmon::{HostProf, Phase};
 use peakperf::sim::timing::{
     Hooks, Observer, ProfileBuilder, TimingReport, TimingSim, TraceBuffer,
 };
 use peakperf::sim::{CancelToken, GlobalMemory};
 
+/// The problem of one resident wave of the tuned SGEMM kernel.
+const PROBLEM: SgemmProblem = SgemmProblem {
+    variant: Variant::NN,
+    m: 192,
+    n: 96,
+    k: 64,
+};
+
 /// One resident wave of the tuned SGEMM kernel: `BAR.SYNC`, global and
 /// shared loads on both generations, dual issue on Kepler.
 fn run_wave<O: Observer>(gpu: &GpuConfig, hooks: Hooks<'_, O>) -> TimingReport {
-    let problem = SgemmProblem {
-        variant: Variant::NN,
-        m: 192,
-        n: 96,
-        k: 64,
-    };
-    let build = build_preset(gpu.generation, &problem, Preset::AsmOpt).unwrap();
+    let build = build_preset(gpu.generation, &PROBLEM, Preset::AsmOpt).unwrap();
     let mut memory = GlobalMemory::new();
-    let (a, b, c) = upload_problem(&mut memory, &problem, 99).unwrap();
+    let (a, b, c) = upload_problem(&mut memory, &PROBLEM, 99).unwrap();
     let params = [a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
     let sim = TimingSim::new(gpu, &build.kernel, build.config, &params, 1).unwrap();
     sim.run(&mut memory, hooks).unwrap()
@@ -48,29 +49,22 @@ fn every_hook_configuration_is_cycle_identical() {
             plain,
             "{name} profile"
         );
+        let kernel = build_preset(gpu.generation, &PROBLEM, Preset::AsmOpt)
+            .unwrap()
+            .kernel;
+        let alone = builder.finish(&kernel, &plain);
+        assert!(alone.idle_cycles <= plain.cycles);
 
-        let mut prof = HostProf::new();
-        assert_eq!(
-            run_wave(&gpu, Hooks::observe(&mut prof)),
-            plain,
-            "{name} hostprof"
-        );
-        // The profiler saw a coherent stream: every simulated cycle, wall
-        // shares that sum to the total, and no trace consumer to price.
-        assert_eq!(prof.cycles(), plain.cycles);
-        let shares: u64 = Phase::ALL.into_iter().map(|p| prof.phase_nanos(p)).sum();
-        assert_eq!(shares, prof.total_nanos());
-        assert_eq!(prof.phase_nanos(Phase::TraceEmit), 0);
-        assert!(prof.idle_cycles() <= plain.cycles);
-
-        let mut paired = (TraceBuffer::new(), HostProf::new());
+        let mut paired = (TraceBuffer::new(), ProfileBuilder::new());
         assert_eq!(
             run_wave(&gpu, Hooks::observe(&mut paired)),
             plain,
             "{name} pair"
         );
+        // Each side of the pair saw what it sees alone.
         assert_eq!(paired.0.events(), buffer.events());
-        assert!(paired.1.phase_nanos(Phase::TraceEmit) > 0);
+        let profile = paired.1.finish(&kernel, &plain);
+        assert_eq!(profile.to_json(), alone.to_json(), "{name} pair profile");
 
         let token = CancelToken::with_deadline(std::time::Duration::from_secs(3600));
         let hooks = Hooks::default()

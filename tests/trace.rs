@@ -17,9 +17,8 @@ use peakperf::sim::timing::{
     chrome_trace, time_kernel, Hooks, Observer, Profile, ProfileBuilder, StallKind, TimingReport,
     TimingSim, TraceBuffer, TraceEvent, TraceEventKind,
 };
-use peakperf::sim::{GlobalMemory, Json, LaunchConfig};
+use peakperf::sim::{CancelToken, GlobalMemory, Json, LaunchConfig};
 use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FUZZ_CYCLE_LIMIT};
-use peakperf_bench::hostprof;
 use peakperf_bench::profiling::{run_target, TARGETS};
 
 // ---------------------------------------------------------------------
@@ -377,10 +376,15 @@ const IDLE_CYCLES: [(&str, u64, u64); 7] = [
 
 #[test]
 fn profile_targets_count_their_idle_cycles() {
+    // A run that skips recurring periods replays their events, so it
+    // counts what a stepping run (a token that never fires) counts.
     assert_eq!(IDLE_CYCLES.map(|t| t.0), TARGETS.map(|t| t.name));
+    let token = CancelToken::new();
     for (name, idle, cycles) in IDLE_CYCLES {
-        let entry = hostprof::run_target(name).unwrap().json;
-        assert_eq!(entry.count("cycles"), cycles, "{name}");
-        assert_eq!(entry["idle"].count("idle_cycles"), idle, "{name}");
+        for cancel in [None, Some(&token)] {
+            let profile = &run_target(name, false, cancel).unwrap().json["profile"];
+            assert_eq!(profile.count("cycles"), cycles, "{name}");
+            assert_eq!(profile.count("idle_cycles"), idle, "{name}");
+        }
     }
 }
