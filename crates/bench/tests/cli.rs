@@ -164,11 +164,13 @@ fn profile_subcommand_emits_trace_and_profile_documents() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("== profile: fermi_ffma"));
     assert!(text.contains("stall breakdown"));
+    assert!(text.contains("idle cycles: 0 of 100032 (0.0%)"), "{text}");
     let trace_json = std::fs::read_to_string(&trace).unwrap();
     assert!(trace_json.contains("\"traceEvents\""));
     let profile_json = std::fs::read_to_string(&profile).unwrap();
     assert!(profile_json.contains("\"peakperf-profile-v1\""));
     assert!(profile_json.contains("\"stall_totals\""));
+    assert!(profile_json.contains("\"idle_cycles\": 0,"));
     std::fs::remove_dir_all(&dir).ok();
 }
 

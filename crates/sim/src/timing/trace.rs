@@ -18,7 +18,8 @@
 //! unchanged (asserted by `tests/observer_identity.rs`). A hang skips its
 //! recurring periods under an observer too, replaying one recorded period
 //! per skipped one, so the observer gets the stepping run's exact event
-//! stream (DESIGN.md §5.1).
+//! stream (DESIGN.md §5.1); only a cancel token makes a run step every
+//! cycle.
 
 use peakperf_sass::Kernel;
 
