@@ -49,10 +49,10 @@ pub fn build_threads_kernel(
     // Accumulators avoid the banks of their other sources: in the
     // independent case the sources are R1 (odd0) and R4 (even1), so the
     // accumulators live on even0/odd1; in the dependent case the sources
-    // are the LDS pair R20 (even1) / R21 (odd1), so they live on
-    // even0/odd0.
-    const ACCS_IND: [u8; 6] = [8, 13, 10, 15, 24, 29];
-    const ACCS_DEP: [u8; 6] = [8, 9, 10, 11, 24, 25];
+    // are the LDS pair R6 (even1) / R7 (odd1), so they live on even0/odd0.
+    // R0-R19 let two 768-thread blocks fit a Fermi SM (Figure 4's 1,536).
+    const ACCS_IND: [u8; 6] = [8, 13, 10, 15, 2, 5];
+    const ACCS_DEP: [u8; 6] = [8, 9, 10, 11, 2, 19];
     for i in 0..8u8 {
         b.mov_f32(Reg::r(i), 0.25 + f32::from(i));
     }
@@ -64,7 +64,7 @@ pub fn build_threads_kernel(
     b.imul(addr, addr, 8);
     let counter = Reg::r(17);
     b.mov32i(counter, iters);
-    let (lds_dst, lds_hi) = (Reg::r(20), Reg::r(21));
+    let (lds_dst, lds_hi) = (Reg::r(6), Reg::r(7));
 
     let top = b.label_here();
     for _ in 0..groups {
