@@ -243,20 +243,11 @@ pub fn fig3() -> String {
 pub fn fig4() -> Result<String, SimError> {
     let mut out = String::new();
     let gpus = [GpuConfig::gtx580(), GpuConfig::gtx680()];
-    let counts_for = |gpu: &GpuConfig| -> Vec<u32> {
-        let mut v = Vec::new();
-        let mut c = 32;
-        while c <= gpu.max_threads_per_sm {
-            v.push(c);
-            c += if c < 256 { 32 } else { 128 };
-        }
-        v
-    };
     let jobs: Vec<(usize, threads::Dependence, u32)> = gpus
         .iter()
         .enumerate()
         .flat_map(|(g, gpu)| {
-            counts_for(gpu).into_iter().flat_map(move |c| {
+            threads::sweep(gpu).flat_map(move |c| {
                 [
                     (g, threads::Dependence::Dependent, c),
                     (g, threads::Dependence::Independent, c),
@@ -276,7 +267,7 @@ pub fn fig4() -> Result<String, SimError> {
             ),
             &["threads", "dependent", "independent"],
         );
-        for c in counts_for(gpu) {
+        for c in threads::sweep(gpu) {
             let dep = results.next().expect("job per (gpu, dependence, count)");
             let ind = results.next().expect("job per (gpu, dependence, count)");
             t.row(vec![c.to_string(), f1(dep.throughput), f1(ind.throughput)]);

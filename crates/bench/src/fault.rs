@@ -55,9 +55,9 @@ pub const FUZZ_STEP_LIMIT: u64 = 2_000_000;
 /// Timing-model cycle budget per mutant.
 pub const FUZZ_CYCLE_LIMIT: u64 = 400_000;
 
-/// Matrix size for the SGEMM seed kernels: one 96×96 block, so the
-/// functional model (whole grid) and the timing model (resident wave)
-/// simulate exactly the same work.
+/// Matrix size for the SGEMM seed kernels: one 96×96 block, a grid that
+/// fits one SM, so the functional model (whole grid) and the timing model
+/// (the wave `TimingSim::new` derives) simulate exactly the same work.
 const SGEMM_SIZE: u32 = 96;
 
 /// Deterministic seed for the SGEMM input matrices.
@@ -725,7 +725,7 @@ fn run_timing(
 ) -> Result<u64, SimError> {
     let mut memory = GlobalMemory::new();
     let params = launch_params(&mut memory, problem)?;
-    let sim = TimingSim::new(gpu, kernel, config, &params, 1)?;
+    let sim = TimingSim::new(gpu, kernel, config, &params)?;
     let report = if traced {
         // Keeps no events: the traced code path with bounded memory. A
         // hang skips here too, its recurring periods' events replayed.

@@ -26,8 +26,7 @@ use peakperf_kernels::microbench::{saturating_launch, throughput_of};
 use peakperf_kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
 use peakperf_sass::Kernel;
 use peakperf_sim::timing::{
-    chrome_trace, resident_blocks, Hooks, Profile, ProfileBuilder, StallKind, TimingReport,
-    TimingSim, TraceBuffer,
+    chrome_trace, Hooks, Profile, ProfileBuilder, StallKind, TimingReport, TimingSim, TraceBuffer,
 };
 use peakperf_sim::{ensure, obj, CancelToken, GlobalMemory, Json, LaunchConfig, SimError};
 
@@ -210,7 +209,7 @@ pub(crate) fn prepare(name: &str) -> Result<PreparedTarget, SimError> {
         })?;
     let gpu = GpuConfig::preset(target.generation);
     let mut memory = GlobalMemory::new();
-    let (kernel, config, params, resident, basis) = match target.workload {
+    let (kernel, config, params, basis) = match target.workload {
         Workload::Table2 { row, bound } => {
             let pattern = table2_patterns()[row];
             let (threads, blocks) = saturating_launch(&gpu);
@@ -222,14 +221,13 @@ pub(crate) fn prepare(name: &str) -> Result<PreparedTarget, SimError> {
             };
             let kernel = math_kernel(gpu.generation, &pattern)?;
             let config = LaunchConfig::linear(blocks, threads);
-            (kernel, config, Vec::new(), blocks, basis)
+            (kernel, config, Vec::new(), basis)
         }
         Workload::Sgemm => {
             let problem = SgemmProblem::square(Variant::NN, SGEMM_PROFILE_SIZE);
             let build = build_preset(gpu.generation, &problem, Preset::AsmOpt)?;
             let (a, b, c) = alloc_problem(&mut memory, &problem)?;
             let params = vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
-            let (_, resident) = resident_blocks(&gpu, &build.kernel, build.config)?;
             let model = UpperBoundModel::new(&gpu);
             // Per-SM flops per shader cycle at the bound.
             let peak_fpc = gpu.theoretical_peak_gflops() * 1e9
@@ -239,10 +237,10 @@ pub(crate) fn prepare(name: &str) -> Result<PreparedTarget, SimError> {
                 bound: model.best_sgemm_bound().fraction_of_peak * peak_fpc,
                 paper: Some(paper * peak_fpc),
             };
-            (build.kernel, build.config, params, resident, basis)
+            (build.kernel, build.config, params, basis)
         }
     };
-    let sim = TimingSim::new(&gpu, &kernel, config, &params, resident)?;
+    let sim = TimingSim::new(&gpu, &kernel, config, &params)?;
     Ok(PreparedTarget {
         gpu,
         kernel,

@@ -1112,7 +1112,7 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken) -> Result<Attempt, String> {
             let kernel = b.finish().map_err(|e| e.to_string())?;
             let gpu = GpuConfig::gtx580();
             let mut memory = GlobalMemory::new();
-            let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1)
+            let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[])
                 .map_err(|e| e.to_string())?;
             let mut hooks = Hooks::default().cancel(Some(token));
             if spec.deadline_ms.is_none() && spec.cancel_at_cycle.is_none() {

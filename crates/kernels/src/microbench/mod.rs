@@ -22,8 +22,8 @@ use peakperf_sim::timing::cache::run_cached;
 use peakperf_sim::timing::{TimingReport, TimingSim};
 use peakperf_sim::{GlobalMemory, LaunchConfig, SimError};
 
-/// Run a microbenchmark kernel on one SM with `blocks` resident blocks of
-/// `threads` threads and return the timing report.
+/// Run a microbenchmark kernel launched as `blocks` blocks of `threads`
+/// threads on one SM, which holds as many as fit, and return the report.
 ///
 /// Microbenchmarks never inspect memory afterwards, so this goes through
 /// [`run_cached`]: identical patterns re-timed across figures are answered
@@ -40,15 +40,8 @@ pub fn run_on_sm(
     threads: u32,
     blocks: u32,
 ) -> Result<TimingReport, SimError> {
-    let mut memory = GlobalMemory::new();
-    let sim = TimingSim::new(
-        gpu,
-        kernel,
-        LaunchConfig::linear(blocks, threads),
-        &[],
-        blocks,
-    )?;
-    run_cached(&sim, &mut memory)
+    let sim = TimingSim::new(gpu, kernel, LaunchConfig::linear(blocks, threads), &[])?;
+    run_cached(&sim, &mut GlobalMemory::new())
 }
 
 /// The launch every throughput microbenchmark saturates one SM with, as

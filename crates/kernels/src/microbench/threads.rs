@@ -107,10 +107,19 @@ pub struct ThreadsPoint {
     pub throughput: f64,
 }
 
-/// Measure the 6:1 mix at a given number of active threads per SM.
-///
-/// Thread counts up to 1024 run as one block; larger counts split into two
-/// resident blocks.
+/// Figure 4's active-thread counts: by 32 to 256, then by 128 to the SM's limit.
+pub fn sweep(gpu: &GpuConfig) -> impl Iterator<Item = u32> {
+    let wide = (384..=gpu.max_threads_per_sm).step_by(128);
+    (32..=256).step_by(32).chain(wide)
+}
+
+/// The launch of `threads` threads as `(per block, blocks)`: two blocks above 1024.
+pub fn launch(threads: u32) -> (u32, u32) {
+    let blocks = if threads > 1024 { 2 } else { 1 };
+    (threads / blocks, blocks)
+}
+
+/// Measure the 6:1 mix at `threads` active threads per SM, launched by [`launch`].
 ///
 /// # Errors
 ///
@@ -120,11 +129,7 @@ pub fn measure_threads(
     dep: Dependence,
     threads: u32,
 ) -> Result<ThreadsPoint, SimError> {
-    let (per_block, blocks) = if threads <= 1024 {
-        (threads, 1)
-    } else {
-        (threads / 2, 2)
-    };
+    let (per_block, blocks) = launch(threads);
     let kernel = build_threads_kernel(gpu.generation, dep, 12, 16)?;
     let report = run_on_sm(gpu, &kernel, per_block, blocks)?;
     let useful = report.mix.count("FFMA") + report.mix.count_prefix("LDS");

@@ -360,7 +360,7 @@ mod tests {
         assert_eq!(stats.thread_instructions, 96);
         assert_eq!(stats.warp_instructions, 4);
 
-        let sim = TimingSim::new(&GpuConfig::gtx580(), &kernel, config, &[], 1).unwrap();
+        let sim = TimingSim::new(&GpuConfig::gtx580(), &kernel, config, &[]).unwrap();
         let timed = sim.run(&mut GlobalMemory::new(), Hooks::default()).unwrap();
         assert_eq!(timed.thread_instructions, stats.thread_instructions);
         assert_eq!(timed.warp_instructions, 6);

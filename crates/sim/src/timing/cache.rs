@@ -1,10 +1,10 @@
 //! A memoization cache for timing runs.
 //!
 //! A [`TimingSim`] run is a pure function of its inputs (GPU
-//! configuration, kernel, launch configuration, parameter values,
-//! resident-block count), so the experiment drivers, which re-time
-//! identical kernels across figures (fig5's SGEMM points are asked for
-//! again by fig6, fig7 and `achieved`), can be answered from memory.
+//! configuration, kernel, launch configuration, parameter values), so
+//! the experiment drivers, which re-time identical kernels across figures
+//! (fig5's SGEMM points are asked for again by fig6, fig7 and
+//! `achieved`), can be answered from memory.
 //!
 //! The cache is **opt-in** (see [`enable_global`]) because a hit skips the
 //! functional execution entirely, including its writes to global memory.
@@ -81,7 +81,6 @@ pub(crate) fn run_key(
     kernel: &Kernel,
     config: LaunchConfig,
     params: &[u32],
-    resident_blocks: u32,
 ) -> u128 {
     let mut h = Fnv128::new();
     // `Debug` renderings cover every field, including the instruction
@@ -96,8 +95,6 @@ pub(crate) fn run_key(
     for p in params {
         h.write(&p.to_le_bytes());
     }
-    h.write(b"\x1f");
-    h.write(&resident_blocks.to_le_bytes());
     h.finish()
 }
 
@@ -219,7 +216,7 @@ mod tests {
         let gpu = GpuConfig::gtx580();
         let kernel = sample_kernel();
         let mut mem = GlobalMemory::new();
-        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[]).unwrap();
         sim.run(&mut mem, Hooks::default()).unwrap()
     }
 
@@ -228,23 +225,22 @@ mod tests {
         let gpu = GpuConfig::gtx580();
         let kernel = sample_kernel();
         let config = LaunchConfig::linear(4, 64);
-        let base = run_key(&gpu, &kernel, config, &[7], 2);
+        let base = run_key(&gpu, &kernel, config, &[7]);
 
         let mut other_gpu = gpu.clone();
         other_gpu.num_sms += 1;
-        assert_ne!(base, run_key(&other_gpu, &kernel, config, &[7], 2));
+        assert_ne!(base, run_key(&other_gpu, &kernel, config, &[7]));
 
         let mut other_kernel = kernel.clone();
         other_kernel.num_regs += 1;
-        assert_ne!(base, run_key(&gpu, &other_kernel, config, &[7], 2));
+        assert_ne!(base, run_key(&gpu, &other_kernel, config, &[7]));
 
         assert_ne!(
             base,
-            run_key(&gpu, &kernel, LaunchConfig::linear(4, 128), &[7], 2)
+            run_key(&gpu, &kernel, LaunchConfig::linear(4, 128), &[7])
         );
-        assert_ne!(base, run_key(&gpu, &kernel, config, &[8], 2));
-        assert_ne!(base, run_key(&gpu, &kernel, config, &[7], 3));
-        assert_eq!(base, run_key(&gpu, &kernel, config, &[7], 2));
+        assert_ne!(base, run_key(&gpu, &kernel, config, &[8]));
+        assert_eq!(base, run_key(&gpu, &kernel, config, &[7]));
     }
 
     #[test]
@@ -252,8 +248,8 @@ mod tests {
         let gpu = GpuConfig::gtx580();
         let kernel = sample_kernel();
         let config = LaunchConfig::linear(4, 64);
-        let sim = TimingSim::new(&gpu, &kernel, config, &[], 2).unwrap();
-        assert_eq!(sim.cache_key(), run_key(&gpu, &kernel, config, &[], 2));
+        let sim = TimingSim::new(&gpu, &kernel, config, &[]).unwrap();
+        assert_eq!(sim.cache_key(), run_key(&gpu, &kernel, config, &[]));
     }
 
     #[test]

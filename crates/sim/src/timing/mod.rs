@@ -56,12 +56,12 @@ pub struct GpuTiming {
 /// The blocks of `config`'s launch one SM holds, as `(blocks_per_sm,
 /// resident)`: the occupancy limit of the kernel's registers, shared
 /// memory and block size, and the blocks its first wave simulates (that
-/// limit, capped by the grid).
+/// limit, capped by the grid). [`TimingSim::new`] is its one caller.
 ///
 /// # Errors
 ///
 /// [`SimError::Launch`] when not even one block fits on an SM.
-pub fn resident_blocks(
+fn resident_blocks(
     gpu: &GpuConfig,
     kernel: &Kernel,
     config: LaunchConfig,
@@ -82,8 +82,8 @@ pub fn resident_blocks(
 
 /// Time a kernel launch on `config`'s GPU.
 ///
-/// Simulates one resident wave of blocks on a single SM cycle by cycle and
-/// extrapolates: the grid is split into `waves` sequential waves of
+/// Simulates the launch's first resident wave (the blocks [`TimingSim::new`]
+/// places on one SM) cycle by cycle and extrapolates: the grid is split into `waves` sequential waves of
 /// `blocks_per_sm * num_sms` blocks. Total time is the simulated wave
 /// times the number of full waves plus a trailing partial wave, which
 /// costs its fill fraction of a wave but at least 0.7 of one; it is never
@@ -110,12 +110,11 @@ pub fn time_kernel(
     memory: &mut crate::GlobalMemory,
     flops_override: Option<u64>,
 ) -> Result<GpuTiming, SimError> {
-    let (blocks_per_sm, resident) = resident_blocks(gpu, kernel, config)?;
+    let sim = TimingSim::new(gpu, kernel, config, params)?;
+    let (blocks_per_sm, resident) = sim.occupancy();
     let total_blocks = config.total_blocks();
     let wave_capacity = u64::from(blocks_per_sm) * u64::from(gpu.num_sms);
     let waves = total_blocks.div_ceil(wave_capacity).max(1);
-
-    let sim = TimingSim::new(gpu, kernel, config, params, resident)?;
     let report = cache::run_cached(&sim, memory)?;
 
     // Full waves run back to back; the trailing partial wave still pays a
@@ -170,20 +169,29 @@ mod tests {
 
     #[test]
     fn oversubscribed_kernel_is_rejected() {
+        // 63 registers × 1024 threads is more than a Fermi SM's 32,768: the
+        // kernel validates, but not one block fits.
         let gpu = peakperf_arch::GpuConfig::gtx580();
         let mut kernel = tiny_kernel(gpu.generation);
-        kernel.shared_bytes = 49 * 1024; // more than the SM has
+        kernel.num_regs = 63;
+        let config = LaunchConfig::linear(1, 1024);
         let mut mem = crate::GlobalMemory::new();
-        let err = time_kernel(
-            &gpu,
-            &kernel,
-            LaunchConfig::linear(1, 64),
-            &[],
-            &mut mem,
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, SimError::Launch { .. }));
+        let err = time_kernel(&gpu, &kernel, config, &[], &mut mem, None).unwrap_err();
+        assert!(matches!(err, SimError::Launch { .. }), "{err:?}");
+        // The simulator itself places the wave: a block that cannot fit is
+        // the one invalid residency, and a typed error.
+        let err = TimingSim::new(&gpu, &kernel, config, &[]).err();
+        let no_fit = |m: &str| m.contains("does not fit");
+        assert!(
+            matches!(&err, Some(SimError::Launch { message }) if no_fit(message)),
+            "{err:?}"
+        );
+        // More shared memory than an SM has fails validation first.
+        let mut kernel = tiny_kernel(gpu.generation);
+        kernel.shared_bytes = 49 * 1024;
+        let config = LaunchConfig::linear(1, 64);
+        let err = time_kernel(&gpu, &kernel, config, &[], &mut mem, None).unwrap_err();
+        assert!(matches!(err, SimError::Invalid { .. }), "{err:?}");
     }
 
     #[test]

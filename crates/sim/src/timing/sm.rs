@@ -300,13 +300,15 @@ fn trace_issue<O: Observer>(
     }
 }
 
-/// A timing simulation of `resident_blocks` blocks of a kernel on one SM.
+/// A timing simulation of one SM running the first resident wave of a
+/// launch: as many of the grid's blocks as fit on the SM at once.
 pub struct TimingSim {
     calib: Calibration,
     kernel: Kernel,
     config: LaunchConfig,
     params: Vec<u32>,
-    resident_blocks: u32,
+    /// [`TimingSim::occupancy`].
+    occupancy: (u32, u32),
     /// Pre-extracted per-instruction metadata.
     meta: Vec<InstMeta>,
     /// The memory interface's ticks per cycle (its bandwidth in MB/s) and
@@ -349,26 +351,25 @@ struct InstMeta {
 }
 
 impl TimingSim {
-    /// Prepare a timing run.
+    /// Prepare a timing run of `config`'s launch. The simulated wave is
+    /// derived, not chosen: the first `min(blocks that fit, grid blocks)`
+    /// blocks of the grid, where the blocks that fit are the occupancy
+    /// limit of the kernel's registers, shared memory and block size.
     ///
     /// # Errors
     ///
     /// Fails if the kernel does not validate for the GPU's generation, the
-    /// launch parameters are inconsistent, or the generation has no timing
+    /// launch parameters are inconsistent, not even one block fits on an
+    /// SM ([`SimError::Launch`]), or the generation has no timing
     /// calibration (GT200).
     pub fn new(
         gpu: &GpuConfig,
         kernel: &Kernel,
         config: LaunchConfig,
         params: &[u32],
-        resident_blocks: u32,
     ) -> Result<TimingSim, SimError> {
         check_launch(gpu, kernel, config, params)?;
-        if resident_blocks == 0 {
-            return Err(SimError::Launch {
-                message: "resident block count must be positive".to_owned(),
-            });
-        }
+        let occupancy = super::resident_blocks(gpu, kernel, config)?;
         let calib = Calibration::for_generation(gpu.generation)?;
         let regs: Vec<(u64, u64)> = kernel.code.iter().map(|inst| inst.op.reg_masks()).collect();
         // Per instruction, the registers whose value on entry may still
@@ -441,7 +442,7 @@ impl TimingSim {
             })
             .collect();
         let threads = u64::from(config.threads_per_block());
-        let spill_footprint = u64::from(kernel.local_bytes) * threads * u64::from(resident_blocks);
+        let spill_footprint = u64::from(kernel.local_bytes) * threads * u64::from(occupancy.1);
         let local_miss_fraction = if spill_footprint > u64::from(L1_BYTES) {
             1.0 - L1_BYTES as f64 / spill_footprint as f64
         } else {
@@ -454,7 +455,7 @@ impl TimingSim {
             kernel: kernel.clone(),
             config,
             params: params.to_vec(),
-            resident_blocks,
+            occupancy,
             meta,
             memif_ticks: (mb_per_s.max(1), mhz_sms),
             local_miss_fraction,
@@ -497,9 +498,9 @@ impl TimingSim {
         };
         let threads = self.config.threads_per_block();
         let warps_per_block = self.config.warps_per_block();
-        let n_warps = (warps_per_block * self.resident_blocks) as usize;
+        let n_warps = (warps_per_block * self.occupancy.1) as usize;
 
-        let blocks: Vec<BlockRes> = (0..self.resident_blocks)
+        let blocks: Vec<BlockRes> = (0..self.occupancy.1)
             .map(|b| BlockRes {
                 ctx: BlockCtx {
                     // Resident blocks take the first grid slots along x.
@@ -730,18 +731,20 @@ impl TimingSim {
         Ok(report)
     }
 
+    /// The wave, as `(blocks_per_sm, resident)`: the blocks of this
+    /// kernel one SM holds, and the blocks the simulated wave holds (the
+    /// grid's first ones, as many as fit).
+    pub fn occupancy(&self) -> (u32, u32) {
+        self.occupancy
+    }
+
     /// The key under which this run is cached: a 128-bit hash over the GPU
     /// configuration, the kernel (code, control notation, metadata), the
-    /// launch configuration, the parameter values, and the resident-block
-    /// count — everything [`TimingSim::run`]'s result depends on.
+    /// launch configuration and the parameter values — everything
+    /// [`TimingSim::run`]'s result depends on (the resident wave follows
+    /// from the first three).
     pub fn cache_key(&self) -> u128 {
-        crate::timing::cache::run_key(
-            &self.gpu,
-            &self.kernel,
-            self.config,
-            &self.params,
-            self.resident_blocks,
-        )
+        crate::timing::cache::run_key(&self.gpu, &self.kernel, self.config, &self.params)
     }
 
     /// Whether warp `w` can issue at `cycle`, from its [`IssueState`]
@@ -1543,14 +1546,8 @@ mod tests {
     fn run_sm(gen: Generation, kernel: &Kernel, threads: u32, blocks: u32) -> TimingReport {
         let gpu = GpuConfig::preset(gen);
         let mut mem = GlobalMemory::new();
-        let sim = TimingSim::new(
-            &gpu,
-            kernel,
-            LaunchConfig::linear(blocks, threads),
-            &[],
-            blocks,
-        )
-        .unwrap();
+        let config = LaunchConfig::linear(blocks, threads);
+        let sim = TimingSim::new(&gpu, kernel, config, &[]).unwrap();
         sim.run(&mut mem, Hooks::default()).unwrap()
     }
 
@@ -1574,7 +1571,7 @@ mod tests {
         };
         let kernel = ffma_kernel(Generation::Fermi, 32, 64);
         let mut mem = GlobalMemory::new();
-        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 512), &[], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 512), &[]).unwrap();
         let ipc = sim.run(&mut mem, Hooks::default()).unwrap().thread_ipc();
         // BRA skips the SP pipe, so a 35-instruction loop body can reach
         // 16 * 35/34 = 16.5.
@@ -1603,7 +1600,7 @@ mod tests {
     fn memory_interface_ticks_are_one_sms_share_of_the_bandwidth() {
         let ticks = |gpu: &GpuConfig| {
             let kernel = ffma_kernel(gpu.generation, 1, 1);
-            let sim = TimingSim::new(gpu, &kernel, LaunchConfig::linear(1, 32), &[], 1);
+            let sim = TimingSim::new(gpu, &kernel, LaunchConfig::linear(1, 32), &[]);
             sim.unwrap().memif_ticks
         };
         let (per_cycle, per_byte) = ticks(&GpuConfig::gtx580());
@@ -1633,7 +1630,7 @@ mod tests {
         let kernel = b.finish().unwrap();
         let gpu = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
-        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 32), &[], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 32), &[]).unwrap();
         match sim.run(&mut mem, Hooks::default().cycle_limit(10_000)) {
             Err(SimError::StepLimit { limit, snapshot }) => {
                 assert_eq!(limit, 10_000);
@@ -1669,7 +1666,7 @@ mod tests {
 
         let config = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
-        let sim = TimingSim::new(&config, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+        let sim = TimingSim::new(&config, &kernel, LaunchConfig::linear(1, 64), &[]).unwrap();
         let timing_err = sim
             .run(&mut mem, Hooks::default().cycle_limit(100_000))
             .unwrap_err();
@@ -1699,7 +1696,7 @@ mod tests {
 
         let run_cancelled = |at: u64| -> SimError {
             let mut mem = GlobalMemory::new();
-            let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+            let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[]).unwrap();
             let token = CancelToken::new();
             token.cancel_at_cycle(at);
             sim.run(&mut mem, Hooks::default().cancel(Some(&token)))
@@ -1732,7 +1729,7 @@ mod tests {
         let kernel = ffma_kernel(Generation::Fermi, 16, 1 << 20);
         let gpu = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
-        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[]).unwrap();
         let token = CancelToken::new();
         token.cancel();
         match sim.run(&mut mem, Hooks::default().cancel(Some(&token))) {
@@ -1746,7 +1743,7 @@ mod tests {
         let kernel = ffma_kernel(Generation::Fermi, 16, 1 << 20);
         let gpu = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
-        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[]).unwrap();
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
         match sim.run(&mut mem, Hooks::default().cancel(Some(&token))) {

@@ -148,7 +148,7 @@ fn gt200_has_no_timing_model() {
     b.exit();
     let kernel = b.finish().unwrap();
     let config = LaunchConfig::linear(1, 32);
-    let err = TimingSim::new(&GpuConfig::gtx280(), &kernel, config, &[], 1).err();
+    let err = TimingSim::new(&GpuConfig::gtx280(), &kernel, config, &[]).err();
     assert!(
         matches!(&err, Some(SimError::Launch { message }) if message.contains("only Fermi and Kepler")),
         "{err:?}"
@@ -168,7 +168,7 @@ fn both_engines_reject_the_same_launches() {
         for (threads, params) in [(0, &[0u32][..]), (1025, &[0]), (32, &[])] {
             let config = LaunchConfig::linear(1, threads);
             let func = Gpu::from_config(&gpu).launch(&kernel, config, params).err();
-            let timing = TimingSim::new(&gpu, &kernel, config, params, 1).err();
+            let timing = TimingSim::new(&gpu, &kernel, config, params).err();
             for (engine, err) in [("functional", func), ("timing", timing)] {
                 assert!(
                     matches!(err, Some(SimError::Launch { .. })),
@@ -180,7 +180,7 @@ fn both_engines_reject_the_same_launches() {
         }
         let config = LaunchConfig::linear(1, 1024);
         assert!(Gpu::from_config(&gpu).launch(&kernel, config, &[0]).is_ok());
-        assert!(TimingSim::new(&gpu, &kernel, config, &[0], 1).is_ok());
+        assert!(TimingSim::new(&gpu, &kernel, config, &[0]).is_ok());
     }
 }
 

@@ -5,7 +5,7 @@
 //! steps every cycle gives.
 
 use peakperf::arch::{GpuConfig, LdsWidth};
-use peakperf::kernels::microbench::{math, mix, run_on_sm, threads};
+use peakperf::kernels::microbench::{math, mix, run_on_sm, saturating_launch, threads};
 use peakperf::kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
 use peakperf::sass::{CmpOp, Kernel, KernelBuilder, LogicOp, MemSpace, MemWidth, Operand};
 use peakperf::sass::{Pred, Reg, SpecialReg};
@@ -38,13 +38,8 @@ fn sgemm_cases(gpu: &GpuConfig, size: u32) -> Vec<(String, u64, u64)> {
                 time_kernel(gpu, &build.kernel, build.config, &params, &mut memory, None)
             });
             let timing = timing.unwrap();
-            let threads = build.config.threads_per_block();
-            let occupancy = gpu.occupancy();
-            let fit =
-                occupancy.occupancy(build.kernel.num_regs, build.kernel.shared_bytes, threads);
-            let resident = u64::from(fit.unwrap().blocks_per_sm).min(build.config.total_blocks());
-            let sim = TimingSim::new(gpu, &build.kernel, build.config, &params, resident as u32);
-            let want = stepped(&sim.unwrap(), &mut fresh.clone()).unwrap();
+            let sim = TimingSim::new(gpu, &build.kernel, build.config, &params).unwrap();
+            let want = stepped(&sim, &mut fresh.clone()).unwrap();
             assert_eq!(timing.sm, want, "{at}");
             skips.push((at, counters.skipped_cycles, want.cycles));
         }
@@ -80,7 +75,7 @@ fn timing_only_sgemm_reports_what_stepping_reports_on_gtx680() {
 fn check_micro(gpu: &GpuConfig, kernel: &Kernel, threads: u32, blocks: u32, at: &str) {
     let got = run_on_sm(gpu, kernel, threads, blocks);
     let config = LaunchConfig::linear(blocks, threads);
-    let sim = TimingSim::new(gpu, kernel, config, &[], blocks).unwrap();
+    let sim = TimingSim::new(gpu, kernel, config, &[]).unwrap();
     assert_eq!(
         got,
         stepped(&sim, &mut GlobalMemory::new()),
@@ -92,10 +87,9 @@ fn check_micro(gpu: &GpuConfig, kernel: &Kernel, threads: u32, blocks: u32, at: 
 #[test]
 fn timing_only_microbenchmarks_report_what_stepping_reports() {
     for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
-        let saturating = 1024.min(gpu.max_threads_per_block);
-        let blocks = (gpu.max_threads_per_sm / saturating).clamp(1, 2);
+        let (saturating, blocks) = saturating_launch(&gpu);
         for pattern in math::table2_patterns() {
-            let kernel = math::build_math_kernel(gpu.generation, &pattern, 256, 12).unwrap();
+            let kernel = math::math_kernel(gpu.generation, &pattern).unwrap();
             check_micro(&gpu, &kernel, saturating, blocks, &pattern.label());
         }
         for width in [LdsWidth::B32, LdsWidth::B64, LdsWidth::B128] {
@@ -110,15 +104,8 @@ fn timing_only_microbenchmarks_report_what_stepping_reports() {
             threads::Dependence::Independent,
         ] {
             let kernel = threads::build_threads_kernel(gpu.generation, dep, 12, 16).unwrap();
-            let counts = (32..=256)
-                .step_by(32)
-                .chain((384..=gpu.max_threads_per_sm).step_by(128));
-            for count in counts {
-                let (per_block, blocks) = if count <= 1024 {
-                    (count, 1)
-                } else {
-                    (count / 2, 2)
-                };
+            for count in threads::sweep(&gpu) {
+                let (per_block, blocks) = threads::launch(count);
                 let at = format!("threads {} {count}", dep.name());
                 check_micro(&gpu, &kernel, per_block, blocks, &at);
             }
@@ -144,7 +131,7 @@ fn check_loop(name: &str, body: &dyn Fn(&mut KernelBuilder, Reg)) -> [u64; 2] {
         let mut memory = GlobalMemory::new();
         let out = memory.alloc_zeroed(64 * 1024).unwrap();
         let config = LaunchConfig::linear(1, 32);
-        let sim = TimingSim::new(&gpu, &kernel, config, &[out], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel, config, &[out]).unwrap();
         let want = stepped(&sim, &mut memory.clone());
         let (got, counters) = with_counter_scope(|| run_cached(&sim, &mut memory.clone()));
         assert_eq!(got, want, "{name} on {}", gpu.name);

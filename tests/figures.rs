@@ -5,11 +5,12 @@
 
 use peakperf::arch::{GpuConfig, LdsWidth};
 use peakperf::bound::UpperBoundModel;
-use peakperf::kernels::microbench::{family, math, mix, threads};
+use peakperf::kernels::microbench::{family, math, mix, saturating_launch, threads};
 use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
 use peakperf::regalloc::analyze_ffma_conflicts;
-use peakperf::sim::timing::time_kernel;
-use peakperf::sim::GlobalMemory;
+use peakperf::sass::Kernel;
+use peakperf::sim::timing::{time_kernel, TimingSim};
+use peakperf::sim::{GlobalMemory, LaunchConfig};
 use peakperf_bench::experiments;
 
 fn gflops(gpu: &GpuConfig, preset: Preset, size: u32) -> f64 {
@@ -128,6 +129,71 @@ fn fig4_kepler_needs_more_threads() {
     assert!(
         kepler_ratio < fermi_ratio,
         "Kepler ({kepler_ratio:.2}) must need more threads than Fermi ({fermi_ratio:.2})"
+    );
+}
+
+/// Every microbenchmark row's simulated wave holds the active threads the
+/// row reports: each Figure 4 point on both GPUs, and the saturating
+/// launch of every Table 2, Figure 2 and `family::standard_specs` kernel.
+/// The SM places the wave (Section 4.4's occupancy), so a kernel whose
+/// registers, shared memory or block size do not let that many threads
+/// fit on the SM fails here rather than printing a figure the SM could
+/// not hold.
+#[test]
+fn every_microbenchmark_wave_holds_the_threads_it_reports() {
+    let mut short = Vec::new();
+    for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
+        let wave_threads = |kernel: &Kernel, (threads, blocks): (u32, u32)| {
+            let config = LaunchConfig::linear(blocks, threads);
+            let sim = TimingSim::new(&gpu, kernel, config, &[]).unwrap();
+            sim.occupancy().1 * threads
+        };
+        for dep in [
+            threads::Dependence::Dependent,
+            threads::Dependence::Independent,
+        ] {
+            let kernel = threads::build_threads_kernel(gpu.generation, dep, 12, 16).unwrap();
+            for count in threads::sweep(&gpu) {
+                let held = wave_threads(&kernel, threads::launch(count));
+                if held != count {
+                    let regs = kernel.num_regs;
+                    let at = format!("{} fig4 {} {count}", gpu.name, dep.name());
+                    short.push(format!("{at}: {held} held, {regs} registers each"));
+                }
+            }
+        }
+        // The kernels `measure_math`, `measure_mix` and `measure_spec` time.
+        let mut kernels = Vec::new();
+        for pattern in math::table2_patterns() {
+            kernels.push((pattern.label(), math::math_kernel(gpu.generation, &pattern)));
+        }
+        for ratio in 0..=32 {
+            for width in LdsWidth::ALL {
+                let kernel = mix::build_mix_kernel(gpu.generation, ratio, width, 12, 16);
+                kernels.push((format!("fig2 {ratio}:1 {width:?}"), kernel));
+            }
+        }
+        for spec in family::standard_specs() {
+            let kernel = family::generate(gpu.generation, &spec, spec.groups(), 12);
+            kernels.push((spec.label(), kernel));
+        }
+        let (threads, blocks) = saturating_launch(&gpu);
+        for (at, kernel) in kernels {
+            let kernel = kernel.unwrap();
+            let held = wave_threads(&kernel, (threads, blocks));
+            if held != threads * blocks {
+                let regs = kernel.num_regs;
+                short.push(format!(
+                    "{} {at}: {held} held, {regs} registers each",
+                    gpu.name
+                ));
+            }
+        }
+    }
+    assert!(
+        short.is_empty(),
+        "waves short of their rows:\n{}",
+        short.join("\n")
     );
 }
 

@@ -204,7 +204,7 @@ fn a_counter_kept_in_memory_is_not_a_recurrence() {
     for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
         let mut memory = GlobalMemory::new();
         let out = memory.alloc_zeroed(4).unwrap();
-        let sim = TimingSim::new(&gpu, &kernel(gpu.generation), config, &[out], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel(gpu.generation), config, &[out]).unwrap();
         let report = sim.run(&mut memory, Hooks::default());
         assert!(report.is_ok(), "{}: {report:?}", gpu.name);
         assert_eq!(memory.read_u32(out).unwrap(), 1000, "{}", gpu.name);
@@ -230,7 +230,7 @@ fn campaign_sims() -> impl Iterator<Item = (FuzzCase, TimingSim, GlobalMemory)> 
             }
             None => Vec::new(),
         };
-        let sim = TimingSim::new(&gpu, &kernel, seed.config, &params, 1).ok()?;
+        let sim = TimingSim::new(&gpu, &kernel, seed.config, &params).ok()?;
         Some((case, sim, memory))
     })
 }
@@ -323,7 +323,7 @@ fn a_period_too_long_to_tape_is_stepped_in_a_traced_run() {
     b.bra(count);
     let kernel = b.finish().unwrap();
     let gpu = GpuConfig::gtx580();
-    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 1024), &[], 1).unwrap();
+    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 1024), &[]).unwrap();
     let memory = GlobalMemory::new();
     let never = CancelToken::new();
     let (mut skipped, mut stepped) = (TraceBuffer::with_limit(0), TraceBuffer::with_limit(0));
@@ -360,7 +360,7 @@ fn hangs_reach_the_default_watchdogs_in_well_under_a_second() {
         let mut memory = GlobalMemory::new();
         let out = memory.alloc_zeroed(64 * 4).unwrap();
         let kernel = spin_kernel(gpu.generation);
-        let sim = TimingSim::new(&gpu, &kernel, config, &[out], 1).unwrap();
+        let sim = TimingSim::new(&gpu, &kernel, config, &[out]).unwrap();
         match sim.run(&mut memory, Hooks::default()) {
             Err(SimError::StepLimit { limit, snapshot }) => {
                 assert_eq!(limit, 200_000_000, "{}", gpu.name);
@@ -395,7 +395,7 @@ fn a_period_long_against_its_start_cycle_is_skipped() {
         (Generation::Kepler, "table2:10".into())
     );
     let (seed, kernel, _) = mutant_kernel(&case, &[]).unwrap();
-    let sim = TimingSim::new(&GpuConfig::gtx680(), &kernel, seed.config, &[], 1).unwrap();
+    let sim = TimingSim::new(&GpuConfig::gtx680(), &kernel, seed.config, &[]).unwrap();
     let run = |hooks: Hooks<'_>| {
         let mut memory = GlobalMemory::new();
         let result = sim.run(&mut memory, hooks.cycle_limit(FUZZ_CYCLE_LIMIT));
@@ -417,7 +417,7 @@ fn a_cycle_armed_cancel_still_stops_at_its_poll_boundary() {
     let kernel = spin_kernel(gpu.generation);
     let mut memory = GlobalMemory::new();
     let out = memory.alloc_zeroed(64 * 4).unwrap();
-    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[out], 1).unwrap();
+    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[out]).unwrap();
     let token = CancelToken::new();
     token.cancel_at_cycle(armed);
     match sim.run(&mut memory, Hooks::default().cancel(Some(&token))) {

@@ -72,10 +72,10 @@ impl Launch<'_> {
         }
     }
 
-    /// One resident block through the timing simulator.
+    /// The resident wave through the timing simulator.
     fn timed(&self, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
         let params = self.params(memory)?;
-        let sim = TimingSim::new(self.gpu, self.kernel, self.config, &params, 1)?;
+        let sim = TimingSim::new(self.gpu, self.kernel, self.config, &params)?;
         sim.run(memory, Hooks::default().cycle_limit(self.cycle_limit))
     }
 

@@ -44,10 +44,9 @@ fn traced_run(
     gpu: &GpuConfig,
     kernel: &Kernel,
     config: LaunchConfig,
-    resident: u32,
 ) -> (TimingReport, TraceBuffer, Profile) {
     let mut mem = GlobalMemory::new();
-    let sim = TimingSim::new(gpu, kernel, config, &[], resident).unwrap();
+    let sim = TimingSim::new(gpu, kernel, config, &[]).unwrap();
     let mut buffer = TraceBuffer::new();
     let mut builder = ProfileBuilder::new();
     let hooks = Hooks::observe((&mut buffer, &mut builder));
@@ -79,7 +78,7 @@ fn trace_stalls_account_for_every_reported_stall() {
     let pattern = &table2_patterns()[7]; // FFMA R0,R1,R4,R5
     let table2 = build_math_kernel(gpu.generation, pattern, 16, 8).unwrap();
     for kernel in [table2, unannotated_kepler_kernel()] {
-        let (report, buffer, profile) = traced_run(&gpu, &kernel, LaunchConfig::linear(4, 256), 4);
+        let (report, buffer, profile) = traced_run(&gpu, &kernel, LaunchConfig::linear(4, 256));
 
         let reported: u64 = report.stalls.values().sum();
         assert_eq!(profile.stalled_cycles(), reported);
@@ -109,7 +108,7 @@ fn trace_stalls_account_for_every_reported_stall() {
 fn per_warp_and_per_scheduler_stalls_sum_to_total() {
     let gpu = GpuConfig::gtx680();
     let kernel = build_math_kernel(gpu.generation, &table2_patterns()[9], 16, 8).unwrap();
-    let (_, _, profile) = traced_run(&gpu, &kernel, LaunchConfig::linear(4, 256), 4);
+    let (_, _, profile) = traced_run(&gpu, &kernel, LaunchConfig::linear(4, 256));
     let per_warp: u64 = profile.per_warp.iter().map(|w| w.stalled()).sum();
     let per_sched: u64 = profile.per_sched.iter().map(|s| s.stalls).sum();
     assert_eq!(per_warp, profile.stalled_cycles());
@@ -127,7 +126,7 @@ fn chrome_trace_of_two_warp_kernel_matches_golden_file() {
     let gpu = GpuConfig::gtx580();
     let kernel = two_warp_kernel();
     let mut mem = GlobalMemory::new();
-    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[], 1).unwrap();
+    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[]).unwrap();
     let mut buffer = TraceBuffer::new();
     sim.run(&mut mem, Hooks::observe(&mut buffer)).unwrap();
     assert_eq!(buffer.dropped(), 0);
@@ -208,7 +207,7 @@ fn counters_accumulate_stall_cycles() {
     let kernel = build_math_kernel(gpu.generation, &table2_patterns()[7], 16, 8).unwrap();
     let before = Counters::snapshot();
     let mut mem = GlobalMemory::new();
-    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(4, 256), &[], 4).unwrap();
+    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(4, 256), &[]).unwrap();
     let report = sim.run(&mut mem, Hooks::default()).unwrap();
     let delta = Counters::snapshot().delta_since(&before);
     // Other tests run concurrently in this process, so the delta is a
@@ -242,7 +241,7 @@ fn kepler_ctl_kernel_traces_dual_issues() {
     }
     b.exit();
     let kernel = b.finish().unwrap();
-    let (_, _, profile) = traced_run(&gpu, &kernel, LaunchConfig::linear(4, 256), 4);
+    let (_, _, profile) = traced_run(&gpu, &kernel, LaunchConfig::linear(4, 256));
     assert!(
         profile.dual_issues > 0,
         "dual-flagged FFMA pairs should use the second dispatch slot"
@@ -302,7 +301,7 @@ fn no_cycle_issues_more_sp_instructions_than_the_sps_take() {
             if seed.problem.is_some() {
                 continue;
             }
-            let Ok(sim) = TimingSim::new(&gpu, &kernel, seed.config, &[], 1) else {
+            let Ok(sim) = TimingSim::new(&gpu, &kernel, seed.config, &[]) else {
                 continue;
             };
             let mut sp = SpIssuesPerCycle {
