@@ -5,9 +5,9 @@
 //! An entry is one (change, workload, side): the medians of the five
 //! end-to-end metrics over `pairs` alternating parent/change runs, the
 //! per-layer metrics the benchmark marks `exact` from one traced run,
-//! and optionally the median wall time, system time and peak RSS of
-//! `reproduce --workers 2 all` on the same side (`reproduce_all_wall_s`,
-//! `reproduce_all_sys_s`, `reproduce_all_max_rss_mb`).
+//! and the median wall time, system time and peak RSS of `reproduce
+//! --workers 2 all` on the same side (`reproduce_all_wall_s`, `_sys_s`,
+//! `_max_rss_mb`), required from PR [`REPRODUCE_ALL_FROM`] on.
 //! `commit` is the commit measured; a change measured before it is
 //! committed names its parent followed by `+`. Entries are appended by
 //! hand when a change is measured; [`check`], behind `reproduce check`,
@@ -37,7 +37,10 @@ pub const END_TO_END: [&str; 5] = [
 /// The two sides of a measured change.
 const SIDES: [&str; 2] = ["parent", "change"];
 
-/// Optional numeric members: `reproduce --workers 2 all` medians.
+/// The first PR whose entries must carry every [`REPRODUCE_ALL`] member.
+pub const REPRODUCE_ALL_FROM: u64 = 47;
+
+/// Numeric members: `reproduce --workers 2 all` medians.
 const REPRODUCE_ALL: [&str; 3] = [
     "reproduce_all_wall_s",
     "reproduce_all_sys_s",
@@ -54,10 +57,10 @@ fn sample_document() -> Json {
 
 /// Check a `peakperf-ledger-v1` document: shaped like the sample (every
 /// member present and of its type, named when it is not); `exact` maps
-/// metric names to numbers and each `reproduce_all_*` member present is a
-/// number; every `workload` is one of [`WORKLOADS`] and every `side` is
-/// `parent` or `change`; no (pr, workload, side) appears twice; and every
-/// (pr, workload) has both sides.
+/// metric names to numbers and each `reproduce_all_*` member is a number,
+/// present from PR [`REPRODUCE_ALL_FROM`] on; every `workload` is one of
+/// [`WORKLOADS`] and every `side` is `parent` or `change`; no (pr,
+/// workload, side) appears twice; and every (pr, workload) has both sides.
 pub fn check(doc: &Json, errors: &mut Vec<String>) {
     doc.conforms(&sample_document(), &"ledger", errors);
     let mut sides: BTreeMap<(u64, &str), Vec<&str>> = BTreeMap::new();
@@ -68,15 +71,18 @@ pub fn check(doc: &Json, errors: &mut Vec<String>) {
             let number = value.as_f64().is_some();
             ensure!(errors, number, "{at}.exact.{name}: expected a number");
         }
-        for name in REPRODUCE_ALL {
-            let number = entry.get(name).is_none_or(|v| v.as_f64().is_some());
-            ensure!(errors, number, "{at}.{name}: expected a number");
-        }
         let (pr, workload, side) = (
             entry.count("pr"),
             entry.text("workload"),
             entry.text("side"),
         );
+        for name in REPRODUCE_ALL {
+            let value = entry.get(name);
+            let number = value.is_none_or(|v| v.as_f64().is_some());
+            ensure!(errors, number, "{at}.{name}: expected a number");
+            let held = value.is_some() || pr < REPRODUCE_ALL_FROM;
+            ensure!(errors, held, "{at}: missing key `{name}`");
+        }
         let known = WORKLOADS.contains(&workload);
         ensure!(
             errors,

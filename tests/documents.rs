@@ -291,6 +291,13 @@ fn benchmark_ledger() {
             Set("fast".into()),
             "entries[0].reproduce_all_wall_s: expected a number",
         ),
+        // PR 45's entries have no `reproduce_all_*` members, which PR 47 on
+        // must carry.
+        (
+            "entries.79.pr",
+            Set(ledger::REPRODUCE_ALL_FROM.into()),
+            "entries[79]: missing key `reproduce_all_wall_s`",
+        ),
         (
             "entries.2.workload",
             Set("gemm_sweep".into()),
