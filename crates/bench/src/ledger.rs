@@ -7,7 +7,7 @@
 //! per-layer metrics the benchmark marks `exact` from one traced run,
 //! and the median wall time, system time and peak RSS of `reproduce
 //! --workers 2 all` on the same side (`reproduce_all_wall_s`, `_sys_s`,
-//! `_max_rss_mb`), required from PR [`REPRODUCE_ALL_FROM`] on.
+//! `_max_rss_mb`), required once `pr` reaches [`REPRODUCE_ALL_FROM`].
 //! `commit` is the commit measured; a change measured before it is
 //! committed names its parent followed by `+`. Entries are appended by
 //! hand when a change is measured; [`check`], behind `reproduce check`,
@@ -37,7 +37,7 @@ pub const END_TO_END: [&str; 5] = [
 /// The two sides of a measured change.
 const SIDES: [&str; 2] = ["parent", "change"];
 
-/// The first PR whose entries must carry every [`REPRODUCE_ALL`] member.
+/// The first `pr` whose entries must carry every [`REPRODUCE_ALL`] member.
 pub const REPRODUCE_ALL_FROM: u64 = 47;
 
 /// Numeric members: `reproduce --workers 2 all` medians.
@@ -58,8 +58,8 @@ fn sample_document() -> Json {
 /// Check a `peakperf-ledger-v1` document: shaped like the sample (every
 /// member present and of its type, named when it is not); `exact` maps
 /// metric names to numbers and each `reproduce_all_*` member is a number,
-/// present from PR [`REPRODUCE_ALL_FROM`] on; every `workload` is one of
-/// [`WORKLOADS`] and every `side` is `parent` or `change`; no (pr,
+/// present once `pr` reaches [`REPRODUCE_ALL_FROM`]; every `workload` is
+/// one of [`WORKLOADS`] and every `side` is `parent` or `change`; no (pr,
 /// workload, side) appears twice; and every (pr, workload) has both sides.
 pub fn check(doc: &Json, errors: &mut Vec<String>) {
     doc.conforms(&sample_document(), &"ledger", errors);

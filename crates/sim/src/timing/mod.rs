@@ -82,13 +82,13 @@ fn resident_blocks(
 
 /// Time a kernel launch on `config`'s GPU.
 ///
-/// Simulates the launch's first resident wave (the blocks [`TimingSim::new`]
-/// places on one SM) cycle by cycle and extrapolates: the grid is split into `waves` sequential waves of
-/// `blocks_per_sm * num_sms` blocks. Total time is the simulated wave
-/// times the number of full waves plus a trailing partial wave, which
-/// costs its fill fraction of a wave but at least 0.7 of one; it is never
-/// less than one simulated wave (the steady-state approximation for
-/// regular kernels such as GEMM).
+/// Simulates the first resident wave, which [`TimingSim::new`] places on
+/// one SM, cycle by cycle and extrapolates: the grid is split into `waves`
+/// sequential waves of `blocks_per_sm * num_sms` blocks. Total time is the
+/// simulated wave times the number of full waves plus a trailing partial
+/// wave, which costs its fill fraction of a wave but at least 0.7 of one;
+/// it is never less than one simulated wave (the steady-state
+/// approximation for regular kernels such as GEMM).
 ///
 /// `flops_override`: when the caller knows the true useful FLOP count of
 /// the whole launch (e.g. `2*M*N*K` for GEMM), pass it to get GFLOPS of

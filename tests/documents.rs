@@ -291,12 +291,17 @@ fn benchmark_ledger() {
             Set("fast".into()),
             "entries[0].reproduce_all_wall_s: expected a number",
         ),
-        // PR 45's entries have no `reproduce_all_*` members, which PR 47 on
-        // must carry.
+        // The last entries below `REPRODUCE_ALL_FROM` have no
+        // `reproduce_all_*` members, which entries from it on must carry.
         (
             "entries.79.pr",
             Set(ledger::REPRODUCE_ALL_FROM.into()),
             "entries[79]: missing key `reproduce_all_wall_s`",
+        ),
+        (
+            "entries.80",
+            Remove("reproduce_all_sys_s"),
+            "entries[80]: missing key `reproduce_all_sys_s`",
         ),
         (
             "entries.2.workload",
