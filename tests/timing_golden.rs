@@ -8,12 +8,13 @@
 //! error with its per-warp snapshot. A scheduler change that is meant to
 //! preserve behaviour must leave it untouched.
 //!
-//! `tests/arch_golden.txt` holds what the kernels *compute*, two digests
-//! per case: global memory after `TimingSim::run`, and the `Debug`
-//! rendering of `Result<FuncStats, SimError>` followed by global memory
-//! after `Gpu::launch` under the fuzzer's step limit. A change to the
-//! functional core that is meant to preserve architectural state must
-//! leave it untouched.
+//! `tests/arch_golden.txt` holds what the kernels *compute*, three
+//! digests per case: global memory after `TimingSim::run`, the `Debug`
+//! rendering of `Result<FuncStats, SimError>` from `Gpu::launch` under the
+//! fuzzer's step limit, and global memory after that launch. Memory and
+//! counts sit in columns of their own, so a moved column says which of
+//! them changed. A change to the functional core that is meant to preserve
+//! architectural state must leave it untouched.
 //!
 //! An intended change re-blesses both with
 //! `UPDATE_GOLDEN=1 cargo test --test timing_golden`.
@@ -105,12 +106,10 @@ impl Digests {
         let stats = launch.functional(&mut gpu);
         writeln!(
             self.arch,
-            "{name} {:016x} {:016x}",
+            "{name} {:016x} {:016x} {:016x}",
             fnv64_memory(FNV_OFFSET, &memory),
-            fnv64_memory(
-                fnv64(FNV_OFFSET, format!("{stats:?}").as_bytes()),
-                gpu.memory()
-            ),
+            fnv64(FNV_OFFSET, format!("{stats:?}").as_bytes()),
+            fnv64_memory(FNV_OFFSET, gpu.memory()),
         )
         .unwrap();
         timed
