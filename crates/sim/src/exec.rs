@@ -3,7 +3,7 @@
 
 use peakperf_sass::{Instruction, MemSpace, MemWidth, Op, Operand, Reg, SpecialReg};
 
-use crate::warp::{StepEvent, WarpState};
+use crate::warp::{StepEvent, WarpState, EXITED};
 use crate::{Dim3, GlobalMemory, SimError};
 
 /// Identification of a block within the grid plus launch geometry, used to
@@ -465,7 +465,7 @@ pub fn step_warp(
 ) -> Result<StepResult, SimError> {
     let Some((pc, mask)) = warp.current_group() else {
         return Ok(StepResult {
-            event: StepEvent::Exited,
+            event: StepEvent::Exited { pc: EXITED },
             mem: None,
         });
     };
@@ -491,7 +491,7 @@ pub fn step_warp(
             warp.exit_lanes(exec_mask);
             warp.advance(mask & !exec_mask, pc);
             let event = if warp.done() {
-                StepEvent::Exited
+                StepEvent::Exited { pc }
             } else {
                 StepEvent::Executed { pc, exec_mask }
             };
@@ -616,7 +616,7 @@ mod tests {
         let block = ctx_1d(4);
         for _ in 0..32 {
             let r = step_warp(&code, &mut warp, &mut mem, &block).unwrap();
-            if r.event == StepEvent::Exited {
+            if matches!(r.event, StepEvent::Exited { .. }) {
                 break;
             }
         }
@@ -815,7 +815,9 @@ mod tests {
         let block = ctx_1d(2);
         let err = loop {
             match step_warp(&code, &mut warp, &mut mem, &block) {
-                Ok(r) if r.event == StepEvent::Exited => panic!("should have diverged"),
+                Ok(r) if matches!(r.event, StepEvent::Exited { .. }) => {
+                    panic!("should have diverged")
+                }
                 Ok(r) if matches!(r.event, StepEvent::AtBarrier { .. }) => {
                     panic!("barrier reached by a diverged warp without error")
                 }

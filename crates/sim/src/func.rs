@@ -6,6 +6,7 @@ use peakperf_sass::Kernel;
 use crate::exec::{release_barrier, step_warp, BlockCtx, MemCtx};
 use crate::launch::check_launch;
 use crate::recur::Brent;
+use crate::stats::Tally;
 use crate::warp::{StepEvent, WarpState};
 use crate::{Dim3, FuncStats, GlobalMemory, HangSnapshot, LaunchConfig, SimError, WarpHang};
 
@@ -83,7 +84,7 @@ impl Gpu {
         params: &[u32],
     ) -> Result<FuncStats, SimError> {
         check_launch(&GpuConfig::preset(self.generation), kernel, config, params)?;
-        let mut stats = FuncStats::default();
+        let mut tally = Tally::new(kernel.code.len());
         for bz in 0..config.grid.z {
             for by in 0..config.grid.y {
                 for bx in 0..config.grid.x {
@@ -92,12 +93,11 @@ impl Gpu {
                         y: by,
                         z: bz,
                     };
-                    let block_stats = self.run_block(kernel, config, ctaid, params)?;
-                    stats.merge(&block_stats);
+                    self.run_block(kernel, config, ctaid, params, &mut tally)?;
                 }
             }
         }
-        Ok(stats)
+        Ok(tally.fold(&kernel.code))
     }
 
     fn run_block(
@@ -106,7 +106,8 @@ impl Gpu {
         config: LaunchConfig,
         ctaid: Dim3,
         params: &[u32],
-    ) -> Result<FuncStats, SimError> {
+        tally: &mut Tally,
+    ) -> Result<(), SimError> {
         let threads = config.threads_per_block();
         let n_warps = config.warps_per_block();
         let block = BlockCtx {
@@ -122,9 +123,6 @@ impl Gpu {
             .collect();
         let mut shared = vec![0u8; kernel.shared_bytes as usize];
         let mut local = vec![0u8; kernel.local_bytes as usize * threads as usize];
-        // Executions and active lanes per instruction, folded into the
-        // mnemonic-keyed `FuncStats` once the block completes.
-        let mut executed = vec![(0u64, 0u64); kernel.code.len()];
 
         // Warp status: None = runnable, Some(pc) = waiting at barrier.
         let mut at_barrier: Vec<Option<u32>> = vec![None; n_warps as usize];
@@ -156,22 +154,15 @@ impl Gpu {
                     };
                     let result = step_warp(&kernel.code, &mut warps[w], &mut mem, &block)?;
                     stores += u64::from(result.mem.as_ref().is_some_and(|m| m.store));
-                    let (pc, lanes, parked) = match result.event {
-                        StepEvent::Executed { pc, exec_mask } => {
-                            (pc, exec_mask.count_ones(), false)
-                        }
+                    tally.record(result.event, warps[w].running_mask());
+                    let pc = match result.event {
+                        StepEvent::Executed { pc, .. } => pc,
                         StepEvent::AtBarrier { pc } => {
-                            (pc, warps[w].running_mask().count_ones(), true)
+                            at_barrier[w] = Some(pc);
+                            break;
                         }
-                        StepEvent::Exited => break,
+                        StepEvent::Exited { .. } => break,
                     };
-                    let count = &mut executed[pc as usize];
-                    count.0 += 1;
-                    count.1 += u64::from(lanes);
-                    if parked {
-                        at_barrier[w] = Some(pc);
-                        break;
-                    }
                     let warp = &warps[w];
                     if warp.current_group().is_some_and(|(next, _)| next <= pc) {
                         let same = |saved: &WarpState| saved == warp;
@@ -190,11 +181,7 @@ impl Gpu {
             let running = warps.iter().filter(|warp| !warp.done()).count();
             if running == 0 {
                 debug_assert!(!skipped, "a recurring run completed");
-                let mut stats = FuncStats::default();
-                for (inst, &(warps, lanes)) in kernel.code.iter().zip(&executed) {
-                    stats.record(inst, warps, lanes);
-                }
-                return Ok(stats);
+                return Ok(());
             }
             if running < n_warps as usize {
                 let waiter = warps.iter().position(|warp| !warp.done());
@@ -216,29 +203,15 @@ impl Gpu {
 /// Capture the scheduling state of every warp of the current block for
 /// step-limit diagnostics.
 fn hang_snapshot(at: u64, warps: &[WarpState], at_barrier: &[Option<u32>]) -> HangSnapshot {
-    let warps = warps
-        .iter()
-        .enumerate()
-        .map(|(w, warp)| {
-            if warp.done() {
-                WarpHang {
-                    warp: w as u32,
-                    pc: None,
-                    state: "done",
-                }
-            } else if let Some(pc) = at_barrier[w] {
-                WarpHang {
-                    warp: w as u32,
-                    pc: Some(pc),
-                    state: "barrier",
-                }
-            } else {
-                WarpHang {
-                    warp: w as u32,
-                    pc: warp.current_group().map(|(pc, _)| pc),
-                    state: "runnable",
-                }
-            }
+    let warps = (warps.iter().zip(at_barrier).enumerate())
+        .map(|(w, (warp, &parked))| {
+            let (pc, state) = match parked {
+                _ if warp.done() => (None, "done"),
+                Some(pc) => (Some(pc), "barrier"),
+                None => (warp.current_group().map(|(pc, _)| pc), "runnable"),
+            };
+            let warp = w as u32;
+            WarpHang { warp, pc, state }
         })
         .collect();
     HangSnapshot { at, warps }
@@ -355,15 +328,15 @@ mod tests {
         let stats = Gpu::new(Generation::Fermi)
             .launch(&kernel, config, &[])
             .unwrap();
-        // S2R and BAR on 32 + 16 lanes each (a warp's final EXIT is not
-        // counted here; see DESIGN.md §7).
+        // S2R and BAR on 32 + 16 lanes each, and each warp's final EXIT
+        // on none (DESIGN.md §7).
         assert_eq!(stats.thread_instructions, 96);
-        assert_eq!(stats.warp_instructions, 4);
+        assert_eq!(stats.warp_instructions, 6);
 
         let sim = TimingSim::new(&GpuConfig::gtx580(), &kernel, config, &[]).unwrap();
         let timed = sim.run(&mut GlobalMemory::new(), Hooks::default()).unwrap();
         assert_eq!(timed.thread_instructions, stats.thread_instructions);
-        assert_eq!(timed.warp_instructions, 6);
+        assert_eq!(timed.warp_instructions, stats.warp_instructions);
     }
 
     #[test]

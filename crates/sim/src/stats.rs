@@ -11,6 +11,7 @@ use crate::json::Json;
 use crate::obj;
 use crate::timing::profile::stall_kinds_json;
 use crate::timing::StallKind;
+use crate::warp::StepEvent;
 
 // ---------------------------------------------------------------------
 // Process-wide simulation counters
@@ -211,7 +212,7 @@ pub(crate) fn record_cache_miss() {
 /// produces those numbers.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct InstMix {
-    counts: BTreeMap<String, u64>,
+    counts: BTreeMap<&'static str, u64>,
     total: u64,
 }
 
@@ -225,13 +226,7 @@ impl InstMix {
     /// mnemonic that never executed has no entry).
     pub fn record(&mut self, inst: &Instruction, n: u64) {
         if n > 0 {
-            let mnemonic = inst.op.mnemonic();
-            match self.counts.get_mut(mnemonic) {
-                Some(count) => *count += n,
-                None => {
-                    self.counts.insert(mnemonic.to_owned(), n);
-                }
-            }
+            *self.counts.entry(inst.op.mnemonic()).or_insert(0) += n;
             self.total += n;
         }
     }
@@ -266,7 +261,7 @@ impl InstMix {
 
     /// Iterate over `(mnemonic, count)` in lexical order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counts.iter().map(|(m, &c)| (m.as_str(), c))
+        self.counts.iter().map(|(&m, &c)| (m, c))
     }
 }
 
@@ -283,7 +278,7 @@ impl fmt::Display for InstMix {
     }
 }
 
-/// Statistics from a functional launch.
+/// What a run executed: the fold of its instruction tally.
 #[derive(Debug, Clone, Default)]
 pub struct FuncStats {
     /// Warp instructions executed, by mnemonic.
@@ -297,25 +292,50 @@ pub struct FuncStats {
     pub flops: u64,
 }
 
-impl FuncStats {
-    /// Record `warps` executions of `inst` with `lanes` active lanes in
-    /// total.
-    pub fn record(&mut self, inst: &Instruction, warps: u64, lanes: u64) {
-        self.mix.record(inst, warps);
-        self.warp_instructions += warps;
-        self.thread_instructions += lanes;
-        self.flops += lanes * inst.op.info().flops;
+/// The one tally of a run's work, by both engines: per instruction of the
+/// kernel, the warp instructions and the lanes they counted.
+#[derive(Debug, Clone)]
+pub(crate) struct Tally(Vec<(u64, u64)>);
+
+impl Tally {
+    /// An empty tally for a kernel of `len` instructions.
+    pub(crate) fn new(len: usize) -> Tally {
+        Tally(vec![(0, 0); len])
     }
 
-    /// Merge another stats record into this one.
-    pub fn merge(&mut self, other: &FuncStats) {
-        for (m, c) in other.mix.counts.iter() {
-            *self.mix.counts.entry(m.clone()).or_insert(0) += c;
+    /// Count one step of a warp whose running lanes are now `running`, and
+    /// return its lanes: an executed instruction counts its exec-mask
+    /// lanes, a barrier the running lanes that wait at it, and the `EXIT`
+    /// that ends the warp one warp instruction on no lanes.
+    #[inline]
+    pub(crate) fn record(&mut self, event: StepEvent, running: u32) -> u32 {
+        let (pc, lanes) = match event {
+            StepEvent::Executed { pc, exec_mask } => (pc, exec_mask.count_ones()),
+            StepEvent::AtBarrier { pc } => (pc, running.count_ones()),
+            StepEvent::Exited { pc } => (pc, 0),
+        };
+        let entry = &mut self.0[pc as usize];
+        entry.0 += 1;
+        entry.1 += u64::from(lanes);
+        lanes
+    }
+
+    /// Fold the tally of `code`'s run into its counts; flops are lanes ×
+    /// the instruction's table flops.
+    pub(crate) fn fold(&self, code: &[Instruction]) -> FuncStats {
+        let mut stats = FuncStats::default();
+        for (inst, &(warps, lanes)) in code.iter().zip(&self.0) {
+            stats.mix.record(inst, warps);
+            stats.warp_instructions += warps;
+            stats.thread_instructions += lanes;
+            stats.flops += lanes * inst.op.info().flops;
         }
-        self.mix.total += other.mix.total;
-        self.thread_instructions += other.thread_instructions;
-        self.warp_instructions += other.warp_instructions;
-        self.flops += other.flops;
+        stats
+    }
+
+    /// Every count, for a recurrence skip to scale.
+    pub(crate) fn counts(&mut self) -> impl Iterator<Item = &mut u64> {
+        self.0.iter_mut().flat_map(|(warps, lanes)| [warps, lanes])
     }
 }
 
@@ -345,16 +365,46 @@ mod tests {
 
     #[test]
     fn mix_fractions() {
-        let mut s = FuncStats::default();
-        for _ in 0..6 {
-            s.record(&ffma(), 1, 32);
+        let code = [ffma(), lds64()];
+        let mut tally = Tally::new(code.len());
+        for pc in [0, 0, 0, 0, 0, 0, 1] {
+            let exec_mask = u32::MAX;
+            assert_eq!(tally.record(StepEvent::Executed { pc, exec_mask }, !0), 32);
         }
-        s.record(&lds64(), 1, 32);
+        let s = tally.fold(&code);
         assert_eq!(s.mix.count("FFMA"), 6);
         assert_eq!(s.mix.count("LDS.64"), 1);
         assert!((s.mix.fraction_prefix("FFMA") - 6.0 / 7.0).abs() < 1e-12);
         assert_eq!(s.flops, 6 * 32 * 2);
         assert_eq!(s.thread_instructions, 7 * 32);
+    }
+
+    #[test]
+    fn a_step_counts_its_lanes_and_the_final_exit_none() {
+        let code = [
+            ffma(),
+            Instruction::new(Op::Bar),
+            Instruction::new(Op::Exit),
+        ];
+        let mut tally = Tally::new(code.len());
+        let running = 0xffff;
+        let steps = [
+            (
+                StepEvent::Executed {
+                    pc: 0,
+                    exec_mask: 0xff,
+                },
+                8,
+            ),
+            (StepEvent::AtBarrier { pc: 1 }, 16),
+            (StepEvent::Exited { pc: 2 }, 0),
+        ];
+        for (event, lanes) in steps {
+            assert_eq!(tally.record(event, running), lanes);
+        }
+        let s = tally.fold(&code);
+        assert_eq!((s.warp_instructions, s.thread_instructions), (3, 24));
+        assert_eq!((s.mix.count("EXIT"), s.flops), (1, 2 * 8));
     }
 
     #[test]
@@ -415,16 +465,5 @@ mod tests {
         assert_eq!(a.timing_runs, 1);
         assert_eq!(a.stall_cycles[0], 4);
         assert_eq!(a.cache_hits, 2);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = FuncStats::default();
-        a.record(&ffma(), 1, 32);
-        let mut b = FuncStats::default();
-        b.record(&ffma(), 1, 16);
-        a.merge(&b);
-        assert_eq!(a.mix.count("FFMA"), 2);
-        assert_eq!(a.flops, 2 * 32 + 2 * 16);
     }
 }

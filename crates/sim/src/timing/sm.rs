@@ -9,6 +9,7 @@ use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
 use crate::exec::{bits, release_barrier, step_warp, BlockCtx, MemAccess, MemCtx};
 use crate::launch::check_launch;
 use crate::recur::Brent;
+use crate::stats::Tally;
 use crate::timing::conflict::SEGMENT_BYTES;
 use crate::timing::conflict::{bank_geometry, global_transactions, shared_conflict_factor};
 use crate::timing::trace::{Hooks, Observer, TraceEvent, TraceEventKind, NO_PC};
@@ -226,9 +227,9 @@ struct RunState {
     tokens: u64,
     /// Warps that have not exited.
     live: usize,
-    /// Issues per instruction and stall cycles per kind, folded into the
-    /// report's mnemonic- and kind-keyed maps when the run completes.
-    issued: Vec<u64>,
+    /// The run's tally and stall cycles per kind, folded into the report
+    /// when the run completes.
+    tally: Tally,
     stalls: [u64; StallKind::COUNT],
     report: TimingReport,
     /// Round-robin pointers per scheduler.
@@ -346,7 +347,6 @@ struct InstMeta {
     is_mem: bool,
     /// Kepler issue-token cost (0 off the bucket).
     token_cost: u64,
-    flops_per_lane: u64,
     latency: u32,
 }
 
@@ -436,7 +436,6 @@ impl TimingSim {
                     is_math,
                     is_mem,
                     token_cost,
-                    flops_per_lane: inst.op.info().flops,
                     latency: calib.latency(&inst.op),
                 }
             })
@@ -549,7 +548,7 @@ impl TimingSim {
             memif: Pipe::new(self.memif_ticks.0),
             tokens: 0,
             live: n_warps,
-            issued: vec![0; self.kernel.code.len()],
+            tally: Tally::new(self.kernel.code.len()),
             stalls: [0; StallKind::COUNT],
             report: TimingReport::default(),
             rr: vec![0; self.gpu.warp_schedulers_per_sm as usize],
@@ -716,11 +715,15 @@ impl TimingSim {
             recur.skipped == 0 || affine,
             "only a timing-only run may complete after skipping"
         );
-        let mut report = st.report;
-        report.cycles = cycle.max(1);
-        for (inst, &n) in self.kernel.code.iter().zip(&st.issued) {
-            report.mix.record(inst, n);
-        }
+        let stats = st.tally.fold(&self.kernel.code);
+        let mut report = TimingReport {
+            cycles: cycle.max(1),
+            warp_instructions: stats.warp_instructions,
+            thread_instructions: stats.thread_instructions,
+            flops: stats.flops,
+            mix: stats.mix,
+            ..st.report
+        };
         for kind in StallKind::ALL {
             if st.stalls[kind.index()] > 0 {
                 report.stalls.insert(kind, st.stalls[kind.index()]);
@@ -833,26 +836,21 @@ impl TimingSim {
         st.tokens -= meta.token_cost;
         st.stores += u64::from(result.mem.as_ref().is_some_and(|m| m.store));
 
-        st.report.warp_instructions += 1;
-        st.issued[pc as usize] += 1;
-        let lanes = match result.event {
+        let lanes = st.tally.record(result.event, slot.state.running_mask());
+        match result.event {
             StepEvent::AtBarrier { .. } => {
                 rec.at_barrier = true;
                 block.arrived += 1;
-                let lanes = slot.state.running_mask().count_ones();
-                st.report.thread_instructions += u64::from(lanes);
                 return Ok((pc, lanes));
             }
-            StepEvent::Exited => {
+            StepEvent::Exited { .. } => {
                 rec.done = true;
                 block.running -= 1;
                 st.live -= 1;
-                return Ok((pc, 0));
+                return Ok((pc, lanes));
             }
-            StepEvent::Executed { exec_mask, .. } => exec_mask.count_ones(),
-        };
-        st.report.thread_instructions += u64::from(lanes);
-        st.report.flops += u64::from(lanes) * meta.flops_per_lane;
+            StepEvent::Executed { .. } => {}
+        }
 
         // Post-issue costs. A Kepler dual-issue hint keeps the warp
         // eligible for the scheduler's second dispatch slot this same
@@ -1173,14 +1171,11 @@ fn wrap(i: usize, n: usize) -> usize {
 }
 
 impl RunState {
-    /// Every counter a period adds to: the report's, the issues per
-    /// instruction, the stalls per kind and the stores.
+    /// Every counter a period adds to: the report's, the tally, the
+    /// stalls per kind and the stores.
     fn counts(&mut self) -> impl Iterator<Item = &mut u64> {
         let r = &mut self.report;
         [
-            &mut r.warp_instructions,
-            &mut r.thread_instructions,
-            &mut r.flops,
             &mut r.lds_conflict_cycles,
             &mut r.global_transactions,
             &mut r.global_bytes,
@@ -1188,7 +1183,7 @@ impl RunState {
             &mut self.stores,
         ]
         .into_iter()
-        .chain(&mut self.issued)
+        .chain(self.tally.counts())
         .chain(&mut self.stalls)
     }
 

@@ -20,8 +20,9 @@ pub enum StepEvent {
         /// Instruction index of the barrier.
         pc: u32,
     },
-    /// All lanes have exited.
-    Exited,
+    /// All lanes have exited, the last at the `EXIT` at `pc` ([`EXITED`]
+    /// when the warp had exited before the step).
+    Exited { pc: u32 },
 }
 
 /// The architectural state of one warp: 32 lanes × (PC, 63 registers + RZ,

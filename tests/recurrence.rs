@@ -145,7 +145,10 @@ fn step_by_step(
             local_bytes: 0,
             params,
         };
-        if step_warp(&kernel.code, &mut warp, &mut mem, &block)?.event == StepEvent::Exited {
+        if matches!(
+            step_warp(&kernel.code, &mut warp, &mut mem, &block)?.event,
+            StepEvent::Exited { .. }
+        ) {
             return Ok(());
         }
     }

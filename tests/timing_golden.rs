@@ -16,6 +16,10 @@
 //! them changed. A change to the functional core that is meant to preserve
 //! architectural state must leave it untouched.
 //!
+//! Both engines count a run's work through one tally, so every case that
+//! both complete must also report the same instruction mix, warp and
+//! thread instructions and flops.
+//!
 //! An intended change re-blesses both with
 //! `UPDATE_GOLDEN=1 cargo test --test timing_golden`.
 //!
@@ -88,11 +92,14 @@ impl Launch<'_> {
     }
 }
 
-/// The lines of the two golden files.
+/// The lines of the two golden files, how many cases both engines
+/// complete, and those whose counts differ.
 #[derive(Default)]
 struct Digests {
     timing: String,
     arch: String,
+    completed: usize,
+    miscounted: Vec<String>,
 }
 
 impl Digests {
@@ -112,6 +119,13 @@ impl Digests {
             fnv64_memory(FNV_OFFSET, gpu.memory()),
         )
         .unwrap();
+        if let (Ok(t), Ok(f)) = (&timed, &stats) {
+            self.completed += 1;
+            let counts = (&t.mix, t.warp_instructions, t.thread_instructions, t.flops);
+            if counts != (&f.mix, f.warp_instructions, f.thread_instructions, f.flops) {
+                self.miscounted.push(name.to_owned());
+            }
+        }
         timed
     }
 
@@ -189,7 +203,16 @@ fn timing_results_match_the_golden_digests() {
 
 #[test]
 fn architectural_state_matches_the_golden_digests() {
-    assert_matches_golden(&digests().arch, "arch_golden.txt");
+    let digests = digests();
+    assert!(digests.completed > 0, "no case completes on both engines");
+    assert!(
+        digests.miscounted.is_empty(),
+        "{} of {} cases both engines complete count differently: {:?}",
+        digests.miscounted.len(),
+        digests.completed,
+        digests.miscounted
+    );
+    assert_matches_golden(&digests.arch, "arch_golden.txt");
 }
 
 #[test]
