@@ -15,7 +15,9 @@ use peakperf_bound::{
     ffma_fraction, paper_reference, register_limit_sweep, SgemmConfig, SweepEntry, UpperBoundModel,
 };
 use peakperf_kernels::microbench::{math, mix, threads};
-use peakperf_kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
+use peakperf_kernels::sgemm::{
+    alloc_problem, build_preset, launch_params, Preset, SgemmProblem, Variant,
+};
 use peakperf_regalloc::{analyze_ffma_conflicts, optimize_banks, SgemmPlan};
 use peakperf_sim::timing::time_kernel;
 use peakperf_sim::{GlobalMemory, LaunchConfig, SimError};
@@ -83,8 +85,7 @@ fn timed_gflops(
     problem: &SgemmProblem,
 ) -> Result<f64, SimError> {
     let mut memory = GlobalMemory::new();
-    let (a, b, c) = alloc_problem(&mut memory, problem)?;
-    let params = [a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
+    let params = launch_params(alloc_problem(&mut memory, problem)?, 1.0, 0.0);
     let timing = time_kernel(
         gpu,
         kernel,

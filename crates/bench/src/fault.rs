@@ -672,13 +672,11 @@ fn classify(result: Result<u64, SimError>) -> Outcome {
         Err(SimError::DivergentBarrier { .. }) => Outcome::Fault("divergent_barrier"),
         Err(SimError::BarrierDeadlock { .. }) => Outcome::Fault("barrier_deadlock"),
         Err(SimError::RanOffEnd) => Outcome::Fault("ran_off_end"),
-        Err(SimError::StepLimit { .. }) => Outcome::Timeout,
-        // The fuzzer never arms a CancelToken, but the service's chaos-soak
-        // mode replays its mutants under deadlines; both aborts classify as
-        // timeouts (host-imposed, not a simulator defect).
-        Err(SimError::Cancelled { .. }) | Err(SimError::DeadlineExceeded { .. }) => {
-            Outcome::Timeout
-        }
+        // No mutant run arms a CancelToken, a service `fault` job's
+        // included; a token's abort would be host-imposed, as a watchdog's.
+        Err(SimError::StepLimit { .. })
+        | Err(SimError::Cancelled { .. })
+        | Err(SimError::DeadlineExceeded { .. }) => Outcome::Timeout,
     }
 }
 
@@ -696,8 +694,8 @@ fn launch_params(
 ) -> Result<Vec<u32>, SimError> {
     match problem {
         Some(p) => {
-            let (a, b, c) = upload_problem(memory, p, UPLOAD_SEED)?;
-            Ok(vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()])
+            let addrs = upload_problem(memory, p, UPLOAD_SEED)?;
+            Ok(peakperf_kernels::sgemm::launch_params(addrs, 1.0, 0.0).to_vec())
         }
         None => Ok(Vec::new()),
     }

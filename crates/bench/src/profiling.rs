@@ -23,7 +23,9 @@ use peakperf_arch::{Generation, GpuConfig};
 use peakperf_bound::UpperBoundModel;
 use peakperf_kernels::microbench::math::{math_kernel, table2_patterns};
 use peakperf_kernels::microbench::{saturating_launch, throughput_of};
-use peakperf_kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
+use peakperf_kernels::sgemm::{
+    alloc_problem, build_preset, launch_params, Preset, SgemmProblem, Variant,
+};
 use peakperf_sass::Kernel;
 use peakperf_sim::timing::{
     chrome_trace, Hooks, Profile, ProfileBuilder, StallKind, TimingReport, TimingSim, TraceBuffer,
@@ -226,8 +228,7 @@ pub(crate) fn prepare(name: &str) -> Result<PreparedTarget, SimError> {
         Workload::Sgemm => {
             let problem = SgemmProblem::square(Variant::NN, SGEMM_PROFILE_SIZE);
             let build = build_preset(gpu.generation, &problem, Preset::AsmOpt)?;
-            let (a, b, c) = alloc_problem(&mut memory, &problem)?;
-            let params = vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
+            let params = launch_params(alloc_problem(&mut memory, &problem)?, 1.0, 0.0).to_vec();
             let model = UpperBoundModel::new(&gpu);
             // Per-SM flops per shader cycle at the bound.
             let peak_fpc = gpu.theoretical_peak_gflops() * 1e9

@@ -244,11 +244,7 @@ pub fn build_blocked(
     if opts.spill_registers > 0 {
         b.local_bytes(opts.spill_registers * 4);
     }
-    let p_a = b.param("a");
-    let p_b = b.param("b");
-    let p_c = b.param("c");
-    let p_alpha = b.param("alpha");
-    let p_beta = b.param("beta");
+    let [p_a, p_b, p_c, p_alpha, p_beta] = super::declare_params(&mut b);
 
     let gen = Emitter {
         builder: b,

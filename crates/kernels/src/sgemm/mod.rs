@@ -13,7 +13,7 @@ mod naive;
 pub use blocked::{build_blocked, BlockedOptions, CtlMode, PlanKind};
 pub use naive::build_naive;
 
-use peakperf_sass::Kernel;
+use peakperf_sass::{Kernel, KernelBuilder, Operand};
 use peakperf_sim::{FuncStats, GlobalMemory, Gpu, LaunchConfig, SimError};
 
 pub use crate::cpu::{Trans, Variant};
@@ -87,6 +87,18 @@ impl SgemmProblem {
             Trans::T => (self.n as usize, self.k as usize),
         }
     }
+}
+
+/// Declare the SGEMM kernels' parameters on a generator's builder, in
+/// the order [`launch_params`] lays out a launch's words: A, B, C, α, β.
+fn declare_params(b: &mut KernelBuilder) -> [Operand; 5] {
+    ["a", "b", "c", "alpha", "beta"].map(|name| b.param(name))
+}
+
+/// The parameter words of an SGEMM launch: the `(a, b, c)` addresses
+/// [`alloc_problem`] or [`upload_problem`] return, then α and β.
+pub fn launch_params((a, b, c): (u32, u32, u32), alpha: f32, beta: f32) -> [u32; 5] {
+    [a, b, c, alpha.to_bits(), beta.to_bits()]
 }
 
 /// A generated kernel plus its launch geometry.
@@ -216,20 +228,12 @@ pub fn run_sgemm(
     alpha: f32,
     beta: f32,
 ) -> Result<SgemmRun, SimError> {
-    let a_addr = a.upload(gpu.memory_mut())?;
-    let b_addr = b.upload(gpu.memory_mut())?;
-    let c_addr = c.upload(gpu.memory_mut())?;
-    let stats = gpu.launch(
-        &build.kernel,
-        build.config,
-        &[a_addr, b_addr, c_addr, alpha.to_bits(), beta.to_bits()],
-    )?;
-    let c_out = Matrix::download(
-        gpu.memory(),
-        c_addr,
-        build.problem.m as usize,
-        build.problem.n as usize,
-    )?;
+    let mut upload = |m: &Matrix| m.upload(gpu.memory_mut());
+    let addrs = (upload(a)?, upload(b)?, upload(c)?);
+    let params = launch_params(addrs, alpha, beta);
+    let stats = gpu.launch(&build.kernel, build.config, &params)?;
+    let (m, n) = (build.problem.m as usize, build.problem.n as usize);
+    let c_out = Matrix::download(gpu.memory(), addrs.2, m, n)?;
     Ok(SgemmRun { c: c_out, stats })
 }
 

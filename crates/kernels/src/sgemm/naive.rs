@@ -37,11 +37,7 @@ pub fn build_naive(generation: Generation, problem: &SgemmProblem) -> Result<Sge
         format!("sgemm_naive_{}", problem.variant.name()),
         generation,
     );
-    let p_a = b.param("a");
-    let p_b = b.param("b");
-    let p_c = b.param("c");
-    let p_alpha = b.param("alpha");
-    let p_beta = b.param("beta");
+    let [p_a, p_b, p_c, p_alpha, p_beta] = super::declare_params(&mut b);
 
     let r_tx = Reg::r(0);
     let r_ty = Reg::r(1);
@@ -107,7 +103,6 @@ pub fn build_naive(generation: Generation, problem: &SgemmProblem) -> Result<Sge
     b.st(MemSpace::Global, MemWidth::B32, r_old, r_c, 0);
     b.exit();
 
-    let _ = (p_a, p_b, p_c, p_alpha, p_beta);
     let kernel = b.finish()?;
     Ok(SgemmBuild {
         kernel,

@@ -10,7 +10,7 @@ use peakperf::bound::UpperBoundModel;
 use peakperf::kernels::cpu;
 use peakperf::kernels::matrix::Matrix;
 use peakperf::kernels::sgemm::{
-    build_preset, run_sgemm, upload_problem, Preset, SgemmProblem, Variant,
+    build_preset, launch_params, run_sgemm, upload_problem, Preset, SgemmProblem, Variant,
 };
 use peakperf::sim::timing::time_kernel;
 use peakperf::sim::{GlobalMemory, Gpu};
@@ -80,12 +80,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for preset in [Preset::AsmOpt, Preset::CublasLike, Preset::MagmaLike] {
         let build = build_preset(gpu_config.generation, &problem, preset)?;
         let mut memory = GlobalMemory::new();
-        let (a, b, c) = upload_problem(&mut memory, &problem, 42)?;
+        let params = launch_params(upload_problem(&mut memory, &problem, 42)?, 1.0, 0.0);
         let timing = time_kernel(
             &gpu_config,
             &build.kernel,
             build.config,
-            &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
+            &params,
             &mut memory,
             Some(problem.flops()),
         )?;

@@ -3,7 +3,7 @@
 use peakperf::arch::{Generation, GpuConfig};
 use peakperf::kernels::microbench::mix;
 use peakperf::kernels::sgemm::{
-    alloc_problem, build_preset, upload_problem, Preset, SgemmProblem, Variant,
+    alloc_problem, build_preset, launch_params, upload_problem, Preset, SgemmProblem, Variant,
 };
 use peakperf::sass::KernelBuilder;
 use peakperf::sim::timing::{time_kernel, TimingSim};
@@ -23,12 +23,12 @@ fn timing_simulation_is_deterministic() {
     let build = build_preset(gpu.generation, &problem, Preset::AsmOpt).unwrap();
     let run = || {
         let mut memory = GlobalMemory::new();
-        let (a, b, c) = upload_problem(&mut memory, &problem, 99).unwrap();
+        let params = launch_params(upload_problem(&mut memory, &problem, 99).unwrap(), 1.0, 0.0);
         let t = time_kernel(
             &gpu,
             &build.kernel,
             build.config,
-            &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
+            &params,
             &mut memory,
             Some(problem.flops()),
         )
@@ -62,17 +62,21 @@ fn timing_does_not_read_operand_values() {
         let build = build_preset(gpu.generation, problem, *preset).unwrap();
         let time = |random: bool| {
             let mut memory = GlobalMemory::new();
-            let (a, b, c) = if random {
-                upload_problem(&mut memory, problem, 0xC0FFEE)
-            } else {
-                alloc_problem(&mut memory, problem)
-            }
-            .unwrap();
+            let params = launch_params(
+                if random {
+                    upload_problem(&mut memory, problem, 0xC0FFEE)
+                } else {
+                    alloc_problem(&mut memory, problem)
+                }
+                .unwrap(),
+                1.0,
+                0.0,
+            );
             time_kernel(
                 gpu,
                 &build.kernel,
                 build.config,
-                &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
+                &params,
                 &mut memory,
                 Some(problem.flops()),
             )
@@ -194,12 +198,12 @@ fn generations_order_sanely() {
     for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
         let build = build_preset(gpu.generation, &problem, Preset::AsmOpt).unwrap();
         let mut memory = GlobalMemory::new();
-        let (a, b, c) = upload_problem(&mut memory, &problem, 5).unwrap();
+        let params = launch_params(upload_problem(&mut memory, &problem, 5).unwrap(), 1.0, 0.0);
         let t = time_kernel(
             &gpu,
             &build.kernel,
             build.config,
-            &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
+            &params,
             &mut memory,
             Some(problem.flops()),
         )

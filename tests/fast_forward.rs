@@ -6,7 +6,9 @@
 
 use peakperf::arch::{GpuConfig, LdsWidth};
 use peakperf::kernels::microbench::{math, mix, run_on_sm, saturating_launch, threads};
-use peakperf::kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
+use peakperf::kernels::sgemm::{
+    alloc_problem, build_preset, launch_params, Preset, SgemmProblem, Variant,
+};
 use peakperf::sass::{CmpOp, Kernel, KernelBuilder, LogicOp, MemSpace, MemWidth, Operand};
 use peakperf::sass::{Pred, Reg, SpecialReg};
 use peakperf::sim::timing::cache::run_cached;
@@ -31,8 +33,7 @@ fn sgemm_cases(gpu: &GpuConfig, size: u32) -> Vec<(String, u64, u64)> {
             let build = build_preset(gpu.generation, &problem, preset).unwrap();
             let at = format!("{} {} {} {size}³", gpu.name, preset.name(), variant.name());
             let mut memory = GlobalMemory::new();
-            let (a, b, c) = alloc_problem(&mut memory, &problem).unwrap();
-            let params = [a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
+            let params = launch_params(alloc_problem(&mut memory, &problem).unwrap(), 1.0, 0.0);
             let fresh = memory.clone();
             let (timing, counters) = with_counter_scope(|| {
                 time_kernel(gpu, &build.kernel, build.config, &params, &mut memory, None)

@@ -6,7 +6,9 @@
 use peakperf::arch::{GpuConfig, LdsWidth};
 use peakperf::bound::UpperBoundModel;
 use peakperf::kernels::microbench::{family, math, mix, saturating_launch, threads};
-use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
+use peakperf::kernels::sgemm::{
+    build_preset, launch_params, upload_problem, Preset, SgemmProblem, Variant,
+};
 use peakperf::regalloc::analyze_ffma_conflicts;
 use peakperf::sass::Kernel;
 use peakperf::sim::timing::{time_kernel, TimingSim};
@@ -22,12 +24,12 @@ fn gflops(gpu: &GpuConfig, preset: Preset, size: u32) -> f64 {
     };
     let build = build_preset(gpu.generation, &problem, preset).unwrap();
     let mut memory = GlobalMemory::new();
-    let (a, b, c) = upload_problem(&mut memory, &problem, 1).unwrap();
+    let params = launch_params(upload_problem(&mut memory, &problem, 1).unwrap(), 1.0, 0.0);
     time_kernel(
         gpu,
         &build.kernel,
         build.config,
-        &[a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()],
+        &params,
         &mut memory,
         Some(problem.flops()),
     )

@@ -1,14 +1,19 @@
 //! Hooks are pure observers: every observer, token and cycle-limit
 //! configuration of `TimingSim::run` must produce the `TimingReport` of a
-//! bare run, field for field. The same wave, run in full, computes what
-//! the functional simulator computes.
+//! bare run, field for field. The same wave, run in full, computes and
+//! counts what the functional simulator computes and counts.
 
 use peakperf::arch::GpuConfig;
-use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
+use peakperf::kernels::microbench::math::{math_kernel, table2_patterns};
+use peakperf::kernels::microbench::saturating_launch;
+use peakperf::kernels::sgemm::{
+    build_preset, launch_params, upload_problem, Preset, SgemmProblem, Variant,
+};
+use peakperf::sass::Kernel;
 use peakperf::sim::timing::{
     Hooks, Observer, ProfileBuilder, TimingReport, TimingSim, TraceBuffer,
 };
-use peakperf::sim::{CancelToken, GlobalMemory, Gpu};
+use peakperf::sim::{CancelToken, GlobalMemory, Gpu, LaunchConfig, SimError};
 
 /// The problem of one resident wave of the tuned SGEMM kernel.
 const PROBLEM: SgemmProblem = SgemmProblem {
@@ -22,51 +27,109 @@ const PROBLEM: SgemmProblem = SgemmProblem {
 /// shared loads on both generations, dual issue on Kepler. The grid's two
 /// blocks fit on one SM, so the wave is the whole launch.
 fn run_wave<O: Observer>(gpu: &GpuConfig, hooks: Hooks<'_, O>) -> TimingReport {
-    run_wave_on(gpu, &mut GlobalMemory::new(), hooks)
-}
-
-/// [`run_wave`] on `memory`, which receives the operands and the result.
-fn run_wave_on<O: Observer>(
-    gpu: &GpuConfig,
-    memory: &mut GlobalMemory,
-    hooks: Hooks<'_, O>,
-) -> TimingReport {
+    let mut memory = GlobalMemory::new();
     let build = build_preset(gpu.generation, &PROBLEM, Preset::AsmOpt).unwrap();
-    let (a, b, c) = upload_problem(memory, &PROBLEM, 99).unwrap();
-    let params = [a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
+    let params = launch_params(upload_problem(&mut memory, &PROBLEM, 99).unwrap(), 1.0, 0.0);
     let sim = TimingSim::new(gpu, &build.kernel, build.config, &params).unwrap();
     assert_eq!(sim.occupancy().1 as u64, build.config.total_blocks());
-    sim.run(memory, hooks).unwrap()
+    sim.run(&mut memory, hooks).unwrap()
 }
 
-/// The wave through `TimingSim::run` leaves global memory exactly as
-/// `Gpu::launch` of the same launch does, on both GPUs: both engines
-/// compute both blocks, so every word of A, B and C agrees.
+/// Run one launch through `TimingSim::run` and `Gpu::launch` and hold
+/// the two engines equal: the same global memory word for word, and the
+/// same instruction mix, warp and thread instructions and flops. The
+/// launch must fit one resident wave, so both engines run every block.
+fn assert_engines_agree(
+    gpu: &GpuConfig,
+    kernel: &Kernel,
+    config: LaunchConfig,
+    problem: Option<&SgemmProblem>,
+    what: &str,
+) {
+    let params = |memory: &mut GlobalMemory| match problem {
+        Some(p) => launch_params(upload_problem(memory, p, 99).unwrap(), 1.0, 0.0).to_vec(),
+        None => Vec::new(),
+    };
+    let mut timed = GlobalMemory::new();
+    let sim = TimingSim::new(gpu, kernel, config, &params(&mut timed)).unwrap();
+    assert_eq!(sim.occupancy().1 as u64, config.total_blocks(), "{what}");
+    let report = sim.run(&mut timed, Hooks::default()).unwrap();
+
+    let mut func = Gpu::from_config(gpu);
+    let func_params = params(func.memory_mut());
+    let stats = func.launch(kernel, config, &func_params).unwrap();
+    let counts = (
+        &stats.mix,
+        stats.warp_instructions,
+        stats.thread_instructions,
+        stats.flops,
+    );
+    assert_eq!(
+        (
+            &report.mix,
+            report.warp_instructions,
+            report.thread_instructions,
+            report.flops
+        ),
+        counts,
+        "{what}: timed and launched counts"
+    );
+
+    let launched = func.memory();
+    assert_eq!(timed.size(), launched.size(), "{what}");
+    let word = |m: &GlobalMemory, addr| m.read_u32(addr).unwrap();
+    let first = (4..timed.size())
+        .step_by(4)
+        .find(|&addr| word(&timed, addr) != word(launched, addr));
+    if let Some(addr) = first {
+        panic!(
+            "{what}: first differing word at {addr:#x}: timed {:#010x}, launched {:#010x}",
+            word(&timed, addr),
+            word(launched, addr)
+        );
+    }
+}
+
+/// On both GPUs, the two-block wave above, every SGEMM preset and variant
+/// on a one-block 96×96×64 grid and every Table 2 kernel at its
+/// saturating launch compute and count the same through both engines.
+/// A size the 96-wide tile does not divide is refused, not run.
 #[test]
 fn the_wave_computes_what_the_functional_simulator_computes() {
     for gpu in [GpuConfig::gtx580(), GpuConfig::gtx680()] {
-        let mut timed = GlobalMemory::new();
-        run_wave_on(&gpu, &mut timed, Hooks::default());
-
+        let name = gpu.name;
         let build = build_preset(gpu.generation, &PROBLEM, Preset::AsmOpt).unwrap();
-        let mut func = Gpu::from_config(&gpu);
-        let (a, b, c) = upload_problem(func.memory_mut(), &PROBLEM, 99).unwrap();
-        let params = [a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
-        func.launch(&build.kernel, build.config, &params).unwrap();
-        let launched = func.memory();
+        let what = format!("{name} two-block wave");
+        assert_engines_agree(&gpu, &build.kernel, build.config, Some(&PROBLEM), &what);
 
-        assert_eq!(timed.size(), launched.size(), "{}", gpu.name);
-        let word = |m: &GlobalMemory, addr| m.read_u32(addr).unwrap();
-        let first = (4..timed.size())
-            .step_by(4)
-            .find(|&addr| word(&timed, addr) != word(launched, addr));
-        if let Some(addr) = first {
-            panic!(
-                "{}: first differing word at {addr:#x}: timed {:#010x}, launched {:#010x}",
-                gpu.name,
-                word(&timed, addr),
-                word(launched, addr)
-            );
+        for preset in Preset::ALL {
+            for variant in Variant::ALL {
+                let what = format!("{name} {} {}", preset.name(), variant.name());
+                let problem = SgemmProblem {
+                    variant,
+                    m: 96,
+                    n: 96,
+                    k: 64,
+                };
+                let build = build_preset(gpu.generation, &problem, preset).unwrap();
+                assert_engines_agree(&gpu, &build.kernel, build.config, Some(&problem), &what);
+
+                let off_tile = SgemmProblem::square(variant, 100);
+                let refused = build_preset(gpu.generation, &off_tile, preset);
+                assert!(
+                    matches!(refused, Err(SimError::Launch { .. })),
+                    "{what} at 100³: {:?}",
+                    refused.map(|b| b.config)
+                );
+            }
+        }
+
+        let (threads, blocks) = saturating_launch(&gpu);
+        for pattern in table2_patterns() {
+            let kernel = math_kernel(gpu.generation, &pattern).unwrap();
+            let what = format!("{name} {}", pattern.label());
+            let config = LaunchConfig::linear(blocks, threads);
+            assert_engines_agree(&gpu, &kernel, config, None, &what);
         }
     }
 }

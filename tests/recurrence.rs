@@ -6,6 +6,7 @@
 use std::time::{Duration, Instant};
 
 use peakperf::arch::{Generation, GpuConfig};
+use peakperf::kernels::sgemm;
 use peakperf::sass::{CmpOp, Kernel, KernelBuilder, LogicOp, MemSpace, MemWidth, Pred, Reg};
 use peakperf::sass::{Operand, SpecialReg};
 use peakperf::sim::cancel::CHECK_INTERVAL_CYCLES;
@@ -227,9 +228,8 @@ fn campaign_sims() -> impl Iterator<Item = (FuzzCase, TimingSim, GlobalMemory)> 
         let mut memory = GlobalMemory::new();
         let params = match &seed.problem {
             Some(p) => {
-                let (a, b, c) =
-                    peakperf::kernels::sgemm::upload_problem(&mut memory, p, 7).unwrap();
-                vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()]
+                let addrs = sgemm::upload_problem(&mut memory, p, 7).unwrap();
+                sgemm::launch_params(addrs, 1.0, 0.0).to_vec()
             }
             None => Vec::new(),
         };

@@ -31,7 +31,9 @@ use std::path::Path;
 use std::sync::OnceLock;
 
 use peakperf::arch::{Generation, GpuConfig};
-use peakperf::kernels::sgemm::{build_preset, upload_problem, Preset, SgemmProblem, Variant};
+use peakperf::kernels::sgemm::{
+    build_preset, launch_params, upload_problem, Preset, SgemmProblem, Variant,
+};
 use peakperf::sass::Kernel;
 use peakperf::sim::timing::{Hooks, TimingReport, TimingSim};
 use peakperf::sim::{FuncStats, GlobalMemory, Gpu, Json, LaunchConfig, SimError};
@@ -70,8 +72,8 @@ impl Launch<'_> {
     fn params(&self, memory: &mut GlobalMemory) -> Result<Vec<u32>, SimError> {
         match self.problem {
             Some(p) => {
-                let (a, b, c) = upload_problem(memory, p, 99)?;
-                Ok(vec![a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()])
+                let addrs = upload_problem(memory, p, 99)?;
+                Ok(launch_params(addrs, 1.0, 0.0).to_vec())
             }
             None => Ok(Vec::new()),
         }

@@ -11,7 +11,9 @@ use peakperf::arch::{Generation, GpuConfig};
 use peakperf::kernels::microbench::math::{build_math_kernel, measure_math, table2_patterns};
 use peakperf::kernels::microbench::throughput_of;
 use peakperf::kernels::rng::Rng;
-use peakperf::kernels::sgemm::{alloc_problem, build_preset, Preset, SgemmProblem, Variant};
+use peakperf::kernels::sgemm::{
+    alloc_problem, build_preset, launch_params, Preset, SgemmProblem, Variant,
+};
 use peakperf::sass::{CtlInfo, Kernel, KernelBuilder, OpClass, Operand, Reg};
 use peakperf::sim::timing::{
     chrome_trace, time_kernel, Hooks, Observer, Profile, ProfileBuilder, StallKind, TimingReport,
@@ -353,8 +355,7 @@ fn profile_targets_run_what_the_tables_report() {
         let problem = SgemmProblem::square(Variant::NN, 576);
         let build = build_preset(gpu.generation, &problem, Preset::AsmOpt).unwrap();
         let mut memory = GlobalMemory::new();
-        let (a, b, c) = alloc_problem(&mut memory, &problem).unwrap();
-        let params = [a, b, c, 1.0f32.to_bits(), 0.0f32.to_bits()];
+        let params = launch_params(alloc_problem(&mut memory, &problem).unwrap(), 1.0, 0.0);
         let timed = time_kernel(gpu, &build.kernel, build.config, &params, &mut memory, None);
         let report = run_target(name, false, None).unwrap().report;
         assert_eq!(report, timed.unwrap().sm, "{name}");
