@@ -17,7 +17,7 @@
 //!   polls cooperatively ([`peakperf_sim::cancel::CHECK_INTERVAL_CYCLES`]),
 //!   so runaway simulations abort with a typed error and a per-warp
 //!   snapshot instead of hanging a worker. [`Service::cancel`] aborts a
-//!   queued *or* in-flight job by id.
+//!   queued *or* in-flight job by id ([`JobKind::Fault`] only queued).
 //! * **panic isolation, one attempt** — each job runs at most once,
 //!   under [`run_isolated`], so a panicking job becomes a `failed` result
 //!   (message + condensed backtrace) and the worker survives. Nothing is
@@ -25,7 +25,7 @@
 //!   would only repeat.
 //! * **graceful shutdown** — [`Service::drain`] stops intake and runs the
 //!   queue dry; [`Service::shutdown_now`] additionally cancels in-flight
-//!   work and reports queued jobs as `cancelled`. Either way every
+//!   work that polls its token and reports queued jobs as `cancelled`. Either way every
 //!   accepted job still produces its terminal result.
 //! * **observability** — a [`Health`] snapshot (queue depth, in-flight,
 //!   per-status counters) backed by atomics; and, when a
@@ -83,8 +83,10 @@ pub enum JobKind {
     },
     /// Run one differential fuzz mutant through [`crate::fault::run_case`]
     /// — the service's "untrusted kernel" ingestion path. The mutant's own
-    /// step/cycle budgets bound the run; a deadline additionally bounds
-    /// its wall time.
+    /// step/cycle budgets bound the run, which does not poll the job's
+    /// token (a token switches off the recurrence skip, DESIGN.md §5.1,
+    /// and hang mutants would step to their cycle limit): a deadline or a
+    /// cancel stops a fault job only before its attempt starts.
     Fault {
         /// The fully-specified mutant.
         case: FuzzCase,
@@ -742,8 +744,9 @@ impl Service {
     }
 
     /// Cancel a job by id: a queued job is removed and reported
-    /// `cancelled`; an in-flight job has its token fired (the result
-    /// arrives from its worker once the simulator observes the poll).
+    /// `cancelled`; an in-flight job has its token fired (its worker
+    /// reports once the simulator polls it, which a `fault` attempt never
+    /// does).
     /// Returns `false` when the id is neither queued nor in flight.
     pub fn cancel(&self, id: &str) -> bool {
         let removed = {
@@ -815,8 +818,8 @@ impl Service {
 
     /// Stop immediately: intake closes, in-flight jobs are cancelled via
     /// their tokens, queued jobs are reported `cancelled` without running.
-    /// Joins the workers (bounded by the token poll interval) and returns
-    /// the final counters.
+    /// Joins the workers (bounded by the token poll interval, or by a
+    /// `fault` attempt's own budgets) and returns the final counters.
     pub fn shutdown_now(mut self) -> Health {
         let queued: Vec<JobSpec> = {
             let mut state = lock(&self.shared.state);
@@ -1157,19 +1160,16 @@ pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
                         Generation::Kepler
                     };
                     let seed_spec = seeds[rng.gen_range_usize(0, seeds.len())];
-                    JobSpec {
-                        deadline_ms: Some(30_000),
-                        ..JobSpec::new(
-                            id,
-                            JobKind::Fault {
-                                case: FuzzCase {
-                                    generation,
-                                    seed: seed_spec,
-                                    mutation_seed: rng.next_u64(),
-                                },
+                    JobSpec::new(
+                        id,
+                        JobKind::Fault {
+                            case: FuzzCase {
+                                generation,
+                                seed: seed_spec,
+                                mutation_seed: rng.next_u64(),
                             },
-                        )
-                    }
+                        },
+                    )
                 }
                 70..=79 => JobSpec::new(id, JobKind::Panic),
                 // Deadline-doomed spins: must come back as `deadline`.

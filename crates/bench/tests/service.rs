@@ -61,7 +61,8 @@ fn chaos_soak_reaches_terminal_state_for_every_job() {
     }
     // Rejections land on the channel immediately; accepted jobs finish
     // as the workers drain the queue. Per-job deadlines (<= 60 s in the
-    // soak mix) bound the whole thing; the watchdog is generous.
+    // soak mix) and the fault mutants' own step and cycle budgets bound
+    // the whole thing; the watchdog is generous.
     let results = collect(&rx, total, Duration::from_secs(300));
     let health = svc.drain();
 
