@@ -357,7 +357,7 @@ fn journal_attachment_leaves_results_identical() {
 }
 
 /// A fixed, clock-free event sequence locking the Chrome-trace export
-/// format: a completed job, a shed job, and a cycle-cancelled job across
+/// format: a completed job, a shed job, and a job cancelled by id across
 /// two workers; the queue-depth counter rises at each submission and
 /// falls at each pickup.
 fn synthetic_events() -> Vec<Event> {
@@ -405,7 +405,7 @@ fn synthetic_events() -> Vec<Event> {
             "gamma",
             Some(1),
             EventKind::CancelRequested {
-                source: CancelSource::Cycle,
+                source: CancelSource::Api,
             },
         ),
         ev(
