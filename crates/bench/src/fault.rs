@@ -41,7 +41,7 @@ use peakperf_sass::{
     Reg, Role,
 };
 use peakperf_sim::timing::{Hooks, TimingSim, TraceBuffer};
-use peakperf_sim::{ensure, obj, GlobalMemory, Gpu, Json, LaunchConfig, SimError};
+use peakperf_sim::{ensure, obj, CancelToken, GlobalMemory, Gpu, Json, LaunchConfig, SimError};
 
 use crate::exec::{panic_message, run_isolated, Executor};
 use crate::report::{envelope, Table};
@@ -672,11 +672,9 @@ fn classify(result: Result<u64, SimError>) -> Outcome {
         Err(SimError::DivergentBarrier { .. }) => Outcome::Fault("divergent_barrier"),
         Err(SimError::BarrierDeadlock { .. }) => Outcome::Fault("barrier_deadlock"),
         Err(SimError::RanOffEnd) => Outcome::Fault("ran_off_end"),
-        // No mutant run arms a CancelToken, a service `fault` job's
-        // included; a token's abort would be host-imposed, as a watchdog's.
-        Err(SimError::StepLimit { .. })
-        | Err(SimError::Cancelled { .. })
-        | Err(SimError::DeadlineExceeded { .. }) => Outcome::Timeout,
+        // A token's abort (only a service `fault` job's timing runs poll
+        // one) is host-imposed, as a watchdog's.
+        Err(SimError::StepLimit { .. }) | Err(SimError::Cancelled { .. }) => Outcome::Timeout,
     }
 }
 
@@ -720,6 +718,7 @@ fn run_timing(
     problem: Option<&SgemmProblem>,
     gpu: &GpuConfig,
     traced: bool,
+    cancel: Option<&CancelToken>,
 ) -> Result<u64, SimError> {
     let mut memory = GlobalMemory::new();
     let params = launch_params(&mut memory, problem)?;
@@ -727,10 +726,11 @@ fn run_timing(
     let report = if traced {
         // Keeps no events: the traced code path with bounded memory. A
         // hang skips here too, its recurring periods' events replayed.
-        let hooks = Hooks::observe(TraceBuffer::with_limit(0));
+        let hooks = Hooks::observe(TraceBuffer::with_limit(0)).cancel(cancel);
         sim.run(&mut memory, hooks.cycle_limit(FUZZ_CYCLE_LIMIT))?
     } else {
-        sim.run(&mut memory, Hooks::default().cycle_limit(FUZZ_CYCLE_LIMIT))?
+        let hooks = Hooks::default().cancel(cancel);
+        sim.run(&mut memory, hooks.cycle_limit(FUZZ_CYCLE_LIMIT))?
     };
     Ok(report.cycles)
 }
@@ -822,19 +822,26 @@ pub fn mutant_kernel(
     Ok((seed, kernel, kinds))
 }
 
-/// Drive one mutant through every engine and the oracle.
+/// Drive one mutant, with the recorded shrinker `removals` applied,
+/// through every engine and the oracle. The two timing runs poll
+/// `cancel`, which a service `fault` job passes; [`FUZZ_STEP_LIMIT`] alone
+/// bounds the functional run.
 ///
 /// # Errors
 ///
 /// Reports seed-build failures (harness bugs) as strings; mutant
 /// misbehavior is never an `Err` — it lands in the report.
-pub fn run_case_with(case: &FuzzCase, removals: &[usize]) -> Result<MutantReport, String> {
+pub fn run_case_with(
+    case: &FuzzCase,
+    removals: &[usize],
+    cancel: Option<&CancelToken>,
+) -> Result<MutantReport, String> {
     let (seed, kernel, kinds) = mutant_kernel(case, removals)?;
     let problem = seed.problem.as_ref();
     let func = engine(|| run_func(&kernel, seed.config, problem, case.generation));
     let gpu = GpuConfig::preset(case.generation);
-    let timing = engine(|| run_timing(&kernel, seed.config, problem, &gpu, false));
-    let traced = engine(|| run_timing(&kernel, seed.config, problem, &gpu, true));
+    let timing = engine(|| run_timing(&kernel, seed.config, problem, &gpu, false, cancel));
+    let traced = engine(|| run_timing(&kernel, seed.config, problem, &gpu, true, cancel));
     // The round-trip oracle calls into the validator/encoder on an
     // arbitrary mutant, so it gets the same panic boundary as the
     // engines: a panicking toolchain is itself a reportable violation,
@@ -870,8 +877,8 @@ pub fn run_case_with(case: &FuzzCase, removals: &[usize]) -> Result<MutantReport
 /// # Errors
 ///
 /// Same as [`run_case_with`].
-pub fn run_case(case: &FuzzCase) -> Result<MutantReport, String> {
-    run_case_with(case, &[])
+pub fn run_case(case: &FuzzCase, cancel: Option<&CancelToken>) -> Result<MutantReport, String> {
+    run_case_with(case, &[], cancel)
 }
 
 // ---------------------------------------------------------------------------
@@ -889,7 +896,7 @@ pub fn run_case(case: &FuzzCase) -> Result<MutantReport, String> {
 ///
 /// Reports seed-build failures as strings.
 pub fn shrink_case(case: &FuzzCase) -> Result<(Vec<usize>, MutantReport), String> {
-    let baseline = run_case(case)?;
+    let baseline = run_case(case, None)?;
     let Some(kind) = baseline.violation.as_ref().map(|v| v.kind) else {
         return Ok((Vec::new(), baseline));
     };
@@ -905,7 +912,7 @@ pub fn shrink_case(case: &FuzzCase) -> Result<(Vec<usize>, MutantReport), String
             budget -= 1;
             let mut attempt = removed.clone();
             attempt.push(i);
-            if let Ok(report) = run_case_with(case, &attempt) {
+            if let Ok(report) = run_case_with(case, &attempt, None) {
                 if report.violation.as_ref().map(|v| v.kind) == Some(kind) {
                     removed = attempt;
                     best = report;
@@ -1016,7 +1023,7 @@ pub fn replay_corpus(dir: &Path) -> Result<Vec<(PathBuf, Option<Violation>)>, St
         let vc = Json::parse(&text)
             .and_then(|doc| ViolationCase::from_json(&doc))
             .map_err(|e| format!("{}: {e}", path.display()))?;
-        let report = run_isolated(|| run_case_with(&vc.case, &vc.removed))
+        let report = run_isolated(|| run_case_with(&vc.case, &vc.removed, None))
             .map_err(|e| format!("{}: {e}", path.display()))?;
         out.push((path, report.violation));
     }
@@ -1109,7 +1116,7 @@ pub fn campaign_cases(cfg: &CampaignConfig) -> Vec<FuzzCase> {
 /// differential pipeline in parallel, and minimize every violation.
 pub fn run_campaign(cfg: &CampaignConfig) -> CampaignResult {
     let cases = campaign_cases(cfg);
-    let reports = Executor::auto().map(&cases, |case| run_isolated(|| run_case(case)));
+    let reports = Executor::auto().map(&cases, |case| run_isolated(|| run_case(case, None)));
 
     let mut result = CampaignResult {
         cases: cases.len() as u64,
@@ -1369,8 +1376,8 @@ mod tests {
             let seed = SeedSpec::Table2(0).build(generation).unwrap();
             let func = engine(|| run_func(&seed.kernel, seed.config, None, generation));
             let gpu = GpuConfig::preset(generation);
-            let timing = engine(|| run_timing(&seed.kernel, seed.config, None, &gpu, false));
-            let traced = engine(|| run_timing(&seed.kernel, seed.config, None, &gpu, true));
+            let timing = engine(|| run_timing(&seed.kernel, seed.config, None, &gpu, false, None));
+            let traced = engine(|| run_timing(&seed.kernel, seed.config, None, &gpu, true, None));
             assert_eq!(func, Outcome::Ok { cycles: 0 });
             assert!(matches!(timing, Outcome::Ok { .. }), "{timing}");
             assert_eq!(traced, timing);

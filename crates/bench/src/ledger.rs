@@ -37,7 +37,7 @@ pub const END_TO_END: [&str; 5] = [
 /// The two sides of a measured change.
 const SIDES: [&str; 2] = ["parent", "change"];
 
-/// The first `pr` whose entries must carry every [`REPRODUCE_ALL`] member.
+/// The first `pr` whose entries must carry every `reproduce_all_*` member.
 pub const REPRODUCE_ALL_FROM: u64 = 47;
 
 /// Numeric members: `reproduce --workers 2 all` medians.

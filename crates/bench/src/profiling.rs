@@ -146,8 +146,7 @@ pub struct ProfileOutcome {
 /// # Errors
 ///
 /// Unknown target names and simulation failures, plus
-/// [`SimError::Cancelled`] / [`SimError::DeadlineExceeded`] when the
-/// token fires mid-run.
+/// [`SimError::Cancelled`] when the token fires mid-run.
 pub fn run_target(
     name: &str,
     capture_trace: bool,

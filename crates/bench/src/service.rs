@@ -17,7 +17,7 @@
 //!   polls cooperatively ([`peakperf_sim::cancel::CHECK_INTERVAL_CYCLES`]),
 //!   so runaway simulations abort with a typed error and a per-warp
 //!   snapshot instead of hanging a worker. [`Service::cancel`] aborts a
-//!   queued *or* in-flight job by id ([`JobKind::Fault`] only queued).
+//!   queued *or* in-flight job by id.
 //! * **panic isolation, one attempt** — each job runs at most once,
 //!   under [`run_isolated`], so a panicking job becomes a `failed` result
 //!   (message + condensed backtrace) and the worker survives. Nothing is
@@ -25,7 +25,7 @@
 //!   would only repeat.
 //! * **graceful shutdown** — [`Service::drain`] stops intake and runs the
 //!   queue dry; [`Service::shutdown_now`] additionally cancels in-flight
-//!   work that polls its token and reports queued jobs as `cancelled`. Either way every
+//!   work through its token and reports queued jobs as `cancelled`. Either way every
 //!   accepted job still produces its terminal result.
 //! * **observability** — a [`Health`] snapshot (queue depth, in-flight,
 //!   per-status counters) backed by atomics; and, when a
@@ -53,9 +53,9 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use peakperf_arch::{Generation, GpuConfig};
-use peakperf_sass::KernelBuilder;
+use peakperf_sass::{KernelBuilder, Reg};
 use peakperf_sim::timing::{Hooks, TimingSim};
-use peakperf_sim::{CancelCause, CancelSource, CancelToken, GlobalMemory, LaunchConfig, SimError};
+use peakperf_sim::{CancelSource, CancelToken, GlobalMemory, LaunchConfig, SimError};
 
 use peakperf_sim::{ensure, obj, Json};
 
@@ -83,17 +83,19 @@ pub enum JobKind {
     },
     /// Run one differential fuzz mutant through [`crate::fault::run_case`]
     /// — the service's "untrusted kernel" ingestion path. The mutant's own
-    /// step/cycle budgets bound the run, which does not poll the job's
-    /// token (a token switches off the recurrence skip, DESIGN.md §5.1,
-    /// and hang mutants would step to their cycle limit): a deadline or a
-    /// cancel stops a fault job only before its attempt starts.
+    /// step/cycle budgets bound the run; its two timing runs also poll the
+    /// job's token, so a deadline or a cancel that fires during the
+    /// attempt ends the job `deadline` or `cancelled`. The functional run
+    /// does not poll it: a token that fires there stops the first timing
+    /// run at its first poll.
     Fault {
         /// The fully-specified mutant.
         case: FuzzCase,
     },
-    /// An intentionally infinite kernel: completes only by firing its
-    /// token (deadline or [`cancel_at_cycle`](JobSpec::cancel_at_cycle)),
-    /// else the simulator's cycle watchdog fails it.
+    /// An intentionally infinite kernel that counts in a register, so its
+    /// state never recurs and it is stepped until its token fires
+    /// (deadline, cancel or shutdown); without a deadline the simulator's
+    /// cycle watchdog fails it.
     Spin,
     /// Panics — proves the isolation boundary.
     Panic,
@@ -125,19 +127,15 @@ pub struct JobSpec {
     /// picks it up. `None` = no deadline (hostile simulations are still
     /// bounded by the cycle watchdog).
     pub deadline_ms: Option<u64>,
-    /// Deterministic abort: fire the job's token at this simulated cycle
-    /// (only meaningful for kinds that run the timing simulator).
-    pub cancel_at_cycle: Option<u64>,
 }
 
 impl JobSpec {
-    /// A job with no deadline and no cycle trigger.
+    /// A job with no deadline.
     pub fn new(id: impl Into<String>, kind: JobKind) -> JobSpec {
         JobSpec {
             id: id.into(),
             kind,
             deadline_ms: None,
-            cancel_at_cycle: None,
         }
     }
 
@@ -150,7 +148,6 @@ impl JobSpec {
             JobKind::Spin | JobKind::Panic => {}
         }
         doc.push_some("deadline_ms", self.deadline_ms);
-        doc.push_some("cancel_at_cycle", self.cancel_at_cycle);
         doc
     }
 
@@ -170,10 +167,6 @@ impl JobSpec {
         if id.is_empty() {
             return Err("job needs a non-empty string `id`".to_owned());
         }
-        let optional = |key: &str| match doc[key] {
-            Json::Null => Ok(None),
-            _ => doc.need_u64(key).map(Some),
-        };
         let kind = match doc.need_str("kind")? {
             "profile" => JobKind::Profile {
                 target: doc.need_str("target")?.to_owned(),
@@ -193,12 +186,13 @@ impl JobSpec {
         let spec = JobSpec {
             id: id.to_owned(),
             kind,
-            deadline_ms: optional("deadline_ms")?,
-            cancel_at_cycle: optional("cancel_at_cycle")?,
+            deadline_ms: match doc["deadline_ms"] {
+                Json::Null => None,
+                _ => Some(doc.need_u64("deadline_ms")?),
+            },
         };
         let written = JobSpec {
             deadline_ms: Some(0),
-            cancel_at_cycle: Some(0),
             ..spec.clone()
         }
         .to_json();
@@ -250,7 +244,7 @@ pub enum JobStatus {
     Completed,
     /// Its attempt failed (structured error or isolated panic).
     Failed,
-    /// Aborted by [`Service::cancel`], a cycle trigger, or shutdown.
+    /// Aborted by [`Service::cancel`] or shutdown.
     Cancelled,
     /// Its wall-clock deadline elapsed.
     Deadline,
@@ -316,7 +310,7 @@ pub struct JobResult {
     /// `None` for jobs no worker picked up.
     pub attempts_wall_us: Option<u64>,
     /// Which trigger path aborted the job, for `cancelled`/`deadline`
-    /// results (`api | cycle | deadline | shutdown`).
+    /// results (`api | deadline | shutdown`).
     pub cancel_source: Option<CancelSource>,
 }
 
@@ -745,8 +739,8 @@ impl Service {
 
     /// Cancel a job by id: a queued job is removed and reported
     /// `cancelled`; an in-flight job has its token fired (its worker
-    /// reports once the simulator polls it, which a `fault` attempt never
-    /// does).
+    /// reports once a timing run polls it, or once a `fault` attempt's
+    /// functional run, which does not poll, ends).
     /// Returns `false` when the id is neither queued nor in flight.
     pub fn cancel(&self, id: &str) -> bool {
         let removed = {
@@ -819,7 +813,8 @@ impl Service {
     /// Stop immediately: intake closes, in-flight jobs are cancelled via
     /// their tokens, queued jobs are reported `cancelled` without running.
     /// Joins the workers (bounded by the token poll interval, or by a
-    /// `fault` attempt's own budgets) and returns the final counters.
+    /// `fault` attempt's functional step budget) and returns the final
+    /// counters.
     pub fn shutdown_now(mut self) -> Health {
         let queued: Vec<JobSpec> = {
             let mut state = lock(&self.shared.state);
@@ -959,12 +954,9 @@ enum Attempt {
         cycles: Option<u64>,
         report: Option<Json>,
     },
-    Cancelled {
-        at_cycle: u64,
-    },
-    Deadline {
-        at_cycle: u64,
-    },
+    /// The job's token fired, seen at `at_cycle` of a timing run (`None`
+    /// when a fault job's report, not a run, is what the token stopped).
+    Stopped { at_cycle: Option<u64> },
 }
 
 fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> JobResult {
@@ -972,66 +964,54 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
         Some(ms) => CancelToken::with_deadline(Duration::from_millis(ms)),
         None => CancelToken::new(),
     };
-    if let Some(cycle) = spec.cancel_at_cycle {
-        token.cancel_at_cycle(cycle);
-    }
     lock(&shared.inflight).insert(spec.id.clone(), token.clone());
     let t0 = Instant::now();
-    let deadline_ms = spec.deadline_ms.unwrap_or(0);
     let mut attempts: u32 = 0;
     let mut attempt_wall = Duration::ZERO;
     // Honour a token that fired before the attempt could start: a cancel
     // that arrived right after pickup, or a zero deadline.
-    // `fire_state(0)` never trips an armed `cancel_at_cycle > 0`.
-    let (status, detail, cycles, report) = match token.fire_state(0) {
-        Some(CancelCause::Cancelled) if spec.cancel_at_cycle != Some(0) => (
-            JobStatus::Cancelled,
-            "cancelled before its attempt".to_owned(),
-            None,
-            None,
-        ),
-        Some(CancelCause::DeadlineExceeded) => (
-            JobStatus::Deadline,
-            format!("deadline of {deadline_ms} ms exhausted before its attempt"),
-            None,
-            None,
-        ),
-        _ => {
+    let (outcome, when) = match token.poll() {
+        Some(_) => (Ok(Attempt::Stopped { at_cycle: None }), "before"),
+        None => {
             attempts = 1;
             shared.record(&spec.id, Some(worker), EventKind::AttemptStarted);
             let attempt_t0 = Instant::now();
             let outcome = run_isolated(|| run_attempt(&spec, &token));
             attempt_wall = attempt_t0.elapsed();
-            match outcome {
-                Ok(Attempt::Done {
-                    detail,
-                    cycles,
-                    report,
-                }) => (JobStatus::Completed, detail, cycles, report),
-                Ok(Attempt::Cancelled { at_cycle }) => (
-                    JobStatus::Cancelled,
-                    format!("cancelled at cycle {at_cycle}"),
-                    None,
-                    None,
-                ),
-                Ok(Attempt::Deadline { at_cycle }) => (
-                    JobStatus::Deadline,
-                    format!("deadline of {deadline_ms} ms exceeded at cycle {at_cycle}"),
-                    None,
-                    None,
-                ),
-                Err(message) => (JobStatus::Failed, message, None, None),
-            }
+            (outcome, "during")
         }
     };
-    // Token-driven aborts name their trigger path. Cycle and deadline
-    // fire *inside* the run, so this worker journals the request; api
-    // and shutdown requests were journaled by the requesting thread.
+    let (status, detail, cycles, report) = match outcome {
+        Ok(Attempt::Done {
+            detail,
+            cycles,
+            report,
+        }) => (JobStatus::Completed, detail, cycles, report),
+        Ok(Attempt::Stopped { at_cycle }) => {
+            let when = at_cycle.map_or(format!("{when} its attempt"), |c| format!("at cycle {c}"));
+            if token.fired_source() == Some(CancelSource::Deadline) {
+                let ms = spec.deadline_ms.unwrap_or(0);
+                let detail = format!("deadline of {ms} ms exceeded {when}");
+                (JobStatus::Deadline, detail, None, None)
+            } else {
+                (
+                    JobStatus::Cancelled,
+                    format!("cancelled {when}"),
+                    None,
+                    None,
+                )
+            }
+        }
+        Err(message) => (JobStatus::Failed, message, None, None),
+    };
+    // Token-driven aborts name their trigger path. A deadline fires
+    // *inside* the job, so this worker journals the request; api and
+    // shutdown requests were journaled by the requesting thread.
     let cancel_source = match status {
         JobStatus::Cancelled | JobStatus::Deadline => token.fired_source(),
         _ => None,
     };
-    if let Some(source @ (CancelSource::Cycle | CancelSource::Deadline)) = cancel_source {
+    if let Some(source @ CancelSource::Deadline) = cancel_source {
         shared.record(
             &spec.id,
             Some(worker),
@@ -1067,12 +1047,13 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
     }
 }
 
-/// Map a simulator error to its attempt outcome: token-driven aborts are
-/// their own terminal states, everything else is a failure.
+/// Map a simulator error to its attempt outcome: a token-driven abort is
+/// its own terminal state, everything else is a failure.
 fn classify_sim_error(e: SimError) -> Result<Attempt, String> {
     match e {
-        SimError::Cancelled { at_cycle, .. } => Ok(Attempt::Cancelled { at_cycle }),
-        SimError::DeadlineExceeded { at_cycle, .. } => Ok(Attempt::Deadline { at_cycle }),
+        SimError::Cancelled { at_cycle, .. } => Ok(Attempt::Stopped {
+            at_cycle: Some(at_cycle),
+        }),
         other => Err(other.to_string()),
     }
 }
@@ -1088,7 +1069,10 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken) -> Result<Attempt, String> {
             Err(e) => classify_sim_error(e),
         },
         JobKind::Fault { case } => {
-            let report = crate::fault::run_case(case)?;
+            let report = crate::fault::run_case(case, Some(token))?;
+            if token.fired_source().is_some() {
+                return Ok(Attempt::Stopped { at_cycle: None });
+            }
             let detail = match &report.violation {
                 Some(v) => format!("mutant violation [{}]: {}", v.kind.name(), v.detail),
                 None => format!(
@@ -1110,6 +1094,7 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken) -> Result<Attempt, String> {
         JobKind::Spin => {
             let mut b = KernelBuilder::new("service_spin", Generation::Fermi);
             let top = b.label_here();
+            b.iadd(Reg::r(0), Reg::r(0), 1);
             b.bra(top);
             b.exit();
             let kernel = b.finish().map_err(|e| e.to_string())?;
@@ -1118,7 +1103,7 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken) -> Result<Attempt, String> {
             let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[])
                 .map_err(|e| e.to_string())?;
             let mut hooks = Hooks::default().cancel(Some(token));
-            if spec.deadline_ms.is_none() && spec.cancel_at_cycle.is_none() {
+            if spec.deadline_ms.is_none() {
                 // Untriggered spins should fail fast on the watchdog, not
                 // burn the default multi-million-cycle budget.
                 hooks = hooks.cycle_limit(200_000);
@@ -1141,9 +1126,9 @@ fn run_attempt(spec: &JobSpec, token: &CancelToken) -> Result<Attempt, String> {
 // ---------------------------------------------------------------------------
 
 /// Generate a deterministic chaos-soak job mix: fault mutants (hostile
-/// kernels), panicking jobs (isolation), spins with short deadlines or
-/// cycle triggers (cancellation), and a sprinkle of real profile jobs —
-/// everything the resilience claims must survive.
+/// kernels), panicking jobs (isolation), spins with short deadlines
+/// (cancellation), and a sprinkle of real profile jobs — everything the
+/// resilience claims must survive.
 pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
     let mut rng = peakperf_kernels::rng::Rng::seed_from_u64(seed ^ 0x5EED_50AC);
     let seeds = SeedSpec::all();
@@ -1173,14 +1158,8 @@ pub fn soak_jobs(count: u64, seed: u64) -> Vec<JobSpec> {
                 }
                 70..=79 => JobSpec::new(id, JobKind::Panic),
                 // Deadline-doomed spins: must come back as `deadline`.
-                80..=89 => JobSpec {
+                80..=94 => JobSpec {
                     deadline_ms: Some(rng.gen_below(41) + 20),
-                    ..JobSpec::new(id, JobKind::Spin)
-                },
-                // Cycle-triggered spins: must come back as `cancelled`.
-                90..=94 => JobSpec {
-                    cancel_at_cycle: Some(rng.gen_below(100_000) + 1),
-                    deadline_ms: Some(30_000),
                     ..JobSpec::new(id, JobKind::Spin)
                 },
                 // Well-behaved profile work sharing the pool.
@@ -1385,6 +1364,19 @@ mod tests {
         JobSpec::new(id, JobKind::Fault { case })
     }
 
+    /// A fault job whose attempt takes ≈0.3 s in release builds: seed-1
+    /// campaign case 805, a GTX680 `table2:08` mutant whose functional
+    /// run skips to its step limit in microseconds and whose two timing
+    /// runs each step a hang that never recurs to `FUZZ_CYCLE_LIMIT`.
+    fn slow_mutant(id: &str) -> JobSpec {
+        let case = FuzzCase {
+            generation: Generation::Kepler,
+            seed: SeedSpec::parse("table2:08").unwrap(),
+            mutation_seed: 3_509_300_882_083_252_658,
+        };
+        JobSpec::new(id, JobKind::Fault { case })
+    }
+
     /// The events of one job, in sequence order: its span chain.
     fn chain_of(journal: &Journal, job: &str) -> Vec<Event> {
         journal
@@ -1440,23 +1432,6 @@ mod tests {
         *line.get_mut("attempts").unwrap() = 2.into();
         check_result(&line, "zero", &mut errors);
         assert_eq!(errors, ["zero: deadline job reports 2 attempt(s)"]);
-    }
-
-    #[test]
-    fn cycle_triggered_spin_reports_cancelled() {
-        let (service, rx) = small_service(1, 8);
-        service.submit(JobSpec {
-            cancel_at_cycle: Some(4096),
-            ..JobSpec::new("spin", JobKind::Spin)
-        });
-        service.drain();
-        let results = drain_results(&rx);
-        assert_eq!(results[0].status, JobStatus::Cancelled);
-        assert!(
-            results[0].detail.contains("cancelled at cycle"),
-            "{}",
-            results[0].detail
-        );
     }
 
     #[test]
@@ -1577,6 +1552,66 @@ mod tests {
     }
 
     #[test]
+    fn a_deadline_passing_during_a_fault_attempt_ends_the_job() {
+        let (service, rx) = small_service(1, 8);
+        let ms = 20;
+        service.submit(slow_mutant("free"));
+        service.submit(JobSpec {
+            deadline_ms: Some(ms),
+            ..slow_mutant("bounded")
+        });
+        service.drain();
+        let results = drain_results(&rx);
+        let free = results.iter().find(|r| r.id == "free").unwrap();
+        assert_eq!(free.status, JobStatus::Completed, "{}", free.detail);
+        let attempt_us = free.attempts_wall_us.unwrap();
+        assert!(attempt_us >= 10 * 1000 * ms, "attempt took {attempt_us} us");
+        let bounded = results.iter().find(|r| r.id == "bounded").unwrap();
+        assert_eq!(bounded.status, JobStatus::Deadline, "{}", bounded.detail);
+        assert_eq!(bounded.attempts, 1);
+        assert_eq!(bounded.cancel_source, Some(CancelSource::Deadline));
+        assert!(
+            bounded.detail.contains("deadline of 20 ms"),
+            "{}",
+            bounded.detail
+        );
+    }
+
+    #[test]
+    fn cancel_stops_a_running_fault_job() {
+        let journal = Arc::new(Journal::full(None));
+        let config = ServiceConfig {
+            workers: 1,
+            queue_capacity: 8,
+        };
+        let (service, rx) = Service::start_with_journal(config, Some(Arc::clone(&journal)));
+        service.submit(slow_mutant("slow"));
+        let t0 = Instant::now();
+        while !chain_of(&journal, "slow")
+            .iter()
+            .any(|e| e.kind == EventKind::AttemptStarted)
+        {
+            assert!(t0.elapsed() < Duration::from_secs(10), "job never started");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        assert!(service.cancel("slow"));
+        let health = service.drain();
+        let results = drain_results(&rx);
+        assert_eq!(
+            results[0].status,
+            JobStatus::Cancelled,
+            "{}",
+            results[0].detail
+        );
+        assert_eq!(results[0].attempts, 1);
+        assert_eq!(results[0].cancel_source, Some(CancelSource::Api));
+        assert_eq!(
+            journal.check_invariants(Some(&health)),
+            Vec::<String>::new()
+        );
+    }
+
+    #[test]
     fn fault_mutant_jobs_complete_with_outcome_detail() {
         let (service, rx) = small_service(2, 8);
         service.submit(mutant("mutant"));
@@ -1615,7 +1650,7 @@ mod tests {
                 },
             ),
             JobSpec {
-                cancel_at_cycle: Some(1024),
+                deadline_ms: Some(1024),
                 ..JobSpec::new("s1", JobKind::Spin)
             },
             JobSpec::new("x1", JobKind::Panic),
@@ -1743,8 +1778,7 @@ mod tests {
         );
         service.submit(JobSpec::new("boom", JobKind::Panic));
         service.submit(JobSpec {
-            cancel_at_cycle: Some(2048),
-            deadline_ms: Some(30_000),
+            deadline_ms: Some(20),
             ..JobSpec::new("spin", JobKind::Spin)
         });
         let health = service.drain();
@@ -1766,20 +1800,20 @@ mod tests {
             ["submitted", "dequeued", "attempt_started", "terminal"]
         );
 
-        // The cycle-cancelled spin names its trigger path, both in the
+        // The deadline-stopped spin names its trigger path, both in the
         // journal and on the result line.
         let spin = chain_of(&journal, "spin");
         assert!(spin.iter().any(|e| matches!(
             e.kind,
             EventKind::CancelRequested {
-                source: CancelSource::Cycle
+                source: CancelSource::Deadline
             }
         )));
         let spin_result = results.iter().find(|r| r.id == "spin").unwrap();
-        assert_eq!(spin_result.cancel_source, Some(CancelSource::Cycle));
+        assert_eq!(spin_result.cancel_source, Some(CancelSource::Deadline));
         assert_eq!(
             spin_result.to_json().get("cancel_source").unwrap().as_str(),
-            Some("cycle")
+            Some("deadline")
         );
 
         // Every executed job carries its latency fields.
@@ -1881,13 +1915,10 @@ mod tests {
                 "200-job soak should include a {kind} job"
             );
         }
-        // The deterministic cancellation and deadline paths must both be
-        // represented, or the soak proves less than it claims.
+        // The deadline path must be represented, or the soak proves less
+        // than it claims.
         assert!(a
             .iter()
-            .any(|j| j.kind == JobKind::Spin && j.cancel_at_cycle.is_some()));
-        assert!(a.iter().any(|j| j.kind == JobKind::Spin
-            && j.deadline_ms.is_some_and(|ms| ms < 100)
-            && j.cancel_at_cycle.is_none()));
+            .any(|j| j.kind == JobKind::Spin && j.deadline_ms.is_some_and(|ms| ms < 100)));
     }
 }

@@ -46,7 +46,7 @@ fn random_mutants_never_panic_and_always_terminate() {
                     seed: spec,
                     mutation_seed: 0x5EED_0000 + (i as u64) * 16 + k,
                 };
-                let report = run_case(&case).expect("seed build must succeed");
+                let report = run_case(&case, None).expect("seed build must succeed");
                 for (name, outcome) in [
                     ("func", &report.func),
                     ("timing", &report.timing),

@@ -13,7 +13,7 @@ use std::time::Duration;
 use peakperf_bench::report::check_document;
 use peakperf_bench::service::journal::{self, Event, EventKind, Journal};
 use peakperf_bench::service::{
-    self, JobKind, JobResult, JobSpec, JobStatus, Service, ServiceConfig,
+    self, JobKind, JobResult, JobSpec, JobStatus, Service, ServiceConfig, SubmitOutcome,
 };
 use peakperf_sim::{CancelSource, Json};
 
@@ -47,7 +47,7 @@ fn collect(rx: &mpsc::Receiver<JobResult>, want: usize, budget: Duration) -> Vec
 fn chaos_soak_reaches_terminal_state_for_every_job() {
     // 220 hostile-heavy jobs through a deliberately tight queue so the
     // backpressure path is exercised alongside panics, deadline-doomed
-    // spins, cycle-triggered cancels and mutants.
+    // spins, cancels by id and mutants.
     let jobs = service::soak_jobs(220, 2026);
     let total = jobs.len();
     let capacity = 32;
@@ -56,8 +56,17 @@ fn chaos_soak_reaches_terminal_state_for_every_job() {
         queue_capacity: capacity,
     };
     let (svc, rx) = Service::start_with_journal(config, None);
+    let mut accepted = Vec::new();
     for job in jobs {
-        svc.submit(job);
+        let id = job.id.clone();
+        if svc.submit(job) == SubmitOutcome::Accepted {
+            accepted.push(id);
+        }
+    }
+    // The last accepted jobs wait behind a full queue: cancel them by id.
+    let cancelled = &accepted[accepted.len() - 3..];
+    for id in cancelled {
+        assert!(svc.cancel(id), "{id} is neither queued nor in flight");
     }
     // Rejections land on the channel immediately; accepted jobs finish
     // as the workers drain the queue. Per-job deadlines (<= 60 s in the
@@ -92,26 +101,26 @@ fn chaos_soak_reaches_terminal_state_for_every_job() {
     assert!(results.iter().all(|r| r.attempts <= 1));
 
     // Spot-check semantics: panics are failures with a backtrace, and
-    // cycle-triggered spins were cancelled mid-simulation.
+    // the jobs cancelled by id name the API as their source.
     let panic = results
         .iter()
         .find(|r| r.kind == "panic" && r.status == JobStatus::Failed)
         .expect("a panic job should fail terminally");
     assert!(panic.detail.contains("backtrace:"), "{}", panic.detail);
-    assert!(results.iter().any(|r| r.kind == "spin"
-        && r.status == JobStatus::Cancelled
-        && r.detail.contains("cancelled at cycle")));
+    for r in results.iter().filter(|r| cancelled.contains(&r.id)) {
+        assert_eq!(r.status, JobStatus::Cancelled, "{}", r.id);
+        assert_eq!(r.cancel_source, Some(CancelSource::Api), "{}", r.id);
+    }
 }
 
 #[test]
 fn soak_results_are_deterministic_for_simulator_jobs() {
-    // Same seed, same cycle-triggered spin: the simulator must abort at
-    // the same cycle both times (cancellation is on the deterministic
-    // 1024-cycle grid, not a wall-clock race).
-    let spin = service::soak_jobs(200, 9)
+    // Same seed, same fault job: the engines and the oracle must give the
+    // same verdict and the same cycles both times.
+    let fault = service::soak_jobs(200, 9)
         .into_iter()
-        .find(|j| j.kind == JobKind::Spin && j.cancel_at_cycle.is_some())
-        .expect("the soak mix includes cycle-triggered spins");
+        .find(|j| j.kind.name() == "fault")
+        .expect("the soak mix includes fault jobs");
     let run = |spec: JobSpec| {
         let config = ServiceConfig {
             workers: 1,
@@ -123,10 +132,11 @@ fn soak_results_are_deterministic_for_simulator_jobs() {
         svc.drain();
         results.into_iter().next().unwrap()
     };
-    let a = run(spin.clone());
-    let b = run(spin);
-    assert_eq!(a.status, JobStatus::Cancelled);
-    assert_eq!(a.detail, b.detail, "abort cycle must be deterministic");
+    let a = run(fault.clone());
+    let b = run(fault);
+    assert_eq!(a.status, JobStatus::Completed, "{}", a.detail);
+    assert_eq!(a.detail, b.detail);
+    assert_eq!(a.cycles, b.cycles);
 }
 
 #[test]
@@ -323,9 +333,9 @@ fn journal_attachment_leaves_results_identical() {
             ),
             // An untriggered spin fails on the cycle watchdog.
             JobSpec::new("fails", JobKind::Spin),
+            // A zero deadline fires before the attempt.
             JobSpec {
-                cancel_at_cycle: Some(4096),
-                deadline_ms: Some(30_000),
+                deadline_ms: Some(0),
                 ..JobSpec::new("aborts", JobKind::Spin)
             },
         ]

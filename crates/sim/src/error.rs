@@ -98,20 +98,13 @@ pub enum SimError {
         /// Description from the validator.
         message: String,
     },
-    /// The run was cancelled through a
-    /// [`CancelToken`](crate::CancelToken) (host-side abort).
+    /// The run was stopped through a
+    /// [`CancelToken`](crate::CancelToken) (a host-side abort: an
+    /// explicit cancel, a wall-clock deadline, or shutdown).
     Cancelled {
+        /// The trigger path that fired the token first.
+        source: crate::CancelSource,
         /// Simulated cycle at which the cancellation was observed.
-        at_cycle: u64,
-        /// Per-warp scheduling state at the abort point.
-        snapshot: Option<HangSnapshot>,
-    },
-    /// The run's wall-clock deadline (armed on its
-    /// [`CancelToken`](crate::CancelToken)) elapsed mid-simulation.
-    DeadlineExceeded {
-        /// The deadline budget in milliseconds.
-        deadline_ms: u64,
-        /// Simulated cycle at which the expiry was observed.
         at_cycle: u64,
         /// Per-warp scheduling state at the abort point.
         snapshot: Option<HangSnapshot>,
@@ -154,22 +147,13 @@ impl fmt::Display for SimError {
                 Ok(())
             }
             SimError::Invalid { message } => write!(f, "invalid kernel: {message}"),
-            SimError::Cancelled { at_cycle, snapshot } => {
-                write!(f, "run cancelled at cycle {at_cycle}")?;
-                if let Some(snap) = snapshot {
-                    write!(f, "; {snap}")?;
-                }
-                Ok(())
-            }
-            SimError::DeadlineExceeded {
-                deadline_ms,
+            SimError::Cancelled {
+                source,
                 at_cycle,
                 snapshot,
             } => {
-                write!(
-                    f,
-                    "deadline of {deadline_ms} ms exceeded at cycle {at_cycle}"
-                )?;
+                let source = source.as_str();
+                write!(f, "run cancelled ({source}) at cycle {at_cycle}")?;
                 if let Some(snap) = snapshot {
                     write!(f, "; {snap}")?;
                 }
@@ -235,6 +219,7 @@ mod tests {
         };
         assert!(e.to_string().contains("deadlock"));
         let e = SimError::Cancelled {
+            source: crate::CancelSource::Deadline,
             at_cycle: 2048,
             snapshot: Some(HangSnapshot {
                 at: 2048,
@@ -246,16 +231,11 @@ mod tests {
             }),
         };
         let text = e.to_string();
-        assert!(text.contains("cancelled at cycle 2048"), "{text}");
+        assert!(
+            text.contains("cancelled (deadline) at cycle 2048"),
+            "{text}"
+        );
         assert!(text.contains("w0@0x2[runnable]"), "{text}");
-        let e = SimError::DeadlineExceeded {
-            deadline_ms: 50,
-            at_cycle: 4096,
-            snapshot: None,
-        };
-        let text = e.to_string();
-        assert!(text.contains("50 ms"), "{text}");
-        assert!(text.contains("4096"), "{text}");
     }
 
     #[test]

@@ -66,7 +66,7 @@ mod stats;
 pub mod timing;
 mod warp;
 
-pub use cancel::{CancelCause, CancelSource, CancelToken};
+pub use cancel::{CancelSource, CancelToken};
 pub use error::{HangSnapshot, SimError, WarpHang};
 pub use func::Gpu;
 pub use json::Json;

@@ -36,7 +36,7 @@ use peakperf_arch::GpuConfig;
 use peakperf_sass::Kernel;
 
 use crate::timing::sm::{TimingReport, TimingSim};
-use crate::timing::trace::Hooks;
+use crate::timing::trace::{Hooks, Skip};
 use crate::{GlobalMemory, LaunchConfig, SimError};
 
 // ---------------------------------------------------------------------
@@ -179,7 +179,7 @@ fn active() -> Option<&'static SimCache> {
 /// Same as [`TimingSim::run`].
 pub fn run_cached(sim: &TimingSim, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
     let timing_only = Hooks {
-        timing_only: true,
+        skip: Skip::Affine,
         ..Hooks::default()
     };
     let Some(cache) = active() else {

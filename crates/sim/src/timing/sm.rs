@@ -5,14 +5,14 @@ use std::collections::BTreeMap;
 use peakperf_arch::{register_bank, GpuConfig, WARP_SIZE};
 use peakperf_sass::{CtlInfo, Kernel, MemSpace, Op, OpClass, Operand, Pred, Reg};
 
-use crate::cancel::{CancelCause, CHECK_INTERVAL_CYCLES};
+use crate::cancel::{CancelToken, CHECK_INTERVAL_CYCLES};
 use crate::exec::{bits, release_barrier, step_warp, BlockCtx, MemAccess, MemCtx};
 use crate::launch::check_launch;
 use crate::recur::Brent;
 use crate::stats::Tally;
 use crate::timing::conflict::SEGMENT_BYTES;
 use crate::timing::conflict::{bank_geometry, global_transactions, shared_conflict_factor};
-use crate::timing::trace::{Hooks, Observer, TraceEvent, TraceEventKind, NO_PC};
+use crate::timing::trace::{Hooks, Observer, Skip, TraceEvent, TraceEventKind, NO_PC};
 use crate::timing::Calibration;
 use crate::warp::{Control, StepEvent, WarpState};
 use crate::{Dim3, GlobalMemory, HangSnapshot, InstMix, LaunchConfig, SimError, WarpHang};
@@ -474,8 +474,7 @@ impl TimingSim {
     /// # Errors
     ///
     /// Propagates memory faults; reports [`SimError::StepLimit`] past the
-    /// cycle limit and [`SimError::Cancelled`] /
-    /// [`SimError::DeadlineExceeded`] when the token fires.
+    /// cycle limit and [`SimError::Cancelled`] when the token fires.
     pub fn run<O: Observer>(
         &self,
         memory: &mut GlobalMemory,
@@ -485,7 +484,7 @@ impl TimingSim {
             observer: obs,
             cancel,
             cycle_limit,
-            timing_only,
+            skip,
         } = hooks;
         // Every tick count stays below half of `u64::MAX`, leaving a
         // pipe's lead over the cycle as much room again.
@@ -564,12 +563,12 @@ impl TimingSim {
             .map(|sched| (0..n_warps).filter(|&w| w % schedulers == sched).collect())
             .collect();
         let wpb = warps_per_block as usize;
-        // A run that no token polls skips the periods of an exact
-        // recurrence, replaying one period's events to an observer that
-        // takes them; a timing-only run also skips those of a recurrence
-        // modulo affine slice deltas (DESIGN.md §5.1).
-        let detect = cancel.is_none();
-        let affine = detect && timing_only && self.affine;
+        // A run skips the periods of an exact recurrence, replaying one
+        // period's events to an observer that takes them; a timing-only
+        // run also skips those of a recurrence modulo affine slice deltas
+        // (DESIGN.md §5.1).
+        let detect = skip != Skip::None;
+        let affine = skip == Skip::Affine && self.affine;
         let mut recur = Recurrence {
             affine,
             regs: if affine {
@@ -594,21 +593,12 @@ impl TimingSim {
                 });
             }
             if cycle.is_multiple_of(CHECK_INTERVAL_CYCLES) {
-                if let Some(token) = cancel {
-                    if let Some(cause) = token.fire_state(cycle) {
-                        let snapshot = Some(timing_hang_snapshot(cycle, &st));
-                        return Err(match cause {
-                            CancelCause::Cancelled => SimError::Cancelled {
-                                at_cycle: cycle,
-                                snapshot,
-                            },
-                            CancelCause::DeadlineExceeded => SimError::DeadlineExceeded {
-                                deadline_ms: token.deadline_ms(),
-                                at_cycle: cycle,
-                                snapshot,
-                            },
-                        });
-                    }
+                if let Some(source) = cancel.and_then(CancelToken::poll) {
+                    return Err(SimError::Cancelled {
+                        source,
+                        at_cycle: cycle,
+                        snapshot: Some(timing_hang_snapshot(cycle, &st)),
+                    });
                 }
             }
             if let Some(refill) = self.calib.tokens_per_cycle {
@@ -1499,7 +1489,7 @@ fn timing_hang_snapshot(cycle: u64, st: &RunState) -> HangSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::CancelToken;
+    use crate::cancel::CancelSource;
     use peakperf_sass::{Generation, KernelBuilder, Operand, Reg};
 
     /// A kernel of `n` independent FFMAs per thread in a tight loop.
@@ -1618,20 +1608,29 @@ mod tests {
 
     #[test]
     fn cycle_limit_catches_runaway() {
+        // A spin kernel runs forever; the cycle limit must stop it,
+        // identically on every run, with a coherent per-warp snapshot.
         let mut b = KernelBuilder::new("spin", Generation::Fermi);
         let top = b.label_here();
         b.bra(top);
         b.exit();
         let kernel = b.finish().unwrap();
         let gpu = GpuConfig::gtx580();
-        let mut mem = GlobalMemory::new();
-        let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 32), &[]).unwrap();
-        match sim.run(&mut mem, Hooks::default().cycle_limit(10_000)) {
-            Err(SimError::StepLimit { limit, snapshot }) => {
+        let run = || {
+            let mut mem = GlobalMemory::new();
+            let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[]).unwrap();
+            sim.run(&mut mem, Hooks::default().cycle_limit(10_000))
+                .unwrap_err()
+        };
+        let first = run();
+        assert_eq!(first, run(), "stopped runs must be deterministic");
+        match first {
+            SimError::StepLimit { limit, snapshot } => {
                 assert_eq!(limit, 10_000);
                 let snap = snapshot.expect("cycle limit carries a snapshot");
-                assert_eq!(snap.warps.len(), 1);
-                assert_ne!(snap.warps[0].state, "done");
+                assert_eq!(snap.at, limit + 1);
+                assert_eq!(snap.warps.len(), 2); // 64 threads = 2 warps
+                assert!(snap.warps.iter().all(|w| w.state != "done"));
             }
             other => panic!("expected StepLimit, got {other:?}"),
         }
@@ -1678,48 +1677,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_at_cycle_is_deterministic_and_snapshotted() {
-        // A spin kernel runs forever; a cycle-armed token must abort it at
-        // the first poll boundary >= the armed cycle, identically on every
-        // run, with a coherent per-warp snapshot.
-        let mut b = KernelBuilder::new("spin", Generation::Fermi);
-        let top = b.label_here();
-        b.bra(top);
-        b.exit();
-        let kernel = b.finish().unwrap();
-        let gpu = GpuConfig::gtx580();
-
-        let run_cancelled = |at: u64| -> SimError {
-            let mut mem = GlobalMemory::new();
-            let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[]).unwrap();
-            let token = CancelToken::new();
-            token.cancel_at_cycle(at);
-            sim.run(&mut mem, Hooks::default().cancel(Some(&token)))
-                .unwrap_err()
-        };
-
-        let first = run_cancelled(5000);
-        let second = run_cancelled(5000);
-        assert_eq!(first, second, "cancelled runs must be deterministic");
-        match first {
-            SimError::Cancelled { at_cycle, snapshot } => {
-                // First poll boundary at or after the armed cycle.
-                assert_eq!(at_cycle, 5000_u64.next_multiple_of(CHECK_INTERVAL_CYCLES));
-                let snap = snapshot.expect("cancellation carries a snapshot");
-                assert_eq!(snap.at, at_cycle);
-                assert_eq!(snap.warps.len(), 2); // 64 threads = 2 warps
-                assert!(snap.warps.iter().all(|w| w.state != "done"));
-            }
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-        // A different armed cycle lands on a different boundary.
-        match run_cancelled(0) {
-            SimError::Cancelled { at_cycle, .. } => assert_eq!(at_cycle, 0),
-            other => panic!("expected Cancelled, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn pre_cancelled_token_aborts_immediately() {
         let kernel = ffma_kernel(Generation::Fermi, 16, 1 << 20);
         let gpu = GpuConfig::gtx580();
@@ -1728,13 +1685,15 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         match sim.run(&mut mem, Hooks::default().cancel(Some(&token))) {
-            Err(SimError::Cancelled { at_cycle, .. }) => assert_eq!(at_cycle, 0),
+            Err(SimError::Cancelled {
+                source, at_cycle, ..
+            }) => assert_eq!((source, at_cycle), (CancelSource::Api, 0)),
             other => panic!("expected immediate Cancelled, got {other:?}"),
         }
     }
 
     #[test]
-    fn elapsed_deadline_aborts_with_budget_in_error() {
+    fn elapsed_deadline_aborts_naming_its_source() {
         let kernel = ffma_kernel(Generation::Fermi, 16, 1 << 20);
         let gpu = GpuConfig::gtx580();
         let mut mem = GlobalMemory::new();
@@ -1742,15 +1701,13 @@ mod tests {
         let token = CancelToken::with_deadline(std::time::Duration::ZERO);
         std::thread::sleep(std::time::Duration::from_millis(1));
         match sim.run(&mut mem, Hooks::default().cancel(Some(&token))) {
-            Err(SimError::DeadlineExceeded {
-                deadline_ms,
-                snapshot,
-                ..
+            Err(SimError::Cancelled {
+                source, snapshot, ..
             }) => {
-                assert_eq!(deadline_ms, 0);
+                assert_eq!(source, CancelSource::Deadline);
                 assert!(snapshot.is_some());
             }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
+            other => panic!("expected Cancelled, got {other:?}"),
         }
     }
 

@@ -130,10 +130,20 @@ pub struct Hooks<'a, O = ()> {
     pub(crate) observer: O,
     pub(crate) cancel: Option<&'a CancelToken>,
     pub(crate) cycle_limit: u64,
-    /// For the report alone: a finishing loop's recurring periods may be
-    /// skipped together with their stores, which leaves memory
-    /// unspecified (DESIGN.md §5.1).
-    pub(crate) timing_only: bool,
+    pub(crate) skip: Skip,
+}
+
+/// Which recurrences a run skips instead of stepping (DESIGN.md §5.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Skip {
+    /// None: every cycle is stepped.
+    None,
+    /// Exact recurrences of the whole state.
+    Exact,
+    /// For the report alone: also a finishing loop's periods, modulo
+    /// affine slice deltas, together with their stores, which leaves
+    /// memory unspecified.
+    Affine,
 }
 
 /// Default safety limit on simulated cycles.
@@ -153,32 +163,41 @@ impl<'a, O: Observer> Hooks<'a, O> {
             observer,
             cancel: None,
             cycle_limit: DEFAULT_CYCLE_LIMIT,
-            timing_only: false,
+            skip: Skip::Exact,
         }
     }
 
     /// Poll `token` every
     /// [`CHECK_INTERVAL_CYCLES`](crate::cancel::CHECK_INTERVAL_CYCLES)
     /// simulated cycles (one relaxed atomic load) and abort with
-    /// [`SimError::Cancelled`](crate::SimError::Cancelled) /
-    /// [`SimError::DeadlineExceeded`](crate::SimError::DeadlineExceeded)
-    /// carrying the per-warp scheduling snapshot. A token that never
-    /// fires leaves the run cycle-identical (the poll is a pure observer).
+    /// [`SimError::Cancelled`](crate::SimError::Cancelled) carrying the
+    /// source that fired and the per-warp scheduling snapshot. The token
+    /// is a host-side stop only: one that never fires leaves the run,
+    /// recurrence skips included, as it is without one.
     pub fn cancel(mut self, token: Option<&'a CancelToken>) -> Self {
         self.cancel = token;
         self
     }
 
     /// Abort with [`SimError::StepLimit`](crate::SimError::StepLimit)
-    /// once the run passes cycle `limit`. An untokened run skips there
-    /// from an exact recurrence of its state, replaying one recorded
-    /// period's events to its observer.
+    /// once the run passes cycle `limit`, the one deterministic
+    /// simulated-cycle stop. A run skips there from an exact recurrence
+    /// of its state, replaying one recorded period's events to its
+    /// observer.
     /// The SM's pipes count time in integer ticks, up to 192,400 a cycle
     /// on GTX580; a limit past the cycle where those counts reach half of
     /// `u64::MAX` (about 4.8·10¹³ on both GTX580 and GTX680) counts as
     /// that cycle, so every count fits with room for a pipe's lead.
     pub fn cycle_limit(mut self, limit: u64) -> Self {
         self.cycle_limit = limit;
+        self
+    }
+
+    /// Step every cycle: skip no recurrence. The reference the recurrence
+    /// skip is tested against; it reports what a skipping run reports.
+    #[doc(hidden)]
+    pub fn step_every_cycle(mut self) -> Self {
+        self.skip = Skip::None;
         self
     }
 }

@@ -20,7 +20,7 @@ pub enum StepEvent {
         /// Instruction index of the barrier.
         pc: u32,
     },
-    /// All lanes have exited, the last at the `EXIT` at `pc` ([`EXITED`]
+    /// All lanes have exited, the last at the `EXIT` at `pc` (`u32::MAX`
     /// when the warp had exited before the step).
     Exited { pc: u32 },
 }

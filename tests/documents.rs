@@ -331,7 +331,7 @@ fn service_documents_from_a_seeded_soak() {
     let jobs = service::soak_jobs(20, 7);
     for job in &jobs {
         let mut line = job.to_json();
-        Remove("cancel_at_cycle").apply(&mut line);
+        Remove("deadline_ms").apply(&mut line);
         let mut cases = vec![
             (
                 "kind",
@@ -341,8 +341,8 @@ fn service_documents_from_a_seeded_soak() {
             ("id", Set("".into()), "non-empty string `id`"),
             (
                 "",
-                Push("cancel_at_cycle", 1.5.into()),
-                "`cancel_at_cycle` must be a non-negative",
+                Push("deadline_ms", 1.5.into()),
+                "`deadline_ms` must be a non-negative",
             ),
             (
                 "",

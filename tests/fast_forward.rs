@@ -13,13 +13,11 @@ use peakperf::sass::{CmpOp, Kernel, KernelBuilder, LogicOp, MemSpace, MemWidth, 
 use peakperf::sass::{Pred, Reg, SpecialReg};
 use peakperf::sim::timing::cache::run_cached;
 use peakperf::sim::timing::{time_kernel, Hooks, TimingReport, TimingSim};
-use peakperf::sim::{with_counter_scope, CancelToken, GlobalMemory, LaunchConfig, SimError};
+use peakperf::sim::{with_counter_scope, GlobalMemory, LaunchConfig, SimError};
 
-/// What `sim` reports when it steps every cycle: a token that never
-/// fires turns the skip off and leaves the run cycle-identical.
+/// What `sim` reports when it steps every cycle.
 fn stepped(sim: &TimingSim, memory: &mut GlobalMemory) -> Result<TimingReport, SimError> {
-    let never = CancelToken::new();
-    sim.run(memory, Hooks::default().cancel(Some(&never)))
+    sim.run(memory, Hooks::default().step_every_cycle())
 }
 
 /// Every SGEMM preset and variant at `size`³ on `gpu`: the timing-only

@@ -9,7 +9,6 @@ use peakperf::arch::{Generation, GpuConfig};
 use peakperf::kernels::sgemm;
 use peakperf::sass::{CmpOp, Kernel, KernelBuilder, LogicOp, MemSpace, MemWidth, Pred, Reg};
 use peakperf::sass::{Operand, SpecialReg};
-use peakperf::sim::cancel::CHECK_INTERVAL_CYCLES;
 use peakperf::sim::exec::{step_warp, BlockCtx, MemCtx};
 use peakperf::sim::timing::{Hooks, Observer, TimingSim, TraceBuffer};
 use peakperf::sim::with_counter_scope;
@@ -252,30 +251,40 @@ fn run_to_limit<O: Observer>(
 
 #[test]
 fn untraced_timing_of_every_campaign_hang_matches_a_stepping_run() {
-    // A token turns the skip off, and one that never fires leaves the run
-    // cycle-identical: the reference simulates every cycle.
-    let never = CancelToken::new();
-    let mut hangs = [0; 2];
+    // The reference simulates every cycle. A deadline token that never
+    // fires is polled, and reads the clock, every 1024 cycles; it still
+    // skips what an untokened run skips and reports what it reports.
+    let never = CancelToken::with_deadline(Duration::from_secs(3600));
+    let (mut hangs, mut skipped) = ([0; 2], 0);
     for (case, sim, memory) in campaign_sims() {
-        let untraced = run_to_limit(&sim, &memory, Hooks::default());
+        let (untraced, counters) =
+            with_counter_scope(|| run_to_limit(&sim, &memory, Hooks::default()));
         if !untraced.0.starts_with("Err(StepLimit") {
             continue;
         }
         hangs[(case.generation == Generation::Kepler) as usize] += 1;
-        let stepped = run_to_limit(&sim, &memory, Hooks::default().cancel(Some(&never)));
+        let stepped = run_to_limit(&sim, &memory, Hooks::default().step_every_cycle());
         assert_eq!(untraced, stepped, "{case:?}");
+        let tokened = Hooks::default().cancel(Some(&never));
+        let (tokened, under_token) = with_counter_scope(|| run_to_limit(&sim, &memory, tokened));
+        assert_eq!(tokened, untraced, "{case:?} under a token");
+        assert_eq!(
+            under_token.skipped_cycles, counters.skipped_cycles,
+            "{case:?}"
+        );
+        skipped += under_token.skipped_cycles;
     }
     assert!(
         hangs.iter().all(|&n| n >= 5),
         "too few hangs per GPU: {hangs:?}"
     );
+    assert!(skipped > 0, "no hang skipped under a token");
 }
 
 #[test]
 fn traced_timing_of_every_campaign_hang_delivers_the_stepped_event_stream() {
     // A traced run skips by replaying one recorded period per skipped
-    // period; a never-firing token makes the reference step every cycle.
-    let never = CancelToken::new();
+    // period; the reference steps every cycle.
     let mut hangs = [0; 2];
     for (case, sim, memory) in campaign_sims() {
         for limit in [0, 1000, usize::MAX] {
@@ -287,7 +296,7 @@ fn traced_timing_of_every_campaign_hang_delivers_the_stepped_event_stream() {
             if !got.0.starts_with("Err(StepLimit") {
                 break;
             }
-            let hooks = Hooks::observe(&mut stepped).cancel(Some(&never));
+            let hooks = Hooks::observe(&mut stepped).step_every_cycle();
             let want = run_to_limit(&sim, &memory, hooks);
             let at = format!("{case:?}, trace limit {limit}");
             assert_eq!(got, want, "{at}");
@@ -328,13 +337,12 @@ fn a_period_too_long_to_tape_is_stepped_in_a_traced_run() {
     let gpu = GpuConfig::gtx580();
     let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 1024), &[]).unwrap();
     let memory = GlobalMemory::new();
-    let never = CancelToken::new();
     let (mut skipped, mut stepped) = (TraceBuffer::with_limit(0), TraceBuffer::with_limit(0));
     let got = run_to_limit(&sim, &memory, Hooks::observe(&mut skipped));
     let want = run_to_limit(
         &sim,
         &memory,
-        Hooks::observe(&mut stepped).cancel(Some(&never)),
+        Hooks::observe(&mut stepped).step_every_cycle(),
     );
     assert!(want.0.starts_with("Err(StepLimit"), "{want:?}");
     assert_eq!(got, want);
@@ -407,27 +415,5 @@ fn a_period_long_against_its_start_cycle_is_skipped() {
     let (untraced, counters) = with_counter_scope(|| run(Hooks::default()));
     assert!(untraced.0.starts_with("Err(StepLimit"), "{untraced:?}");
     assert!(counters.skipped_cycles > 0, "{case:?} skipped nothing");
-    let never = CancelToken::new();
-    assert_eq!(untraced, run(Hooks::default().cancel(Some(&never))));
-}
-
-#[test]
-fn a_cycle_armed_cancel_still_stops_at_its_poll_boundary() {
-    // A token turns the skip off, so a spin kernel stops where the token
-    // fires, far past the point where an untokened run starts skipping.
-    let armed = 300_000 + 7;
-    let gpu = GpuConfig::gtx680();
-    let kernel = spin_kernel(gpu.generation);
-    let mut memory = GlobalMemory::new();
-    let out = memory.alloc_zeroed(64 * 4).unwrap();
-    let sim = TimingSim::new(&gpu, &kernel, LaunchConfig::linear(1, 64), &[out]).unwrap();
-    let token = CancelToken::new();
-    token.cancel_at_cycle(armed);
-    match sim.run(&mut memory, Hooks::default().cancel(Some(&token))) {
-        Err(SimError::Cancelled { at_cycle, snapshot }) => {
-            assert_eq!(at_cycle, armed.next_multiple_of(CHECK_INTERVAL_CYCLES));
-            assert_eq!(snapshot.unwrap().at, at_cycle);
-        }
-        other => panic!("expected Cancelled, got {other:?}"),
-    }
+    assert_eq!(untraced, run(Hooks::default().step_every_cycle()));
 }

@@ -19,7 +19,7 @@ use peakperf::sim::timing::{
     chrome_trace, time_kernel, Hooks, Observer, Profile, ProfileBuilder, StallKind, TimingReport,
     TimingSim, TraceBuffer, TraceEvent, TraceEventKind,
 };
-use peakperf::sim::{CancelToken, GlobalMemory, Json, LaunchConfig};
+use peakperf::sim::{with_counter_scope, GlobalMemory, Json, LaunchConfig};
 use peakperf_bench::fault::{campaign_cases, mutant_kernel, CampaignConfig, FUZZ_CYCLE_LIMIT};
 use peakperf_bench::profiling::{run_target, TARGETS};
 
@@ -376,15 +376,14 @@ const IDLE_CYCLES: [(&str, u64, u64); 7] = [
 
 #[test]
 fn profile_targets_count_their_idle_cycles() {
-    // A run that skips recurring periods replays their events, so it
-    // counts what a stepping run (a token that never fires) counts.
+    // No profile target skips a cycle, so each count is one a stepping
+    // run makes.
     assert_eq!(IDLE_CYCLES.map(|t| t.0), TARGETS.map(|t| t.name));
-    let token = CancelToken::new();
     for (name, idle, cycles) in IDLE_CYCLES {
-        for cancel in [None, Some(&token)] {
-            let profile = &run_target(name, false, cancel).unwrap().json["profile"];
-            assert_eq!(profile.count("cycles"), cycles, "{name}");
-            assert_eq!(profile.count("idle_cycles"), idle, "{name}");
-        }
+        let (outcome, counters) = with_counter_scope(|| run_target(name, false, None));
+        let profile = &outcome.unwrap().json["profile"];
+        assert_eq!(profile.count("cycles"), cycles, "{name}");
+        assert_eq!(profile.count("idle_cycles"), idle, "{name}");
+        assert_eq!(counters.skipped_cycles, 0, "{name}");
     }
 }
