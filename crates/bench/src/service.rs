@@ -970,7 +970,7 @@ fn run_job(shared: &Shared, spec: JobSpec, worker: u32, queue_wait_us: u64) -> J
     let mut attempt_wall = Duration::ZERO;
     // Honour a token that fired before the attempt could start: a cancel
     // that arrived right after pickup, or a zero deadline.
-    let (outcome, when) = match token.poll() {
+    let (outcome, when) = match token.fire_state() {
         Some(_) => (Ok(Attempt::Stopped { at_cycle: None }), "before"),
         None => {
             attempts = 1;

@@ -27,9 +27,10 @@
 //!   the per-job budget of the simulation service.
 //!
 //! Whichever path fires first is recorded as a [`CancelSource`]
-//! (`api | deadline | shutdown`), returned by [`CancelToken::poll`] and
-//! queryable with [`CancelToken::fired_source`] — the provenance the
-//! service journal attaches to `CancelRequested` events and job results.
+//! (`api | deadline | shutdown`), returned by the poll,
+//! [`CancelToken::fire_state`], and queryable with
+//! [`CancelToken::fired_source`] — the provenance the service journal
+//! attaches to `CancelRequested` events and job results.
 
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::Arc;
@@ -137,7 +138,8 @@ impl CancelToken {
     }
 
     /// The first trigger path that fired this token, once one has. A
-    /// deadline counts as fired once a [`CancelToken::poll`] saw it pass.
+    /// deadline counts as fired once [`CancelToken::fire_state`] saw it
+    /// pass.
     pub fn fired_source(&self) -> Option<CancelSource> {
         let tag = self.inner.source.load(Ordering::Relaxed);
         CancelSource::ALL
@@ -151,7 +153,7 @@ impl CancelToken {
     /// This is the (cold-path) check the timing loop performs every
     /// [`CHECK_INTERVAL_CYCLES`]; a source that already fired wins over
     /// a deadline passing now.
-    pub fn poll(&self) -> Option<CancelSource> {
+    pub fn fire_state(&self) -> Option<CancelSource> {
         let fired = self.fired_source();
         if fired.is_some() || self.inner.deadline.is_none_or(|d| Instant::now() < d) {
             return fired;
@@ -168,7 +170,7 @@ mod tests {
     #[test]
     fn plain_token_never_fires_on_its_own() {
         let t = CancelToken::new();
-        assert_eq!(t.poll(), None);
+        assert_eq!(t.fire_state(), None);
         assert_eq!(t.fired_source(), None);
     }
 
@@ -177,7 +179,7 @@ mod tests {
         let t = CancelToken::new();
         let clone = t.clone();
         t.cancel();
-        assert_eq!(clone.poll(), Some(CancelSource::Api));
+        assert_eq!(clone.fire_state(), Some(CancelSource::Api));
     }
 
     #[test]
@@ -186,9 +188,9 @@ mod tests {
         // The deadline is `now`, so any later poll must fire.
         std::thread::sleep(Duration::from_millis(1));
         assert_eq!(t.fired_source(), None, "armed but not yet polled");
-        assert_eq!(t.poll(), Some(CancelSource::Deadline));
+        assert_eq!(t.fire_state(), Some(CancelSource::Deadline));
         let generous = CancelToken::with_deadline(Duration::from_secs(3600));
-        assert_eq!(generous.poll(), None);
+        assert_eq!(generous.fire_state(), None);
     }
 
     #[test]
@@ -196,7 +198,7 @@ mod tests {
         let t = CancelToken::with_deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(1));
         t.cancel();
-        assert_eq!(t.poll(), Some(CancelSource::Api));
+        assert_eq!(t.fire_state(), Some(CancelSource::Api));
         assert_eq!(t.fired_source(), Some(CancelSource::Api));
     }
 
@@ -209,7 +211,7 @@ mod tests {
 
         let deadline = CancelToken::with_deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(deadline.poll(), Some(CancelSource::Deadline));
+        assert_eq!(deadline.fire_state(), Some(CancelSource::Deadline));
         assert_eq!(deadline.fired_source(), Some(CancelSource::Deadline));
 
         let shutdown = CancelToken::new();
@@ -223,7 +225,7 @@ mod tests {
         // explicit cancel (the journal must name the real cause).
         let t = CancelToken::with_deadline(Duration::ZERO);
         std::thread::sleep(Duration::from_millis(1));
-        assert_eq!(t.poll(), Some(CancelSource::Deadline));
+        assert_eq!(t.fire_state(), Some(CancelSource::Deadline));
         t.cancel();
         assert_eq!(t.fired_source(), Some(CancelSource::Deadline));
         // Source is visible across clones like the flag itself.

@@ -593,7 +593,7 @@ impl TimingSim {
                 });
             }
             if cycle.is_multiple_of(CHECK_INTERVAL_CYCLES) {
-                if let Some(source) = cancel.and_then(CancelToken::poll) {
+                if let Some(source) = cancel.and_then(CancelToken::fire_state) {
                     return Err(SimError::Cancelled {
                         source,
                         at_cycle: cycle,
